@@ -47,11 +47,7 @@ fn main() -> ExitCode {
             "live-sweep flags: [--arch ...] [--x-list F,F,...] [--conversations-list N,N,...]"
         );
         eprintln!(
-            "  [--buffers-list N,N,...] [--nodes N] [--duration-ms N] [--scale F] [--remote]"
-        );
-        eprintln!("  [--handoff targeted|broadcast] [--no-json] [--bench-handoff]");
-        eprintln!(
-            "  [--bench-nodes N] [--bench-conversations N] [--bench-buffers N] [--bench-ms N]"
+            "  [--buffers-list N,N,...] [--nodes N] [--duration-ms N] [--scale F] [--remote] [--no-json]"
         );
         return ExitCode::from(2);
     }
@@ -364,8 +360,7 @@ fn parse_csv<T: std::str::FromStr>(s: &str, flag: &str) -> Result<Vec<T>, String
 /// (conversations × buffers × arch × X) point, fanned out on the sweep
 /// worker pool, rendered in paper order next to the matching GTPN model
 /// points. Stdout is byte-deterministic (virtual clock everywhere, no
-/// wall-clock content); wall-clock totals and the optional
-/// targeted-vs-broadcast coordinator benchmark go to stderr and
+/// wall-clock content); wall-clock totals go to stderr and
 /// `BENCH_runtime.json`.
 fn run_live_sweep(args: &[String], mode: ExecMode) -> ExitCode {
     let args: Vec<String> = args
@@ -402,9 +397,6 @@ fn run_live_sweep(args: &[String], mode: ExecMode) -> ExitCode {
     if let Some(scale) = env.scale {
         spec.scale = scale;
     }
-    if let Some(handoff) = env.handoff {
-        spec.handoff = handoff;
-    }
     if let Some(x) = env.sweep_x_us.clone() {
         spec.x_us = x;
     } else if let Some(x) = env.server_compute_us {
@@ -421,14 +413,6 @@ fn run_live_sweep(args: &[String], mode: ExecMode) -> ExitCode {
         spec.buffers = vec![b];
     }
     let mut json = true;
-    let mut bench_handoff = false;
-    // The deep coordinator benchmark: 64 nodes x 1563 conversations each
-    // (100k conversations fleet-wide) of remote traffic — far past what a
-    // broadcast wakeup handles gracefully, which is the point.
-    let mut bench_nodes: u32 = 64;
-    let mut bench_conversations: u32 = 1_563;
-    let mut bench_buffers: u16 = 64;
-    let mut bench_ms: u64 = 150;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -472,18 +456,7 @@ fn run_live_sweep(args: &[String], mode: ExecMode) -> ExitCode {
                 }
                 "--scale" => spec.scale = parse(&value("--scale")?, "--scale")?,
                 "--remote" => spec.locality = runtime::Locality::NonLocal,
-                "--handoff" => spec.handoff = parse(&value("--handoff")?, "--handoff")?,
                 "--no-json" => json = false,
-                "--bench-handoff" => bench_handoff = true,
-                "--bench-nodes" => bench_nodes = parse(&value("--bench-nodes")?, "--bench-nodes")?,
-                "--bench-conversations" => {
-                    bench_conversations =
-                        parse(&value("--bench-conversations")?, "--bench-conversations")?;
-                }
-                "--bench-buffers" => {
-                    bench_buffers = parse(&value("--bench-buffers")?, "--bench-buffers")?;
-                }
-                "--bench-ms" => bench_ms = parse(&value("--bench-ms")?, "--bench-ms")?,
                 other => return Err(format!("unknown flag `{other}` (try `repro --help`)")),
             }
             Ok(())
@@ -514,25 +487,8 @@ fn run_live_sweep(args: &[String], mode: ExecMode) -> ExitCode {
         outcome.run_wall_seconds,
         outcome.virtual_seconds / outcome.run_wall_seconds.max(1e-9),
     );
-    let bench = if bench_handoff {
-        Some(handoff_bench(
-            bench_nodes,
-            bench_conversations,
-            bench_buffers,
-            bench_ms,
-        ))
-    } else {
-        None
-    };
     if json {
-        let out = live_sweep_json(
-            &spec,
-            mode,
-            threads,
-            total_seconds,
-            &outcome,
-            bench.as_ref(),
-        );
+        let out = live_sweep_json(&spec, mode, threads, total_seconds, &outcome);
         match std::fs::write("BENCH_runtime.json", &out) {
             Ok(()) => eprintln!("wrote BENCH_runtime.json"),
             Err(e) => eprintln!("could not write BENCH_runtime.json: {e}"),
@@ -545,92 +501,14 @@ fn run_live_sweep(args: &[String], mode: ExecMode) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One measured targeted-vs-broadcast coordinator comparison.
-struct HandoffBench {
-    nodes: u32,
-    conversations: u32,
-    buffers: u16,
-    duration_ms: u64,
-    round_trips: u64,
-    handoffs: u64,
-    targeted_wall: f64,
-    broadcast_wall: f64,
-}
-
-impl HandoffBench {
-    fn speedup(&self) -> f64 {
-        self.broadcast_wall / self.targeted_wall.max(1e-9)
-    }
-}
-
-/// Runs one deep virtual fleet twice — targeted handoff, then broadcast —
-/// and measures the wall-clock ratio. Both runs make identical scheduling
-/// decisions (the handoff mode only chooses *how* the next actor wakes),
-/// so every virtual measurement is asserted bit-equal before the timing
-/// comparison is reported.
-fn handoff_bench(nodes: u32, conversations: u32, buffers: u16, duration_ms: u64) -> HandoffBench {
-    let mut config = runtime::Config::new(runtime::Architecture::SmartBus);
-    config.nodes = nodes;
-    config.conversations = conversations;
-    config.buffers = buffers;
-    config.duration = std::time::Duration::from_millis(duration_ms);
-    config.server_compute_us = 0.0;
-    if nodes >= 2 {
-        config.locality = runtime::Locality::NonLocal;
-    }
-    config.clock = runtime::ClockMode::Virtual;
-    eprintln!(
-        "handoff bench: {nodes} node(s) x {conversations} conversation(s) ({} fleet-wide), {duration_ms} ms virtual",
-        u64::from(nodes) * u64::from(conversations),
-    );
-    config.handoff = runtime::Handoff::Targeted;
-    let targeted = runtime::run(&config);
-    config.handoff = runtime::Handoff::Broadcast;
-    let broadcast = runtime::run(&config);
-    assert_eq!(
-        targeted.round_trips, broadcast.round_trips,
-        "handoff mode changed the schedule"
-    );
-    assert_eq!(
-        targeted.handoffs, broadcast.handoffs,
-        "handoff mode changed the handoff count"
-    );
-    assert_eq!(
-        targeted.latency.max_us.to_bits(),
-        broadcast.latency.max_us.to_bits(),
-        "handoff mode changed the measured latency"
-    );
-    let bench = HandoffBench {
-        nodes,
-        conversations,
-        buffers,
-        duration_ms,
-        round_trips: targeted.round_trips,
-        handoffs: targeted.handoffs,
-        targeted_wall: targeted.wall.as_secs_f64(),
-        broadcast_wall: broadcast.wall.as_secs_f64(),
-    };
-    eprintln!(
-        "handoff bench: {} round trip(s), {} handoff(s); targeted {:.3} s vs broadcast {:.3} s wall ({:.2}x)",
-        bench.round_trips,
-        bench.handoffs,
-        bench.targeted_wall,
-        bench.broadcast_wall,
-        bench.speedup(),
-    );
-    bench
-}
-
 /// The machine-readable `repro live-sweep` report: schema v3 with the
-/// per-point rows under `runs` and the sweep/coordinator summary under
-/// `live_sweep`.
+/// per-point rows under `runs` and the sweep summary under `live_sweep`.
 fn live_sweep_json(
     spec: &hsipc::livesweep::SweepSpec,
     mode: ExecMode,
     threads: usize,
     total_seconds: f64,
     outcome: &hsipc::livesweep::SweepOutcome,
-    bench: Option<&HandoffBench>,
 ) -> String {
     let mut rows = String::from("[");
     for (i, o) in outcome.outcomes.iter().enumerate() {
@@ -672,36 +550,6 @@ fn live_sweep_json(
         );
     }
     rows.push(']');
-    let handoff_bench = bench.map_or_else(
-        || "null".to_string(),
-        |b| {
-            format!(
-                concat!(
-                    "{{\n",
-                    "      \"description\": \"arch III virtual fleet, targeted park/unpark vs shared-condvar broadcast grant; identical schedules, wall-clock only\",\n",
-                    "      \"nodes\": {nodes},\n",
-                    "      \"conversations_per_node\": {convs},\n",
-                    "      \"buffers\": {buffers},\n",
-                    "      \"duration_ms\": {ms},\n",
-                    "      \"round_trips\": {rts},\n",
-                    "      \"handoffs\": {handoffs},\n",
-                    "      \"targeted_wall_seconds\": {t:.4},\n",
-                    "      \"broadcast_wall_seconds\": {b:.4},\n",
-                    "      \"speedup\": {s:.3}\n",
-                    "    }}"
-                ),
-                nodes = b.nodes,
-                convs = b.conversations,
-                buffers = b.buffers,
-                ms = b.duration_ms,
-                rts = b.round_trips,
-                handoffs = b.handoffs,
-                t = b.targeted_wall,
-                b = b.broadcast_wall,
-                s = b.speedup(),
-            )
-        },
-    );
     let list = |items: &[String]| {
         let mut s = String::from("[");
         for (i, item) in items.iter().enumerate() {
@@ -748,8 +596,7 @@ fn live_sweep_json(
             "    \"locality\": \"{locality}\",\n",
             "    \"scale\": {scale},\n",
             "    \"duration_ms\": {dur},\n",
-            "    \"clock_modes\": [\"virtual\"],\n",
-            "    \"handoff\": \"{handoff}\"\n",
+            "    \"clock_modes\": [\"virtual\"]\n",
             "  }},\n",
             "  \"runs\": {rows},\n",
             "  \"live_sweep\": {{\n",
@@ -759,8 +606,7 @@ fn live_sweep_json(
             "    \"total_wall_seconds\": {total:.4},\n",
             "    \"virtual_seconds\": {virt:.4},\n",
             "    \"run_wall_seconds\": {run_wall:.4},\n",
-            "    \"aggregate_virtual_speedup\": {agg:.1},\n",
-            "    \"handoff_bench\": {bench}\n",
+            "    \"aggregate_virtual_speedup\": {agg:.1}\n",
             "  }}\n",
             "}}\n",
         ),
@@ -775,7 +621,6 @@ fn live_sweep_json(
         },
         scale = spec.scale,
         dur = spec.duration.as_millis(),
-        handoff = spec.handoff,
         rows = rows,
         mode = mode,
         threads = threads,
@@ -784,7 +629,6 @@ fn live_sweep_json(
         virt = outcome.virtual_seconds,
         run_wall = outcome.run_wall_seconds,
         agg = outcome.virtual_seconds / outcome.run_wall_seconds.max(1e-9),
-        bench = handoff_bench,
     )
 }
 

@@ -30,7 +30,7 @@
 //! shows a remote receiver falling behind, and the per-architecture knee
 //! line locates the saturation point of each live curve.
 
-use runtime::{Architecture, ClockMode, Config, Handoff, Locality, RunReport};
+use runtime::{Architecture, ClockMode, Config, Locality, RunReport};
 use std::fmt::Write as _;
 use std::time::Duration;
 use sweep::ExecMode;
@@ -55,8 +55,6 @@ pub struct SweepSpec {
     pub duration: Duration,
     /// Activity-time scale factor.
     pub scale: f64,
-    /// Virtual-coordinator handoff mode for every run.
-    pub handoff: Handoff,
 }
 
 impl SweepSpec {
@@ -78,7 +76,6 @@ impl SweepSpec {
             locality: Locality::Local,
             duration: Duration::from_millis(1_000),
             scale: 1.0,
-            handoff: Handoff::Targeted,
         }
     }
 
@@ -118,7 +115,6 @@ impl SweepSpec {
         config.scale = self.scale;
         config.buffers = point.buffers;
         config.clock = ClockMode::Virtual;
-        config.handoff = self.handoff;
         config
     }
 }
@@ -266,7 +262,7 @@ fn render(spec: &SweepSpec, outcomes: &[PointOutcome]) -> String {
         .join(",");
     let _ = writeln!(
         out,
-        "live-sweep: arch {} x {} X-point(s), {} node(s), {} traffic, {} ms virtual load, scale {}, {} handoff",
+        "live-sweep: arch {} x {} X-point(s), {} node(s), {} traffic, {} ms virtual load, scale {}",
         arch_list,
         spec.x_us.len(),
         spec.nodes,
@@ -276,7 +272,6 @@ fn render(spec: &SweepSpec, outcomes: &[PointOutcome]) -> String {
         },
         spec.duration.as_millis(),
         spec.scale,
-        spec.handoff,
     );
     let mut index = 0;
     for &conversations in &spec.conversations {

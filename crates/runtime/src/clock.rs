@@ -14,45 +14,49 @@
 //!
 //! # Virtual mode
 //!
-//! [`ClockMode::Virtual`] replaces waiting with bookkeeping. Every thread of
-//! the live runtime registers as an *actor* with its own logical clock;
-//! occupancy advances that clock by the activity's time instead of burning
-//! it. A conservative coordinator owns the global virtual-time frontier:
+//! [`ClockMode::Virtual`] replaces waiting with bookkeeping, and threads
+//! with futures. Every processor of the live runtime registers as an
+//! *actor* with its own logical clock and runs as one `std` future; the
+//! clock operations that can give up the processor
+//! ([`ClockHandle::attach`], `occupy_us`, [`ClockHandle::sleep`],
+//! [`ClockHandle::wait_past`]) are `async` and are the only suspension
+//! points. [`ClockSystem::run_actors`] polls the futures on the calling
+//! thread — always the one actor that holds the *execution token*:
 //!
-//! * **Frontier rule.** At most one actor executes at a time — the one with
-//!   the minimum `(clock, actor_id)` among runnable actors. An actor may
-//!   only act at time `t` once every peer has committed to a clock `>= t`
-//!   (peers blocked on a [`Bell`] are exempt: any future wake they receive
-//!   carries the ringer's clock, which is `>=` the frontier, so no event in
-//!   their past can still be generated).
+//! * **Frontier rule.** The token goes to the minimum `(clock, actor_id)`
+//!   among runnable actors. An actor may only act at time `t` once every
+//!   peer has committed to a clock `>= t` (peers blocked on a [`Bell`] are
+//!   exempt: any future wake they receive carries the ringer's clock, which
+//!   is `>=` the frontier, so no event in their past can still be
+//!   generated). An actor that is still the minimum after advancing keeps
+//!   the token and never suspends.
 //! * **Rendezvous.** Ringing a [`Bell`] stamps the ring with the ringer's
 //!   clock and makes every actor blocked on that bell runnable *at the ring
 //!   time*: a woken waiter's clock jumps forward to the instant the work
 //!   arrived. Because the executing actor is always the frontier minimum,
 //!   ring timestamps are non-decreasing, so the first ring a blocked actor
 //!   receives is also the earliest — it can never miss an earlier event.
-//! * **Determinism.** Actors are registered in a fixed order before any
-//!   thread starts, ties break on actor id, and queue operations happen
-//!   only while holding the execution token, so the entire interleaving —
-//!   and therefore every measured number — is a pure function of the
-//!   configuration. Same config ⇒ byte-identical output, independent of
-//!   machine load, core count, or `HSIPC_SWEEP`-style thread settings.
-//! * **Deadlock.** If every live actor is blocked, no ring can ever arrive
-//!   (only executing actors ring) and the frontier is stuck. The
-//!   coordinator detects this and poisons the clock: every blocked actor
-//!   panics with a diagnostic instead of hanging forever. A clock that can
-//!   never advance is an error, not a hang.
+//! * **Determinism.** One thread polls one future at a time, and which one
+//!   is a function of the registered order and the logical clocks alone.
+//!   Same config ⇒ byte-identical output, whatever the machine is doing.
+//! * **Deadlock.** No token holder while an actor is still blocked: only
+//!   the executing actor rings, so no ring can ever arrive. The clock is
+//!   poisoned and [`ClockSystem::run_actors`] panics with a diagnostic. A
+//!   clock that can never advance is an error, not a hang.
 //!
-//! The payoff: `occupy_us(1140.0)` costs nanoseconds instead of 1.14 ms, so
-//! the same node/kernel/queue code that sustains ~500 round trips per
+//! The payoff: `occupy_us(1140.0)` costs nanoseconds instead of 1.14 ms and
+//! passing the token is a function return, not a thread wake-up, so the
+//! same node/kernel/queue code that sustains ~500 round trips per
 //! wall-second in real mode simulates 64+ nodes and 100k+ conversations in
-//! seconds.
+//! a fraction of a second.
 
 use archsim::timings::ActivityKind;
 use std::collections::BTreeSet;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::Thread;
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 /// Which time base drives a live run.
@@ -62,7 +66,7 @@ pub enum ClockMode {
     #[default]
     Real,
     /// Conservative discrete-event virtual time: activities advance logical
-    /// clocks; threads rendezvous on virtual timestamps.
+    /// clocks; actors rendezvous on virtual timestamps.
     Virtual,
 }
 
@@ -89,55 +93,6 @@ impl std::str::FromStr for ClockMode {
 }
 
 impl std::fmt::Display for ClockMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// How the virtual coordinator wakes the actor it grants the execution
-/// token to. Both modes make byte-identical scheduling decisions (the
-/// minimum-`(clock, id)` frontier rule); they differ only in how many OS
-/// threads each token handoff touches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Handoff {
-    /// Per-actor parking: a handoff unparks exactly the granted actor's
-    /// thread ([`std::thread::unpark`]), and the ready set is an ordered
-    /// `(clock, id)` index, so the grant itself is `O(log actors)`.
-    #[default]
-    Targeted,
-    /// One shared condvar for every parked actor: each handoff
-    /// `notify_all`s the whole fleet, every parked thread wakes,
-    /// re-acquires the coordinator lock, finds it was not granted, and
-    /// goes back to sleep. The measured baseline the targeted mode is
-    /// benchmarked against — `2 · nodes + 1` wakeups per handoff.
-    Broadcast,
-}
-
-impl Handoff {
-    /// Lower-case label (`targeted` / `broadcast`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Handoff::Targeted => "targeted",
-            Handoff::Broadcast => "broadcast",
-        }
-    }
-}
-
-impl std::str::FromStr for Handoff {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Handoff, String> {
-        match s {
-            "targeted" => Ok(Handoff::Targeted),
-            "broadcast" => Ok(Handoff::Broadcast),
-            other => Err(format!(
-                "unknown handoff mode `{other}` (targeted|broadcast)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Handoff {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
@@ -212,14 +167,14 @@ struct OvershootCell {
 /// other threads timesharing the core.
 const SPIN_CEILING_US: f64 = 30.0;
 
-/// What a virtual actor is doing, as the coordinator sees it.
+/// What a virtual actor is doing, as the clock sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ActorMode {
     /// Holds the execution token; the only actor running code.
     Executing,
     /// Runnable at its clock; waiting to be the frontier minimum.
     Waiting,
-    /// Parked on the bell with this id until rung.
+    /// Suspended on the bell with this id until rung.
     Blocked(usize),
     /// Retired; no longer constrains the frontier.
     Gone,
@@ -229,16 +184,13 @@ enum ActorMode {
 struct ActorSlot {
     clock_ns: u64,
     mode: ActorMode,
-    /// The owning OS thread, captured the first time the actor parks —
-    /// the unpark target of a targeted handoff.
-    thread: Option<Thread>,
 }
 
 #[derive(Debug)]
 struct VState {
     actors: Vec<ActorSlot>,
     bell_epochs: Vec<u64>,
-    /// Actors parked on each bell, in park order — drained by
+    /// Actors suspended on each bell, in arrival order — drained by
     /// [`Bell::ring`] without scanning the whole fleet.
     bell_waiters: Vec<Vec<usize>>,
     /// The [`ActorMode::Waiting`] actors ordered by `(clock, id)`: the
@@ -246,16 +198,9 @@ struct VState {
     ready: BTreeSet<(u64, usize)>,
     /// The actor currently holding the execution token, if any.
     executing: Option<usize>,
-    /// High-water mark of granted clocks — the ring timestamp used when an
-    /// external (non-actor) thread rings during shutdown.
-    frontier_ns: u64,
-    /// Set when every live actor is blocked: the frontier can never
-    /// advance, so all waits panic instead of hanging.
+    /// Set when an actor is blocked and no token holder is left to ring it.
     poisoned: bool,
-    /// How grants wake the chosen actor.
-    handoff: Handoff,
-    /// Token handoffs that had to wake another thread (the granted actor
-    /// was not the caller) — the denominator of the handoff benchmark.
+    /// Grants that moved the token to another actor.
     handoffs: u64,
 }
 
@@ -267,49 +212,30 @@ impl VState {
         self.ready.insert((self.actors[id].clock_ns, id));
     }
 
-    /// Hands the execution token to the minimum-`(clock, id)` runnable
-    /// actor, or poisons the clock when only blocked actors remain.
-    /// `from` is the calling actor (if any): granting back to the caller
-    /// needs no wakeup at all.
-    fn grant(&mut self, from: Option<usize>, broadcast_cv: &Condvar) {
-        debug_assert!(self.executing.is_none(), "grant with a live token");
+    /// `from` gives the execution token up: it goes to the
+    /// minimum-`(clock, id)` runnable actor — `from` itself if it still is
+    /// that — or, when only blocked actors remain, the clock is poisoned.
+    fn grant(&mut self, from: usize) {
+        debug_assert_eq!(
+            self.executing,
+            Some(from),
+            "clock operation by an actor that does not hold the execution token"
+        );
+        self.executing = None;
         match self.ready.pop_first() {
             Some((clock_ns, id)) => {
                 debug_assert_eq!(self.actors[id].clock_ns, clock_ns, "stale ready entry");
                 self.actors[id].mode = ActorMode::Executing;
                 self.executing = Some(id);
-                self.frontier_ns = self.frontier_ns.max(clock_ns);
-                if from == Some(id) {
-                    return; // caller keeps the token: no wakeup needed.
-                }
-                self.handoffs += 1;
-                match self.handoff {
-                    Handoff::Targeted => {
-                        if let Some(thread) = &self.actors[id].thread {
-                            thread.unpark();
-                        }
-                        // No thread handle: the actor has never parked, so
-                        // it is either not yet spawned (it will observe
-                        // Executing in attach) or between unlock and park
-                        // (it re-checks the mode before parking).
-                    }
-                    Handoff::Broadcast => broadcast_cv.notify_all(),
+                if id != from {
+                    self.handoffs += 1;
                 }
             }
             None => {
-                if self
+                self.poisoned = self
                     .actors
                     .iter()
-                    .any(|a| matches!(a.mode, ActorMode::Blocked(_)))
-                {
-                    self.poisoned = true;
-                    for a in &self.actors {
-                        if let Some(thread) = &a.thread {
-                            thread.unpark();
-                        }
-                    }
-                    broadcast_cv.notify_all();
-                }
+                    .any(|a| matches!(a.mode, ActorMode::Blocked(_)));
             }
         }
     }
@@ -323,14 +249,14 @@ enum Inner {
     },
     Virtual {
         state: Mutex<VState>,
-        /// The shared condvar of [`Handoff::Broadcast`]; unused (never
-        /// waited on) under [`Handoff::Targeted`].
-        broadcast_cv: Condvar,
     },
 }
 
+/// One actor's future, as [`ClockSystem::run_actors`] polls it.
+pub type Actor<'a, T = ()> = Pin<Box<dyn Future<Output = T> + 'a>>;
+
 /// One run's time base: construct with [`ClockSystem::new`], register every
-/// thread that charges occupancy or waits, then let the handles do the
+/// processor that charges occupancy or waits, then let the handles do the
 /// rest. See the module docs for the two modes.
 #[derive(Debug)]
 pub struct ClockSystem {
@@ -339,15 +265,8 @@ pub struct ClockSystem {
 }
 
 impl ClockSystem {
-    /// A clock system in the requested mode, with the default
-    /// ([`Handoff::Targeted`]) grant wakeup.
+    /// A clock system in the requested mode.
     pub fn new(mode: ClockMode) -> Arc<ClockSystem> {
-        ClockSystem::with_handoff(mode, Handoff::default())
-    }
-
-    /// A clock system with an explicit handoff strategy (virtual mode
-    /// only; real mode has no coordinator and ignores it).
-    pub fn with_handoff(mode: ClockMode, handoff: Handoff) -> Arc<ClockSystem> {
         let inner = match mode {
             ClockMode::Real => Inner::Real {
                 epoch: Instant::now(),
@@ -359,12 +278,9 @@ impl ClockSystem {
                     bell_waiters: Vec::new(),
                     ready: BTreeSet::new(),
                     executing: None,
-                    frontier_ns: 0,
                     poisoned: false,
-                    handoff,
                     handoffs: 0,
                 }),
-                broadcast_cv: Condvar::new(),
             },
         };
         Arc::new(ClockSystem {
@@ -373,21 +289,12 @@ impl ClockSystem {
         })
     }
 
-    /// The handoff strategy of the virtual coordinator
-    /// ([`Handoff::Targeted`] in real mode, where it is meaningless).
-    pub fn handoff(&self) -> Handoff {
-        match &self.inner {
-            Inner::Real { .. } => Handoff::Targeted,
-            Inner::Virtual { state, .. } => lock(state).handoff,
-        }
-    }
-
-    /// Cross-thread token handoffs performed so far (0 in real mode) —
-    /// the work count the targeted-vs-broadcast benchmark normalizes by.
+    /// Execution-token handoffs so far: scheduling decisions that picked an
+    /// actor other than the one giving the token up (0 in real mode).
     pub fn handoffs(&self) -> u64 {
         match &self.inner {
             Inner::Real { .. } => 0,
-            Inner::Virtual { state, .. } => lock(state).handoffs,
+            Inner::Virtual { state } => lock(state).handoffs,
         }
     }
 
@@ -399,30 +306,25 @@ impl ClockSystem {
         }
     }
 
-    /// Registers an actor and returns its handle. **Virtual mode:** all
-    /// registrations must happen, in a deterministic order, before any
-    /// registered thread starts running — actor ids are the determinism
-    /// tie-break. The first registered actor (the coordinator thread
-    /// driving the run) starts with the execution token; all others start
-    /// runnable at clock 0 and block in [`ClockHandle::attach`] until
-    /// granted.
+    /// Registers an actor and returns its handle. **Virtual mode:** actor
+    /// ids are the determinism tie-break, so register in a fixed order and
+    /// pass [`ClockSystem::run_actors`] the futures in that same order. The
+    /// first registered actor (the run's driver) starts with the execution
+    /// token; all others start runnable at clock 0 and suspend in
+    /// [`ClockHandle::attach`] until granted.
     pub fn register(self: &Arc<Self>) -> ClockHandle {
         let actor = match &self.inner {
             Inner::Real { .. } => 0,
-            Inner::Virtual { state, .. } => {
+            Inner::Virtual { state } => {
                 let mut st = lock(state);
                 let id = st.actors.len();
-                let first = id == 0;
                 st.actors.push(ActorSlot {
                     clock_ns: 0,
-                    mode: if first {
-                        ActorMode::Executing
-                    } else {
-                        ActorMode::Waiting
-                    },
-                    thread: None,
+                    mode: ActorMode::Waiting,
                 });
-                if first {
+                if id == 0 {
+                    // The first actor starts with the token.
+                    st.actors[0].mode = ActorMode::Executing;
                     st.executing = Some(0);
                 } else {
                     st.ready.insert((0, id));
@@ -434,6 +336,45 @@ impl ClockSystem {
             sys: Arc::clone(self),
             actor,
         }
+    }
+
+    /// The virtual clock's executor: polls, on the calling thread, whichever
+    /// actor holds the execution token until every actor has retired, and
+    /// returns their outputs. `actors[id]` is the future of the `id`-th
+    /// registered actor; it must [`ClockHandle::attach`] first and
+    /// [`ClockHandle::retire`] last.
+    ///
+    /// # Panics
+    ///
+    /// With `virtual clock deadlock` when the token has nowhere to go while
+    /// an actor is still blocked on a bell; on a real-mode clock.
+    pub fn run_actors<T>(&self, mut actors: Vec<Actor<'_, T>>) -> Vec<T> {
+        let Inner::Virtual { state } = &self.inner else {
+            panic!("run_actors needs a virtual clock");
+        };
+        assert_eq!(
+            actors.len(),
+            lock(state).actors.len(),
+            "one future per registered actor"
+        );
+        let mut outputs: Vec<Option<T>> = actors.iter().map(|_| None).collect();
+        let mut cx = Context::from_waker(Waker::noop());
+        let executing = || lock(state).executing;
+        while let Some(id) = executing() {
+            // Pending: the actor passed the token on. Ready: it retired.
+            if let Poll::Ready(output) = actors[id].as_mut().poll(&mut cx) {
+                outputs[id] = Some(output);
+            }
+        }
+        assert!(
+            !lock(state).poisoned,
+            "virtual clock deadlock: every live actor is blocked on a bell, \
+             so no ring can ever arrive and the frontier can never advance"
+        );
+        outputs
+            .into_iter()
+            .map(|output| output.expect("every actor retired"))
+            .collect()
     }
 
     /// The recorded requested-vs-actual occupancy per activity class
@@ -456,23 +397,45 @@ impl ClockSystem {
     }
 }
 
-/// Poison-tolerant lock: once the virtual clock itself is poisoned every
-/// participant is about to panic anyway, and the first panic's message
-/// ("virtual clock deadlock…") is the one that should surface.
+/// Poison-tolerant lock: an actor that panicked mid-poll must not turn the
+/// panic that surfaces into "poisoned mutex".
 fn lock(state: &Mutex<VState>) -> MutexGuard<'_, VState> {
     state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn deadlock_panic() -> ! {
-    panic!(
-        "virtual clock deadlock: every live actor is blocked on a bell, \
-         so no ring can ever arrive and the frontier can never advance"
-    );
+/// Drives a future whose clock operations are all real-mode — they complete
+/// inside the call, so one poll finishes it.
+pub(crate) fn block_on<F: Future>(future: F) -> F::Output {
+    let future = std::pin::pin!(future);
+    match future.poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => unreachable!("a real-clock operation suspended"),
+    }
 }
 
-/// One actor's interface to the clock. Cloning is allowed for a single OS
-/// thread that plays several roles (Architecture I's combined loop); two
-/// *threads* sharing a handle would break the execution-token invariant.
+/// Ready once the actor holds the execution token. Awaited after every
+/// virtual clock operation that may have passed the token on; the executor
+/// polls an actor again only when the token has come back.
+struct Token<'a>(&'a ClockHandle);
+
+impl Future for Token<'_> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        let Inner::Virtual { state } = &self.0.sys.inner else {
+            return Poll::Ready(());
+        };
+        if lock(state).actors[self.0.actor].mode == ActorMode::Executing {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    }
+}
+
+/// One actor's interface to the clock. Cloning is allowed for a single
+/// actor that plays several roles (Architecture I's combined loop); two
+/// *actors* sharing a handle would break the execution-token invariant.
 #[derive(Debug, Clone)]
 pub struct ClockHandle {
     sys: Arc<ClockSystem>,
@@ -492,14 +455,11 @@ impl ClockHandle {
         self.mode() == ClockMode::Real
     }
 
-    /// First call from the owning thread: blocks until the actor holds the
-    /// execution token (virtual), so that everything the thread does is
-    /// serialized into the deterministic order. No-op in real mode.
-    pub fn attach(&self) {
-        if let Inner::Virtual { state, .. } = &self.sys.inner {
-            let st = lock(state);
-            self.wait_for_token(st);
-        }
+    /// An actor's first clock operation: suspends until it holds the
+    /// execution token (virtual), so that everything it does is serialized
+    /// into the deterministic order. No-op in real mode.
+    pub async fn attach(&self) {
+        Token(self).await;
     }
 
     /// Nanoseconds since the run's zero point: wall time in real mode, the
@@ -507,14 +467,14 @@ impl ClockHandle {
     pub fn now_ns(&self) -> u64 {
         match &self.sys.inner {
             Inner::Real { epoch } => epoch.elapsed().as_nanos() as u64,
-            Inner::Virtual { state, .. } => lock(state).actors[self.actor].clock_ns,
+            Inner::Virtual { state } => lock(state).actors[self.actor].clock_ns,
         }
     }
 
     /// Occupies this actor's processor for `us` microseconds of `class`
     /// work: real mode spins/sleeps (recording overshoot), virtual mode
     /// advances the logical clock and re-enters the frontier ordering.
-    pub(crate) fn occupy_us(&self, us: f64, class: usize) {
+    pub(crate) async fn occupy_us(&self, us: f64, class: usize) {
         if us <= 0.0 {
             return;
         }
@@ -533,50 +493,39 @@ impl ClockHandle {
                 cell.requested_ns.fetch_add(ns, Ordering::Relaxed);
                 cell.actual_ns.fetch_add(actual, Ordering::Relaxed);
             }
-            Inner::Virtual { .. } => self.advance(ns),
+            Inner::Virtual { state } => self.advance(state, ns).await,
         }
     }
 
     /// The run driver's load-phase sleep: wall sleep in real mode, a plain
     /// clock advance in virtual mode (no overshoot ledger — this is not an
     /// activity).
-    pub fn sleep(&self, duration: Duration) {
+    pub async fn sleep(&self, duration: Duration) {
         match &self.sys.inner {
             Inner::Real { .. } => std::thread::sleep(duration),
-            Inner::Virtual { .. } => self.advance(duration.as_nanos() as u64),
+            Inner::Virtual { state } => self.advance(state, duration.as_nanos() as u64).await,
         }
     }
 
-    /// Virtual clock advance: bump own clock, then yield the execution
-    /// token if another runnable actor now has a smaller `(clock, id)`.
-    fn advance(&self, ns: u64) {
-        let Inner::Virtual {
-            state,
-            broadcast_cv,
-        } = &self.sys.inner
-        else {
-            unreachable!("advance is virtual-only");
-        };
-        let mut st = lock(state);
-        debug_assert_eq!(
-            st.executing,
-            Some(self.actor),
-            "occupy by an actor that does not hold the execution token"
-        );
-        st.actors[self.actor].clock_ns += ns;
-        st.executing = None;
-        st.make_ready(self.actor);
-        st.grant(Some(self.actor), broadcast_cv);
-        self.wait_for_token(st);
+    /// Virtual clock advance: bump own clock, then pass the execution token
+    /// on if another runnable actor now has a smaller `(clock, id)`.
+    async fn advance(&self, state: &Mutex<VState>, ns: u64) {
+        {
+            let mut st = lock(state);
+            st.actors[self.actor].clock_ns += ns;
+            st.make_ready(self.actor);
+            st.grant(self.actor);
+        }
+        Token(self).await;
     }
 
     /// Waits (on an idle poll that found nothing) until `bell` is rung past
     /// `epoch`. Real mode parks on the bell's condvar for at most `timeout`
     /// — a missed ring costs one timeout period. Virtual mode blocks the
-    /// actor with no timeout: it wakes exactly at the next ring, with its
-    /// clock advanced to the ring's virtual timestamp, or panics if the
-    /// clock is poisoned (all actors blocked — see module docs).
-    pub fn wait_past(&self, bell: &Bell, epoch: u64, timeout: Duration) {
+    /// actor with no timeout: it resumes exactly at the next ring, with its
+    /// clock advanced to the ring's virtual timestamp; if no ring can ever
+    /// come, the executor panics (see module docs).
+    pub async fn wait_past(&self, bell: &Bell, epoch: u64, timeout: Duration) {
         match (&self.sys.inner, &bell.inner) {
             (Inner::Real { .. }, BellInner::Real { seq, cv }) => {
                 let guard = seq.lock().expect("bell lock");
@@ -584,108 +533,29 @@ impl ClockHandle {
                     .wait_timeout_while(guard, timeout, |s| *s == epoch)
                     .expect("bell lock");
             }
-            (
-                Inner::Virtual {
-                    state,
-                    broadcast_cv,
-                },
-                BellInner::Virtual { id },
-            ) => {
-                let mut st = lock(state);
-                if st.poisoned {
-                    drop(st);
-                    deadlock_panic();
+            (Inner::Virtual { state }, BellInner::Virtual { id }) => {
+                {
+                    let mut st = lock(state);
+                    if st.bell_epochs[*id] != epoch {
+                        return; // rung since the caller polled: re-poll.
+                    }
+                    st.actors[self.actor].mode = ActorMode::Blocked(*id);
+                    st.bell_waiters[*id].push(self.actor);
+                    st.grant(self.actor);
                 }
-                debug_assert_eq!(
-                    st.executing,
-                    Some(self.actor),
-                    "wait by an actor that does not hold the execution token"
-                );
-                if st.bell_epochs[*id] != epoch {
-                    return; // rung since the caller polled: re-poll.
-                }
-                st.actors[self.actor].mode = ActorMode::Blocked(*id);
-                st.bell_waiters[*id].push(self.actor);
-                st.executing = None;
-                st.grant(Some(self.actor), broadcast_cv);
-                self.wait_for_token(st);
+                Token(self).await;
             }
             _ => panic!("bell and clock handle belong to different clock systems"),
         }
     }
 
-    /// Parks until this actor is granted the execution token.
-    ///
-    /// Targeted mode stores the owning OS thread handle (once) and parks on
-    /// it: only a grant *to this actor* (or poisoning) unparks it, so a
-    /// handoff costs one `unpark` instead of a fleet-wide `notify_all`. A
-    /// leftover unpark token from a grant the fast path consumed makes one
-    /// `park` return spuriously; the loop re-checks the mode under the
-    /// lock, so spurious and stale wakes are harmless.
-    fn wait_for_token<'a>(&'a self, mut st: MutexGuard<'a, VState>) {
-        if st.actors[self.actor].mode == ActorMode::Executing {
-            return; // fast path: still the frontier minimum, no handoff.
-        }
-        if st.poisoned {
-            drop(st);
-            deadlock_panic();
-        }
-        match st.handoff {
-            Handoff::Targeted => {
-                if st.actors[self.actor].thread.is_none() {
-                    st.actors[self.actor].thread = Some(std::thread::current());
-                }
-                let Inner::Virtual { state, .. } = &self.sys.inner else {
-                    unreachable!("wait_for_token is virtual-only");
-                };
-                loop {
-                    drop(st);
-                    std::thread::park();
-                    st = lock(state);
-                    if st.actors[self.actor].mode == ActorMode::Executing {
-                        return;
-                    }
-                    if st.poisoned {
-                        drop(st);
-                        deadlock_panic();
-                    }
-                }
-            }
-            Handoff::Broadcast => {
-                let Inner::Virtual { broadcast_cv, .. } = &self.sys.inner else {
-                    unreachable!("wait_for_token is virtual-only");
-                };
-                loop {
-                    st = broadcast_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                    if st.actors[self.actor].mode == ActorMode::Executing {
-                        return;
-                    }
-                    if st.poisoned {
-                        drop(st);
-                        deadlock_panic();
-                    }
-                }
-            }
-        }
-    }
-
     /// Retires the actor: it stops constraining the frontier. Call exactly
-    /// once, from the owning thread, as its last clock operation.
+    /// once, as the actor's last clock operation.
     pub fn retire(&self) {
-        if let Inner::Virtual {
-            state,
-            broadcast_cv,
-        } = &self.sys.inner
-        {
+        if let Inner::Virtual { state } = &self.sys.inner {
             let mut st = lock(state);
-            debug_assert_eq!(
-                st.executing,
-                Some(self.actor),
-                "retire by an actor that does not hold the execution token"
-            );
             st.actors[self.actor].mode = ActorMode::Gone;
-            st.executing = None;
-            st.grant(Some(self.actor), broadcast_cv);
+            st.grant(self.actor);
         }
     }
 }
@@ -699,8 +569,8 @@ enum BellInner {
 /// A wakeup channel between actors: ring after publishing work, wait (via
 /// [`ClockHandle::wait_past`]) when a poll finds nothing. Real mode is a
 /// plain condvar doorbell; virtual mode is a rendezvous point of the
-/// coordinator — rings carry the ringer's virtual clock, and waking a
-/// blocked actor advances its clock to the ring time.
+/// clock — rings carry the ringer's virtual clock, and waking a blocked
+/// actor advances its clock to the ring time.
 #[derive(Debug)]
 pub struct Bell {
     sys: Arc<ClockSystem>,
@@ -715,7 +585,7 @@ impl Bell {
                 seq: Mutex::new(0),
                 cv: Condvar::new(),
             },
-            Inner::Virtual { state, .. } => {
+            Inner::Virtual { state } => {
                 let mut st = lock(state);
                 st.bell_epochs.push(0);
                 st.bell_waiters.push(Vec::new());
@@ -738,7 +608,7 @@ impl Bell {
         match &self.inner {
             BellInner::Real { seq, .. } => *seq.lock().expect("bell lock"),
             BellInner::Virtual { id } => {
-                let Inner::Virtual { state, .. } = &self.sys.inner else {
+                let Inner::Virtual { state } = &self.sys.inner else {
                     unreachable!();
                 };
                 lock(state).bell_epochs[*id]
@@ -746,10 +616,9 @@ impl Bell {
         }
     }
 
-    /// Wakes every waiter. Virtual mode stamps the ring with the executing
-    /// actor's clock (the frontier during shutdown, when a retired thread
-    /// rings) and makes every actor blocked on this bell runnable at that
-    /// time.
+    /// Wakes every waiter. Virtual mode stamps the ring with the clock of
+    /// the executing actor — only it runs code, so only it can ring — and
+    /// makes every actor blocked on this bell runnable at that time.
     pub fn ring(&self) {
         match &self.inner {
             BellInner::Real { seq, cv } => {
@@ -757,30 +626,19 @@ impl Bell {
                 cv.notify_all();
             }
             BellInner::Virtual { id } => {
-                let Inner::Virtual {
-                    state,
-                    broadcast_cv,
-                } = &self.sys.inner
-                else {
+                let Inner::Virtual { state } = &self.sys.inner else {
                     unreachable!();
                 };
                 let mut st = lock(state);
                 st.bell_epochs[*id] += 1;
-                let at = match st.executing {
-                    Some(actor) => st.actors[actor].clock_ns,
-                    None => st.frontier_ns,
-                };
-                // Only this bell's waiters, in park order — no fleet scan.
+                let ringer = st.executing.expect("virtual ring outside an actor");
+                let at = st.actors[ringer].clock_ns;
+                // Only this bell's waiters, in arrival order — no fleet scan.
                 let waiters = std::mem::take(&mut st.bell_waiters[*id]);
                 for w in waiters {
                     debug_assert_eq!(st.actors[w].mode, ActorMode::Blocked(*id));
                     st.actors[w].clock_ns = st.actors[w].clock_ns.max(at);
                     st.make_ready(w);
-                }
-                // An external (non-actor) ring during shutdown may arrive
-                // with no token holder; re-grant so the woken waiters run.
-                if st.executing.is_none() && !st.poisoned {
-                    st.grant(None, broadcast_cv);
                 }
             }
         }
@@ -790,6 +648,8 @@ impl Bell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn class_labels_match_activity_kind_names() {
@@ -817,8 +677,8 @@ mod tests {
     fn real_occupancy_records_overshoot() {
         let sys = ClockSystem::new(ClockMode::Real);
         let h = sys.register();
-        h.occupy_us(120.0, CLASS_COMPUTE);
-        h.occupy_us(80.0, CLASS_COMPUTE);
+        block_on(h.occupy_us(120.0, CLASS_COMPUTE));
+        block_on(h.occupy_us(80.0, CLASS_COMPUTE));
         let report = sys.overshoot_report();
         assert_eq!(report.len(), 1);
         let row = &report[0];
@@ -838,16 +698,20 @@ mod tests {
         let waiter = {
             let (sys, bell) = (Arc::clone(&sys), Arc::clone(&bell));
             std::thread::spawn(move || {
-                sys.register()
-                    .wait_past(&bell, epoch, Duration::from_secs(10));
+                block_on(
+                    sys.register()
+                        .wait_past(&bell, epoch, Duration::from_secs(10)),
+                );
             })
         };
         std::thread::sleep(Duration::from_millis(10));
         bell.ring();
         waiter.join().unwrap();
         // A stale epoch returns immediately.
-        sys.register()
-            .wait_past(&bell, epoch, Duration::from_secs(10));
+        block_on(
+            sys.register()
+                .wait_past(&bell, epoch, Duration::from_secs(10)),
+        );
     }
 
     #[test]
@@ -855,9 +719,12 @@ mod tests {
         let sys = ClockSystem::new(ClockMode::Virtual);
         let h = sys.register(); // first actor: holds the token.
         let t0 = Instant::now();
-        h.occupy_us(50_000_000.0, CLASS_COMPUTE); // 50 virtual seconds
+        // The only actor stays the frontier minimum, keeps the token and
+        // never suspends — so one poll is enough here too.
+        block_on(h.occupy_us(50_000_000.0, CLASS_COMPUTE)); // 50 virtual seconds
         assert!(t0.elapsed() < Duration::from_secs(5), "virtual time slept");
         assert_eq!(h.now_ns(), 50_000_000_000);
+        assert_eq!(sys.handoffs(), 0);
         assert!(sys.overshoot_report().is_empty());
     }
 
@@ -868,76 +735,32 @@ mod tests {
         // ringer's clock.
         let sys = ClockSystem::new(ClockMode::Virtual);
         let driver = sys.register();
-        let bell = Arc::new(Bell::new(&sys));
+        let bell = Bell::new(&sys);
         let a = sys.register();
         let b = sys.register();
-        let log: Arc<Mutex<Vec<(&'static str, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let ta = {
-            let (bell, log) = (Arc::clone(&bell), Arc::clone(&log));
-            std::thread::spawn(move || {
-                a.attach();
-                a.occupy_us(300.0, 0);
-                log.lock().unwrap().push(("a-ring", a.now_ns()));
+        let log = RefCell::new(Vec::new());
+        sys.run_actors(vec![
+            Box::pin(async {
+                driver.sleep(Duration::from_millis(1)).await; // 1 ms ≫ 300 µs: runs last
+                driver.retire();
+            }),
+            Box::pin(async {
+                a.attach().await;
+                a.occupy_us(300.0, 0).await;
+                log.borrow_mut().push(("a-ring", a.now_ns()));
                 bell.ring();
                 a.retire();
-            })
-        };
-        let tb = {
-            let (bell, log) = (Arc::clone(&bell), Arc::clone(&log));
-            std::thread::spawn(move || {
-                b.attach();
+            }),
+            Box::pin(async {
+                b.attach().await;
                 let epoch = bell.epoch();
-                b.wait_past(&bell, epoch, Duration::from_secs(9));
-                log.lock().unwrap().push(("b-woke", b.now_ns()));
+                b.wait_past(&bell, epoch, Duration::from_secs(9)).await;
+                log.borrow_mut().push(("b-woke", b.now_ns()));
                 b.retire();
-            })
-        };
-        driver.sleep(Duration::from_millis(1)); // 1 ms ≫ 300 µs: runs last
-        driver.retire();
-        ta.join().unwrap();
-        tb.join().unwrap();
-        let log = log.lock().unwrap();
+            }),
+        ]);
         // a rang at 300 µs; b woke exactly at the ring's virtual time.
-        assert_eq!(log.as_slice(), &[("a-ring", 300_000), ("b-woke", 300_000)]);
-    }
-
-    #[test]
-    fn broadcast_handoff_matches_targeted_schedule() {
-        // Both handoff modes implement the same frontier rule; only the
-        // wakeup mechanics differ. The observable schedule — and the
-        // handoff count — must be identical.
-        let run = |handoff: Handoff| {
-            let sys = ClockSystem::with_handoff(ClockMode::Virtual, handoff);
-            let driver = sys.register();
-            let order: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-            let handles: Vec<_> = (0..4)
-                .map(|i| {
-                    let h = sys.register();
-                    let order = Arc::clone(&order);
-                    std::thread::spawn(move || {
-                        h.attach();
-                        for _ in 0..50 {
-                            h.occupy_us(((i * 7) % 5 + 1) as f64, 0);
-                            order.lock().unwrap().push((i, h.now_ns()));
-                        }
-                        h.retire();
-                    })
-                })
-                .collect();
-            driver.sleep(Duration::from_millis(10));
-            driver.retire();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let order = order.lock().unwrap().clone();
-            (order, sys.handoffs())
-        };
-        let (targeted, targeted_handoffs) = run(Handoff::Targeted);
-        let (broadcast, broadcast_handoffs) = run(Handoff::Broadcast);
-        assert_eq!(targeted, broadcast);
-        assert_eq!(targeted_handoffs, broadcast_handoffs);
-        assert!(targeted_handoffs > 0);
+        assert_eq!(log.into_inner(), [("a-ring", 300_000), ("b-woke", 300_000)]);
     }
 
     #[test]
@@ -945,51 +768,54 @@ mod tests {
         let run = || {
             let sys = ClockSystem::new(ClockMode::Virtual);
             let driver = sys.register();
-            let order: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-            let handles: Vec<_> = (0..4)
-                .map(|i| {
-                    let h = sys.register();
-                    let order = Arc::clone(&order);
-                    std::thread::spawn(move || {
-                        h.attach();
-                        for _ in 0..50 {
-                            // Unequal steps force constant reordering.
-                            h.occupy_us(((i * 7) % 5 + 1) as f64, 0);
-                            order.lock().unwrap().push(i);
-                        }
-                        h.retire();
-                    })
-                })
-                .collect();
-            driver.sleep(Duration::from_millis(10));
-            driver.retire();
-            for h in handles {
-                h.join().unwrap();
+            let order = RefCell::new(Vec::new());
+            let mut actors: Vec<Actor<'_>> = vec![Box::pin(async {
+                driver.sleep(Duration::from_millis(10)).await;
+                driver.retire();
+            })];
+            for i in 0..4usize {
+                let (h, order) = (sys.register(), &order);
+                actors.push(Box::pin(async move {
+                    h.attach().await;
+                    for _ in 0..50 {
+                        // Unequal steps force constant reordering.
+                        h.occupy_us(((i * 7) % 5 + 1) as f64, 0).await;
+                        order.borrow_mut().push((i, h.now_ns()));
+                    }
+                    h.retire();
+                }));
             }
-            let order = order.lock().unwrap().clone();
-            order
+            sys.run_actors(actors);
+            (order.into_inner(), sys.handoffs())
         };
-        assert_eq!(run(), run());
+        let (order, handoffs) = run();
+        assert_eq!(order.len(), 200);
+        assert!(
+            order.windows(2).all(|w| w[0].1 <= w[1].1),
+            "not clock order"
+        );
+        assert!(handoffs > 0);
+        assert_eq!((order, handoffs), run());
     }
 
     #[test]
     fn all_blocked_actors_poison_instead_of_hang() {
         let sys = ClockSystem::new(ClockMode::Virtual);
         let driver = sys.register();
-        let bell = Arc::new(Bell::new(&sys));
+        let bell = Bell::new(&sys);
         let h = sys.register();
-        let waiter = {
-            let bell = Arc::clone(&bell);
-            std::thread::spawn(move || {
-                h.attach();
+        let actors: Vec<Actor<'_>> = vec![
+            Box::pin(async { driver.retire() }),
+            Box::pin(async {
+                h.attach().await;
                 let epoch = bell.epoch();
-                // Nobody will ever ring: once the driver retires, the
-                // coordinator must poison the clock, not hang.
-                h.wait_past(&bell, epoch, Duration::from_secs(600));
-            })
-        };
-        driver.retire();
-        let err = waiter.join().expect_err("deadlocked waiter must panic");
+                // Nobody will ever ring: once the driver retires, the clock
+                // must be poisoned, not hang.
+                h.wait_past(&bell, epoch, Duration::from_secs(600)).await;
+            }),
+        ];
+        let err = catch_unwind(AssertUnwindSafe(|| sys.run_actors(actors)))
+            .expect_err("a deadlocked clock must panic");
         let msg = err
             .downcast_ref::<String>()
             .cloned()

@@ -74,9 +74,11 @@ impl CostModel {
         self.us[kind_index(kind)]
     }
 
-    /// Occupies the calling thread's clock for the activity's time.
-    pub fn charge(&self, kind: ActivityKind, clock: &ClockHandle) {
-        clock.occupy_us(self.us(kind), crate::clock::class_of(kind));
+    /// Occupies the calling processor's clock for the activity's time.
+    pub async fn charge(&self, kind: ActivityKind, clock: &ClockHandle) {
+        clock
+            .occupy_us(self.us(kind), crate::clock::class_of(kind))
+            .await;
     }
 }
 

@@ -6,13 +6,13 @@
 //! the variable name and what was wrong — not a silent fall-back to the
 //! default that makes a sweep quietly measure the wrong workload.
 
-use crate::clock::{ClockMode, Handoff};
+use crate::clock::ClockMode;
 use crate::Config;
 use archsim::timings::Architecture;
 use std::time::Duration;
 
 /// The variables [`LiveEnv`] understands.
-const KNOWN: [&str; 12] = [
+const KNOWN: [&str; 11] = [
     "HSIPC_LIVE_ARCH",
     "HSIPC_LIVE_NODES",
     "HSIPC_LIVE_CONVERSATIONS",
@@ -21,7 +21,6 @@ const KNOWN: [&str; 12] = [
     "HSIPC_LIVE_SERVER_COMPUTE_US",
     "HSIPC_LIVE_BUFFERS",
     "HSIPC_LIVE_CLOCK",
-    "HSIPC_LIVE_HANDOFF",
     "HSIPC_LIVE_SWEEP_X_LIST",
     "HSIPC_LIVE_SWEEP_CONVERSATIONS",
     "HSIPC_LIVE_SWEEP_BUFFERS",
@@ -73,9 +72,6 @@ pub struct LiveEnv {
     pub buffers: Option<u16>,
     /// `HSIPC_LIVE_CLOCK`: `real` or `virtual`.
     pub clock: Option<ClockMode>,
-    /// `HSIPC_LIVE_HANDOFF`: `targeted` or `broadcast` — how the virtual
-    /// coordinator wakes the granted actor.
-    pub handoff: Option<Handoff>,
     /// `HSIPC_LIVE_SWEEP_X_LIST`: comma-separated offered-load points
     /// (server compute X, microseconds) for `repro live-sweep`.
     pub sweep_x_us: Option<Vec<f64>>,
@@ -164,9 +160,6 @@ impl LiveEnv {
         if let Some(v) = get("HSIPC_LIVE_CLOCK") {
             env.clock = Some(v.parse().map_err(|m| err("HSIPC_LIVE_CLOCK", m))?);
         }
-        if let Some(v) = get("HSIPC_LIVE_HANDOFF") {
-            env.handoff = Some(v.parse().map_err(|m| err("HSIPC_LIVE_HANDOFF", m))?);
-        }
         if let Some(v) = get("HSIPC_LIVE_SWEEP_X_LIST") {
             let xs = parse_list("HSIPC_LIVE_SWEEP_X_LIST", &v, |var, item| {
                 let x: f64 = item
@@ -227,9 +220,6 @@ impl LiveEnv {
         }
         if let Some(v) = self.clock {
             config.clock = v;
-        }
-        if let Some(v) = self.handoff {
-            config.handoff = v;
         }
     }
 }
@@ -358,27 +348,21 @@ mod tests {
     }
 
     #[test]
-    fn sweep_lists_and_handoff_parse() {
+    fn sweep_lists_parse() {
         let env = LiveEnv::from_vars(vars(&[
-            ("HSIPC_LIVE_HANDOFF", "broadcast"),
             ("HSIPC_LIVE_SWEEP_X_LIST", "0, 570,1140, 2850"),
             ("HSIPC_LIVE_SWEEP_CONVERSATIONS", "4,64"),
             ("HSIPC_LIVE_SWEEP_BUFFERS", " 1, 32 "),
         ]))
         .unwrap();
-        assert_eq!(env.handoff, Some(Handoff::Broadcast));
         assert_eq!(env.sweep_x_us, Some(vec![0.0, 570.0, 1_140.0, 2_850.0]));
         assert_eq!(env.sweep_conversations, Some(vec![4, 64]));
         assert_eq!(env.sweep_buffers, Some(vec![1, 32]));
-        let mut config = Config::new(Architecture::Uniprocessor);
-        env.apply(&mut config);
-        assert_eq!(config.handoff, Handoff::Broadcast);
     }
 
     #[test]
     fn malformed_sweep_lists_error() {
         for (var, value, needle) in [
-            ("HSIPC_LIVE_HANDOFF", "notify", "unknown handoff mode"),
             ("HSIPC_LIVE_SWEEP_X_LIST", "570,,1140", "empty item"),
             ("HSIPC_LIVE_SWEEP_X_LIST", "570,slow", "not a number"),
             ("HSIPC_LIVE_SWEEP_X_LIST", "-1", "non-negative"),
@@ -409,6 +393,10 @@ mod tests {
     fn unknown_live_variable_is_a_typo_error() {
         let e = LiveEnv::from_vars(vars(&[("HSIPC_LIVE_CONVERSATION", "64")])).unwrap_err();
         assert_eq!(e.var, "HSIPC_LIVE_CONVERSATION");
+        assert!(e.message.contains("unknown variable"), "{}", e.message);
+        // A knob that no longer exists is reported the same way, not ignored.
+        let e = LiveEnv::from_vars(vars(&[("HSIPC_LIVE_HANDOFF", "targeted")])).unwrap_err();
+        assert_eq!(e.var, "HSIPC_LIVE_HANDOFF");
         assert!(e.message.contains("unknown variable"), "{}", e.message);
         // Non-HSIPC_LIVE variables are never inspected.
         assert!(LiveEnv::from_vars(vars(&[("HSIPC_SWEEP", "8")])).is_ok());

@@ -2,12 +2,14 @@
 //!
 //! Everywhere else in this repository the paper's architectures are
 //! *modeled*: the GTPN solver computes equilibria, `archsim` replays a
-//! discrete-event schedule. This crate *runs* them. Each node gets real OS
-//! threads — a host thread, plus a dedicated message-coprocessor thread on
-//! Architectures II–IV — driving the **same** `msgkernel` task / service /
-//! rendezvous logic through a shared-memory image whose task-control-block
-//! and kernel-buffer queues are genuine concurrent queues implementing the
-//! §5.1 enqueue / first / dequeue transactions:
+//! discrete-event schedule. This crate *runs* them. Each node gets one
+//! loop per processor — a host, plus a dedicated message coprocessor on
+//! Architectures II–IV — each a real OS thread under the real clock, each
+//! a future polled on the caller's thread under the virtual clock
+//! ([`clock`]). The loops drive the **same** `msgkernel`
+//! task / service / rendezvous logic through a shared-memory image whose
+//! task-control-block and kernel-buffer queues are genuine concurrent
+//! queues implementing the §5.1 enqueue / first / dequeue transactions:
 //!
 //! * Architectures I–II — [`smartmem::shared::LockedModule`]: the real
 //!   linked-list micro-routines under a module-wide lock (conventional
@@ -20,11 +22,11 @@
 //! ([`netsim::live::LiveRing`]) standing in for the 4 Mb/s token ring. A
 //! load generator spawns fleets of client–server conversations — blocking
 //! remote invocations with reply semantics, kernel-buffer backpressure
-//! (§3.2.3), graceful shutdown — while every activity occupies its thread
-//! for its measured Table 6.4–6.23 time ([`cost`]). Throughput and latency
-//! come out of a lock-free histogram ([`hist`]); the `repro live`
-//! subcommand prints them and `tests/live_runtime.rs` cross-validates the
-//! measured architecture ordering against the GTPN model's predictions.
+//! (§3.2.3), graceful shutdown — while every activity occupies its
+//! processor for its measured Table 6.4–6.23 time ([`cost`]). Throughput
+//! and latency come out of a lock-free histogram ([`hist`]); the `repro
+//! live` subcommand prints them and `tests/live_runtime.rs` cross-validates
+//! the measured architecture ordering against the GTPN model's predictions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,25 +39,20 @@ mod node;
 pub mod shm;
 
 pub use archsim::timings::{Architecture, Locality};
-pub use clock::{ClockMode, Handoff, OvershootRow};
+pub use clock::{ClockMode, OvershootRow};
 pub use env::{EnvError, LiveEnv};
 pub use hist::Histogram;
 
-use clock::{Bell, ClockSystem};
-use msgkernel::{Kernel, KernelStats, NodeId, Packet, PriorityList, ServiceAddr, Syscall};
+use clock::{block_on, Actor, Bell, ClockSystem};
+use msgkernel::{Kernel, NodeId, Packet, PriorityList, ServiceAddr, Syscall};
 use netsim::RingNodeId;
 use node::{HostCtx, MpCtx, NodeShared, Role};
 use shm::{NodeShm, TcbSlot};
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Stack size of every actor thread the runtime spawns. The node loops
-/// run a fixed, shallow call graph (kernel transactions, queue ops, the
-/// clock coordinator); 512 KiB is an order of magnitude of headroom while
-/// keeping a 64-node fleet (129 threads) at ~65 MB of reserved stack
-/// instead of the ~1 GB the platform default would claim.
-const ACTOR_STACK: usize = 512 * 1024;
 
 /// Parameters of one live run.
 #[derive(Debug, Clone)]
@@ -63,7 +60,7 @@ pub struct Config {
     /// Node architecture to execute.
     pub architecture: Architecture,
     /// Number of nodes (each with its own kernel, shared memory and
-    /// threads). Non-local traffic needs at least two.
+    /// processors). Non-local traffic needs at least two.
     pub nodes: u32,
     /// Client–server conversations per node.
     pub conversations: u32,
@@ -89,10 +86,6 @@ pub struct Config {
     /// discrete-event virtual time ([`ClockMode::Virtual`], deterministic
     /// and orders of magnitude faster — see [`clock`]).
     pub clock: ClockMode,
-    /// How the virtual coordinator wakes the actor it grants the execution
-    /// token to ([`Handoff::Targeted`] by default; [`Handoff::Broadcast`]
-    /// is the measured baseline). Ignored under [`ClockMode::Real`].
-    pub handoff: Handoff,
 }
 
 impl Config {
@@ -110,7 +103,6 @@ impl Config {
             buffers: 32,
             grace: Duration::from_secs(10),
             clock: ClockMode::Real,
-            handoff: Handoff::Targeted,
         }
     }
 
@@ -177,9 +169,8 @@ pub struct RunReport {
     pub ring_frames: u64,
     /// Whether every client drained within the grace period.
     pub clean_shutdown: bool,
-    /// Cross-thread execution-token handoffs the virtual coordinator
-    /// performed (0 under [`ClockMode::Real`]) — the work count the
-    /// targeted-vs-broadcast handoff benchmark normalizes by.
+    /// Execution-token handoffs: scheduling decisions of the virtual clock
+    /// that moved the token to another actor (0 under [`ClockMode::Real`]).
     pub handoffs: u64,
     /// High-water mark of any single node's inbound ring queue — how far
     /// the slowest receiver fell behind at the worst moment (0 for local
@@ -190,6 +181,10 @@ pub struct RunReport {
     /// occupancy is exact by construction).
     pub overshoot: Vec<OvershootRow>,
 }
+
+/// One processor's loop; resolves to the buffer-shortage stalls its kernel
+/// counted.
+type Processor = Pin<Box<dyn Future<Output = u64> + Send>>;
 
 /// Runs one live workload to completion and reports what was measured.
 ///
@@ -215,11 +210,10 @@ pub fn run(config: &Config) -> RunReport {
     let (ring, ports) = netsim::live::live_ring::<Packet>(config.nodes, 0);
     let mut ports = ports.into_iter();
 
-    let clock_sys = ClockSystem::with_handoff(config.clock, config.handoff);
-    // Actor 0: this thread — the load generator and drain driver. In
-    // virtual mode it starts out holding the execution token, so the node
-    // actors registered below all park in attach() until the load-phase
-    // sleep yields it.
+    let clock_sys = ClockSystem::new(config.clock);
+    // Actor 0: the load generator and drain driver. In virtual mode it
+    // starts out holding the execution token, so the node actors registered
+    // below all suspend in attach() until the load-phase sleep yields it.
     let main_clock = clock_sys.register();
 
     // One histogram per node, merged into fleet-wide quantiles at report
@@ -239,9 +233,11 @@ pub fn run(config: &Config) -> RunReport {
 
     let mut shareds: Vec<Arc<NodeShared>> = Vec::with_capacity(config.nodes as usize);
     // Phase 1: build every node's contexts and register its clock actors
-    // in node order, before any thread exists — actor ids are the virtual
-    // scheduler's determinism tie-break, so registration must not race.
-    let mut bodies: Vec<(HostCtx, MpCtx)> = Vec::with_capacity(config.nodes as usize);
+    // in node order — actor ids are the virtual scheduler's determinism
+    // tie-break. One future per processor, in registration order; each
+    // resolves to the buffer-shortage stalls its kernel counted (0 for a
+    // host, which has none).
+    let mut processors: Vec<(String, Processor)> = Vec::with_capacity(2 * config.nodes as usize);
 
     let started = Instant::now();
     for node in 0..config.nodes {
@@ -323,7 +319,7 @@ pub fn run(config: &Config) -> RunReport {
         }
 
         // One actor per processor: host, plus the MP on II–IV. On I the
-        // combined loop is one thread, hence one actor for both contexts.
+        // combined loop is one processor, hence one actor for both contexts.
         let host_clock = clock_sys.register();
         let mp_clock = if config.architecture.has_mp() {
             clock_sys.register()
@@ -358,82 +354,90 @@ pub fn run(config: &Config) -> RunReport {
             ring: ring.clone(),
             halt: Arc::clone(&halt),
         };
-        bodies.push((host, mp));
-    }
-
-    // Phase 2: spawn. Each thread's first statement is attach(), so no
-    // node code runs before the deterministic registration above is
-    // complete and the thread holds the execution token. Actor threads get
-    // small explicit stacks (the node loops are shallow; the default 8 MB
-    // would reserve gigabytes of address space across a sweep running
-    // eight 32-node fleets at once).
-    let mut host_handles = Vec::new();
-    let mut kernel_handles: Vec<std::thread::JoinHandle<KernelStats>> = Vec::new();
-    for (node, (host, mp)) in bodies.into_iter().enumerate() {
         if config.architecture.has_mp() {
-            host_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("hsipc-host{node}"))
-                    .stack_size(ACTOR_STACK)
-                    .spawn(move || host.run())
-                    .expect("spawn host thread"),
-            );
-            kernel_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("hsipc-mp{node}"))
-                    .stack_size(ACTOR_STACK)
-                    .spawn(move || mp.run())
-                    .expect("spawn MP thread"),
-            );
+            processors.push((
+                format!("hsipc-host{node}"),
+                Box::pin(async move {
+                    host.run().await;
+                    0
+                }),
+            ));
+            processors.push((
+                format!("hsipc-mp{node}"),
+                Box::pin(async move { mp.run().await.buffer_stalls }),
+            ));
         } else {
-            kernel_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("hsipc-node{node}"))
-                    .stack_size(ACTOR_STACK)
-                    .spawn(move || node::combined_run(host, mp))
-                    .expect("spawn node thread"),
-            );
+            processors.push((
+                format!("hsipc-node{node}"),
+                Box::pin(async move { node::combined_run(host, mp).await.buffer_stalls }),
+            ));
         }
     }
 
-    // Load phase. Real: wall sleep. Virtual: the driver's clock jumps to
-    // `duration` and yields the token; the conservative frontier hands it
-    // back only once every node actor's clock has passed `duration`.
-    main_clock.sleep(config.duration);
+    // The driver. Load phase — real: wall sleep; virtual: the driver's
+    // clock jumps to `duration` and yields the token, and the conservative
+    // frontier hands it back only once every node actor's clock has passed
+    // `duration`. Drain: clients finish their outstanding round trip and
+    // stop. Halt: the whole sequence runs while the driver holds the
+    // virtual execution token, so every processor observes halt + rung
+    // bells atomically; the driver then retires — it must release the
+    // token or the processors could never run their exit path.
+    let driver = async {
+        main_clock.sleep(config.duration).await;
+        stopping.store(true, Ordering::SeqCst);
+        for shared in &shareds {
+            shared.host_bell.ring();
+        }
+        let deadline_ns = main_clock.now_ns() + config.grace.as_nanos() as u64;
+        while active.load(Ordering::Acquire) > 0 && main_clock.now_ns() < deadline_ns {
+            main_clock.sleep(Duration::from_millis(1)).await;
+        }
+        let clean_shutdown = active.load(Ordering::Acquire) == 0;
+        let elapsed = Duration::from_nanos(main_clock.now_ns());
+        halt.store(true, Ordering::SeqCst);
+        for shared in &shareds {
+            shared.host_bell.ring();
+            shared.mp_bell.ring();
+        }
+        main_clock.retire();
+        (clean_shutdown, elapsed)
+    };
 
-    // Drain: clients finish their outstanding round trip and stop.
-    stopping.store(true, Ordering::SeqCst);
-    for shared in &shareds {
-        shared.host_bell.ring();
-    }
-    let deadline_ns = main_clock.now_ns() + config.grace.as_nanos() as u64;
-    while active.load(Ordering::Acquire) > 0 && main_clock.now_ns() < deadline_ns {
-        main_clock.sleep(Duration::from_millis(1));
-    }
-    let clean_shutdown = active.load(Ordering::Acquire) == 0;
-    let elapsed = Duration::from_nanos(main_clock.now_ns());
-
-    // Halt and join. The whole halt sequence runs while this thread holds
-    // the virtual execution token, so every worker observes halt + rung
-    // bells atomically; the driver then retires *before* joining — it
-    // must release the token or the workers could never run their exit
-    // path.
-    halt.store(true, Ordering::SeqCst);
-    for shared in &shareds {
-        shared.host_bell.ring();
-        shared.mp_bell.ring();
-    }
-    main_clock.retire();
-    for handle in host_handles {
-        handle.join().expect("host thread exits cleanly");
-    }
-    let mut buffer_stalls = 0;
-    for handle in kernel_handles {
-        buffer_stalls += handle
-            .join()
-            .expect("kernel thread exits cleanly")
-            .buffer_stalls;
-    }
+    // Phase 2: run. Each processor's first statement is attach(), so no
+    // node code runs before it holds the execution token.
+    let ((clean_shutdown, elapsed), buffer_stalls) = match config.clock {
+        // One OS thread per processor, the driver on this one; real clock
+        // operations complete inside the call, so each future is one poll.
+        ClockMode::Real => {
+            let handles: Vec<_> = processors
+                .into_iter()
+                .map(|(name, processor)| {
+                    std::thread::Builder::new()
+                        .name(name)
+                        .spawn(move || block_on(processor))
+                        .expect("spawn processor thread")
+                })
+                .collect();
+            let drained = block_on(driver);
+            let stalls = handles
+                .into_iter()
+                .map(|handle| handle.join().expect("processor thread exits cleanly"))
+                .sum();
+            (drained, stalls)
+        }
+        // No threads: the clock polls, on this one, whichever actor holds
+        // the execution token.
+        ClockMode::Virtual => {
+            let mut drained = None;
+            let mut actors: Vec<Actor<'_, u64>> = vec![Box::pin(async {
+                drained = Some(driver.await);
+                0
+            })];
+            actors.extend(processors.into_iter().map(|(_, p)| p as Actor<'_, u64>));
+            let stalls = clock_sys.run_actors(actors).into_iter().sum();
+            (drained.expect("the driver retired"), stalls)
+        }
+    };
 
     let round_trips = round_trips.load(Ordering::Relaxed);
     let elapsed_ms = elapsed.as_secs_f64() * 1_000.0;

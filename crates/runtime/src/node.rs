@@ -1,6 +1,9 @@
-//! The per-node execution loops: the host thread multiplexing task state
-//! machines (Figure 4.4) and the message-coprocessor thread running the
-//! kernel's communication side (Figure 4.5).
+//! The per-node execution loops: the host multiplexing task state
+//! machines (Figure 4.4) and the message coprocessor running the kernel's
+//! communication side (Figure 4.5). Each loop is an `async fn` whose only
+//! suspension points are clock operations: under the real clock it runs on
+//! its own OS thread and never suspends, under the virtual clock the
+//! clock's executor polls it ([`crate::clock`]).
 //!
 //! The division of labor follows §4.4 exactly:
 //!
@@ -15,8 +18,8 @@
 //!   message in the TCB inbox, so the host can never pop a runnable server
 //!   whose message has not arrived.
 //!
-//! Architecture I has no MP thread: one thread alternates both sides, which
-//! is precisely why its host saturates first under load.
+//! Architecture I has no MP: one loop alternates both sides, which is
+//! precisely why its host saturates first under load.
 
 use crate::clock::{Bell, ClockHandle, CLASS_COMPUTE};
 use crate::cost::CostModel;
@@ -51,7 +54,7 @@ pub(crate) enum Role {
     Server(usize),
 }
 
-/// One node's shared-memory image as both threads see it.
+/// One node's shared-memory image as both processors see it.
 #[derive(Debug)]
 pub(crate) struct NodeShared {
     pub shm: NodeShm,
@@ -79,11 +82,11 @@ enum ServerPhase {
 }
 
 /// The host side of one node: client/server state machines multiplexed on
-/// one OS thread.
+/// one processor.
 pub(crate) struct HostCtx {
     pub shared: Arc<NodeShared>,
     pub cost: Arc<CostModel>,
-    /// This thread's time base (host processor).
+    /// This processor's time base (host).
     pub clock: ClockHandle,
     /// Role of each task id.
     pub roles: Vec<Role>,
@@ -143,8 +146,8 @@ impl HostCtx {
 
     /// Issues a kernel call: burn the syscall-entry cost, write the request
     /// into the TCB, enqueue the TCB on the communication list, ring the MP.
-    fn issue(&self, task: TaskId, kind: ActivityKind, request: Syscall) {
-        self.cost.charge(kind, &self.clock);
+    async fn issue(&self, task: TaskId, kind: ActivityKind, request: Syscall) {
+        self.cost.charge(kind, &self.clock).await;
         *self.shared.slots[task.0 as usize]
             .request
             .lock()
@@ -153,7 +156,7 @@ impl HostCtx {
         self.shared.mp_bell.ring();
     }
 
-    fn issue_send(&mut self, client: usize) {
+    async fn issue_send(&mut self, client: usize) {
         let task = self.clients[client];
         self.client_sm[client].sent_at = Some(self.clock.now_ns());
         self.issue(
@@ -164,31 +167,32 @@ impl HostCtx {
                 message: Message::from_bytes(b"request"),
                 mode: SendMode::invocation(),
             },
-        );
+        )
+        .await;
     }
 
     /// Starts every client's first round trip.
-    pub(crate) fn kickoff(&mut self) {
+    pub(crate) async fn kickoff(&mut self) {
         for client in 0..self.clients.len() {
-            self.issue_send(client);
+            self.issue_send(client).await;
         }
     }
 
     /// Pops and dispatches one computation-list entry; false when idle.
-    pub(crate) fn step(&mut self) -> bool {
+    pub(crate) async fn step(&mut self) -> bool {
         let Some(task) = self.shared.shm.pop_computation() else {
             return false;
         };
         match self.roles[task.0 as usize] {
-            Role::Client(i) => self.wake_client(i),
-            Role::Server(i) => self.wake_server(i),
+            Role::Client(i) => self.wake_client(i).await,
+            Role::Server(i) => self.wake_server(i).await,
         }
         true
     }
 
     /// A client wake means its reply arrived: close the round trip and
     /// (unless draining) immediately start the next one.
-    fn wake_client(&mut self, client: usize) {
+    async fn wake_client(&mut self, client: usize) {
         if self.client_sm[client].done {
             return;
         }
@@ -202,16 +206,17 @@ impl HostCtx {
             self.client_sm[client].done = true;
             self.active.fetch_sub(1, Ordering::AcqRel);
         } else {
-            self.issue_send(client);
+            self.issue_send(client).await;
         }
     }
 
-    fn wake_server(&mut self, server: usize) {
+    async fn wake_server(&mut self, server: usize) {
         let task = self.servers[server];
         match self.server_phase[server] {
             ServerPhase::Offered | ServerPhase::Replied => {
                 self.server_phase[server] = ServerPhase::AwaitDelivery;
-                self.issue(task, ActivityKind::SyscallReceive, Syscall::Receive);
+                self.issue(task, ActivityKind::SyscallReceive, Syscall::Receive)
+                    .await;
             }
             ServerPhase::AwaitDelivery => {
                 let message = self.shared.slots[task.0 as usize]
@@ -224,7 +229,7 @@ impl HostCtx {
                     "server woken for delivery with an empty inbox"
                 );
                 // The conversation's server compute (the workload's X).
-                self.clock.occupy_us(self.compute_us, CLASS_COMPUTE);
+                self.clock.occupy_us(self.compute_us, CLASS_COMPUTE).await;
                 self.server_phase[server] = ServerPhase::Replied;
                 self.issue(
                     task,
@@ -232,18 +237,19 @@ impl HostCtx {
                     Syscall::Reply {
                         message: Message::from_bytes(b"reply"),
                     },
-                );
+                )
+                .await;
             }
         }
     }
 
-    /// The host thread body (Architectures II–IV).
-    pub(crate) fn run(mut self) {
-        self.clock.attach();
-        self.kickoff();
+    /// The host loop (Architectures II–IV).
+    pub(crate) async fn run(mut self) {
+        self.clock.attach().await;
+        self.kickoff().await;
         let mut empty_polls: u32 = 0;
         while !self.halt.load(Ordering::Relaxed) {
-            if self.step() {
+            if self.step().await {
                 empty_polls = 0;
                 continue;
             }
@@ -253,9 +259,10 @@ impl HostCtx {
                 continue;
             }
             let epoch = self.shared.host_bell.epoch();
-            if !self.step() {
+            if !self.step().await {
                 self.clock
-                    .wait_past(&self.shared.host_bell, epoch, IDLE_PARK);
+                    .wait_past(&self.shared.host_bell, epoch, IDLE_PARK)
+                    .await;
             }
         }
         self.clock.retire();
@@ -267,8 +274,8 @@ impl HostCtx {
 pub(crate) struct MpCtx {
     pub shared: Arc<NodeShared>,
     pub cost: Arc<CostModel>,
-    /// This thread's time base (MP processor; on Architecture I a clone of
-    /// the host's handle, since one thread plays both roles).
+    /// This processor's time base (MP; on Architecture I a clone of the
+    /// host's handle, since one loop plays both roles).
     pub clock: ClockHandle,
     pub kernel: Kernel,
     pub port: Port<Packet>,
@@ -277,33 +284,38 @@ pub(crate) struct MpCtx {
 }
 
 impl MpCtx {
+    /// Occupies the MP for one activity. (`&mut`: the MP's future moves to
+    /// its real-clock thread, and `&MpCtx` is not `Send`.)
+    async fn charge(&mut self, kind: ActivityKind) {
+        self.cost.charge(kind, &self.clock).await;
+    }
+
     /// MP-side processing cost of an injected request.
-    fn charge_for(&self, request: &Syscall) {
+    async fn charge_for(&mut self, request: &Syscall) {
         match request {
-            Syscall::Send { .. } => self.cost.charge(ActivityKind::ProcessSend, &self.clock),
-            Syscall::Receive => self.cost.charge(ActivityKind::ProcessReceive, &self.clock),
+            Syscall::Send { .. } => self.charge(ActivityKind::ProcessSend).await,
+            Syscall::Receive => self.charge(ActivityKind::ProcessReceive).await,
             Syscall::Reply { .. } => {
-                self.cost.charge(ActivityKind::ProcessReply, &self.clock);
-                self.cost
-                    .charge(ActivityKind::RestartServerAfterReply, &self.clock);
+                self.charge(ActivityKind::ProcessReply).await;
+                self.charge(ActivityKind::RestartServerAfterReply).await;
             }
             _ => {}
         }
     }
 
-    fn handle(&mut self, events: Vec<KernelEvent>) {
+    async fn handle(&mut self, events: Vec<KernelEvent>) {
         for event in events {
             match event {
                 KernelEvent::PacketOut(packet) => {
-                    self.cost.charge(ActivityKind::DmaOut, &self.clock);
+                    self.charge(ActivityKind::DmaOut).await;
                     let (from, to) = (RingNodeId(packet.from.0), RingNodeId(packet.to.0));
                     self.ring
                         .transmit(from, to, msgkernel::MESSAGE_SIZE as u32, packet)
                         .expect("destination node attached to the ring");
                 }
                 KernelEvent::Delivered { server } => {
-                    self.cost.charge(ActivityKind::Match, &self.clock);
-                    self.cost.charge(ActivityKind::RestartServer, &self.clock);
+                    self.charge(ActivityKind::Match).await;
+                    self.charge(ActivityKind::RestartServer).await;
                     let message = self
                         .kernel
                         .task(server)
@@ -315,8 +327,8 @@ impl MpCtx {
                         .expect("inbox slot") = message;
                 }
                 KernelEvent::ReplyDelivered { client } => {
-                    self.cost.charge(ActivityKind::CleanupClient, &self.clock);
-                    self.cost.charge(ActivityKind::RestartClient, &self.clock);
+                    self.charge(ActivityKind::CleanupClient).await;
+                    self.charge(ActivityKind::RestartClient).await;
                     if let Ok(task) = self.kernel.task(client) {
                         let message = task.delivered;
                         *self.shared.slots[client.0 as usize]
@@ -333,12 +345,12 @@ impl MpCtx {
     /// Services the kernel's *internal* communication list: initial offers
     /// queued at construction and buffer-shortage retries, which the kernel
     /// re-queues itself (§3.2.3).
-    fn drain_internal(&mut self) -> bool {
+    async fn drain_internal(&mut self) -> bool {
         let mut did = false;
         while let Some(task) = self.kernel.next_communication() {
             did = true;
             let events = self.kernel.process(task).expect("internal request");
-            self.handle(events);
+            self.handle(events).await;
         }
         did
     }
@@ -360,8 +372,8 @@ impl MpCtx {
 
     /// One scheduling pass: internal work, host requests, network arrivals,
     /// then the runnable flush. Returns whether anything happened.
-    pub(crate) fn pump(&mut self) -> bool {
-        let mut did = self.drain_internal();
+    pub(crate) async fn pump(&mut self) -> bool {
+        let mut did = self.drain_internal().await;
         while let Some(task) = self.shared.shm.pop_communication() {
             did = true;
             let request = self.shared.slots[task.0 as usize]
@@ -370,13 +382,13 @@ impl MpCtx {
                 .expect("request slot")
                 .take()
                 .expect("host writes the request before enqueueing the TCB");
-            self.charge_for(&request);
+            self.charge_for(&request).await;
             self.kernel
                 .place_request(task, request)
                 .expect("live request is valid");
             let events = self.kernel.process(task).expect("live syscall succeeds");
-            self.handle(events);
-            self.drain_internal();
+            self.handle(events).await;
+            self.drain_internal().await;
             // Publish eagerly: the host resumes restarted tasks while this
             // loop keeps processing, instead of waiting for the backlog to
             // drain (which would serialize the two processors in batches).
@@ -384,13 +396,13 @@ impl MpCtx {
         }
         while let Some(frame) = self.port.try_recv() {
             did = true;
-            self.cost.charge(ActivityKind::DmaIn, &self.clock);
+            self.charge(ActivityKind::DmaIn).await;
             let events = self
                 .kernel
                 .handle_packet(frame.payload)
                 .expect("live packet is well-formed");
-            self.handle(events);
-            self.drain_internal();
+            self.handle(events).await;
+            self.drain_internal().await;
             self.flush();
         }
         if self.flush() {
@@ -399,13 +411,13 @@ impl MpCtx {
         did
     }
 
-    /// The MP thread body (Architectures II–IV). Returns the kernel's
-    /// cumulative statistics.
-    pub(crate) fn run(mut self) -> KernelStats {
-        self.clock.attach();
+    /// The MP loop (Architectures II–IV). Returns the kernel's cumulative
+    /// statistics.
+    pub(crate) async fn run(mut self) -> KernelStats {
+        self.clock.attach().await;
         let mut empty_polls: u32 = 0;
         while !self.halt.load(Ordering::Relaxed) {
-            if self.pump() {
+            if self.pump().await {
                 empty_polls = 0;
                 continue;
             }
@@ -415,8 +427,10 @@ impl MpCtx {
                 continue;
             }
             let epoch = self.shared.mp_bell.epoch();
-            if !self.pump() {
-                self.clock.wait_past(&self.shared.mp_bell, epoch, IDLE_PARK);
+            if !self.pump().await {
+                self.clock
+                    .wait_past(&self.shared.mp_bell, epoch, IDLE_PARK)
+                    .await;
             }
         }
         self.clock.retire();
@@ -424,23 +438,24 @@ impl MpCtx {
     }
 }
 
-/// Architecture I: one thread alternates host and kernel duties — the
+/// Architecture I: one loop alternates host and kernel duties — the
 /// uniprocessor cannot overlap server compute with communication
 /// processing, which is exactly the bottleneck the MP removes. The two
 /// contexts share one clock handle (one processor, one actor).
-pub(crate) fn combined_run(mut host: HostCtx, mut mp: MpCtx) -> KernelStats {
-    host.clock.attach();
-    host.kickoff();
+pub(crate) async fn combined_run(mut host: HostCtx, mut mp: MpCtx) -> KernelStats {
+    host.clock.attach().await;
+    host.kickoff().await;
     loop {
-        let did_mp = mp.pump();
-        let did_host = host.step();
+        let did_mp = mp.pump().await;
+        let did_host = host.step().await;
         if mp.halt.load(Ordering::Relaxed) {
             break;
         }
         if !did_mp && !did_host {
             let epoch = host.shared.host_bell.epoch();
             host.clock
-                .wait_past(&host.shared.host_bell, epoch, IDLE_PARK);
+                .wait_past(&host.shared.host_bell, epoch, IDLE_PARK)
+                .await;
         }
     }
     host.clock.retire();

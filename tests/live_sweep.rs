@@ -1,5 +1,5 @@
-//! The live-sweep grid engine: byte determinism across runs, fan-out
-//! settings and handoff modes, degenerate grids, and overload points.
+//! The live-sweep grid engine: byte determinism across runs and fan-out
+//! settings, degenerate grids, and overload points.
 //!
 //! Everything here drives `hsipc::livesweep::run_with` with explicit
 //! execution modes, so the assertions hold regardless of the `HSIPC_SWEEP`
@@ -7,7 +7,7 @@
 //! (the sweep accepts nothing else), so none of this measures wall time.
 
 use hsipc::livesweep::{run_with, SweepSpec};
-use hsipc::runtime::{Architecture, Handoff, Locality};
+use hsipc::runtime::{Architecture, Locality};
 use hsipc::sweep::ExecMode;
 use std::time::Duration;
 
@@ -24,12 +24,11 @@ fn small_spec() -> SweepSpec {
 }
 
 /// The tentpole determinism contract: the rendered sweep is a pure
-/// function of the spec. Repeated sequential runs, a parallel run on
-/// several workers, and a broadcast-handoff run must all produce the
-/// same bytes — fan-out changes wall-clock, the handoff mode changes
-/// only *how* the next actor wakes, and neither may leak into the text.
+/// function of the spec. Repeated sequential runs and a parallel run on
+/// several workers must all produce the same bytes — fan-out changes
+/// wall-clock only, and must not leak into the text.
 #[test]
-fn rendered_sweep_is_byte_identical_across_runs_fanout_and_handoff() {
+fn rendered_sweep_is_byte_identical_across_runs_and_fanout() {
     let spec = small_spec();
     let a = run_with(&spec, ExecMode::Sequential, 1);
     let b = run_with(&spec, ExecMode::Sequential, 1);
@@ -39,25 +38,14 @@ fn rendered_sweep_is_byte_identical_across_runs_fanout_and_handoff() {
     let par = run_with(&spec, ExecMode::Parallel, 8);
     assert_eq!(a.rendered, par.rendered, "worker fan-out leaked into text");
 
-    let mut broadcast = spec.clone();
-    broadcast.handoff = Handoff::Broadcast;
-    let bc = run_with(&broadcast, ExecMode::Sequential, 1);
-    // The handoff mode is workload metadata, so it appears in the header
-    // line; every measured row below must match.
-    let tail = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-    assert_eq!(
-        tail(&a.rendered),
-        tail(&bc.rendered),
-        "handoff mode changed the measured rows"
-    );
     // And the virtual measurements themselves are bit-equal point by point.
-    for (t, b) in a.outcomes.iter().zip(bc.outcomes.iter()) {
-        assert_eq!(t.report.round_trips, b.report.round_trips);
+    for (s, p) in a.outcomes.iter().zip(par.outcomes.iter()) {
+        assert_eq!(s.report.round_trips, p.report.round_trips);
         assert_eq!(
-            t.report.latency.max_us.to_bits(),
-            b.report.latency.max_us.to_bits()
+            s.report.latency.max_us.to_bits(),
+            p.report.latency.max_us.to_bits()
         );
-        assert_eq!(t.report.handoffs, b.report.handoffs);
+        assert_eq!(s.report.handoffs, p.report.handoffs);
     }
 }
 

@@ -7,10 +7,18 @@
 //! `tests/live_runtime.rs` (a separate test binary) for exactly that
 //! reason.
 
-use hsipc::runtime::clock::{Bell, ClockMode, ClockSystem};
+use hsipc::runtime::clock::{Actor, Bell, ClockMode, ClockSystem};
 use hsipc::runtime::{Architecture, Config, Locality};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
+
+/// The message a caught panic carried.
+fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
 
 fn virtual_config(arch: Architecture) -> Config {
     let mut config = Config::new(arch);
@@ -98,6 +106,56 @@ fn arch_iii_and_iv_virtual_local_runs_are_bitwise_identical() {
     );
 }
 
+/// The schedule itself, pinned by constants: the virtual clock's grant
+/// order is part of the contract (the benchmark checks these counts
+/// exactly), so a change to the clock or the node loops that reorders even
+/// one handoff fails here, not in an argument about equivalence. The
+/// first two are the benchmark's `--quick` `deep` and `remote`.
+#[test]
+fn virtual_schedule_is_pinned_by_constants() {
+    let run = |arch, nodes, conversations, buffers, locality, ms| {
+        let mut config = virtual_config(arch);
+        config.nodes = nodes;
+        config.conversations = conversations;
+        config.buffers = buffers;
+        config.locality = locality;
+        config.duration = Duration::from_millis(ms);
+        let report = hsipc::runtime::run(&config);
+        assert!(report.clean_shutdown, "{arch}: drain did not complete");
+        (
+            report.round_trips,
+            report.handoffs,
+            report.buffer_stalls,
+            report.ring_frames,
+            report.peak_ring_queue,
+            report.elapsed.as_millis(),
+        )
+    };
+    // Overloaded: 16 conversations on 8 buffers per node.
+    assert_eq!(
+        run(Architecture::SmartBus, 8, 16, 8, Locality::Local, 150),
+        (512, 6_914, 64, 0, 0, 199)
+    );
+    assert_eq!(
+        run(
+            Architecture::MessageCoprocessor,
+            4,
+            8,
+            64,
+            Locality::NonLocal,
+            1_000
+        ),
+        (544, 10_448, 0, 1_088, 8, 1_023)
+    );
+    // Zero-length load on the combined loop: one round trip per client.
+    let (round_trips, handoffs, stalls, frames, peak, _) =
+        run(Architecture::Uniprocessor, 3, 5, 2, Locality::NonLocal, 0);
+    assert_eq!(
+        (round_trips, handoffs, stalls, frames, peak),
+        (15, 214, 0, 30, 5)
+    );
+}
+
 /// A nonsensical fleet is a panic, not a hang: the run must refuse up
 /// front rather than spawn a load generator with nothing to generate.
 #[test]
@@ -106,11 +164,7 @@ fn zero_conversations_panics_instead_of_hanging() {
     config.conversations = 0;
     let err = catch_unwind(AssertUnwindSafe(|| hsipc::runtime::run(&config)))
         .expect_err("zero conversations must panic");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
+    let msg = panic_message(err);
     assert!(msg.contains("at least one conversation"), "panic: {msg}");
 }
 
@@ -153,34 +207,27 @@ fn zero_duration_run_drains_immediately() {
 
 /// A virtual clock that can never advance — every live actor blocked on a
 /// bell nobody can ring — must error out, not hang. This exercises the
-/// coordinator's poisoning path through the public API, the same detector
-/// that turns a buggy drain into a diagnostic instead of a stuck process.
+/// clock's poisoning path through the public API, the same detector that
+/// turns a buggy drain into a diagnostic instead of a stuck process.
 #[test]
 fn never_advancing_clock_errors_instead_of_hanging() {
     let sys = ClockSystem::new(ClockMode::Virtual);
     let driver = sys.register();
-    let bell = std::sync::Arc::new(Bell::new(&sys));
-    let waiters: Vec<_> = (0..3)
-        .map(|_| {
-            let h = sys.register();
-            let bell = std::sync::Arc::clone(&bell);
-            std::thread::spawn(move || {
-                h.attach();
-                let epoch = bell.epoch();
-                h.wait_past(&bell, epoch, Duration::from_secs(600));
-            })
-        })
-        .collect();
+    let bell = Bell::new(&sys);
+    let waiters: Vec<_> = (0..3).map(|_| sys.register()).collect();
     // The driver retires without ringing: no executing actor remains, so
     // no ring can ever arrive and the frontier is permanently stuck.
-    driver.retire();
-    for waiter in waiters {
-        let err = waiter.join().expect_err("deadlocked waiter must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(msg.contains("virtual clock deadlock"), "panic: {msg}");
+    let mut actors: Vec<Actor<'_>> = vec![Box::pin(async { driver.retire() })];
+    for h in &waiters {
+        let bell = &bell;
+        actors.push(Box::pin(async move {
+            h.attach().await;
+            let epoch = bell.epoch();
+            h.wait_past(bell, epoch, Duration::from_secs(600)).await;
+        }));
     }
+    let err = catch_unwind(AssertUnwindSafe(|| sys.run_actors(actors)))
+        .expect_err("a deadlocked clock must panic");
+    let msg = panic_message(err);
+    assert!(msg.contains("virtual clock deadlock"), "panic: {msg}");
 }
