@@ -7,8 +7,9 @@
 //! `HSIPC_SWEEP=1` forces one; `HSIPC_SWEEP=<n>` / `RAYON_NUM_THREADS` /
 //! `HSIPC_SWEEP_THREADS` set the worker count).
 //!
-//! `--timing` additionally reports wall-clock and cache statistics on
-//! stderr, runs the non-local n=4 solver micro-benchmark at one thread vs
+//! `--timing` additionally reports wall-clock, cache statistics and the
+//! exact solver's stage ledger (`gtpn::engine::stage_totals`) on stderr,
+//! runs the non-local n=4 solver micro-benchmark at one thread vs
 //! the full budget, and writes the machine-readable perf trajectory to
 //! `BENCH_solver.json` — stdout stays byte-identical either way.
 
@@ -127,6 +128,21 @@ fn main() -> ExitCode {
             reach.dedup_drops,
             reach.entries,
             reach.bytes as f64 / (1024.0 * 1024.0)
+        );
+        // Where the exact backend's misses spent their time, summed over
+        // every run of the process (seconds add up across sweep workers).
+        let stages = gtpn::engine::stage_totals();
+        eprintln!(
+            "exact solver stages: net compile {:.3} s, bfs {:.3} s, solve {:.3} s, delump {:.3} s; {} states, {} edges, {} sweeps, {} phase calls, {} phase configs",
+            stages.net_compile_s,
+            stages.bfs_s,
+            stages.solve_s,
+            stages.delump_s,
+            stages.states,
+            stages.edges,
+            stages.sweeps,
+            stages.phase_calls,
+            stages.phase_configs
         );
         let json = timing_json(mode, threads, total_seconds, &timed, engine, reach);
         match std::fs::write("BENCH_solver.json", &json) {

@@ -79,6 +79,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Which backend produced (or should produce) an analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -320,6 +321,79 @@ fn warm_store(warm: Option<&mut WarmStart>, shape: u64, pi: Vec<f64>) {
     }
 }
 
+/// Where one exact analysis spent its time, stage by stage, and how much
+/// work each stage did — the solver's own answer to "which layer moved".
+///
+/// Seconds are wall-clock around whole stages (a handful of clock reads per
+/// analysis, none inside the expansion kernel); counts are exact and repeat
+/// from run to run. [`Analysis::stages`] returns the ledger of the run that
+/// produced an analysis; [`stage_totals`] sums every exact run of the
+/// process (under a parallel sweep that is seconds summed over workers, not
+/// elapsed time).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StageLedger {
+    /// Compiling the net for expansion.
+    pub net_compile_s: f64,
+    /// Breadth-first expansion of the (lumped or raw) chain.
+    pub bfs_s: f64,
+    /// Steady-state solve of that chain.
+    pub solve_s: f64,
+    /// Recovering the raw chain's measures from a lumped solution.
+    pub delump_s: f64,
+    /// States of the solved chain (lumped states for a lumped run).
+    pub states: u64,
+    /// Edges of the solved chain.
+    pub edges: u64,
+    /// Gauss–Seidel sweeps (1 for a direct solve).
+    pub sweeps: u64,
+    /// Instantaneous phases run by the expansion.
+    pub phase_calls: u64,
+    /// Configurations those phases expanded.
+    pub phase_configs: u64,
+}
+
+impl StageLedger {
+    /// The ledger of one exact run: `graph`'s build record plus the solve
+    /// and de-lump stages timed by the caller.
+    fn of(graph: &ReachabilityGraph, solution: &Solution, solve_s: f64, delump_s: f64) -> Self {
+        StageLedger {
+            net_compile_s: graph.build.net_compile_s,
+            bfs_s: graph.build.bfs_s,
+            solve_s,
+            delump_s,
+            states: graph.state_count() as u64,
+            edges: graph.edge_count() as u64,
+            sweeps: solution.iterations() as u64,
+            phase_calls: graph.build.phase_calls,
+            phase_configs: graph.build.phase_configs,
+        }
+    }
+
+    fn add(&mut self, other: &StageLedger) {
+        self.net_compile_s += other.net_compile_s;
+        self.bfs_s += other.bfs_s;
+        self.solve_s += other.solve_s;
+        self.delump_s += other.delump_s;
+        self.states += other.states;
+        self.edges += other.edges;
+        self.sweeps += other.sweeps;
+        self.phase_calls += other.phase_calls;
+        self.phase_configs += other.phase_configs;
+    }
+}
+
+fn stage_totals_cell() -> &'static Mutex<StageLedger> {
+    static TOTALS: OnceLock<Mutex<StageLedger>> = OnceLock::new();
+    TOTALS.get_or_init(Mutex::default)
+}
+
+/// The sum of every exact run's [`StageLedger`] in this process so far —
+/// cache hits add nothing, they did no work. Printed by `repro --timing`
+/// beside [`cache_stats`].
+pub fn stage_totals() -> StageLedger {
+    *stage_totals_cell().lock().expect("stage totals poisoned")
+}
+
 /// The raw product of one backend run, in the analyzed net's id space.
 ///
 /// Construction is internal to the crate: the two built-in backends fill
@@ -348,6 +422,8 @@ pub struct AnalysisData {
     /// (they are plain per-name/per-id aggregates; no graph is retained),
     /// but carry no sampling error — `resource_half_width` stays empty.
     lumped: Option<(usize, f64)>,
+    /// Exact runs: where the time went.
+    stages: Option<StageLedger>,
 }
 
 /// The result of [`AnalysisEngine::analyze`]: backend-agnostic access to
@@ -501,6 +577,12 @@ impl Analysis {
             .or(self.data.lumped.map(|(_, r)| r))
     }
 
+    /// The stage ledger of the exact run that produced this analysis —
+    /// for a cache hit, of the run that filled the entry. `None` for DES.
+    pub fn stages(&self) -> Option<&StageLedger> {
+        self.data.stages.as_ref()
+    }
+
     /// The underlying reachability graph — `Some` only for an unlumped
     /// exact analysis whose state indices are in the caller's own id
     /// space (i.e. not a cache hit served under a permuted build order).
@@ -629,10 +711,25 @@ impl Backend for ExactMarkov {
         par: &ParallelBudget,
         warm: Option<&mut WarmStart>,
     ) -> Result<AnalysisData, GtpnError> {
+        let record = |stages: StageLedger| {
+            stage_totals_cell()
+                .lock()
+                .expect("stage totals poisoned")
+                .add(&stages);
+            Some(stages)
+        };
         if cfg.lump.enabled() && crate::lump::lumpable(net) {
             let lumped = crate::lump::reach_lumped_budgeted(net, cfg.state_budget, par)?;
+            let built = Instant::now();
             let solution = solve_graph(&lumped.graph, cfg, par, warm)?;
+            let solved = Instant::now();
             let d = lumped.delump(&solution);
+            let stages = StageLedger::of(
+                &lumped.graph,
+                &solution,
+                (solved - built).as_secs_f64(),
+                solved.elapsed().as_secs_f64(),
+            );
             return Ok(AnalysisData {
                 backend: BackendKind::Exact,
                 states: lumped.graph.state_count(),
@@ -643,6 +740,7 @@ impl Backend for ExactMarkov {
                 transition_usage: d.transition_usage,
                 exact: None,
                 lumped: Some((solution.iterations(), solution.residual())),
+                stages: record(stages),
             });
         }
         let graph = if self.memoize_graph {
@@ -650,7 +748,9 @@ impl Backend for ExactMarkov {
         } else {
             Arc::new(net.reachability_budgeted(cfg.state_budget, par)?)
         };
+        let built = Instant::now();
         let solution = solve_graph(&graph, cfg, par, warm)?;
+        let stages = StageLedger::of(&graph, &solution, built.elapsed().as_secs_f64(), 0.0);
         Ok(AnalysisData {
             backend: BackendKind::Exact,
             states: graph.state_count(),
@@ -661,6 +761,7 @@ impl Backend for ExactMarkov {
             transition_usage: Vec::new(),
             exact: Some((graph, solution)),
             lumped: None,
+            stages: record(stages),
         })
     }
 }
@@ -753,6 +854,7 @@ impl Backend for DesEstimate {
             transition_usage,
             exact: None,
             lumped: None,
+            stages: None,
         })
     }
 }
@@ -1607,6 +1709,49 @@ mod tests {
         assert!(lumped.resource_interval("lambda").is_none());
         // An unknown resource errors on both paths.
         assert!(lumped.resource_usage("nope").is_err());
+    }
+
+    /// Every exact analysis carries the ledger of the run that produced
+    /// it — counts equal to what the analysis itself reports — a cache hit
+    /// hands back the filling run's ledger unchanged and adds nothing to
+    /// the process totals, and a DES estimate has none.
+    #[test]
+    fn stage_ledger_travels_with_the_analysis() {
+        let _gate = crate::test_serial();
+        let net = sym2(8.0);
+        for lump in [LumpSel::On, LumpSel::Off] {
+            let engine = lump_engine(lump).with_cache(8);
+            let before = stage_totals();
+            let fresh = engine.analyze(&net).unwrap();
+            let ledger = *fresh.stages().expect("exact runs keep a ledger");
+            assert_eq!(ledger.states, fresh.states() as u64);
+            assert_eq!(ledger.sweeps, fresh.iterations().unwrap() as u64);
+            assert!(ledger.edges >= ledger.states);
+            // One phase per lumped state; the raw build adds the initial one.
+            let initial_phase = u64::from(lump == LumpSel::Off);
+            assert_eq!(ledger.phase_calls, ledger.states + initial_phase);
+            assert!(ledger.phase_configs > ledger.phase_calls);
+            assert!(ledger.bfs_s > 0.0 && ledger.solve_s > 0.0);
+            assert_eq!(ledger.delump_s > 0.0, lump == LumpSel::On);
+            let after = stage_totals();
+            assert!(after.phase_configs >= before.phase_configs + ledger.phase_configs);
+            assert!(after.bfs_s >= before.bfs_s + ledger.bfs_s);
+
+            let hit = engine.analyze(&net).unwrap();
+            assert_eq!(engine.cache_stats().hits, 1);
+            assert_eq!(hit.stages(), Some(&ledger));
+        }
+        let des = AnalysisEngine::new(EngineConfig {
+            backend: BackendSel::Des,
+            des: DesOptions {
+                horizon: 20_000,
+                warmup: 2_000,
+                batches: 2,
+            },
+            ..EngineConfig::default()
+        })
+        .with_cache(0);
+        assert!(des.analyze(&net).unwrap().stages().is_none());
     }
 
     #[test]

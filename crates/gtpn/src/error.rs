@@ -3,12 +3,21 @@ use std::fmt;
 /// Errors produced while building or analyzing a GTPN.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GtpnError {
-    /// A transition referenced a place id that does not belong to the net.
+    /// A transition's arc or frequency expression referenced a place id
+    /// that does not belong to the net.
     UnknownPlace {
         /// Name of the offending transition.
         transition: String,
         /// The out-of-range place index.
         place: usize,
+    },
+    /// A transition's frequency expression referenced a transition id that
+    /// does not belong to the net.
+    UnknownTransition {
+        /// Name of the transition whose frequency holds the reference.
+        transition: String,
+        /// The out-of-range transition index.
+        referenced: usize,
     },
     /// A frequency expression evaluated to a negative or non-finite value.
     BadFrequency {
@@ -51,6 +60,15 @@ impl fmt::Display for GtpnError {
                 write!(
                     f,
                     "transition `{transition}` references unknown place index {place}"
+                )
+            }
+            GtpnError::UnknownTransition {
+                transition,
+                referenced,
+            } => {
+                write!(
+                    f,
+                    "transition `{transition}` references unknown transition index {referenced}"
                 )
             }
             GtpnError::BadFrequency { transition, value } => {

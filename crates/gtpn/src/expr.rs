@@ -155,6 +155,33 @@ impl Expr {
         }
     }
 
+    /// The first `Tokens` / `Firing` leaf, in evaluation order, that names a
+    /// place `>= places` or a transition `>= transitions` — a reference
+    /// [`eval`](Self::eval) would silently read as 0.
+    pub(crate) fn first_unknown_leaf(&self, places: usize, transitions: usize) -> Option<&Expr> {
+        match self {
+            Expr::Const(_) => None,
+            Expr::Tokens(p) => (p.0 >= places).then_some(self),
+            Expr::Firing(t) => (t.0 >= transitions).then_some(self),
+            Expr::Add(a, b)
+            | Expr::Sub(a, b)
+            | Expr::Mul(a, b)
+            | Expr::Div(a, b)
+            | Expr::Eq(a, b)
+            | Expr::Lt(a, b)
+            | Expr::Le(a, b)
+            | Expr::And(a, b)
+            | Expr::Or(a, b) => a
+                .first_unknown_leaf(places, transitions)
+                .or_else(|| b.first_unknown_leaf(places, transitions)),
+            Expr::Not(a) => a.first_unknown_leaf(places, transitions),
+            Expr::If(c, a, b) => c
+                .first_unknown_leaf(places, transitions)
+                .or_else(|| a.first_unknown_leaf(places, transitions))
+                .or_else(|| b.first_unknown_leaf(places, transitions)),
+        }
+    }
+
     /// True when the expression cannot depend on the state (no `Tokens` /
     /// `Firing` leaves), so its value can be cached.
     pub fn is_constant(&self) -> bool {

@@ -67,8 +67,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod compiled;
 mod error;
 mod expr;
+mod intern;
 mod lru;
 mod net;
 mod reach;
@@ -86,7 +88,9 @@ pub mod par;
 pub mod parse;
 pub mod sim;
 
-pub use engine::{Analysis, AnalysisEngine, BackendKind, BackendSel, DesOptions, EngineConfig};
+pub use engine::{
+    Analysis, AnalysisEngine, BackendKind, BackendSel, DesOptions, EngineConfig, StageLedger,
+};
 pub use error::GtpnError;
 pub use expr::{EvalContext, Expr};
 pub use lump::LumpSel;

@@ -37,29 +37,23 @@
 //! on the residual-firing multiset, and lumping correctly declines — the
 //! raw pipeline handles those nets unchanged.
 //!
-//! The expansion is a frontier-ordered level-synchronous BFS over
-//! post-completion markings, parallelized and made deterministic exactly
-//! like the raw build ([`crate::reach`]): workers expand disjoint chunks
-//! of a level, results are reduced in frontier order, and successor
-//! markings are interned in each state's phase-outcome order — state
-//! numbering, edge lists and every accumulated float are byte-identical
-//! to a serial build.
+//! The expansion is the raw build's own breadth-first driver
+//! ([`crate::reach::explore`]) over post-completion markings, with this
+//! module's per-state fold in place of the time advance: workers expand
+//! disjoint chunks of a level, results are reduced in frontier order, and
+//! successor markings are numbered in each state's phase-outcome order —
+//! state numbering, edge lists and every accumulated float are
+//! byte-identical to a serial build.
 
+use crate::compiled::CompiledNet;
 use crate::error::GtpnError;
 use crate::net::Net;
 use crate::par::ParallelBudget;
-use crate::reach::{instantaneous_phase, ReachabilityGraph};
+use crate::reach::{
+    explore, instantaneous_phase, pending_ids, state_hash, Expansion, ReachabilityGraph, Worker,
+};
 use crate::solve::Solution;
-use crate::state::{Marking, State};
 use std::collections::HashMap;
-use std::sync::Mutex;
-
-/// Frontier width below which a level is expanded serially; see
-/// [`crate::reach`]'s constant of the same name.
-const PAR_MIN_FRONTIER: usize = 64;
-
-/// Target states per self-scheduled work chunk in a parallel level.
-const PAR_CHUNK: usize = 16;
 
 /// Lumping policy of an engine (`HSIPC_LUMP`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -114,13 +108,11 @@ pub(crate) struct LumpedGraph {
     /// (with empty firing multisets), all sojourns 1. Solvers run on it
     /// unchanged.
     pub(crate) graph: ReachabilityGraph,
-    /// Row-major `states × transition_count`: `E[c_t | u]`, the expected
-    /// number of in-progress firings of each transition conditioned on
-    /// the lumped state.
-    usage: Vec<f64>,
-    /// Row-major `states × place_count`: `E[m_p | u]`, the expected
-    /// tangible token count of each place conditioned on the lumped state.
-    tokens: Vec<f64>,
+    /// One row per state, `transition_count + place_count` wide: first
+    /// `E[c_t | u]`, the expected number of in-progress firings of each
+    /// transition conditioned on the lumped state, then `E[m_p | u]`, the
+    /// expected tangible token count of each place.
+    rows: Vec<f64>,
 }
 
 /// The de-lumped steady-state measures, shaped like [`Solution`]'s
@@ -146,15 +138,14 @@ impl LumpedGraph {
         let pcount = self.graph.net.place_count();
         let mut transition_usage = vec![0.0f64; tcount];
         let mut mean_tokens = vec![0.0f64; pcount];
-        for (si, &p) in pi.iter().enumerate() {
+        for (&p, row) in pi.iter().zip(self.rows.chunks_exact(tcount + pcount)) {
             if p == 0.0 {
                 continue;
             }
-            let urow = &self.usage[si * tcount..(si + 1) * tcount];
+            let (urow, trow) = row.split_at(tcount);
             for (acc, &e) in transition_usage.iter_mut().zip(urow) {
                 *acc += p * e;
             }
-            let trow = &self.tokens[si * pcount..(si + 1) * pcount];
             for (acc, &e) in mean_tokens.iter_mut().zip(trow) {
                 *acc += p * e;
             }
@@ -177,135 +168,59 @@ impl LumpedGraph {
     }
 }
 
-/// One lumped state's expansion: successor markings with probabilities
-/// (in first-seen phase-outcome order) and the conditional-expectation
-/// rows accumulated over the same outcomes.
-struct LumpExpansion {
-    succ: Vec<(Marking, f64)>,
-    usage_row: Vec<f64>,
-    tokens_row: Vec<f64>,
-}
-
-type LumpResult = Result<LumpExpansion, GtpnError>;
-
-/// A self-scheduled unit of frontier work, as in [`crate::reach`].
-type LevelChunk<'a, 'b> = (usize, &'a [Marking], &'b mut [Option<LumpResult>]);
-
 /// Expands one lumped state: run the instantaneous phase from its marking
 /// (all prior firings completed, so nothing is carried) and fold each
-/// outcome to its own post-completion marking.
-fn expand_lumped(net: &Net, si: usize, u: &Marking, fired: &mut [bool]) -> LumpResult {
-    let tcount = net.transition_count();
-    let pcount = net.place_count();
-    let outcomes = instantaneous_phase(net, u.clone(), Vec::new(), fired)?;
-    let mut succ: Vec<(Marking, f64)> = Vec::with_capacity(outcomes.len());
-    let mut index: HashMap<Marking, usize> = HashMap::with_capacity(outcomes.len());
-    let mut usage_row = vec![0.0f64; tcount];
-    let mut tokens_row = vec![0.0f64; pcount];
-    for (state, p) in outcomes {
-        if state.firings.is_empty() {
+/// outcome, in phase-outcome order, to its own post-completion marking —
+/// successors de-duplicated in first-seen order, the conditional-expectation
+/// row (`E[c_t | u]` then `E[m_p | u]`) accumulated over the same outcomes.
+fn expand_lumped(
+    net: &CompiledNet,
+    graph: &ReachabilityGraph,
+    si: usize,
+    w: &mut Worker,
+    out: &mut Expansion,
+) -> Result<(), GtpnError> {
+    let tcount = net.transitions.len();
+    instantaneous_phase(net, graph.marking(si), &[], &mut w.fired, &mut w.phase)?;
+    let first = out.successor_count();
+    w.seen.clear();
+    w.row.clear();
+    w.row.resize(tcount + net.places, 0.0);
+    let (usage_row, tokens_row) = w.row.split_at_mut(tcount);
+    for (m, pending, p) in w.phase.outcomes(net.places) {
+        if pending[0] == 0 {
             // A tangible state with nothing in progress never advances:
             // the raw build reports the same deadlock when it expands it.
             return Err(GtpnError::Deadlock { state: si });
         }
-        for (acc, &m) in tokens_row.iter_mut().zip(state.marking.iter()) {
-            *acc += p * f64::from(m);
+        for (acc, &tokens) in tokens_row.iter_mut().zip(m) {
+            *acc += p * f64::from(tokens);
         }
-        let mut next = state.marking;
-        for &(t, _) in &state.firings {
-            usage_row[t.0] += p;
-            for &(pl, mult) in net.transition_outputs(t) {
-                next[pl.0] += mult;
+        w.marking.clear();
+        w.marking.extend_from_slice(m);
+        for t in pending_ids(pending) {
+            usage_row[t] += p;
+            for &(pl, mult) in &net.transitions[t].outputs {
+                w.marking[pl] += mult;
             }
         }
-        match index.get(&next) {
-            Some(&j) => succ[j].1 += p,
+        let hash = state_hash(&w.marking, &[]);
+        let next = w.marking.as_slice();
+        match w
+            .seen
+            .find(hash, |k| out.successor_marking(first + k) == next)
+        {
+            Some(k) => out.add_probability(first + k, p),
             None => {
-                index.insert(next.clone(), succ.len());
-                succ.push((next, p));
+                w.seen.insert(hash, out.successor_count() - first, |k| {
+                    out.successor_hash(first + k)
+                });
+                out.push_successor(next, &[], p, hash);
             }
         }
     }
-    Ok(LumpExpansion {
-        succ,
-        usage_row,
-        tokens_row,
-    })
-}
-
-/// Expands every lumped state of one frontier level, on worker threads
-/// when the level is wide and `par` grants cores — the same disjoint-slot
-/// self-scheduling as the raw build, with the same determinism argument:
-/// `out[i]` is always the expansion of `level[i]`, and `fired` merges are
-/// commutative unions.
-fn expand_level(
-    net: &Net,
-    level: &[Marking],
-    base: usize,
-    par: &ParallelBudget,
-    fired: &mut [bool],
-) -> Vec<LumpResult> {
-    let lease = if level.len() >= PAR_MIN_FRONTIER {
-        par.claim_extra(level.len() / (2 * PAR_CHUNK))
-    } else {
-        par.claim_extra(0)
-    };
-    let workers = 1 + lease.extra();
-    if workers == 1 {
-        return level
-            .iter()
-            .enumerate()
-            .map(|(i, u)| expand_lumped(net, base + i, u, fired))
-            .collect();
-    }
-
-    let chunk = level.len().div_ceil(workers * 4).max(PAR_CHUNK);
-    let mut slots: Vec<Option<LumpResult>> = Vec::with_capacity(level.len());
-    slots.resize_with(level.len(), || None);
-    {
-        let work: Mutex<Vec<LevelChunk<'_, '_>>> = Mutex::new(
-            level
-                .chunks(chunk)
-                .zip(slots.chunks_mut(chunk))
-                .enumerate()
-                .map(|(ci, (us, os))| (base + ci * chunk, us, os))
-                .collect(),
-        );
-        let run = |fired: &mut [bool]| loop {
-            let item = work.lock().expect("lumped level queue poisoned").pop();
-            let Some((start, us, os)) = item else { break };
-            for (i, (u, slot)) in us.iter().zip(os.iter_mut()).enumerate() {
-                *slot = Some(expand_lumped(net, start + i, u, fired));
-            }
-        };
-        let tcount = fired.len();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..lease.extra())
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut local = vec![false; tcount];
-                        run(&mut local);
-                        local
-                    })
-                })
-                .collect();
-            run(fired);
-            for h in handles {
-                match h.join() {
-                    Ok(local) => {
-                        for (f, l) in fired.iter_mut().zip(local) {
-                            *f |= l;
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every lumped frontier state expanded"))
-        .collect()
+    out.finish_state(1, &w.row);
+    Ok(())
 }
 
 /// Builds the lumped chain of `net` directly — post-completion markings
@@ -324,76 +239,26 @@ pub(crate) fn reach_lumped_budgeted(
     max_states: usize,
     par: &ParallelBudget,
 ) -> Result<LumpedGraph, GtpnError> {
-    net.validate()?;
-    let tcount = net.transition_count();
-    let mut states: Vec<Marking> = Vec::new();
-    let mut index: HashMap<Marking, usize> = HashMap::new();
-    let mut edges: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut usage: Vec<f64> = Vec::new();
-    let mut tokens: Vec<f64> = Vec::new();
-
-    let intern = |u: Marking,
-                  states: &mut Vec<Marking>,
-                  index: &mut HashMap<Marking, usize>|
-     -> Result<usize, GtpnError> {
-        if let Some(&i) = index.get(&u) {
-            return Ok(i);
-        }
-        if states.len() >= max_states {
-            return Err(GtpnError::StateSpaceExceeded { limit: max_states });
-        }
-        states.push(u.clone());
-        index.insert(u, states.len() - 1);
-        Ok(states.len() - 1)
-    };
-
-    let mut fired = vec![false; tcount];
     // The initial marking is the chain's first post-completion marking
     // ("everything completed before time zero"); its expansion is exactly
     // the raw build's initial instantaneous phase.
-    intern(net.initial_marking(), &mut states, &mut index)?;
-
-    let mut cursor = 0;
-    while cursor < states.len() {
-        let level_end = states.len();
-        let expanded = expand_level(net, &states[cursor..level_end], cursor, par, &mut fired);
-        for result in expanded {
-            let exp = result?;
-            let mut out: Vec<(usize, f64)> = Vec::with_capacity(exp.succ.len());
-            for (u, p) in exp.succ {
-                let j = intern(u, &mut states, &mut index)?;
-                out.push((j, p));
-            }
-            edges.push(out);
-            usage.extend_from_slice(&exp.usage_row);
-            tokens.extend_from_slice(&exp.tokens_row);
-        }
-        cursor = level_end;
-    }
-
-    let count = states.len();
-    let graph = ReachabilityGraph {
-        net: net.clone(),
-        states: states
-            .into_iter()
-            .map(|u| State::new(u, Vec::new()))
-            .collect(),
-        edges,
-        sojourn: vec![1; count],
-        fired,
+    let initial = net.initial_marking();
+    let seed = |_: &CompiledNet, _: &mut Worker, out: &mut Expansion| {
+        out.push_successor(&initial, &[], 1.0, state_hash(&initial, &[]));
+        Ok(())
     };
-    Ok(LumpedGraph {
-        graph,
-        usage,
-        tokens,
-    })
+    let row_len = net.transition_count() + net.place_count();
+    let (graph, rows) = explore(net, max_states, par, row_len, seed, expand_lumped)?;
+    Ok(LumpedGraph { graph, rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::Expr;
+    use crate::geometric::GeometricStage;
     use crate::net::Transition;
+    use crate::reach::PAR_MIN_FRONTIER;
 
     /// `n` clients cycling through a geometric stage (mean `m`) that
     /// competes for one shared server token — the shape of the paper's
@@ -489,27 +354,189 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lumped_build_is_deterministic_across_budgets() {
-        // Wide enough to cross PAR_MIN_FRONTIER at some level.
-        let net = symmetric(6, 7.0);
-        let serial = reach_lumped_budgeted(&net, 100_000, &ParallelBudget::serial()).unwrap();
-        let par = reach_lumped_budgeted(&net, 100_000, &ParallelBudget::new(8)).unwrap();
-        assert_eq!(serial.graph.states, par.graph.states);
-        assert_eq!(serial.graph.fired, par.graph.fired);
-        assert_eq!(serial.graph.edges.len(), par.graph.edges.len());
-        for (a, b) in serial.graph.edges.iter().zip(&par.graph.edges) {
-            assert_eq!(a.len(), b.len());
-            for (&(i, p), &(j, q)) in a.iter().zip(b) {
-                assert_eq!(i, j);
-                assert_eq!(p.to_bits(), q.to_bits(), "edge probability drifted");
+    /// Three independent rings of three geometric stages, four tokens and
+    /// one processor each — a stage holds its ring's processor while it
+    /// fires, as the paper's stages hold `Host` or `MP`. Phases stay short
+    /// (one firing per ring) while the lumped states, products of the
+    /// rings' occupancy vectors, make BFS levels hundreds of states wide.
+    fn rings() -> Net {
+        let mut net = Net::new("rings");
+        for r in 0..3 {
+            let cpu = net.add_place(format!("Cpu{r}"), 1);
+            let places: Vec<_> = (0..3)
+                .map(|i| net.add_place(format!("P{r}_{i}"), if i == 0 { 4 } else { 0 }))
+                .collect();
+            for i in 0..3 {
+                GeometricStage::new(format!("S{r}_{i}"), 2.0 + (r + i) as f64)
+                    .input(places[i], 1)
+                    .held(cpu)
+                    .output(places[(i + 1) % 3], 1)
+                    .build(&mut net)
+                    .unwrap();
             }
         }
-        for (a, b) in serial.usage.iter().zip(&par.usage) {
-            assert_eq!(a.to_bits(), b.to_bits(), "usage expectation drifted");
+        net
+    }
+
+    #[test]
+    fn lumped_build_is_deterministic_across_budgets() {
+        let net = rings();
+        let serial = reach_lumped_budgeted(&net, 100_000, &ParallelBudget::serial()).unwrap();
+        assert!(
+            serial.graph.state_count() >= 1_000,
+            "test net too small ({} states) to exercise the parallel path",
+            serial.graph.state_count()
+        );
+        let budget = ParallelBudget::new(8);
+        let par = reach_lumped_budgeted(&net, 100_000, &budget).unwrap();
+        crate::reach::assert_graphs_identical(&serial.graph, &par.graph);
+        assert_eq!(serial.rows.len(), par.rows.len());
+        for (a, b) in serial.rows.iter().zip(&par.rows) {
+            assert_eq!(a.to_bits(), b.to_bits(), "conditional expectation drifted");
         }
-        for (a, b) in serial.tokens.iter().zip(&par.tokens) {
-            assert_eq!(a.to_bits(), b.to_bits(), "token expectation drifted");
+        assert_eq!(budget.available(), 7, "expansion must release its leases");
+        // Errors agree too: the budget, and a deadlock in a wide level —
+        // a processor serving its ring's last stage can crash for good, and
+        // the many states with all three gone are dead. A worker abandons
+        // its chunk part-way through such a state's fold; the
+        // lowest-numbered one is reported.
+        let serr = reach_lumped_budgeted(&net, 500, &ParallelBudget::serial()).unwrap_err();
+        let perr = reach_lumped_budgeted(&net, 500, &budget).unwrap_err();
+        assert_eq!(serr, perr);
+        let mut crashing = rings();
+        for r in 0..3 {
+            let cpu = crashing.place_by_name(&format!("Cpu{r}")).unwrap();
+            let last = crashing.place_by_name(&format!("P{r}_2")).unwrap();
+            crashing
+                .add_transition(
+                    Transition::new(format!("crash{r}"))
+                        .delay(1)
+                        .frequency(Expr::constant(0.05))
+                        .input(cpu, 1)
+                        .input(last, 1),
+                )
+                .unwrap();
+        }
+        let serr = reach_lumped_budgeted(&crashing, 100_000, &ParallelBudget::serial());
+        let serr = serr.unwrap_err();
+        assert!(
+            matches!(serr, GtpnError::Deadlock { state } if state > PAR_MIN_FRONTIER),
+            "{serr}"
+        );
+        let perr = reach_lumped_budgeted(&crashing, 100_000, &budget).unwrap_err();
+        assert_eq!(serr, perr);
+        assert_eq!(budget.available(), 7);
+    }
+
+    /// The lumped chain as nested vectors: markings, out-edges, usage rows
+    /// and token rows.
+    type ReferenceChain = (Vec<Vec<u32>>, Vec<Vec<(usize, f64)>>, Vec<f64>, Vec<f64>);
+
+    /// The serial lumped build as it ran on the reference kernel's `State`
+    /// outcomes: per state a `HashMap` de-duplicates successors in
+    /// first-seen order, a global one interns them.
+    fn reference_lumped(net: &Net, max_states: usize) -> Result<ReferenceChain, GtpnError> {
+        net.validate()?;
+        let mut states: Vec<Vec<u32>> = vec![net.initial_marking()];
+        let mut index: HashMap<Vec<u32>, usize> = HashMap::new();
+        index.insert(net.initial_marking(), 0);
+        let (mut edges, mut usage, mut tokens) = (Vec::new(), Vec::new(), Vec::new());
+        let mut fired = vec![false; net.transition_count()];
+        let mut si = 0;
+        while si < states.len() {
+            let outcomes = crate::reach::reference::instantaneous_phase(
+                net,
+                states[si].clone(),
+                Vec::new(),
+                &mut fired,
+            )?;
+            let mut succ: Vec<(Vec<u32>, f64)> = Vec::new();
+            let mut local: HashMap<Vec<u32>, usize> = HashMap::new();
+            let mut usage_row = vec![0.0f64; net.transition_count()];
+            let mut tokens_row = vec![0.0f64; net.place_count()];
+            for (state, p) in outcomes {
+                if state.firings.is_empty() {
+                    return Err(GtpnError::Deadlock { state: si });
+                }
+                for (acc, &m) in tokens_row.iter_mut().zip(state.marking.iter()) {
+                    *acc += p * f64::from(m);
+                }
+                let mut next = state.marking;
+                for &(t, _) in &state.firings {
+                    usage_row[t.0] += p;
+                    for &(pl, mult) in net.transition_outputs(t) {
+                        next[pl.0] += mult;
+                    }
+                }
+                match local.get(&next) {
+                    Some(&j) => succ[j].1 += p,
+                    None => {
+                        local.insert(next.clone(), succ.len());
+                        succ.push((next, p));
+                    }
+                }
+            }
+            let mut out = Vec::with_capacity(succ.len());
+            for (u, p) in succ {
+                let j = match index.get(&u) {
+                    Some(&j) => j,
+                    None if states.len() >= max_states => {
+                        return Err(GtpnError::StateSpaceExceeded { limit: max_states })
+                    }
+                    None => {
+                        states.push(u.clone());
+                        index.insert(u, states.len() - 1);
+                        states.len() - 1
+                    }
+                };
+                out.push((j, p));
+            }
+            edges.push(out);
+            usage.extend(usage_row);
+            tokens.extend(tokens_row);
+            si += 1;
+        }
+        Ok((states, edges, usage, tokens))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(384))]
+
+        /// The flat lumped build is the reference lumped build on random
+        /// unit-delay nets: numbering, edge bits, both conditional-
+        /// expectation rows bit for bit — or the same error.
+        #[test]
+        fn flat_fold_matches_reference(
+            initial in crate::reach::arbitrary::initial(),
+            specs in crate::reach::arbitrary::transitions(),
+        ) {
+            let net = crate::reach::arbitrary::net(&initial, &specs, [0, 0, 1, 1, 1, 1]);
+            assert!(lumpable(&net) || net.validate().is_err());
+            let got = reach_lumped_budgeted(&net, 300, &ParallelBudget::serial());
+            match (got, reference_lumped(&net, 300)) {
+                (Ok(got), Ok((states, edges, usage, tokens))) => {
+                    let g = &got.graph;
+                    assert_eq!(g.state_count(), states.len());
+                    let tcount = net.transition_count();
+                    for (i, u) in states.iter().enumerate() {
+                        assert_eq!(g.marking(i), u.as_slice(), "state {i}");
+                        assert!(g.firings(i).is_empty());
+                        let bits = |e: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                            e.iter().map(|&(j, p)| (j, p.to_bits())).collect()
+                        };
+                        assert_eq!(bits(g.out_edges(i)), bits(&edges[i]), "edges of state {i}");
+                    }
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    for (i, row) in got.rows.chunks_exact(tcount + net.place_count()).enumerate() {
+                        let (urow, trow) = row.split_at(tcount);
+                        assert_eq!(bits(urow), bits(&usage[i * tcount..][..tcount]), "usage {i}");
+                        let pcount = net.place_count();
+                        assert_eq!(bits(trow), bits(&tokens[i * pcount..][..pcount]), "tokens {i}");
+                    }
+                    assert!(g.sojourns().iter().all(|&h| h == 1));
+                }
+                (got, want) => assert_eq!(got.err(), want.err()),
+            }
         }
     }
 

@@ -249,15 +249,41 @@ impl Net {
         c
     }
 
-    /// Validates the net: non-empty and all arcs in range.
+    /// Validates the net: non-empty, and every place or transition a
+    /// frequency expression names belongs to the net. (Arcs are checked by
+    /// [`add_transition`](Self::add_transition); expressions cannot be,
+    /// because a gate may legitimately name a transition added later.)
     ///
     /// # Errors
     ///
-    /// Returns [`GtpnError::EmptyNet`] when the net has no places or no
-    /// transitions.
+    /// * [`GtpnError::EmptyNet`] when the net has no places or no
+    ///   transitions.
+    /// * [`GtpnError::UnknownPlace`] / [`GtpnError::UnknownTransition`]
+    ///   when a frequency expression has a `Tokens` / `Firing` leaf outside
+    ///   the net — which evaluation would otherwise read as a silent 0.
     pub fn validate(&self) -> Result<(), GtpnError> {
         if self.places.is_empty() || self.transitions.is_empty() {
             return Err(GtpnError::EmptyNet);
+        }
+        for t in &self.transitions {
+            match t
+                .frequency
+                .first_unknown_leaf(self.places.len(), self.transitions.len())
+            {
+                Some(Expr::Tokens(p)) => {
+                    return Err(GtpnError::UnknownPlace {
+                        transition: t.name.clone(),
+                        place: p.0,
+                    })
+                }
+                Some(Expr::Firing(f)) => {
+                    return Err(GtpnError::UnknownTransition {
+                        transition: t.name.clone(),
+                        referenced: f.0,
+                    })
+                }
+                _ => {}
+            }
         }
         Ok(())
     }
@@ -321,6 +347,93 @@ mod tests {
     #[test]
     fn empty_net_invalid() {
         assert!(Net::new("e").validate().is_err());
+    }
+
+    /// A frequency that names a place or transition outside the net is an
+    /// error at validation — evaluation would read it as a silent 0, turning
+    /// a mistyped gate `!T99` always-true — from every road into analysis:
+    /// the raw build, the lumped build, the DES backend and the engine. A
+    /// gate on a transition added *after* the gated one stays legitimate.
+    #[test]
+    fn unknown_expression_leaves_are_rejected() {
+        use crate::engine::{AnalysisEngine, BackendSel, EngineConfig};
+        use crate::expr::Expr;
+        use crate::par::ParallelBudget;
+
+        let build = |frequency: Expr| {
+            let mut net = Net::new("leaves");
+            let a = net.add_place("A", 1);
+            net.add_transition(
+                Transition::new("gated")
+                    .delay(1)
+                    .frequency(frequency)
+                    .input(a, 1)
+                    .output(a, 1),
+            )
+            .unwrap();
+            net.add_transition(Transition::new("later").delay(1).input(a, 1).output(a, 1))
+                .unwrap();
+            net
+        };
+        let place = build(Expr::Mul(
+            Box::new(Expr::tokens(PlaceId(99))),
+            Box::new(Expr::constant(0.5)),
+        ));
+        let want_place = GtpnError::UnknownPlace {
+            transition: "gated".into(),
+            place: 99,
+        };
+        let transition = build(Expr::gate(
+            Expr::not_firing(TransId(99)),
+            Expr::constant(0.5),
+        ));
+        let want_transition = GtpnError::UnknownTransition {
+            transition: "gated".into(),
+            referenced: 99,
+        };
+        for (net, want) in [(&place, &want_place), (&transition, &want_transition)] {
+            assert_eq!(net.validate().as_ref(), Err(want));
+            assert_eq!(net.reachability(100).err().as_ref(), Some(want));
+            let lumped = crate::lump::reach_lumped_budgeted(net, 100, &ParallelBudget::serial());
+            assert_eq!(lumped.err().as_ref(), Some(want));
+            assert!(!crate::lump::lumpable(net));
+            for backend in [BackendSel::Exact, BackendSel::Des, BackendSel::Auto] {
+                let engine = AnalysisEngine::new(EngineConfig {
+                    backend,
+                    ..EngineConfig::default()
+                })
+                .with_cache(4);
+                assert_eq!(
+                    engine.analyze(net).err().as_ref(),
+                    Some(want),
+                    "{backend:?}"
+                );
+            }
+        }
+
+        // `later` (id 1) does not exist yet when `gated` is added, and the
+        // gate works: with two tokens, `gated` (0.5 unless `later` fires)
+        // against `later` (1.0), both tokens go to `later` with probability
+        // 2/3 · 1 — it would be 2/3 · 2/3 were the gate read as always true.
+        let mut forward = build(Expr::gate(
+            Expr::not_firing(TransId(1)),
+            Expr::constant(0.5),
+        ));
+        forward.places[0].initial = 2;
+        assert_eq!(forward.validate(), Ok(()));
+        let g = forward.reachability(100).unwrap();
+        let both_later = (0..g.state_count())
+            .find(|&i| g.firings(i) == [(TransId(1), 1), (TransId(1), 1)])
+            .expect("both tokens can go to `later`");
+        let p = g
+            .out_edges(0)
+            .iter()
+            .find(|&&(j, _)| j == both_later)
+            .unwrap()
+            .1;
+        assert!((p - 2.0 / 3.0).abs() < 1e-12, "gate ignored? p = {p}");
+        let engine = AnalysisEngine::new(EngineConfig::default()).with_cache(4);
+        assert!(engine.analyze(&forward).is_ok());
     }
 
     #[test]

@@ -19,15 +19,28 @@
 //! the same round — so the paper's gates such as "the host is not busy
 //! processing an interrupt (`!T4 & !T5`)" behave as intended even within a
 //! single selection round.
+//!
+//! # The expansion pipeline
+//!
+//! Everything between the net and the solver is flat. The net is compiled
+//! once per build ([`CompiledNet`]); the instantaneous phase
+//! ([`instantaneous_phase`]) runs on fixed-stride `u32` keys in reusable
+//! per-worker buffers ([`PhaseScratch`]); states live once, in the graph's
+//! own marking arena and firing lists, found through an [`IndexTable`];
+//! and edges are stored in compressed-sparse-row form. One breadth-first
+//! driver ([`explore`]) serves both the raw chain built here and the lumped
+//! chain of [`crate::lump`].
 
+use crate::compiled::CompiledNet;
 use crate::error::GtpnError;
-use crate::expr::EvalContext;
-use crate::net::{Net, TransId};
+use crate::intern::{hash_words, IndexTable};
+use crate::net::{Net, PlaceId, TransId};
 use crate::par::ParallelBudget;
 use crate::solve::Solution;
-use crate::state::{Marking, State};
-use std::collections::{BTreeMap, HashMap};
+use crate::state::State;
+use std::ops::Range;
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Maximum number of sequential selection rounds inside one instantaneous
 /// phase before we declare a zero-delay divergence.
@@ -38,25 +51,54 @@ const MAX_PHASE_ROUNDS: usize = 10_000;
 const PROB_FLOOR: f64 = 1e-300;
 
 /// Frontier width below which a level is always expanded serially — the
-/// per-state work (~tens of µs) cannot amortize worker dispatch on a
+/// per-state work (microseconds) cannot amortize worker dispatch on a
 /// narrow level.
-const PAR_MIN_FRONTIER: usize = 64;
+pub(crate) const PAR_MIN_FRONTIER: usize = 64;
 
 /// Target states per self-scheduled work chunk in a parallel level.
 const PAR_CHUNK: usize = 16;
 
+/// Pending-firing slots a configuration key starts with; see
+/// [`PhaseScratch`]. Grows on demand, so this bounds nothing.
+const INITIAL_PENDING_CAP: usize = 4;
+
+/// What building a graph cost — the build half of the engine's
+/// [`StageLedger`](crate::engine::StageLedger). Seconds are wall-clock
+/// around the whole stage (no timer runs inside the expansion kernel);
+/// counts are summed over the build's workers.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct BuildStats {
+    pub(crate) net_compile_s: f64,
+    pub(crate) bfs_s: f64,
+    /// Instantaneous phases run.
+    pub(crate) phase_calls: u64,
+    /// Configurations those phases expanded (terminal ones included).
+    pub(crate) phase_configs: u64,
+}
+
 /// The embedded Markov chain over tangible states of a [`Net`].
+///
+/// States and edges are stored flat: one marking arena, one firing list
+/// and one edge list, each indexed by per-state offsets.
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
     pub(crate) net: Net,
-    pub(crate) states: Vec<State>,
-    /// `edges[i]` = out-edges of state `i` as `(successor, probability)`.
-    pub(crate) edges: Vec<Vec<(usize, f64)>>,
+    /// State `i`'s tokens per place at `[i·P, (i+1)·P)`, `P` places.
+    markings: Vec<u32>,
+    /// State `i`'s in-progress firings `(transition, remaining time)`,
+    /// sorted, at `firings[firing_offsets[i]..firing_offsets[i + 1]]`.
+    firing_offsets: Vec<usize>,
+    firings: Vec<(TransId, u64)>,
+    /// State `i`'s out-edges `(successor, probability)` at
+    /// `edges[edge_offsets[i]..edge_offsets[i + 1]]`.
+    edge_offsets: Vec<usize>,
+    edges: Vec<(usize, f64)>,
     /// Holding time of each tangible state.
     pub(crate) sojourn: Vec<u64>,
     /// Whether each transition was ever selected to fire during expansion
     /// (covers zero-delay transitions, which never appear in states).
     pub(crate) fired: Vec<bool>,
+    pub(crate) build: BuildStats,
 }
 
 impl Net {
@@ -72,6 +114,8 @@ impl Net {
     ///   forever.
     /// * [`GtpnError::BadFrequency`] if a frequency expression evaluates to
     ///   a negative or non-finite value.
+    /// * [`GtpnError::UnknownPlace`] / [`GtpnError::UnknownTransition`] if a
+    ///   frequency expression names a place or transition outside the net.
     pub fn reachability(&self, max_states: usize) -> Result<ReachabilityGraph, GtpnError> {
         self.reachability_budgeted(max_states, &ParallelBudget::serial())
     }
@@ -96,192 +140,490 @@ impl Net {
         max_states: usize,
         par: &ParallelBudget,
     ) -> Result<ReachabilityGraph, GtpnError> {
-        self.validate()?;
-        let mut states: Vec<State> = Vec::new();
-        let mut index: HashMap<State, usize> = HashMap::new();
-        let mut edges: Vec<Vec<(usize, f64)>> = Vec::new();
-        let mut sojourn: Vec<u64> = Vec::new();
-
-        // Interns a state; newly discovered states join the next frontier
-        // level because state index == discovery order and levels are
-        // merged in index order.
-        let intern = |s: State,
-                      states: &mut Vec<State>,
-                      index: &mut HashMap<State, usize>|
-         -> Result<usize, GtpnError> {
-            if let Some(&i) = index.get(&s) {
-                return Ok(i);
-            }
-            if states.len() >= max_states {
-                return Err(GtpnError::StateSpaceExceeded { limit: max_states });
-            }
-            states.push(s.clone());
-            index.insert(s, states.len() - 1);
-            Ok(states.len() - 1)
+        // The initial instantaneous phase from the initial marking seeds
+        // the chain. (The initial distribution itself is irrelevant for
+        // steady state.)
+        let seed = |net: &CompiledNet, w: &mut Worker, out: &mut Expansion| {
+            w.marking = self.initial_marking();
+            w.carried.clear();
+            expand_from(net, w, out)
         };
-
-        let mut fired = vec![false; self.transitions.len()];
-        // Initial instantaneous phase from the initial marking. (The initial
-        // distribution itself is irrelevant for steady state.)
-        let initial = instantaneous_phase(self, self.initial_marking(), Vec::new(), &mut fired)?;
-        for (s, _p) in initial {
-            intern(s, &mut states, &mut index)?;
-        }
-
-        let mut cursor = 0;
-        while cursor < states.len() {
-            let level_end = states.len();
-            let expanded = expand_level(self, &states[cursor..level_end], cursor, par, &mut fired);
-            // Deterministic reduction: successors are interned strictly in
-            // frontier order, so numbering matches a serial build and the
-            // first in-order error is the one a serial build would hit.
-            for (si, result) in (cursor..level_end).zip(expanded) {
-                let (dt, dist) = result?;
-                debug_assert_eq!(edges.len(), si);
-                sojourn.push(dt);
-                let mut out: Vec<(usize, f64)> = Vec::with_capacity(dist.len());
-                for (s, p) in dist {
-                    let j = intern(s, &mut states, &mut index)?;
-                    out.push((j, p));
-                }
-                edges.push(out);
-            }
-            cursor = level_end;
-        }
-
-        Ok(ReachabilityGraph {
-            net: self.clone(),
-            states,
-            edges,
-            sojourn,
-            fired,
-        })
+        explore(self, max_states, par, 0, seed, expand_state).map(|(graph, _)| graph)
     }
 }
 
-/// One frontier state's expansion: its sojourn time and successor
-/// distribution (in deterministic state-key order).
-type Expansion = Result<(u64, Vec<(State, f64)>), GtpnError>;
-
-/// A self-scheduled unit of frontier work: the absolute index of the
-/// chunk's first state, the states to expand, and the disjoint output
-/// slots their expansions land in.
-type LevelChunk<'a, 'b> = (usize, &'a [State], &'b mut [Option<Expansion>]);
-
 /// Expands one tangible state: advance time by its sojourn, then run the
 /// instantaneous phase. Pure per-state work — safe to run on any thread.
-fn expand_state(net: &Net, si: usize, state: &State, fired: &mut [bool]) -> Expansion {
-    let dt = match state.time_to_next_completion() {
+fn expand_state(
+    net: &CompiledNet,
+    graph: &ReachabilityGraph,
+    si: usize,
+    w: &mut Worker,
+    out: &mut Expansion,
+) -> Result<(), GtpnError> {
+    let firings = graph.firings(si);
+    let dt = match firings.iter().map(|&(_, r)| r).min() {
         Some(dt) => dt,
         None => return Err(GtpnError::Deadlock { state: si }),
     };
     // Advance time: completing firings deposit outputs.
-    let mut marking = state.marking.clone();
-    let mut remaining: Vec<(TransId, u64)> = Vec::new();
-    for &(t, r) in &state.firings {
+    w.marking.clear();
+    w.marking.extend_from_slice(graph.marking(si));
+    w.carried.clear();
+    for &(t, r) in firings {
         if r == dt {
             for &(p, m) in &net.transitions[t.0].outputs {
-                marking[p.0] += m;
+                w.marking[p] += m;
             }
         } else {
-            remaining.push((t, r - dt));
+            w.carried.push((t, r - dt));
         }
     }
-    let dist = instantaneous_phase(net, marking, remaining, fired)?;
-    Ok((dt, dist))
+    expand_from(net, w, out)?;
+    out.finish_state(dt, &[]);
+    Ok(())
 }
 
-/// Expands every state of one frontier level, on worker threads when the
-/// level is wide and `par` grants cores. `out[i]` is always the expansion
-/// of `level[i]` (absolute index `base + i`), whichever thread produced
-/// it; `fired` accumulates the union of every worker's firing record
-/// (commutative, so merge order cannot matter).
-fn expand_level(
-    net: &Net,
-    level: &[State],
-    base: usize,
-    par: &ParallelBudget,
-    fired: &mut [bool],
-) -> Vec<Expansion> {
-    let lease = if level.len() >= PAR_MIN_FRONTIER {
-        par.claim_extra(level.len() / (2 * PAR_CHUNK))
-    } else {
-        par.claim_extra(0)
-    };
-    let workers = 1 + lease.extra();
-    if workers == 1 {
-        return level
-            .iter()
-            .enumerate()
-            .map(|(i, s)| expand_state(net, base + i, s, fired))
-            .collect();
+/// Runs the instantaneous phase from `w.marking` with `w.carried` in
+/// progress and records every outcome as a successor state: its marking,
+/// and the carried firings plus the newly started ones, canonically sorted.
+fn expand_from(net: &CompiledNet, w: &mut Worker, out: &mut Expansion) -> Result<(), GtpnError> {
+    instantaneous_phase(net, &w.marking, &w.carried, &mut w.fired, &mut w.phase)?;
+    for (m, pending, p) in w.phase.outcomes(net.places) {
+        w.firings.clear();
+        w.firings.extend_from_slice(&w.carried);
+        w.firings
+            .extend(pending_ids(pending).map(|t| (TransId(t), net.transitions[t].delay)));
+        w.firings.sort_unstable();
+        out.push_successor(m, &w.firings, p, state_hash(m, &w.firings));
+    }
+    Ok(())
+}
+
+/// The hash a state is interned under.
+pub(crate) fn state_hash(marking: &[u32], firings: &[(TransId, u64)]) -> u64 {
+    firings.iter().fold(hash_words(0, marking), |h, &(t, r)| {
+        hash_words(h, &[t.0 as u32, r as u32, (r >> 32) as u32])
+    })
+}
+
+/// Per-worker expansion state: the kernel's buffers, the worker's share of
+/// the `fired` record, and scratch the expanders reuse from state to state.
+pub(crate) struct Worker {
+    pub(crate) phase: PhaseScratch,
+    pub(crate) fired: Vec<bool>,
+    pub(crate) marking: Vec<u32>,
+    pub(crate) carried: Vec<(TransId, u64)>,
+    pub(crate) firings: Vec<(TransId, u64)>,
+    /// The lumped fold's scratch: first-seen de-duplication of one state's
+    /// successors, and its row of conditional expectations.
+    pub(crate) seen: IndexTable,
+    pub(crate) row: Vec<f64>,
+}
+
+impl Worker {
+    fn new(net: &CompiledNet) -> Worker {
+        Worker {
+            phase: PhaseScratch::new(net),
+            fired: vec![false; net.transitions.len()],
+            marking: Vec::new(),
+            carried: Vec::new(),
+            firings: Vec::new(),
+            seen: IndexTable::new(),
+            row: Vec::new(),
+        }
+    }
+}
+
+/// Flat successor lists of one or more expanded states, in state order —
+/// what a worker hands the in-order merge.
+#[derive(Default)]
+pub(crate) struct Expansion {
+    places: usize,
+    /// Per expanded state: its sojourn and where its successors end.
+    states: Vec<(u64, usize)>,
+    /// Per successor: marking (fixed stride), end of its firing list,
+    /// probability and intern hash.
+    markings: Vec<u32>,
+    firing_ends: Vec<usize>,
+    firings: Vec<(TransId, u64)>,
+    probs: Vec<f64>,
+    hashes: Vec<u64>,
+    /// Per expanded state: its row of conditional expectations (lumped
+    /// builds; empty rows otherwise).
+    rows: Vec<f64>,
+    /// Why the state after the last recorded one could not be expanded.
+    error: Option<GtpnError>,
+}
+
+impl Expansion {
+    fn new(places: usize) -> Expansion {
+        Expansion {
+            places,
+            ..Expansion::default()
+        }
     }
 
-    // Self-scheduling chunks: slot chunks are disjoint `&mut` slices, so a
-    // worker writes its results straight into the shared output vector.
-    let chunk = level.len().div_ceil(workers * 4).max(PAR_CHUNK);
-    let mut slots: Vec<Option<Expansion>> = Vec::with_capacity(level.len());
-    slots.resize_with(level.len(), || None);
+    fn clear(&mut self) {
+        self.states.clear();
+        self.markings.clear();
+        self.firing_ends.clear();
+        self.firings.clear();
+        self.probs.clear();
+        self.hashes.clear();
+        self.rows.clear();
+        self.error = None;
+    }
+
+    /// Successors recorded so far, over all states.
+    pub(crate) fn successor_count(&self) -> usize {
+        self.probs.len()
+    }
+
+    pub(crate) fn successor_marking(&self, k: usize) -> &[u32] {
+        &self.markings[k * self.places..(k + 1) * self.places]
+    }
+
+    fn successor_firings(&self, k: usize) -> &[(TransId, u64)] {
+        let start = if k == 0 { 0 } else { self.firing_ends[k - 1] };
+        &self.firings[start..self.firing_ends[k]]
+    }
+
+    pub(crate) fn successor_hash(&self, k: usize) -> u64 {
+        self.hashes[k]
+    }
+
+    pub(crate) fn add_probability(&mut self, k: usize, p: f64) {
+        self.probs[k] += p;
+    }
+
+    pub(crate) fn push_successor(
+        &mut self,
+        marking: &[u32],
+        firings: &[(TransId, u64)],
+        p: f64,
+        hash: u64,
+    ) {
+        self.markings.extend_from_slice(marking);
+        self.firings.extend_from_slice(firings);
+        self.firing_ends.push(self.firings.len());
+        self.probs.push(p);
+        self.hashes.push(hash);
+    }
+
+    /// Closes the state whose successors were pushed since the last call.
+    pub(crate) fn finish_state(&mut self, sojourn: u64, row: &[f64]) {
+        self.states.push((sojourn, self.probs.len()));
+        self.rows.extend_from_slice(row);
+    }
+
+    /// Drops the successors of a state that failed part-way.
+    fn rollback(&mut self) {
+        let keep = self.states.last().map_or(0, |&(_, end)| end);
+        self.markings.truncate(keep * self.places);
+        self.firing_ends.truncate(keep);
+        self.firings
+            .truncate(self.firing_ends.last().copied().unwrap_or(0));
+        self.probs.truncate(keep);
+        self.hashes.truncate(keep);
+    }
+}
+
+/// A graph under construction: the graph itself, the index that finds its
+/// states, and the state budget.
+struct Builder {
+    graph: ReachabilityGraph,
+    table: IndexTable,
+    max_states: usize,
+    /// One row of `row_len` conditional expectations per expanded state.
+    rows: Vec<f64>,
+    row_len: usize,
+}
+
+impl Builder {
+    /// The number of the state `(marking, firings)`, appended to the graph
+    /// if new. State number == discovery order.
+    fn intern(
+        &mut self,
+        hash: u64,
+        marking: &[u32],
+        firings: &[(TransId, u64)],
+    ) -> Result<usize, GtpnError> {
+        let Builder { graph, table, .. } = self;
+        if let Some(i) = table.find(hash, |i| {
+            graph.marking(i) == marking && graph.firings(i) == firings
+        }) {
+            return Ok(i);
+        }
+        let n = graph.state_count();
+        if n >= self.max_states {
+            return Err(GtpnError::StateSpaceExceeded {
+                limit: self.max_states,
+            });
+        }
+        graph.markings.extend_from_slice(marking);
+        graph.firings.extend_from_slice(firings);
+        graph.firing_offsets.push(graph.firings.len());
+        let graph = &*graph;
+        table.insert(hash, n, |i| state_hash(graph.marking(i), graph.firings(i)));
+        Ok(n)
+    }
+
+    /// Interns every successor of `out`'s states in order. With
+    /// `record_edges`, each state of `out` is the next unexpanded state of
+    /// the graph and gets its sojourn, edges and row; then `out`'s error,
+    /// if it stopped at one.
+    fn merge(&mut self, out: &Expansion, record_edges: bool) -> Result<(), GtpnError> {
+        let mut k = 0;
+        for (s, &(sojourn, end)) in out.states.iter().enumerate() {
+            while k < end {
+                let j = self.intern(
+                    out.hashes[k],
+                    out.successor_marking(k),
+                    out.successor_firings(k),
+                )?;
+                if record_edges {
+                    self.graph.edges.push((j, out.probs[k]));
+                }
+                k += 1;
+            }
+            if record_edges {
+                self.graph.sojourn.push(sojourn);
+                self.graph.edge_offsets.push(self.graph.edges.len());
+                self.rows
+                    .extend_from_slice(&out.rows[s * self.row_len..(s + 1) * self.row_len]);
+            }
+        }
+        match &out.error {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Records state `i`'s successors into an [`Expansion`]: the per-state half
+/// of a build, run on whichever worker claims the state.
+pub(crate) type ExpandFn = fn(
+    &CompiledNet,
+    &ReachabilityGraph,
+    usize,
+    &mut Worker,
+    &mut Expansion,
+) -> Result<(), GtpnError>;
+
+/// Breadth-first construction of a chain, shared by the raw build above and
+/// the lumped build of [`crate::lump`].
+///
+/// `seed` fills an expansion whose successors are the chain's first states;
+/// `expand(net, graph, i, worker, out)` then records state `i`'s successors
+/// (and its row of `row_len` conditional expectations) with
+/// [`Expansion::push_successor`] / [`Expansion::finish_state`]. States are
+/// numbered in discovery order and expanded level by level: a level is
+/// expanded serially, streaming each state straight into the merge, or — when
+/// it is wide and `par` grants cores — in self-scheduled chunks on worker
+/// threads whose buffers are merged afterwards *in frontier order*. Either
+/// way successors are interned in the same sequence, so numbering, edges,
+/// rows and the first error reported are those of a serial build.
+///
+/// Returns the graph and the concatenated rows.
+pub(crate) fn explore(
+    net: &Net,
+    max_states: usize,
+    par: &ParallelBudget,
+    row_len: usize,
+    seed: impl FnOnce(&CompiledNet, &mut Worker, &mut Expansion) -> Result<(), GtpnError>,
+    expand: ExpandFn,
+) -> Result<(ReachabilityGraph, Vec<f64>), GtpnError> {
+    net.validate()?;
+    let started = Instant::now();
+    let compiled = CompiledNet::new(net);
+    let compiled_at = Instant::now();
+    let places = compiled.places;
+    let mut b = Builder {
+        graph: ReachabilityGraph {
+            net: net.clone(),
+            markings: Vec::new(),
+            firing_offsets: vec![0],
+            firings: Vec::new(),
+            edge_offsets: vec![0],
+            edges: Vec::new(),
+            sojourn: Vec::new(),
+            fired: Vec::new(),
+            build: BuildStats::default(),
+        },
+        table: IndexTable::new(),
+        max_states,
+        rows: Vec::new(),
+        row_len,
+    };
+    let mut workers = vec![Worker::new(&compiled)];
+    let mut out = Expansion::new(places);
+
+    seed(&compiled, &mut workers[0], &mut out)?;
+    out.finish_state(0, &[]);
+    b.merge(&out, false)?;
+
+    let mut cursor = 0;
+    while cursor < b.graph.state_count() {
+        let level = cursor..b.graph.state_count();
+        let lease = if level.len() >= PAR_MIN_FRONTIER {
+            par.claim_extra(level.len() / (2 * PAR_CHUNK))
+        } else {
+            par.claim_extra(0)
+        };
+        let extra = lease.extra();
+        if extra == 0 {
+            for si in level.clone() {
+                out.clear();
+                expand(&compiled, &b.graph, si, &mut workers[0], &mut out)?;
+                b.merge(&out, true)?;
+            }
+        } else {
+            while workers.len() <= extra {
+                workers.push(Worker::new(&compiled));
+            }
+            let chunks = expand_level(
+                &compiled,
+                &b.graph,
+                level.clone(),
+                &mut workers[..=extra],
+                expand,
+            );
+            drop(lease);
+            // Deterministic reduction: chunks are merged strictly in
+            // frontier order, so numbering matches a serial build and the
+            // first in-order error is the one a serial build would hit.
+            for chunk in &chunks {
+                b.merge(chunk, true)?;
+            }
+        }
+        cursor = level.end;
+    }
+
+    let Builder {
+        mut graph, rows, ..
+    } = b;
+    // A finished graph never grows again and may sit in a byte-bounded
+    // cache for the rest of the run: give the growth slack back.
+    graph.markings.shrink_to_fit();
+    graph.firing_offsets.shrink_to_fit();
+    graph.firings.shrink_to_fit();
+    graph.edge_offsets.shrink_to_fit();
+    graph.edges.shrink_to_fit();
+    graph.sojourn.shrink_to_fit();
+    // `fired` is the union of every worker's record (commutative, so which
+    // worker expanded what cannot matter); the counts are plain sums.
+    graph.fired = vec![false; compiled.transitions.len()];
+    for w in &workers {
+        for (f, &l) in graph.fired.iter_mut().zip(&w.fired) {
+            *f |= l;
+        }
+        graph.build.phase_calls += w.phase.calls;
+        graph.build.phase_configs += w.phase.configs;
+    }
+    graph.build.net_compile_s = (compiled_at - started).as_secs_f64();
+    graph.build.bfs_s = compiled_at.elapsed().as_secs_f64();
+    Ok((graph, rows))
+}
+
+/// A self-scheduled unit of frontier work: the states to expand and the
+/// slot their expansion lands in.
+type LevelChunk<'a> = (Range<usize>, &'a mut Expansion);
+
+/// Expands the states of one wide frontier level on `workers.len()`
+/// threads (the caller's included). Chunk `c` of the result always holds
+/// the expansions of the `c`-th run of states, whichever thread produced
+/// it; a chunk stops at its first failing state.
+fn expand_level(
+    net: &CompiledNet,
+    graph: &ReachabilityGraph,
+    level: Range<usize>,
+    workers: &mut [Worker],
+    expand: ExpandFn,
+) -> Vec<Expansion> {
+    // Self-scheduling chunks: slots are disjoint `&mut`s, so a worker
+    // writes its results straight into the shared output vector.
+    let chunk = level.len().div_ceil(workers.len() * 4).max(PAR_CHUNK);
+    let mut slots: Vec<Expansion> = (0..level.len().div_ceil(chunk))
+        .map(|_| Expansion::new(net.places))
+        .collect();
     {
-        let work: Mutex<Vec<LevelChunk<'_, '_>>> = Mutex::new(
-            level
-                .chunks(chunk)
-                .zip(slots.chunks_mut(chunk))
+        let work: Mutex<Vec<LevelChunk<'_>>> = Mutex::new(
+            slots
+                .iter_mut()
                 .enumerate()
-                .map(|(ci, (ss, os))| (base + ci * chunk, ss, os))
+                .map(|(ci, slot)| {
+                    let start = level.start + ci * chunk;
+                    (start..(start + chunk).min(level.end), slot)
+                })
                 .collect(),
         );
-        let run = |fired: &mut [bool]| loop {
+        let run = |w: &mut Worker| loop {
             let item = work.lock().expect("level work queue poisoned").pop();
-            let Some((start, ss, os)) = item else { break };
-            for (i, (s, slot)) in ss.iter().zip(os.iter_mut()).enumerate() {
-                *slot = Some(expand_state(net, start + i, s, fired));
+            let Some((states, out)) = item else { break };
+            for si in states {
+                if let Err(e) = expand(net, graph, si, w, out) {
+                    out.rollback();
+                    out.error = Some(e);
+                    break;
+                }
             }
         };
-        let tcount = fired.len();
+        let (own, extra) = workers.split_first_mut().expect("the caller is a worker");
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..lease.extra())
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut local = vec![false; tcount];
-                        run(&mut local);
-                        local
-                    })
-                })
-                .collect();
-            run(fired);
+            let handles: Vec<_> = extra.iter_mut().map(|w| scope.spawn(|| run(w))).collect();
+            run(own);
             for h in handles {
-                match h.join() {
-                    Ok(local) => {
-                        for (f, l) in fired.iter_mut().zip(local) {
-                            *f |= l;
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
                 }
             }
         });
     }
     slots
-        .into_iter()
-        .map(|s| s.expect("every frontier state expanded"))
-        .collect()
 }
 
 impl ReachabilityGraph {
     /// Number of tangible states.
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.firing_offsets.len() - 1
     }
 
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 
-    /// The tangible states.
-    pub fn states(&self) -> &[State] {
-        &self.states
+    /// Tokens per place of state `i`, indexed by `PlaceId`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn marking(&self, i: usize) -> &[u32] {
+        let places = self.net.place_count();
+        &self.markings[i * places..(i + 1) * places]
+    }
+
+    /// In-progress firings `(transition, remaining time)` of state `i`,
+    /// sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn firings(&self, i: usize) -> &[(TransId, u64)] {
+        &self.firings[self.firing_offsets[i]..self.firing_offsets[i + 1]]
+    }
+
+    /// The tangible states, materialized from the flat storage
+    /// ([`marking`](Self::marking) and [`firings`](Self::firings) borrow
+    /// it instead).
+    pub fn states(&self) -> Vec<State> {
+        (0..self.state_count())
+            .map(|i| State {
+                marking: self.marking(i).to_vec(),
+                firings: self.firings(i).to_vec(),
+            })
+            .collect()
     }
 
     /// Holding time of each tangible state.
@@ -295,7 +637,7 @@ impl ReachabilityGraph {
     ///
     /// Panics if `i` is out of range.
     pub fn out_edges(&self, i: usize) -> &[(usize, f64)] {
-        &self.edges[i]
+        &self.edges[self.edge_offsets[i]..self.edge_offsets[i + 1]]
     }
 
     /// Solves for the steady state; see [`Solution`].
@@ -346,17 +688,19 @@ impl ReachabilityGraph {
         Solution::solve_red_black_with(self, tolerance, max_sweeps, workspace, workers)
     }
 
-    /// Estimated resident bytes of this graph — what a cache entry holding
-    /// it costs. An estimate (allocator overhead and small fields are
-    /// approximated per node), used to enforce the `HSIPC_CACHE_MB` budget.
+    /// Resident bytes of this graph — what a cache entry holding it costs,
+    /// and what the `HSIPC_CACHE_MB` budget evicts by. Sums the flat
+    /// arrays' capacities; only the retained net is an estimate.
     pub fn resident_bytes(&self) -> usize {
-        let state_bytes: usize = self
-            .states
-            .iter()
-            .map(|s| 64 + 4 * s.marking.len() + 16 * s.firings.len())
-            .sum();
-        let edge_bytes: usize = self.edges.iter().map(|e| 32 + 16 * e.len()).sum();
-        state_bytes + edge_bytes + 8 * self.sojourn.len() + self.fired.len() + 256
+        use std::mem::size_of;
+        size_of::<ReachabilityGraph>()
+            + size_of::<u32>() * self.markings.capacity()
+            + size_of::<usize>() * (self.firing_offsets.capacity() + self.edge_offsets.capacity())
+            + size_of::<(TransId, u64)>() * self.firings.capacity()
+            + size_of::<(usize, f64)>() * self.edges.capacity()
+            + size_of::<u64>() * self.sojourn.capacity()
+            + self.fired.capacity()
+            + crate::cache::net_bytes(&self.net)
     }
 
     /// Fingerprint of the chain's *shape*: state count, sojourns and edge
@@ -368,9 +712,10 @@ impl ReachabilityGraph {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let mut h = DefaultHasher::new();
-        self.states.len().hash(&mut h);
+        self.state_count().hash(&mut h);
         self.sojourn.hash(&mut h);
-        for edges in &self.edges {
+        for i in 0..self.state_count() {
+            let edges = self.out_edges(i);
             edges.len().hash(&mut h);
             for &(succ, _) in edges {
                 succ.hash(&mut h);
@@ -386,10 +731,9 @@ impl ReachabilityGraph {
     /// # Panics
     ///
     /// Panics if `place` does not belong to the net.
-    pub fn place_bound(&self, place: crate::net::PlaceId) -> u32 {
-        self.states
-            .iter()
-            .map(|s| s.marking[place.0])
+    pub fn place_bound(&self, place: PlaceId) -> u32 {
+        (0..self.state_count())
+            .map(|i| self.marking(i)[place.0])
             .max()
             .unwrap_or(0)
     }
@@ -413,75 +757,196 @@ impl ReachabilityGraph {
     /// Tokens held by in-progress firings are *not* counted (they are in
     /// transit, not in the place); add the relevant transition usages for a
     /// customers-in-system count.
-    pub fn mean_tokens(&self, solution: &Solution, place: crate::net::PlaceId) -> f64 {
-        self.states
+    pub fn mean_tokens(&self, solution: &Solution, place: PlaceId) -> f64 {
+        if place.0 >= self.net.place_count() {
+            return 0.0;
+        }
+        solution
+            .state_probabilities()
             .iter()
-            .zip(solution.state_probabilities())
-            .map(|(s, &p)| p * f64::from(s.marking.get(place.0).copied().unwrap_or(0)))
+            .enumerate()
+            .map(|(i, &p)| p * f64::from(self.marking(i)[place.0]))
             .sum()
     }
 }
 
-/// Runs the instantaneous firing phase from `marking` with `carried`
-/// in-progress firings; returns the distribution over tangible states.
-/// Shared with the lumped expansion ([`crate::lump`]), whose states are
-/// exactly the post-completion markings this phase starts from.
-pub(crate) fn instantaneous_phase(
-    net: &Net,
-    marking: Marking,
-    carried: Vec<(TransId, u64)>,
-    fired: &mut [bool],
-) -> Result<Vec<(State, f64)>, GtpnError> {
-    let tcount = net.transitions.len();
-    let mut carried_counts = vec![0u32; tcount];
-    for &(t, _) in &carried {
-        carried_counts[t.0] += 1;
+/// Fixed-stride configuration keys with their probabilities; the stride is
+/// the owning [`PhaseScratch`]'s.
+#[derive(Debug, Default)]
+struct Configs {
+    keys: Vec<u32>,
+    probs: Vec<f64>,
+}
+
+impl Configs {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.probs.clear();
     }
 
-    // Frontier configurations: (marking, newly started firings) -> probability.
-    // Newly started firings are kept sorted for a canonical key. BTreeMaps
-    // keep iteration — and therefore state discovery order, and therefore
-    // the Gauss–Seidel sweep order — fully deterministic across runs.
-    let mut frontier: BTreeMap<(Marking, Vec<(TransId, u64)>), f64> = BTreeMap::new();
-    frontier.insert((marking, Vec::new()), 1.0);
-    let mut results: BTreeMap<(Marking, Vec<(TransId, u64)>), f64> = BTreeMap::new();
+    /// Re-lays the keys out from `places + old_cap` to `places + new_cap`
+    /// words, zero-filling the new pending slots.
+    fn restride(&mut self, places: usize, old_cap: usize, new_cap: usize) {
+        let old = std::mem::take(&mut self.keys);
+        self.keys.reserve(self.probs.len() * (places + new_cap));
+        for key in old.chunks_exact(places + old_cap) {
+            self.keys.extend_from_slice(key);
+            self.keys.resize(self.keys.len() + new_cap - old_cap, 0);
+        }
+    }
+}
 
-    let mut firing_counts = vec![0u32; tcount];
+/// Reusable buffers of [`instantaneous_phase`], one set per worker.
+///
+/// A configuration — a marking plus the multiset of firings started so far
+/// in this phase — is the flat key `[marking | pending ids + 1, ascending,
+/// zero-padded to `cap`]`. Lexicographic order on that key is the order of
+/// the `(Marking, Vec<(TransId, delay)>)` tuple the reference kernel keys
+/// its `BTreeMap` by: markings compare word by word, a transition's delay
+/// is a function of its id so the pair order is the id order, and a zero
+/// pad sorts a proper prefix first, as `Vec` comparison does. `cap` doubles
+/// whenever a configuration would overflow it, so it limits nothing.
+#[derive(Debug)]
+pub(crate) struct PhaseScratch {
+    cap: usize,
+    /// This round's configurations: sorted by key, keys distinct.
+    front: Configs,
+    /// Children generated this round, in generation order.
+    next: Configs,
+    /// Terminal configurations of every round, in generation order.
+    done: Configs,
+    /// The phase's outcome distribution: `done`, sorted and merged.
+    out: Configs,
+    order: Vec<u32>,
+    carried_counts: Vec<u32>,
+    firing_counts: Vec<u32>,
+    enabled: Vec<(usize, f64)>,
+    stack: Vec<f64>,
+    /// Phases run and configurations expanded through these buffers.
+    pub(crate) calls: u64,
+    pub(crate) configs: u64,
+}
+
+impl PhaseScratch {
+    pub(crate) fn new(net: &CompiledNet) -> PhaseScratch {
+        PhaseScratch {
+            cap: INITIAL_PENDING_CAP,
+            front: Configs::default(),
+            next: Configs::default(),
+            done: Configs::default(),
+            out: Configs::default(),
+            order: Vec::new(),
+            carried_counts: vec![0; net.transitions.len()],
+            firing_counts: vec![0; net.transitions.len()],
+            enabled: Vec::new(),
+            stack: Vec::new(),
+            calls: 0,
+            configs: 0,
+        }
+    }
+
+    /// The last phase's outcomes in key order: `(marking, pending ids + 1
+    /// zero-padded, probability)`; see [`pending_ids`].
+    pub(crate) fn outcomes(&self, places: usize) -> impl Iterator<Item = (&[u32], &[u32], f64)> {
+        self.out
+            .keys
+            .chunks_exact(places + self.cap)
+            .zip(&self.out.probs)
+            .map(move |(key, &p)| (&key[..places], &key[places..], p))
+    }
+}
+
+/// The transition indices in the pending part of a configuration key.
+pub(crate) fn pending_ids(pending: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    pending
+        .iter()
+        .take_while(|&&id| id != 0)
+        .map(|&id| id as usize - 1)
+}
+
+/// Sorts `src`'s configurations by key and merges equal keys into `dst`.
+///
+/// The sort breaks key ties by generation index and the merge adds in that
+/// order, so each merged probability is the sum `p₁ + p₂ + …` in generation
+/// order — exactly what `*map.entry(key).or_insert(0.0) += p` accumulates
+/// (`0.0 + p₁` is `p₁`), bit for bit.
+fn sort_merge(src: &Configs, dst: &mut Configs, order: &mut Vec<u32>, stride: usize) {
+    dst.clear();
+    let key = |i: u32| &src.keys[i as usize * stride..(i as usize + 1) * stride];
+    order.clear();
+    order.extend(0..src.probs.len() as u32);
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+    for &i in order.iter() {
+        let p = src.probs[i as usize];
+        let merged = dst.keys.len() >= stride && dst.keys[dst.keys.len() - stride..] == *key(i);
+        if merged {
+            *dst.probs.last_mut().expect("a key has a probability") += p;
+        } else {
+            dst.keys.extend_from_slice(key(i));
+            dst.probs.push(p);
+        }
+    }
+}
+
+/// Runs the instantaneous firing phase from `marking` with `carried`
+/// in-progress firings, leaving the distribution over tangible outcomes in
+/// `s` ([`PhaseScratch::outcomes`]) — the reference kernel's result in the
+/// reference kernel's order, without an allocation per configuration.
+/// Shared with the lumped expansion ([`crate::lump`]), whose states are
+/// exactly the post-completion markings this phase starts from.
+///
+/// Each round expands the frontier's configurations in key order and their
+/// enabled transitions in id order; children are sort-merged into the next
+/// frontier, terminal configurations once at the end.
+pub(crate) fn instantaneous_phase(
+    net: &CompiledNet,
+    marking: &[u32],
+    carried: &[(TransId, u64)],
+    fired: &mut [bool],
+    s: &mut PhaseScratch,
+) -> Result<(), GtpnError> {
+    let places = net.places;
+    s.calls += 1;
+    s.carried_counts.fill(0);
+    for &(t, _) in carried {
+        s.carried_counts[t.0] += 1;
+    }
+    s.done.clear();
+    s.front.clear();
+    s.front.keys.extend_from_slice(marking);
+    s.front.keys.resize(places + s.cap, 0);
+    s.front.probs.push(1.0);
+
     for round in 0.. {
         if round > MAX_PHASE_ROUNDS {
             return Err(GtpnError::ZeroDelayDivergence);
         }
-        if frontier.is_empty() {
+        if s.front.probs.is_empty() {
             break;
         }
-        let mut next: BTreeMap<(Marking, Vec<(TransId, u64)>), f64> = BTreeMap::new();
-        for ((m, pending), prob) in std::mem::take(&mut frontier) {
+        s.next.clear();
+        for i in 0..s.front.probs.len() {
+            s.configs += 1;
+            let prob = s.front.probs[i];
+            let mut stride = places + s.cap;
+            let key = &s.front.keys[i * stride..(i + 1) * stride];
+            let (m, pending) = key.split_at(places);
             // firing counts = carried + pending
-            firing_counts.copy_from_slice(&carried_counts);
-            for &(t, _) in &pending {
-                firing_counts[t.0] += 1;
+            s.firing_counts.copy_from_slice(&s.carried_counts);
+            let mut started = 0;
+            for t in pending_ids(pending) {
+                s.firing_counts[t] += 1;
+                started += 1;
             }
-            let ctx = EvalContext::new(&m, &firing_counts);
 
             // Collect enabled transitions and their weights.
-            let mut enabled: Vec<(usize, f64)> = Vec::new();
+            s.enabled.clear();
             let mut total = 0.0;
             for (ti, t) in net.transitions.iter().enumerate() {
-                // Multigraph: repeated arcs from the same place accumulate,
-                // so check the aggregate demand per place.
-                let has_tokens = t.inputs.iter().all(|&(p, _)| {
-                    let needed: u32 = t
-                        .inputs
-                        .iter()
-                        .filter(|&&(q, _)| q == p)
-                        .map(|&(_, mm)| mm)
-                        .sum();
-                    m[p.0] >= needed
-                });
-                if !has_tokens {
+                if !t.has_tokens(m) {
                     continue;
                 }
-                let w = t.frequency.eval(ctx);
+                let w = t.frequency(m, &s.firing_counts, &mut s.stack);
                 if !w.is_finite() || w < 0.0 {
                     return Err(GtpnError::BadFrequency {
                         transition: t.name.clone(),
@@ -489,50 +954,395 @@ pub(crate) fn instantaneous_phase(
                     });
                 }
                 if w > 0.0 {
-                    enabled.push((ti, w));
+                    s.enabled.push((ti, w));
                     total += w;
                 }
             }
 
-            if enabled.is_empty() {
-                *results.entry((m, pending)).or_insert(0.0) += prob;
+            if s.enabled.is_empty() {
+                s.done.keys.extend_from_slice(key);
+                s.done.probs.push(prob);
                 continue;
             }
 
-            for (ti, w) in enabled {
+            for &(ti, w) in &s.enabled {
                 let p = prob * w / total;
                 if p < PROB_FLOOR {
                     continue;
                 }
                 fired[ti] = true;
                 let t = &net.transitions[ti];
-                let mut m2 = m.clone();
-                for &(pl, mult) in &t.inputs {
-                    m2[pl.0] -= mult;
+                if t.delay != 0 && started == s.cap {
+                    let cap = 2 * s.cap;
+                    for configs in [&mut s.front, &mut s.next, &mut s.done] {
+                        configs.restride(places, s.cap, cap);
+                    }
+                    s.cap = cap;
+                    stride = places + cap;
                 }
-                let mut pending2 = pending.clone();
+                let at = s.next.keys.len();
+                s.next
+                    .keys
+                    .extend_from_slice(&s.front.keys[i * stride..(i + 1) * stride]);
+                let (m2, pending2) = s.next.keys[at..].split_at_mut(places);
+                for &(pl, needed) in &t.demand {
+                    m2[pl] -= needed;
+                }
                 if t.delay == 0 {
                     // Completes immediately.
                     for &(pl, mult) in &t.outputs {
-                        m2[pl.0] += mult;
+                        m2[pl] += mult;
                     }
                 } else {
-                    pending2.push((TransId(ti), t.delay));
-                    pending2.sort_unstable();
+                    // Keep the started firings sorted for a canonical key.
+                    let id = ti as u32 + 1;
+                    let mut slot = started;
+                    while slot > 0 && pending2[slot - 1] > id {
+                        pending2[slot] = pending2[slot - 1];
+                        slot -= 1;
+                    }
+                    pending2[slot] = id;
                 }
-                *next.entry((m2, pending2)).or_insert(0.0) += p;
+                s.next.probs.push(p);
             }
         }
-        frontier = next;
+        sort_merge(&s.next, &mut s.front, &mut s.order, places + s.cap);
+    }
+    sort_merge(&s.done, &mut s.out, &mut s.order, places + s.cap);
+    Ok(())
+}
+
+/// Asserts that two builds are the same chain bit for bit: states, sojourns,
+/// edges (probabilities by bit pattern), the fired record and the work
+/// counts.
+#[cfg(test)]
+pub(crate) fn assert_graphs_identical(a: &ReachabilityGraph, b: &ReachabilityGraph) {
+    assert_eq!(a.markings, b.markings);
+    assert_eq!(a.firing_offsets, b.firing_offsets);
+    assert_eq!(a.firings, b.firings);
+    assert_eq!(a.sojourn, b.sojourn);
+    assert_eq!(a.fired, b.fired);
+    assert_eq!(a.edge_offsets, b.edge_offsets);
+    for (&(i, p), &(j, q)) in a.edges.iter().zip(&b.edges) {
+        assert_eq!(i, j);
+        assert_eq!(p.to_bits(), q.to_bits(), "edge probability drifted");
+    }
+    assert_eq!(a.build.phase_calls, b.build.phase_calls);
+    assert_eq!(a.build.phase_configs, b.build.phase_configs);
+}
+
+/// The allocation-per-configuration kernel and serial build this module ran
+/// before the flat pipeline, kept verbatim as the reference the differential
+/// tests compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{MAX_PHASE_ROUNDS, PROB_FLOOR};
+    use crate::error::GtpnError;
+    use crate::expr::EvalContext;
+    use crate::net::{Net, TransId};
+    use crate::state::{Marking, State};
+    use std::collections::{BTreeMap, HashMap};
+
+    pub(crate) fn instantaneous_phase(
+        net: &Net,
+        marking: Marking,
+        carried: Vec<(TransId, u64)>,
+        fired: &mut [bool],
+    ) -> Result<Vec<(State, f64)>, GtpnError> {
+        let tcount = net.transitions.len();
+        let mut carried_counts = vec![0u32; tcount];
+        for &(t, _) in &carried {
+            carried_counts[t.0] += 1;
+        }
+
+        // Frontier configurations: (marking, newly started firings) -> probability.
+        // Newly started firings are kept sorted for a canonical key. BTreeMaps
+        // keep iteration — and therefore state discovery order, and therefore
+        // the Gauss–Seidel sweep order — fully deterministic across runs.
+        let mut frontier: BTreeMap<(Marking, Vec<(TransId, u64)>), f64> = BTreeMap::new();
+        frontier.insert((marking, Vec::new()), 1.0);
+        let mut results: BTreeMap<(Marking, Vec<(TransId, u64)>), f64> = BTreeMap::new();
+
+        let mut firing_counts = vec![0u32; tcount];
+        for round in 0.. {
+            if round > MAX_PHASE_ROUNDS {
+                return Err(GtpnError::ZeroDelayDivergence);
+            }
+            if frontier.is_empty() {
+                break;
+            }
+            let mut next: BTreeMap<(Marking, Vec<(TransId, u64)>), f64> = BTreeMap::new();
+            for ((m, pending), prob) in std::mem::take(&mut frontier) {
+                // firing counts = carried + pending
+                firing_counts.copy_from_slice(&carried_counts);
+                for &(t, _) in &pending {
+                    firing_counts[t.0] += 1;
+                }
+                let ctx = EvalContext::new(&m, &firing_counts);
+
+                // Collect enabled transitions and their weights.
+                let mut enabled: Vec<(usize, f64)> = Vec::new();
+                let mut total = 0.0;
+                for (ti, t) in net.transitions.iter().enumerate() {
+                    // Multigraph: repeated arcs from the same place accumulate,
+                    // so check the aggregate demand per place.
+                    let has_tokens = t.inputs.iter().all(|&(p, _)| {
+                        let needed: u32 = t
+                            .inputs
+                            .iter()
+                            .filter(|&&(q, _)| q == p)
+                            .map(|&(_, mm)| mm)
+                            .sum();
+                        m[p.0] >= needed
+                    });
+                    if !has_tokens {
+                        continue;
+                    }
+                    let w = t.frequency.eval(ctx);
+                    if !w.is_finite() || w < 0.0 {
+                        return Err(GtpnError::BadFrequency {
+                            transition: t.name.clone(),
+                            value: w,
+                        });
+                    }
+                    if w > 0.0 {
+                        enabled.push((ti, w));
+                        total += w;
+                    }
+                }
+
+                if enabled.is_empty() {
+                    *results.entry((m, pending)).or_insert(0.0) += prob;
+                    continue;
+                }
+
+                for (ti, w) in enabled {
+                    let p = prob * w / total;
+                    if p < PROB_FLOOR {
+                        continue;
+                    }
+                    fired[ti] = true;
+                    let t = &net.transitions[ti];
+                    let mut m2 = m.clone();
+                    for &(pl, mult) in &t.inputs {
+                        m2[pl.0] -= mult;
+                    }
+                    let mut pending2 = pending.clone();
+                    if t.delay == 0 {
+                        // Completes immediately.
+                        for &(pl, mult) in &t.outputs {
+                            m2[pl.0] += mult;
+                        }
+                    } else {
+                        pending2.push((TransId(ti), t.delay));
+                        pending2.sort_unstable();
+                    }
+                    *next.entry((m2, pending2)).or_insert(0.0) += p;
+                }
+            }
+            frontier = next;
+        }
+
+        let mut out = Vec::with_capacity(results.len());
+        for ((m, pending), p) in results {
+            let mut firings = carried.clone();
+            firings.extend(pending);
+            out.push((State::new(m, firings), p));
+        }
+        Ok(out)
     }
 
-    let mut out = Vec::with_capacity(results.len());
-    for ((m, pending), p) in results {
-        let mut firings = carried.clone();
-        firings.extend(pending);
-        out.push((State::new(m, firings), p));
+    /// The raw chain as nested vectors: states, out-edges, sojourns, fired.
+    pub(crate) type Chain = (Vec<State>, Vec<Vec<(usize, f64)>>, Vec<u64>, Vec<bool>);
+
+    /// The serial raw build: states interned in a `HashMap` in discovery
+    /// order, each expanded in turn.
+    pub(crate) fn reachability(net: &Net, max_states: usize) -> Result<Chain, GtpnError> {
+        net.validate()?;
+        let mut states: Vec<State> = Vec::new();
+        let mut index: HashMap<State, usize> = HashMap::new();
+        let mut edges: Vec<Vec<(usize, f64)>> = Vec::new();
+        let mut sojourn: Vec<u64> = Vec::new();
+        let intern = |s: State,
+                      states: &mut Vec<State>,
+                      index: &mut HashMap<State, usize>|
+         -> Result<usize, GtpnError> {
+            if let Some(&i) = index.get(&s) {
+                return Ok(i);
+            }
+            if states.len() >= max_states {
+                return Err(GtpnError::StateSpaceExceeded { limit: max_states });
+            }
+            states.push(s.clone());
+            index.insert(s, states.len() - 1);
+            Ok(states.len() - 1)
+        };
+
+        let mut fired = vec![false; net.transitions.len()];
+        for (s, _p) in instantaneous_phase(net, net.initial_marking(), Vec::new(), &mut fired)? {
+            intern(s, &mut states, &mut index)?;
+        }
+        let mut si = 0;
+        while si < states.len() {
+            let state = states[si].clone();
+            let dt = match state.time_to_next_completion() {
+                Some(dt) => dt,
+                None => return Err(GtpnError::Deadlock { state: si }),
+            };
+            // Advance time: completing firings deposit outputs.
+            let mut marking = state.marking.clone();
+            let mut remaining: Vec<(TransId, u64)> = Vec::new();
+            for &(t, r) in &state.firings {
+                if r == dt {
+                    for &(p, m) in &net.transitions[t.0].outputs {
+                        marking[p.0] += m;
+                    }
+                } else {
+                    remaining.push((t, r - dt));
+                }
+            }
+            let dist = instantaneous_phase(net, marking, remaining, &mut fired)?;
+            sojourn.push(dt);
+            let mut out: Vec<(usize, f64)> = Vec::with_capacity(dist.len());
+            for (s, p) in dist {
+                out.push((intern(s, &mut states, &mut index)?, p));
+            }
+            edges.push(out);
+            si += 1;
+        }
+        Ok((states, edges, sojourn, fired))
     }
-    Ok(out)
+}
+
+/// Random small nets for the differential tests, here and in
+/// [`crate::lump`]: zero-delay chains, multigraph arcs, gated and
+/// token-dependent frequencies, mixed delays, frequencies small enough to
+/// hit [`PROB_FLOOR`], and the occasional negative one.
+#[cfg(test)]
+pub(crate) mod arbitrary {
+    use crate::expr::Expr;
+    use crate::net::{Net, PlaceId, TransId, Transition};
+    use proptest::prelude::*;
+
+    /// `(delay pick, input arcs, output arcs, (frequency kind, operand, weight))`
+    /// with place and transition picks reduced modulo the net's sizes. A
+    /// transition with no output arcs moves its input tokens one place
+    /// along instead, so most nets keep their tokens circulating.
+    pub(crate) type TransitionSpec = (
+        usize,
+        Vec<(usize, u32)>,
+        Vec<(usize, u32)>,
+        (u8, usize, f64),
+    );
+
+    pub(crate) fn transitions() -> impl Strategy<Value = Vec<TransitionSpec>> {
+        let arcs = |sizes| proptest::collection::vec((0usize..60, 1u32..3), sizes);
+        let outputs = prop_oneof![arcs(0..=0), arcs(0..=0), arcs(1..=2)];
+        proptest::collection::vec(
+            (
+                0usize..6,
+                arcs(1..=3),
+                outputs,
+                (0u8..24, 0usize..60, 0.05f64..4.0),
+            ),
+            1..7,
+        )
+    }
+
+    pub(crate) fn initial() -> impl Strategy<Value = Vec<u32>> {
+        proptest::collection::vec(0u32..4, 2..6)
+    }
+
+    /// Builds the net; `delays[pick]` is each transition's delay. Zero-delay
+    /// transitions only move tokens to strictly higher-numbered places, so
+    /// no random net has a productive zero-delay cycle (the divergence case
+    /// is a test of its own).
+    pub(crate) fn net(initial: &[u32], specs: &[TransitionSpec], delays: [u64; 6]) -> Net {
+        let mut net = Net::new("arbitrary");
+        let places: Vec<PlaceId> = initial
+            .iter()
+            .enumerate()
+            .map(|(i, &tokens)| net.add_place(format!("P{i}"), tokens + u32::from(i == 0)))
+            .collect();
+        let n = places.len();
+        for (ti, (pick, inputs, outputs, (kind, operand, w))) in specs.iter().enumerate() {
+            let highest = inputs.iter().map(|&(p, _)| p % n).max().unwrap_or(0);
+            // A zero-delay transition needs a higher place to move to.
+            let delay = if highest + 1 < n {
+                delays[*pick]
+            } else {
+                delays[*pick].max(1)
+            };
+            let mut t = Transition::new(format!("T{ti}")).delay(delay);
+            for &(p, mult) in inputs {
+                t = t.input(places[p % n], mult);
+            }
+            let moved: Vec<(usize, u32)>;
+            let outputs = if outputs.is_empty() {
+                moved = inputs.iter().map(|&(p, mult)| (p % n + 1, mult)).collect();
+                &moved
+            } else {
+                outputs
+            };
+            // As many tokens out as in: the token count is invariant, so
+            // phase lengths and the state space stay bounded and few nets
+            // starve. The last arc carries whatever the others left.
+            let mut left: u32 = inputs.iter().map(|&(_, mult)| mult).sum();
+            for (k, &(p, mult)) in outputs.iter().enumerate() {
+                let to = if delay > 0 {
+                    p % n
+                } else {
+                    highest + 1 + p % (n - highest - 1)
+                };
+                let mult = if k + 1 == outputs.len() {
+                    left
+                } else {
+                    mult.min(left)
+                };
+                left -= mult;
+                if mult > 0 {
+                    t = t.output(places[to], mult);
+                }
+            }
+            let w = *w;
+            let place = places[operand % n];
+            let frequency = match kind {
+                0..=9 => Expr::constant(w),
+                10 | 11 => Expr::constant(0.0),
+                12 | 13 => Expr::constant(1e-305),
+                14..=16 => Expr::gate(
+                    Expr::not_firing(TransId(operand % specs.len())),
+                    Expr::constant(w),
+                ),
+                17..=19 => Expr::Mul(Box::new(Expr::tokens(place)), Box::new(Expr::constant(w))),
+                20..=22 => Expr::If(
+                    Box::new(Expr::place_empty(place)),
+                    Box::new(Expr::constant(w)),
+                    Box::new(Expr::constant(2.0 * w)),
+                ),
+                _ => Expr::constant(-w),
+            };
+            net.add_transition(t.frequency(frequency)).unwrap();
+        }
+        // A place nothing consumes from is where tokens go to die, and most
+        // random nets would deadlock within a few states: drain each one
+        // into its neighbour.
+        for (i, &place) in places.iter().enumerate() {
+            if !specs
+                .iter()
+                .any(|(_, inputs, ..)| inputs.iter().any(|&(p, _)| p % n == i))
+            {
+                net.add_transition(
+                    Transition::new(format!("D{i}"))
+                        .delay(1)
+                        .input(place, 1)
+                        .output(places[(i + 1) % n], 1),
+                )
+                .unwrap();
+            }
+        }
+        net
+    }
 }
 
 #[cfg(test)]
@@ -540,6 +1350,240 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::net::Transition;
+    use proptest::prelude::*;
+
+    /// Runs both kernels from `marking` with `carried` in progress and
+    /// asserts the same outcome list (states, probability bits), the same
+    /// fired record and the same error.
+    fn assert_kernels_agree(
+        net: &Net,
+        compiled: &CompiledNet,
+        scratch: &mut PhaseScratch,
+        marking: &[u32],
+        carried: &[(TransId, u64)],
+    ) {
+        let tcount = net.transition_count();
+        let mut want_fired = vec![false; tcount];
+        let want = reference::instantaneous_phase(
+            net,
+            marking.to_vec(),
+            carried.to_vec(),
+            &mut want_fired,
+        );
+        let mut fired = vec![false; tcount];
+        let got = instantaneous_phase(compiled, marking, carried, &mut fired, scratch).map(|()| {
+            scratch
+                .outcomes(compiled.places)
+                .map(|(m, pending, p)| {
+                    let mut firings = carried.to_vec();
+                    firings.extend(
+                        pending_ids(pending)
+                            .map(|t| (TransId(t), net.transition_delay(TransId(t)))),
+                    );
+                    (State::new(m.to_vec(), firings), p.to_bits())
+                })
+                .collect::<Vec<_>>()
+        });
+        let want = want.map(|dist| {
+            dist.into_iter()
+                .map(|(s, p)| (s, p.to_bits()))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(got, want, "from {marking:?} carrying {carried:?}");
+        assert_eq!(fired, want_fired, "from {marking:?} carrying {carried:?}");
+    }
+
+    /// Asserts the flat build of `net` is the reference build: numbering,
+    /// firings, sojourns, edge bits, fired record — or the same error.
+    fn assert_builds_agree(net: &Net, max_states: usize) {
+        let got = net.reachability(max_states);
+        let want = reference::reachability(net, max_states);
+        match (got, want) {
+            (Ok(g), Ok((states, edges, sojourn, fired))) => {
+                assert_eq!(g.states(), states);
+                assert_eq!(g.sojourn, sojourn);
+                assert_eq!(g.fired, fired);
+                for (i, want) in edges.iter().enumerate() {
+                    let got = g.out_edges(i);
+                    assert_eq!(got.len(), want.len(), "out-degree of state {i}");
+                    for (&(a, p), &(b, q)) in got.iter().zip(want) {
+                        assert_eq!((a, p.to_bits()), (b, q.to_bits()), "edge of state {i}");
+                    }
+                }
+                assert_eq!(g.edge_count(), edges.iter().map(Vec::len).sum::<usize>());
+            }
+            (got, want) => assert_eq!(got.err(), want.err()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The flat-key kernel is the `BTreeMap` kernel: from random start
+        /// markings with random firings carried, on random small nets, both
+        /// return the same outcome list bit for bit, the same fired record
+        /// and the same error — and so do the whole builds on top of them
+        /// (`Deadlock`, `StateSpaceExceeded` and `BadFrequency` included).
+        #[test]
+        fn flat_kernel_matches_reference(
+            initial in arbitrary::initial(),
+            specs in arbitrary::transitions(),
+            starts in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u32..4, 5),
+                    proptest::collection::vec((0usize..60, 0u64..60), 0..4),
+                ),
+                1..4,
+            ),
+        ) {
+            let net = arbitrary::net(&initial, &specs, [0, 0, 1, 1, 2, 3]);
+            let compiled = CompiledNet::new(&net);
+            // One scratch for every start: buffers must not leak state.
+            let mut scratch = PhaseScratch::new(&compiled);
+            for (marking, carried) in &starts {
+                let carried: Vec<(TransId, u64)> = carried
+                    .iter()
+                    .map(|&(t, r)| (TransId(t % specs.len()), r))
+                    .filter(|&(t, _)| net.transition_delay(t) > 0)
+                    .map(|(t, r)| (t, 1 + r % net.transition_delay(t)))
+                    .collect();
+                assert_kernels_agree(
+                    &net, &compiled, &mut scratch, &marking[..initial.len()], &carried,
+                );
+            }
+            assert_builds_agree(&net, 300);
+        }
+    }
+
+    /// The byte count the solution cache evicts by tracks what the graph
+    /// really holds: on the Figure 6.12 net at four conversations (the
+    /// arch II raw n = 4 chain, 6,336 states whatever the stage means) it is
+    /// within 25% of the bytes of the states, firings, edges and sojourns
+    /// themselves — no growth slack, no array left out.
+    #[test]
+    fn resident_bytes_tracks_the_flat_layout() {
+        use crate::geometric::GeometricStage;
+        let mut net = Net::new("figure-6.12");
+        let n = 4;
+        let clients = net.add_place("Clients", n);
+        let servers = net.add_place("Servers", n);
+        let host = net.add_place("Host", 1);
+        let mp = net.add_place("MP", 1);
+        let mut place = |name: &str| net.add_place(name, 0);
+        let (sent, recvd) = (place("SendSubmitted"), place("RecvSubmitted"));
+        let (send_p, recv_p) = (place("SendProcessed"), place("RecvProcessed"));
+        let (matched, replied) = (place("Matched"), place("ReplySubmitted"));
+        let stages = [
+            ("client_syscall", 520.0, vec![clients], host, vec![sent]),
+            ("process_send", 310.0, vec![sent], mp, vec![send_p]),
+            ("server_syscall", 480.0, vec![servers], host, vec![recvd]),
+            ("process_receive", 290.0, vec![recvd], mp, vec![recv_p]),
+            ("match", 250.0, vec![send_p, recv_p], mp, vec![matched]),
+            ("server_run", 6_100.0, vec![matched], host, vec![replied]),
+            (
+                "process_reply",
+                330.0,
+                vec![replied],
+                mp,
+                vec![clients, servers],
+            ),
+        ];
+        for (name, mean, inputs, held, outputs) in stages {
+            let mut stage = GeometricStage::new(name, mean).held(held);
+            for p in inputs {
+                stage = stage.input(p, 1);
+            }
+            for p in outputs {
+                stage = stage.output(p, 1);
+            }
+            stage.build(&mut net).unwrap();
+        }
+        let g = net.reachability(100_000).unwrap();
+        assert_eq!(g.state_count(), 6_336);
+        let firings: usize = (0..g.state_count()).map(|i| g.firings(i).len()).sum();
+        let held = 4 * net.place_count() * g.state_count()
+            + 16 * firings
+            + 16 * g.edge_count()
+            + 8 * g.sojourns().len()
+            + 2 * 8 * (g.state_count() + 1);
+        let reported = g.resident_bytes();
+        assert!(
+            (reported as f64 - held as f64).abs() <= 0.25 * held as f64,
+            "resident_bytes {reported} vs {held} bytes held"
+        );
+    }
+
+    /// Six tokens start six timed firings in one phase: the configuration
+    /// key outgrows its initial pending capacity mid-phase and the
+    /// re-laid-out buffers still produce the reference result.
+    #[test]
+    fn pending_capacity_grows_on_demand() {
+        let mut net = Net::new("wide");
+        let shared = net.add_place("Shared", 2);
+        for k in 0..6 {
+            let p = net.add_place(format!("P{k}"), 1);
+            net.add_transition(
+                Transition::new(format!("T{k}"))
+                    .delay(1 + k % 3)
+                    .frequency(Expr::constant(1.0 + k as f64))
+                    .input(p, 1)
+                    .output(p, 1),
+            )
+            .unwrap();
+        }
+        // Two more compete for `Shared`, so outcomes merge across orders.
+        for k in 0..2 {
+            net.add_transition(
+                Transition::new(format!("S{k}"))
+                    .delay(2)
+                    .frequency(Expr::constant(0.5 + k as f64))
+                    .input(shared, 1)
+                    .output(shared, 1),
+            )
+            .unwrap();
+        }
+        let compiled = CompiledNet::new(&net);
+        let mut scratch = PhaseScratch::new(&compiled);
+        assert_kernels_agree(&net, &compiled, &mut scratch, &net.initial_marking(), &[]);
+        assert!(
+            scratch.cap > INITIAL_PENDING_CAP,
+            "eight concurrent firings must overflow {INITIAL_PENDING_CAP} pending slots"
+        );
+        // The grown buffers serve the next phase unchanged.
+        assert_kernels_agree(&net, &compiled, &mut scratch, &net.initial_marking(), &[]);
+        assert_builds_agree(&net, 10_000);
+    }
+
+    /// A zero-delay loop racing a timed exit halves its mass every round:
+    /// the same terminal key is reached in a thousand rounds (summed in
+    /// round order) until the loop's mass falls through `PROB_FLOOR` and the
+    /// phase ends. A zero-delay loop with no exit runs into
+    /// `MAX_PHASE_ROUNDS` instead. Both kernels agree on both.
+    #[test]
+    fn probability_floor_and_divergence_match_reference() {
+        let mut net = Net::new("floor");
+        let a = net.add_place("A", 1);
+        let b = net.add_place("B", 0);
+        net.add_transition(Transition::new("spin").delay(0).input(a, 1).output(a, 1))
+            .unwrap();
+        net.add_transition(Transition::new("exit").delay(1).input(a, 1).output(b, 1))
+            .unwrap();
+        let compiled = CompiledNet::new(&net);
+        let mut scratch = PhaseScratch::new(&compiled);
+        assert_kernels_agree(&net, &compiled, &mut scratch, &[1, 0], &[]);
+        assert!(scratch.configs > 900, "the loop must run to the floor");
+
+        let mut zeno = Net::new("zeno");
+        let a = zeno.add_place("A", 1);
+        zeno.add_transition(Transition::new("T").delay(0).input(a, 1).output(a, 1))
+            .unwrap();
+        let compiled = CompiledNet::new(&zeno);
+        let mut scratch = PhaseScratch::new(&compiled);
+        let mut fired = [false];
+        let err = instantaneous_phase(&compiled, &[1], &[], &mut fired, &mut scratch).unwrap_err();
+        assert_eq!(err, GtpnError::ZeroDelayDivergence);
+        assert_kernels_agree(&zeno, &compiled, &mut scratch, &[1], &[]);
+    }
 
     /// A single token looping through a delay-1 transition: one state with a
     /// self loop.
@@ -602,7 +1646,7 @@ mod tests {
         // Both transitions fire in lock step: a single state with both in
         // progress.
         assert_eq!(g.state_count(), 1);
-        assert_eq!(g.states()[0].firings.len(), 2);
+        assert_eq!(g.firings(0).len(), 2);
     }
 
     /// Deadlock detection: token consumed, never returned.
@@ -686,7 +1730,7 @@ mod tests {
         .unwrap();
         let g = net.reachability(100).unwrap();
         assert_eq!(g.state_count(), 1);
-        assert_eq!(g.states()[0].firings[0].0, TransId(0));
+        assert_eq!(g.firings(0)[0].0, TransId(0));
     }
 
     /// place_bound and dead_transitions on a small net. Tangible markings
@@ -762,23 +1806,34 @@ mod tests {
         );
         let budget = crate::ParallelBudget::new(8);
         let par = net.reachability_budgeted(100_000, &budget).unwrap();
-        assert_eq!(serial.states, par.states);
-        assert_eq!(serial.sojourn, par.sojourn);
-        assert_eq!(serial.fired, par.fired);
-        assert_eq!(serial.edges.len(), par.edges.len());
-        for (a, b) in serial.edges.iter().zip(&par.edges) {
-            assert_eq!(a.len(), b.len());
-            for (&(i, p), &(j, q)) in a.iter().zip(b) {
-                assert_eq!(i, j);
-                assert_eq!(p.to_bits(), q.to_bits(), "edge probability drifted");
-            }
-        }
+        assert_graphs_identical(&serial, &par);
         // The budget is fully released afterwards.
         assert_eq!(budget.available(), 7);
         // Budget errors match the serial error too.
         let serr = net.reachability(50).unwrap_err();
         let perr = net.reachability_budgeted(50, &budget).unwrap_err();
         assert_eq!(serr, perr);
+        // So does an expansion error deep in a wide level, where a worker
+        // abandons its chunk part-way: `bad` turns negative only once three
+        // exits are in progress together.
+        let p3 = net.place_by_name("P3").unwrap();
+        let exits = (0..3).map(|k| net.transition_by_name(&format!("exit{k}")).unwrap());
+        net.add_transition(
+            Transition::new("bad")
+                .delay(1)
+                .frequency(Expr::gate(
+                    Expr::all(exits.map(Expr::firing)),
+                    Expr::constant(-1.0),
+                ))
+                .input(p3, 1)
+                .output(p3, 1),
+        )
+        .unwrap();
+        let serr = net.reachability(100_000).unwrap_err();
+        assert!(matches!(serr, GtpnError::BadFrequency { .. }), "{serr}");
+        let perr = net.reachability_budgeted(100_000, &budget).unwrap_err();
+        assert_eq!(serr, perr);
+        assert_eq!(budget.available(), 7);
     }
 
     /// Heterogeneous delays: a 3-tick and a 2-tick transition interleave.

@@ -27,15 +27,19 @@ use std::collections::{HashMap, VecDeque};
 /// Reusable scratch buffers for [`ReachabilityGraph::solve_with`].
 ///
 /// A sweep evaluates hundreds of points whose reachability graphs are the
-/// same size (or cached and literally the same graph); rebuilding the
-/// incoming-edge lists and self-loop vector for each solve is pure
+/// same size (or cached and literally the same graph); reallocating the
+/// incoming-edge list and self-loop vector for each solve is pure
 /// allocator churn. One workspace per worker thread keeps those buffers
 /// warm across points. The solution vector itself is always freshly
 /// allocated — it is moved into the returned [`Solution`].
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
-    /// `incoming[j]` = `(i, p)` edges into state `j`, self-loops excluded.
-    incoming: Vec<Vec<(usize, f64)>>,
+    /// The transposed chain in compressed-sparse-row form: the `(i, p)`
+    /// edges into state `j`, self-loops excluded, are
+    /// `in_edges[in_offsets[j]..in_offsets[j + 1]]`, ordered by source and
+    /// then by position in the source's out-list.
+    in_offsets: Vec<usize>,
+    in_edges: Vec<(usize, f64)>,
     /// Total self-loop probability of each state.
     self_loop: Vec<f64>,
 }
@@ -46,17 +50,48 @@ impl SolveWorkspace {
         SolveWorkspace::default()
     }
 
-    /// Clears and resizes the buffers for a graph of `n` states, keeping
-    /// the per-state inner allocations.
-    fn reset(&mut self, n: usize) {
-        for list in self.incoming.iter_mut() {
-            list.clear();
-        }
-        if self.incoming.len() < n {
-            self.incoming.resize_with(n, Vec::new);
-        }
+    /// Transposes `graph` into the workspace by counting sort: in-degrees,
+    /// prefix sums, then one pass over the sources in ascending order — so
+    /// every in-list comes out in source-ascending, edge order, the order
+    /// the Gauss–Seidel inflow sums have always added in.
+    fn load(&mut self, graph: &ReachabilityGraph) {
+        let n = graph.state_count();
         self.self_loop.clear();
         self.self_loop.resize(n, 0.0);
+        self.in_offsets.clear();
+        self.in_offsets.resize(n + 1, 0);
+        for i in 0..n {
+            for &(j, _) in graph.out_edges(i) {
+                if i != j {
+                    self.in_offsets[j + 1] += 1;
+                }
+            }
+        }
+        for j in 0..n {
+            self.in_offsets[j + 1] += self.in_offsets[j];
+        }
+        self.in_edges.clear();
+        self.in_edges.resize(self.in_offsets[n], (0, 0.0));
+        // `in_offsets[j]` doubles as state `j`'s write cursor; the shift
+        // back afterwards restores the offsets.
+        for i in 0..n {
+            for &(j, p) in graph.out_edges(i) {
+                if i == j {
+                    self.self_loop[i] += p;
+                } else {
+                    self.in_edges[self.in_offsets[j]] = (i, p);
+                    self.in_offsets[j] += 1;
+                }
+            }
+        }
+        self.in_offsets.copy_within(0..n, 1);
+        self.in_offsets[0] = 0;
+    }
+
+    /// The `(source, probability)` edges into state `j`.
+    #[inline]
+    fn incoming(&self, j: usize) -> &[(usize, f64)] {
+        &self.in_edges[self.in_offsets[j]..self.in_offsets[j + 1]]
     }
 }
 
@@ -115,7 +150,7 @@ impl Solution {
         ws: &mut SolveWorkspace,
         seed: Option<&[f64]>,
     ) -> Result<Solution, GtpnError> {
-        let n = graph.states.len();
+        let n = graph.state_count();
         assert!(n > 0, "empty reachability graph");
 
         // Small graphs are solved exactly. The §6.6.3 fixed-point models
@@ -134,9 +169,8 @@ impl Solution {
 
         // Incoming edge lists with self-loop separation, built into the
         // workspace's reusable buffers.
-        ws.reset(n);
-        build_incoming(graph, &mut ws.incoming, &mut ws.self_loop);
-        let incoming = &ws.incoming;
+        ws.load(graph);
+        let ws = &*ws;
         let self_loop = &ws.self_loop;
 
         let mut pi = seed_vector(n, seed);
@@ -163,7 +197,7 @@ impl Solution {
                 x_pre.clone_from(&pi);
             }
             let update = |j: usize, pi: &mut Vec<f64>, max_delta: &mut f64| {
-                let inflow: f64 = incoming[j].iter().map(|&(i, p)| pi[i] * p).sum();
+                let inflow: f64 = ws.incoming(j).iter().map(|&(i, p)| pi[i] * p).sum();
                 let denom = 1.0 - self_loop[j];
                 let new = if denom <= 0.0 {
                     // Absorbing self-loop state: leave mass as-is; the
@@ -284,7 +318,7 @@ impl Solution {
         width: RbWidth<'_>,
         seed: Option<&[f64]>,
     ) -> Result<Solution, GtpnError> {
-        let n = graph.states.len();
+        let n = graph.state_count();
         assert!(n > 0, "empty reachability graph");
 
         // Same direct path as [`solve_with`](Self::solve_with): below the
@@ -296,10 +330,8 @@ impl Solution {
             }
         }
 
-        ws.reset(n);
-        build_incoming(graph, &mut ws.incoming, &mut ws.self_loop);
-        let incoming = &ws.incoming[..n];
-        let self_loop = &ws.self_loop[..n];
+        ws.load(graph);
+        let ws = &*ws;
 
         let reds = n.div_ceil(2); // states 0, 2, 4, ...
         let blacks = n / 2; // states 1, 3, 5, ...
@@ -344,7 +376,7 @@ impl Solution {
                 if m == 0 {
                     continue;
                 }
-                half_sweep(color, &pi, &mut fresh[..m], incoming, self_loop, workers);
+                half_sweep(color, &pi, &mut fresh[..m], ws, workers);
                 // Serial scatter: the residual accumulation and the writes
                 // into `pi` happen in state order regardless of workers.
                 for (r, &v) in fresh[..m].iter().enumerate() {
@@ -761,15 +793,15 @@ fn lu_solve_in_place(a: &mut [f64], b: &mut [f64], n: usize) -> bool {
 /// a meaningfully negative component — in which case the caller falls
 /// back to the iterative path and its own diagnostics.
 fn solve_direct(graph: &ReachabilityGraph) -> Option<(Vec<f64>, f64)> {
-    let n = graph.states.len();
+    let n = graph.state_count();
     // Row j of `a` is state j's balance equation π_j = Σ_i π_i P_ij,
     // i.e. a[j][i] = Pᵀ[j][i] − δ_ij.
     let mut a = vec![0.0f64; n * n];
     for j in 0..n {
         a[j * n + j] = -1.0;
     }
-    for (i, outs) in graph.edges.iter().enumerate() {
-        for &(j, p) in outs {
+    for i in 0..n {
+        for &(j, p) in graph.out_edges(i) {
             a[j * n + i] += p;
         }
     }
@@ -840,9 +872,9 @@ fn solve_direct(graph: &ReachabilityGraph) -> Option<(Vec<f64>, f64)> {
     }
 
     let mut inflow = vec![0.0f64; n];
-    for (i, outs) in graph.edges.iter().enumerate() {
-        for &(j, p) in outs {
-            inflow[j] += pi[i] * p;
+    for (i, &mass) in pi.iter().enumerate() {
+        for &(j, p) in graph.out_edges(i) {
+            inflow[j] += mass * p;
         }
     }
     let residual = pi
@@ -885,40 +917,15 @@ fn converged_by_tail_bound(residual: f64, rate: f64, tolerance: f64) -> bool {
 /// the chains this repository solves.
 const RED_BLACK_OMEGA: f64 = 0.5;
 
-/// Incoming-edge lists with self-loop separation, built into reusable
-/// buffers sized for the graph (see [`SolveWorkspace::reset`]).
-fn build_incoming(
-    graph: &ReachabilityGraph,
-    incoming: &mut [Vec<(usize, f64)>],
-    self_loop: &mut [f64],
-) {
-    for (i, outs) in graph.edges.iter().enumerate() {
-        for &(j, p) in outs {
-            if i == j {
-                self_loop[i] += p;
-            } else {
-                incoming[j].push((i, p));
-            }
-        }
-    }
-}
-
 /// One red-black color update: `out[r]` receives the new value of state
 /// `2r + color`, computed purely from the frozen `pi`. Fans out over
 /// `workers` threads in contiguous chunks; values are independent of the
 /// worker count and chunking by construction.
-fn half_sweep(
-    color: usize,
-    pi: &[f64],
-    out: &mut [f64],
-    incoming: &[Vec<(usize, f64)>],
-    self_loop: &[f64],
-    workers: usize,
-) {
+fn half_sweep(color: usize, pi: &[f64], out: &mut [f64], ws: &SolveWorkspace, workers: usize) {
     let value = |r: usize| -> f64 {
         let j = 2 * r + color;
-        let inflow: f64 = incoming[j].iter().map(|&(i, p)| pi[i] * p).sum();
-        let denom = 1.0 - self_loop[j];
+        let inflow: f64 = ws.incoming(j).iter().map(|&(i, p)| pi[i] * p).sum();
+        let denom = 1.0 - ws.self_loop[j];
         if denom <= 0.0 {
             // Absorbing self-loop state: leave mass as-is; the deadlock
             // check upstream prevents this in practice.
@@ -978,12 +985,12 @@ fn finish(graph: &ReachabilityGraph, pi: Vec<f64>, iterations: usize, residual: 
     // Per-transition usage.
     let tcount = graph.net.transition_count();
     let mut transition_usage = vec![0.0f64; tcount];
-    for (si, state) in graph.states.iter().enumerate() {
-        if pi_time[si] == 0.0 {
+    for (si, &p) in pi_time.iter().enumerate() {
+        if p == 0.0 {
             continue;
         }
-        for &(t, _) in &state.firings {
-            transition_usage[t.0] += pi_time[si];
+        for &(t, _) in graph.firings(si) {
+            transition_usage[t.0] += p;
         }
     }
 
@@ -1292,9 +1299,9 @@ mod tests {
         }
         let g = net.reachability(100_000).unwrap();
         assert!(
-            g.states().len() > super::DIRECT_MAX_STATES,
+            g.state_count() > super::DIRECT_MAX_STATES,
             "net too small to exercise the iterative path: {} states",
-            g.states().len()
+            g.state_count()
         );
         let serial = g.solve(1e-12, 1_000_000).unwrap();
         let mut ws = super::SolveWorkspace::new();

@@ -186,3 +186,86 @@ fn replications_are_deterministic() {
     assert_eq!(a, b);
     assert!(a.contains(a.throughput_per_ms));
 }
+
+/// The exact chain pinned by constants, not by print precision: state
+/// count, sweep count and the *bits* of `lambda` usage and of the final
+/// residual for four solves under `fig7.scale`'s engine settings (arch II
+/// and III local, X = 5700 µs, a private cache per solve), recorded on the
+/// commit before the flat-key expansion kernel. A reordered sum or a
+/// renumbered state moves the last ulp long before it moves a digit of
+/// `repro_output.txt`; n = 12 is what the benchmark's `scale` workload
+/// re-checks on every run.
+#[test]
+fn exact_chain_is_pinned_by_constants() {
+    use hsipc::gtpn::LumpSel;
+    let x = 5_700.0;
+    // (architecture, n, lumping, states, sweeps, usage bits, residual bits)
+    let cases: [(Architecture, u32, LumpSel, usize, usize, u64, u64); 4] = [
+        (
+            Architecture::MessageCoprocessor,
+            4,
+            LumpSel::On,
+            574,
+            69,
+            0x3f21_5f2d_45fe_8f18,
+            0x3d92_6a50_0000_0000,
+        ),
+        (
+            Architecture::MessageCoprocessor,
+            8,
+            LumpSel::On,
+            10_791,
+            84,
+            0x3f22_0240_c1c6_79a5,
+            0x3d8a_7278_0000_0000,
+        ),
+        (
+            Architecture::MessageCoprocessor,
+            4,
+            LumpSel::Off,
+            6_336,
+            6_041,
+            0x3f21_5f2d_261d_f3c1,
+            0x3d9e_1b6c_0000_0000,
+        ),
+        (
+            Architecture::SmartBus,
+            8,
+            LumpSel::On,
+            10_791,
+            75,
+            0x3f23_084b_865a_fdfe,
+            0x3d90_3910_0000_0000,
+        ),
+    ];
+    for (arch, n, lump, states, sweeps, usage_bits, residual_bits) in cases {
+        let engine = AnalysisEngine::new(EngineConfig {
+            backend: BackendSel::Auto,
+            tolerance: hsipc::models::TOLERANCE,
+            max_sweeps: hsipc::models::MAX_SWEEPS,
+            state_budget: hsipc::models::STATE_BUDGET,
+            par_solve: false,
+            warm_start: true,
+            lump,
+            ..EngineConfig::default()
+        })
+        .with_cache(4_096);
+        let net = local::build(arch, n, x).unwrap();
+        let a = engine.analyze(&net).unwrap();
+        let at = format!("arch {} n={n} {lump:?}", arch.label());
+        assert_eq!(a.backend(), BackendKind::Exact, "{at}");
+        assert_eq!(a.lumped(), lump == LumpSel::On, "{at}");
+        assert_eq!(a.states(), states, "{at}: states");
+        assert_eq!(a.iterations(), Some(sweeps), "{at}: sweeps");
+        assert_eq!(
+            a.resource_usage("lambda").unwrap().to_bits(),
+            usage_bits,
+            "{at}: lambda usage bits"
+        );
+        assert_eq!(
+            a.residual().unwrap().to_bits(),
+            residual_bits,
+            "{at}: residual bits"
+        );
+    }
+}
