@@ -296,9 +296,9 @@ fn run_live(args: &[String]) -> ExitCode {
                     "UNCLEAN"
                 }
             );
+            // Wall-clock figures go to stderr: virtual stdout stays
+            // byte-deterministic for the CI diff legs.
             if mode == runtime::ClockMode::Virtual {
-                // Wall-clock speedup goes to stderr: virtual stdout stays
-                // byte-deterministic for the CI diff legs.
                 eprintln!(
                     "virtual {}: {:.3} s simulated in {:.3} s wall ({:.0}x)",
                     arch.label(),
@@ -307,6 +307,13 @@ fn run_live(args: &[String]) -> ExitCode {
                     report.elapsed.as_secs_f64() / report.wall.as_secs_f64().max(1e-9),
                 );
             }
+            eprintln!(
+                "{mode} {} wall split: setup {:.4} s, run {:.4} s, teardown {:.4} s",
+                arch.label(),
+                report.setup.as_secs_f64(),
+                report.run.as_secs_f64(),
+                report.teardown.as_secs_f64(),
+            );
             if report.round_trips == 0 || !report.clean_shutdown {
                 failed = true;
             }

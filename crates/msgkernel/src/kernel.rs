@@ -1,13 +1,19 @@
 //! The IPC kernel: syscalls, rendezvous, the computation/communication
 //! lists, and network packets mirroring IPC calls.
+//!
+//! Every per-event operation is indexed, not scanned: per-task state lives
+//! in a dense table indexed by [`TaskId`], a queued message carries the
+//! kernel buffer it holds, and a server that receives leaves only the
+//! waiting lists of the services it offers — so the cost of a delivery does
+//! not grow with the number of services or tasks on the node.
 
-use crate::buffer::{BufferId, BufferPool, BufferQueue};
+use crate::buffer::{BufferPool, BufferQueue};
 use crate::error::KernelError;
 use crate::message::Message;
-use crate::sched::{PriorityList, SchedQueue};
+use crate::sched::PriorityList;
 use crate::service::{QueuedMessage, ReplyTo, Service, ServiceAddr, ServiceId};
 use crate::task::{NodeId, Task, TaskId, TaskState};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Direction of a [`Syscall::MemoryMove`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,12 +178,27 @@ pub enum KernelEvent {
     },
 }
 
-#[derive(Debug, Clone)]
+/// A server's open rendezvous: where the reply goes and the memory
+/// reference the request enclosed.
+#[derive(Debug, Clone, Copy)]
 struct RendezvousInfo {
     reply_to: ReplyTo,
     memory_ref: Option<crate::message::MemoryRef>,
-    /// Client task when local (for memory moves).
-    local_client: Option<TaskId>,
+}
+
+/// The kernel's private state of one task, indexed by [`TaskId`] beside
+/// the task control blocks.
+#[derive(Debug, Default)]
+struct TaskIpc {
+    /// The pending communication request.
+    request: Option<Syscall>,
+    /// The rendezvous this task serves (received, not yet replied).
+    rendezvous: Option<RendezvousInfo>,
+    /// Outstanding non-blocking remote invocation: true once the reply has
+    /// arrived.
+    completion: Option<bool>,
+    /// Stopped inside a `Wait`.
+    in_wait: bool,
 }
 
 /// Cumulative kernel statistics.
@@ -202,68 +223,43 @@ pub struct KernelStats {
 pub struct Kernel {
     node: NodeId,
     tasks: Vec<Option<Task>>,
+    /// Per-task IPC state, indexed like `tasks`.
+    ipc: Vec<TaskIpc>,
     services: Vec<Option<Service>>,
     buffers: Box<dyn BufferQueue>,
-    /// Buffer held by each queued message (accounting).
-    held_buffers: HashMap<(ServiceId, u64), BufferId>,
-    queue_seq: u64,
-    queue_ids: HashMap<ServiceId, VecDeque<u64>>,
-    computation_list: Box<dyn SchedQueue>,
-    communication_list: Box<dyn SchedQueue>,
-    requests: HashMap<TaskId, Syscall>,
-    rendezvous: HashMap<TaskId, RendezvousInfo>,
+    computation_list: PriorityList,
+    communication_list: PriorityList,
     /// Sends blocked on buffer shortage, retried as buffers free.
     resource_waiters: VecDeque<TaskId>,
     /// Incoming packets parked during buffer shortage.
     pending_packets: VecDeque<Packet>,
     /// Interrupt-handler activations parked during buffer shortage.
     pending_activations: VecDeque<(ServiceId, Message)>,
-    /// Outstanding non-blocking remote invocations: true once the reply
-    /// has arrived.
-    completions: HashMap<TaskId, bool>,
-    /// Clients stopped inside a `Wait`.
-    waiting_wait: std::collections::HashSet<TaskId>,
     stats: KernelStats,
 }
 
 impl Kernel {
     /// Creates a kernel for `node` with `buffer_capacity` kernel buffers.
     pub fn new(node: NodeId, buffer_capacity: usize) -> Kernel {
-        Kernel::with_queues(
-            node,
-            Box::new(BufferPool::new(buffer_capacity)),
-            Box::new(PriorityList::default()),
-            Box::new(PriorityList::default()),
-        )
+        Kernel::with_queues(node, Box::new(BufferPool::new(buffer_capacity)))
     }
 
-    /// Creates a kernel whose buffer free list and scheduling lists are
-    /// supplied by the caller — the live runtime passes queues backed by
-    /// `smartmem`'s shared transactions so host and MP threads synchronize
-    /// through real shared memory (Figures 4.4/4.5).
-    pub fn with_queues(
-        node: NodeId,
-        buffers: Box<dyn BufferQueue>,
-        computation: Box<dyn SchedQueue>,
-        communication: Box<dyn SchedQueue>,
-    ) -> Kernel {
+    /// Creates a kernel whose buffer free list is supplied by the caller —
+    /// the live runtime passes one backed by `smartmem`'s shared
+    /// transactions, so every buffer acquisition is a real operation on the
+    /// shared module (§5.1).
+    pub fn with_queues(node: NodeId, buffers: Box<dyn BufferQueue>) -> Kernel {
         Kernel {
             node,
             tasks: Vec::new(),
+            ipc: Vec::new(),
             services: Vec::new(),
             buffers,
-            held_buffers: HashMap::new(),
-            queue_seq: 0,
-            queue_ids: HashMap::new(),
-            computation_list: computation,
-            communication_list: communication,
-            requests: HashMap::new(),
-            rendezvous: HashMap::new(),
+            computation_list: PriorityList::default(),
+            communication_list: PriorityList::default(),
             resource_waiters: VecDeque::new(),
             pending_packets: VecDeque::new(),
             pending_activations: VecDeque::new(),
-            completions: HashMap::new(),
-            waiting_wait: std::collections::HashSet::new(),
             stats: KernelStats::default(),
         }
     }
@@ -281,6 +277,7 @@ impl Kernel {
     /// Creates a task; it starts on the computation list.
     pub fn create_task(&mut self, name: impl Into<String>, priority: u8, space: usize) -> TaskId {
         self.tasks.push(Some(Task::new(name, priority, space)));
+        self.ipc.push(TaskIpc::default());
         let id = TaskId(self.tasks.len() as u32 - 1);
         self.computation_list.push_back(id, priority);
         id
@@ -366,6 +363,24 @@ impl Kernel {
         self.task(task).map(|t| t.priority).unwrap_or(0)
     }
 
+    /// IPC state of a created task (dead or alive; `None` for an id never
+    /// created).
+    fn ipc(&self, task: TaskId) -> Option<&TaskIpc> {
+        self.ipc.get(task.0 as usize)
+    }
+
+    fn ipc_mut(&mut self, task: TaskId) -> Option<&mut TaskIpc> {
+        self.ipc.get_mut(task.0 as usize)
+    }
+
+    /// Whether a message is queued on `sid` (false for an unknown service).
+    fn has_messages(&self, sid: ServiceId) -> bool {
+        self.services
+            .get(sid.0 as usize)
+            .and_then(Option::as_ref)
+            .is_some_and(|s| !s.messages.is_empty())
+    }
+
     /// Host side: the task issues a communication request and moves to the
     /// communication list (Figure 4.4).
     ///
@@ -389,12 +404,11 @@ impl Kernel {
     ///
     /// [`KernelError::UnknownTask`] or [`KernelError::RequestOutstanding`].
     pub fn place_request(&mut self, task: TaskId, request: Syscall) -> Result<(), KernelError> {
-        if self.requests.contains_key(&task) {
+        if self.ipc(task).is_some_and(|s| s.request.is_some()) {
             return Err(KernelError::RequestOutstanding(task));
         }
-        let t = self.task_mut(task)?;
-        t.state = TaskState::Communicating;
-        self.requests.insert(task, request);
+        self.task_mut(task)?.state = TaskState::Communicating;
+        self.ipc[task.0 as usize].request = Some(request);
         Ok(())
     }
 
@@ -405,20 +419,24 @@ impl Kernel {
 
     /// The request a task has pending (for cost attribution by simulators).
     pub fn pending_request(&self, task: TaskId) -> Option<&Syscall> {
-        self.requests.get(&task)
+        self.ipc(task)?.request.as_ref()
+    }
+
+    /// The rendezvous server `task` is inside, if any.
+    fn rendezvous(&self, task: TaskId) -> Option<RendezvousInfo> {
+        self.ipc(task)?.rendezvous
     }
 
     /// Whether `task` is a server currently inside a rendezvous (received a
     /// remote-invocation message it has not yet replied to).
     pub fn in_rendezvous(&self, task: TaskId) -> bool {
-        self.rendezvous.contains_key(&task)
+        self.rendezvous(task).is_some()
     }
 
     /// Whether the rendezvous partner of server `task` is local to this
     /// node; `None` when the task is not in a rendezvous.
     pub fn rendezvous_is_local(&self, task: TaskId) -> Option<bool> {
-        self.rendezvous
-            .get(&task)
+        self.rendezvous(task)
             .map(|info| matches!(info.reply_to, ReplyTo::Local(_)))
     }
 
@@ -474,8 +492,8 @@ impl Kernel {
     /// either way (the paper's kernels reflect errors to the caller).
     pub fn process(&mut self, task: TaskId) -> Result<Vec<KernelEvent>, KernelError> {
         let request = self
-            .requests
-            .remove(&task)
+            .ipc_mut(task)
+            .and_then(|s| s.request.take())
             .ok_or(KernelError::UnknownTask(task))?;
         let mut events = Vec::new();
         match request {
@@ -495,16 +513,11 @@ impl Kernel {
                 self.make_runnable(task, &mut events);
             }
             Syscall::Inquire => {
-                let offers = self.task(task)?.offers.clone();
+                let offers = &self.task(task)?.offers;
                 if offers.is_empty() {
                     return Err(KernelError::NoOffers(task));
                 }
-                let ready = offers.iter().any(|&s| {
-                    self.services
-                        .get(s.0 as usize)
-                        .and_then(Option::as_ref)
-                        .is_some_and(|svc| !svc.messages.is_empty())
-                });
+                let ready = offers.iter().any(|&s| self.has_messages(s));
                 events.push(KernelEvent::InquireResult { task, ready });
                 self.make_runnable(task, &mut events);
             }
@@ -527,7 +540,7 @@ impl Kernel {
         match mode {
             SendMode::RemoteInvocation { blocking: true } => self.stop(client, events),
             SendMode::RemoteInvocation { blocking: false } => {
-                self.completions.insert(client, false);
+                self.ipc[client.0 as usize].completion = Some(false);
                 self.make_runnable(client, events);
             }
             SendMode::NoWait => self.make_runnable(client, events),
@@ -572,8 +585,7 @@ impl Kernel {
                 // Block the client on the resource; retry when a buffer
                 // frees (§3.2.3).
                 self.stats.buffer_stalls += 1;
-                self.requests
-                    .insert(client, Syscall::Send { to, message, mode });
+                self.ipc[client.0 as usize].request = Some(Syscall::Send { to, message, mode });
                 self.resource_waiters.push_back(client);
                 events.push(KernelEvent::BufferShortage(client));
                 self.stop(client, events);
@@ -589,14 +601,17 @@ impl Kernel {
         client: TaskId,
         events: &mut Vec<KernelEvent>,
     ) -> Result<(), KernelError> {
-        match self.completions.get(&client).copied() {
+        let slot = self
+            .ipc_mut(client)
+            .ok_or(KernelError::NoRendezvous(client))?;
+        match slot.completion {
             Some(true) => {
-                self.completions.remove(&client);
+                slot.completion = None;
                 events.push(KernelEvent::WaitComplete { client });
                 self.make_runnable(client, events);
             }
             Some(false) => {
-                self.waiting_wait.insert(client);
+                slot.in_wait = true;
                 self.stop(client, events);
             }
             None => return Err(KernelError::NoRendezvous(client)),
@@ -609,25 +624,26 @@ impl Kernel {
         server: TaskId,
         events: &mut Vec<KernelEvent>,
     ) -> Result<(), KernelError> {
-        let offers = self.task(server)?.offers.clone();
+        let offers = &self
+            .tasks
+            .get(server.0 as usize)
+            .and_then(Option::as_ref)
+            .ok_or(KernelError::UnknownTask(server))?
+            .offers;
         if offers.is_empty() {
             return Err(KernelError::NoOffers(server));
         }
         // First waiting message across the offered services, in offer order.
-        for &sid in &offers {
-            let has = self
-                .services
-                .get(sid.0 as usize)
-                .and_then(Option::as_ref)
-                .is_some_and(|s| !s.messages.is_empty());
-            if has {
-                self.deliver_first(sid, server, events)?;
-                return Ok(());
-            }
+        if let Some(sid) = offers.iter().copied().find(|&s| self.has_messages(s)) {
+            return self.deliver_first(sid, server, events);
         }
         // Nothing waiting: park on every offered service.
-        for &sid in &offers {
-            let svc = self.service_mut(sid)?;
+        for &sid in offers {
+            let svc = self
+                .services
+                .get_mut(sid.0 as usize)
+                .and_then(Option::as_mut)
+                .ok_or(KernelError::UnknownService(sid))?;
             if !svc.waiting_servers.contains(&server) {
                 svc.waiting_servers.push_back(server);
             }
@@ -636,41 +652,42 @@ impl Kernel {
         Ok(())
     }
 
-    fn deliver_first(
+    /// Takes `server` off the waiting list of every service it offers —
+    /// the only lists [`Kernel::do_receive`] ever parks it on.
+    fn leave_waiting_lists(&mut self, server: TaskId) {
+        let Some(task) = self.tasks.get(server.0 as usize).and_then(Option::as_ref) else {
+            return;
+        };
+        for &sid in &task.offers {
+            if let Some(svc) = self
+                .services
+                .get_mut(sid.0 as usize)
+                .and_then(Option::as_mut)
+            {
+                svc.waiting_servers.retain(|&t| t != server);
+            }
+        }
+    }
+
+    /// Completes a receive: the server leaves its waiting lists, enters the
+    /// rendezvous when the sender awaits a reply, and becomes runnable with
+    /// the message in its control block.
+    fn hand_to_server(
         &mut self,
         sid: ServiceId,
         server: TaskId,
+        message: Message,
+        reply_to: Option<ReplyTo>,
         events: &mut Vec<KernelEvent>,
     ) -> Result<(), KernelError> {
-        let qm = {
-            let svc = self.service_mut(sid)?;
-            svc.messages.pop_front().expect("caller checked non-empty")
-        };
-        // Release the buffer the queued message held.
-        if let Some(seq) = self.queue_ids.get_mut(&sid).and_then(|q| q.pop_front()) {
-            if let Some(buf) = self.held_buffers.remove(&(sid, seq)) {
-                self.buffers.release(buf);
-            }
+        self.leave_waiting_lists(server);
+        self.task_mut(server)?.delivered = Some(message);
+        if let Some(reply_to) = reply_to {
+            self.ipc[server.0 as usize].rendezvous = Some(RendezvousInfo {
+                reply_to,
+                memory_ref: message.memory_ref,
+            });
         }
-        // The server leaves every waiting list it is on.
-        for svc in self.services.iter_mut().flatten() {
-            svc.waiting_servers.retain(|&t| t != server);
-        }
-        let local_client = match qm.reply_to {
-            Some(ReplyTo::Local(c)) => Some(c),
-            _ => None,
-        };
-        if let Some(rt) = qm.reply_to {
-            self.rendezvous.insert(
-                server,
-                RendezvousInfo {
-                    reply_to: rt,
-                    memory_ref: qm.message.memory_ref,
-                    local_client,
-                },
-            );
-        }
-        self.task_mut(server)?.delivered = Some(qm.message);
         self.stats.deliveries += 1;
         events.push(KernelEvent::Delivered { server });
         if let Some(h) = self
@@ -682,9 +699,24 @@ impl Kernel {
             events.push(KernelEvent::HandlerInvoked { server, handler: h });
         }
         self.make_runnable(server, events);
-        // A freed buffer may unblock a stalled send.
-        self.retry_stalled(events)?;
         Ok(())
+    }
+
+    fn deliver_first(
+        &mut self,
+        sid: ServiceId,
+        server: TaskId,
+        events: &mut Vec<KernelEvent>,
+    ) -> Result<(), KernelError> {
+        let qm = self
+            .service_mut(sid)?
+            .messages
+            .pop_front()
+            .expect("caller checked non-empty");
+        self.buffers.release(qm.buffer);
+        self.hand_to_server(sid, server, qm.message, qm.reply_to, events)?;
+        // A freed buffer may unblock a stalled send.
+        self.retry_stalled(events)
     }
 
     fn retry_stalled(&mut self, events: &mut Vec<KernelEvent>) -> Result<(), KernelError> {
@@ -724,8 +756,8 @@ impl Kernel {
         events: &mut Vec<KernelEvent>,
     ) -> Result<(), KernelError> {
         let info = self
-            .rendezvous
-            .remove(&server)
+            .ipc_mut(server)
+            .and_then(|s| s.rendezvous.take())
             .ok_or(KernelError::NoRendezvous(server))?;
         self.stats.replies += 1;
         match info.reply_to {
@@ -758,18 +790,18 @@ impl Kernel {
         length: u32,
     ) -> Result<(), KernelError> {
         let info = self
-            .rendezvous
-            .get(&server)
-            .ok_or(KernelError::NoRendezvous(server))?
-            .clone();
+            .rendezvous(server)
+            .ok_or(KernelError::NoRendezvous(server))?;
         let mref = info.memory_ref.ok_or(KernelError::AccessViolation {
             task: server,
             reason: "message enclosed no memory reference",
         })?;
-        let client = info.local_client.ok_or(KernelError::AccessViolation {
-            task: server,
-            reason: "memory reference belongs to a remote client",
-        })?;
+        let ReplyTo::Local(client) = info.reply_to else {
+            return Err(KernelError::AccessViolation {
+                task: server,
+                reason: "memory reference belongs to a remote client",
+            });
+        };
         if length > mref.length {
             return Err(KernelError::AccessViolation {
                 task: server,
@@ -825,10 +857,11 @@ impl Kernel {
         };
         task.delivered = Some(message);
         events.push(KernelEvent::ReplyDelivered { client });
-        if let Some(done) = self.completions.get_mut(&client) {
-            *done = true;
-            if self.waiting_wait.remove(&client) {
-                self.completions.remove(&client);
+        let slot = &mut self.ipc[client.0 as usize];
+        if slot.completion.is_some() {
+            slot.completion = Some(true);
+            if std::mem::take(&mut slot.in_wait) {
+                slot.completion = None;
                 events.push(KernelEvent::WaitComplete { client });
                 self.make_runnable(client, events);
             }
@@ -859,46 +892,17 @@ impl Kernel {
                 return Ok(Delivery::NoBuffer);
             };
             self.buffers.release(buf);
-            for svc in self.services.iter_mut().flatten() {
-                svc.waiting_servers.retain(|&t| t != server);
-            }
-            let local_client = match reply_to {
-                Some(ReplyTo::Local(c)) => Some(c),
-                _ => None,
-            };
-            if let Some(rt) = reply_to {
-                self.rendezvous.insert(
-                    server,
-                    RendezvousInfo {
-                        reply_to: rt,
-                        memory_ref: message.memory_ref,
-                        local_client,
-                    },
-                );
-            }
-            self.task_mut(server)?.delivered = Some(message);
-            self.stats.deliveries += 1;
-            events.push(KernelEvent::Delivered { server });
-            if let Some(h) = self
-                .services
-                .get(sid.0 as usize)
-                .and_then(Option::as_ref)
-                .and_then(|s| s.handler)
-            {
-                events.push(KernelEvent::HandlerInvoked { server, handler: h });
-            }
-            self.make_runnable(server, events);
+            self.hand_to_server(sid, server, message, reply_to, events)?;
             Ok(Delivery::Direct)
         } else {
-            let Some(buf) = self.buffers.acquire() else {
+            let Some(buffer) = self.buffers.acquire() else {
                 return Ok(Delivery::NoBuffer);
             };
-            let seq = self.queue_seq;
-            self.queue_seq += 1;
-            self.held_buffers.insert((sid, seq), buf);
-            self.queue_ids.entry(sid).or_default().push_back(seq);
-            let svc = self.service_mut(sid)?;
-            svc.messages.push_back(QueuedMessage { message, reply_to });
+            self.service_mut(sid)?.messages.push_back(QueuedMessage {
+                message,
+                reply_to,
+                buffer,
+            });
             Ok(Delivery::Queued)
         }
     }
@@ -1005,20 +1009,17 @@ impl Kernel {
         self.computation_list.remove(task);
         self.communication_list.remove(task);
         self.resource_waiters.retain(|&t| t != task);
-        self.requests.remove(&task);
-        self.completions.remove(&task);
-        self.waiting_wait.remove(&task);
-        // Off every service's waiting-server list.
-        for svc in self.services.iter_mut().flatten() {
-            svc.waiting_servers.retain(|&t| t != task);
-        }
+        self.leave_waiting_lists(task);
         // A dying server releases its rendezvous: the local client would
         // otherwise hang forever.
-        if let Some(info) = self.rendezvous.remove(&task) {
-            if let ReplyTo::Local(client) = info.reply_to {
-                events.push(KernelEvent::ReplyDropped { client });
-                self.make_runnable(client, &mut events);
-            }
+        let ipc = std::mem::take(&mut self.ipc[task.0 as usize]);
+        if let Some(RendezvousInfo {
+            reply_to: ReplyTo::Local(client),
+            ..
+        }) = ipc.rendezvous
+        {
+            events.push(KernelEvent::ReplyDropped { client });
+            self.make_runnable(client, &mut events);
         }
         self.tasks[task.0 as usize] = None;
         Ok(events)
@@ -1749,6 +1750,78 @@ mod tests {
             k.destroy_task(server),
             Err(KernelError::UnknownTask(_))
         ));
+    }
+
+    /// A server parked on two offered services.
+    fn two_service_server(k: &mut Kernel) -> (TaskId, TaskId, ServiceId, ServiceId) {
+        let client = k.create_task("client", 1, 64);
+        let server = k.create_task("server", 1, 64);
+        let (a, b) = (k.create_service("a"), k.create_service("b"));
+        k.submit(server, Syscall::Offer { service: a }).unwrap();
+        drain(k);
+        k.submit(server, Syscall::Offer { service: b }).unwrap();
+        drain(k);
+        k.submit(server, Syscall::Receive).unwrap();
+        drain(k);
+        assert_eq!(k.task(server).unwrap().state, TaskState::Stopped);
+        (client, server, a, b)
+    }
+
+    fn send_no_wait(k: &mut Kernel, client: TaskId, to: ServiceId) -> Vec<KernelEvent> {
+        let to = addr(k, to);
+        k.submit(
+            client,
+            Syscall::Send {
+                to,
+                message: Message::empty(),
+                mode: SendMode::NoWait,
+            },
+        )
+        .unwrap();
+        drain(k)
+    }
+
+    #[test]
+    fn delivery_on_either_offer_takes_the_server_off_both_lists() {
+        for (first, second) in [(0, 1), (1, 0)] {
+            let mut k = kernel();
+            let (client, server, a, b) = two_service_server(&mut k);
+            let services = [a, b];
+            let events = send_no_wait(&mut k, client, services[first]);
+            assert!(events
+                .iter()
+                .any(|e| matches!(e, KernelEvent::Delivered { server: s } if *s == server)));
+            // The busy server is on neither list: a message to its other
+            // service queues instead of reaching it.
+            let events = send_no_wait(&mut k, client, services[second]);
+            assert!(!events
+                .iter()
+                .any(|e| matches!(e, KernelEvent::Delivered { .. })));
+            assert_eq!(k.service_queue_len(services[second]).unwrap(), 1);
+            assert_eq!(k.buffers_available(), 7);
+            // Its next receive picks the queued message up.
+            k.submit(server, Syscall::Receive).unwrap();
+            let events = drain(&mut k);
+            assert!(events
+                .iter()
+                .any(|e| matches!(e, KernelEvent::Delivered { server: s } if *s == server)));
+            assert_eq!(k.service_queue_len(services[second]).unwrap(), 0);
+            assert_eq!(k.buffers_available(), 8);
+        }
+    }
+
+    #[test]
+    fn destroying_a_two_service_server_clears_both_lists() {
+        let mut k = kernel();
+        let (client, server, a, b) = two_service_server(&mut k);
+        k.destroy_task(server).unwrap();
+        for service in [a, b] {
+            let events = send_no_wait(&mut k, client, service);
+            assert!(!events
+                .iter()
+                .any(|e| matches!(e, KernelEvent::Delivered { .. })));
+            assert_eq!(k.service_queue_len(service).unwrap(), 1);
+        }
     }
 
     #[test]

@@ -25,6 +25,14 @@
 //!   calls* — exactly one `send` packet and one `reply` packet per
 //!   round-trip, no low-level acknowledgements (§4.6).
 //!
+//! Like the paper's §4.4/§5.1 kernel, a delivery is a fixed handful of
+//! indexed steps, independent of how many tasks and services the node
+//! holds: per-task kernel state is a dense table indexed by [`TaskId`], a
+//! queued message carries the [`BufferId`] it holds, and a server that
+//! receives leaves only the waiting lists of the services it offers. The
+//! two scheduling lists are plain in-kernel priority lists; a caller may
+//! supply only the buffer free list ([`Kernel::with_queues`]).
+//!
 //! Timing is deliberately absent from this crate: `archsim` drives the same
 //! kernel logic under the per-activity processing costs of the four
 //! architectures.
@@ -46,6 +54,5 @@ pub use kernel::{
     Kernel, KernelEvent, KernelStats, MoveDirection, Packet, PacketBody, SendMode, Syscall,
 };
 pub use message::{AccessRights, MemoryRef, Message, MESSAGE_SIZE};
-pub use sched::{PriorityList, SchedQueue};
 pub use service::{ServiceAddr, ServiceId};
 pub use task::{NodeId, Task, TaskId, TaskState};

@@ -1,73 +1,73 @@
-//! Pluggable task-scheduling lists.
+//! The kernel's task-scheduling lists.
 //!
 //! The kernel keeps two lists of task control blocks — the computation list
-//! and the communication list (Figures 4.4/4.5). In the functional and
-//! discrete-event simulations those are in-process priority lists; in the
-//! live runtime they are *real shared-memory queues* raced by the host and
-//! MP threads. [`SchedQueue`] abstracts over both: [`crate::Kernel::new`]
-//! installs the default [`PriorityList`] (behaviorally identical to the
-//! original kernel), [`crate::Kernel::with_queues`] lets a runtime supply
-//! queues backed by `smartmem`'s shared transactions.
+//! and the communication list (Figures 4.4/4.5). Inside the kernel both are
+//! in-process [`PriorityList`]s; the live runtime keeps its shared-memory
+//! lists in `smartmem` and moves tasks between those and the kernel's.
 
 use crate::task::TaskId;
 use std::collections::VecDeque;
 
-/// A task-control-block scheduling list.
-///
-/// The kernel passes each task's priority alongside its id so that
-/// implementations may honor §4.4 ordering ("the lists are ordered by task
-/// scheduling priority", FCFS among equals); hardware-backed queues whose
-/// `Enqueue` transaction only appends at the tail may ignore it.
-pub trait SchedQueue: Send + std::fmt::Debug {
-    /// Priority-ordered insert: before the first strictly-lower-priority
-    /// entry, after all equals.
-    fn insert_by_priority(&mut self, task: TaskId, priority: u8);
-    /// Plain tail append.
-    fn push_back(&mut self, task: TaskId, priority: u8);
-    /// Head insert — the buffer-shortage retry path, which must run before
-    /// new work (§3.2.3).
-    fn push_front(&mut self, task: TaskId, priority: u8);
-    /// Removes and returns the head, if any.
-    fn pop_front(&mut self) -> Option<TaskId>;
-    /// Removes `task` wherever it sits (task destruction).
-    fn remove(&mut self, task: TaskId);
-    /// Whether the list is empty.
-    fn is_empty(&self) -> bool;
-}
-
-/// The default in-process list: a deque of `(task, priority)` pairs.
+/// A task-control-block list ordered by §4.4 priority ("the lists are
+/// ordered by task scheduling priority", FCFS among equals): a deque of
+/// `(task, priority)` pairs.
 #[derive(Debug, Default)]
-pub struct PriorityList {
+pub(crate) struct PriorityList {
     entries: VecDeque<(TaskId, u8)>,
+    /// Set once a head or tail insert breaks the non-increasing priority
+    /// order; cleared when the list empties.
+    disordered: bool,
 }
 
-impl SchedQueue for PriorityList {
-    fn insert_by_priority(&mut self, task: TaskId, priority: u8) {
-        let pos = self
-            .entries
-            .iter()
-            .position(|&(_, p)| p < priority)
-            .unwrap_or(self.entries.len());
+impl PriorityList {
+    /// Priority-ordered insert: before the first strictly-lower-priority
+    /// entry, after all equals. While the list is in priority order that
+    /// entry is found by binary search (a tail append when every priority
+    /// is equal); otherwise by a front-to-back scan.
+    pub(crate) fn insert_by_priority(&mut self, task: TaskId, priority: u8) {
+        let pos = if self.disordered {
+            self.entries
+                .iter()
+                .position(|&(_, p)| p < priority)
+                .unwrap_or(self.entries.len())
+        } else {
+            self.entries.partition_point(|&(_, p)| p >= priority)
+        };
         self.entries.insert(pos, (task, priority));
     }
 
-    fn push_back(&mut self, task: TaskId, priority: u8) {
+    /// Plain tail append.
+    pub(crate) fn push_back(&mut self, task: TaskId, priority: u8) {
+        if self.entries.back().is_some_and(|&(_, p)| p < priority) {
+            self.disordered = true;
+        }
         self.entries.push_back((task, priority));
     }
 
-    fn push_front(&mut self, task: TaskId, priority: u8) {
+    /// Head insert — the buffer-shortage retry path, which must run before
+    /// new work (§3.2.3).
+    pub(crate) fn push_front(&mut self, task: TaskId, priority: u8) {
+        if self.entries.front().is_some_and(|&(_, p)| p > priority) {
+            self.disordered = true;
+        }
         self.entries.push_front((task, priority));
     }
 
-    fn pop_front(&mut self) -> Option<TaskId> {
-        self.entries.pop_front().map(|(t, _)| t)
+    /// Removes and returns the head, if any.
+    pub(crate) fn pop_front(&mut self) -> Option<TaskId> {
+        let head = self.entries.pop_front().map(|(t, _)| t);
+        self.disordered &= !self.entries.is_empty();
+        head
     }
 
-    fn remove(&mut self, task: TaskId) {
+    /// Removes `task` wherever it sits (task destruction).
+    pub(crate) fn remove(&mut self, task: TaskId) {
         self.entries.retain(|&(t, _)| t != task);
+        self.disordered &= !self.entries.is_empty();
     }
 
-    fn is_empty(&self) -> bool {
+    /// Whether the list is empty.
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 }
@@ -97,6 +97,49 @@ mod tests {
         l.insert_by_priority(TaskId(0), 9);
         l.push_front(TaskId(1), 1);
         assert_eq!(l.pop_front(), Some(TaskId(1)));
+    }
+
+    /// The binary-search insert lands exactly where the front-to-back scan
+    /// does, through histories that break and restore the priority order.
+    #[test]
+    fn insert_matches_the_front_to_back_scan() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut list = PriorityList::default();
+        let mut reference: VecDeque<(TaskId, u8)> = VecDeque::new();
+        for step in 0..20_000u32 {
+            let (task, priority) = (TaskId(step), next(4) as u8);
+            match next(10) {
+                0..=2 => {
+                    list.insert_by_priority(task, priority);
+                    let pos = reference
+                        .iter()
+                        .position(|&(_, p)| p < priority)
+                        .unwrap_or(reference.len());
+                    reference.insert(pos, (task, priority));
+                }
+                3 => {
+                    list.push_back(task, priority);
+                    reference.push_back((task, priority));
+                }
+                4 => {
+                    list.push_front(task, priority);
+                    reference.push_front((task, priority));
+                }
+                5 if !reference.is_empty() => {
+                    let (victim, _) = reference[next(reference.len() as u64) as usize];
+                    list.remove(victim);
+                    reference.retain(|&(t, _)| t != victim);
+                }
+                _ => assert_eq!(list.pop_front(), reference.pop_front().map(|(t, _)| t)),
+            }
+            assert!(list.entries.iter().eq(reference.iter()), "step {step}");
+        }
     }
 
     #[test]

@@ -24,12 +24,15 @@ pub struct ServiceAddr {
     pub service: ServiceId,
 }
 
-/// A queued message together with who to reply to.
+/// A queued message together with who to reply to and the kernel buffer
+/// it occupies until a server receives it.
 #[derive(Debug, Clone)]
 pub(crate) struct QueuedMessage {
     pub message: crate::message::Message,
     /// Reply destination for remote-invocation sends.
     pub reply_to: Option<ReplyTo>,
+    /// The kernel buffer holding the message (§3.2.2).
+    pub buffer: crate::buffer::BufferId,
 }
 
 /// Where a server's eventual reply goes.

@@ -37,8 +37,8 @@ pub struct LiveRing<P> {
     frames: Arc<AtomicU64>,
     bytes: Arc<AtomicU64>,
     busy_ns: Arc<AtomicU64>,
-    /// Frames currently enqueued per inbound channel (incremented on
-    /// transmit, decremented when the port receives).
+    /// Frames currently enqueued per inbound channel (incremented before a
+    /// transmit sends, decremented when the port receives).
     depths: Arc<Vec<AtomicU64>>,
     /// High-water mark of any single node's inbound queue — the overload
     /// signature of a buffer-shortage cascade (work arriving faster than
@@ -164,16 +164,24 @@ impl<P> LiveRing<P> {
         self.frames.fetch_add(1, Ordering::Relaxed);
         self.bytes
             .fetch_add(u64::from(payload_bytes), Ordering::Relaxed);
-        // A receiver gone at shutdown is not an error: the ring is reliable
-        // while both ends live (§4.6), and teardown drops ports first.
-        let _ = tx.send(Frame {
+        // Count the frame before it becomes visible: a receiver on another
+        // thread may take it the moment it is sent, and its decrement must
+        // find the increment already there.
+        let queued = &self.depths[to.0 as usize];
+        let depth = queued.fetch_add(1, Ordering::Relaxed) + 1;
+        self.peak_queued.fetch_max(depth, Ordering::Relaxed);
+        let frame = Frame {
             from,
             to,
             wire_bytes: payload_bytes + self.header_bytes,
             payload,
-        });
-        let depth = self.depths[to.0 as usize].fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_queued.fetch_max(depth, Ordering::Relaxed);
+        };
+        // A receiver gone at shutdown is not an error: the ring is reliable
+        // while both ends live (§4.6), and teardown drops ports first. The
+        // frame never queued, so neither does its count.
+        if tx.send(frame).is_err() {
+            queued.fetch_sub(1, Ordering::Relaxed);
+        }
         if let Some(notify) = self.notifiers[to.0 as usize].get() {
             notify();
         }
@@ -286,6 +294,43 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_micros(112));
         assert_eq!(p1.try_recv().map(|f| f.payload), Some(7));
         assert_eq!(ring.stats().busy_ns, 112_000);
+    }
+
+    /// A receiver draining on its own thread races every transmit: it may
+    /// take a frame the instant it is sent. The queue depth must never
+    /// wrap below zero, so the high-water mark stays within the frames
+    /// actually sent and the depth returns to zero once all are taken.
+    #[test]
+    fn concurrent_drain_never_underflows_the_depth() {
+        const ROUNDS: u32 = 200;
+        const BURST: u32 = 100;
+        let (ring, mut ports) = live_ring::<u32>(2, 0);
+        let p1 = ports.remove(1);
+        let receiver = std::thread::spawn(move || {
+            let mut got = 0;
+            while got < ROUNDS * BURST {
+                if p1.try_recv().is_some() {
+                    got += 1;
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+        });
+        for round in 0..ROUNDS {
+            for i in 0..BURST {
+                ring.transmit(RingNodeId(0), RingNodeId(1), 4, round * BURST + i)
+                    .unwrap();
+            }
+            assert!(
+                ring.peak_queued() <= u64::from((round + 1) * BURST),
+                "peak {} after {} frames",
+                ring.peak_queued(),
+                (round + 1) * BURST
+            );
+        }
+        receiver.join().unwrap();
+        assert!(ring.peak_queued() <= u64::from(ROUNDS * BURST));
+        assert_eq!(ring.depths[1].load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -29,7 +29,11 @@
 //!   exempt: any future wake they receive carries the ringer's clock, which
 //!   is `>=` the frontier, so no event in their past can still be
 //!   generated). An actor that is still the minimum after advancing keeps
-//!   the token and never suspends.
+//!   the token and never suspends. The runnable actors sit in a binary
+//!   min-heap keyed by `(clock, actor_id)`, each at most once, so a grant
+//!   is one `O(log n)` pop. The holder's id lives in one atomic word,
+//!   written under the lock at every grant and read without it by the
+//!   executor and every token check.
 //! * **Rendezvous.** Ringing a [`Bell`] stamps the ring with the ringer's
 //!   clock and makes every actor blocked on that bell runnable *at the ring
 //!   time*: a woken waiter's clock jumps forward to the instant the work
@@ -37,8 +41,10 @@
 //!   ring timestamps are non-decreasing, so the first ring a blocked actor
 //!   receives is also the earliest — it can never miss an earlier event.
 //! * **Determinism.** One thread polls one future at a time, and which one
-//!   is a function of the registered order and the logical clocks alone.
-//!   Same config ⇒ byte-identical output, whatever the machine is doing.
+//!   is a function of the registered order and the logical clocks alone —
+//!   the heap's keys are unique, so its pop is the one minimum whatever
+//!   order the entries arrived in. Same config ⇒ byte-identical output,
+//!   whatever the machine is doing.
 //! * **Deadlock.** No token holder while an actor is still blocked: only
 //!   the executing actor rings, so no ring can ever arrive. The clock is
 //!   poisoned and [`ClockSystem::run_actors`] panics with a diagnostic. A
@@ -51,10 +57,11 @@
 //! a fraction of a second.
 
 use archsim::timings::ActivityKind;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
@@ -186,6 +193,9 @@ struct ActorSlot {
     mode: ActorMode,
 }
 
+/// The token word's value while no actor holds the execution token.
+const NO_HOLDER: usize = usize::MAX;
+
 #[derive(Debug)]
 struct VState {
     actors: Vec<ActorSlot>,
@@ -193,11 +203,11 @@ struct VState {
     /// Actors suspended on each bell, in arrival order — drained by
     /// [`Bell::ring`] without scanning the whole fleet.
     bell_waiters: Vec<Vec<usize>>,
-    /// The [`ActorMode::Waiting`] actors ordered by `(clock, id)`: the
-    /// grant is a `pop_first`, not a fleet scan.
-    ready: BTreeSet<(u64, usize)>,
-    /// The actor currently holding the execution token, if any.
-    executing: Option<usize>,
+    /// The [`ActorMode::Waiting`] actors, a min-heap on `(clock, id)`. An
+    /// actor is on it exactly while it is `Waiting`, so at most once: the
+    /// keys are unique, and the pop is the one minimum `(clock, id)` an
+    /// ordered set's first element would be.
+    ready: BinaryHeap<Reverse<(u64, usize)>>,
     /// Set when an actor is blocked and no token holder is left to ring it.
     poisoned: bool,
     /// Grants that moved the token to another actor.
@@ -208,36 +218,43 @@ impl VState {
     /// Moves an actor into [`ActorMode::Waiting`] and indexes it for the
     /// next grant.
     fn make_ready(&mut self, id: usize) {
+        debug_assert_ne!(
+            self.actors[id].mode,
+            ActorMode::Waiting,
+            "actor {id} is already on the ready heap"
+        );
         self.actors[id].mode = ActorMode::Waiting;
-        self.ready.insert((self.actors[id].clock_ns, id));
+        self.ready.push(Reverse((self.actors[id].clock_ns, id)));
     }
 
     /// `from` gives the execution token up: it goes to the
     /// minimum-`(clock, id)` runnable actor — `from` itself if it still is
     /// that — or, when only blocked actors remain, the clock is poisoned.
-    fn grant(&mut self, from: usize) {
+    /// The new holder (or [`NO_HOLDER`]) is published in `holder`.
+    fn grant(&mut self, from: usize, holder: &AtomicUsize) {
         debug_assert_eq!(
-            self.executing,
-            Some(from),
+            holder.load(Ordering::Relaxed),
+            from,
             "clock operation by an actor that does not hold the execution token"
         );
-        self.executing = None;
-        match self.ready.pop_first() {
-            Some((clock_ns, id)) => {
+        let next = match self.ready.pop() {
+            Some(Reverse((clock_ns, id))) => {
                 debug_assert_eq!(self.actors[id].clock_ns, clock_ns, "stale ready entry");
                 self.actors[id].mode = ActorMode::Executing;
-                self.executing = Some(id);
                 if id != from {
                     self.handoffs += 1;
                 }
+                id
             }
             None => {
                 self.poisoned = self
                     .actors
                     .iter()
                     .any(|a| matches!(a.mode, ActorMode::Blocked(_)));
+                NO_HOLDER
             }
-        }
+        };
+        holder.store(next, Ordering::Release);
     }
 }
 
@@ -249,6 +266,13 @@ enum Inner {
     },
     Virtual {
         state: Mutex<VState>,
+        /// The actor holding the execution token, or [`NO_HOLDER`]. Written
+        /// under the `state` lock at every grant; read without it by the
+        /// executor and every [`Token`] poll. The `Release` store pairs
+        /// with their `Acquire` loads, so a holder that sees its own id
+        /// also sees the clock state of the grant that chose it; loads
+        /// made under the lock may be `Relaxed`.
+        holder: AtomicUsize,
     },
 }
 
@@ -276,11 +300,11 @@ impl ClockSystem {
                     actors: Vec::new(),
                     bell_epochs: Vec::new(),
                     bell_waiters: Vec::new(),
-                    ready: BTreeSet::new(),
-                    executing: None,
+                    ready: BinaryHeap::new(),
                     poisoned: false,
                     handoffs: 0,
                 }),
+                holder: AtomicUsize::new(NO_HOLDER),
             },
         };
         Arc::new(ClockSystem {
@@ -294,7 +318,7 @@ impl ClockSystem {
     pub fn handoffs(&self) -> u64 {
         match &self.inner {
             Inner::Real { .. } => 0,
-            Inner::Virtual { state } => lock(state).handoffs,
+            Inner::Virtual { state, .. } => lock(state).handoffs,
         }
     }
 
@@ -315,7 +339,7 @@ impl ClockSystem {
     pub fn register(self: &Arc<Self>) -> ClockHandle {
         let actor = match &self.inner {
             Inner::Real { .. } => 0,
-            Inner::Virtual { state } => {
+            Inner::Virtual { state, holder } => {
                 let mut st = lock(state);
                 let id = st.actors.len();
                 st.actors.push(ActorSlot {
@@ -325,9 +349,9 @@ impl ClockSystem {
                 if id == 0 {
                     // The first actor starts with the token.
                     st.actors[0].mode = ActorMode::Executing;
-                    st.executing = Some(0);
+                    holder.store(0, Ordering::Release);
                 } else {
-                    st.ready.insert((0, id));
+                    st.ready.push(Reverse((0, id)));
                 }
                 id
             }
@@ -349,7 +373,7 @@ impl ClockSystem {
     /// With `virtual clock deadlock` when the token has nowhere to go while
     /// an actor is still blocked on a bell; on a real-mode clock.
     pub fn run_actors<T>(&self, mut actors: Vec<Actor<'_, T>>) -> Vec<T> {
-        let Inner::Virtual { state } = &self.inner else {
+        let Inner::Virtual { state, holder } = &self.inner else {
             panic!("run_actors needs a virtual clock");
         };
         assert_eq!(
@@ -359,7 +383,7 @@ impl ClockSystem {
         );
         let mut outputs: Vec<Option<T>> = actors.iter().map(|_| None).collect();
         let mut cx = Context::from_waker(Waker::noop());
-        let executing = || lock(state).executing;
+        let executing = || Some(holder.load(Ordering::Acquire)).filter(|&id| id != NO_HOLDER);
         while let Some(id) = executing() {
             // Pending: the actor passed the token on. Ready: it retired.
             if let Poll::Ready(output) = actors[id].as_mut().poll(&mut cx) {
@@ -422,10 +446,10 @@ impl Future for Token<'_> {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
-        let Inner::Virtual { state } = &self.0.sys.inner else {
+        let Inner::Virtual { holder, .. } = &self.0.sys.inner else {
             return Poll::Ready(());
         };
-        if lock(state).actors[self.0.actor].mode == ActorMode::Executing {
+        if holder.load(Ordering::Acquire) == self.0.actor {
             Poll::Ready(())
         } else {
             Poll::Pending
@@ -467,7 +491,7 @@ impl ClockHandle {
     pub fn now_ns(&self) -> u64 {
         match &self.sys.inner {
             Inner::Real { epoch } => epoch.elapsed().as_nanos() as u64,
-            Inner::Virtual { state } => lock(state).actors[self.actor].clock_ns,
+            Inner::Virtual { state, .. } => lock(state).actors[self.actor].clock_ns,
         }
     }
 
@@ -493,7 +517,7 @@ impl ClockHandle {
                 cell.requested_ns.fetch_add(ns, Ordering::Relaxed);
                 cell.actual_ns.fetch_add(actual, Ordering::Relaxed);
             }
-            Inner::Virtual { state } => self.advance(state, ns).await,
+            Inner::Virtual { state, holder } => self.advance(state, holder, ns).await,
         }
     }
 
@@ -503,18 +527,21 @@ impl ClockHandle {
     pub async fn sleep(&self, duration: Duration) {
         match &self.sys.inner {
             Inner::Real { .. } => std::thread::sleep(duration),
-            Inner::Virtual { state } => self.advance(state, duration.as_nanos() as u64).await,
+            Inner::Virtual { state, holder } => {
+                self.advance(state, holder, duration.as_nanos() as u64)
+                    .await
+            }
         }
     }
 
     /// Virtual clock advance: bump own clock, then pass the execution token
     /// on if another runnable actor now has a smaller `(clock, id)`.
-    async fn advance(&self, state: &Mutex<VState>, ns: u64) {
+    async fn advance(&self, state: &Mutex<VState>, holder: &AtomicUsize, ns: u64) {
         {
             let mut st = lock(state);
             st.actors[self.actor].clock_ns += ns;
             st.make_ready(self.actor);
-            st.grant(self.actor);
+            st.grant(self.actor, holder);
         }
         Token(self).await;
     }
@@ -533,7 +560,7 @@ impl ClockHandle {
                     .wait_timeout_while(guard, timeout, |s| *s == epoch)
                     .expect("bell lock");
             }
-            (Inner::Virtual { state }, BellInner::Virtual { id }) => {
+            (Inner::Virtual { state, holder }, BellInner::Virtual { id }) => {
                 {
                     let mut st = lock(state);
                     if st.bell_epochs[*id] != epoch {
@@ -541,7 +568,7 @@ impl ClockHandle {
                     }
                     st.actors[self.actor].mode = ActorMode::Blocked(*id);
                     st.bell_waiters[*id].push(self.actor);
-                    st.grant(self.actor);
+                    st.grant(self.actor, holder);
                 }
                 Token(self).await;
             }
@@ -552,10 +579,10 @@ impl ClockHandle {
     /// Retires the actor: it stops constraining the frontier. Call exactly
     /// once, as the actor's last clock operation.
     pub fn retire(&self) {
-        if let Inner::Virtual { state } = &self.sys.inner {
+        if let Inner::Virtual { state, holder } = &self.sys.inner {
             let mut st = lock(state);
             st.actors[self.actor].mode = ActorMode::Gone;
-            st.grant(self.actor);
+            st.grant(self.actor, holder);
         }
     }
 }
@@ -585,7 +612,7 @@ impl Bell {
                 seq: Mutex::new(0),
                 cv: Condvar::new(),
             },
-            Inner::Virtual { state } => {
+            Inner::Virtual { state, .. } => {
                 let mut st = lock(state);
                 st.bell_epochs.push(0);
                 st.bell_waiters.push(Vec::new());
@@ -608,7 +635,7 @@ impl Bell {
         match &self.inner {
             BellInner::Real { seq, .. } => *seq.lock().expect("bell lock"),
             BellInner::Virtual { id } => {
-                let Inner::Virtual { state } = &self.sys.inner else {
+                let Inner::Virtual { state, .. } = &self.sys.inner else {
                     unreachable!();
                 };
                 lock(state).bell_epochs[*id]
@@ -626,12 +653,13 @@ impl Bell {
                 cv.notify_all();
             }
             BellInner::Virtual { id } => {
-                let Inner::Virtual { state } = &self.sys.inner else {
+                let Inner::Virtual { state, holder } = &self.sys.inner else {
                     unreachable!();
                 };
                 let mut st = lock(state);
                 st.bell_epochs[*id] += 1;
-                let ringer = st.executing.expect("virtual ring outside an actor");
+                let ringer = holder.load(Ordering::Relaxed);
+                assert_ne!(ringer, NO_HOLDER, "virtual ring outside an actor");
                 let at = st.actors[ringer].clock_ns;
                 // Only this bell's waiters, in arrival order — no fleet scan.
                 let waiters = std::mem::take(&mut st.bell_waiters[*id]);

@@ -44,7 +44,7 @@ pub use env::{EnvError, LiveEnv};
 pub use hist::Histogram;
 
 use clock::{block_on, Actor, Bell, ClockSystem};
-use msgkernel::{Kernel, NodeId, Packet, PriorityList, ServiceAddr, Syscall};
+use msgkernel::{Kernel, NodeId, Packet, ServiceAddr, Syscall};
 use netsim::RingNodeId;
 use node::{HostCtx, MpCtx, NodeShared, Role};
 use shm::{NodeShm, TcbSlot};
@@ -156,8 +156,17 @@ pub struct RunReport {
     /// this clock.
     pub elapsed: Duration,
     /// Wall clock the run actually took, whatever the time base — the
-    /// virtual-time speedup is `elapsed / wall`.
+    /// virtual-time speedup is `elapsed / wall`. It is `setup + run +
+    /// teardown`.
     pub wall: Duration,
+    /// Wall clock spent building the fleet: kernels, services, tasks,
+    /// initial offers, shared memory and clock actors.
+    pub setup: Duration,
+    /// Wall clock from the first processor step to the last retire (thread
+    /// joins included under the real clock).
+    pub run: Duration,
+    /// Wall clock spent merging histograms and assembling this report.
+    pub teardown: Duration,
     /// Round trips per millisecond (the paper's Λ), aggregated over nodes.
     pub throughput_per_ms: f64,
     /// Round-trip latency distribution.
@@ -242,12 +251,7 @@ pub fn run(config: &Config) -> RunReport {
     let started = Instant::now();
     for node in 0..config.nodes {
         let (shm, buffer_queue) = NodeShm::for_arch(config.architecture, tasks, config.buffers);
-        let mut kernel = Kernel::with_queues(
-            NodeId(node),
-            Box::new(buffer_queue),
-            Box::new(PriorityList::default()),
-            Box::new(PriorityList::default()),
-        );
+        let mut kernel = Kernel::with_queues(NodeId(node), Box::new(buffer_queue));
 
         let mut services = Vec::with_capacity(n);
         for i in 0..n {
@@ -405,6 +409,7 @@ pub fn run(config: &Config) -> RunReport {
 
     // Phase 2: run. Each processor's first statement is attach(), so no
     // node code runs before it holds the execution token.
+    let run_started = Instant::now();
     let ((clean_shutdown, elapsed), buffer_stalls) = match config.clock {
         // One OS thread per processor, the driver on this one; real clock
         // operations complete inside the call, so each future is one poll.
@@ -438,6 +443,7 @@ pub fn run(config: &Config) -> RunReport {
             (drained.expect("the driver retired"), stalls)
         }
     };
+    let run_ended = Instant::now();
 
     let round_trips = round_trips.load(Ordering::Relaxed);
     let elapsed_ms = elapsed.as_secs_f64() * 1_000.0;
@@ -445,6 +451,14 @@ pub fn run(config: &Config) -> RunReport {
     for node_hist in &hists {
         hist.merge(node_hist);
     }
+    let latency = LatencySummary {
+        mean_us: hist.mean_us(),
+        p50_us: hist.quantile_us(0.50),
+        p95_us: hist.quantile_us(0.95),
+        p99_us: hist.quantile_us(0.99),
+        max_us: hist.max_us(),
+    };
+    let ended = Instant::now();
     RunReport {
         architecture: config.architecture,
         nodes: config.nodes,
@@ -453,19 +467,16 @@ pub fn run(config: &Config) -> RunReport {
         clock: config.clock,
         round_trips,
         elapsed,
-        wall: started.elapsed(),
+        wall: ended - started,
+        setup: run_started - started,
+        run: run_ended - run_started,
+        teardown: ended - run_ended,
         throughput_per_ms: if elapsed_ms > 0.0 {
             round_trips as f64 / elapsed_ms
         } else {
             0.0
         },
-        latency: LatencySummary {
-            mean_us: hist.mean_us(),
-            p50_us: hist.quantile_us(0.50),
-            p95_us: hist.quantile_us(0.95),
-            p99_us: hist.quantile_us(0.99),
-            max_us: hist.max_us(),
-        },
+        latency,
         buffer_stalls,
         ring_frames: ring.stats().frames,
         clean_shutdown,

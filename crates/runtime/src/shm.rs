@@ -36,7 +36,8 @@ pub struct NodeShm {
 impl NodeShm {
     /// Builds the shared memory for `arch` with `tasks` control blocks and
     /// `buffers` kernel buffers, returning the TCB image and the buffer
-    /// free list (already full) for [`msgkernel::Kernel::with_queues`].
+    /// free list (already full) for [`msgkernel::Kernel::with_queues`],
+    /// whose only pluggable queue it is.
     pub fn for_arch(arch: Architecture, tasks: u16, buffers: u16) -> (NodeShm, SharedBufferQueue) {
         let elements = tasks
             .checked_add(buffers)

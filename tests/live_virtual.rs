@@ -108,8 +108,10 @@ fn arch_iii_and_iv_virtual_local_runs_are_bitwise_identical() {
 
 /// The schedule itself, pinned by constants: the virtual clock's grant
 /// order is part of the contract (the benchmark checks these counts
-/// exactly), so a change to the clock or the node loops that reorders even
-/// one handoff fails here, not in an argument about equivalence. The
+/// exactly), so a change to the clock, the kernel or the node loops that
+/// reorders even one handoff fails here, not in an argument about
+/// equivalence. The latency quantiles are pinned to the bit as well: a
+/// changed delivery order can keep every count and still move them. The
 /// first two are the benchmark's `--quick` `deep` and `remote`.
 #[test]
 fn virtual_schedule_is_pinned_by_constants() {
@@ -129,12 +131,29 @@ fn virtual_schedule_is_pinned_by_constants() {
             report.ring_frames,
             report.peak_ring_queue,
             report.elapsed.as_millis(),
+            [
+                report.latency.p50_us.to_bits(),
+                report.latency.p99_us.to_bits(),
+                report.latency.max_us.to_bits(),
+            ],
         )
     };
     // Overloaded: 16 conversations on 8 buffers per node.
     assert_eq!(
         run(Architecture::SmartBus, 8, 16, 8, Locality::Local, 150),
-        (512, 6_914, 64, 0, 0, 199)
+        (
+            512,
+            6_914,
+            64,
+            0,
+            0,
+            199,
+            [
+                4_676_921_738_017_260_262,
+                4_677_038_660_450_261_839,
+                4_677_040_989_582_393_344
+            ]
+        )
     );
     assert_eq!(
         run(
@@ -145,14 +164,93 @@ fn virtual_schedule_is_pinned_by_constants() {
             Locality::NonLocal,
             1_000
         ),
-        (544, 10_448, 0, 1_088, 8, 1_023)
+        (
+            544,
+            10_448,
+            0,
+            1_088,
+            8,
+            1_023,
+            [
+                4_678_445_162_146_788_508,
+                4_678_660_484_997_956_239,
+                4_678_775_469_175_209_984
+            ]
+        )
     );
     // Zero-length load on the combined loop: one round trip per client.
-    let (round_trips, handoffs, stalls, frames, peak, _) =
+    let (round_trips, handoffs, stalls, frames, peak, _, latency) =
         run(Architecture::Uniprocessor, 3, 5, 2, Locality::NonLocal, 0);
     assert_eq!(
-        (round_trips, handoffs, stalls, frames, peak),
-        (15, 214, 0, 30, 5)
+        (round_trips, handoffs, stalls, frames, peak, latency),
+        (
+            15,
+            214,
+            0,
+            30,
+            5,
+            [
+                4_676_604_851_252_805_763,
+                4_676_821_637_012_652_032,
+                4_676_821_637_012_652_032
+            ]
+        )
+    );
+    // Many services per node on fewer buffers than conversations: 200
+    // services per kernel, so every delivery runs against a long service
+    // table, and the §3.2.3 shortage path parks sends throughout.
+    assert_eq!(
+        run(
+            Architecture::PartitionedSmartBus,
+            2,
+            200,
+            32,
+            Locality::Local,
+            1_000
+        ),
+        (
+            800,
+            11_438,
+            336,
+            0,
+            0,
+            1_239,
+            [
+                4_693_147_128_487_265_436,
+                4_693_563_484_777_480_024,
+                4_693_566_099_592_052_736
+            ]
+        )
+    );
+    // Non-local traffic on fewer buffers than conversations, where send
+    // packets find every buffer held: the kernel parks them and replays
+    // them from the buffer-release path. Architecture I, because it is the
+    // one whose single loop polls the ring while servers still wait in the
+    // host's queue; on II–IV the MP drains the communication list before
+    // the port, so every server has posted its receive before a packet is
+    // handled and no message ever queues.
+    assert_eq!(
+        run(
+            Architecture::Uniprocessor,
+            3,
+            24,
+            4,
+            Locality::NonLocal,
+            1_000
+        ),
+        (
+            354,
+            3_618,
+            0,
+            708,
+            24,
+            1_114,
+            [
+                4_686_880_091_986_624_279,
+                4_688_986_478_081_470_366,
+                4_689_041_196_926_894_080
+            ]
+        )
     );
 }
 
