@@ -35,7 +35,6 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("archII_local_4conv_cold", |b| {
         b.iter(|| {
             gtpn::engine::clear_cache();
-            gtpn::cache::clear();
             engine.analyze(&net).expect("fits budget").states()
         })
     });

@@ -119,32 +119,35 @@ fn main() -> ExitCode {
             engine.entries,
             engine.bytes as f64 / (1024.0 * 1024.0)
         );
-        let reach = gtpn::cache::stats();
+        let store = gtpn::engine::store_stats();
         eprintln!(
-            "reachability cache: {} hits, {} misses, {} evictions, {} dedup drops, {} entries, {:.1} MiB",
-            reach.hits,
-            reach.misses,
-            reach.evictions,
-            reach.dedup_drops,
-            reach.entries,
-            reach.bytes as f64 / (1024.0 * 1024.0)
+            "skeleton store: {} skeletons, {} sightings, {} evictions, {} dedup drops, {:.1} KiB",
+            store.skeletons,
+            store.sightings,
+            store.evictions,
+            store.dedup_drops,
+            store.bytes as f64 / 1024.0
         );
         // Where the exact backend's misses spent their time, summed over
         // every run of the process (seconds add up across sweep workers).
         let stages = gtpn::engine::stage_totals();
         eprintln!(
-            "exact solver stages: net compile {:.3} s, bfs {:.3} s, solve {:.3} s, delump {:.3} s; {} states, {} edges, {} sweeps, {} phase calls, {} phase configs",
+            "exact solver stages: net compile {:.3} s, bfs {:.3} s, reprice {:.3} s, solve {:.3} s, delump {:.3} s; {} replays, {} records, {} fallbacks, {} states, {} edges, {} sweeps, {} phase calls, {} phase configs",
             stages.net_compile_s,
             stages.bfs_s,
+            stages.reprice_s,
             stages.solve_s,
             stages.delump_s,
+            stages.replays,
+            stages.records,
+            stages.fallbacks,
             stages.states,
             stages.edges,
             stages.sweeps,
             stages.phase_calls,
             stages.phase_configs
         );
-        let json = timing_json(mode, threads, total_seconds, &timed, engine, reach);
+        let json = timing_json(mode, threads, total_seconds, &timed, engine);
         match std::fs::write("BENCH_solver.json", &json) {
             Ok(()) => eprintln!("wrote BENCH_solver.json"),
             Err(e) => eprintln!("could not write BENCH_solver.json: {e}"),
@@ -738,11 +741,10 @@ fn live_json(
 }
 
 /// Times one non-local n=4 fixed-point solve under an isolated engine with
-/// a `cores`-wide budget. The process-global reachability cache is cleared
-/// first and the engine carries a private solution cache, so neither the
-/// experiment run above nor the sibling measurement can feed this one.
+/// a `cores`-wide budget. The engine carries a private solution cache and
+/// skeleton store, so neither the experiment run above nor the sibling
+/// measurement can feed this one.
 fn nonlocal_n4_case(cores: usize) -> (f64, f64) {
-    gtpn::cache::clear();
     let engine = models::AnalysisEngine::new(models::EngineConfig {
         backend: models::BackendSel::Exact,
         tolerance: models::TOLERANCE,
@@ -765,10 +767,9 @@ fn nonlocal_n4_case(cores: usize) -> (f64, f64) {
 }
 
 /// Times the fig7.scale n=8 point both ways — the lumped exact quotient
-/// chain vs the DES estimator — under fresh engines with private caches,
-/// and reports the JSON fragment. Neither path touches the process-global
-/// reachability cache (lumped runs build their own quotient; DES builds no
-/// graph), so the measurement is isolated from the experiment run above.
+/// chain vs the DES estimator — under fresh engines with private caches
+/// and skeleton stores, and reports the JSON fragment, so the measurement
+/// is isolated from the experiment run above.
 fn fig7_scale_case() -> String {
     let x = 5_700.0;
     let mk = |backend: models::BackendSel, lump: gtpn::LumpSel| {
@@ -838,7 +839,6 @@ fn timing_json(
     total_seconds: f64,
     timed: &[(String, f64)],
     engine: gtpn::cache::CacheStats,
-    reach: gtpn::cache::CacheStats,
 ) -> String {
     // The solver benchmark: same model, same engine config, budgets of 1
     // and `threads.max(8)` cores. The results must agree to the bit —
@@ -892,7 +892,6 @@ fn timing_json(
             "  \"physical_cores\": {physical},\n",
             "  \"total_seconds\": {total:.4},\n",
             "  \"engine_cache\": {engine},\n",
-            "  \"reachability_cache\": {reach},\n",
             "  \"nonlocal_n4\": {{\n",
             "    \"description\": \"§6.6.3 fixed point, arch II, n=4, x=0: one solve under a 1-core budget vs a {cores}-core budget (uncached; results bit-identical)\",\n",
             "    \"serial_seconds\": {serial:.4},\n",
@@ -910,7 +909,6 @@ fn timing_json(
         physical = physical,
         total = total_seconds,
         engine = cache(engine),
-        reach = cache(reach),
         cores = bench_cores,
         serial = serial_s,
         par = par_s,

@@ -1,57 +1,62 @@
-//! Memoizing cache for reachability graphs.
+//! Cache bounds, eviction partitions, and the store of chain skeletons.
 //!
-//! The paper's evaluation re-analyzes the same nets constantly: a sweep
-//! over conversations × architectures × offered loads rebuilds the
-//! Figure 6.9/6.12 nets point by point, several figures share points
-//! outright (6.17 and 6.20 both solve architecture III at max load), and
-//! the §6.6.3 non-local fixed point iterates over structurally identical
-//! client/server nets. Reachability expansion dominates those solves, so
-//! [`reachability`] memoizes graphs keyed by the net's structure.
+//! The paper's evaluation solves the same nets over and over with one rate
+//! changed: the §6.6.3 non-local fixed point re-solves the client and
+//! server nets with a new surrogate delay on every iteration, and the §6.7
+//! realistic-load figures sweep the server time X. In both only the
+//! constant frequency of a geometric stage moves (§6.6.1: exit `1/mean`,
+//! loop `1 − 1/mean`); the chain's states, edge targets and control flow
+//! stay put. The engine's solution cache ([`crate::engine`]) cannot help —
+//! a new rate is a new net — so the exact backend keeps a skeleton store
+//! beside it instead: chain skeletons (`reach::Skeleton`) keyed by the
+//! net's rate-free shape (`compiled::Shape`). A net whose shape is on the
+//! shelf is *re-priced*: the skeleton's tape of instantaneous-phase
+//! arithmetic is replayed under the new rates, with no kernel, sort-merge
+//! or interning, and yields the fresh build's chain bit for bit. A replay
+//! whose probabilities would fall on the other side of the probability
+//! floor than the recording's falls back to a fresh build (and counts it).
 //!
-//! Keys are a 64-bit structural fingerprint (places, arcs, delays,
-//! frequency expressions with exact bit-pattern float hashing) verified by
-//! full structural equality ([`Net`]'s `PartialEq`), so fingerprint
-//! collisions cannot alias two different nets. Values are
-//! `Arc<ReachabilityGraph>`, shared freely across sweep worker threads.
+//! A shape is *recorded* on its second sighting, so one-off builds (the
+//! `fig7.scale` points, the benchmark's `scale`) never pay for a tape, and
+//! not at all when its first build's size shows the skeleton cannot fit
+//! the byte budget. Hits are verified by full key equality, never by
+//! hash alone. Nets whose frequencies are not re-priceable (only
+//! constants and `If` trees of them are) are never recorded.
 //!
 //! # Bounding and eviction
 //!
-//! The cache is process-global and bounded by **resident bytes**
-//! ([`CacheLimits::max_bytes`], `HSIPC_CACHE_MB`, default 256 MiB) and
-//! optionally by entry count (`HSIPC_CACHE_CAP`; unset means unbounded,
-//! `0` disables caching entirely). Graph sizes vary by four orders of
-//! magnitude across the evaluation grids, so a byte budget is the quantity
-//! that actually protects the machine — the old fixed 256-entry cap made
-//! one figure's large grid evict another figure's still-hot points.
-//!
-//! Eviction is least-recently-used via an intrusive doubly-linked list
-//! ([`crate::lru`]): O(1) per eviction instead of the old O(entries)
-//! full-map scan. Entries are additionally tagged with the **partition**
-//! (experiment id, see [`partition_scope`]) that inserted them, and the
-//! victim search prefers the inserting partition's own oldest entry — a
-//! sweep that overflows the budget eats its own tail rather than a
-//! neighbor figure's.
+//! The solution cache and the store beside it are each bounded by
+//! **resident bytes** ([`CacheLimits::max_bytes`], `HSIPC_CACHE_MB`,
+//! default 1 GiB) and optionally by entry count (`HSIPC_CACHE_CAP`; unset
+//! means unbounded, `0` disables caching — and with it re-pricing —
+//! entirely). Eviction is least-recently-used via an intrusive doubly-linked
+//! list (`lru`), O(1) per eviction. Entries are tagged with the
+//! **partition** (experiment id, see [`partition_scope`]) that inserted
+//! them, and the victim search prefers the inserting partition's own oldest
+//! entry — a sweep that overflows the budget eats its own tail rather than
+//! a neighbor figure's.
 //!
 //! # Environment latching
 //!
-//! Limits are read from the environment **when a cache instance is
-//! constructed** — once for this process-global cache (first use or
-//! [`clear`], which reconstructs it), and once per private engine cache
-//! ([`crate::engine::AnalysisEngine::with_cache`]). There is deliberately
-//! no process-global `OnceLock` latch: an engine cache built after the
-//! environment changes sees the new values. The engine-level solution
-//! cache reports the same counter set ([`CacheStats`]).
+//! Limits are read from the environment **when a cache is constructed** —
+//! the engine's global caches at first use or
+//! [`crate::engine::clear_cache`], a private engine's at
+//! [`crate::engine::AnalysisEngine::with_cache`]. There is deliberately no
+//! process-global latch: a cache built after the environment changes sees
+//! the new values.
 
+use crate::compiled::Shape;
 use crate::error::GtpnError;
-use crate::expr::Expr;
 use crate::lru::BoundedLru;
 use crate::net::Net;
-use crate::reach::ReachabilityGraph;
+use crate::par::ParallelBudget;
+use crate::reach::{Packed, ReachabilityGraph, Skeleton};
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Default resident-byte budget (mebibytes) when `HSIPC_CACHE_MB` is unset.
 ///
@@ -155,113 +160,10 @@ pub fn partition_scope<R>(label: &str, f: impl FnOnce() -> R) -> R {
 }
 
 // ---------------------------------------------------------------------------
-// The global reachability cache
+// Counters
 // ---------------------------------------------------------------------------
 
-struct Entry {
-    fp: u64,
-    net: Net,
-    graph: Arc<ReachabilityGraph>,
-}
-
-struct CacheInner {
-    /// fingerprint -> slot indices with that fingerprint (collision chain).
-    map: HashMap<u64, Vec<usize>>,
-    lru: BoundedLru<Entry>,
-    limits: CacheLimits,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    dedup_drops: u64,
-}
-
-impl CacheInner {
-    fn new(limits: CacheLimits) -> CacheInner {
-        CacheInner {
-            map: HashMap::new(),
-            lru: BoundedLru::new(),
-            limits,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            dedup_drops: 0,
-        }
-    }
-
-    /// Finds a resident graph for `net` that fits `max_states`.
-    fn probe(&self, fp: u64, net: &Net, max_states: usize) -> Option<usize> {
-        let chain = self.map.get(&fp)?;
-        chain.iter().copied().find(|&idx| {
-            let e = self.lru.get(idx);
-            e.graph.state_count() <= max_states && e.net == *net
-        })
-    }
-
-    /// Evicts the preferred victim (current partition's oldest, else the
-    /// global LRU). Returns false on an empty cache.
-    fn evict_one(&mut self) -> bool {
-        let Some(idx) = self.lru.victim(current_partition()) else {
-            return false;
-        };
-        let entry = self.lru.remove(idx);
-        let chain = self.map.get_mut(&entry.fp).expect("chained entry");
-        chain.retain(|&i| i != idx);
-        if chain.is_empty() {
-            self.map.remove(&entry.fp);
-        }
-        self.evictions += 1;
-        true
-    }
-
-    /// Inserts a freshly built graph — unless another worker raced us here
-    /// on the same net, in which case the duplicate is dropped and the
-    /// first `Arc` is shared (`dedup_drops` counts these).
-    fn insert_or_share(
-        &mut self,
-        fp: u64,
-        net: &Net,
-        graph: Arc<ReachabilityGraph>,
-        max_states: usize,
-    ) -> Arc<ReachabilityGraph> {
-        if let Some(idx) = self.probe(fp, net, max_states) {
-            self.dedup_drops += 1;
-            let shared = Arc::clone(&self.lru.get(idx).graph);
-            self.lru.touch(idx);
-            return shared;
-        }
-        let bytes = entry_cost(net, &graph);
-        if bytes > self.limits.max_bytes {
-            // Bigger than the whole budget: serve it uncached.
-            return graph;
-        }
-        while self.lru.len() >= self.limits.max_entries
-            || self.lru.bytes() + bytes > self.limits.max_bytes
-        {
-            if !self.evict_one() {
-                break;
-            }
-        }
-        let idx = self.lru.insert(
-            Entry {
-                fp,
-                net: net.clone(),
-                graph: Arc::clone(&graph),
-            },
-            bytes,
-            current_partition(),
-        );
-        self.map.entry(fp).or_default().push(idx);
-        graph
-    }
-}
-
-fn cache() -> &'static Mutex<CacheInner> {
-    static CACHE: OnceLock<Mutex<CacheInner>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(CacheInner::new(CacheLimits::from_env())))
-}
-
-/// Hit/miss/eviction counters of a bounded cache. Shared by the
-/// reachability cache ([`stats`]) and the engine solution cache
+/// Hit/miss/eviction counters of the engine solution cache
 /// ([`crate::engine::cache_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
@@ -280,98 +182,283 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
-/// Current statistics of the global reachability cache.
-pub fn stats() -> CacheStats {
-    let c = cache().lock().expect("reachability cache poisoned");
-    CacheStats {
-        hits: c.hits,
-        misses: c.misses,
-        evictions: c.evictions,
-        dedup_drops: c.dedup_drops,
-        entries: c.lru.len(),
-        bytes: c.lru.bytes(),
+/// What a skeleton store holds ([`crate::engine::store_stats`]). How
+/// often it was used — replays, records, fallbacks — is in the exact
+/// solver's [`StageLedger`](crate::engine::StageLedger).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreStats {
+    /// Recorded skeletons resident.
+    pub skeletons: usize,
+    /// Shapes seen once and not (yet) recorded.
+    pub sightings: usize,
+    /// Entries dropped to make room.
+    pub evictions: u64,
+    /// Recordings dropped because a racing worker shelved one first.
+    pub dedup_drops: u64,
+    /// Resident bytes of every entry.
+    pub bytes: usize,
+}
+
+// ---------------------------------------------------------------------------
+// The skeleton store
+// ---------------------------------------------------------------------------
+
+/// What the store knows of one shape.
+#[derive(Debug)]
+enum Sighting {
+    /// Built once; recording it would cost at least this many bytes.
+    Seen {
+        least: usize,
+    },
+    Recorded(Arc<Skeleton>),
+}
+
+/// One shelved shape: the key it is verified by — its [`Shape`] key and
+/// whether the chain is lumped — and what is known of it.
+#[derive(Debug)]
+struct Shelf {
+    hash: u64,
+    key: Vec<u64>,
+    sighting: Sighting,
+}
+
+impl Shelf {
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Shelf>()
+            + 8 * self.key.len()
+            + match &self.sighting {
+                Sighting::Seen { .. } => 0,
+                Sighting::Recorded(skeleton) => skeleton.bytes(),
+            }
     }
 }
 
-/// Empties the global cache (counters included) and re-reads the limits
-/// from the environment — equivalent to constructing it anew. Test
-/// isolation aid.
-pub fn clear() {
-    let mut c = cache().lock().expect("reachability cache poisoned");
-    *c = CacheInner::new(CacheLimits::from_env());
+/// Chain skeletons by rate-free shape; see the module docs.
+#[derive(Debug)]
+pub(crate) struct SkeletonStore {
+    /// Key hash → slots in `lru` with that hash (a collision chain).
+    map: HashMap<u64, Vec<usize>>,
+    lru: BoundedLru<Shelf>,
+    limits: CacheLimits,
+    evictions: u64,
+    dedup_drops: u64,
 }
 
-/// As [`Net::reachability`], memoized on the net's structure.
-///
-/// A cached graph is returned only when its state count fits the caller's
-/// `max_states` budget; otherwise the graph is rebuilt under that budget
-/// (and the rebuild reports [`GtpnError::StateSpaceExceeded`] exactly as
-/// the uncached path would). Failed expansions are not cached.
+/// What to do for one build, as the store sees the net's shape.
+enum Plan {
+    /// Re-price this skeleton.
+    Replay(Arc<Skeleton>),
+    /// Second sighting: build and record.
+    Record,
+    /// First sighting: build, then shelve the sighting.
+    Sight,
+    /// Build; nothing to shelve.
+    Build,
+}
+
+impl SkeletonStore {
+    pub(crate) fn new(limits: CacheLimits) -> SkeletonStore {
+        SkeletonStore {
+            map: HashMap::new(),
+            lru: BoundedLru::new(),
+            limits,
+            evictions: 0,
+            dedup_drops: 0,
+        }
+    }
+
+    pub(crate) fn stats(&self) -> StoreStats {
+        let skeletons = self
+            .map
+            .values()
+            .flatten()
+            .filter(|&&i| matches!(self.lru.get(i).sighting, Sighting::Recorded(_)))
+            .count();
+        StoreStats {
+            skeletons,
+            sightings: self.lru.len() - skeletons,
+            evictions: self.evictions,
+            dedup_drops: self.dedup_drops,
+            bytes: self.lru.bytes(),
+        }
+    }
+
+    fn find(&self, hash: u64, key: &[u64]) -> Option<usize> {
+        let chain = self.map.get(&hash)?;
+        chain.iter().copied().find(|&i| self.lru.get(i).key == key)
+    }
+
+    fn plan(&mut self, hash: u64, key: &[u64], max_states: usize) -> Plan {
+        let Some(i) = self.find(hash, key) else {
+            return Plan::Sight;
+        };
+        self.lru.touch(i);
+        match &self.lru.get(i).sighting {
+            Sighting::Recorded(skeleton) if skeleton.state_count() <= max_states => {
+                Plan::Replay(Arc::clone(skeleton))
+            }
+            Sighting::Seen { least } if *least <= self.limits.max_bytes => Plan::Record,
+            _ => Plan::Build,
+        }
+    }
+
+    /// Shelves what a build learned. A recording replaces its shape's
+    /// sighting; a second recording of the same shape (a racing worker's)
+    /// is dropped; a skeleton over the whole budget is shelved as a
+    /// sighting of its real size, so the shape is not recorded again.
+    fn shelve(&mut self, shelf: Shelf) {
+        if let Some(i) = self.find(shelf.hash, &shelf.key) {
+            match (&self.lru.get(i).sighting, &shelf.sighting) {
+                (Sighting::Recorded(_), Sighting::Recorded(_)) => {
+                    self.dedup_drops += 1;
+                    self.lru.touch(i);
+                    return;
+                }
+                (Sighting::Seen { .. }, Sighting::Recorded(_)) => self.remove(i),
+                _ => {
+                    self.lru.touch(i);
+                    return;
+                }
+            }
+        }
+        let bytes = shelf.bytes();
+        if bytes > self.limits.max_bytes {
+            if let Sighting::Recorded(_) = shelf.sighting {
+                self.shelve(Shelf {
+                    sighting: Sighting::Seen { least: bytes },
+                    ..shelf
+                });
+            }
+            return;
+        }
+        while self.lru.len() >= self.limits.max_entries
+            || self.lru.bytes() + bytes > self.limits.max_bytes
+        {
+            let Some(victim) = self.lru.victim(current_partition()) else {
+                break;
+            };
+            self.remove(victim);
+            self.evictions += 1;
+        }
+        let hash = shelf.hash;
+        let i = self.lru.insert(shelf, bytes, current_partition());
+        self.map.entry(hash).or_default().push(i);
+    }
+
+    fn remove(&mut self, i: usize) {
+        let shelf = self.lru.remove(i);
+        let chain = self.map.get_mut(&shelf.hash).expect("chained shelf");
+        chain.retain(|&j| j != i);
+        if chain.is_empty() {
+            self.map.remove(&shelf.hash);
+        }
+    }
+}
+
+/// A chain as the exact backend solves it.
+pub(crate) struct Chain {
+    pub(crate) graph: ReachabilityGraph,
+    /// The lumped chain's rows of conditional expectations; empty for a
+    /// raw chain.
+    pub(crate) rows: Vec<f64>,
+    /// `graph.shape_fingerprint()`, carried over from the skeleton when the
+    /// chain was re-priced.
+    pub(crate) shape: u64,
+}
+
+/// Builds the raw or `lumped` chain of `net` within `max_states` states,
+/// re-pricing a skeleton from `store` when one of the net's shape is
+/// shelved and fits the budget, recording one on the shape's second
+/// sighting. The result is the fresh build's, bit for bit, whichever road
+/// it took; its [`BuildStats`](crate::reach) say which.
 ///
 /// # Errors
 ///
-/// Exactly those of [`Net::reachability`].
-pub fn reachability(net: &Net, max_states: usize) -> Result<Arc<ReachabilityGraph>, GtpnError> {
-    reachability_budgeted(net, max_states, &crate::par::ParallelBudget::serial())
-}
-
-/// As [`reachability`], expanding cache misses with extra worker threads
-/// claimed from `par` ([`Net::reachability_budgeted`]). The parallel build
-/// is byte-identical to the serial one, so hits and misses — and cached
-/// values produced under any budget — are interchangeable.
-///
-/// # Errors
-///
-/// Exactly those of [`Net::reachability`].
-pub fn reachability_budgeted(
+/// Those of [`Net::reachability`] (or the lumped build).
+pub(crate) fn build_chain(
+    store: Option<&Mutex<SkeletonStore>>,
     net: &Net,
+    lumped: bool,
     max_states: usize,
-    par: &crate::par::ParallelBudget,
-) -> Result<Arc<ReachabilityGraph>, GtpnError> {
-    let fp = fingerprint(net);
-    {
-        let mut c = cache().lock().expect("reachability cache poisoned");
-        if c.limits.disabled() {
-            c.misses += 1;
-            drop(c);
-            return Ok(Arc::new(net.reachability_budgeted(max_states, par)?));
-        }
-        if let Some(idx) = c.probe(fp, net, max_states) {
-            c.hits += 1;
-            let graph = Arc::clone(&c.lru.get(idx).graph);
-            c.lru.touch(idx);
-            return Ok(graph);
-        }
-        c.misses += 1;
+    par: &ParallelBudget,
+) -> Result<Chain, GtpnError> {
+    fn lock(store: &Mutex<SkeletonStore>) -> MutexGuard<'_, SkeletonStore> {
+        store.lock().expect("skeleton store poisoned")
     }
+    let store = store.filter(|store| !lock(store).limits.disabled());
+    let (Some(store), Some(shape)) = (store, store.and_then(|_| Shape::of(net))) else {
+        let (graph, rows, _) = fresh(net, lumped, max_states, par, false)?;
+        let shape = graph.shape_fingerprint();
+        return Ok(Chain { graph, rows, shape });
+    };
+    let Shape { mut key, rates } = shape;
+    key.push(u64::from(lumped));
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    let hash = h.finish();
+    let plan = lock(store).plan(hash, &key, max_states);
 
-    // Expand outside the lock: big nets take a while and other workers may
-    // be solving different points meanwhile. Two threads racing on the same
-    // net both expand; `insert_or_share` drops the loser's duplicate and
-    // hands it the winner's Arc.
-    let graph = Arc::new(net.reachability_budgeted(max_states, par)?);
-    let mut c = cache().lock().expect("reachability cache poisoned");
-    Ok(c.insert_or_share(fp, net, graph, max_states))
+    let started = Instant::now();
+    if let Plan::Replay(skeleton) = &plan {
+        if let Ok((mut graph, rows)) = skeleton.replay(net, &rates) {
+            graph.build.reprice_s = started.elapsed().as_secs_f64();
+            return Ok(Chain {
+                graph,
+                rows,
+                shape: skeleton.shape_fingerprint,
+            });
+        }
+    }
+    let reprice_s = started.elapsed().as_secs_f64();
+    let record = matches!(plan, Plan::Record);
+    let (mut graph, rows, tape) = fresh(net, lumped, max_states, par, record)?;
+    let shelf = |sighting| Shelf {
+        hash,
+        key,
+        sighting,
+    };
+    let fingerprint = match plan {
+        Plan::Replay(_) => {
+            graph.build.reprice_s = reprice_s;
+            graph.build.fallbacks = 1;
+            graph.shape_fingerprint()
+        }
+        Plan::Record => {
+            graph.build.records = 1;
+            let skeleton = Arc::new(Skeleton::new(&graph, tape, lumped));
+            let fingerprint = skeleton.shape_fingerprint;
+            lock(store).shelve(shelf(Sighting::Recorded(skeleton)));
+            fingerprint
+        }
+        Plan::Sight => {
+            let least = Skeleton::least_bytes(&graph);
+            lock(store).shelve(shelf(Sighting::Seen { least }));
+            graph.shape_fingerprint()
+        }
+        Plan::Build => graph.shape_fingerprint(),
+    };
+    Ok(Chain {
+        graph,
+        rows,
+        shape: fingerprint,
+    })
 }
 
-/// Structural fingerprint of a net: everything that determines its
-/// reachability graph (names excluded — they are labels, not structure;
-/// the equality check compares them anyway via `PartialEq`).
-pub fn fingerprint(net: &Net) -> u64 {
-    let mut h = DefaultHasher::new();
-    net.place_count().hash(&mut h);
-    for marking in net.initial_marking() {
-        marking.hash(&mut h);
+/// A fresh build of the raw or lumped chain, recording its tape or not.
+fn fresh(
+    net: &Net,
+    lumped: bool,
+    max_states: usize,
+    par: &ParallelBudget,
+    record: bool,
+) -> Result<(ReachabilityGraph, Vec<f64>, Packed), GtpnError> {
+    if lumped {
+        let (chain, tape) = crate::lump::lumped_chain(net, max_states, par, record)?;
+        Ok((chain.graph, chain.rows, tape))
+    } else {
+        let (graph, tape) = crate::reach::raw_chain(net, max_states, par, record)?;
+        Ok((graph, Vec::new(), tape))
     }
-    net.transition_count().hash(&mut h);
-    for t in &net.transitions {
-        t.delay.hash(&mut h);
-        t.resource.hash(&mut h);
-        t.inputs.hash(&mut h);
-        t.outputs.hash(&mut h);
-        hash_expr(&t.frequency, &mut h);
-    }
-    h.finish()
 }
 
 /// A rough resident-byte estimate for a net retained in a cache entry.
@@ -381,66 +468,20 @@ pub(crate) fn net_bytes(net: &Net) -> usize {
     64 * net.place_count() + 256 * net.transition_count()
 }
 
-/// Resident cost of one reachability-cache entry: the graph plus the
-/// retained verification copy of the net.
-fn entry_cost(net: &Net, graph: &ReachabilityGraph) -> usize {
-    graph.resident_bytes() + net_bytes(net)
-}
-
-/// Hashes an expression tree; floats hash by bit pattern so distinct
-/// timings produce distinct fingerprints. Shared with the canonical-net
-/// fingerprint ([`crate::canonical`]).
-pub(crate) fn hash_expr(e: &Expr, h: &mut DefaultHasher) {
-    match e {
-        Expr::Const(v) => {
-            0u8.hash(h);
-            v.to_bits().hash(h);
-        }
-        Expr::Tokens(p) => {
-            1u8.hash(h);
-            p.0.hash(h);
-        }
-        Expr::Firing(t) => {
-            2u8.hash(h);
-            t.0.hash(h);
-        }
-        Expr::Add(a, b) => hash_pair(3, a, b, h),
-        Expr::Sub(a, b) => hash_pair(4, a, b, h),
-        Expr::Mul(a, b) => hash_pair(5, a, b, h),
-        Expr::Div(a, b) => hash_pair(6, a, b, h),
-        Expr::Eq(a, b) => hash_pair(7, a, b, h),
-        Expr::Lt(a, b) => hash_pair(8, a, b, h),
-        Expr::Le(a, b) => hash_pair(9, a, b, h),
-        Expr::And(a, b) => hash_pair(10, a, b, h),
-        Expr::Or(a, b) => hash_pair(11, a, b, h),
-        Expr::Not(a) => {
-            12u8.hash(h);
-            hash_expr(a, h);
-        }
-        Expr::If(c, a, b) => {
-            13u8.hash(h);
-            hash_expr(c, h);
-            hash_expr(a, h);
-            hash_expr(b, h);
-        }
-    }
-}
-
-fn hash_pair(tag: u8, a: &Expr, b: &Expr, h: &mut DefaultHasher) {
-    tag.hash(h);
-    hash_expr(a, h);
-    hash_expr(b, h);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::Transition;
-    use crate::test_serial as isolate;
+    use crate::expr::Expr;
+    use crate::net::{PlaceId, Transition};
+    use crate::reach::arbitrary::TransitionSpec;
+    use crate::reach::assert_graphs_identical;
+    use proptest::prelude::*;
 
-    fn ring(freq: f64) -> Net {
+    /// A geometric stage racing a zero-delay recycle: exit `freq`, loop
+    /// `1 − freq`, `tokens` tokens — each token count a shape of its own.
+    fn ring(tokens: u32, freq: f64) -> Net {
         let mut net = Net::new("ring");
-        let p = net.add_place("P", 1);
+        let p = net.add_place("P", tokens);
         let q = net.add_place("Q", 0);
         net.add_transition(
             Transition::new("exit")
@@ -463,167 +504,379 @@ mod tests {
         net
     }
 
-    fn set_limits(limits: CacheLimits) {
-        cache().lock().unwrap().limits = limits;
+    fn bounded(max_entries: usize, max_bytes: usize) -> Mutex<SkeletonStore> {
+        Mutex::new(SkeletonStore::new(CacheLimits {
+            max_entries,
+            max_bytes,
+        }))
     }
 
+    fn unbounded() -> Mutex<SkeletonStore> {
+        bounded(usize::MAX, usize::MAX)
+    }
+
+    fn build(store: &Mutex<SkeletonStore>, net: &Net, lumped: bool) -> Chain {
+        build_chain(Some(store), net, lumped, 10_000, &ParallelBudget::serial()).unwrap()
+    }
+
+    /// `(replays, records, fallbacks)` of a chain's build.
+    fn road(chain: &Chain) -> (u64, u64, u64) {
+        let b = chain.graph.build;
+        (b.replays, b.records, b.fallbacks)
+    }
+
+    /// A chain built by the store is the fresh build's, rows included.
+    fn assert_fresh(chain: &Chain, net: &Net, lumped: bool) {
+        let (graph, rows, _) =
+            fresh(net, lumped, 10_000, &ParallelBudget::serial(), false).unwrap();
+        assert_graphs_identical(&chain.graph, &graph);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&chain.rows), bits(&rows), "rows drifted");
+        assert_eq!(chain.shape, graph.shape_fingerprint());
+    }
+
+    /// A shape is shelved as a sighting on its first build, recorded on
+    /// its second and re-priced from then on, raw and lumped alike.
     #[test]
-    fn identical_nets_share_one_graph() {
-        let _gate = isolate();
-        clear();
-        let a = reachability(&ring(0.25), 100).unwrap();
-        let b = reachability(&ring(0.25), 100).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must be a cache hit");
-        let s = stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert_eq!(s.evictions, 0);
-        assert!(s.bytes > 0, "resident bytes should be accounted");
+    fn a_shape_records_on_its_second_sighting() {
+        for lumped in [false, true] {
+            let store = unbounded();
+            let net = ring(2, 0.25);
+            assert_eq!(road(&build(&store, &net, lumped)), (0, 0, 0));
+            let s = lock_stats(&store);
+            assert_eq!((s.skeletons, s.sightings), (0, 1));
+            assert_eq!(road(&build(&store, &net, lumped)), (0, 1, 0));
+            assert_eq!(lock_stats(&store).skeletons, 1);
+            let replayed = build(&store, &net, lumped);
+            assert_eq!(road(&replayed), (1, 0, 0));
+            assert_fresh(&replayed, &net, lumped);
+            let s = lock_stats(&store);
+            assert_eq!((s.skeletons, s.sightings, s.evictions), (1, 0, 0));
+            assert!(s.bytes > 0, "resident bytes should be accounted");
+        }
     }
 
+    fn lock_stats(store: &Mutex<SkeletonStore>) -> StoreStats {
+        store.lock().unwrap().stats()
+    }
+
+    /// New timings of one shape share its skeleton: the re-priced chain
+    /// has the new rates' probabilities — the fresh build's bits — on the
+    /// old chain's states and edges.
     #[test]
-    fn different_timings_are_distinct_entries() {
-        let _gate = isolate();
-        clear();
-        let a = reachability(&ring(0.25), 100).unwrap();
-        let b = reachability(&ring(0.125), 100).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_ne!(fingerprint(&ring(0.25)), fingerprint(&ring(0.125)));
-        // Same shape, same state space; different edge probabilities.
-        assert_eq!(a.state_count(), b.state_count());
-        let pa: Vec<f64> = a.out_edges(0).iter().map(|&(_, p)| p).collect();
-        let pb: Vec<f64> = b.out_edges(0).iter().map(|&(_, p)| p).collect();
-        assert_ne!(pa, pb);
+    fn different_timings_share_one_skeleton() {
+        let store = unbounded();
+        build(&store, &ring(3, 0.25), true);
+        build(&store, &ring(3, 0.125), true);
+        let a = build(&store, &ring(3, 0.5), true);
+        let b = build(&store, &ring(3, 0.0625), true);
+        assert_eq!((road(&a), road(&b)), ((1, 0, 0), (1, 0, 0)));
+        assert_fresh(&a, &ring(3, 0.5), true);
+        assert_fresh(&b, &ring(3, 0.0625), true);
+        let probs = |c: &Chain| -> Vec<u64> {
+            (0..c.graph.state_count())
+                .flat_map(|i| c.graph.out_edges(i).iter().map(|&(_, p)| p.to_bits()))
+                .collect()
+        };
+        assert_ne!(probs(&a), probs(&b));
+        assert_eq!(lock_stats(&store).skeletons, 1);
     }
 
+    /// A skeleton larger than the caller's state budget is not replayed:
+    /// the fresh build reports the budget exactly as without a store.
     #[test]
     fn budget_still_enforced_on_hit_path() {
-        let _gate = isolate();
-        clear();
-        let net = ring(0.5);
-        let g = reachability(&net, 100).unwrap();
-        assert!(g.state_count() > 1);
-        // A budget below the cached graph's size must error, not hit.
-        let err = reachability(&net, 1).unwrap_err();
-        assert!(matches!(err, GtpnError::StateSpaceExceeded { limit: 1 }));
+        let store = unbounded();
+        let net = ring(2, 0.5);
+        build(&store, &net, false);
+        let recorded = build(&store, &net, false);
+        assert!(recorded.graph.state_count() > 1);
+        let err = build_chain(Some(&store), &net, false, 1, &ParallelBudget::serial());
+        assert!(matches!(
+            err.err(),
+            Some(GtpnError::StateSpaceExceeded { limit: 1 })
+        ));
     }
 
+    /// A re-priced chain solves to the fresh chain's solution, bit for bit.
     #[test]
     fn cached_solution_matches_fresh_solution() {
-        let _gate = isolate();
-        clear();
-        let net = ring(0.1);
+        let store = unbounded();
+        build(&store, &ring(2, 0.3), false);
+        build(&store, &ring(2, 0.2), false);
+        let net = ring(2, 0.1);
+        let replayed = build(&store, &net, false);
+        assert_eq!(road(&replayed), (1, 0, 0));
         let fresh = net
             .reachability(100)
             .unwrap()
             .solve(1e-13, 100_000)
             .unwrap();
-        let cached = reachability(&net, 100)
-            .unwrap()
-            .solve(1e-13, 100_000)
-            .unwrap();
+        let cached = replayed.graph.solve(1e-13, 100_000).unwrap();
         assert_eq!(
             fresh.state_probabilities(),
             cached.state_probabilities(),
-            "cache must not change results"
+            "re-pricing must not change results"
         );
     }
 
     #[test]
     fn recently_used_entries_survive_eviction() {
-        let _gate = isolate();
-        clear();
         let cap = 4;
-        set_limits(CacheLimits {
-            max_entries: cap,
-            max_bytes: usize::MAX,
-        });
-        // Distinct frequencies i/10007 never collide with the other tests'
-        // 0.25 / 0.125 / 0.5 / 0.1 rings.
-        let freq = |i: usize| (i + 1) as f64 / 10007.0;
-        // Fill to capacity.
-        for i in 0..cap {
-            reachability(&ring(freq(i)), 100).unwrap();
+        let store = bounded(cap, usize::MAX);
+        // Fill to capacity with first sightings of distinct shapes.
+        for tokens in 1..=cap as u32 {
+            build(&store, &ring(tokens, 0.5), false);
         }
-        assert_eq!(stats().entries, cap);
-        // Touch entry 0 so entry 1 becomes the least recently used…
-        let kept = reachability(&ring(freq(0)), 100).unwrap();
-        // …then overflow by one: entry 1 must be the victim.
-        reachability(&ring(freq(cap)), 100).unwrap();
-        let s = stats();
-        assert_eq!(s.entries, cap);
-        assert_eq!(s.evictions, 1);
-        let again = reachability(&ring(freq(0)), 100).unwrap();
-        assert!(Arc::ptr_eq(&kept, &again), "refreshed entry was evicted");
-        let before = stats().misses;
-        reachability(&ring(freq(1)), 100).unwrap();
-        assert_eq!(stats().misses, before + 1, "LRU victim should re-expand");
-        clear();
+        assert_eq!(lock_stats(&store).sightings, cap);
+        // Shape 1 again — a second sighting, so it records and becomes the
+        // most recent; shape 2 is now the least recently used…
+        assert_eq!(road(&build(&store, &ring(1, 0.5), false)), (0, 1, 0));
+        // …so a new shape evicts it.
+        build(&store, &ring(cap as u32 + 1, 0.5), false);
+        let s = lock_stats(&store);
+        assert_eq!((s.skeletons + s.sightings, s.evictions), (cap, 1));
+        assert_eq!(road(&build(&store, &ring(1, 0.5), false)), (1, 0, 0));
+        assert_eq!(
+            road(&build(&store, &ring(2, 0.5), false)),
+            (0, 0, 0),
+            "the evicted shape starts over as a first sighting"
+        );
     }
 
     #[test]
     fn byte_budget_bounds_residency() {
-        let _gate = isolate();
-        clear();
-        let big = ring(0.77);
-        let one = entry_cost(&big, &big.reachability(100).unwrap());
-        // Room for one graph but not two.
-        set_limits(CacheLimits {
-            max_entries: usize::MAX,
-            max_bytes: one + one / 2,
-        });
-        reachability(&ring(0.77), 100).unwrap();
-        reachability(&ring(0.66), 100).unwrap();
-        let s = stats();
-        assert_eq!(s.entries, 1, "byte budget should hold one graph");
-        assert_eq!(s.evictions, 1);
+        // The size of one recorded shape, measured on a scratch store.
+        let scratch = unbounded();
+        build(&scratch, &ring(3, 0.5), true);
+        build(&scratch, &ring(3, 0.5), true);
+        let one = lock_stats(&scratch).bytes;
+        // Room for one skeleton and a sighting, not for two skeletons. The
+        // second shape differs by a place no transition touches: another
+        // key, a skeleton of about the same size.
+        let store = bounded(usize::MAX, one + one / 2);
+        let twin = || {
+            let mut net = ring(3, 0.5);
+            net.add_place("Spare", 0);
+            net
+        };
+        build(&store, &ring(3, 0.5), true);
+        build(&store, &ring(3, 0.5), true);
+        build(&store, &twin(), true);
+        build(&store, &twin(), true);
+        let s = lock_stats(&store);
+        assert_eq!(s.skeletons, 1, "byte budget should hold one skeleton");
+        assert!(s.evictions >= 1);
         assert!(s.bytes <= one + one / 2);
-        // The newest entry is the resident one.
-        reachability(&ring(0.66), 100).unwrap();
-        assert_eq!(stats().hits, 1);
-        clear();
+        // The newest recording is the resident one.
+        assert_eq!(road(&build(&store, &twin(), true)), (1, 0, 0));
+        assert_eq!(road(&build(&store, &ring(3, 0.5), true)), (0, 0, 0));
+        // A skeleton larger than the whole budget is never shelved, and
+        // after one try its size is known: later builds do not record.
+        let tiny = bounded(usize::MAX, one / 2);
+        for _ in 0..2 {
+            build(&tiny, &ring(3, 0.5), true);
+        }
+        assert_eq!(road(&build(&tiny, &ring(3, 0.5), true)), (0, 0, 0));
+        assert_eq!(lock_stats(&tiny).skeletons, 0);
     }
 
     #[test]
     fn eviction_prefers_the_inserting_partition() {
-        let _gate = isolate();
-        clear();
-        set_limits(CacheLimits {
-            max_entries: 2,
-            max_bytes: usize::MAX,
-        });
-        let a = partition_scope("figA", || reachability(&ring(0.31), 100).unwrap());
-        let b = partition_scope("figB", || reachability(&ring(0.32), 100).unwrap());
-        // figA overflows the cache: its own older entry is the victim,
+        let store = bounded(2, usize::MAX);
+        partition_scope("figA", || build(&store, &ring(1, 0.5), false));
+        partition_scope("figB", || build(&store, &ring(2, 0.5), false));
+        // figA overflows the store: its own older sighting is the victim,
         // figB's survives even though it is not the most recent.
-        partition_scope("figA", || reachability(&ring(0.33), 100).unwrap());
-        let b2 = partition_scope("figB", || reachability(&ring(0.32), 100).unwrap());
-        assert!(Arc::ptr_eq(&b, &b2), "other partition's entry was evicted");
-        let a2 = partition_scope("figA", || reachability(&ring(0.31), 100).unwrap());
-        assert!(
-            !Arc::ptr_eq(&a, &a2),
-            "inserting partition's own entry should have been the victim"
+        partition_scope("figA", || build(&store, &ring(3, 0.5), false));
+        let b = partition_scope("figB", || build(&store, &ring(2, 0.5), false));
+        assert_eq!(
+            road(&b),
+            (0, 1, 0),
+            "other partition's sighting was evicted"
         );
-        clear();
+        let a = partition_scope("figA", || build(&store, &ring(1, 0.5), false));
+        assert_eq!(
+            road(&a),
+            (0, 0, 0),
+            "inserting partition's own sighting should have been the victim"
+        );
     }
 
+    /// Two workers that both recorded one shape: the second skeleton is
+    /// dropped and the first stays shelved.
     #[test]
     fn racing_inserts_share_the_first_graph() {
-        let _gate = isolate();
-        clear();
-        let net = ring(0.44);
-        let fp = fingerprint(&net);
-        // Simulate two workers that both missed and both expanded.
-        let g1 = Arc::new(net.reachability(100).unwrap());
-        let g2 = Arc::new(net.reachability(100).unwrap());
-        let mut c = cache().lock().unwrap();
-        let first = c.insert_or_share(fp, &net, Arc::clone(&g1), 100);
-        let second = c.insert_or_share(fp, &net, Arc::clone(&g2), 100);
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "loser must be handed the winner's Arc"
+        let net = ring(2, 0.44);
+        let key = Shape::of(&net).unwrap().key;
+        let skeleton = || {
+            let (graph, _, tape) =
+                fresh(&net, false, 100, &ParallelBudget::serial(), true).unwrap();
+            Arc::new(Skeleton::new(&graph, tape, false))
+        };
+        let (first, second) = (skeleton(), skeleton());
+        let mut s = SkeletonStore::new(CacheLimits {
+            max_entries: usize::MAX,
+            max_bytes: usize::MAX,
+        });
+        for skeleton in [&first, &second] {
+            s.shelve(Shelf {
+                hash: 7,
+                key: key.clone(),
+                sighting: Sighting::Recorded(Arc::clone(skeleton)),
+            });
+        }
+        assert_eq!(s.dedup_drops, 1);
+        assert_eq!(s.lru.len(), 1, "the duplicate must not be shelved");
+        let Plan::Replay(shelved) = s.plan(7, &key, 100) else {
+            panic!("a recorded shape replays");
+        };
+        assert!(Arc::ptr_eq(&shelved, &first), "the first recording stays");
+    }
+
+    /// `A` gated on `B` holding fewer than `limit` tokens: the limit is a
+    /// condition constant, part of the shape, never a rate.
+    fn gated(limit: f64, rate: f64) -> Net {
+        let mut net = Net::new("gated");
+        let a = net.add_place("A", 3);
+        let b = net.add_place("B", 0);
+        let room = Expr::Lt(
+            Box::new(Expr::tokens(PlaceId(1))),
+            Box::new(Expr::constant(limit)),
         );
-        assert!(Arc::ptr_eq(&first, &g1));
-        assert_eq!(c.dedup_drops, 1);
-        assert_eq!(c.lru.len(), 1, "the duplicate must not be inserted");
+        net.add_transition(
+            Transition::new("fill")
+                .delay(1)
+                .frequency(Expr::gate(room, Expr::constant(rate)))
+                .input(a, 1)
+                .output(b, 1),
+        )
+        .unwrap();
+        net.add_transition(
+            Transition::new("drain")
+                .delay(1)
+                .frequency(Expr::constant(0.5))
+                .input(b, 1)
+                .output(a, 1),
+        )
+        .unwrap();
+        net.add_transition(Transition::new("idle").delay(1).input(a, 1).output(a, 1))
+            .unwrap();
+        net
+    }
+
+    /// Nets that differ only in a condition constant are different shapes:
+    /// the store never serves one the other's skeleton.
+    #[test]
+    fn a_condition_constant_is_part_of_the_shape() {
+        let store = unbounded();
+        build(&store, &gated(2.0, 0.3), true);
+        build(&store, &gated(2.0, 0.3), true);
+        assert_eq!(road(&build(&store, &gated(2.0, 0.7), true)), (1, 0, 0));
+        let other = gated(3.0, 0.3);
+        let chain = build(&store, &other, true);
+        assert_eq!(road(&chain), (0, 0, 0), "a first sighting, not a replay");
+        assert_fresh(&chain, &other, true);
+        assert_eq!(lock_stats(&store).sightings, 1);
+    }
+
+    /// `hop` (rate 1e-200) starts a zero-delay race in which `jump` (rate
+    /// `tiny`) competes with `stay`: at `tiny` = 1e-200 the jump branch
+    /// has probability ~1e-400, under the floor, and is dropped; re-priced
+    /// to 1e-50 it is ~1e-250 and kept — a new path through the phase, so
+    /// the replay falls back to a fresh build, in which `jump` fires.
+    #[test]
+    fn floor_crossing_reprice_falls_back() {
+        let net = |tiny: f64| {
+            let mut net = Net::new("floor");
+            let a = net.add_place("A", 1);
+            let b = net.add_place("B", 0);
+            let c = net.add_place("C", 0);
+            let edge = |name: &str, delay: u64, rate: f64, from: PlaceId, to: PlaceId| {
+                Transition::new(name)
+                    .delay(delay)
+                    .frequency(Expr::constant(rate))
+                    .input(from, 1)
+                    .output(to, 1)
+            };
+            for t in [
+                edge("wait", 1, 1.0, a, a),
+                edge("hop", 0, 1e-200, a, b),
+                edge("stay", 1, 1.0, b, a),
+                edge("jump", 0, tiny, b, c),
+                edge("land", 1, 1.0, c, a),
+            ] {
+                net.add_transition(t).unwrap();
+            }
+            net
+        };
+        for lumped in [false, true] {
+            let store = unbounded();
+            build(&store, &net(1e-200), lumped);
+            build(&store, &net(1e-200), lumped);
+            assert_eq!(road(&build(&store, &net(2e-200), lumped)), (1, 0, 0));
+            let crossed = build(&store, &net(1e-50), lumped);
+            assert_eq!(road(&crossed), (0, 0, 1), "lumped: {lumped}");
+            assert!(crossed.graph.build.reprice_s > 0.0);
+            assert_fresh(&crossed, &net(1e-50), lumped);
+            let jump = net(1.0).transition_by_name("jump").unwrap();
+            let recorded = build(&store, &net(1e-200), lumped);
+            assert!(recorded.graph.dead_transitions().contains(&jump));
+            assert!(!crossed.graph.dead_transitions().contains(&jump));
+        }
+    }
+
+    /// Re-prices `specs` within their rate classes: each transition's
+    /// weight — a constant, a gated or a two-valued `If` rate — is scaled
+    /// by one of `scales`; zero rates stay zero, floor-sized constants and
+    /// negative rates keep their kind.
+    fn reprice(specs: &[TransitionSpec], scales: &[f64]) -> Vec<TransitionSpec> {
+        specs
+            .iter()
+            .zip(scales.iter().cycle())
+            .map(|((pick, inputs, outputs, (kind, operand, w)), &scale)| {
+                (
+                    *pick,
+                    inputs.clone(),
+                    outputs.clone(),
+                    (*kind, *operand, w * scale),
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Differential: on random nets (raw and lumped chains), a shape is
+        /// recorded at one set of rates and re-priced at others within the
+        /// same classes — constants, two-valued `If` rates, zero-class
+        /// loops, rates at the probability floor. Every result is the fresh
+        /// build's chain bit for bit, rows included; a re-pricing that moves
+        /// a floor decision falls back, and its fresh build is the result.
+        #[test]
+        fn replay_matches_a_fresh_build(
+            initial in crate::reach::arbitrary::initial(),
+            specs in crate::reach::arbitrary::transitions(),
+            scales in proptest::collection::vec(0.25f64..4.0, 1..4),
+            lumped in any::<bool>(),
+        ) {
+            let delays = if lumped { [0, 0, 1, 1, 1, 1] } else { [0, 0, 1, 1, 2, 3] };
+            let net = crate::reach::arbitrary::net(&initial, &specs, delays);
+            let store = unbounded();
+            let run = |net: &Net| build_chain(Some(&store), net, lumped, 300, &ParallelBudget::serial());
+            if run(&net).is_ok() && run(&net).is_ok() {
+                let repriced = crate::reach::arbitrary::net(&initial, &reprice(&specs, &scales), delays);
+                let want = fresh(&repriced, lumped, 300, &ParallelBudget::serial(), false);
+                match (run(&repriced), want) {
+                    (Ok(chain), Ok(_)) => {
+                        let (replays, _, fallbacks) = road(&chain);
+                        assert!(Shape::of(&net).is_none() || replays + fallbacks == 1);
+                        assert_fresh(&chain, &repriced, lumped);
+                    }
+                    (got, want) => assert_eq!(got.err(), want.err()),
+                }
+            }
+        }
     }
 }

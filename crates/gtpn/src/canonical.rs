@@ -3,9 +3,8 @@
 //! Two call sites that build the *same model* in different orders — places
 //! added in a different sequence, transitions interleaved differently —
 //! produce [`Net`]s that are structurally identical up to a relabeling of
-//! ids, yet compare unequal and hash apart, so the exact-structure
-//! reachability cache ([`crate::cache`]) cannot recognize them.
-//! [`canonicalize`] computes a deterministic representative of that
+//! ids, yet compare unequal and hash apart, so a cache keyed on the exact
+//! structure cannot recognize them. [`canonicalize`] computes a deterministic representative of that
 //! relabeling class: places are sorted by `(name, initial marking)`,
 //! transitions by `(name, delay, resource, remapped arcs, frequency
 //! skeleton)`, arc lists are merged and sorted, and every [`PlaceId`] /
@@ -138,9 +137,52 @@ pub(crate) fn fingerprint_canonical(net: &Net) -> u64 {
         t.resource.hash(&mut h);
         t.inputs.hash(&mut h);
         t.outputs.hash(&mut h);
-        crate::cache::hash_expr(&t.frequency, &mut h);
+        hash_expr(&t.frequency, &mut h);
     }
     h.finish()
+}
+
+/// Hashes an expression tree; floats hash by bit pattern so distinct
+/// timings produce distinct fingerprints.
+fn hash_expr(e: &Expr, h: &mut DefaultHasher) {
+    let pair = |tag: u8, a: &Expr, b: &Expr, h: &mut DefaultHasher| {
+        tag.hash(h);
+        hash_expr(a, h);
+        hash_expr(b, h);
+    };
+    match e {
+        Expr::Const(v) => {
+            0u8.hash(h);
+            v.to_bits().hash(h);
+        }
+        Expr::Tokens(p) => {
+            1u8.hash(h);
+            p.0.hash(h);
+        }
+        Expr::Firing(t) => {
+            2u8.hash(h);
+            t.0.hash(h);
+        }
+        Expr::Add(a, b) => pair(3, a, b, h),
+        Expr::Sub(a, b) => pair(4, a, b, h),
+        Expr::Mul(a, b) => pair(5, a, b, h),
+        Expr::Div(a, b) => pair(6, a, b, h),
+        Expr::Eq(a, b) => pair(7, a, b, h),
+        Expr::Lt(a, b) => pair(8, a, b, h),
+        Expr::Le(a, b) => pair(9, a, b, h),
+        Expr::And(a, b) => pair(10, a, b, h),
+        Expr::Or(a, b) => pair(11, a, b, h),
+        Expr::Not(a) => {
+            12u8.hash(h);
+            hash_expr(a, h);
+        }
+        Expr::If(c, a, b) => {
+            13u8.hash(h);
+            hash_expr(c, h);
+            hash_expr(a, h);
+            hash_expr(b, h);
+        }
+    }
 }
 
 /// Merges duplicate arcs (the token game accumulates multiplicities per

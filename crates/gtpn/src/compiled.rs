@@ -10,6 +10,13 @@
 //! constant expression) or flattened to a postfix [`Op`] program that
 //! indexes the marking directly — [`Net::validate`] has already rejected
 //! every leaf outside the net.
+//!
+//! The same walk splits a net into its [`Shape`] — everything the chain's
+//! states, edges and control flow depend on — and its rates, the values
+//! that only weigh the edges. A re-priceable transition also compiles a
+//! *slot program*: its frequency with every rate replaced by that rate's
+//! slot number, so a recording build can note which rate each enabled
+//! transition drew (see `crate::reach`'s skeletons).
 
 use crate::expr::{EvalContext, Expr};
 use crate::net::Net;
@@ -28,6 +35,8 @@ pub(crate) struct CompiledTransition {
     /// Firing duration.
     pub(crate) delay: u64,
     frequency: Frequency,
+    /// The slot program when every frequency of the net is re-priceable.
+    slot: Option<Frequency>,
 }
 
 #[derive(Debug)]
@@ -57,6 +66,31 @@ enum Op {
     If,
 }
 
+impl Op {
+    /// Appends the instruction to a [`Shape`] key: a tag, then the
+    /// operand of a leaf (a constant by its bits).
+    fn encode(self, key: &mut Vec<u64>) {
+        let (tag, operand) = match self {
+            Op::Const(v) => (0, Some(v.to_bits())),
+            Op::Tokens(p) => (1, Some(p as u64)),
+            Op::Firing(t) => (2, Some(t as u64)),
+            Op::Add => (3, None),
+            Op::Sub => (4, None),
+            Op::Mul => (5, None),
+            Op::Div => (6, None),
+            Op::Eq => (7, None),
+            Op::Lt => (8, None),
+            Op::Le => (9, None),
+            Op::And => (10, None),
+            Op::Or => (11, None),
+            Op::Not => (12, None),
+            Op::If => (13, None),
+        };
+        key.push(tag);
+        key.extend(operand);
+    }
+}
+
 /// The net's transitions in id order, compiled; see the module docs.
 #[derive(Debug)]
 pub(crate) struct CompiledNet {
@@ -67,6 +101,7 @@ pub(crate) struct CompiledNet {
 impl CompiledNet {
     /// Compiles `net`, which must have passed [`Net::validate`].
     pub(crate) fn new(net: &Net) -> CompiledNet {
+        let mut slots = Shape::walk(net).map(|(_, _, slots)| slots.into_iter());
         let transitions = net
             .transitions
             .iter()
@@ -91,6 +126,7 @@ impl CompiledNet {
                     outputs: t.outputs.iter().map(|&(p, m)| (p.0, m)).collect(),
                     delay: t.delay,
                     frequency,
+                    slot: slots.as_mut().and_then(Iterator::next),
                 }
             })
             .collect();
@@ -99,6 +135,101 @@ impl CompiledNet {
             transitions,
         }
     }
+}
+
+/// A net's rate-free shape and its rates.
+///
+/// A frequency is *re-priceable* when it is state-independent — one rate —
+/// or an `If(cond, a, b)` tree whose leaves `a`, `b` are re-priceable: the
+/// conditions choose which rate applies, the rates only weigh. Rates are
+/// numbered (*slots*) in transition order, each tree's leaves left to
+/// right. The key holds the place count, the initial marking and, per
+/// transition, its delay, its arcs and its frequency with every rate
+/// replaced by the rate's class — zero or positive and finite — and every
+/// condition kept verbatim, constants included. Two nets with equal keys
+/// have the same chain up to edge probabilities, as long as the same
+/// transitions clear the probability floor (`crate::reach`); resource
+/// labels and names are not part of it.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    /// The rate-free form, as a word string; equal strings are equal
+    /// shapes (every part is tagged or length-prefixed).
+    pub(crate) key: Vec<u64>,
+    /// Each slot's rate, in slot order.
+    pub(crate) rates: Vec<f64>,
+}
+
+/// Key words opening a frequency form. A condition follows its word as
+/// its postfix length and ops ([`Op::encode`]), then its two branches.
+const ZERO_RATE: u64 = 0;
+const POSITIVE_RATE: u64 = 1;
+const CONDITION: u64 = 2;
+
+impl Shape {
+    /// The shape of `net`, or `None` when some frequency is not
+    /// re-priceable or some rate is negative or not finite.
+    pub(crate) fn of(net: &Net) -> Option<Shape> {
+        Shape::walk(net).map(|(key, rates, _)| Shape { key, rates })
+    }
+
+    /// The key, the rates and each transition's slot program.
+    fn walk(net: &Net) -> Option<(Vec<u64>, Vec<f64>, Vec<Frequency>)> {
+        let mut key = vec![net.place_count() as u64];
+        key.extend(net.initial_marking().into_iter().map(u64::from));
+        key.push(net.transition_count() as u64);
+        let mut rates = Vec::new();
+        let mut slots = Vec::with_capacity(net.transition_count());
+        let arcs = |key: &mut Vec<u64>, arcs: &[(crate::net::PlaceId, u32)]| {
+            key.push(arcs.len() as u64);
+            key.extend(arcs.iter().map(|&(p, m)| (p.0 as u64) << 32 | u64::from(m)));
+        };
+        for t in &net.transitions {
+            key.push(t.delay);
+            arcs(&mut key, &t.inputs);
+            arcs(&mut key, &t.outputs);
+            let mut program = Vec::new();
+            if !rate_form(&t.frequency, &mut key, &mut rates, &mut program) {
+                return None;
+            }
+            slots.push(match program[..] {
+                [Op::Const(slot)] => Frequency::Constant(slot),
+                _ => Frequency::Program(program),
+            });
+        }
+        Some((key, rates, slots))
+    }
+}
+
+/// Walks `e` as a re-priceable tree: appends its rate-free form to `key`,
+/// its rates to `rates` and its slot program to `slot`. False when it is
+/// not re-priceable or a rate is negative or not finite.
+fn rate_form(e: &Expr, key: &mut Vec<u64>, rates: &mut Vec<f64>, slot: &mut Vec<Op>) -> bool {
+    if e.is_constant() {
+        let v = e.eval(EvalContext::new(&[], &[]));
+        if v == 0.0 {
+            key.push(ZERO_RATE);
+        } else if v > 0.0 && v.is_finite() {
+            key.push(POSITIVE_RATE);
+        } else {
+            return false;
+        }
+        slot.push(Op::Const(rates.len() as f64));
+        rates.push(v);
+        return true;
+    }
+    let Expr::If(cond, a, b) = e else {
+        return false;
+    };
+    key.push(CONDITION);
+    let start = slot.len();
+    flatten(cond, slot);
+    key.push((slot.len() - start) as u64);
+    for op in &slot[start..] {
+        op.encode(key);
+    }
+    let ok = rate_form(a, key, rates, slot) && rate_form(b, key, rates, slot);
+    slot.push(Op::If);
+    ok
 }
 
 impl CompiledTransition {
@@ -118,6 +249,20 @@ impl CompiledTransition {
             Frequency::Constant(w) => *w,
             Frequency::Program(program) => run(program, marking, firing, stack),
         }
+    }
+
+    /// The rate slot [`frequency`](Self::frequency) draws from under the
+    /// same context — the leaf its conditions select.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every frequency of the net is re-priceable.
+    pub(crate) fn slot(&self, marking: &[u32], firing: &[u32], stack: &mut Vec<f64>) -> u32 {
+        let slot = match self.slot.as_ref().expect("a re-priceable net") {
+            Frequency::Constant(slot) => *slot,
+            Frequency::Program(program) => run(program, marking, firing, stack),
+        };
+        slot as u32
     }
 }
 

@@ -7,9 +7,11 @@
 //!
 //! * **Backend selection.** A [`Backend`] turns a net into an
 //!   [`AnalysisData`]; two are provided. [`ExactMarkov`] is the paper's
-//!   reference pipeline — reachability expansion (memoized by
-//!   [`crate::cache`]) followed by the Gauss–Seidel steady-state solve,
-//!   with a per-thread [`SolveWorkspace`] kept warm across points. When
+//!   reference pipeline — reachability expansion (or, for a net whose
+//!   rate-free shape the engine has seen before, a re-pricing of the
+//!   recorded chain skeleton, see [`crate::cache`]) followed by the
+//!   Gauss–Seidel steady-state solve, with a per-thread
+//!   [`SolveWorkspace`] kept warm across points. When
 //!   the net qualifies for exact lumping ([`crate::lump`]) and the
 //!   engine's [`LumpSel`] policy permits, the exact backend builds and
 //!   solves the *quotient* chain instead and de-lumps the measures —
@@ -31,12 +33,13 @@
 //!   [`PlaceId`]/[`TransId`] queries through the composed permutation. Hits
 //!   are verified by full structural equality of the canonical forms, so
 //!   fingerprint collisions cannot alias distinct nets. The cache is
-//!   bounded like the reachability cache — by resident bytes
-//!   (`HSIPC_CACHE_MB`) and optionally entry count (`HSIPC_CACHE_CAP`,
-//!   `0` disables), see [`crate::cache::CacheLimits`] — with intrusive
-//!   LRU eviction that prefers victims from the inserting experiment's
-//!   own partition ([`crate::cache::partition_scope`]). It reports the
-//!   same counter set via [`cache_stats`].
+//!   bounded by resident bytes (`HSIPC_CACHE_MB`) and optionally entry
+//!   count (`HSIPC_CACHE_CAP`, `0` disables), see
+//!   [`crate::cache::CacheLimits`] — with intrusive LRU eviction that
+//!   prefers victims from the inserting experiment's own partition
+//!   ([`crate::cache::partition_scope`]) — and reports [`cache_stats`].
+//!   The skeleton store the exact backend re-prices from lives beside it,
+//!   under the same limits ([`store_stats`]).
 //!
 //! * **Warm starts.** Consecutive points of a sweep differ only in a few
 //!   rates, so their embedded chains share a *shape*
@@ -53,7 +56,8 @@
 //! * **Determinism.** With lumping off the exact backend is bitwise
 //!   identical to calling `net.reachability(budget)?.solve(tol, sweeps)`
 //!   directly — a cache miss always solves the *caller's* net, never the
-//!   canonical reordering (summation order changes the last ulp). A
+//!   canonical reordering (summation order changes the last ulp), and a
+//!   re-priced chain is the fresh build's chain bit for bit. A
 //!   lumped solve is itself deterministic (byte-identical across runs,
 //!   thread counts and build orders) but agrees with the raw solve to
 //!   solver tolerance, not bit-for-bit — which is why the cache key
@@ -61,7 +65,7 @@
 //!   from the canonical fingerprint, so estimates are identical run-to-run
 //!   and across build orders, no matter which sweep worker executes them.
 
-use crate::cache::CacheLimits;
+use crate::cache::{CacheLimits, CacheStats, SkeletonStore, StoreStats};
 use crate::canonical::{self, Canonical};
 use crate::error::GtpnError;
 use crate::lru::BoundedLru;
@@ -336,17 +340,27 @@ pub struct StageLedger {
     pub net_compile_s: f64,
     /// Breadth-first expansion of the (lumped or raw) chain.
     pub bfs_s: f64,
+    /// Re-pricing a recorded chain skeleton instead of expanding
+    /// ([`crate::cache`]); a replay that fell back counts here too.
+    pub reprice_s: f64,
     /// Steady-state solve of that chain.
     pub solve_s: f64,
     /// Recovering the raw chain's measures from a lumped solution.
     pub delump_s: f64,
+    /// Chains re-priced from a skeleton.
+    pub replays: u64,
+    /// Builds that recorded a skeleton.
+    pub records: u64,
+    /// Replays that fell back to a fresh build.
+    pub fallbacks: u64,
     /// States of the solved chain (lumped states for a lumped run).
     pub states: u64,
     /// Edges of the solved chain.
     pub edges: u64,
     /// Gauss–Seidel sweeps (1 for a direct solve).
     pub sweeps: u64,
-    /// Instantaneous phases run by the expansion.
+    /// Instantaneous phases run by the expansion — for a re-priced chain,
+    /// by the build it re-prices.
     pub phase_calls: u64,
     /// Configurations those phases expanded.
     pub phase_configs: u64,
@@ -359,8 +373,12 @@ impl StageLedger {
         StageLedger {
             net_compile_s: graph.build.net_compile_s,
             bfs_s: graph.build.bfs_s,
+            reprice_s: graph.build.reprice_s,
             solve_s,
             delump_s,
+            replays: graph.build.replays,
+            records: graph.build.records,
+            fallbacks: graph.build.fallbacks,
             states: graph.state_count() as u64,
             edges: graph.edge_count() as u64,
             sweeps: solution.iterations() as u64,
@@ -372,8 +390,12 @@ impl StageLedger {
     fn add(&mut self, other: &StageLedger) {
         self.net_compile_s += other.net_compile_s;
         self.bfs_s += other.bfs_s;
+        self.reprice_s += other.reprice_s;
         self.solve_s += other.solve_s;
         self.delump_s += other.delump_s;
+        self.replays += other.replays;
+        self.records += other.records;
+        self.fallbacks += other.fallbacks;
         self.states += other.states;
         self.edges += other.edges;
         self.sweeps += other.sweeps;
@@ -628,17 +650,17 @@ thread_local! {
     static WORKSPACE: RefCell<SolveWorkspace> = RefCell::new(SolveWorkspace::new());
 }
 
-/// Solves `graph` through the per-thread workspace with the configured
-/// solver, warm-seeding from (and storing back to) the caller's or the
-/// ambient [`WarmStart`] store. The common trunk of the raw and lumped
-/// exact paths.
+/// Solves `graph`, whose [`ReachabilityGraph::shape_fingerprint`] is
+/// `shape`, through the per-thread workspace with the configured solver,
+/// warm-seeding from (and storing back to) the caller's or the ambient
+/// [`WarmStart`] store. The common trunk of the raw and lumped exact paths.
 fn solve_graph(
     graph: &ReachabilityGraph,
+    shape: u64,
     cfg: &EngineConfig,
     par: &ParallelBudget,
     mut warm: Option<&mut WarmStart>,
 ) -> Result<Solution, GtpnError> {
-    let shape = graph.shape_fingerprint();
     let seed = if cfg.warm_start {
         warm_seed(warm.as_deref_mut(), shape)
     } else {
@@ -678,28 +700,16 @@ fn solve_graph(
 /// The exact pipeline: reachability expansion + Gauss–Seidel, with a warm
 /// per-thread [`SolveWorkspace`]. Lumps the chain first when the config's
 /// [`LumpSel`] permits and the net qualifies ([`crate::lump::lumpable`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ExactMarkov {
-    /// Whether a raw expansion goes through the process-global
-    /// reachability memo ([`crate::cache`]). The engine's cached path
-    /// turns this off — its own solution cache already retains the graph
-    /// inside the cached [`AnalysisData`], and storing the same `Arc` in
-    /// both caches double-counted hundreds of MB against the byte budget
-    /// for a memo that never got a lookup.
-    pub memoize_graph: bool,
+/// An engine hands its backend the skeleton store beside its solution
+/// cache, so a chain of a shape seen before is re-priced rather than
+/// expanded ([`crate::cache`]); the default backend has no store and
+/// always expands.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExactMarkov<'a> {
+    store: Option<&'a Mutex<SkeletonStore>>,
 }
 
-impl Default for ExactMarkov {
-    /// Memoization on — right for standalone use, where nothing else
-    /// retains the expanded graph.
-    fn default() -> Self {
-        ExactMarkov {
-            memoize_graph: true,
-        }
-    }
-}
-
-impl Backend for ExactMarkov {
+impl Backend for ExactMarkov<'_> {
     fn kind(&self) -> BackendKind {
         BackendKind::Exact
     }
@@ -718,11 +728,16 @@ impl Backend for ExactMarkov {
                 .add(&stages);
             Some(stages)
         };
-        if cfg.lump.enabled() && crate::lump::lumpable(net) {
-            let lumped = crate::lump::reach_lumped_budgeted(net, cfg.state_budget, par)?;
-            let built = Instant::now();
-            let solution = solve_graph(&lumped.graph, cfg, par, warm)?;
+        let lump = cfg.lump.enabled() && crate::lump::lumpable(net);
+        let chain = crate::cache::build_chain(self.store, net, lump, cfg.state_budget, par)?;
+        let built = Instant::now();
+        let solution = solve_graph(&chain.graph, chain.shape, cfg, par, warm)?;
+        if lump {
             let solved = Instant::now();
+            let lumped = crate::lump::LumpedGraph {
+                graph: chain.graph,
+                rows: chain.rows,
+            };
             let d = lumped.delump(&solution);
             let stages = StageLedger::of(
                 &lumped.graph,
@@ -743,13 +758,7 @@ impl Backend for ExactMarkov {
                 stages: record(stages),
             });
         }
-        let graph = if self.memoize_graph {
-            crate::cache::reachability_budgeted(net, cfg.state_budget, par)?
-        } else {
-            Arc::new(net.reachability_budgeted(cfg.state_budget, par)?)
-        };
-        let built = Instant::now();
-        let solution = solve_graph(&graph, cfg, par, warm)?;
+        let graph = Arc::new(chain.graph);
         let stages = StageLedger::of(&graph, &solution, built.elapsed().as_secs_f64(), 0.0);
         Ok(AnalysisData {
             backend: BackendKind::Exact,
@@ -887,10 +896,7 @@ struct CacheEntry {
 
 /// Estimated resident bytes of a cache entry: graph + solution vectors for
 /// exact results, the averaged per-name/per-id vectors for DES, plus the
-/// canonical net kept for hit verification. The reachability graph `Arc`
-/// is usually shared with [`crate::cache`]; counting it in both caches is
-/// a deliberate overestimate — the bound stays safe if either cache drops
-/// its copy first.
+/// canonical net kept for hit verification.
 fn entry_bytes(e: &CacheEntry) -> usize {
     let data = match &e.data.exact {
         // Solution: state + embedded probabilities and per-resource maps,
@@ -957,8 +963,8 @@ impl EngineCache {
         true
     }
 
-    fn stats(&self) -> crate::cache::CacheStats {
-        crate::cache::CacheStats {
+    fn stats(&self) -> CacheStats {
+        CacheStats {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
@@ -969,26 +975,61 @@ impl EngineCache {
     }
 }
 
-fn engine_cache() -> &'static Mutex<EngineCache> {
-    static CACHE: OnceLock<Mutex<EngineCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(EngineCache::new(CacheLimits::from_env())))
+/// An engine's solution cache and the skeleton store beside it, built
+/// under one set of limits.
+#[derive(Debug)]
+struct Caches {
+    solutions: Mutex<EngineCache>,
+    skeletons: Mutex<SkeletonStore>,
 }
 
-/// Current statistics of the global engine solution cache — the same
-/// counter set as [`crate::cache::stats`].
-pub fn cache_stats() -> crate::cache::CacheStats {
-    engine_cache()
-        .lock()
-        .expect("engine cache poisoned")
-        .stats()
+impl Caches {
+    fn new(limits: CacheLimits) -> Caches {
+        Caches {
+            solutions: Mutex::new(EngineCache::new(limits)),
+            skeletons: Mutex::new(SkeletonStore::new(limits)),
+        }
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        self.solutions
+            .lock()
+            .expect("engine cache poisoned")
+            .stats()
+    }
+
+    fn store_stats(&self) -> StoreStats {
+        self.skeletons
+            .lock()
+            .expect("skeleton store poisoned")
+            .stats()
+    }
 }
 
-/// Empties the global engine cache (counters included) — test isolation.
-/// The cache is reconstructed, so `HSIPC_CACHE_CAP`/`HSIPC_CACHE_MB` are
-/// re-read: setting them after this call takes effect.
+fn global_caches() -> &'static Caches {
+    static CACHES: OnceLock<Caches> = OnceLock::new();
+    CACHES.get_or_init(|| Caches::new(CacheLimits::from_env()))
+}
+
+/// Current statistics of the global engine solution cache.
+pub fn cache_stats() -> CacheStats {
+    global_caches().cache_stats()
+}
+
+/// What the global engine's skeleton store holds ([`crate::cache`]).
+pub fn store_stats() -> StoreStats {
+    global_caches().store_stats()
+}
+
+/// Empties the global engine cache and skeleton store (counters included)
+/// — test isolation. Both are reconstructed, so
+/// `HSIPC_CACHE_CAP`/`HSIPC_CACHE_MB` are re-read: setting them after this
+/// call takes effect.
 pub fn clear_cache() {
-    let mut c = engine_cache().lock().expect("engine cache poisoned");
-    *c = EngineCache::new(CacheLimits::from_env());
+    let caches = global_caches();
+    let limits = CacheLimits::from_env();
+    *caches.solutions.lock().expect("engine cache poisoned") = EngineCache::new(limits);
+    *caches.skeletons.lock().expect("skeleton store poisoned") = SkeletonStore::new(limits);
 }
 
 // ---------------------------------------------------------------------------
@@ -1002,8 +1043,9 @@ pub struct AnalysisEngine {
     /// Core budget for the backends' inner parallelism; `None` means the
     /// process-global budget ([`ParallelBudget::global`]).
     budget: Option<Arc<ParallelBudget>>,
-    /// Solution cache; `None` means the process-global one.
-    cache: Option<Arc<Mutex<EngineCache>>>,
+    /// Solution cache and skeleton store; `None` means the process-global
+    /// ones.
+    cache: Option<Arc<Caches>>,
 }
 
 impl AnalysisEngine {
@@ -1040,14 +1082,13 @@ impl AnalysisEngine {
 
     /// This engine with a private solution cache of `cap` entries (`0`
     /// disables caching for this engine), byte-bounded by the same
-    /// `HSIPC_CACHE_MB` budget as the global cache. Results no longer flow
-    /// through — or count against — the process-global LRU: tests get
-    /// isolation without serializing on the global counters, and nested
-    /// fixed-point solves stop evicting the outer sweep's hot entries.
+    /// `HSIPC_CACHE_MB` budget as the global cache, and a private skeleton
+    /// store under the same limits. Results no longer flow through — or
+    /// count against — the process-global LRU: tests get isolation without
+    /// serializing on the global counters, and nested fixed-point solves
+    /// stop evicting the outer sweep's hot entries.
     pub fn with_cache(mut self, cap: usize) -> AnalysisEngine {
-        self.cache = Some(Arc::new(Mutex::new(EngineCache::new(
-            CacheLimits::with_entry_cap(cap),
-        ))));
+        self.cache = Some(Arc::new(Caches::new(CacheLimits::with_entry_cap(cap))));
         self
     }
 
@@ -1069,21 +1110,28 @@ impl AnalysisEngine {
         self.budget.clone()
     }
 
-    /// The solution cache this engine reads and writes.
-    fn cache_mutex(&self) -> &Mutex<EngineCache> {
+    /// The caches this engine reads and writes.
+    fn caches(&self) -> &Caches {
         match &self.cache {
             Some(c) => c,
-            None => engine_cache(),
+            None => global_caches(),
         }
+    }
+
+    /// The solution cache this engine reads and writes.
+    fn cache_mutex(&self) -> &Mutex<EngineCache> {
+        &self.caches().solutions
     }
 
     /// Statistics of the cache this engine uses (the global one unless
     /// [`with_cache`](Self::with_cache) was applied).
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache_mutex()
-            .lock()
-            .expect("engine cache poisoned")
-            .stats()
+    pub fn cache_stats(&self) -> CacheStats {
+        self.caches().cache_stats()
+    }
+
+    /// What the skeleton store beside that cache holds.
+    pub fn store_stats(&self) -> StoreStats {
+        self.caches().store_stats()
     }
 
     /// Hash of the parameters that determine a backend's result, beyond
@@ -1258,12 +1306,13 @@ impl AnalysisEngine {
             let c = self.cache_mutex().lock().expect("engine cache poisoned");
             c.disabled()
         };
+        // The store is disabled exactly when the solution cache is, and
+        // then the backend builds every chain fresh.
+        let exact = ExactMarkov {
+            store: Some(&self.caches().skeletons),
+        };
         if cache_off {
             self.count_miss();
-            // No solution cache retains the graph here, so the raw
-            // expansion is worth memoizing in the global reachability
-            // cache.
-            let exact = ExactMarkov::default();
             return match self.cfg.backend {
                 BackendSel::Exact => self.run_fresh(&exact, net, warm).map(Analysis::identity),
                 BackendSel::Des => self
@@ -1289,13 +1338,6 @@ impl AnalysisEngine {
                 self.insert(backend.kind(), &canon, fp, &data);
                 Ok(Analysis::identity(data))
             };
-        // The solution cache about to hold the result already keeps the
-        // graph alive inside its `AnalysisData`; memoizing the expansion
-        // again in the global reachability cache would only double-count
-        // its bytes (the dead-cache regression BENCH_solver.json caught).
-        let exact = ExactMarkov {
-            memoize_graph: false,
-        };
         match self.cfg.backend {
             BackendSel::Exact => match self.probe(BackendKind::Exact, &canon, fp) {
                 Some(hit) => Ok(hit),
@@ -1752,6 +1794,39 @@ mod tests {
         })
         .with_cache(0);
         assert!(des.analyze(&net).unwrap().stages().is_none());
+    }
+
+    /// A sweep over one stage's mean is one shape at many rates: the
+    /// engine records it on the second point and re-prices every later
+    /// one, and each result has the bits a store-less engine computes —
+    /// raw and lumped alike. The store is private to the engine.
+    #[test]
+    fn a_rate_sweep_is_re_priced_to_the_same_bits() {
+        for lump in [LumpSel::Off, LumpSel::Auto] {
+            let engine = lump_engine(lump).with_cache(64);
+            let fresh = lump_engine(lump).with_cache(0);
+            for (i, m) in [3.0, 4.0, 5.5, 7.25, 9.0].into_iter().enumerate() {
+                let a = engine.analyze(&sym2(m)).unwrap();
+                let b = fresh.analyze(&sym2(m)).unwrap();
+                let ledger = a.stages().unwrap();
+                assert_eq!(
+                    (ledger.replays, ledger.records),
+                    (u64::from(i >= 2), u64::from(i == 1)),
+                    "point {i}"
+                );
+                for t in 0..4 {
+                    let t = TransId(t);
+                    assert_eq!(
+                        a.transition_usage(t).to_bits(),
+                        b.transition_usage(t).to_bits()
+                    );
+                }
+                assert_eq!(a.iterations(), b.iterations());
+                assert_eq!(ledger.phase_configs, b.stages().unwrap().phase_configs);
+            }
+            assert_eq!(engine.store_stats().skeletons, 1);
+            assert_eq!(fresh.store_stats(), StoreStats::default());
+        }
     }
 
     #[test]

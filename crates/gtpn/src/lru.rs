@@ -1,7 +1,7 @@
 //! Intrusive, partition-aware LRU bookkeeping for the bounded caches.
 //!
-//! The reachability cache (`cache`) and the engine solution cache
-//! (`engine`) both bound their memory by resident bytes and entry count.
+//! The engine solution cache (`engine`) and the skeleton store beside it
+//! (`cache`) both bound their memory by resident bytes and entry count.
 //! This module owns the eviction order: a slab of slots threaded onto two
 //! doubly-linked lists — one global recency list and one per partition
 //! (experiment id) — so picking a victim is O(1) instead of the old

@@ -47,10 +47,11 @@
 
 use crate::compiled::CompiledNet;
 use crate::error::GtpnError;
-use crate::net::Net;
+use crate::net::{Net, TransId};
 use crate::par::ParallelBudget;
 use crate::reach::{
-    explore, instantaneous_phase, pending_ids, state_hash, Expansion, ReachabilityGraph, Worker,
+    explore, instantaneous_phase, pending_ids, state_hash, Cursor, Expansion, Packed,
+    ReachabilityGraph, Worker,
 };
 use crate::solve::Solution;
 use std::collections::HashMap;
@@ -112,7 +113,7 @@ pub(crate) struct LumpedGraph {
     /// `E[c_t | u]`, the expected number of in-progress firings of each
     /// transition conditioned on the lumped state, then `E[m_p | u]`, the
     /// expected tangible token count of each place.
-    rows: Vec<f64>,
+    pub(crate) rows: Vec<f64>,
 }
 
 /// The de-lumped steady-state measures, shaped like [`Solution`]'s
@@ -173,7 +174,12 @@ impl LumpedGraph {
 /// outcome, in phase-outcome order, to its own post-completion marking —
 /// successors de-duplicated in first-seen order, the conditional-expectation
 /// row (`E[c_t | u]` then `E[m_p | u]`) accumulated over the same outcomes.
-fn expand_lumped(
+///
+/// With `RECORD`, the phase's tape is followed by one entry per outcome:
+/// its successor's first-seen slot, the number of its pending firings and
+/// their transitions — everything [`refold`] needs, the outcome's tokens
+/// being its successor's marking less those firings' outputs.
+fn expand_lumped<const RECORD: bool>(
     net: &CompiledNet,
     graph: &ReachabilityGraph,
     si: usize,
@@ -181,7 +187,14 @@ fn expand_lumped(
     out: &mut Expansion,
 ) -> Result<(), GtpnError> {
     let tcount = net.transitions.len();
-    instantaneous_phase(net, graph.marking(si), &[], &mut w.fired, &mut w.phase)?;
+    instantaneous_phase::<RECORD>(
+        net,
+        graph.marking(si),
+        &[],
+        &mut w.fired,
+        &mut w.phase,
+        &mut out.tape,
+    )?;
     let first = out.successor_count();
     w.seen.clear();
     w.row.clear();
@@ -206,25 +219,81 @@ fn expand_lumped(
         }
         let hash = state_hash(&w.marking, &[]);
         let next = w.marking.as_slice();
-        match w
+        let slot = match w
             .seen
             .find(hash, |k| out.successor_marking(first + k) == next)
         {
-            Some(k) => out.add_probability(first + k, p),
-            None => {
-                w.seen.insert(hash, out.successor_count() - first, |k| {
-                    out.successor_hash(first + k)
-                });
-                out.push_successor(next, &[], p, hash);
+            Some(k) => {
+                out.add_probability(first + k, p);
+                k
             }
+            None => {
+                let k = out.successor_count() - first;
+                w.seen.insert(hash, k, |k| out.successor_hash(first + k));
+                out.push_successor(next, &[], p, hash);
+                k
+            }
+        };
+        if RECORD {
+            let at = out.tape.len();
+            out.tape.extend([slot as u32, 0]);
+            out.tape.extend(pending_ids(pending).map(|t| t as u32));
+            out.tape[at + 1] = (out.tape.len() - at - 2) as u32;
         }
     }
     out.finish_state(1, &w.row);
     Ok(())
 }
 
+/// Replays one lumped state's fold from its tape (see [`expand_lumped`]):
+/// `outcomes` are its phase's replayed probabilities, `edges` start at its
+/// first edge with their targets filled in, `row` is its zeroed row. Every
+/// sum is accumulated in the recorded outcome order, as the fold does.
+/// Returns the number of successors.
+pub(crate) fn refold(
+    tape: &mut Cursor<'_>,
+    outcomes: &[f64],
+    net: &Net,
+    markings: &[u32],
+    edges: &mut [(usize, f64)],
+    row: &mut [f64],
+    tokens: &mut Vec<u32>,
+) -> usize {
+    let places = net.place_count();
+    let (usage_row, tokens_row) = row.split_at_mut(net.transition_count());
+    let mut successors = 0;
+    for &p in outcomes {
+        let slot = tape.read();
+        let pending = tape.list();
+        let (succ, prob) = &mut edges[slot];
+        tokens.clear();
+        tokens.extend_from_slice(&markings[*succ * places..(*succ + 1) * places]);
+        for t in pending.clone().map(|i| tape.get(i)) {
+            for &(pl, mult) in net.transition_outputs(TransId(t)) {
+                tokens[pl.0] -= mult;
+            }
+        }
+        for (acc, &m) in tokens_row.iter_mut().zip(tokens.iter()) {
+            *acc += p * f64::from(m);
+        }
+        for t in pending.map(|i| tape.get(i)) {
+            usage_row[t] += p;
+        }
+        if slot == successors {
+            *prob = p;
+            successors += 1;
+        } else {
+            *prob += p;
+        }
+    }
+    successors
+}
+
 /// Builds the lumped chain of `net` directly — post-completion markings
-/// are interned without ever materializing the raw tangible state space.
+/// are interned without ever materializing the raw tangible state space —
+/// and, with `record`, the tape of its phase arithmetic and folds a
+/// [`Skeleton`](crate::reach::Skeleton) keeps (`net` must then have a
+/// [`Shape`](crate::compiled::Shape)).
 ///
 /// The caller is responsible for checking [`lumpable`] first; the budget
 /// applies to *lumped* states, so an `Auto` engine falls back to DES only
@@ -234,11 +303,12 @@ fn expand_lumped(
 ///
 /// Those of [`Net::reachability`], with [`GtpnError::StateSpaceExceeded`]
 /// measured against the lumped state count.
-pub(crate) fn reach_lumped_budgeted(
+pub(crate) fn lumped_chain(
     net: &Net,
     max_states: usize,
     par: &ParallelBudget,
-) -> Result<LumpedGraph, GtpnError> {
+    record: bool,
+) -> Result<(LumpedGraph, Packed), GtpnError> {
     // The initial marking is the chain's first post-completion marking
     // ("everything completed before time zero"); its expansion is exactly
     // the raw build's initial instantaneous phase.
@@ -248,8 +318,23 @@ pub(crate) fn reach_lumped_budgeted(
         Ok(())
     };
     let row_len = net.transition_count() + net.place_count();
-    let (graph, rows) = explore(net, max_states, par, row_len, seed, expand_lumped)?;
-    Ok(LumpedGraph { graph, rows })
+    let expand = if record {
+        expand_lumped::<true>
+    } else {
+        expand_lumped::<false>
+    };
+    let (graph, rows, tape) = explore(net, max_states, par, row_len, seed, expand)?;
+    Ok((LumpedGraph { graph, rows }, tape))
+}
+
+/// [`lumped_chain`] without a tape, as the tests build it.
+#[cfg(test)]
+pub(crate) fn reach_lumped_budgeted(
+    net: &Net,
+    max_states: usize,
+    par: &ParallelBudget,
+) -> Result<LumpedGraph, GtpnError> {
+    lumped_chain(net, max_states, par, false).map(|(lumped, _)| lumped)
 }
 
 #[cfg(test)]

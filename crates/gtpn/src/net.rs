@@ -104,9 +104,9 @@ impl Transition {
 
 /// A Generalized Timed Petri Net.
 ///
-/// Equality is structural — same places, transitions, arcs, delays and
-/// frequency expressions — and is what the reachability cache
-/// ([`crate::cache`]) uses to recognize a net it has already expanded.
+/// Equality is structural — same names, places, transitions, arcs, delays
+/// and frequency expressions — and is what the engine's solution cache
+/// ([`crate::engine`]) verifies a hit by, on the canonical forms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     name: String,

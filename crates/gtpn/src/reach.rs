@@ -65,15 +65,25 @@ const INITIAL_PENDING_CAP: usize = 4;
 /// What building a graph cost — the build half of the engine's
 /// [`StageLedger`](crate::engine::StageLedger). Seconds are wall-clock
 /// around the whole stage (no timer runs inside the expansion kernel);
-/// counts are summed over the build's workers.
+/// counts are summed over the build's workers. A re-priced chain
+/// ([`Skeleton::replay`]) carries its skeleton's phase counts: they count
+/// the work the chain stands for, not the work its replay did.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct BuildStats {
     pub(crate) net_compile_s: f64,
     pub(crate) bfs_s: f64,
+    /// Replaying a skeleton, the attempt included when it fell back.
+    pub(crate) reprice_s: f64,
     /// Instantaneous phases run.
     pub(crate) phase_calls: u64,
     /// Configurations those phases expanded (terminal ones included).
     pub(crate) phase_configs: u64,
+    /// 1 when the chain was re-priced from a skeleton.
+    pub(crate) replays: u64,
+    /// 1 when the build recorded a skeleton.
+    pub(crate) records: u64,
+    /// 1 when a replay fell back to this fresh build.
+    pub(crate) fallbacks: u64,
 }
 
 /// The embedded Markov chain over tangible states of a [`Net`].
@@ -140,21 +150,42 @@ impl Net {
         max_states: usize,
         par: &ParallelBudget,
     ) -> Result<ReachabilityGraph, GtpnError> {
-        // The initial instantaneous phase from the initial marking seeds
-        // the chain. (The initial distribution itself is irrelevant for
-        // steady state.)
-        let seed = |net: &CompiledNet, w: &mut Worker, out: &mut Expansion| {
-            w.marking = self.initial_marking();
-            w.carried.clear();
-            expand_from(net, w, out)
-        };
-        explore(self, max_states, par, 0, seed, expand_state).map(|(graph, _)| graph)
+        raw_chain(self, max_states, par, false).map(|(graph, _)| graph)
     }
+}
+
+/// Builds the raw chain of `net` and, with `record`, the tape of its phase
+/// arithmetic a [`Skeleton`] keeps (`net` must then have a
+/// [`Shape`](crate::compiled::Shape)).
+pub(crate) fn raw_chain(
+    net: &Net,
+    max_states: usize,
+    par: &ParallelBudget,
+    record: bool,
+) -> Result<(ReachabilityGraph, Packed), GtpnError> {
+    // The initial instantaneous phase from the initial marking seeds the
+    // chain. (The initial distribution itself is irrelevant for steady
+    // state.)
+    let seed = |compiled: &CompiledNet, w: &mut Worker, out: &mut Expansion| {
+        w.marking = net.initial_marking();
+        w.carried.clear();
+        if record {
+            expand_from::<true>(compiled, w, out)
+        } else {
+            expand_from::<false>(compiled, w, out)
+        }
+    };
+    let expand = if record {
+        expand_state::<true>
+    } else {
+        expand_state::<false>
+    };
+    explore(net, max_states, par, 0, seed, expand).map(|(graph, _, tape)| (graph, tape))
 }
 
 /// Expands one tangible state: advance time by its sojourn, then run the
 /// instantaneous phase. Pure per-state work — safe to run on any thread.
-fn expand_state(
+fn expand_state<const RECORD: bool>(
     net: &CompiledNet,
     graph: &ReachabilityGraph,
     si: usize,
@@ -179,7 +210,7 @@ fn expand_state(
             w.carried.push((t, r - dt));
         }
     }
-    expand_from(net, w, out)?;
+    expand_from::<RECORD>(net, w, out)?;
     out.finish_state(dt, &[]);
     Ok(())
 }
@@ -187,8 +218,21 @@ fn expand_state(
 /// Runs the instantaneous phase from `w.marking` with `w.carried` in
 /// progress and records every outcome as a successor state: its marking,
 /// and the carried firings plus the newly started ones, canonically sorted.
-fn expand_from(net: &CompiledNet, w: &mut Worker, out: &mut Expansion) -> Result<(), GtpnError> {
-    instantaneous_phase(net, &w.marking, &w.carried, &mut w.fired, &mut w.phase)?;
+/// The raw chain's edges are the outcomes themselves, so the phase's tape
+/// is all a replay needs.
+fn expand_from<const RECORD: bool>(
+    net: &CompiledNet,
+    w: &mut Worker,
+    out: &mut Expansion,
+) -> Result<(), GtpnError> {
+    instantaneous_phase::<RECORD>(
+        net,
+        &w.marking,
+        &w.carried,
+        &mut w.fired,
+        &mut w.phase,
+        &mut out.tape,
+    )?;
     for (m, pending, p) in w.phase.outcomes(net.places) {
         w.firings.clear();
         w.firings.extend_from_slice(&w.carried);
@@ -252,6 +296,8 @@ pub(crate) struct Expansion {
     /// Per expanded state: its row of conditional expectations (lumped
     /// builds; empty rows otherwise).
     rows: Vec<f64>,
+    /// The expanded states' tape, in state order (recording builds).
+    pub(crate) tape: Vec<u32>,
     /// Why the state after the last recorded one could not be expanded.
     error: Option<GtpnError>,
 }
@@ -272,6 +318,7 @@ impl Expansion {
         self.probs.clear();
         self.hashes.clear();
         self.rows.clear();
+        self.tape.clear();
         self.error = None;
     }
 
@@ -338,6 +385,8 @@ struct Builder {
     /// One row of `row_len` conditional expectations per expanded state.
     rows: Vec<f64>,
     row_len: usize,
+    /// The seed's tape, then every expanded state's, in state order.
+    tape: Packed,
 }
 
 impl Builder {
@@ -394,6 +443,9 @@ impl Builder {
                     .extend_from_slice(&out.rows[s * self.row_len..(s + 1) * self.row_len]);
             }
         }
+        for &word in &out.tape {
+            self.tape.push(word.into());
+        }
         match &out.error {
             Some(e) => Err(e.clone()),
             None => Ok(()),
@@ -423,9 +475,11 @@ pub(crate) type ExpandFn = fn(
 /// it is wide and `par` grants cores — in self-scheduled chunks on worker
 /// threads whose buffers are merged afterwards *in frontier order*. Either
 /// way successors are interned in the same sequence, so numbering, edges,
-/// rows and the first error reported are those of a serial build.
+/// rows and the first error reported are those of a serial build — and so
+/// is the tape a recording expander appends to [`Expansion::tape`].
 ///
-/// Returns the graph and the concatenated rows.
+/// Returns the graph, the concatenated rows and the tape (empty unless the
+/// expanders record).
 pub(crate) fn explore(
     net: &Net,
     max_states: usize,
@@ -433,7 +487,7 @@ pub(crate) fn explore(
     row_len: usize,
     seed: impl FnOnce(&CompiledNet, &mut Worker, &mut Expansion) -> Result<(), GtpnError>,
     expand: ExpandFn,
-) -> Result<(ReachabilityGraph, Vec<f64>), GtpnError> {
+) -> Result<(ReachabilityGraph, Vec<f64>, Packed), GtpnError> {
     net.validate()?;
     let started = Instant::now();
     let compiled = CompiledNet::new(net);
@@ -455,6 +509,7 @@ pub(crate) fn explore(
         max_states,
         rows: Vec::new(),
         row_len,
+        tape: Packed::default(),
     };
     let mut workers = vec![Worker::new(&compiled)];
     let mut out = Expansion::new(places);
@@ -501,7 +556,10 @@ pub(crate) fn explore(
     }
 
     let Builder {
-        mut graph, rows, ..
+        mut graph,
+        rows,
+        tape,
+        ..
     } = b;
     // A finished graph never grows again and may sit in a byte-bounded
     // cache for the rest of the run: give the growth slack back.
@@ -523,7 +581,7 @@ pub(crate) fn explore(
     }
     graph.build.net_compile_s = (compiled_at - started).as_secs_f64();
     graph.build.bfs_s = compiled_at.elapsed().as_secs_f64();
-    Ok((graph, rows))
+    Ok((graph, rows, tape))
 }
 
 /// A self-scheduled unit of frontier work: the states to expand and the
@@ -869,13 +927,25 @@ pub(crate) fn pending_ids(pending: &[u32]) -> impl Iterator<Item = usize> + '_ {
 /// The sort breaks key ties by generation index and the merge adds in that
 /// order, so each merged probability is the sum `p₁ + p₂ + …` in generation
 /// order — exactly what `*map.entry(key).or_insert(0.0) += p` accumulates
-/// (`0.0 + p₁` is `p₁`), bit for bit.
-fn sort_merge(src: &Configs, dst: &mut Configs, order: &mut Vec<u32>, stride: usize) {
+/// (`0.0 + p₁` is `p₁`), bit for bit. That is also why a replay needs no
+/// keys: adding each configuration to its recorded destination, in
+/// generation order, into zeroed slots is the same sum. Recording appends
+/// `dst`'s length, then each configuration's destination in generation
+/// order.
+fn sort_merge<const RECORD: bool>(
+    src: &Configs,
+    dst: &mut Configs,
+    order: &mut Vec<u32>,
+    stride: usize,
+    tape: &mut Vec<u32>,
+) {
     dst.clear();
     let key = |i: u32| &src.keys[i as usize * stride..(i as usize + 1) * stride];
-    order.clear();
-    order.extend(0..src.probs.len() as u32);
-    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+    sort_order(src, order, stride);
+    let dests = tape.len() + 1;
+    if RECORD {
+        tape.resize(dests + src.probs.len(), 0);
+    }
     for &i in order.iter() {
         let p = src.probs[i as usize];
         let merged = dst.keys.len() >= stride && dst.keys[dst.keys.len() - stride..] == *key(i);
@@ -885,7 +955,22 @@ fn sort_merge(src: &Configs, dst: &mut Configs, order: &mut Vec<u32>, stride: us
             dst.keys.extend_from_slice(key(i));
             dst.probs.push(p);
         }
+        if RECORD {
+            tape[dests + i as usize] = dst.probs.len() as u32 - 1;
+        }
     }
+    if RECORD {
+        tape[dests - 1] = dst.probs.len() as u32;
+    }
+}
+
+/// Fills `order` with `src`'s generation indices sorted by key, ties by
+/// index.
+fn sort_order(src: &Configs, order: &mut Vec<u32>, stride: usize) {
+    let key = |i: u32| &src.keys[i as usize * stride..(i as usize + 1) * stride];
+    order.clear();
+    order.extend(0..src.probs.len() as u32);
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
 }
 
 /// Runs the instantaneous firing phase from `marking` with `carried`
@@ -898,12 +983,21 @@ fn sort_merge(src: &Configs, dst: &mut Configs, order: &mut Vec<u32>, stride: us
 /// Each round expands the frontier's configurations in key order and their
 /// enabled transitions in id order; children are sort-merged into the next
 /// frontier, terminal configurations once at the end.
-pub(crate) fn instantaneous_phase(
+///
+/// With `RECORD` the phase also appends its arithmetic to `tape` (the net
+/// must have a [`Shape`](crate::compiled::Shape)): per configuration the
+/// number of enabled transitions, then for each `slot << 1 | skip` — the
+/// rate slot its frequency drew and whether its branch fell under
+/// [`PROB_FLOOR`] — and after every [`sort_merge`] its destinations.
+/// [`Skeleton::replay`] reads the tape back. Without `RECORD` no
+/// recording code is compiled in.
+pub(crate) fn instantaneous_phase<const RECORD: bool>(
     net: &CompiledNet,
     marking: &[u32],
     carried: &[(TransId, u64)],
     fired: &mut [bool],
     s: &mut PhaseScratch,
+    tape: &mut Vec<u32>,
 ) -> Result<(), GtpnError> {
     let places = net.places;
     s.calls += 1;
@@ -942,6 +1036,10 @@ pub(crate) fn instantaneous_phase(
             // Collect enabled transitions and their weights.
             s.enabled.clear();
             let mut total = 0.0;
+            let head = tape.len();
+            if RECORD {
+                tape.push(0);
+            }
             for (ti, t) in net.transitions.iter().enumerate() {
                 if !t.has_tokens(m) {
                     continue;
@@ -956,7 +1054,13 @@ pub(crate) fn instantaneous_phase(
                 if w > 0.0 {
                     s.enabled.push((ti, w));
                     total += w;
+                    if RECORD {
+                        tape.push(t.slot(m, &s.firing_counts, &mut s.stack) << 1);
+                    }
                 }
+            }
+            if RECORD {
+                tape[head] = s.enabled.len() as u32;
             }
 
             if s.enabled.is_empty() {
@@ -965,9 +1069,12 @@ pub(crate) fn instantaneous_phase(
                 continue;
             }
 
-            for &(ti, w) in &s.enabled {
+            for (j, &(ti, w)) in s.enabled.iter().enumerate() {
                 let p = prob * w / total;
                 if p < PROB_FLOOR {
+                    if RECORD {
+                        tape[head + 1 + j] |= 1;
+                    }
                     continue;
                 }
                 fired[ti] = true;
@@ -1006,10 +1113,379 @@ pub(crate) fn instantaneous_phase(
                 s.next.probs.push(p);
             }
         }
-        sort_merge(&s.next, &mut s.front, &mut s.order, places + s.cap);
+        sort_merge::<RECORD>(&s.next, &mut s.front, &mut s.order, places + s.cap, tape);
     }
-    sort_merge(&s.done, &mut s.out, &mut s.order, places + s.cap);
+    sort_merge::<RECORD>(&s.done, &mut s.out, &mut s.order, places + s.cap, tape);
     Ok(())
+}
+
+/// Unsigned integers stored at the narrowest width that holds the largest
+/// of them; pushing a wider value widens them all. A recording build's
+/// tape is one, filled as the builder merges each state's words.
+#[derive(Debug)]
+pub(crate) enum Packed {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+    U64(Vec<u64>),
+}
+
+impl Default for Packed {
+    fn default() -> Packed {
+        Packed::U8(Vec::new())
+    }
+}
+
+impl Packed {
+    fn collect(values: impl IntoIterator<Item = u64>) -> Packed {
+        let mut packed = Packed::default();
+        for v in values {
+            packed.push(v);
+        }
+        packed.shrink_to_fit();
+        packed
+    }
+
+    fn push(&mut self, v: u64) {
+        match self {
+            Packed::U8(w) if v <= u64::from(u8::MAX) => w.push(v as u8),
+            Packed::U16(w) if v <= u64::from(u16::MAX) => w.push(v as u16),
+            Packed::U32(w) if v <= u64::from(u32::MAX) => w.push(v as u32),
+            Packed::U64(w) => w.push(v),
+            _ => {
+                *self = match self {
+                    Packed::U8(w) => Packed::U16(w.iter().map(|&x| x.into()).collect()),
+                    Packed::U16(w) => Packed::U32(w.iter().map(|&x| x.into()).collect()),
+                    _ => Packed::U64(self.unpack(|x| x)),
+                };
+                self.push(v);
+            }
+        }
+    }
+
+    fn get(&self, i: usize) -> u64 {
+        match self {
+            Packed::U8(v) => v[i].into(),
+            Packed::U16(v) => v[i].into(),
+            Packed::U32(v) => v[i].into(),
+            Packed::U64(v) => v[i],
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            Packed::U8(v) => v.shrink_to_fit(),
+            Packed::U16(v) => v.shrink_to_fit(),
+            Packed::U32(v) => v.shrink_to_fit(),
+            Packed::U64(v) => v.shrink_to_fit(),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            Packed::U8(v) => v.capacity(),
+            Packed::U16(v) => 2 * v.capacity(),
+            Packed::U32(v) => 4 * v.capacity(),
+            Packed::U64(v) => 8 * v.capacity(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Packed::U8(v) => v.len(),
+            Packed::U16(v) => v.len(),
+            Packed::U32(v) => v.len(),
+            Packed::U64(v) => v.len(),
+        }
+    }
+
+    /// Every value, through `f`.
+    fn unpack<T>(&self, f: impl Fn(u64) -> T) -> Vec<T> {
+        match self {
+            Packed::U8(v) => v.iter().map(|&x| f(x.into())).collect(),
+            Packed::U16(v) => v.iter().map(|&x| f(x.into())).collect(),
+            Packed::U32(v) => v.iter().map(|&x| f(x.into())).collect(),
+            Packed::U64(v) => v.iter().map(|&x| f(x)).collect(),
+        }
+    }
+}
+
+/// A replay's place in a skeleton's tape.
+pub(crate) struct Cursor<'a> {
+    tape: &'a Packed,
+    at: usize,
+}
+
+impl Cursor<'_> {
+    pub(crate) fn read(&mut self) -> usize {
+        self.at += 1;
+        self.get(self.at - 1)
+    }
+
+    /// Steps over a list of words, its length first; returns where its
+    /// words are, for [`get`](Self::get).
+    pub(crate) fn list(&mut self) -> Range<usize> {
+        let n = self.read();
+        self.at += n;
+        self.at - n..self.at
+    }
+
+    pub(crate) fn get(&self, i: usize) -> usize {
+        self.tape.get(i) as usize
+    }
+}
+
+/// A replayed branch probability landed on the other side of
+/// [`PROB_FLOOR`] than the recorded one: the new rates take another path
+/// through the phase, and only a fresh build can follow it.
+pub(crate) struct FloorMoved;
+
+/// Replays recorded phases: [`instantaneous_phase`]'s arithmetic in its
+/// order, without keys. Buffers are reused from phase to phase.
+#[derive(Default)]
+struct Repricer {
+    front: Vec<f64>,
+    next: Vec<f64>,
+    done: Vec<f64>,
+    /// The last phase's outcome probabilities, in outcome order.
+    out: Vec<f64>,
+}
+
+impl Repricer {
+    /// Replays one phase under `rates`; see [`instantaneous_phase`] for
+    /// the tape's layout. The tape's width is matched once per phase, not
+    /// once per word.
+    fn phase(&mut self, tape: &mut Cursor<'_>, rates: &[f64]) -> Result<(), FloorMoved> {
+        let at = &mut tape.at;
+        match tape.tape {
+            Packed::U8(words) => self.phase_in(words, at, rates),
+            Packed::U16(words) => self.phase_in(words, at, rates),
+            Packed::U32(words) => self.phase_in(words, at, rates),
+            Packed::U64(words) => self.phase_in(words, at, rates),
+        }
+    }
+
+    fn phase_in<W: Copy + Into<u64>>(
+        &mut self,
+        words: &[W],
+        at: &mut usize,
+        rates: &[f64],
+    ) -> Result<(), FloorMoved> {
+        self.front.clear();
+        self.front.push(1.0);
+        self.done.clear();
+        while !self.front.is_empty() {
+            self.next.clear();
+            for &prob in &self.front {
+                let enabled = read(words, at);
+                let slots = &words[*at..*at + enabled];
+                *at += enabled;
+                if enabled == 0 {
+                    self.done.push(prob);
+                    continue;
+                }
+                let mut total = 0.0;
+                for &word in slots {
+                    total += rates[(word.into() >> 1) as usize];
+                }
+                for &word in slots {
+                    let word = word.into();
+                    let p = prob * rates[(word >> 1) as usize] / total;
+                    let skip = p < PROB_FLOOR;
+                    if skip != (word & 1 == 1) {
+                        return Err(FloorMoved);
+                    }
+                    if !skip {
+                        self.next.push(p);
+                    }
+                }
+            }
+            merge(words, at, &self.next, &mut self.front);
+        }
+        merge(words, at, &self.done, &mut self.out);
+        Ok(())
+    }
+}
+
+fn read<W: Copy + Into<u64>>(words: &[W], at: &mut usize) -> usize {
+    *at += 1;
+    words[*at - 1].into() as usize
+}
+
+/// [`sort_merge`] replayed: adds each probability to its recorded
+/// destination, in generation order.
+fn merge<W: Copy + Into<u64>>(words: &[W], at: &mut usize, src: &[f64], dst: &mut Vec<f64>) {
+    dst.clear();
+    dst.resize(read(words, at), 0.0);
+    for &p in src {
+        dst[read(words, at)] += p;
+    }
+}
+
+/// A chain with its probabilities taken out — states, edge targets, the
+/// fired record and the work counts — plus the tape of the phase
+/// arithmetic that produced them: each state's words from
+/// [`instantaneous_phase`] and, in a lumped chain, from the fold of
+/// `crate::lump`, in state order (a raw chain's seed phase first).
+///
+/// Every branch of the instantaneous phase is decided by the net's
+/// structure, its conditions, which rates are zero, and which branch
+/// probabilities fall under [`PROB_FLOOR`]; the sort-merges are decided
+/// by keys alone. So a net of the same [`Shape`](crate::compiled::Shape)
+/// under other rates walks the same states and edges, and only the
+/// floating-point sums change. [`replay`](Self::replay) redoes exactly those
+/// operations in the recorded order — no kernel, no sort, no interning —
+/// and gets the fresh build's bits, or [`FloorMoved`] when a floor decision
+/// would change.
+///
+/// A skeleton is stored compactly: every array at the narrowest integer
+/// width that holds it, edge offsets and outcome token counts not at all
+/// (the replay re-derives them).
+#[derive(Debug)]
+pub(crate) struct Skeleton {
+    /// Whether this is the lumped chain of [`crate::lump`].
+    lumped: bool,
+    markings: Packed,
+    firing_offsets: Packed,
+    firings: Box<[(TransId, u64)]>,
+    targets: Packed,
+    sojourn: Packed,
+    fired: Box<[bool]>,
+    phase_calls: u64,
+    phase_configs: u64,
+    /// The chain's [`ReachabilityGraph::shape_fingerprint`], the key of
+    /// its warm-start slot.
+    pub(crate) shape_fingerprint: u64,
+    tape: Packed,
+}
+
+impl Skeleton {
+    /// The skeleton of `graph`, built with `tape` recorded; `lumped` says
+    /// whether it is the lumped chain.
+    pub(crate) fn new(graph: &ReachabilityGraph, mut tape: Packed, lumped: bool) -> Skeleton {
+        tape.shrink_to_fit();
+        Skeleton {
+            lumped,
+            markings: Packed::collect(graph.markings.iter().map(|&m| u64::from(m))),
+            firing_offsets: Packed::collect(graph.firing_offsets.iter().map(|&o| o as u64)),
+            firings: graph.firings.clone().into_boxed_slice(),
+            targets: Packed::collect(graph.edges.iter().map(|&(j, _)| j as u64)),
+            sojourn: Packed::collect(graph.sojourn.iter().copied()),
+            fired: graph.fired.clone().into_boxed_slice(),
+            phase_calls: graph.build.phase_calls,
+            phase_configs: graph.build.phase_configs,
+            shape_fingerprint: graph.shape_fingerprint(),
+            tape,
+        }
+    }
+
+    /// The least a skeleton of `graph` can hold, known before it is
+    /// recorded: a byte per value, and per phase configuration at least
+    /// two tape words — its enabled count and, unless it is a phase's
+    /// first, its merge destination.
+    pub(crate) fn least_bytes(graph: &ReachabilityGraph) -> usize {
+        std::mem::size_of::<Skeleton>()
+            + graph.markings.len()
+            + graph.firing_offsets.len()
+            + graph.edges.len()
+            + graph.sojourn.len()
+            + 2 * graph.build.phase_configs as usize
+            + std::mem::size_of::<(TransId, u64)>() * graph.firings.len()
+            + graph.fired.len()
+    }
+
+    /// Tangible states of the chain.
+    pub(crate) fn state_count(&self) -> usize {
+        self.sojourn.len()
+    }
+
+    /// Resident bytes — what the store bounds.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<Skeleton>()
+            + self.markings.bytes()
+            + self.firing_offsets.bytes()
+            + std::mem::size_of::<(TransId, u64)>() * self.firings.len()
+            + self.targets.bytes()
+            + self.sojourn.bytes()
+            + self.fired.len()
+            + self.tape.bytes()
+    }
+
+    /// The chain of `net` — of this skeleton's shape — under `rates`, and
+    /// its rows when lumped: bit for bit what a fresh build returns. The
+    /// build record counts one replay and the skeleton's phase work.
+    ///
+    /// # Errors
+    ///
+    /// [`FloorMoved`] when a branch would cross [`PROB_FLOOR`] the other
+    /// way.
+    pub(crate) fn replay(
+        &self,
+        net: &Net,
+        rates: &[f64],
+    ) -> Result<(ReachabilityGraph, Vec<f64>), FloorMoved> {
+        let mut tape = Cursor {
+            tape: &self.tape,
+            at: 0,
+        };
+        let mut phase = Repricer::default();
+        let states = self.state_count();
+        let markings = self.markings.unpack(|m| m as u32);
+        let mut edges = self.targets.unpack(|j| (j as usize, 0.0));
+        let mut edge_offsets = Vec::with_capacity(states + 1);
+        edge_offsets.push(0);
+        let row_len = if self.lumped {
+            net.transition_count() + net.place_count()
+        } else {
+            0
+        };
+        let mut rows = vec![0.0; states * row_len];
+        let mut scratch = Vec::new();
+        if !self.lumped {
+            // The raw chain's seed phase: its outcomes are the first
+            // states, so only its floor decisions matter.
+            phase.phase(&mut tape, rates)?;
+        }
+        for si in 0..states {
+            phase.phase(&mut tape, rates)?;
+            let first = *edge_offsets.last().expect("offsets start at 0");
+            let successors = if self.lumped {
+                crate::lump::refold(
+                    &mut tape,
+                    &phase.out,
+                    net,
+                    &markings,
+                    &mut edges[first..],
+                    &mut rows[si * row_len..(si + 1) * row_len],
+                    &mut scratch,
+                )
+            } else {
+                for (edge, &p) in edges[first..].iter_mut().zip(&phase.out) {
+                    edge.1 = p;
+                }
+                phase.out.len()
+            };
+            edge_offsets.push(first + successors);
+        }
+        debug_assert_eq!(tape.at, self.tape.len(), "replay must consume the tape");
+        let graph = ReachabilityGraph {
+            net: net.clone(),
+            markings,
+            firing_offsets: self.firing_offsets.unpack(|o| o as usize),
+            firings: self.firings.to_vec(),
+            edge_offsets,
+            edges,
+            sojourn: self.sojourn.unpack(|h| h),
+            fired: self.fired.to_vec(),
+            build: BuildStats {
+                phase_calls: self.phase_calls,
+                phase_configs: self.phase_configs,
+                replays: 1,
+                ..BuildStats::default()
+            },
+        };
+        Ok((graph, rows))
+    }
 }
 
 /// Asserts that two builds are the same chain bit for bit: states, sojourns,
@@ -1371,7 +1847,15 @@ mod tests {
             &mut want_fired,
         );
         let mut fired = vec![false; tcount];
-        let got = instantaneous_phase(compiled, marking, carried, &mut fired, scratch).map(|()| {
+        let got = instantaneous_phase::<false>(
+            compiled,
+            marking,
+            carried,
+            &mut fired,
+            scratch,
+            &mut Vec::new(),
+        )
+        .map(|()| {
             scratch
                 .outcomes(compiled.places)
                 .map(|(m, pending, p)| {
@@ -1580,7 +2064,15 @@ mod tests {
         let compiled = CompiledNet::new(&zeno);
         let mut scratch = PhaseScratch::new(&compiled);
         let mut fired = [false];
-        let err = instantaneous_phase(&compiled, &[1], &[], &mut fired, &mut scratch).unwrap_err();
+        let err = instantaneous_phase::<false>(
+            &compiled,
+            &[1],
+            &[],
+            &mut fired,
+            &mut scratch,
+            &mut Vec::new(),
+        )
+        .unwrap_err();
         assert_eq!(err, GtpnError::ZeroDelayDivergence);
         assert_kernels_agree(&zeno, &compiled, &mut scratch, &[1], &[]);
     }

@@ -6,7 +6,9 @@
 
 use hsipc::archsim;
 use hsipc::archsim::{Architecture, Locality, WorkloadSpec};
-use hsipc::models::{local, AnalysisEngine, BackendKind, BackendSel, EngineConfig};
+use hsipc::models::{
+    local, nonlocal, offered, AnalysisEngine, BackendKind, BackendSel, EngineConfig,
+};
 
 /// An `auto` engine whose budget lands between the n=4 and n=5 Arch II
 /// local state spaces (6_336 vs 18_982 states).
@@ -267,5 +269,80 @@ fn exact_chain_is_pinned_by_constants() {
             residual_bits,
             "{at}: residual bits"
         );
+    }
+}
+
+/// The default engine's settings, pinned rather than read from the
+/// environment, on a private cache: what `figs` solves through, with the
+/// skeleton store beside its solution cache.
+fn pinned_engine() -> AnalysisEngine {
+    AnalysisEngine::new(EngineConfig {
+        backend: BackendSel::Auto,
+        tolerance: hsipc::models::TOLERANCE,
+        max_sweeps: hsipc::models::MAX_SWEEPS,
+        state_budget: hsipc::models::STATE_BUDGET,
+        par_solve: false,
+        warm_start: true,
+        lump: hsipc::gtpn::LumpSel::Auto,
+        ..EngineConfig::default()
+    })
+    .with_cache(4_096)
+}
+
+/// The §6.6.3 fixed point pinned by constants: arch II and III, n = 4,
+/// X = 1140 µs. Every iteration re-solves the client and server nets with
+/// a new surrogate delay, so past the second iteration each solve is a
+/// re-priced chain — the bits of Λ and `S_d` and the iteration count must
+/// be those recorded on the commit before chains were re-priced.
+#[test]
+fn nonlocal_fixed_point_is_pinned_by_constants() {
+    // (architecture, throughput bits, S_d bits, iterations)
+    let cases = [
+        (
+            Architecture::MessageCoprocessor,
+            0x3fd1_4149_2f78_5fb3_u64,
+            0x40c4_71f4_8e7d_178e_u64,
+            10,
+        ),
+        (
+            Architecture::SmartBus,
+            0x3fd6_ab8e_7710_b122,
+            0x40c0_6270_098d_720b,
+            10,
+        ),
+    ];
+    for (arch, throughput_bits, s_d_bits, iterations) in cases {
+        let s = nonlocal::solve_in(&pinned_engine(), arch, 4, 1_140.0).unwrap();
+        let at = format!("arch {}", arch.label());
+        assert_eq!(
+            s.throughput_per_ms.to_bits(),
+            throughput_bits,
+            "{at}: Λ bits"
+        );
+        assert_eq!(s.s_d_us.to_bits(), s_d_bits, "{at}: S_d bits");
+        assert_eq!(s.iterations, iterations, "{at}: iterations");
+    }
+}
+
+/// One Figure 6.19 point per architecture, pinned by constants: offered
+/// load 0.7 non-local at n = 4 — the figure's X sweep, where only the
+/// server's geometric stage changes its rate from point to point.
+#[test]
+fn realistic_load_points_are_pinned_by_constants() {
+    let x = offered::server_time_for_load_arch1(Locality::NonLocal, 0.7);
+    let cases = [
+        (Architecture::Uniprocessor, 0x3fc3_6245_7767_6c2f_u64, 11),
+        (Architecture::MessageCoprocessor, 0x3fcc_782c_92f3_8b84, 10),
+        (Architecture::SmartBus, 0x3fd0_c97a_fd73_b164, 10),
+    ];
+    for (arch, throughput_bits, iterations) in cases {
+        let s = nonlocal::solve_in(&pinned_engine(), arch, 4, x).unwrap();
+        let at = format!("arch {}", arch.label());
+        assert_eq!(
+            s.throughput_per_ms.to_bits(),
+            throughput_bits,
+            "{at}: Λ bits"
+        );
+        assert_eq!(s.iterations, iterations, "{at}: iterations");
     }
 }
