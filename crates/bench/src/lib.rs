@@ -1,4 +1,4 @@
-//! # bench — benchmark harness and table/figure regeneration
+//! # bench — the `repro` binary that regenerates the paper's tables and figures
 //!
 //! * `cargo run -p bench --release --bin repro -- list` — enumerate
 //!   experiments.
@@ -6,9 +6,9 @@
 //!   regenerate specific tables/figures.
 //! * `cargo run -p bench --release --bin repro -- all` — regenerate
 //!   everything (the non-local figure sweeps take a few minutes).
-//! * `cargo bench -p bench` — Criterion micro-benchmarks of the bus
-//!   primitives, the GTPN solver, the kernel round trip and the
-//!   architecture simulations.
+//!
+//! Performance is measured by the repository's benchmark
+//! (`benchmark/run.sh`), not by this crate.
 
 #![forbid(unsafe_code)]
 

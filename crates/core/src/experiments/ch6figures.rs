@@ -57,8 +57,7 @@ pub fn fig_6_7() -> String {
         max_sweeps: 100_000,
         state_budget: 1_000,
         des: DesOptions::default(),
-        par_solve: gtpn::par::par_solve_enabled(),
-        warm_start: gtpn::engine::warm_start_enabled(),
+        warm_start: true,
         lump: gtpn::LumpSel::Off,
     });
     let exact = engine
@@ -416,18 +415,15 @@ pub fn fig_7_scale() -> String {
 /// [`fig_7_scale`] under an explicit execution mode.
 pub fn fig_7_scale_with(mode: ExecMode, threads: usize) -> String {
     let x = 5_700.0;
-    // Lumping is pinned on (not read from `HSIPC_LUMP`): the figure's
-    // whole point is the exact-vs-DES switchover location, which must not
-    // move under an environment override — `HSIPC_LUMP=off` byte-identity
-    // over `repro all` depends on it.
+    // Lumping on: the figure's whole point is the exact-vs-DES switchover
+    // location, which only the quotient chain pushes out to n = 16.
     let engine = AnalysisEngine::new(EngineConfig {
         backend: BackendSel::Auto,
         tolerance: models::TOLERANCE,
         max_sweeps: models::MAX_SWEEPS,
         state_budget: models::STATE_BUDGET,
         des: DesOptions::default(),
-        par_solve: gtpn::par::par_solve_enabled(),
-        warm_start: gtpn::engine::warm_start_enabled(),
+        warm_start: true,
         lump: gtpn::LumpSel::On,
     });
     // The n = 32 point: its lumped chain (~10M states by measurement) is

@@ -102,6 +102,18 @@ impl SweepSpec {
         points
     }
 
+    /// Checks every point's run configuration ([`Config::validate`]), so a
+    /// bad axis value is an error before any point runs.
+    ///
+    /// # Errors
+    ///
+    /// The first rejected point's message.
+    pub fn validate(&self) -> Result<(), String> {
+        self.points()
+            .iter()
+            .try_for_each(|point| self.config(point).validate())
+    }
+
     /// The [`Config`] one point executes as. Always virtual-clock: the
     /// sweep's determinism contract (and its wall-clock budget) depends
     /// on it.
@@ -183,7 +195,7 @@ pub struct SweepOutcome {
 }
 
 /// Runs the sweep under the environment's execution policy
-/// (`HSIPC_SWEEP` etc.).
+/// (`HSIPC_SWEEP`).
 pub fn run(spec: &SweepSpec) -> SweepOutcome {
     run_with(spec, sweep::exec_mode(), sweep::threads())
 }

@@ -50,8 +50,8 @@
 //!   solve starts its iteration from the neighbor's answer instead of the
 //!   uniform vector. Seeding moves the solver's *trajectory*, never its
 //!   destination: the stopping rule is unchanged, so a warm solve agrees
-//!   with a cold one to solver tolerance (`HSIPC_WARM_START=0` turns the
-//!   hand-off off for A/B comparison).
+//!   with a cold one to solver tolerance (`EngineConfig.warm_start`
+//!   turns the hand-off off for A/B comparison).
 //!
 //! * **Determinism.** With lumping off the exact backend is bitwise
 //!   identical to calling `net.reachability(budget)?.solve(tol, sweeps)`
@@ -163,25 +163,15 @@ pub struct EngineConfig {
     pub state_budget: usize,
     /// DES replication options.
     pub des: DesOptions,
-    /// Use the red-black ordered solver (exact backend). Results agree
-    /// with the default serial sweep to solver tolerance but are not
-    /// bit-identical to it, so this is opt-in (`HSIPC_PAR_SOLVE=1` via
-    /// [`crate::par::par_solve_enabled`]) and part of the cache key. The
-    /// red-black results themselves are independent of thread count.
-    pub par_solve: bool,
     /// Seed each solve from a same-shape neighbor's converged solution
     /// when a [`WarmStart`] store is in reach (explicit or ambient); see
-    /// the module docs. On by default; `HSIPC_WARM_START=0` disables via
-    /// [`warm_start_enabled`] for engines built by
-    /// [`from_env`](AnalysisEngine::from_env). Not part of the cache key:
-    /// warm and cold solves are interchangeable to solver tolerance.
+    /// the module docs. On by default. Not part of the cache key: warm and
+    /// cold solves are interchangeable to solver tolerance.
     pub warm_start: bool,
     /// Exact-lumping policy ([`crate::lump`]): solve the quotient chain
     /// of a qualifying net instead of the raw tangible chain. Default
-    /// [`LumpSel::Auto`]; part of the cache key (lumped and raw results
-    /// agree to solver tolerance, not bit-for-bit). Engines built by
-    /// [`from_env`](AnalysisEngine::from_env) read `HSIPC_LUMP` via
-    /// [`LumpSel::from_env`].
+    /// [`LumpSel::On`]; part of the cache key (lumped and raw results
+    /// agree to solver tolerance, not bit-for-bit).
     pub lump: LumpSel,
 }
 
@@ -196,21 +186,9 @@ impl Default for EngineConfig {
             max_sweeps: 400_000,
             state_budget: 2_000_000,
             des: DesOptions::default(),
-            par_solve: false,
             warm_start: true,
-            lump: LumpSel::Auto,
+            lump: LumpSel::On,
         }
-    }
-}
-
-/// Whether warm starting is enabled by the environment: `HSIPC_WARM_START`
-/// set to `0`, `off` or `false` disables it; anything else (including
-/// unset) enables it. Read fresh on every call — not latched — so tests
-/// and the CI identity legs can flip it within one process.
-pub fn warm_start_enabled() -> bool {
-    match std::env::var("HSIPC_WARM_START") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")),
-        Err(_) => true,
     }
 }
 
@@ -623,7 +601,7 @@ impl Analysis {
 /// The two implementations are [`ExactMarkov`] and [`DesEstimate`];
 /// [`AnalysisData`] construction is crate-internal, so external backends
 /// are not yet pluggable from outside `gtpn` — the trait is the seam
-/// future ones (truncated state spaces, red-black solvers) slot into.
+/// future ones (truncated state spaces, other solvers) slot into.
 pub trait Backend: Sync {
     /// The kind tag this backend caches its results under.
     fn kind(&self) -> BackendKind;
@@ -651,14 +629,12 @@ thread_local! {
 }
 
 /// Solves `graph`, whose [`ReachabilityGraph::shape_fingerprint`] is
-/// `shape`, through the per-thread workspace with the configured solver,
-/// warm-seeding from (and storing back to) the caller's or the ambient
-/// [`WarmStart`] store. The common trunk of the raw and lumped exact paths.
+/// `shape`, through the per-thread workspace, warm-seeding from (and
+/// storing back to) the caller's or the ambient [`WarmStart`] store. The common trunk of the raw and lumped exact paths.
 fn solve_graph(
     graph: &ReachabilityGraph,
     shape: u64,
     cfg: &EngineConfig,
-    par: &ParallelBudget,
     mut warm: Option<&mut WarmStart>,
 ) -> Result<Solution, GtpnError> {
     let seed = if cfg.warm_start {
@@ -667,29 +643,13 @@ fn solve_graph(
         None
     };
     let solution = WORKSPACE.with(|ws| {
-        let mut ws = ws.borrow_mut();
-        if cfg.par_solve {
-            // Red-black: always when configured (the ordering changes
-            // the trajectory, so it must not depend on core
-            // availability). The solver claims its worker width from
-            // the budget per sweep, widening as pool workers drain.
-            Solution::solve_red_black_budgeted(
-                graph,
-                cfg.tolerance,
-                cfg.max_sweeps,
-                &mut ws,
-                par,
-                seed.as_deref(),
-            )
-        } else {
-            Solution::solve_seeded_with(
-                graph,
-                cfg.tolerance,
-                cfg.max_sweeps,
-                &mut ws,
-                seed.as_deref(),
-            )
-        }
+        Solution::solve_seeded_with(
+            graph,
+            cfg.tolerance,
+            cfg.max_sweeps,
+            &mut ws.borrow_mut(),
+            seed.as_deref(),
+        )
     })?;
     if cfg.warm_start && graph.state_count() > crate::solve::DIRECT_MAX_STATES {
         warm_store(warm, shape, solution.embedded_probabilities().to_vec());
@@ -731,7 +691,7 @@ impl Backend for ExactMarkov<'_> {
         let lump = cfg.lump.enabled() && crate::lump::lumpable(net);
         let chain = crate::cache::build_chain(self.store, net, lump, cfg.state_budget, par)?;
         let built = Instant::now();
-        let solution = solve_graph(&chain.graph, chain.shape, cfg, par, warm)?;
+        let solution = solve_graph(&chain.graph, chain.shape, cfg, warm)?;
         if lump {
             let solved = Instant::now();
             let lumped = crate::lump::LumpedGraph {
@@ -1058,20 +1018,6 @@ impl AnalysisEngine {
         }
     }
 
-    /// The default configuration with the backend policy taken from
-    /// `HSIPC_BACKEND` ([`BackendSel::from_env`]), the red-black solver
-    /// opt-in from `HSIPC_PAR_SOLVE` ([`crate::par::par_solve_enabled`])
-    /// and the lumping policy from `HSIPC_LUMP` ([`LumpSel::from_env`]).
-    pub fn from_env() -> AnalysisEngine {
-        AnalysisEngine::new(EngineConfig {
-            backend: BackendSel::from_env(),
-            par_solve: crate::par::par_solve_enabled(),
-            warm_start: warm_start_enabled(),
-            lump: LumpSel::from_env(),
-            ..EngineConfig::default()
-        })
-    }
-
     /// This engine with a dedicated core budget. Nested solvers (the
     /// §6.6.3 fixed point, tests pinning parallelism) share one budget
     /// across their engines instead of drawing on the global one.
@@ -1153,9 +1099,6 @@ impl AnalysisEngine {
             BackendKind::Exact => {
                 self.cfg.tolerance.to_bits().hash(&mut h);
                 self.cfg.max_sweeps.hash(&mut h);
-                // The red-black solver converges to slightly different
-                // bits, so its results must never alias the serial ones.
-                self.cfg.par_solve.hash(&mut h);
                 lumped.hash(&mut h);
             }
             BackendKind::Des => {
@@ -1531,7 +1474,6 @@ mod tests {
                     warmup: 6_000,
                     batches: 3,
                 },
-                par_solve: false,
                 warm_start: true,
                 // The budget boundary below is stated in *raw* states.
                 lump: LumpSel::Off,
@@ -1601,28 +1543,6 @@ mod tests {
             "tolerance is part of the key"
         );
         assert!(a.resource_usage("lambda").is_ok() && b.resource_usage("lambda").is_ok());
-    }
-
-    #[test]
-    fn par_solve_agrees_with_serial_and_keys_separately() {
-        let _gate = crate::test_serial();
-        clear_cache();
-        let net = geo(10.0);
-        let serial = exact_engine().analyze(&net).unwrap();
-        let rb_engine = AnalysisEngine::new(EngineConfig {
-            par_solve: true,
-            ..exact_engine().config().clone()
-        });
-        let before = cache_stats();
-        let rb = rb_engine.analyze(&net).unwrap();
-        assert_eq!(
-            cache_stats().misses,
-            before.misses + 1,
-            "par_solve must be part of the cache key"
-        );
-        let a = serial.resource_usage("lambda").unwrap();
-        let b = rb.resource_usage("lambda").unwrap();
-        assert!((a - b).abs() < 1e-10, "{a} vs {b}");
     }
 
     #[test]
@@ -1715,7 +1635,7 @@ mod tests {
         clear_cache();
         let net = sym2(6.0);
         let raw = lump_engine(LumpSel::Off).analyze(&net).unwrap();
-        let lumped = lump_engine(LumpSel::Auto).analyze(&net).unwrap();
+        let lumped = lump_engine(LumpSel::On).analyze(&net).unwrap();
         assert!(!raw.lumped() && lumped.lumped());
         assert_eq!(lumped.backend(), BackendKind::Exact);
         assert!(
@@ -1802,7 +1722,7 @@ mod tests {
     /// raw and lumped alike. The store is private to the engine.
     #[test]
     fn a_rate_sweep_is_re_priced_to_the_same_bits() {
-        for lump in [LumpSel::Off, LumpSel::Auto] {
+        for lump in [LumpSel::Off, LumpSel::On] {
             let engine = lump_engine(lump).with_cache(64);
             let fresh = lump_engine(lump).with_cache(0);
             for (i, m) in [3.0, 4.0, 5.5, 7.25, 9.0].into_iter().enumerate() {
@@ -1837,10 +1757,10 @@ mod tests {
         lump_engine(LumpSel::Off).analyze(&net).unwrap();
         let before = cache_stats();
         // A lumping engine must not be served the raw entry...
-        let lumped = lump_engine(LumpSel::Auto).analyze(&net).unwrap();
+        let lumped = lump_engine(LumpSel::On).analyze(&net).unwrap();
         assert!(lumped.lumped());
         assert_eq!(cache_stats().misses, before.misses + 1);
-        // ...while On and Auto (same effective policy) share entries.
+        // ...while a second lumping engine shares its entry.
         let before = cache_stats();
         let again = lump_engine(LumpSel::On).analyze(&net).unwrap();
         assert!(again.lumped());
@@ -1919,7 +1839,7 @@ mod tests {
                 .output(b, 1),
         )
         .unwrap();
-        let engine = lump_engine(LumpSel::Auto);
+        let engine = lump_engine(LumpSel::On);
         let first = engine.analyze(&sym2(m)).unwrap();
         let before = cache_stats();
         let second = engine.analyze(&rev).unwrap();

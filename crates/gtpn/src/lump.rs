@@ -56,36 +56,19 @@ use crate::reach::{
 use crate::solve::Solution;
 use std::collections::HashMap;
 
-/// Lumping policy of an engine (`HSIPC_LUMP`).
+/// Lumping policy of an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LumpSel {
     /// Lump whenever the net qualifies ([`lumpable`]) — the default.
+    /// Lumping is exact, so it is never forced onto a net whose delay
+    /// structure disqualifies it.
     #[default]
-    Auto,
-    /// Same behavior as [`Auto`](LumpSel::Auto): lumping is exact, so
-    /// "on" cannot force it onto a net whose delay structure disqualifies
-    /// it; the variant exists so `HSIPC_LUMP=on` reads as the stated
-    /// intent in scripts and CI legs.
     On,
     /// Never lump; every exact solve runs on the raw tangible chain.
     Off,
 }
 
 impl LumpSel {
-    /// Policy selected by `HSIPC_LUMP` (`auto`, `on`/`1` or `off`/`0`,
-    /// case-insensitive); unset or unrecognized values mean [`Auto`].
-    /// Read fresh on every call — not latched — so tests and CI identity
-    /// legs can flip it within one process.
-    ///
-    /// [`Auto`]: LumpSel::Auto
-    pub fn from_env() -> LumpSel {
-        match std::env::var("HSIPC_LUMP") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("on") => LumpSel::On,
-            Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => LumpSel::Off,
-            _ => LumpSel::Auto,
-        }
-    }
-
     /// Whether this policy permits lumping at all.
     pub fn enabled(self) -> bool {
         !matches!(self, LumpSel::Off)

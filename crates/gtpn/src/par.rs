@@ -2,17 +2,16 @@
 //!
 //! Two layers of this repository want threads: the sweep engine's outer
 //! worker pool (one grid point per worker) and the solver's inner hot
-//! loops (frontier-parallel reachability expansion, the opt-in red-black
-//! Gauss–Seidel, the §6.6.3 fixed point's concurrent sub-solves). Letting
-//! each layer size itself from the environment independently oversubscribes
-//! the machine exactly when it hurts most — a big grid whose tail is one
-//! huge solve. This module provides the shared ledger both layers draw
+//! loops (frontier-parallel reachability expansion, the §6.6.3 fixed
+//! point's concurrent sub-solves). Letting each layer size itself from the
+//! environment independently oversubscribes the machine exactly when it
+//! hurts most — a big grid whose tail is one huge solve. This module provides the shared ledger both layers draw
 //! from:
 //!
-//! * [`threads`] — the one place the thread-count environment knobs are
-//!   read (`HSIPC_SWEEP` as a number, `RAYON_NUM_THREADS`,
-//!   `HSIPC_SWEEP_THREADS`, then the machine's available parallelism).
-//!   `sweep::threads()` re-exports it; nothing else parses these variables.
+//! * [`threads`] — the one place the thread-count knob is read
+//!   (`HSIPC_SWEEP` as a number, else the machine's available
+//!   parallelism). `sweep::threads()` re-exports it; nothing else parses
+//!   the variable.
 //! * [`ParallelBudget`] — a counter of *extra* cores (beyond the calling
 //!   thread) that may be running at once. Outer pool workers
 //!   [`register`](ParallelBudget::register) the core they occupy; inner
@@ -31,36 +30,23 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// The process-wide thread-count policy, parsed once:
-///
-/// 1. `HSIPC_SWEEP` set to a number — that many threads (`1` = serial;
-///    `seq`/`sequential` are accepted as aliases for `1`);
-/// 2. else `RAYON_NUM_THREADS` (rayon's conventional knob);
-/// 3. else `HSIPC_SWEEP_THREADS` (this repo's historical knob);
-/// 4. else the machine's available parallelism.
+/// The process-wide thread-count policy, parsed once: `HSIPC_SWEEP` set to
+/// a number — that many threads (`1` = serial; `seq`/`sequential` are
+/// accepted as aliases for `1`) — else the machine's available
+/// parallelism.
 pub fn threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
         let default = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        threads_from(
-            std::env::var("HSIPC_SWEEP").ok().as_deref(),
-            std::env::var("RAYON_NUM_THREADS").ok().as_deref(),
-            std::env::var("HSIPC_SWEEP_THREADS").ok().as_deref(),
-            default,
-        )
+        threads_from(std::env::var("HSIPC_SWEEP").ok().as_deref(), default)
     })
 }
 
 /// The pure policy behind [`threads`], testable without touching the
 /// environment.
-pub(crate) fn threads_from(
-    hsipc_sweep: Option<&str>,
-    rayon: Option<&str>,
-    legacy: Option<&str>,
-    default: usize,
-) -> usize {
+pub(crate) fn threads_from(hsipc_sweep: Option<&str>, default: usize) -> usize {
     if let Some(v) = hsipc_sweep {
         let v = v.trim();
         if v.eq_ignore_ascii_case("seq") || v.eq_ignore_ascii_case("sequential") {
@@ -72,22 +58,7 @@ pub(crate) fn threads_from(
             }
         }
     }
-    for v in [rayon, legacy].into_iter().flatten() {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     default.max(1)
-}
-
-/// Whether the opt-in parallel red-black Gauss–Seidel is enabled
-/// (`HSIPC_PAR_SOLVE=1`). Default off: the red-black sweep agrees with the
-/// serial solver to solver tolerance, not bit-for-bit.
-pub fn par_solve_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| matches!(std::env::var("HSIPC_PAR_SOLVE").as_deref(), Ok("1")))
 }
 
 /// A ledger of extra cores shared by the outer sweep pool and the solver's
@@ -230,18 +201,18 @@ mod tests {
 
     #[test]
     fn threads_policy_precedence() {
-        // HSIPC_SWEEP numeric wins over everything.
-        assert_eq!(threads_from(Some("8"), Some("2"), Some("3"), 4), 8);
-        assert_eq!(threads_from(Some("1"), Some("2"), None, 4), 1);
+        // HSIPC_SWEEP numeric wins over the machine's parallelism.
+        assert_eq!(threads_from(Some("8"), 4), 8);
+        assert_eq!(threads_from(Some(" 1 "), 4), 1);
         // seq/sequential are aliases for 1.
-        assert_eq!(threads_from(Some("seq"), Some("2"), None, 4), 1);
-        assert_eq!(threads_from(Some("Sequential"), None, None, 4), 1);
-        // Unparsable HSIPC_SWEEP falls through to the other knobs.
-        assert_eq!(threads_from(Some("fast"), Some("2"), Some("3"), 4), 2);
-        assert_eq!(threads_from(None, None, Some("3"), 4), 3);
-        assert_eq!(threads_from(None, None, None, 4), 4);
+        assert_eq!(threads_from(Some("seq"), 4), 1);
+        assert_eq!(threads_from(Some("Sequential"), 4), 1);
+        // Unparsable or zero HSIPC_SWEEP falls through to the machine.
+        assert_eq!(threads_from(Some("fast"), 4), 4);
+        assert_eq!(threads_from(Some("0"), 4), 4);
+        assert_eq!(threads_from(None, 4), 4);
         // Zero is never returned.
-        assert_eq!(threads_from(Some("0"), None, None, 0), 1);
+        assert_eq!(threads_from(Some("0"), 0), 1);
     }
 
     #[test]

@@ -725,27 +725,6 @@ impl ReachabilityGraph {
         Solution::solve_with(self, tolerance, max_sweeps, workspace)
     }
 
-    /// Red-black ordered solve, the opt-in parallel variant behind
-    /// `HSIPC_PAR_SOLVE=1`: both colors update from a frozen copy of the
-    /// previous sweep, so the color batches fan out over `workers` threads
-    /// with results **independent of the worker count**. Agrees with
-    /// [`solve`](Self::solve) to solver tolerance (the iteration
-    /// trajectories differ), not bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GtpnError::NoConvergence`] when the sweeps do not reach
-    /// `tolerance` within `max_sweeps`.
-    pub fn solve_red_black(
-        &self,
-        tolerance: f64,
-        max_sweeps: usize,
-        workspace: &mut crate::solve::SolveWorkspace,
-        workers: usize,
-    ) -> Result<Solution, GtpnError> {
-        Solution::solve_red_black_with(self, tolerance, max_sweeps, workspace, workers)
-    }
-
     /// Resident bytes of this graph — what a cache entry holding it costs,
     /// and what the `HSIPC_CACHE_MB` budget evicts by. Sums the flat
     /// arrays' capacities; only the retained net is an estimate.

@@ -254,170 +254,6 @@ impl Solution {
         }
         Ok(finish(graph, pi, iterations, residual))
     }
-
-    /// Solves `π P = π` with red-black ordering: states are split by index
-    /// parity, each color updated as a batch from a frozen copy of the
-    /// previous values, reds before blacks. Batches are embarrassingly
-    /// parallel, so the color update fans out over `workers` threads — and
-    /// because every value is computed from the frozen vector, the result
-    /// is **identical for any worker count** (only wall-clock changes).
-    ///
-    /// Within a color the update is Jacobi (every value reads the frozen
-    /// vector), and pure Jacobi oscillates on periodic chains — which the
-    /// embedded chains here nearly are once self-loops are eliminated (an
-    /// odd cycle flips between two vectors forever). The scatter therefore
-    /// applies under-relaxation (`RED_BLACK_OMEGA`): mixing the old value
-    /// back in breaks the period-2 mode while leaving the fixed point
-    /// unchanged.
-    ///
-    /// The iteration trajectory differs from the serial symmetric sweep of
-    /// [`solve_with`](Self::solve_with) (red-black reads strictly older
-    /// values within a color, and relaxes), so converged results agree
-    /// with the serial solver to solver tolerance, not bit-for-bit. That
-    /// is why this path is opt-in (`HSIPC_PAR_SOLVE=1`) and excluded from
-    /// the byte-identity contract.
-    pub(crate) fn solve_red_black_with(
-        graph: &ReachabilityGraph,
-        tolerance: f64,
-        max_sweeps: usize,
-        ws: &mut SolveWorkspace,
-        workers: usize,
-    ) -> Result<Solution, GtpnError> {
-        Solution::solve_red_black_core(
-            graph,
-            tolerance,
-            max_sweeps,
-            ws,
-            RbWidth::Fixed(workers),
-            None,
-        )
-    }
-
-    /// As [`solve_red_black_with`](Self::solve_red_black_with), but the
-    /// color batches claim their worker width from `par` **per sweep**
-    /// instead of once per solve: as sweep-pool workers drain and release
-    /// cores mid-solve, the remaining sparse matvecs widen on the next
-    /// sweep. Values are computed from the frozen vector either way, so the
-    /// result stays independent of whatever widths the ledger granted.
-    pub(crate) fn solve_red_black_budgeted(
-        graph: &ReachabilityGraph,
-        tolerance: f64,
-        max_sweeps: usize,
-        ws: &mut SolveWorkspace,
-        par: &crate::par::ParallelBudget,
-        seed: Option<&[f64]>,
-    ) -> Result<Solution, GtpnError> {
-        Solution::solve_red_black_core(graph, tolerance, max_sweeps, ws, RbWidth::Budget(par), seed)
-    }
-
-    fn solve_red_black_core(
-        graph: &ReachabilityGraph,
-        tolerance: f64,
-        max_sweeps: usize,
-        ws: &mut SolveWorkspace,
-        width: RbWidth<'_>,
-        seed: Option<&[f64]>,
-    ) -> Result<Solution, GtpnError> {
-        let n = graph.state_count();
-        assert!(n > 0, "empty reachability graph");
-
-        // Same direct path as [`solve_with`](Self::solve_with): below the
-        // threshold the two solvers are literally the same computation, so
-        // `HSIPC_PAR_SOLVE=1` changes nothing at all on small graphs.
-        if n <= DIRECT_MAX_STATES {
-            if let Some((pi, residual)) = solve_direct(graph) {
-                return Ok(finish(graph, pi, 1, residual));
-            }
-        }
-
-        ws.load(graph);
-        let ws = &*ws;
-
-        let reds = n.div_ceil(2); // states 0, 2, 4, ...
-        let blacks = n / 2; // states 1, 3, 5, ...
-        let mut pi = seed_vector(n, seed);
-        let mut fresh = vec![0.0f64; reds];
-
-        let mut iterations = 0;
-        let mut residual = f64::INFINITY;
-        // Residual one sweep back (0.0 = not yet seen → infinite rate,
-        // which blocks early stopping). The red-black iteration is uniform
-        // sweep to sweep, so successive residuals estimate the rate.
-        let mut prev = 0.0f64;
-        let mut aa = Anderson::new();
-        let mut x_pre: Vec<f64> = Vec::new();
-        let mut stall = StallDetector::new();
-        let mut converged = false;
-        while iterations < max_sweeps {
-            iterations += 1;
-            // The Anderson pair is (input, image) of one full red-black
-            // sweep: snapshot the input before the color updates.
-            if iterations >= AA_WARMUP {
-                x_pre.clone_from(&pi);
-            }
-            // Fixed widths are latched for the whole solve; a budget is
-            // consulted anew each sweep, so cores freed by draining pool
-            // workers widen the remaining sweeps of a long solve.
-            let (_lease, workers) = match width {
-                RbWidth::Fixed(w) => (None, w.max(1)),
-                RbWidth::Budget(par) => {
-                    if n >= PAR_SOLVE_MIN_STATES {
-                        let lease = par.claim_extra(usize::MAX);
-                        let w = 1 + lease.extra();
-                        (Some(lease), w)
-                    } else {
-                        (None, 1)
-                    }
-                }
-            };
-            let mut max_delta = 0.0f64;
-            for color in 0..2usize {
-                let m = if color == 0 { reds } else { blacks };
-                if m == 0 {
-                    continue;
-                }
-                half_sweep(color, &pi, &mut fresh[..m], ws, workers);
-                // Serial scatter: the residual accumulation and the writes
-                // into `pi` happen in state order regardless of workers.
-                for (r, &v) in fresh[..m].iter().enumerate() {
-                    let j = 2 * r + color;
-                    let new = pi[j] + RED_BLACK_OMEGA * (v - pi[j]);
-                    max_delta = max_delta.max((new - pi[j]).abs());
-                    pi[j] = new;
-                }
-            }
-            // Normalize to guard against drift.
-            let total: f64 = pi.iter().sum();
-            if total > 0.0 {
-                for v in pi.iter_mut() {
-                    *v /= total;
-                }
-            }
-            residual = max_delta;
-            if converged_by_tail_bound(residual, residual / prev, tolerance)
-                || stall.stalled(iterations, residual, tolerance)
-            {
-                converged = true;
-                break;
-            }
-            prev = residual;
-            // The same Anderson mixing as the serial sweep, once per
-            // red-black sweep. The candidate is a deterministic function
-            // of the iterates, so worker-count invariance is untouched.
-            if iterations >= AA_WARMUP && residual >= tolerance * 1e-2 {
-                if let Some(cand) = aa.mix(&x_pre, &pi, residual) {
-                    pi = cand;
-                }
-            }
-        }
-        if !converged {
-            return Err(GtpnError::NoConvergence {
-                residual,
-                iterations,
-            });
-        }
-        Ok(finish(graph, pi, iterations, residual))
-    }
 }
 
 /// Graphs at or below this size are solved directly (dense LU on the
@@ -425,20 +261,8 @@ impl Solution {
 /// dense matrix and ~2·10⁶ flops — microseconds — while covering every
 /// graph the §6.6.3 fixed point solves at the paper's conversation counts,
 /// which is where the stiff chains live. Larger graphs stay on the sparse
-/// iterative solvers.
+/// iterative solver.
 pub(crate) const DIRECT_MAX_STATES: usize = 128;
-
-/// Graphs below this size never claim budget cores in the budgeted
-/// red-black solve: the per-sweep work cannot amortize worker dispatch.
-pub(crate) const PAR_SOLVE_MIN_STATES: usize = 512;
-
-/// Worker-width policy of the red-black solver: a width fixed for the whole
-/// solve (the public API) or a [`crate::par::ParallelBudget`] consulted per
-/// sweep (the engine's path, which widens mid-solve as cores free up).
-enum RbWidth<'a> {
-    Fixed(usize),
-    Budget(&'a crate::par::ParallelBudget),
-}
 
 /// The iteration's starting vector: a validated, renormalized copy of
 /// `seed`, or the cold uniform start when the seed is absent, has the wrong
@@ -499,11 +323,11 @@ const AA_ALPHA_CAP: f64 = 1e6;
 
 /// Anderson mixing over Gauss–Seidel sweeps.
 ///
-/// For the sweep map `g` (one symmetric double sweep, or one red-black
-/// sweep) with fixed point `π`, each call records the pair `(x_k, g(x_k))`
-/// and returns the affine combination `Σ α_j g(x_j)` with `Σ α_j = 1`
-/// minimizing `‖Σ α_j f_j‖₂` over a sliding window, where
-/// `f_j = g(x_j) − x_j` is the sweep residual. For a linear map this is
+/// For the sweep map `g` (one symmetric double sweep) with fixed point
+/// `π`, each call records the pair `(x_k, g(x_k))` and returns the affine
+/// combination `Σ α_j g(x_j)` with `Σ α_j = 1` minimizing `‖Σ α_j f_j‖₂`
+/// over a sliding window, where `f_j = g(x_j) − x_j` is the sweep
+/// residual. For a linear map this is
 /// reduced-rank extrapolation applied continuously — the fixed-point
 /// analogue of a Krylov method on `I − M`. That matters here because the
 /// paper's geometric stages produce a *dense* cluster of slow modes (ρ
@@ -513,11 +337,10 @@ const AA_ALPHA_CAP: f64 = 1e6;
 /// every sweep keeps cancelling the cluster as it rotates through the
 /// window.
 ///
-/// Everything is a deterministic function of the iterates, so the solvers
-/// stay bit-reproducible (and the red-black solver stays worker-count
-/// invariant). A degenerate least-squares system or a candidate that
-/// fails the probability-vector guards resets the window; the solve falls
-/// back to plain sweeps while it refills.
+/// Everything is a deterministic function of the iterates, so the solver
+/// stays bit-reproducible. A degenerate least-squares system or a candidate
+/// that fails the probability-vector guards resets the window; the solve
+/// falls back to plain sweeps while it refills.
 struct Anderson {
     /// Sweep residuals `f_j = g(x_j) − x_j`, oldest first.
     fs: VecDeque<Vec<f64>>,
@@ -720,7 +543,7 @@ impl StallDetector {
 
     /// Feeds one sweep's residual; true when the solve has provably
     /// stalled on the rounding floor. Purely a function of the residual
-    /// trajectory, so determinism and worker-count invariance hold.
+    /// trajectory, so the solve stays deterministic.
     fn stalled(&mut self, iterations: usize, residual: f64, tolerance: f64) -> bool {
         if residual >= tolerance * 1e-2 {
             self.mark = f64::INFINITY;
@@ -885,19 +708,16 @@ fn solve_direct(graph: &ReachabilityGraph) -> Option<(Vec<f64>, f64)> {
     Some((pi, residual))
 }
 
-/// The shared stopping rule: the iteration has converged when the
-/// *estimated remaining distance to the fixed point* — not merely the last
-/// step — is below `tolerance`. For a linearly contracting iteration with
-/// rate ρ (estimated from successive residuals `δ_k/δ_{k-1}`), the tail of
-/// the series is bounded by `δ·ρ/(1−ρ)`. Stopping on the raw step size
-/// instead would under-deliver accuracy by a factor of `ρ/(1−ρ)` — orders
-/// of magnitude for the slowly-contracting chains this repository solves,
-/// and differently so for the serial and red-black iterations, which is
-/// exactly the gap that would break their documented 1e-10 agreement.
-/// `rate` is the caller's per-sweep contraction estimate: successive
-/// residuals for the uniform red-black iteration, but `√(δ_k/δ_{k-2})` for
-/// the symmetric serial sweep — its forward and backward half-residuals
-/// differ by orders of magnitude, so only same-direction sweeps compare.
+/// The stopping rule: the iteration has converged when the *estimated
+/// remaining distance to the fixed point* — not merely the last step — is
+/// below `tolerance`. For a linearly contracting iteration with rate ρ, the
+/// tail of the series is bounded by `δ·ρ/(1−ρ)`. Stopping on the raw step
+/// size instead would under-deliver accuracy by a factor of `ρ/(1−ρ)` —
+/// orders of magnitude for the slowly-contracting chains this repository
+/// solves. `rate` is the caller's per-sweep contraction estimate,
+/// `√(δ_k/δ_{k-2})` for the symmetric sweep — its forward and backward
+/// half-residuals differ by orders of magnitude, so only same-direction
+/// sweeps compare.
 fn converged_by_tail_bound(residual: f64, rate: f64, tolerance: f64) -> bool {
     if residual >= tolerance {
         return false;
@@ -908,62 +728,6 @@ fn converged_by_tail_bound(residual: f64, rate: f64, tolerance: f64) -> bool {
     // Noise-floor plateau: deeply sub-tolerance but the rate estimate has
     // degenerated to ~1 — the iteration hit f64 precision, not a slow mode.
     residual < tolerance * 1e-3
-}
-
-/// Under-relaxation factor of the red-black scatter. 0.5 zeroes the
-/// period-2 oscillation mode of the within-color Jacobi update (iteration
-/// eigenvalue `1 - ω + ωλ` vanishes at `λ = -1`) at the cost of roughly
-/// doubling the sweep count on the slow modes — robustness over speed for
-/// the chains this repository solves.
-const RED_BLACK_OMEGA: f64 = 0.5;
-
-/// One red-black color update: `out[r]` receives the new value of state
-/// `2r + color`, computed purely from the frozen `pi`. Fans out over
-/// `workers` threads in contiguous chunks; values are independent of the
-/// worker count and chunking by construction.
-fn half_sweep(color: usize, pi: &[f64], out: &mut [f64], ws: &SolveWorkspace, workers: usize) {
-    let value = |r: usize| -> f64 {
-        let j = 2 * r + color;
-        let inflow: f64 = ws.incoming(j).iter().map(|&(i, p)| pi[i] * p).sum();
-        let denom = 1.0 - ws.self_loop[j];
-        if denom <= 0.0 {
-            // Absorbing self-loop state: leave mass as-is; the deadlock
-            // check upstream prevents this in practice.
-            pi[j]
-        } else {
-            inflow / denom
-        }
-    };
-    let m = out.len();
-    if workers <= 1 || m < workers * 8 {
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = value(r);
-        }
-        return;
-    }
-    let chunk = m.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut chunks = out.chunks_mut(chunk).enumerate();
-        let first = chunks.next();
-        for (ci, oc) in chunks {
-            handles.push(scope.spawn(move || {
-                for (k, o) in oc.iter_mut().enumerate() {
-                    *o = value(ci * chunk + k);
-                }
-            }));
-        }
-        if let Some((_, oc)) = first {
-            for (k, o) in oc.iter_mut().enumerate() {
-                *o = value(k);
-            }
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
 }
 
 /// Shared post-processing: time-weights the stationary distribution and
@@ -1257,76 +1021,6 @@ mod tests {
         assert!(s.mean_sojourn() > 0.0);
         assert!(s.iterations() > 0);
         assert!(s.residual() < 1e-13);
-    }
-
-    /// The red-black solver agrees with the serial symmetric sweep to well
-    /// within 1e-10 and is bit-identical across worker counts.
-    #[test]
-    fn red_black_agrees_and_is_worker_invariant() {
-        let mut net = Net::new("rb");
-        // Five independent geometric stages: the product state space must
-        // exceed DIRECT_MAX_STATES so this exercises the iterative
-        // red-black path (not the shared direct solve), and be large
-        // enough to engage the parallel fan-out.
-        for s in 0..5 {
-            let p = net.add_place(format!("P{s}"), 1);
-            let q = net.add_place(format!("Q{s}"), 0);
-            let mean = 3.0 + s as f64;
-            net.add_transition(
-                Transition::new(format!("exit{s}"))
-                    .delay(1)
-                    .frequency(Expr::constant(1.0 / mean))
-                    .resource("lambda")
-                    .input(p, 1)
-                    .output(q, 1),
-            )
-            .unwrap();
-            net.add_transition(
-                Transition::new(format!("loop{s}"))
-                    .delay(1)
-                    .frequency(Expr::constant(1.0 - 1.0 / mean))
-                    .input(p, 1)
-                    .output(p, 1),
-            )
-            .unwrap();
-            net.add_transition(
-                Transition::new(format!("rec{s}"))
-                    .delay(2)
-                    .input(q, 1)
-                    .output(p, 1),
-            )
-            .unwrap();
-        }
-        let g = net.reachability(100_000).unwrap();
-        assert!(
-            g.state_count() > super::DIRECT_MAX_STATES,
-            "net too small to exercise the iterative path: {} states",
-            g.state_count()
-        );
-        let serial = g.solve(1e-12, 1_000_000).unwrap();
-        let mut ws = super::SolveWorkspace::new();
-        let rb1 = g.solve_red_black(1e-12, 1_000_000, &mut ws, 1).unwrap();
-        let rb4 = g.solve_red_black(1e-12, 1_000_000, &mut ws, 4).unwrap();
-        // Worker-count invariance is exact: same floats, same sweep count.
-        assert_eq!(rb1.iterations(), rb4.iterations());
-        for (a, b) in rb1
-            .state_probabilities()
-            .iter()
-            .zip(rb4.state_probabilities())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Agreement with the serial solver.
-        for (a, b) in serial
-            .state_probabilities()
-            .iter()
-            .zip(rb1.state_probabilities())
-        {
-            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
-        }
-        let u_serial = serial.resource_usage("lambda").unwrap();
-        let u_rb = rb4.resource_usage("lambda").unwrap();
-        assert!((u_serial - u_rb).abs() < 1e-10, "{u_serial} vs {u_rb}");
     }
 
     #[test]

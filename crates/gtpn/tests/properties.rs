@@ -361,11 +361,11 @@ proptest! {
         net.add_transition(Transition::new("back").delay(1).input(b, 1).output(a, 1))
             .unwrap();
         prop_assert!(!gtpn::lump::lumpable(&net), "delay {} must disqualify", d);
-        let auto = lump_engine(LumpSel::Auto).analyze(&net).unwrap();
+        let on = lump_engine(LumpSel::On).analyze(&net).unwrap();
         let off = lump_engine(LumpSel::Off).analyze(&net).unwrap();
-        prop_assert!(!auto.lumped());
+        prop_assert!(!on.lumped());
         prop_assert_eq!(
-            auto.resource_usage("lambda").unwrap().to_bits(),
+            on.resource_usage("lambda").unwrap().to_bits(),
             off.resource_usage("lambda").unwrap().to_bits(),
             "declined lumping must leave the raw path untouched"
         );

@@ -85,10 +85,9 @@ impl From<gtpn::GtpnError> for ModelError {
 }
 
 /// The process-wide default analysis engine: the chapter-6 budgets
-/// ([`TOLERANCE`], [`MAX_SWEEPS`], [`STATE_BUDGET`]) with the backend
-/// policy taken from `HSIPC_BACKEND` and the exact-lumping policy from
-/// `HSIPC_LUMP`, both at first use ([`BackendSel::from_env`],
-/// [`gtpn::LumpSel::from_env`]).
+/// ([`TOLERANCE`], [`MAX_SWEEPS`], [`STATE_BUDGET`]), warm starts and
+/// exact lumping on, and the backend policy taken from `HSIPC_BACKEND` at
+/// first use ([`BackendSel::from_env`]).
 ///
 /// Every model-level `solve` function without an explicit engine argument
 /// analyzes through this engine, so sweeps, experiments and tests share
@@ -102,9 +101,8 @@ pub fn default_engine() -> &'static AnalysisEngine {
             max_sweeps: MAX_SWEEPS,
             state_budget: STATE_BUDGET,
             des: DesOptions::default(),
-            par_solve: gtpn::par::par_solve_enabled(),
-            warm_start: gtpn::engine::warm_start_enabled(),
-            lump: gtpn::LumpSel::from_env(),
+            warm_start: true,
+            lump: gtpn::LumpSel::On,
         })
     })
 }

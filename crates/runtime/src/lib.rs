@@ -33,14 +33,12 @@
 
 pub mod clock;
 pub mod cost;
-pub mod env;
 pub mod hist;
 mod node;
 pub mod shm;
 
 pub use archsim::timings::{Architecture, Locality};
 pub use clock::{ClockMode, OvershootRow};
-pub use env::{EnvError, LiveEnv};
 pub use hist::Histogram;
 
 use clock::{block_on, Actor, Bell, ClockSystem};
@@ -106,17 +104,57 @@ impl Config {
         }
     }
 
-    /// As [`Config::new`], then applies the validated `HSIPC_LIVE_*`
-    /// environment knobs (see [`LiveEnv`]).
+    /// Checks that [`run`] can execute this configuration: at least one
+    /// node and one conversation, every task and kernel buffer addressable
+    /// in the node's shared memory, a positive finite scale, a non-negative
+    /// finite server compute time, at least one buffer, and two nodes for
+    /// non-local traffic.
     ///
     /// # Errors
     ///
-    /// [`EnvError`] when a set variable is malformed or an unknown
-    /// `HSIPC_LIVE_*` variable (a likely typo) is present.
-    pub fn from_env(architecture: Architecture) -> Result<Config, EnvError> {
-        let mut config = Config::new(architecture);
-        LiveEnv::from_env()?.apply(&mut config);
-        Ok(config)
+    /// A message naming the offending field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nodes < 1 {
+            return Err(format!("nodes must be at least 1, got {}", self.nodes));
+        }
+        if self.conversations < 1 {
+            return Err(format!(
+                "conversations must be at least 1, got {}",
+                self.conversations
+            ));
+        }
+        if self.buffers < 1 {
+            return Err(format!("buffers must be at least 1, got {}", self.buffers));
+        }
+        let blocks = 2 * u64::from(self.conversations) + u64::from(self.buffers);
+        let max = NodeShm::max_blocks(self.architecture);
+        if blocks > u64::from(max) {
+            return Err(format!(
+                "conversations: 2 x {} tasks + {} buffers exceed the {max} control blocks of an arch {} node",
+                self.conversations,
+                self.buffers,
+                self.architecture.label()
+            ));
+        }
+        if !(self.scale > 0.0 && self.scale.is_finite()) {
+            return Err(format!(
+                "scale must be a positive finite number, got {}",
+                self.scale
+            ));
+        }
+        if !(self.server_compute_us >= 0.0 && self.server_compute_us.is_finite()) {
+            return Err(format!(
+                "server-compute-us must be a non-negative finite number, got {}",
+                self.server_compute_us
+            ));
+        }
+        if self.locality == Locality::NonLocal && self.nodes < 2 {
+            return Err(format!(
+                "nodes: non-local traffic needs at least 2, got {}",
+                self.nodes
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -199,19 +237,14 @@ type Processor = Pin<Box<dyn Future<Output = u64> + Send>>;
 ///
 /// # Panics
 ///
-/// On nonsensical configurations (zero nodes or conversations, non-local
-/// traffic on one node, task/buffer counts that overflow the 16-bit
-/// control-block address space) and on internal runtime invariant
-/// violations.
+/// On a configuration [`Config::validate`] rejects, with its message, and
+/// on internal runtime invariant violations.
 pub fn run(config: &Config) -> RunReport {
-    assert!(config.nodes >= 1, "at least one node");
-    assert!(config.conversations >= 1, "at least one conversation");
-    assert!(config.scale > 0.0, "scale must be positive");
-    if config.locality == Locality::NonLocal {
-        assert!(config.nodes >= 2, "non-local traffic needs two nodes");
+    if let Err(e) = config.validate() {
+        panic!("invalid live configuration: {e}");
     }
     let n = config.conversations as usize;
-    let tasks = u16::try_from(2 * n).expect("2 × conversations fits the 16-bit TCB space");
+    let tasks = u16::try_from(2 * n).expect("validated: tasks fit the control-block space");
 
     // Bit rate 0: the ring's wire time is not modeled because §4.6 assumes
     // the network is not a bottleneck — interface costs (DmaIn/DmaOut) are
@@ -509,6 +542,21 @@ mod tests {
                 "{arch}: latency distribution is empty or inconsistent"
             );
         }
+    }
+
+    /// A conventional module's 64 KiB image holds 32,764 control blocks; a
+    /// smart module numbers up to 65,535. (The other checks are driven
+    /// through `repro` by `crates/bench/tests/cli.rs`.)
+    #[test]
+    fn validate_bounds_control_blocks_by_architecture() {
+        let mut config = Config::new(Architecture::Uniprocessor);
+        config.conversations = 16_366; // 2 × 16,366 tasks + 32 buffers = 32,764
+        assert_eq!(config.validate(), Ok(()));
+        config.conversations = 16_367;
+        let e = config.validate().unwrap_err();
+        assert!(e.contains("exceed the 32764 control blocks"), "{e}");
+        config.architecture = Architecture::SmartBus;
+        assert_eq!(config.validate(), Ok(()));
     }
 
     #[test]

@@ -34,6 +34,20 @@ pub struct NodeShm {
 }
 
 impl NodeShm {
+    /// The most control blocks (tasks + kernel buffers) one node's shared
+    /// memory can hold under `arch`: a conventional module is a 64 KiB
+    /// image of two-byte words — the NULL word, three list anchors, then
+    /// one link per block — while a smart module numbers blocks with a
+    /// `u16`.
+    pub(crate) fn max_blocks(arch: Architecture) -> u32 {
+        match arch {
+            Architecture::Uniprocessor | Architecture::MessageCoprocessor => {
+                (64 * 1024 - 2 - 2 * 3) / 2
+            }
+            Architecture::SmartBus | Architecture::PartitionedSmartBus => u32::from(u16::MAX),
+        }
+    }
+
     /// Builds the shared memory for `arch` with `tasks` control blocks and
     /// `buffers` kernel buffers, returning the TCB image and the buffer
     /// free list (already full) for [`msgkernel::Kernel::with_queues`],

@@ -17,14 +17,12 @@
 //!   which worker executes them or in what order;
 //! * [`ExecMode`] / [`threads`] — environment-controlled execution policy:
 //!   `HSIPC_SWEEP=<n>` sets the worker count (`1`, `seq` or `sequential`
-//!   force the sequential path), falling back to `RAYON_NUM_THREADS`
-//!   (rayon's conventional knob), then `HSIPC_SWEEP_THREADS`, then the
-//!   machine's available parallelism. The policy lives in [`gtpn::par`] so
-//!   the solver's inner parallelism reads the very same knobs — and both
-//!   layers draw threads from one [`gtpn::ParallelBudget`]: each pool
-//!   worker registers the core it occupies, so inner loops (frontier
-//!   expansion, red-black sweeps, the §6.6.3 concurrent sub-solves) only
-//!   widen onto cores the pool leaves free.
+//!   force the sequential path), falling back to the machine's available
+//!   parallelism. The policy lives in [`gtpn::par`] so the solver's inner
+//!   parallelism reads the very same knob — and both layers draw threads
+//!   from one [`gtpn::ParallelBudget`]: each pool worker registers the
+//!   core it occupies, so inner loops (frontier expansion, the §6.6.3
+//!   concurrent sub-solves) only widen onto cores the pool leaves free.
 //!
 //! Worker panics propagate to the caller — a failing sweep point fails the
 //! whole sweep, as it would sequentially.
@@ -63,8 +61,7 @@ pub fn exec_mode() -> ExecMode {
 
 /// Worker count for parallel sweeps — the one thread-count policy of the
 /// repository, re-exported from [`gtpn::par::threads`]: `HSIPC_SWEEP` as a
-/// number, then `RAYON_NUM_THREADS`, then `HSIPC_SWEEP_THREADS`, then the
-/// machine's available parallelism.
+/// number, else the machine's available parallelism.
 pub fn threads() -> usize {
     gtpn::par::threads()
 }

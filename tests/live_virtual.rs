@@ -70,9 +70,8 @@ fn virtual_runs_are_deterministic() {
 /// column. The architectures therefore *must* coincide here; they
 /// separate in real-clock runs and in the GTPN models, where contention
 /// exists. The arch II guard below proves the pipeline still
-/// distinguishes architectures — the III = IV rows in
-/// `BENCH_runtime.json` are a property of virtual time, not a
-/// conflation.
+/// distinguishes architectures — the III = IV rows of `repro live
+/// --clock virtual` are a property of virtual time, not a conflation.
 #[test]
 fn arch_iii_and_iv_virtual_local_runs_are_bitwise_identical() {
     let run = |arch| {
@@ -263,7 +262,10 @@ fn zero_conversations_panics_instead_of_hanging() {
     let err = catch_unwind(AssertUnwindSafe(|| hsipc::runtime::run(&config)))
         .expect_err("zero conversations must panic");
     let msg = panic_message(err);
-    assert!(msg.contains("at least one conversation"), "panic: {msg}");
+    assert!(
+        msg.contains("conversations must be at least 1"),
+        "panic: {msg}"
+    );
 }
 
 /// One kernel buffer shared by a whole fleet: every send but one parks on

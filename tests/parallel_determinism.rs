@@ -5,9 +5,7 @@
 //! * the §6.6.3 fixed point solves to bit-identical numbers under a
 //!   1-core and an 8-core engine budget (the concurrent client/server
 //!   sub-solves and the frontier-parallel reachability build must not
-//!   perturb a single float);
-//! * the opt-in red-black Gauss–Seidel (`HSIPC_PAR_SOLVE=1`) agrees with
-//!   the serial solver to well under the documented 1e-10.
+//!   perturb a single float).
 
 use std::sync::Arc;
 
@@ -17,21 +15,20 @@ use hsipc::sweep::ExecMode;
 
 /// A fresh Exact-backend engine with a private cache and an explicit
 /// core budget — nothing shared between the configurations under test.
-fn engine(cores: usize, par_solve: bool) -> AnalysisEngine {
+fn engine(cores: usize) -> AnalysisEngine {
     AnalysisEngine::new(EngineConfig {
         backend: BackendSel::Exact,
         tolerance: models::TOLERANCE,
         max_sweeps: models::MAX_SWEEPS,
         state_budget: models::STATE_BUDGET,
         des: DesOptions::default(),
-        par_solve,
         // Warm starting must not break budget invariance: the §6.6.3
         // stores travel with the fixed point's closures, not with the
         // threads the budget happens to grant.
         warm_start: true,
-        // Explicitly Auto: the budget-invariance assertions below must
+        // Explicitly on: the budget-invariance assertions below must
         // also hold when the lumped chain is built frontier-parallel.
-        lump: hsipc::gtpn::LumpSel::Auto,
+        lump: hsipc::gtpn::LumpSel::On,
     })
     .with_cache(256)
     .with_budget(Arc::new(ParallelBudget::new(cores)))
@@ -53,8 +50,8 @@ fn nonlocal_figure_is_identical_at_1_and_8_threads() {
 /// engine budgets.
 #[test]
 fn nonlocal_fixed_point_is_budget_invariant() {
-    let narrow = engine(1, false);
-    let wide = engine(8, false);
+    let narrow = engine(1);
+    let wide = engine(8);
     for n in [1, 3] {
         let a =
             models::nonlocal::solve_in(&narrow, Architecture::MessageCoprocessor, n, 0.0).unwrap();
@@ -78,29 +75,6 @@ fn nonlocal_fixed_point_is_budget_invariant() {
         assert_eq!(
             a.iterations, b.iterations,
             "n={n}: iteration count diverged"
-        );
-    }
-}
-
-/// The red-black parallel Gauss–Seidel is a different iteration, so it is
-/// opt-in and tolerance-equal rather than bit-equal: the non-local fixed
-/// point lands within 1e-10 (relative) of the serial solver's answer.
-#[test]
-fn par_solve_fixed_point_agrees_with_serial() {
-    let serial = engine(8, false);
-    let red_black = engine(8, true);
-    for n in [1, 2] {
-        let a =
-            models::nonlocal::solve_in(&serial, Architecture::MessageCoprocessor, n, 0.0).unwrap();
-        let b = models::nonlocal::solve_in(&red_black, Architecture::MessageCoprocessor, n, 0.0)
-            .unwrap();
-        let rel = (a.throughput_per_ms - b.throughput_per_ms).abs()
-            / a.throughput_per_ms.max(f64::MIN_POSITIVE);
-        assert!(
-            rel < 1e-10,
-            "n={n}: red-black throughput {} vs serial {} (rel {rel:e})",
-            b.throughput_per_ms,
-            a.throughput_per_ms
         );
     }
 }
