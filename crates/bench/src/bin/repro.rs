@@ -16,15 +16,25 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use sweep::ExecMode;
 
-/// The environment variables the program reads; any other `HSIPC_*`
-/// variable is an error, so a stale or misspelt knob cannot be silently
-/// ignored.
-const KNOBS: [&str; 4] = [
-    "HSIPC_SWEEP",
-    "HSIPC_BACKEND",
-    "HSIPC_CACHE_MB",
-    "HSIPC_CACHE_CAP",
+/// Checks a knob's value with the parser the library reads it through.
+type KnobCheck = fn(&str) -> Result<(), String>;
+
+/// The environment variables the program reads, each with its check. Any
+/// other `HSIPC_*` variable is an error, so a stale or misspelt knob cannot
+/// be silently ignored, and so is a value its parser rejects, so a bad
+/// value cannot silently mean the default.
+const KNOBS: [(&str, KnobCheck); 3] = [
+    ("HSIPC_SWEEP", |v| gtpn::par::parse_threads(v).map(drop)),
+    ("HSIPC_BACKEND", |v| gtpn::BackendSel::parse(v).map(drop)),
+    ("HSIPC_CACHE_CAP", |v| {
+        gtpn::cache::parse_entry_cap(v).map(drop)
+    }),
 ];
+
+/// The names of [`KNOBS`], comma-separated.
+fn knob_names() -> String {
+    KNOBS.map(|(name, _)| name).join(", ")
+}
 
 /// Every live flag: name, value hint (empty: none), and whether `repro
 /// live` and `repro live-sweep` take it. `--help` is printed from here.
@@ -76,7 +86,7 @@ fn main() -> ExitCode {
                 eprintln!("  {}", format!("{flag} {hint}").trim_end());
             }
         }
-        eprintln!("environment: {}", KNOBS.join(", "));
+        eprintln!("environment: {}", knob_names());
         return ExitCode::from(2);
     }
     if args[0] == "live" {
@@ -175,16 +185,22 @@ fn main() -> ExitCode {
 }
 
 /// Rejects any set `HSIPC_*` variable that is not one of [`KNOBS`], naming
-/// the flag that replaced it when it is a former live-run variable.
+/// the flag that replaced it when it is a former live-run variable, and any
+/// knob whose value its parser rejects.
 fn check_environment() -> Result<(), String> {
-    let stale = std::env::vars_os()
-        .filter_map(|(name, _)| name.into_string().ok())
-        .find(|name| name.starts_with("HSIPC_") && !KNOBS.contains(&name.as_str()));
-    let Some(name) = stale else { return Ok(()) };
-    Err(match replacement_flag(&name) {
-        Some(flag) => format!("{name} is no longer read; use the `{flag}` flag"),
-        None => format!("{name} is not a knob (the knobs are {})", KNOBS.join(", ")),
-    })
+    for (name, value) in std::env::vars_os() {
+        let Some(name) = name.to_str().filter(|name| name.starts_with("HSIPC_")) else {
+            continue;
+        };
+        let Some((_, parse)) = KNOBS.iter().find(|(knob, _)| *knob == name) else {
+            return Err(match replacement_flag(name) {
+                Some(flag) => format!("{name} is no longer read; use the `{flag}` flag"),
+                None => format!("{name} is not a knob (the knobs are {})", knob_names()),
+            });
+        };
+        parse(&value.to_string_lossy())?;
+    }
+    Ok(())
 }
 
 /// The flag a former live-run variable became: its name after `LIVE_`,

@@ -1,7 +1,8 @@
 //! The `repro` command line, end to end: flags are the one way to configure
 //! a live run, every bad value is a usage error (exit 2, naming the flag)
-//! rather than a panic or a quietly wrong run, and any `HSIPC_*` variable
-//! outside the four knobs is refused.
+//! rather than a panic or a quietly wrong run, any `HSIPC_*` variable
+//! outside the three knobs is refused, and so is a knob value its parser
+//! rejects.
 
 use std::process::{Command, Output};
 
@@ -206,8 +207,8 @@ fn unknown_live_variable_is_a_typo_error() {
     ] {
         refused(var, &format!("use the `{flag}` flag"));
     }
-    // A typo, a deleted live knob and the deleted solver switches are
-    // refused with the list of knobs that remain.
+    // A typo, a deleted live knob and the deleted solver and cache
+    // switches are refused with the list of knobs that remain.
     for var in [
         "HSIPC_LIVE_CONVERSATION",
         "HSIPC_LIVE_HANDOFF",
@@ -215,16 +216,43 @@ fn unknown_live_variable_is_a_typo_error() {
         "HSIPC_WARM_START",
         "HSIPC_LUMP",
         "HSIPC_SWEEP_THREADS",
+        "HSIPC_CACHE_MB",
     ] {
         refused(var, "is not a knob");
     }
-    // The four knobs are read, not refused.
-    for var in [
-        "HSIPC_SWEEP",
-        "HSIPC_BACKEND",
-        "HSIPC_CACHE_MB",
-        "HSIPC_CACHE_CAP",
+    // The three knobs are read, not refused.
+    for (var, value) in [
+        ("HSIPC_SWEEP", "4"),
+        ("HSIPC_BACKEND", "exact"),
+        ("HSIPC_CACHE_CAP", "4"),
     ] {
-        assert!(repro(&["list"], &[(var, "4")]).status.success(), "{var}");
+        assert!(repro(&["list"], &[(var, value)]).status.success(), "{var}");
+    }
+}
+
+#[test]
+fn malformed_knob_values_error_instead_of_defaulting() {
+    for (var, value, accepted) in [
+        ("HSIPC_CACHE_CAP", "zero", "a whole number"),
+        ("HSIPC_CACHE_CAP", "-1", "a whole number"),
+        ("HSIPC_CACHE_CAP", "", "a whole number"),
+        ("HSIPC_BACKEND", "exakt", "exact, des or auto"),
+        (
+            "HSIPC_SWEEP",
+            "foo",
+            "a positive number, `seq` or `sequential`",
+        ),
+    ] {
+        let out = repro(&["list"], &[(var, value)]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{var}={value:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{var}=`{value}`")) && stderr.contains(accepted),
+            "{var}={value:?}: `{stderr}` does not name the variable and what it accepts"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{var}={value:?} ran before it was rejected"
+        );
     }
 }

@@ -57,7 +57,6 @@ pub fn fig_6_7() -> String {
         max_sweeps: 100_000,
         state_budget: 1_000,
         des: DesOptions::default(),
-        warm_start: true,
         lump: gtpn::LumpSel::Off,
     });
     let exact = engine
@@ -107,7 +106,7 @@ pub fn fig_6_15_with(mode: ExecMode, threads: usize) -> String {
     }
     let grid = Grid::new(points);
     let engine = models::default_engine();
-    let rows = grid.eval_in_with(engine, mode, threads, |engine, &(n, i, server_us)| {
+    let rows = grid.eval_with(mode, threads, |&(n, i, server_us)| {
         // Each DES replication seeds from its grid coordinates — never from
         // a shared RNG — so results are identical no matter which worker
         // runs the point or in what order.
@@ -164,7 +163,7 @@ fn max_load(
 ) -> String {
     let grid = sweep::cartesian(&CONVERSATIONS, archs);
     let engine = models::default_engine();
-    let cells = grid.eval_in_with(engine, mode, threads, |engine, &(n, arch)| {
+    let cells = grid.eval_with(mode, threads, |&(n, arch)| {
         format!("{:.4}", solve_throughput(engine, arch, locality, n, 0.0))
     });
     let rows: Vec<Vec<String>> = CONVERSATIONS
@@ -203,7 +202,7 @@ fn realistic(
     }
     let grid = Grid::new(points);
     let engine = models::default_engine();
-    let cells = grid.eval_in_with(engine, mode, threads, |engine, &(_, server_us, n, arch)| {
+    let cells = grid.eval_with(mode, threads, |&(_, server_us, n, arch)| {
         format!(
             "{:.4}",
             solve_throughput(engine, arch, locality, n, server_us)
@@ -379,7 +378,7 @@ pub fn fig_7_1_with(mode: ExecMode, threads: usize) -> String {
     let conv_axis: [u32; 2] = [2, 4];
     let grid = sweep::cartesian(&hosts_axis, &conv_axis);
     let engine = models::default_engine();
-    let cells = grid.eval_in_with(engine, mode, threads, |engine, &(hosts, n)| {
+    let cells = grid.eval_with(mode, threads, |&(hosts, n)| {
         let t = local::solve_with_hosts_in(engine, Architecture::MessageCoprocessor, n, x, hosts)
             .expect("multi-host model solves");
         format!("{:.4}", t.throughput_per_ms)
@@ -423,7 +422,6 @@ pub fn fig_7_scale_with(mode: ExecMode, threads: usize) -> String {
         max_sweeps: models::MAX_SWEEPS,
         state_budget: models::STATE_BUDGET,
         des: DesOptions::default(),
-        warm_start: true,
         lump: gtpn::LumpSel::On,
     });
     // The n = 32 point: its lumped chain (~10M states by measurement) is
@@ -437,8 +435,8 @@ pub fn fig_7_scale_with(mode: ExecMode, threads: usize) -> String {
         ..engine.config().clone()
     });
     let grid = Grid::new(vec![2u32, 4, 8, 16, 32]);
-    let rows = grid.eval_in_with(&engine, mode, threads, |engine, &n| {
-        let engine = if n <= 16 { engine } else { &des_engine };
+    let rows = grid.eval_with(mode, threads, |&n| {
+        let engine = if n <= 16 { &engine } else { &des_engine };
         let t = local::solve_in(engine, Architecture::MessageCoprocessor, n, x)
             .expect("scale point solves");
         vec![

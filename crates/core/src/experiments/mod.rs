@@ -219,17 +219,7 @@ pub fn run(id: &str) -> Option<String> {
 /// grids on the same engine, so every experiment flows through one
 /// evaluation path. Output is byte-identical across modes — that is the
 /// sweep engine's contract, and `tests/sweep_identity.rs` holds it to it.
-///
-/// The experiment id tags the run as a cache *partition*
-/// ([`gtpn::cache::partition_scope`]): lookups stay global, so
-/// structurally shared nets still hit across figures, but when the bounded
-/// caches overflow, an experiment's inserts evict its own stale entries
-/// before touching another experiment's hot ones.
 pub fn run_with(id: &str, mode: sweep::ExecMode, threads: usize) -> Option<String> {
-    gtpn::cache::partition_scope(id, || run_with_inner(id, mode, threads))
-}
-
-fn run_with_inner(id: &str, mode: sweep::ExecMode, threads: usize) -> Option<String> {
     match id {
         "table6.24" => Some(ch6tables::table_6_24_with(mode, threads)),
         "table6.25" => Some(ch6tables::table_6_25_with(mode, threads)),

@@ -20,9 +20,8 @@
 //!   `HSIPC_SWEEP=1` vs `8` produce identical bytes
 //!   (`tests/live_sweep.rs` holds it to that).
 //! * **One engine.** Model points evaluate through the shared
-//!   [`gtpn::AnalysisEngine`] under a `live-sweep` cache partition, so
-//!   workers share one solution cache and warm-start chain exactly like
-//!   `repro all`'s figure sweeps.
+//!   [`gtpn::AnalysisEngine`], so workers share one solution cache exactly
+//!   like `repro all`'s figure sweeps.
 //!
 //! The interesting regimes the solver cannot reach come out in the extra
 //! columns: `stalls` (kernel-buffer shortage blocking, §3.2.3) explodes at
@@ -208,26 +207,23 @@ pub fn run_with(spec: &SweepSpec, mode: ExecMode, threads: usize) -> SweepOutcom
     let engine = models::default_engine();
     // Grid points fan out on the order-preserving pool; every worker
     // analyzes its model point through the shared engine (one solution
-    // cache, warm-start hand-off along the X axis) inside the sweep's own
-    // cache partition. The closure is deterministic, so mode/threads only
-    // control fan-out, never the bytes.
-    let outcomes = gtpn::cache::partition_scope("live-sweep", || {
-        grid.eval_in_with(engine, mode, threads, |engine, point| {
-            let report = runtime::run(&spec.config(point));
-            let model_per_ms = models::live_throughput_in(
-                engine,
-                point.architecture,
-                spec.locality,
-                point.conversations,
-                point.x_us,
-            )
-            .ok();
-            PointOutcome {
-                point: *point,
-                report,
-                model_per_ms,
-            }
-        })
+    // cache). The closure is deterministic, so mode/threads only control
+    // fan-out, never the bytes.
+    let outcomes = grid.eval_with(mode, threads, |point| {
+        let report = runtime::run(&spec.config(point));
+        let model_per_ms = models::live_throughput_in(
+            engine,
+            point.architecture,
+            spec.locality,
+            point.conversations,
+            point.x_us,
+        )
+        .ok();
+        PointOutcome {
+            point: *point,
+            report,
+            model_per_ms,
+        }
     });
 
     let rendered = render(spec, &outcomes);

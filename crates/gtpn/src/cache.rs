@@ -1,4 +1,4 @@
-//! Cache bounds, eviction partitions, and the store of chain skeletons.
+//! Cache bounds and the store of chain skeletons.
 //!
 //! The paper's evaluation solves the same nets over and over with one rate
 //! changed: the §6.6.3 non-local fixed point re-solves the client and
@@ -26,24 +26,18 @@
 //! # Bounding and eviction
 //!
 //! The solution cache and the store beside it are each bounded by
-//! **resident bytes** ([`CacheLimits::max_bytes`], `HSIPC_CACHE_MB`,
-//! default 1 GiB) and optionally by entry count (`HSIPC_CACHE_CAP`; unset
-//! means unbounded, `0` disables caching — and with it re-pricing —
-//! entirely). Eviction is least-recently-used via an intrusive doubly-linked
-//! list (`lru`), O(1) per eviction. Entries are tagged with the
-//! **partition** (experiment id, see [`partition_scope`]) that inserted
-//! them, and the victim search prefers the inserting partition's own oldest
-//! entry — a sweep that overflows the budget eats its own tail rather than
-//! a neighbor figure's.
+//! **resident bytes** ([`DEFAULT_CACHE_MB`]) and optionally by entry count
+//! (`HSIPC_CACHE_CAP`, [`parse_entry_cap`]; unset means unbounded, `0`
+//! disables caching — and with it re-pricing — entirely). Eviction is
+//! least-recently-used via an intrusive doubly-linked list (`lru`), O(1)
+//! per eviction.
 //!
 //! # Environment latching
 //!
-//! Limits are read from the environment **when a cache is constructed** —
-//! the engine's global caches at first use or
-//! [`crate::engine::clear_cache`], a private engine's at
-//! [`crate::engine::AnalysisEngine::with_cache`]. There is deliberately no
-//! process-global latch: a cache built after the environment changes sees
-//! the new values.
+//! `HSIPC_CACHE_CAP` is read **when a cache is constructed** — the engine's
+//! global caches at first use or [`crate::engine::clear_cache`]. There is
+//! deliberately no process-global latch: a cache built after the
+//! environment changes sees the new value.
 
 use crate::compiled::Shape;
 use crate::error::GtpnError;
@@ -51,112 +45,68 @@ use crate::lru::BoundedLru;
 use crate::net::Net;
 use crate::par::ParallelBudget;
 use crate::reach::{Packed, ReachabilityGraph, Skeleton};
-use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Default resident-byte budget (mebibytes) when `HSIPC_CACHE_MB` is unset.
+/// The resident-byte budget (mebibytes) of each bounded cache.
 ///
 /// Sized so the full evaluation (`repro all`) runs eviction-free: its
-/// resident working set measures ~260 MiB per cache, and an eviction on
-/// the critical path costs a re-solve that dwarfs the memory it saved.
-/// Memory-constrained runs dial it down with `HSIPC_CACHE_MB`.
+/// resident working set is a few MiB per cache, and an eviction on the
+/// critical path costs a re-solve that dwarfs the memory it saved.
 pub const DEFAULT_CACHE_MB: usize = 1024;
+
+/// Parses an `HSIPC_CACHE_CAP` value: a whole number of entries, `0` to
+/// disable caching.
+///
+/// # Errors
+///
+/// Any other value, with a message naming the variable and the values it
+/// accepts.
+pub fn parse_entry_cap(value: &str) -> Result<usize, String> {
+    value.trim().parse().map_err(|_| {
+        format!(
+            "HSIPC_CACHE_CAP=`{value}` is not an entry count (a whole number; 0 disables caching)"
+        )
+    })
+}
 
 /// Size bounds of a bounded cache, fixed at cache construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheLimits {
+pub(crate) struct CacheLimits {
     /// Maximum resident entries (`usize::MAX` = unbounded, `0` = disabled).
-    pub max_entries: usize,
+    pub(crate) max_entries: usize,
     /// Maximum estimated resident bytes (`0` = disabled).
-    pub max_bytes: usize,
+    pub(crate) max_bytes: usize,
 }
 
 impl CacheLimits {
-    /// Reads `HSIPC_CACHE_CAP` (entry count; unset = unbounded) and
-    /// `HSIPC_CACHE_MB` (mebibytes; unset = [`DEFAULT_CACHE_MB`]) from the
-    /// environment **now** — call this at cache construction; the result is
-    /// latched per cache instance, never per process.
-    pub fn from_env() -> CacheLimits {
-        let parse = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        };
-        CacheLimits {
-            max_entries: parse("HSIPC_CACHE_CAP").unwrap_or(usize::MAX),
-            max_bytes: parse("HSIPC_CACHE_MB")
-                .map(|mb| mb.saturating_mul(1024 * 1024))
-                .unwrap_or(DEFAULT_CACHE_MB * 1024 * 1024),
-        }
+    /// [`DEFAULT_CACHE_MB`] and the entry cap `HSIPC_CACHE_CAP` sets
+    /// (unbounded when unset), read **now** — call this at cache
+    /// construction; the result is latched per cache instance, never per
+    /// process.
+    pub(crate) fn from_env() -> CacheLimits {
+        CacheLimits::with_entry_cap(
+            crate::knob("HSIPC_CACHE_CAP", parse_entry_cap).unwrap_or(usize::MAX),
+        )
     }
 
-    /// Entry-count limits with the byte budget still read from the
-    /// environment — the semantics of
+    /// [`DEFAULT_CACHE_MB`] and an entry cap of `cap` — the semantics of
     /// [`crate::engine::AnalysisEngine::with_cache`].
-    pub fn with_entry_cap(cap: usize) -> CacheLimits {
+    pub(crate) fn with_entry_cap(cap: usize) -> CacheLimits {
         CacheLimits {
             max_entries: cap,
-            ..CacheLimits::from_env()
+            max_bytes: DEFAULT_CACHE_MB * 1024 * 1024,
         }
     }
 
     /// True when either bound is zero: every lookup misses and nothing is
     /// retained.
-    pub fn disabled(&self) -> bool {
+    pub(crate) fn disabled(&self) -> bool {
         self.max_entries == 0 || self.max_bytes == 0
     }
-}
-
-// ---------------------------------------------------------------------------
-// Partitions
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    /// The eviction partition of work running on this thread (0 = none).
-    static PARTITION: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Restores the previous partition tag when dropped.
-pub struct PartitionGuard {
-    prev: u32,
-}
-
-impl Drop for PartitionGuard {
-    fn drop(&mut self) {
-        PARTITION.with(|p| p.set(self.prev));
-    }
-}
-
-/// Tags cache inserts on this thread with partition `p` until the guard
-/// drops. Sweep workers use this to carry their experiment's partition tag
-/// ([`current_partition`]) across threads.
-pub fn enter_partition(p: u32) -> PartitionGuard {
-    PARTITION.with(|slot| {
-        let prev = slot.replace(p);
-        PartitionGuard { prev }
-    })
-}
-
-/// The partition tag of the current thread (0 when none is active).
-pub fn current_partition() -> u32 {
-    PARTITION.with(|p| p.get())
-}
-
-/// Runs `f` with cache inserts tagged by `label`'s partition — one label
-/// per experiment id keeps one figure's grid points from evicting
-/// another's (see the module docs on eviction preference).
-pub fn partition_scope<R>(label: &str, f: impl FnOnce() -> R) -> R {
-    let mut h = DefaultHasher::new();
-    label.hash(&mut h);
-    let fp = h.finish();
-    // Fold to 32 bits; 0 is reserved for "no partition".
-    let tag = ((fp ^ (fp >> 32)) as u32).max(1);
-    let _guard = enter_partition(tag);
-    f()
 }
 
 // ---------------------------------------------------------------------------
@@ -171,8 +121,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to do the work.
     pub misses: u64,
-    /// Entries dropped to make room (least recently used first, preferring
-    /// the inserting partition).
+    /// Entries dropped to make room (least recently used first).
     pub evictions: u64,
     /// Duplicate inserts dropped because a racing worker got there first.
     pub dedup_drops: u64,
@@ -334,14 +283,14 @@ impl SkeletonStore {
         while self.lru.len() >= self.limits.max_entries
             || self.lru.bytes() + bytes > self.limits.max_bytes
         {
-            let Some(victim) = self.lru.victim(current_partition()) else {
+            let Some(victim) = self.lru.victim() else {
                 break;
             };
             self.remove(victim);
             self.evictions += 1;
         }
         let hash = shelf.hash;
-        let i = self.lru.insert(shelf, bytes, current_partition());
+        let i = self.lru.insert(shelf, bytes);
         self.map.entry(hash).or_default().push(i);
     }
 
@@ -361,9 +310,6 @@ pub(crate) struct Chain {
     /// The lumped chain's rows of conditional expectations; empty for a
     /// raw chain.
     pub(crate) rows: Vec<f64>,
-    /// `graph.shape_fingerprint()`, carried over from the skeleton when the
-    /// chain was re-priced.
-    pub(crate) shape: u64,
 }
 
 /// Builds the raw or `lumped` chain of `net` within `max_states` states,
@@ -376,7 +322,7 @@ pub(crate) struct Chain {
 ///
 /// Those of [`Net::reachability`] (or the lumped build).
 pub(crate) fn build_chain(
-    store: Option<&Mutex<SkeletonStore>>,
+    store: &Mutex<SkeletonStore>,
     net: &Net,
     lumped: bool,
     max_states: usize,
@@ -385,13 +331,15 @@ pub(crate) fn build_chain(
     fn lock(store: &Mutex<SkeletonStore>) -> MutexGuard<'_, SkeletonStore> {
         store.lock().expect("skeleton store poisoned")
     }
-    let store = store.filter(|store| !lock(store).limits.disabled());
-    let (Some(store), Some(shape)) = (store, store.and_then(|_| Shape::of(net))) else {
-        let (graph, rows, _) = fresh(net, lumped, max_states, par, false)?;
-        let shape = graph.shape_fingerprint();
-        return Ok(Chain { graph, rows, shape });
+    let shape = if lock(store).limits.disabled() {
+        None
+    } else {
+        Shape::of(net)
     };
-    let Shape { mut key, rates } = shape;
+    let Some(Shape { mut key, rates }) = shape else {
+        let (graph, rows, _) = fresh(net, lumped, max_states, par, false)?;
+        return Ok(Chain { graph, rows });
+    };
     key.push(u64::from(lumped));
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
@@ -402,11 +350,7 @@ pub(crate) fn build_chain(
     if let Plan::Replay(skeleton) = &plan {
         if let Ok((mut graph, rows)) = skeleton.replay(net, &rates) {
             graph.build.reprice_s = started.elapsed().as_secs_f64();
-            return Ok(Chain {
-                graph,
-                rows,
-                shape: skeleton.shape_fingerprint,
-            });
+            return Ok(Chain { graph, rows });
         }
     }
     let reprice_s = started.elapsed().as_secs_f64();
@@ -417,31 +361,23 @@ pub(crate) fn build_chain(
         key,
         sighting,
     };
-    let fingerprint = match plan {
+    match plan {
         Plan::Replay(_) => {
             graph.build.reprice_s = reprice_s;
             graph.build.fallbacks = 1;
-            graph.shape_fingerprint()
         }
         Plan::Record => {
             graph.build.records = 1;
             let skeleton = Arc::new(Skeleton::new(&graph, tape, lumped));
-            let fingerprint = skeleton.shape_fingerprint;
             lock(store).shelve(shelf(Sighting::Recorded(skeleton)));
-            fingerprint
         }
         Plan::Sight => {
             let least = Skeleton::least_bytes(&graph);
             lock(store).shelve(shelf(Sighting::Seen { least }));
-            graph.shape_fingerprint()
         }
-        Plan::Build => graph.shape_fingerprint(),
-    };
-    Ok(Chain {
-        graph,
-        rows,
-        shape: fingerprint,
-    })
+        Plan::Build => {}
+    }
+    Ok(Chain { graph, rows })
 }
 
 /// A fresh build of the raw or lumped chain, recording its tape or not.
@@ -516,7 +452,7 @@ mod tests {
     }
 
     fn build(store: &Mutex<SkeletonStore>, net: &Net, lumped: bool) -> Chain {
-        build_chain(Some(store), net, lumped, 10_000, &ParallelBudget::serial()).unwrap()
+        build_chain(store, net, lumped, 10_000, &ParallelBudget::serial()).unwrap()
     }
 
     /// `(replays, records, fallbacks)` of a chain's build.
@@ -532,7 +468,6 @@ mod tests {
         assert_graphs_identical(&chain.graph, &graph);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&chain.rows), bits(&rows), "rows drifted");
-        assert_eq!(chain.shape, graph.shape_fingerprint());
     }
 
     /// A shape is shelved as a sighting on its first build, recorded on
@@ -591,7 +526,7 @@ mod tests {
         build(&store, &net, false);
         let recorded = build(&store, &net, false);
         assert!(recorded.graph.state_count() > 1);
-        let err = build_chain(Some(&store), &net, false, 1, &ParallelBudget::serial());
+        let err = build_chain(&store, &net, false, 1, &ParallelBudget::serial());
         assert!(matches!(
             err.err(),
             Some(GtpnError::StateSpaceExceeded { limit: 1 })
@@ -679,28 +614,6 @@ mod tests {
         }
         assert_eq!(road(&build(&tiny, &ring(3, 0.5), true)), (0, 0, 0));
         assert_eq!(lock_stats(&tiny).skeletons, 0);
-    }
-
-    #[test]
-    fn eviction_prefers_the_inserting_partition() {
-        let store = bounded(2, usize::MAX);
-        partition_scope("figA", || build(&store, &ring(1, 0.5), false));
-        partition_scope("figB", || build(&store, &ring(2, 0.5), false));
-        // figA overflows the store: its own older sighting is the victim,
-        // figB's survives even though it is not the most recent.
-        partition_scope("figA", || build(&store, &ring(3, 0.5), false));
-        let b = partition_scope("figB", || build(&store, &ring(2, 0.5), false));
-        assert_eq!(
-            road(&b),
-            (0, 1, 0),
-            "other partition's sighting was evicted"
-        );
-        let a = partition_scope("figA", || build(&store, &ring(1, 0.5), false));
-        assert_eq!(
-            road(&a),
-            (0, 0, 0),
-            "inserting partition's own sighting should have been the victim"
-        );
     }
 
     /// Two workers that both recorded one shape: the second skeleton is
@@ -864,7 +777,7 @@ mod tests {
             let delays = if lumped { [0, 0, 1, 1, 1, 1] } else { [0, 0, 1, 1, 2, 3] };
             let net = crate::reach::arbitrary::net(&initial, &specs, delays);
             let store = unbounded();
-            let run = |net: &Net| build_chain(Some(&store), net, lumped, 300, &ParallelBudget::serial());
+            let run = |net: &Net| build_chain(&store, net, lumped, 300, &ParallelBudget::serial());
             if run(&net).is_ok() && run(&net).is_ok() {
                 let repriced = crate::reach::arbitrary::net(&initial, &reprice(&specs, &scales), delays);
                 let want = fresh(&repriced, lumped, 300, &ParallelBudget::serial(), false);

@@ -2,28 +2,34 @@
 //!
 //! Every model, experiment, sweep point, cross-validation run and bench in
 //! this repository obtains its throughput/usage figures through
-//! [`AnalysisEngine::analyze`]. The engine owns three concerns the callers
-//! used to hand-roll separately:
+//! [`AnalysisEngine::analyze`]. It runs the paper's analyzer pipeline —
+//! net → reachability → steady-state solve → resource usage — and owns the
+//! concerns around it:
 //!
-//! * **Backend selection.** A [`Backend`] turns a net into an
-//!   [`AnalysisData`]; two are provided. [`ExactMarkov`] is the paper's
-//!   reference pipeline — reachability expansion (or, for a net whose
-//!   rate-free shape the engine has seen before, a re-pricing of the
-//!   recorded chain skeleton, see [`crate::cache`]) followed by the
-//!   Gauss–Seidel steady-state solve, with a per-thread
-//!   [`SolveWorkspace`] kept warm across points. When
-//!   the net qualifies for exact lumping ([`crate::lump`]) and the
-//!   engine's [`LumpSel`] policy permits, the exact backend builds and
-//!   solves the *quotient* chain instead and de-lumps the measures —
-//!   identical numbers to solver tolerance, combinatorially fewer
-//!   states, so `Auto` falls back to DES only past the lumped budget.
-//!   [`DesEstimate`] replaces the exact solve by batched Monte-Carlo runs
-//!   of [`crate::sim`] and reports batch-means estimates with 95%
-//!   confidence half-widths — usable when the reachability graph is too
-//!   large to enumerate. [`BackendSel::Auto`] (the `HSIPC_BACKEND=auto`
-//!   default) tries the exact path and falls back to DES exactly when the
-//!   state budget is exceeded, which opens the `n > 4` conversation axis
-//!   the exact solver cannot reach.
+//! * **Backend selection.** The exact backend is the paper's reference
+//!   pipeline: reachability expansion (or, for a net whose rate-free shape
+//!   the engine has seen before, a re-pricing of the recorded chain
+//!   skeleton, see [`crate::cache`]) followed by the Gauss–Seidel
+//!   steady-state solve from the uniform vector, through a per-thread
+//!   scratch workspace. When the net qualifies for exact lumping
+//!   ([`crate::lump`]) and the engine's [`LumpSel`] policy permits, it
+//!   builds and solves the *quotient* chain instead and de-lumps the
+//!   measures — identical numbers to solver tolerance, combinatorially
+//!   fewer states, so `Auto` falls back to DES only past the lumped
+//!   budget. The DES backend replaces the exact solve by batched
+//!   Monte-Carlo runs of [`crate::sim`] and reports batch-means estimates
+//!   with 95% confidence half-widths — usable when the reachability graph
+//!   is too large to enumerate. [`BackendSel::Auto`] (the
+//!   `HSIPC_BACKEND=auto` default) tries the exact path and falls back to
+//!   DES exactly when the state budget is exceeded, which opens the
+//!   `n > 4` conversation axis the exact solver cannot reach.
+//!
+//! * **One result shape.** A raw solve, a de-lumped quotient solve and a
+//!   DES estimate all produce the same measures, filled in when the result
+//!   is made: per-resource usage and minimum delay, per-place mean tokens,
+//!   per-transition usage, DES half-widths (none for exact runs) and an
+//!   exact run's iterations and residual. No result keeps its chain, so a
+//!   cached entry costs a few short vectors.
 //!
 //! * **Canonical solution caching.** Results are cached process-globally,
 //!   keyed by `(canonical net fingerprint, backend, solver parameters)`
@@ -33,25 +39,11 @@
 //!   [`PlaceId`]/[`TransId`] queries through the composed permutation. Hits
 //!   are verified by full structural equality of the canonical forms, so
 //!   fingerprint collisions cannot alias distinct nets. The cache is
-//!   bounded by resident bytes (`HSIPC_CACHE_MB`) and optionally entry
-//!   count (`HSIPC_CACHE_CAP`, `0` disables), see
-//!   [`crate::cache::CacheLimits`] — with intrusive LRU eviction that
-//!   prefers victims from the inserting experiment's own partition
-//!   ([`crate::cache::partition_scope`]) — and reports [`cache_stats`].
-//!   The skeleton store the exact backend re-prices from lives beside it,
+//!   bounded by resident bytes ([`crate::cache::DEFAULT_CACHE_MB`]) and
+//!   optionally entry count (`HSIPC_CACHE_CAP`, `0` disables), evicts the
+//!   least recently used entry first, and reports [`cache_stats`]. The
+//!   skeleton store the exact backend re-prices from lives beside it,
 //!   under the same limits ([`store_stats`]).
-//!
-//! * **Warm starts.** Consecutive points of a sweep differ only in a few
-//!   rates, so their embedded chains share a *shape*
-//!   ([`ReachabilityGraph::shape_fingerprint`]). A [`WarmStart`] carries
-//!   converged embedded distributions across same-shape solves — threaded
-//!   explicitly through [`AnalysisEngine::analyze_warm`], or installed
-//!   ambiently on a sweep worker via [`warm_point_begin`] — and the next
-//!   solve starts its iteration from the neighbor's answer instead of the
-//!   uniform vector. Seeding moves the solver's *trajectory*, never its
-//!   destination: the stopping rule is unchanged, so a warm solve agrees
-//!   with a cold one to solver tolerance (`EngineConfig.warm_start`
-//!   turns the hand-off off for A/B comparison).
 //!
 //! * **Determinism.** With lumping off the exact backend is bitwise
 //!   identical to calling `net.reachability(budget)?.solve(tol, sweeps)`
@@ -81,7 +73,6 @@ use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -116,16 +107,32 @@ pub enum BackendSel {
 }
 
 impl BackendSel {
-    /// Policy selected by `HSIPC_BACKEND` (`exact`, `des` or `auto`,
-    /// case-insensitive); unset or unrecognized values mean [`Auto`].
+    /// Parses an `HSIPC_BACKEND` value: `exact`, `des` or `auto`,
+    /// case-insensitive.
     ///
-    /// [`Auto`]: BackendSel::Auto
-    pub fn from_env() -> BackendSel {
-        match std::env::var("HSIPC_BACKEND") {
-            Ok(v) if v.eq_ignore_ascii_case("exact") => BackendSel::Exact,
-            Ok(v) if v.eq_ignore_ascii_case("des") => BackendSel::Des,
-            _ => BackendSel::Auto,
+    /// # Errors
+    ///
+    /// Any other value, with a message naming the variable and the values
+    /// it accepts.
+    pub fn parse(value: &str) -> Result<BackendSel, String> {
+        match value.trim().to_ascii_lowercase().as_str() {
+            "exact" => Ok(BackendSel::Exact),
+            "des" => Ok(BackendSel::Des),
+            "auto" => Ok(BackendSel::Auto),
+            _ => Err(format!(
+                "HSIPC_BACKEND=`{value}` is not a backend (exact, des or auto)"
+            )),
         }
+    }
+
+    /// The policy `HSIPC_BACKEND` selects ([`parse`](Self::parse)); unset
+    /// means [`Auto`](BackendSel::Auto).
+    ///
+    /// # Panics
+    ///
+    /// When the variable is set to a value [`parse`](Self::parse) rejects.
+    pub fn from_env() -> BackendSel {
+        crate::knob("HSIPC_BACKEND", BackendSel::parse).unwrap_or(BackendSel::Auto)
     }
 }
 
@@ -163,11 +170,6 @@ pub struct EngineConfig {
     pub state_budget: usize,
     /// DES replication options.
     pub des: DesOptions,
-    /// Seed each solve from a same-shape neighbor's converged solution
-    /// when a [`WarmStart`] store is in reach (explicit or ambient); see
-    /// the module docs. On by default. Not part of the cache key: warm and
-    /// cold solves are interchangeable to solver tolerance.
-    pub warm_start: bool,
     /// Exact-lumping policy ([`crate::lump`]): solve the quotient chain
     /// of a qualifying net instead of the raw tangible chain. Default
     /// [`LumpSel::On`]; part of the cache key (lumped and raw results
@@ -186,120 +188,8 @@ impl Default for EngineConfig {
             max_sweeps: 400_000,
             state_budget: 2_000_000,
             des: DesOptions::default(),
-            warm_start: true,
             lump: LumpSel::On,
         }
-    }
-}
-
-/// Shapes retained per [`WarmStart`] store before it resets. A sweep point
-/// touches a handful of distinct chain shapes (client net, server net, the
-/// architecture's local model); the bound only guards against a pathological
-/// caller accumulating unboundedly.
-const WARM_MAX_SHAPES: usize = 64;
-
-/// A hand-off store of converged embedded distributions, keyed by chain
-/// shape ([`ReachabilityGraph::shape_fingerprint`]).
-///
-/// Two ways to supply one to the engine:
-///
-/// * **Explicitly** — create a `WarmStart` per solve *chain* and pass
-///   `&mut` to [`AnalysisEngine::analyze_warm`]. The store travels with
-///   the computation (e.g. the §6.6.3 fixed point keeps one per model
-///   role across its iterations), so results cannot depend on which
-///   thread runs it.
-/// * **Ambiently** — sweep workers install a thread-local store with
-///   [`warm_point_begin`] before evaluating a grid point; plain
-///   [`analyze`](AnalysisEngine::analyze) calls then pick it up. Code
-///   outside a sweep sees no store and solves cold, exactly as before.
-///
-/// Solutions of directly solved graphs (≤ the dense-LU cutoff) are not
-/// recorded: the LU ignores seeds, so storing them would be dead weight.
-#[derive(Debug, Default)]
-pub struct WarmStart {
-    slots: HashMap<u64, Vec<f64>>,
-}
-
-impl WarmStart {
-    /// An empty store.
-    pub fn new() -> WarmStart {
-        WarmStart::default()
-    }
-
-    fn get(&self, shape: u64) -> Option<&[f64]> {
-        self.slots.get(&shape).map(Vec::as_slice)
-    }
-
-    fn put(&mut self, shape: u64, pi: Vec<f64>) {
-        if self.slots.len() >= WARM_MAX_SHAPES && !self.slots.contains_key(&shape) {
-            self.slots.clear();
-        }
-        self.slots.insert(shape, pi);
-    }
-}
-
-thread_local! {
-    /// The ambient per-worker store: `(grid-eval token, store)`.
-    static AMBIENT_WARM: RefCell<Option<(u64, WarmStart)>> = const { RefCell::new(None) };
-}
-
-/// A fresh token identifying one grid evaluation; see [`warm_point_begin`].
-pub fn warm_token() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Installs (or keeps) the calling worker's ambient [`WarmStart`] for the
-/// grid evaluation identified by `token`. Called by the sweep layer before
-/// each point: the first point a worker takes creates the store, later
-/// points on the same worker reuse it — that continuity *is* the warm
-/// chain. A store left behind by a different grid eval (stale token) is
-/// replaced, never reused across evals.
-pub fn warm_point_begin(token: u64) {
-    AMBIENT_WARM.with(|cell| {
-        let mut cell = cell.borrow_mut();
-        match cell.as_ref() {
-            Some((t, _)) if *t == token => {}
-            _ => *cell = Some((token, WarmStart::new())),
-        }
-    });
-}
-
-/// Drops the calling thread's ambient store if it belongs to `token`.
-/// Called by the sweep layer after a grid evaluation returns, so solves
-/// outside any sweep never see a leftover store.
-pub fn warm_end(token: u64) {
-    AMBIENT_WARM.with(|cell| {
-        let mut cell = cell.borrow_mut();
-        if matches!(cell.as_ref(), Some((t, _)) if *t == token) {
-            *cell = None;
-        }
-    });
-}
-
-/// The seed for a solve of `shape` from the explicit store if given, else
-/// the ambient one (cloned out so no borrow crosses the solve).
-fn warm_seed(warm: Option<&mut WarmStart>, shape: u64) -> Option<Vec<f64>> {
-    match warm {
-        Some(w) => w.get(shape).map(<[f64]>::to_vec),
-        None => AMBIENT_WARM.with(|cell| {
-            cell.borrow()
-                .as_ref()
-                .and_then(|(_, w)| w.get(shape).map(<[f64]>::to_vec))
-        }),
-    }
-}
-
-/// Records a converged distribution into the explicit store if given, else
-/// the ambient one (a no-op when neither exists).
-fn warm_store(warm: Option<&mut WarmStart>, shape: u64, pi: Vec<f64>) {
-    match warm {
-        Some(w) => w.put(shape, pi),
-        None => AMBIENT_WARM.with(|cell| {
-            if let Some((_, w)) = cell.borrow_mut().as_mut() {
-                w.put(shape, pi);
-            }
-        }),
     }
 }
 
@@ -394,34 +284,28 @@ pub fn stage_totals() -> StageLedger {
     *stage_totals_cell().lock().expect("stage totals poisoned")
 }
 
-/// The raw product of one backend run, in the analyzed net's id space.
-///
-/// Construction is internal to the crate: the two built-in backends fill
-/// it, [`Analysis`] reads it. Exact runs carry the reachability graph and
-/// [`Solution`] and answer queries through them; DES runs carry averaged
-/// per-resource/per-place/per-transition vectors plus half-widths.
+/// The measures of one backend run, in the analyzed net's id space — the
+/// same fields whichever backend filled them.
 #[derive(Debug)]
-pub struct AnalysisData {
+struct AnalysisData {
     backend: BackendKind,
-    /// Tangible-state count (0 for DES — nothing was enumerated).
+    /// Tangible-state count (lumped states for a lumped run, 0 for DES —
+    /// nothing was enumerated).
     states: usize,
-    /// DES: resource -> mean of batch means.
+    /// Resource → usage (DES: the mean of its batch means).
     resource_usage: HashMap<String, f64>,
-    /// DES: resource -> 95% half-width over batch means.
-    resource_half_width: HashMap<String, f64>,
-    /// DES: resource -> minimum delay among its transitions (for rates).
+    /// Resource → minimum delay among its transitions (for rates).
     resource_delay: HashMap<String, u64>,
-    /// DES: per-place time-averaged tokens.
+    /// DES: resource → 95% half-width over batch means; empty for exact.
+    resource_half_width: HashMap<String, f64>,
+    /// Per-place time-averaged tokens.
     mean_tokens: Vec<f64>,
-    /// DES: per-transition time-averaged in-progress firings.
+    /// Per-transition time-averaged in-progress firings.
     transition_usage: Vec<f64>,
-    /// Exact: the graph and solution all queries delegate to.
-    exact: Option<(Arc<ReachabilityGraph>, Solution)>,
-    /// Lumped exact runs: `(iterations, residual)` of the quotient-chain
-    /// solve. The de-lumped measures live in the DES-shaped fields above
-    /// (they are plain per-name/per-id aggregates; no graph is retained),
-    /// but carry no sampling error — `resource_half_width` stays empty.
-    lumped: Option<(usize, f64)>,
+    /// Exact runs: `(iterations, residual)` of the chain's solve.
+    solve: Option<(usize, f64)>,
+    /// Whether the exact run solved the lumped quotient chain.
+    lumped: bool,
     /// Exact runs: where the time went.
     stages: Option<StageLedger>,
 }
@@ -480,7 +364,7 @@ impl Analysis {
 
     /// Whether this exact analysis solved the lumped quotient chain.
     pub fn lumped(&self) -> bool {
-        self.data.lumped.is_some()
+        self.data.lumped
     }
 
     /// Usage (time-weighted mean in-progress count) of a resource label.
@@ -489,15 +373,11 @@ impl Analysis {
     ///
     /// Returns [`GtpnError::UnknownName`] for an unknown resource.
     pub fn resource_usage(&self, resource: &str) -> Result<f64, GtpnError> {
-        match &self.data.exact {
-            Some((_, sol)) => sol.resource_usage(resource),
-            None => self
-                .data
-                .resource_usage
-                .get(resource)
-                .copied()
-                .ok_or_else(|| GtpnError::UnknownName(resource.to_string())),
-        }
+        self.data
+            .resource_usage
+            .get(resource)
+            .copied()
+            .ok_or_else(|| GtpnError::UnknownName(resource.to_string()))
     }
 
     /// Completion rate of a resource: `usage / delay` of its transitions
@@ -508,30 +388,19 @@ impl Analysis {
     ///
     /// Returns [`GtpnError::UnknownName`] for an unknown resource.
     pub fn resource_rate(&self, resource: &str) -> Result<f64, GtpnError> {
-        match &self.data.exact {
-            Some((_, sol)) => sol.resource_rate(resource),
-            None => {
-                let usage = self.resource_usage(resource)?;
-                let delay = *self
-                    .data
-                    .resource_delay
-                    .get(resource)
-                    .ok_or_else(|| GtpnError::UnknownName(resource.to_string()))?;
-                Ok(if delay == 0 {
-                    usage
-                } else {
-                    usage / delay as f64
-                })
-            }
-        }
+        let usage = self.resource_usage(resource)?;
+        let delay = self
+            .data
+            .resource_delay
+            .get(resource)
+            .copied()
+            .ok_or_else(|| GtpnError::UnknownName(resource.to_string()))?;
+        Ok(crate::solve::rate(usage, delay))
     }
 
     /// 95% confidence interval on a resource's usage. `Some` only for DES
     /// analyses — the exact backend's numbers carry no sampling error.
     pub fn resource_interval(&self, resource: &str) -> Option<ConfidenceInterval> {
-        if self.data.backend != BackendKind::Des {
-            return None;
-        }
         Some(ConfidenceInterval {
             estimate: self.data.resource_usage.get(resource).copied()?,
             half_width: self.data.resource_half_width.get(resource).copied()?,
@@ -542,39 +411,25 @@ impl Analysis {
     /// in-progress firings not counted, on either backend).
     pub fn mean_tokens(&self, place: PlaceId) -> f64 {
         let p = self.map_place(place);
-        match &self.data.exact {
-            Some((graph, sol)) => graph.mean_tokens(sol, p),
-            None => self.data.mean_tokens.get(p.0).copied().unwrap_or(0.0),
-        }
+        self.data.mean_tokens.get(p.0).copied().unwrap_or(0.0)
     }
 
     /// Usage of an individual transition.
     pub fn transition_usage(&self, transition: TransId) -> f64 {
         let t = self.map_trans(transition);
-        match &self.data.exact {
-            Some((_, sol)) => sol.transition_usage(t),
-            None => self.data.transition_usage.get(t.0).copied().unwrap_or(0.0),
-        }
+        self.data.transition_usage.get(t.0).copied().unwrap_or(0.0)
     }
 
     /// Gauss–Seidel sweeps performed (exact backend only; for a lumped
     /// run, the quotient-chain solve's count).
     pub fn iterations(&self) -> Option<usize> {
-        self.data
-            .exact
-            .as_ref()
-            .map(|(_, s)| s.iterations())
-            .or(self.data.lumped.map(|(i, _)| i))
+        self.data.solve.map(|(iterations, _)| iterations)
     }
 
     /// Final solver residual (exact backend only; for a lumped run, the
     /// quotient-chain solve's residual).
     pub fn residual(&self) -> Option<f64> {
-        self.data
-            .exact
-            .as_ref()
-            .map(|(_, s)| s.residual())
-            .or(self.data.lumped.map(|(_, r)| r))
+        self.data.solve.map(|(_, residual)| residual)
     }
 
     /// The stage ledger of the exact run that produced this analysis —
@@ -582,45 +437,6 @@ impl Analysis {
     pub fn stages(&self) -> Option<&StageLedger> {
         self.data.stages.as_ref()
     }
-
-    /// The underlying reachability graph — `Some` only for an unlumped
-    /// exact analysis whose state indices are in the caller's own id
-    /// space (i.e. not a cache hit served under a permuted build order).
-    /// Lumped analyses keep no graph: pin [`LumpSel::Off`] to inspect
-    /// raw states.
-    pub fn graph(&self) -> Option<&Arc<ReachabilityGraph>> {
-        match (&self.data.exact, &self.place_map, &self.trans_map) {
-            (Some((g, _)), None, None) => Some(g),
-            _ => None,
-        }
-    }
-}
-
-/// A strategy for turning a net into steady-state numbers.
-///
-/// The two implementations are [`ExactMarkov`] and [`DesEstimate`];
-/// [`AnalysisData`] construction is crate-internal, so external backends
-/// are not yet pluggable from outside `gtpn` — the trait is the seam
-/// future ones (truncated state spaces, other solvers) slot into.
-pub trait Backend: Sync {
-    /// The kind tag this backend caches its results under.
-    fn kind(&self) -> BackendKind;
-    /// Analyzes `net` under `cfg`, in `net`'s own id space, drawing any
-    /// extra worker threads from `par` (see [`ParallelBudget`]); backends
-    /// must produce results independent of what the budget grants. `warm`
-    /// is the explicit warm-start store, if the caller threads one.
-    ///
-    /// # Errors
-    ///
-    /// Backend-specific; see [`Net::reachability`],
-    /// [`ReachabilityGraph::solve`] and [`sim::simulate`].
-    fn run(
-        &self,
-        net: &Net,
-        cfg: &EngineConfig,
-        par: &ParallelBudget,
-        warm: Option<&mut WarmStart>,
-    ) -> Result<AnalysisData, GtpnError>;
 }
 
 thread_local! {
@@ -628,204 +444,139 @@ thread_local! {
     static WORKSPACE: RefCell<SolveWorkspace> = RefCell::new(SolveWorkspace::new());
 }
 
-/// Solves `graph`, whose [`ReachabilityGraph::shape_fingerprint`] is
-/// `shape`, through the per-thread workspace, warm-seeding from (and
-/// storing back to) the caller's or the ambient [`WarmStart`] store. The common trunk of the raw and lumped exact paths.
-fn solve_graph(
-    graph: &ReachabilityGraph,
-    shape: u64,
+/// The exact pipeline. Builds the raw or lumped chain of `net` — lumped
+/// when the config's [`LumpSel`] permits and the net qualifies
+/// ([`crate::lump::lumpable`]) — re-pricing a skeleton from `store` when the
+/// net's shape is shelved ([`crate::cache`]); solves it through the
+/// per-thread workspace; and fills the measures: de-lumped from a quotient
+/// solution, read off a raw one by the very calls a direct
+/// `net.reachability(..)?.solve(..)` caller makes, so the bits agree.
+fn exact(
+    store: &Mutex<SkeletonStore>,
+    net: &Net,
     cfg: &EngineConfig,
-    mut warm: Option<&mut WarmStart>,
-) -> Result<Solution, GtpnError> {
-    let seed = if cfg.warm_start {
-        warm_seed(warm.as_deref_mut(), shape)
-    } else {
-        None
-    };
+    par: &ParallelBudget,
+) -> Result<AnalysisData, GtpnError> {
+    let lumped = cfg.lump.enabled() && crate::lump::lumpable(net);
+    let chain = crate::cache::build_chain(store, net, lumped, cfg.state_budget, par)?;
+    let graph = &chain.graph;
+    let built = Instant::now();
     let solution = WORKSPACE.with(|ws| {
-        Solution::solve_seeded_with(
-            graph,
-            cfg.tolerance,
-            cfg.max_sweeps,
-            &mut ws.borrow_mut(),
-            seed.as_deref(),
-        )
+        Solution::solve_with(graph, cfg.tolerance, cfg.max_sweeps, &mut ws.borrow_mut())
     })?;
-    if cfg.warm_start && graph.state_count() > crate::solve::DIRECT_MAX_STATES {
-        warm_store(warm, shape, solution.embedded_probabilities().to_vec());
-    }
-    Ok(solution)
-}
-
-/// The exact pipeline: reachability expansion + Gauss–Seidel, with a warm
-/// per-thread [`SolveWorkspace`]. Lumps the chain first when the config's
-/// [`LumpSel`] permits and the net qualifies ([`crate::lump::lumpable`]).
-/// An engine hands its backend the skeleton store beside its solution
-/// cache, so a chain of a shape seen before is re-priced rather than
-/// expanded ([`crate::cache`]); the default backend has no store and
-/// always expands.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactMarkov<'a> {
-    store: Option<&'a Mutex<SkeletonStore>>,
-}
-
-impl Backend for ExactMarkov<'_> {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Exact
-    }
-
-    fn run(
-        &self,
-        net: &Net,
-        cfg: &EngineConfig,
-        par: &ParallelBudget,
-        warm: Option<&mut WarmStart>,
-    ) -> Result<AnalysisData, GtpnError> {
-        let record = |stages: StageLedger| {
-            stage_totals_cell()
-                .lock()
-                .expect("stage totals poisoned")
-                .add(&stages);
-            Some(stages)
-        };
-        let lump = cfg.lump.enabled() && crate::lump::lumpable(net);
-        let chain = crate::cache::build_chain(self.store, net, lump, cfg.state_budget, par)?;
-        let built = Instant::now();
-        let solution = solve_graph(&chain.graph, chain.shape, cfg, warm)?;
-        if lump {
-            let solved = Instant::now();
-            let lumped = crate::lump::LumpedGraph {
-                graph: chain.graph,
-                rows: chain.rows,
-            };
-            let d = lumped.delump(&solution);
-            let stages = StageLedger::of(
-                &lumped.graph,
-                &solution,
-                (solved - built).as_secs_f64(),
-                solved.elapsed().as_secs_f64(),
-            );
-            return Ok(AnalysisData {
-                backend: BackendKind::Exact,
-                states: lumped.graph.state_count(),
-                resource_usage: d.resource_usage,
-                resource_half_width: HashMap::new(),
-                resource_delay: d.resource_delay,
-                mean_tokens: d.mean_tokens,
-                transition_usage: d.transition_usage,
-                exact: None,
-                lumped: Some((solution.iterations(), solution.residual())),
-                stages: record(stages),
-            });
-        }
-        let graph = Arc::new(chain.graph);
-        let stages = StageLedger::of(&graph, &solution, built.elapsed().as_secs_f64(), 0.0);
-        Ok(AnalysisData {
-            backend: BackendKind::Exact,
-            states: graph.state_count(),
-            resource_usage: HashMap::new(),
-            resource_half_width: HashMap::new(),
-            resource_delay: HashMap::new(),
-            mean_tokens: Vec::new(),
-            transition_usage: Vec::new(),
-            exact: Some((graph, solution)),
-            lumped: None,
-            stages: record(stages),
-        })
-    }
+    let solved = Instant::now();
+    let (mean_tokens, transition_usage) = if lumped {
+        crate::lump::delump(graph, &chain.rows, &solution)
+    } else {
+        (
+            (0..net.place_count())
+                .map(|p| graph.mean_tokens(&solution, PlaceId(p)))
+                .collect(),
+            (0..net.transition_count())
+                .map(|t| solution.transition_usage(TransId(t)))
+                .collect(),
+        )
+    };
+    let delump_s = if lumped {
+        solved.elapsed().as_secs_f64()
+    } else {
+        0.0
+    };
+    let stages = StageLedger::of(graph, &solution, (solved - built).as_secs_f64(), delump_s);
+    stage_totals_cell()
+        .lock()
+        .expect("stage totals poisoned")
+        .add(&stages);
+    let (resource_usage, resource_delay) = crate::solve::by_resource(net, &transition_usage);
+    Ok(AnalysisData {
+        backend: BackendKind::Exact,
+        states: graph.state_count(),
+        resource_usage,
+        resource_delay,
+        resource_half_width: HashMap::new(),
+        mean_tokens,
+        transition_usage,
+        solve: Some((solution.iterations(), solution.residual())),
+        lumped,
+        stages: Some(stages),
+    })
 }
 
 /// The simulation backend: `batches` independent replications of
 /// [`sim::simulate`], combined into batch-means estimates with 95%
-/// half-widths. Replication seeds derive from the canonical net
-/// fingerprint, so the estimate is a pure function of the model — stable
-/// across runs, build orders and sweep-worker schedules.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DesEstimate;
-
-impl Backend for DesEstimate {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Des
+/// half-widths. It simulates `canon`, the *canonical* form of `net` with
+/// fingerprint `fp`: the sampled trajectory depends on transition
+/// iteration order, so running the caller's ordering would make the
+/// estimate depend on build order even with identical seeds. Replication
+/// seeds derive from `fp`, so the estimate is a pure function of the model
+/// — stable across runs, build orders and sweep-worker schedules — and the
+/// per-id vectors are mapped back to `net`'s ids.
+fn des(
+    net: &Net,
+    canon: &Canonical,
+    fp: u64,
+    cfg: &EngineConfig,
+) -> Result<AnalysisData, GtpnError> {
+    net.validate()?;
+    let batches = cfg.des.batches.max(2);
+    let opts = SimOptions {
+        horizon: cfg.des.horizon,
+        warmup: cfg.des.warmup,
+    };
+    let resources: Vec<String> = net.resources().iter().map(|r| r.to_string()).collect();
+    let mut batch_usage: Vec<Vec<f64>> = vec![Vec::with_capacity(batches); resources.len()];
+    let mut canon_tokens = vec![0.0f64; net.place_count()];
+    let mut canon_usage = vec![0.0f64; net.transition_count()];
+    for b in 0..batches {
+        let seed = splitmix64(fp ^ splitmix64(b as u64 + 1));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let result = sim::simulate(&canon.net, &opts, &mut rng)?;
+        for (ri, name) in resources.iter().enumerate() {
+            batch_usage[ri].push(result.resource_usage(name)?);
+        }
+        for (acc, v) in canon_tokens.iter_mut().zip(&result.mean_tokens) {
+            *acc += v;
+        }
+        for (acc, v) in canon_usage.iter_mut().zip(&result.transition_usage) {
+            *acc += v;
+        }
     }
-
-    fn run(
-        &self,
-        net: &Net,
-        cfg: &EngineConfig,
-        _par: &ParallelBudget,
-        _warm: Option<&mut WarmStart>,
-    ) -> Result<AnalysisData, GtpnError> {
-        net.validate()?;
-        let batches = cfg.des.batches.max(2);
-        let opts = SimOptions {
-            horizon: cfg.des.horizon,
-            warmup: cfg.des.warmup,
-        };
-        // Simulate the *canonical* net: the sampled trajectory depends on
-        // transition iteration order, so running the caller's ordering
-        // would make the estimate depend on build order even with
-        // identical seeds. Per-id vectors are mapped back afterwards.
-        let canon = canonical::canonicalize(net);
-        let fp = canonical::fingerprint_canonical(&canon.net);
-        let resources: Vec<String> = net.resources().iter().map(|r| r.to_string()).collect();
-        let mut batch_usage: Vec<Vec<f64>> = vec![Vec::with_capacity(batches); resources.len()];
-        let mut canon_tokens = vec![0.0f64; net.place_count()];
-        let mut canon_usage = vec![0.0f64; net.transition_count()];
-        for b in 0..batches {
-            let seed = splitmix64(fp ^ splitmix64(b as u64 + 1));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let result = sim::simulate(&canon.net, &opts, &mut rng)?;
-            for (ri, name) in resources.iter().enumerate() {
-                batch_usage[ri].push(result.resource_usage(name)?);
-            }
-            for (acc, v) in canon_tokens.iter_mut().zip(&result.mean_tokens) {
-                *acc += v;
-            }
-            for (acc, v) in canon_usage.iter_mut().zip(&result.transition_usage) {
-                *acc += v;
-            }
-        }
-        let n = batches as f64;
-        let mean_tokens: Vec<f64> = canon
-            .place_map
-            .iter()
-            .map(|&c| canon_tokens[c] / n)
-            .collect();
-        let transition_usage: Vec<f64> = canon
-            .trans_map
-            .iter()
-            .map(|&c| canon_usage[c] / n)
-            .collect();
-        let mut resource_usage = HashMap::new();
-        let mut resource_half_width = HashMap::new();
-        for (name, means) in resources.iter().zip(&batch_usage) {
-            let mean = means.iter().sum::<f64>() / n;
-            let var = means.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / (n - 1.0);
-            // Same mildly conservative small-batch constant as
-            // `sim::confidence_interval`.
-            resource_usage.insert(name.clone(), mean);
-            resource_half_width.insert(name.clone(), 2.1 * (var / n).sqrt());
-        }
-        let mut resource_delay = HashMap::new();
-        for t in &net.transitions {
-            if let Some(r) = &t.resource {
-                let d = resource_delay.entry(r.clone()).or_insert(t.delay);
-                *d = (*d).min(t.delay);
-            }
-        }
-        Ok(AnalysisData {
-            backend: BackendKind::Des,
-            states: 0,
-            resource_usage,
-            resource_half_width,
-            resource_delay,
-            mean_tokens,
-            transition_usage,
-            exact: None,
-            lumped: None,
-            stages: None,
-        })
+    let n = batches as f64;
+    let mean_tokens: Vec<f64> = canon
+        .place_map
+        .iter()
+        .map(|&c| canon_tokens[c] / n)
+        .collect();
+    let transition_usage: Vec<f64> = canon
+        .trans_map
+        .iter()
+        .map(|&c| canon_usage[c] / n)
+        .collect();
+    let mut resource_usage = HashMap::new();
+    let mut resource_half_width = HashMap::new();
+    for (name, means) in resources.iter().zip(&batch_usage) {
+        let mean = means.iter().sum::<f64>() / n;
+        let var = means.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / (n - 1.0);
+        // Same mildly conservative small-batch constant as
+        // `sim::confidence_interval`.
+        resource_usage.insert(name.clone(), mean);
+        resource_half_width.insert(name.clone(), 2.1 * (var / n).sqrt());
     }
+    // A resource's estimate is the mean of its batch means, not the sum of
+    // its transitions' averaged usages: only the delays are taken here.
+    let (_, resource_delay) = crate::solve::by_resource(net, &transition_usage);
+    Ok(AnalysisData {
+        backend: BackendKind::Des,
+        states: 0,
+        resource_usage,
+        resource_delay,
+        resource_half_width,
+        mean_tokens,
+        transition_usage,
+        solve: None,
+        lumped: false,
+        stages: None,
+    })
 }
 
 /// SplitMix64 scramble — the seed spacing for DES replications.
@@ -854,22 +605,14 @@ struct CacheEntry {
     data: Arc<AnalysisData>,
 }
 
-/// Estimated resident bytes of a cache entry: graph + solution vectors for
-/// exact results, the averaged per-name/per-id vectors for DES, plus the
-/// canonical net kept for hit verification.
+/// Estimated resident bytes of a cache entry: the per-name maps and per-id
+/// vectors of its measures, plus the canonical net kept for hit
+/// verification.
 fn entry_bytes(e: &CacheEntry) -> usize {
-    let data = match &e.data.exact {
-        // Solution: state + embedded probabilities and per-resource maps,
-        // ~48 bytes per state dominated by the two f64 vectors.
-        Some((graph, _)) => graph.resident_bytes() + 48 * graph.state_count(),
-        None => {
-            64 * (e.data.resource_usage.len()
-                + e.data.resource_half_width.len()
-                + e.data.resource_delay.len())
-                + 8 * (e.data.mean_tokens.len() + e.data.transition_usage.len())
-        }
-    };
-    data + crate::cache::net_bytes(&e.canonical)
+    let d = &e.data;
+    64 * (d.resource_usage.len() + d.resource_half_width.len() + d.resource_delay.len())
+        + 8 * (d.mean_tokens.len() + d.transition_usage.len())
+        + crate::cache::net_bytes(&e.canonical)
         + 8 * (e.place_from_canon.len() + e.trans_from_canon.len())
         + 128
 }
@@ -902,14 +645,9 @@ impl EngineCache {
         }
     }
 
-    fn disabled(&self) -> bool {
-        self.limits.max_entries == 0 || self.limits.max_bytes == 0
-    }
-
-    /// Evicts one entry — the least-recent of the current partition if it
-    /// has any, else the global least-recent. False when already empty.
+    /// Evicts the least recently used entry. False when already empty.
     fn evict_one(&mut self) -> bool {
-        let Some(idx) = self.lru.victim(crate::cache::current_partition()) else {
+        let Some(idx) = self.lru.victim() else {
             return false;
         };
         let (key, _) = self.lru.remove(idx);
@@ -982,9 +720,8 @@ pub fn store_stats() -> StoreStats {
 }
 
 /// Empties the global engine cache and skeleton store (counters included)
-/// — test isolation. Both are reconstructed, so
-/// `HSIPC_CACHE_CAP`/`HSIPC_CACHE_MB` are re-read: setting them after this
-/// call takes effect.
+/// — test isolation. Both are reconstructed, so `HSIPC_CACHE_CAP` is
+/// re-read: setting it after this call takes effect.
 pub fn clear_cache() {
     let caches = global_caches();
     let limits = CacheLimits::from_env();
@@ -996,7 +733,7 @@ pub fn clear_cache() {
 // The engine.
 // ---------------------------------------------------------------------------
 
-/// The pluggable analysis engine; see the module docs.
+/// The analysis engine; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisEngine {
     cfg: EngineConfig,
@@ -1028,11 +765,12 @@ impl AnalysisEngine {
 
     /// This engine with a private solution cache of `cap` entries (`0`
     /// disables caching for this engine), byte-bounded by the same
-    /// `HSIPC_CACHE_MB` budget as the global cache, and a private skeleton
-    /// store under the same limits. Results no longer flow through — or
-    /// count against — the process-global LRU: tests get isolation without
-    /// serializing on the global counters, and nested fixed-point solves
-    /// stop evicting the outer sweep's hot entries.
+    /// [`DEFAULT_CACHE_MB`](crate::cache::DEFAULT_CACHE_MB) budget as the
+    /// global cache, and a private skeleton store under the same limits.
+    /// Results no longer flow through — or count against — the
+    /// process-global LRU: tests get isolation without serializing on the
+    /// global counters, and nested fixed-point solves stop evicting the
+    /// outer sweep's hot entries.
     pub fn with_cache(mut self, cap: usize) -> AnalysisEngine {
         self.cache = Some(Arc::new(Caches::new(CacheLimits::with_entry_cap(cap))));
         self
@@ -1049,11 +787,6 @@ impl AnalysisEngine {
             Some(b) => b,
             None => ParallelBudget::global(),
         }
-    }
-
-    /// A clone of the budget handle, for passing to sibling engines.
-    pub fn budget_handle(&self) -> Option<Arc<ParallelBudget>> {
-        self.budget.clone()
     }
 
     /// The caches this engine reads and writes.
@@ -1135,7 +868,8 @@ impl AnalysisEngine {
     }
 
     /// Looks for a verified cache hit, composing the id permutation when
-    /// the stored analysis came from a different build order.
+    /// the stored analysis came from a different build order. A disabled
+    /// cache holds nothing, so its probes miss.
     fn probe(&self, kind: BackendKind, canon: &Canonical, fp: u64) -> Option<Analysis> {
         let key = (
             fp,
@@ -1157,11 +891,11 @@ impl AnalysisEngine {
         Some(analysis)
     }
 
-    /// Inserts a freshly computed analysis, evicting entries (preferring
-    /// the current partition's) until both the entry and the byte bounds
-    /// hold. A racing insert of the same net is dropped, not duplicated —
-    /// the old chain `push` could stack several copies of one solution
-    /// when sweep workers missed simultaneously.
+    /// Inserts a freshly computed analysis, evicting least recently used
+    /// entries until both the entry and the byte bounds hold; a disabled
+    /// cache keeps nothing. A racing insert of the same net is dropped,
+    /// not duplicated — the old chain `push` could stack several copies of
+    /// one solution when sweep workers missed simultaneously.
     fn insert(&self, kind: BackendKind, canon: &Canonical, fp: u64, data: &Arc<AnalysisData>) {
         let key = (
             fp,
@@ -1169,7 +903,7 @@ impl AnalysisEngine {
             self.params_hash(kind, self.effective_lump(kind, canon)),
         );
         let mut c = self.cache_mutex().lock().expect("engine cache poisoned");
-        if c.disabled() {
+        if c.limits.disabled() {
             return;
         }
         if let Some(idx) = Self::find_slot(&c, &key, usize::MAX, canon) {
@@ -1194,114 +928,47 @@ impl AnalysisEngine {
                 break;
             }
         }
-        let idx = c
-            .lru
-            .insert((key, entry), bytes, crate::cache::current_partition());
+        let idx = c.lru.insert((key, entry), bytes);
         c.map.entry(key).or_default().push(idx);
-    }
-
-    /// Runs `backend` on the original net (cache-bypassing core; the miss
-    /// is counted by the caller).
-    fn run_fresh(
-        &self,
-        backend: &dyn Backend,
-        net: &Net,
-        warm: Option<&mut WarmStart>,
-    ) -> Result<Arc<AnalysisData>, GtpnError> {
-        backend
-            .run(net, &self.cfg, self.budget(), warm)
-            .map(Arc::new)
-    }
-
-    /// Counts a miss on this engine's cache.
-    fn count_miss(&self) {
-        self.cache_mutex()
-            .lock()
-            .expect("engine cache poisoned")
-            .misses += 1;
     }
 
     /// Analyzes `net` under the engine's policy; see the module docs.
     ///
     /// # Errors
     ///
-    /// Those of the selected backend. Under [`BackendSel::Auto`],
-    /// [`GtpnError::StateSpaceExceeded`] from the exact path triggers the
-    /// DES fallback instead of being returned.
+    /// Those of the selected backend: [`Net::reachability`],
+    /// [`ReachabilityGraph::solve`] or [`sim::simulate`]. Under
+    /// [`BackendSel::Auto`], [`GtpnError::StateSpaceExceeded`] from the
+    /// exact path triggers the DES fallback instead of being returned.
     pub fn analyze(&self, net: &Net) -> Result<Analysis, GtpnError> {
-        self.analyze_warm(net, None)
-    }
-
-    /// As [`analyze`](Self::analyze), threading an explicit [`WarmStart`]
-    /// store through to the exact backend. The store travels with the
-    /// caller's computation (not with whichever thread runs it), so
-    /// chained solves stay bit-identical regardless of core budgets.
-    ///
-    /// # Errors
-    ///
-    /// As [`analyze`](Self::analyze).
-    pub fn analyze_warm(
-        &self,
-        net: &Net,
-        mut warm: Option<&mut WarmStart>,
-    ) -> Result<Analysis, GtpnError> {
-        let cache_off = {
-            let c = self.cache_mutex().lock().expect("engine cache poisoned");
-            c.disabled()
-        };
-        // The store is disabled exactly when the solution cache is, and
-        // then the backend builds every chain fresh.
-        let exact = ExactMarkov {
-            store: Some(&self.caches().skeletons),
-        };
-        if cache_off {
-            self.count_miss();
-            return match self.cfg.backend {
-                BackendSel::Exact => self.run_fresh(&exact, net, warm).map(Analysis::identity),
-                BackendSel::Des => self
-                    .run_fresh(&DesEstimate, net, None)
-                    .map(Analysis::identity),
-                BackendSel::Auto => match self.run_fresh(&exact, net, warm.as_deref_mut()) {
-                    Err(GtpnError::StateSpaceExceeded { .. }) => {
-                        self.count_miss();
-                        self.run_fresh(&DesEstimate, net, None)
-                            .map(Analysis::identity)
-                    }
-                    other => other.map(Analysis::identity),
-                },
-            };
-        }
-
         let canon = canonical::canonicalize(net);
         let fp = canonical::fingerprint_canonical(&canon.net);
-        let solve_cached =
-            |backend: &dyn Backend, warm: Option<&mut WarmStart>| -> Result<Analysis, GtpnError> {
-                self.count_miss();
-                let data = self.run_fresh(backend, net, warm)?;
-                self.insert(backend.kind(), &canon, fp, &data);
-                Ok(Analysis::identity(data))
-            };
-        match self.cfg.backend {
-            BackendSel::Exact => match self.probe(BackendKind::Exact, &canon, fp) {
-                Some(hit) => Ok(hit),
-                None => solve_cached(&exact, warm),
-            },
-            BackendSel::Des => match self.probe(BackendKind::Des, &canon, fp) {
-                Some(hit) => Ok(hit),
-                None => solve_cached(&DesEstimate, None),
-            },
-            BackendSel::Auto => {
-                if let Some(hit) = self.probe(BackendKind::Exact, &canon, fp) {
-                    return Ok(hit);
+        let kinds: &[BackendKind] = match self.cfg.backend {
+            BackendSel::Exact => &[BackendKind::Exact],
+            BackendSel::Des => &[BackendKind::Des],
+            BackendSel::Auto => &[BackendKind::Exact, BackendKind::Des],
+        };
+        if let Some(hit) = kinds.iter().find_map(|&k| self.probe(k, &canon, fp)) {
+            return Ok(hit);
+        }
+        // A miss runs the backend on the caller's net and caches the result.
+        let run = |kind: BackendKind| -> Result<Analysis, GtpnError> {
+            self.cache_mutex()
+                .lock()
+                .expect("engine cache poisoned")
+                .misses += 1;
+            let data = Arc::new(match kind {
+                BackendKind::Exact => {
+                    exact(&self.caches().skeletons, net, &self.cfg, self.budget())?
                 }
-                if let Some(hit) = self.probe(BackendKind::Des, &canon, fp) {
-                    return Ok(hit);
-                }
-                match solve_cached(&exact, warm) {
-                    Err(GtpnError::StateSpaceExceeded { .. }) => solve_cached(&DesEstimate, None),
-                    other => other,
-                }
-            }
+                BackendKind::Des => des(net, &canon, fp, &self.cfg)?,
+            });
+            self.insert(kind, &canon, fp, &data);
+            Ok(Analysis::identity(data))
+        };
+        match run(kinds[0]) {
+            Err(GtpnError::StateSpaceExceeded { .. }) if kinds.len() > 1 => run(kinds[1]),
+            other => other,
         }
     }
 }
@@ -1393,35 +1060,83 @@ mod tests {
             max_sweeps: 100_000,
             state_budget: 1_000,
             // These tests assert raw-chain behavior (bitwise identity to
-            // a direct solve, graph access); lumping is covered by its
-            // own tests below.
+            // a direct solve); lumping is covered by its own tests below.
             lump: LumpSel::Off,
             ..EngineConfig::default()
         })
     }
 
+    /// A raw exact result is filled when it is made, with the bits a
+    /// direct `reachability(..)?.solve(..)` caller reads — every place's
+    /// mean tokens and every transition's usage, in either build order —
+    /// and a cache hit under the other build order answers, through the
+    /// permutation, with the bits of the solve that filled it.
     #[test]
     fn exact_backend_is_bitwise_identical_to_direct_solve() {
         let _gate = crate::test_serial();
-        clear_cache();
-        let net = geo(10.0);
-        let direct = net
-            .reachability(1_000)
-            .unwrap()
-            .solve(1e-12, 100_000)
-            .unwrap()
-            .resource_usage("lambda")
-            .unwrap();
-        let a = exact_engine().analyze(&net).unwrap();
-        assert_eq!(a.backend(), BackendKind::Exact);
-        assert_eq!(
-            a.resource_usage("lambda").unwrap().to_bits(),
-            direct.to_bits()
-        );
-        assert!(a.iterations().unwrap() > 0);
-        assert!(a.residual().unwrap() < 1e-12);
-        assert!(a.graph().is_some());
-        assert!(a.resource_interval("lambda").is_none());
+        let direct = |net: &Net| {
+            let graph = net.reachability(1_000).unwrap();
+            let solution = graph.solve(1e-12, 100_000).unwrap();
+            (graph, solution)
+        };
+        for net in [geo(10.0), geo_reversed(10.0)] {
+            clear_cache();
+            let (graph, want) = direct(&net);
+            let a = exact_engine().analyze(&net).unwrap();
+            assert_eq!(a.backend(), BackendKind::Exact);
+            assert_eq!(
+                a.resource_usage("lambda").unwrap().to_bits(),
+                want.resource_usage("lambda").unwrap().to_bits()
+            );
+            assert_eq!(
+                a.resource_rate("lambda").unwrap().to_bits(),
+                want.resource_rate("lambda").unwrap().to_bits()
+            );
+            for p in (0..net.place_count()).map(PlaceId) {
+                assert_eq!(
+                    a.mean_tokens(p).to_bits(),
+                    graph.mean_tokens(&want, p).to_bits(),
+                    "place {}",
+                    net.place_name(p)
+                );
+            }
+            for t in (0..net.transition_count()).map(TransId) {
+                assert_eq!(
+                    a.transition_usage(t).to_bits(),
+                    want.transition_usage(t).to_bits(),
+                    "transition {}",
+                    net.transition_name(t)
+                );
+            }
+            assert_eq!(a.iterations(), Some(want.iterations()));
+            assert_eq!(
+                a.residual().map(f64::to_bits),
+                Some(want.residual().to_bits())
+            );
+            assert!(a.iterations().unwrap() > 0);
+            assert!(a.residual().unwrap() < 1e-12);
+            assert!(a.resource_interval("lambda").is_none());
+        }
+        // The loop left the reversed build's solve in the cache.
+        let (net, filler) = (geo(10.0), geo_reversed(10.0));
+        let (graph, want) = direct(&filler);
+        let before = cache_stats();
+        let hit = exact_engine().analyze(&net).unwrap();
+        assert_eq!(cache_stats().hits, before.hits + 1, "permuted net must hit");
+        for p in (0..net.place_count()).map(PlaceId) {
+            let q = filler.place_by_name(net.place_name(p)).unwrap();
+            assert_eq!(
+                hit.mean_tokens(p).to_bits(),
+                graph.mean_tokens(&want, q).to_bits()
+            );
+        }
+        for t in (0..net.transition_count()).map(TransId) {
+            let u = filler.transition_by_name(net.transition_name(t)).unwrap();
+            assert_eq!(
+                hit.transition_usage(t).to_bits(),
+                want.transition_usage(u).to_bits()
+            );
+        }
     }
 
     #[test]
@@ -1450,8 +1165,6 @@ mod tests {
             (second.mean_tokens(p_rev) - direct).abs() < 1e-12,
             "remapped mean_tokens must match"
         );
-        // A remapped hit exposes no graph (its indices are foreign).
-        assert!(second.graph().is_none());
         // Transition queries remap too.
         let t_rev = reversed.transition_by_name("exit").unwrap();
         assert!(second.transition_usage(t_rev) > 0.0);
@@ -1474,7 +1187,6 @@ mod tests {
                     warmup: 6_000,
                     batches: 3,
                 },
-                warm_start: true,
                 // The budget boundary below is stated in *raw* states.
                 lump: LumpSel::Off,
             })
@@ -1572,6 +1284,10 @@ mod tests {
     fn backend_sel_env_parsing_defaults_to_auto() {
         // Never mutates the environment: only asserts the fallback.
         assert_eq!(BackendSel::from_env(), BackendSel::Auto);
+        assert_eq!(BackendSel::parse(" Exact "), Ok(BackendSel::Exact));
+        assert_eq!(BackendSel::parse("DES"), Ok(BackendSel::Des));
+        let err = BackendSel::parse("exakt").unwrap_err();
+        assert!(err.contains("HSIPC_BACKEND") && err.contains("exact, des or auto"));
     }
 
     /// Two clients cycling through two geometric stages (A → B → A, mean
@@ -1664,13 +1380,13 @@ mod tests {
                 "transition {t} usage diverged"
             );
         }
-        // A lumped run keeps no raw graph but still reports its solve.
-        assert!(lumped.graph().is_none() && raw.graph().is_some());
+        // A lumped run still reports its quotient-chain solve.
         assert!(lumped.iterations().unwrap() > 0);
         assert!(lumped.residual().unwrap() < 1e-12);
         assert!(lumped.resource_interval("lambda").is_none());
         // An unknown resource errors on both paths.
         assert!(lumped.resource_usage("nope").is_err());
+        assert!(raw.resource_rate("nope").is_err());
     }
 
     /// Every exact analysis carries the ledger of the run that produced

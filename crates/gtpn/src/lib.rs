@@ -97,8 +97,17 @@ pub use lump::LumpSel;
 pub use net::{Net, PlaceId, TransId, Transition};
 pub use par::ParallelBudget;
 pub use reach::ReachabilityGraph;
-pub use solve::{Solution, SolveWorkspace};
+pub use solve::Solution;
 pub use state::{Marking, State};
+
+/// The value of the environment knob `name` as `parse` reads it; `None`
+/// when unset. A set value `parse` rejects panics with `parse`'s message:
+/// a knob is validated, never silently replaced by its default. (`repro`
+/// runs every knob through the same parser up front and exits 2 instead.)
+pub(crate) fn knob<T>(name: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
+    let value = std::env::var_os(name)?;
+    Some(parse(&value.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")))
+}
 
 /// Serializes tests that observe or clear the process-global caches — the
 /// harness runs test functions on multiple threads, and counter assertions

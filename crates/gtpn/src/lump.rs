@@ -38,7 +38,7 @@
 //! raw pipeline handles those nets unchanged.
 //!
 //! The expansion is the raw build's own breadth-first driver
-//! ([`crate::reach::explore`]) over post-completion markings, with this
+//! (`reach::explore`) over post-completion markings, with this
 //! module's per-state fold in place of the time advance: workers expand
 //! disjoint chunks of a level, results are reduced in frontier order, and
 //! successor markings are numbered in each state's phase-outcome order —
@@ -54,7 +54,6 @@ use crate::reach::{
     ReachabilityGraph, Worker,
 };
 use crate::solve::Solution;
-use std::collections::HashMap;
 
 /// Lumping policy of an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -99,57 +98,33 @@ pub(crate) struct LumpedGraph {
     pub(crate) rows: Vec<f64>,
 }
 
-/// The de-lumped steady-state measures, shaped like [`Solution`]'s
-/// aggregates so the engine can serve them through the same accessors.
-#[derive(Debug)]
-pub(crate) struct Delumped {
-    /// Resource label → time-weighted mean in-progress count.
-    pub(crate) resource_usage: HashMap<String, f64>,
-    /// Resource label → minimum delay among its transitions.
-    pub(crate) resource_delay: HashMap<String, u64>,
-    /// Per-place time-averaged token counts.
-    pub(crate) mean_tokens: Vec<f64>,
-    /// Per-transition time-averaged in-progress firing counts.
-    pub(crate) transition_usage: Vec<f64>,
-}
-
-impl LumpedGraph {
-    /// Recovers the raw chain's measures from the lumped solution:
-    /// `measure = Σ_u π̄(u)·E[measure | u]` (exact; module docs).
-    pub(crate) fn delump(&self, solution: &Solution) -> Delumped {
-        let pi = solution.state_probabilities();
-        let tcount = self.graph.net.transition_count();
-        let pcount = self.graph.net.place_count();
-        let mut transition_usage = vec![0.0f64; tcount];
-        let mut mean_tokens = vec![0.0f64; pcount];
-        for (&p, row) in pi.iter().zip(self.rows.chunks_exact(tcount + pcount)) {
-            if p == 0.0 {
-                continue;
-            }
-            let (urow, trow) = row.split_at(tcount);
-            for (acc, &e) in transition_usage.iter_mut().zip(urow) {
-                *acc += p * e;
-            }
-            for (acc, &e) in mean_tokens.iter_mut().zip(trow) {
-                *acc += p * e;
-            }
+/// Recovers the raw chain's per-place mean tokens and per-transition usages
+/// — in that order — from the solution of the lumped chain `graph` with
+/// conditional-expectation `rows` ([`LumpedGraph::rows`]):
+/// `measure = Σ_u π̄(u)·E[measure | u]` (exact; module docs).
+pub(crate) fn delump(
+    graph: &ReachabilityGraph,
+    rows: &[f64],
+    solution: &Solution,
+) -> (Vec<f64>, Vec<f64>) {
+    let pi = solution.state_probabilities();
+    let tcount = graph.net.transition_count();
+    let pcount = graph.net.place_count();
+    let mut transition_usage = vec![0.0f64; tcount];
+    let mut mean_tokens = vec![0.0f64; pcount];
+    for (&p, row) in pi.iter().zip(rows.chunks_exact(tcount + pcount)) {
+        if p == 0.0 {
+            continue;
         }
-        let mut resource_usage: HashMap<String, f64> = HashMap::new();
-        let mut resource_delay: HashMap<String, u64> = HashMap::new();
-        for (ti, t) in self.graph.net.transitions.iter().enumerate() {
-            if let Some(r) = &t.resource {
-                *resource_usage.entry(r.clone()).or_insert(0.0) += transition_usage[ti];
-                let d = resource_delay.entry(r.clone()).or_insert(t.delay);
-                *d = (*d).min(t.delay);
-            }
+        let (urow, trow) = row.split_at(tcount);
+        for (acc, &e) in transition_usage.iter_mut().zip(urow) {
+            *acc += p * e;
         }
-        Delumped {
-            resource_usage,
-            resource_delay,
-            mean_tokens,
-            transition_usage,
+        for (acc, &e) in mean_tokens.iter_mut().zip(trow) {
+            *acc += p * e;
         }
     }
+    (mean_tokens, transition_usage)
 }
 
 /// Expands one lumped state: run the instantaneous phase from its marking
@@ -327,6 +302,7 @@ mod tests {
     use crate::geometric::GeometricStage;
     use crate::net::Transition;
     use crate::reach::PAR_MIN_FRONTIER;
+    use std::collections::HashMap;
 
     /// `n` clients cycling through a geometric stage (mean `m`) that
     /// competes for one shared server token — the shape of the paper's
@@ -397,25 +373,25 @@ mod tests {
                 "n={n}: lumped {} > raw {raw_states}",
                 lumped.graph.state_count()
             );
-            let d = lumped.delump(&sol);
+            let (mean_tokens, transition_usage) = delump(&lumped.graph, &lumped.rows, &sol);
             let want = raw.resource_usage("lambda").unwrap();
-            let got = d.resource_usage["lambda"];
+            let got = crate::solve::by_resource(&net, &transition_usage).0["lambda"];
             assert!(
                 (want - got).abs() <= 1e-10,
                 "n={n}: usage {got} vs raw {want}"
             );
-            for t in 0..net.transition_count() {
+            for (t, &usage) in transition_usage.iter().enumerate() {
                 let id = crate::net::TransId(t);
                 assert!(
-                    (raw.transition_usage(id) - d.transition_usage[t]).abs() <= 1e-10,
+                    (raw.transition_usage(id) - usage).abs() <= 1e-10,
                     "n={n}: transition {t} usage diverged"
                 );
             }
             let raw_graph = net.reachability(100_000).unwrap();
-            for p in 0..net.place_count() {
+            for (p, &tokens) in mean_tokens.iter().enumerate() {
                 let id = crate::net::PlaceId(p);
                 assert!(
-                    (raw_graph.mean_tokens(&raw, id) - d.mean_tokens[p]).abs() <= 1e-10,
+                    (raw_graph.mean_tokens(&raw, id) - tokens).abs() <= 1e-10,
                     "n={n}: place {p} tokens diverged"
                 );
             }

@@ -10,8 +10,8 @@
 //!
 //! * [`threads`] — the one place the thread-count knob is read
 //!   (`HSIPC_SWEEP` as a number, else the machine's available
-//!   parallelism). `sweep::threads()` re-exports it; nothing else parses
-//!   the variable.
+//!   parallelism). `sweep::threads()` re-exports it; [`parse_threads`] is
+//!   the variable's one parser, which `repro` also runs up front.
 //! * [`ParallelBudget`] — a counter of *extra* cores (beyond the calling
 //!   thread) that may be running at once. Outer pool workers
 //!   [`register`](ParallelBudget::register) the core they occupy; inner
@@ -30,35 +30,41 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// The process-wide thread-count policy, parsed once: `HSIPC_SWEEP` set to
-/// a number — that many threads (`1` = serial; `seq`/`sequential` are
-/// accepted as aliases for `1`) — else the machine's available
-/// parallelism.
+/// The process-wide thread-count policy, parsed once: `HSIPC_SWEEP`
+/// ([`parse_threads`]) when set, else the machine's available parallelism.
+///
+/// # Panics
+///
+/// When `HSIPC_SWEEP` is set to a value [`parse_threads`] rejects.
 pub fn threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
-        let default = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        threads_from(std::env::var("HSIPC_SWEEP").ok().as_deref(), default)
+        crate::knob("HSIPC_SWEEP", parse_threads).unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     })
 }
 
-/// The pure policy behind [`threads`], testable without touching the
-/// environment.
-pub(crate) fn threads_from(hsipc_sweep: Option<&str>, default: usize) -> usize {
-    if let Some(v) = hsipc_sweep {
-        let v = v.trim();
-        if v.eq_ignore_ascii_case("seq") || v.eq_ignore_ascii_case("sequential") {
-            return 1;
-        }
-        if let Ok(n) = v.parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+/// Parses an `HSIPC_SWEEP` value: a positive thread count, or `seq` /
+/// `sequential` (case-insensitive) for one.
+///
+/// # Errors
+///
+/// Any other value, with a message naming the variable and the values it
+/// accepts.
+pub fn parse_threads(value: &str) -> Result<usize, String> {
+    let v = value.trim();
+    if v.eq_ignore_ascii_case("seq") || v.eq_ignore_ascii_case("sequential") {
+        return Ok(1);
     }
-    default.max(1)
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "HSIPC_SWEEP=`{value}` is not a thread count (a positive number, `seq` or `sequential`)"
+        )),
+    }
 }
 
 /// A ledger of extra cores shared by the outer sweep pool and the solver's
@@ -201,18 +207,19 @@ mod tests {
 
     #[test]
     fn threads_policy_precedence() {
-        // HSIPC_SWEEP numeric wins over the machine's parallelism.
-        assert_eq!(threads_from(Some("8"), 4), 8);
-        assert_eq!(threads_from(Some(" 1 "), 4), 1);
+        // A numeric HSIPC_SWEEP is the thread count.
+        assert_eq!(parse_threads("8"), Ok(8));
+        assert_eq!(parse_threads(" 1 "), Ok(1));
         // seq/sequential are aliases for 1.
-        assert_eq!(threads_from(Some("seq"), 4), 1);
-        assert_eq!(threads_from(Some("Sequential"), 4), 1);
-        // Unparsable or zero HSIPC_SWEEP falls through to the machine.
-        assert_eq!(threads_from(Some("fast"), 4), 4);
-        assert_eq!(threads_from(Some("0"), 4), 4);
-        assert_eq!(threads_from(None, 4), 4);
-        // Zero is never returned.
-        assert_eq!(threads_from(Some("0"), 0), 1);
+        assert_eq!(parse_threads("seq"), Ok(1));
+        assert_eq!(parse_threads("Sequential"), Ok(1));
+        // Anything else is an error naming the variable, never a silent
+        // fall-through to the machine's parallelism; zero is never returned.
+        for bad in ["fast", "0", "", "-2"] {
+            let err = parse_threads(bad).unwrap_err();
+            assert!(err.contains("HSIPC_SWEEP"), "{bad:?}: {err}");
+        }
+        assert!(threads() >= 1);
     }
 
     #[test]

@@ -708,26 +708,8 @@ impl ReachabilityGraph {
         Solution::solve(self, tolerance, max_sweeps)
     }
 
-    /// As [`solve`](Self::solve), reusing `workspace`'s scratch buffers —
-    /// identical results, no per-solve edge-list allocation. Sweep workers
-    /// keep one workspace per thread and solve many points through it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GtpnError::NoConvergence`] when the Gauss–Seidel sweeps do
-    /// not reach `tolerance` within `max_sweeps`.
-    pub fn solve_with(
-        &self,
-        tolerance: f64,
-        max_sweeps: usize,
-        workspace: &mut crate::solve::SolveWorkspace,
-    ) -> Result<Solution, GtpnError> {
-        Solution::solve_with(self, tolerance, max_sweeps, workspace)
-    }
-
-    /// Resident bytes of this graph — what a cache entry holding it costs,
-    /// and what the `HSIPC_CACHE_MB` budget evicts by. Sums the flat
-    /// arrays' capacities; only the retained net is an estimate.
+    /// Resident bytes of this graph. Sums the flat arrays' capacities; only
+    /// the retained net is an estimate.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<ReachabilityGraph>()
@@ -738,27 +720,6 @@ impl ReachabilityGraph {
             + size_of::<u64>() * self.sojourn.capacity()
             + self.fired.capacity()
             + crate::cache::net_bytes(&self.net)
-    }
-
-    /// Fingerprint of the chain's *shape*: state count, sojourns and edge
-    /// targets — everything except the transition probabilities. Two sweep
-    /// grid neighbors that differ only in a rate share a shape, so a
-    /// converged solution for one is a valid warm start for the other
-    /// (`gtpn::engine`'s warm-start slots key on this).
-    pub fn shape_fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        self.state_count().hash(&mut h);
-        self.sojourn.hash(&mut h);
-        for i in 0..self.state_count() {
-            let edges = self.out_edges(i);
-            edges.len().hash(&mut h);
-            for &(succ, _) in edges {
-                succ.hash(&mut h);
-            }
-        }
-        h.finish()
     }
 
     /// The maximum reachable token count of `place` — its bound. A net is
@@ -1332,9 +1293,6 @@ pub(crate) struct Skeleton {
     fired: Box<[bool]>,
     phase_calls: u64,
     phase_configs: u64,
-    /// The chain's [`ReachabilityGraph::shape_fingerprint`], the key of
-    /// its warm-start slot.
-    pub(crate) shape_fingerprint: u64,
     tape: Packed,
 }
 
@@ -1353,7 +1311,6 @@ impl Skeleton {
             fired: graph.fired.clone().into_boxed_slice(),
             phase_calls: graph.build.phase_calls,
             phase_configs: graph.build.phase_configs,
-            shape_fingerprint: graph.shape_fingerprint(),
             tape,
         }
     }

@@ -20,20 +20,20 @@
 //! `usage / d`.
 
 use crate::error::GtpnError;
-use crate::net::TransId;
+use crate::net::{Net, TransId};
 use crate::reach::ReachabilityGraph;
 use std::collections::{HashMap, VecDeque};
 
-/// Reusable scratch buffers for [`ReachabilityGraph::solve_with`].
+/// Reusable scratch buffers of a solve.
 ///
 /// A sweep evaluates hundreds of points whose reachability graphs are the
-/// same size (or cached and literally the same graph); reallocating the
-/// incoming-edge list and self-loop vector for each solve is pure
-/// allocator churn. One workspace per worker thread keeps those buffers
-/// warm across points. The solution vector itself is always freshly
-/// allocated — it is moved into the returned [`Solution`].
+/// same size; reallocating the incoming-edge list and self-loop vector for
+/// each solve is pure allocator churn. The engine keeps one workspace per
+/// worker thread, so those buffers are reused across points. The solution
+/// vector itself is always freshly allocated — it is moved into the
+/// returned [`Solution`].
 #[derive(Debug, Default)]
-pub struct SolveWorkspace {
+pub(crate) struct SolveWorkspace {
     /// The transposed chain in compressed-sparse-row form: the `(i, p)`
     /// edges into state `j`, self-loops excluded, are
     /// `in_edges[in_offsets[j]..in_offsets[j + 1]]`, ordered by source and
@@ -46,7 +46,7 @@ pub struct SolveWorkspace {
 
 impl SolveWorkspace {
     /// An empty workspace; buffers grow on first use.
-    pub fn new() -> SolveWorkspace {
+    pub(crate) fn new() -> SolveWorkspace {
         SolveWorkspace::default()
     }
 
@@ -102,16 +102,12 @@ pub struct Solution {
     pi_time: Vec<f64>,
     /// Embedded-chain stationary distribution.
     pi: Vec<f64>,
-    /// Mean sojourn time `Σ π h`.
-    mean_sojourn: f64,
     /// Usage per transition (time-weighted mean number in progress).
     transition_usage: Vec<f64>,
     /// Resource label -> usage.
     resource_usage_map: HashMap<String, f64>,
     /// Resource label -> minimum delay among its transitions (for rates).
     resource_delay: HashMap<String, u64>,
-    transition_delays: Vec<u64>,
-    transition_names: Vec<String>,
     iterations: usize,
     residual: f64,
 }
@@ -125,30 +121,13 @@ impl Solution {
         Solution::solve_with(graph, tolerance, max_sweeps, &mut SolveWorkspace::new())
     }
 
+    /// As [`solve`](Self::solve), through `ws`'s reusable buffers. The
+    /// Gauss–Seidel iteration starts from the uniform vector.
     pub(crate) fn solve_with(
         graph: &ReachabilityGraph,
         tolerance: f64,
         max_sweeps: usize,
         ws: &mut SolveWorkspace,
-    ) -> Result<Solution, GtpnError> {
-        Solution::solve_seeded_with(graph, tolerance, max_sweeps, ws, None)
-    }
-
-    /// As [`solve_with`](Self::solve_with), starting the Gauss–Seidel
-    /// iteration from `seed` (a previously converged embedded distribution
-    /// of a same-shape chain — the warm-start hand-off of a sweep) instead
-    /// of the uniform vector. A seed of the wrong length, or containing
-    /// non-finite / negative mass, falls back to the cold uniform start.
-    ///
-    /// The seed moves the *trajectory*, not the destination: the iteration
-    /// still runs to the same tail-bound stopping rule, so a warm solve
-    /// agrees with a cold one to solver tolerance.
-    pub(crate) fn solve_seeded_with(
-        graph: &ReachabilityGraph,
-        tolerance: f64,
-        max_sweeps: usize,
-        ws: &mut SolveWorkspace,
-        seed: Option<&[f64]>,
     ) -> Result<Solution, GtpnError> {
         let n = graph.state_count();
         assert!(n > 0, "empty reachability graph");
@@ -173,7 +152,7 @@ impl Solution {
         let ws = &*ws;
         let self_loop = &ws.self_loop;
 
-        let mut pi = seed_vector(n, seed);
+        let mut pi = vec![1.0 / n as f64; n];
         let mut iterations = 0;
         let mut residual = f64::INFINITY;
         // Residuals one and two sweeps back (0.0 = not yet seen, which
@@ -262,23 +241,7 @@ impl Solution {
 /// graph the §6.6.3 fixed point solves at the paper's conversation counts,
 /// which is where the stiff chains live. Larger graphs stay on the sparse
 /// iterative solver.
-pub(crate) const DIRECT_MAX_STATES: usize = 128;
-
-/// The iteration's starting vector: a validated, renormalized copy of
-/// `seed`, or the cold uniform start when the seed is absent, has the wrong
-/// length (the net's shape changed along the sweep axis), or carries
-/// non-finite / negative mass.
-fn seed_vector(n: usize, seed: Option<&[f64]>) -> Vec<f64> {
-    if let Some(s) = seed {
-        if s.len() == n {
-            let total: f64 = s.iter().sum();
-            if total > 0.0 && total.is_finite() && s.iter().all(|&v| v.is_finite() && v >= 0.0) {
-                return s.iter().map(|&v| v / total).collect();
-            }
-        }
-    }
-    vec![1.0 / n as f64; n]
-}
+const DIRECT_MAX_STATES: usize = 128;
 
 /// Depth of Anderson mixing: an accelerated step combines up to
 /// `AA_DEPTH + 1` of the most recent sweep images.
@@ -300,8 +263,8 @@ const AA_WARMUP: usize = 64;
 /// deterministic, a window rebuilt from the very same iterate re-enters
 /// the very same cycle. Plain sweeps first have to carry the iterate a
 /// measurable distance away (residual down 4×) before a fresh window gets
-/// a different starting state; restarted there, mixing converges normally,
-/// exactly as warm-seeded solves do. Only when repeated restarts stop
+/// a different starting state; restarted there, mixing converges normally.
+/// Only when repeated restarts stop
 /// paying is plain Gauss–Seidel (with the unchanged stopping rule) the
 /// better finisher.
 const AA_PATIENCE: usize = 1024;
@@ -758,33 +721,46 @@ fn finish(graph: &ReachabilityGraph, pi: Vec<f64>, iterations: usize, residual: 
         }
     }
 
-    // Aggregate per resource.
-    let mut resource_usage_map: HashMap<String, f64> = HashMap::new();
-    let mut resource_delay: HashMap<String, u64> = HashMap::new();
-    for (ti, t) in graph.net.transitions.iter().enumerate() {
-        if let Some(r) = &t.resource {
-            *resource_usage_map.entry(r.clone()).or_insert(0.0) += transition_usage[ti];
-            let d = resource_delay.entry(r.clone()).or_insert(t.delay);
-            *d = (*d).min(t.delay);
-        }
-    }
-
+    let (resource_usage_map, resource_delay) = by_resource(&graph.net, &transition_usage);
     Solution {
         pi_time,
         pi,
-        mean_sojourn,
         transition_usage,
         resource_usage_map,
         resource_delay,
-        transition_delays: graph.net.transitions.iter().map(|t| t.delay).collect(),
-        transition_names: graph
-            .net
-            .transitions
-            .iter()
-            .map(|t| t.name.clone())
-            .collect(),
         iterations,
         residual,
+    }
+}
+
+/// The per-resource aggregates of `net`'s per-transition usages: each
+/// resource label's usage (the sum over its transitions, in transition
+/// order) and its minimum transition delay. Every result reports these —
+/// a raw solve, a de-lumped one, and a DES estimate (whose usages are
+/// batch means, so it takes only the delays).
+pub(crate) fn by_resource(
+    net: &Net,
+    transition_usage: &[f64],
+) -> (HashMap<String, f64>, HashMap<String, u64>) {
+    let mut usage: HashMap<String, f64> = HashMap::new();
+    let mut delay: HashMap<String, u64> = HashMap::new();
+    for (t, &u) in net.transitions.iter().zip(transition_usage) {
+        if let Some(r) = &t.resource {
+            *usage.entry(r.clone()).or_insert(0.0) += u;
+            let d = delay.entry(r.clone()).or_insert(t.delay);
+            *d = (*d).min(t.delay);
+        }
+    }
+    (usage, delay)
+}
+
+/// A resource's completion rate from its usage and (minimum) delay:
+/// `usage / delay`, or the usage itself for a zero-delay resource.
+pub(crate) fn rate(usage: f64, delay: u64) -> f64 {
+    if delay == 0 {
+        usage
+    } else {
+        usage / delay as f64
     }
 }
 
@@ -797,11 +773,6 @@ impl Solution {
     /// Embedded-chain (per-step) stationary distribution.
     pub fn embedded_probabilities(&self) -> &[f64] {
         &self.pi
-    }
-
-    /// Mean sojourn time per embedded step.
-    pub fn mean_sojourn(&self) -> f64 {
-        self.mean_sojourn
     }
 
     /// Usage (time-weighted mean in-progress count) of a resource label.
@@ -826,11 +797,7 @@ impl Solution {
             .resource_delay
             .get(resource)
             .ok_or_else(|| GtpnError::UnknownName(resource.to_string()))?;
-        Ok(if delay == 0 {
-            usage
-        } else {
-            usage / delay as f64
-        })
+        Ok(rate(usage, delay))
     }
 
     /// Usage of an individual transition.
@@ -839,29 +806,6 @@ impl Solution {
             .get(transition.0)
             .copied()
             .unwrap_or(0.0)
-    }
-
-    /// Completion rate of an individual transition (`usage / delay`).
-    pub fn transition_rate(&self, transition: TransId) -> f64 {
-        let u = self.transition_usage(transition);
-        match self.transition_delays.get(transition.0) {
-            Some(&d) if d > 0 => u / d as f64,
-            _ => u,
-        }
-    }
-
-    /// Usage of a transition looked up by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GtpnError::UnknownName`] if no transition has this name.
-    pub fn transition_usage_by_name(&self, name: &str) -> Result<f64, GtpnError> {
-        let idx = self
-            .transition_names
-            .iter()
-            .position(|n| n == name)
-            .ok_or_else(|| GtpnError::UnknownName(name.to_string()))?;
-        Ok(self.transition_usage[idx])
     }
 
     /// Number of Gauss–Seidel sweeps performed.
@@ -965,7 +909,7 @@ mod tests {
         let u = s.resource_usage("lambda").unwrap();
         assert!((u - 0.6).abs() < 1e-9, "usage {u}");
         // Rate of b_exit alone = 1 completion per 10 units = 0.1.
-        let rate = s.transition_usage_by_name("b_exit").unwrap();
+        let rate = s.transition_usage(net.transition_by_name("b_exit").unwrap());
         assert!((rate - 0.1).abs() < 1e-9, "b_exit usage {rate}");
     }
 
@@ -1018,7 +962,8 @@ mod tests {
         let s = g.solve(1e-13, 100_000).unwrap();
         let total: f64 = s.state_probabilities().iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert!(s.mean_sojourn() > 0.0);
+        let embedded: f64 = s.embedded_probabilities().iter().sum();
+        assert!((embedded - 1.0).abs() < 1e-9);
         assert!(s.iterations() > 0);
         assert!(s.residual() < 1e-13);
     }
@@ -1031,6 +976,6 @@ mod tests {
             .unwrap();
         let s = net.reachability(10).unwrap().solve(1e-12, 1000).unwrap();
         assert!(s.resource_usage("nope").is_err());
-        assert!(s.transition_usage_by_name("nope").is_err());
+        assert!(s.resource_rate("nope").is_err());
     }
 }

@@ -169,34 +169,8 @@ pub fn solve_with_hosts_in(
     s_d: f64,
     hosts: u32,
 ) -> Result<ClientSolution, ModelError> {
-    solve_inner(engine, arch, n, s_d, hosts, None)
-}
-
-/// As [`solve_with_hosts_in`], threading a warm-start store: along the
-/// §6.6.3 iteration only the surrogate delay `s_d` changes, so every
-/// client net shares one chain shape and each solve can start from the
-/// previous iteration's converged distribution.
-pub fn solve_with_hosts_warm_in(
-    engine: &AnalysisEngine,
-    arch: Architecture,
-    n: u32,
-    s_d: f64,
-    hosts: u32,
-    warm: &mut gtpn::engine::WarmStart,
-) -> Result<ClientSolution, ModelError> {
-    solve_inner(engine, arch, n, s_d, hosts, Some(warm))
-}
-
-fn solve_inner(
-    engine: &AnalysisEngine,
-    arch: Architecture,
-    n: u32,
-    s_d: f64,
-    hosts: u32,
-    warm: Option<&mut gtpn::engine::WarmStart>,
-) -> Result<ClientSolution, ModelError> {
     let net = build_with_hosts(arch, n, s_d, hosts)?;
-    let analysis = crate::analyze_warm_in(engine, &net, warm)?;
+    let analysis = crate::analyze_in(engine, &net)?;
     let lambda = analysis.resource_usage("lambda")?;
     Ok(ClientSolution {
         lambda_per_us: lambda,

@@ -85,9 +85,9 @@ impl From<gtpn::GtpnError> for ModelError {
 }
 
 /// The process-wide default analysis engine: the chapter-6 budgets
-/// ([`TOLERANCE`], [`MAX_SWEEPS`], [`STATE_BUDGET`]), warm starts and
-/// exact lumping on, and the backend policy taken from `HSIPC_BACKEND` at
-/// first use ([`BackendSel::from_env`]).
+/// ([`TOLERANCE`], [`MAX_SWEEPS`], [`STATE_BUDGET`]), exact lumping on,
+/// and the backend policy taken from `HSIPC_BACKEND` at first use
+/// ([`BackendSel::from_env`]).
 ///
 /// Every model-level `solve` function without an explicit engine argument
 /// analyzes through this engine, so sweeps, experiments and tests share
@@ -101,7 +101,6 @@ pub fn default_engine() -> &'static AnalysisEngine {
             max_sweeps: MAX_SWEEPS,
             state_budget: STATE_BUDGET,
             des: DesOptions::default(),
-            warm_start: true,
             lump: gtpn::LumpSel::On,
         })
     })
@@ -132,15 +131,5 @@ pub fn live_throughput_in(
 /// Analyzes a chapter-6 net through `engine`; the single choke point every
 /// model solve in this crate funnels through.
 pub(crate) fn analyze_in(engine: &AnalysisEngine, net: &gtpn::Net) -> Result<Analysis, ModelError> {
-    analyze_warm_in(engine, net, None)
-}
-
-/// As [`analyze_in`], threading an explicit warm-start store — used by the
-/// §6.6.3 fixed point, whose successive same-shape solves seed each other.
-pub(crate) fn analyze_warm_in(
-    engine: &AnalysisEngine,
-    net: &gtpn::Net,
-    warm: Option<&mut gtpn::engine::WarmStart>,
-) -> Result<Analysis, ModelError> {
-    Ok(engine.analyze_warm(net, warm)?)
+    Ok(engine.analyze(net)?)
 }

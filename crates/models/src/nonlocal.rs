@@ -92,55 +92,31 @@ pub fn solve_with_hosts_in(
     let mut last_client: Option<ClientSolution> = None;
     let mut delta = f64::INFINITY;
 
-    // One warm-start store per model role: along the iteration only the
-    // surrogate delays change, so every client (resp. server) solve shares
-    // one chain shape and seeds the next from its converged distribution.
-    // The stores are function-local and travel with the closures below —
-    // never with whichever thread join2 happens to place them on — so the
-    // fixed-point trajectory stays bit-identical across core budgets.
-    let mut warm_client = gtpn::engine::WarmStart::new();
-    let mut warm_server = gtpn::engine::WarmStart::new();
-
     for it in 1..=MAX_ITERATIONS {
         // The client solve (parameterized by s_d) and the server probe
         // (parameterized by the *previous* c_d) are independent within an
         // iteration — run them concurrently when the engine's core budget
         // has room. join2 returns identical results either way, so the
         // fixed-point trajectory does not depend on thread availability.
-        let (cl, sv_probe) = {
-            let (wc, wsv) = (&mut warm_client, &mut warm_server);
-            gtpn::par::join2(
-                engine.budget(),
-                move || client::solve_with_hosts_warm_in(engine, arch, n, s_d, hosts, wc),
-                move || {
-                    server::solve_with_hosts_warm_in(
-                        engine,
-                        arch,
-                        n,
-                        x_us,
-                        c_d.max(1.0),
-                        hosts,
-                        wsv,
-                    )
-                },
-            )
-        };
+        let (cl, sv_probe) = gtpn::par::join2(
+            engine.budget(),
+            || client::solve_with_hosts_in(engine, arch, n, s_d, hosts),
+            || server::solve_with_hosts_in(engine, arch, n, x_us, c_d.max(1.0), hosts),
+        );
         let cl = cl?;
         let sv_probe = sv_probe?;
         let c_d_prime = cl.cycle_us - s_d;
         last_client = Some(cl);
 
         c_d = (c_d_prime - sv_probe.s_c_us).max(1.0);
-        let sv =
-            server::solve_with_hosts_warm_in(engine, arch, n, x_us, c_d, hosts, &mut warm_server)?;
+        let sv = server::solve_with_hosts_in(engine, arch, n, x_us, c_d, hosts)?;
         let s_d_new = sv.s_d_us + outside;
 
         delta = (s_d_new - s_d).abs() / s_d.max(1.0);
         // Damping stabilizes the alternation at high loads.
         s_d = 0.5 * s_d + 0.5 * s_d_new;
         if delta < FIXED_POINT_TOL {
-            let cl =
-                client::solve_with_hosts_warm_in(engine, arch, n, s_d, hosts, &mut warm_client)?;
+            let cl = client::solve_with_hosts_in(engine, arch, n, s_d, hosts)?;
             return Ok(NonLocalSolution {
                 throughput_per_ms: cl.lambda_per_us * 1_000.0,
                 s_d_us: s_d,

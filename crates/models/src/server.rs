@@ -195,36 +195,8 @@ pub fn solve_with_hosts_in(
     c_d: f64,
     hosts: u32,
 ) -> Result<ServerSolution, ModelError> {
-    solve_inner(engine, arch, n, x_us, c_d, hosts, None)
-}
-
-/// As [`solve_with_hosts_in`], threading a warm-start store: the §6.6.3
-/// iteration re-solves the server net with a new surrogate delay `c_d`
-/// each round, and all those nets share one chain shape.
-pub fn solve_with_hosts_warm_in(
-    engine: &AnalysisEngine,
-    arch: Architecture,
-    n: u32,
-    x_us: f64,
-    c_d: f64,
-    hosts: u32,
-    warm: &mut gtpn::engine::WarmStart,
-) -> Result<ServerSolution, ModelError> {
-    solve_inner(engine, arch, n, x_us, c_d, hosts, Some(warm))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn solve_inner(
-    engine: &AnalysisEngine,
-    arch: Architecture,
-    n: u32,
-    x_us: f64,
-    c_d: f64,
-    hosts: u32,
-    warm: Option<&mut gtpn::engine::WarmStart>,
-) -> Result<ServerSolution, ModelError> {
     let built = build(arch, n, x_us, c_d, hosts)?;
-    let analysis = crate::analyze_warm_in(engine, &built.net, warm)?;
+    let analysis = crate::analyze_in(engine, &built.net)?;
     let lambda = analysis.resource_usage("arrival")?;
     // Customers in system: queued requests + tokens between stages + all
     // in-progress service firings.

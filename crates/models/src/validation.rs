@@ -85,56 +85,6 @@ pub fn compare_in(
     })
 }
 
-/// The paper's actual validation configuration (§6.8): *two hosts per
-/// node*. Model (two Host tokens) vs two-host discrete-event run.
-///
-/// # Errors
-///
-/// Propagates model-solution failures.
-pub fn compare_two_hosts(
-    conversations: u32,
-    server_us: f64,
-    seed: u64,
-) -> Result<ValidationPoint, ModelError> {
-    compare_two_hosts_in(crate::default_engine(), conversations, server_us, seed)
-}
-
-/// As [`compare_two_hosts`], analyzing the model half through an explicit
-/// engine.
-///
-/// # Errors
-///
-/// Propagates model-solution failures.
-pub fn compare_two_hosts_in(
-    engine: &AnalysisEngine,
-    conversations: u32,
-    server_us: f64,
-    seed: u64,
-) -> Result<ValidationPoint, ModelError> {
-    let model = nonlocal::solve_with_hosts_in(
-        engine,
-        Architecture::MessageCoprocessor,
-        conversations,
-        server_us,
-        2,
-    )?;
-    let spec = WorkloadSpec {
-        conversations: conversations as usize,
-        server_compute_us: server_us,
-        locality: Locality::NonLocal,
-        horizon_us: 4_000_000.0,
-        warmup_us: 400_000.0,
-        seed,
-    };
-    let measured = Simulation::with_hosts(Architecture::MessageCoprocessor, &spec, 2).run();
-    Ok(ValidationPoint {
-        conversations,
-        server_us,
-        model_per_ms: model.throughput_per_ms,
-        measured_per_ms: measured.throughput_per_ms,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,8 +115,26 @@ mod tests {
 
     #[test]
     fn two_host_configuration_validates() {
-        // The paper's own test-bed shape: two hosts per node.
-        let p = compare_two_hosts(2, 2_850.0, 31).unwrap();
+        // The paper's own test-bed shape (§6.8): two hosts per node, as two
+        // Host tokens in the model and two hosts in the discrete-event run.
+        let arch = Architecture::MessageCoprocessor;
+        let model = nonlocal::solve_with_hosts(arch, 2, 2_850.0, 2).unwrap();
+        let spec = WorkloadSpec {
+            conversations: 2,
+            server_compute_us: 2_850.0,
+            locality: Locality::NonLocal,
+            horizon_us: 4_000_000.0,
+            warmup_us: 400_000.0,
+            seed: 31,
+        };
+        let p = ValidationPoint {
+            conversations: 2,
+            server_us: 2_850.0,
+            model_per_ms: model.throughput_per_ms,
+            measured_per_ms: Simulation::with_hosts(arch, &spec, 2)
+                .run()
+                .throughput_per_ms,
+        };
         assert!(
             p.deviation() < 0.15,
             "model {} vs measured {}",

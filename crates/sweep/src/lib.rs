@@ -8,7 +8,10 @@
 //! sequential evaluation. This crate provides exactly that contract:
 //!
 //! * [`Grid`] — an ordered collection of sweep points with an
-//!   order-preserving [`Grid::eval`];
+//!   order-preserving [`Grid::eval`]. A grid of model solves captures its
+//!   [`gtpn::AnalysisEngine`] in the closure: the engine holds no per-thread
+//!   state, so every worker shares its one solution cache and a point's
+//!   result does not depend on which worker solved it;
 //! * [`map`] / [`map_with`] — the underlying order-preserving parallel map
 //!   (self-scheduling workers over a shared index, results reassembled by
 //!   position);
@@ -17,8 +20,9 @@
 //!   which worker executes them or in what order;
 //! * [`ExecMode`] / [`threads`] — environment-controlled execution policy:
 //!   `HSIPC_SWEEP=<n>` sets the worker count (`1`, `seq` or `sequential`
-//!   force the sequential path), falling back to the machine's available
-//!   parallelism. The policy lives in [`gtpn::par`] so the solver's inner
+//!   force the sequential path; any other value is an error), falling back
+//!   to the machine's available parallelism when unset. The policy lives
+//!   in [`gtpn::par`] so the solver's inner
 //!   parallelism reads the very same knob — and both layers draw threads
 //!   from one [`gtpn::ParallelBudget`]: each pool worker registers the
 //!   core it occupies, so inner loops (frontier expansion, the §6.6.3
@@ -64,12 +68,6 @@ pub fn exec_mode() -> ExecMode {
 /// number, else the machine's available parallelism.
 pub fn threads() -> usize {
     gtpn::par::threads()
-}
-
-/// Deprecated name of [`threads`], kept for callers predating the
-/// centralized policy.
-pub fn thread_count() -> usize {
-    threads()
 }
 
 /// Order-preserving map over `items` using the environment's execution mode
@@ -207,60 +205,6 @@ impl<P> Grid<P> {
     {
         map_with(mode, threads, &self.points, f)
     }
-
-    /// Evaluates every point through a shared [`gtpn::AnalysisEngine`]
-    /// under the environment's execution policy. Workers all analyze
-    /// through the same engine, so structurally-identical nets across
-    /// points hit one canonical solution cache no matter which worker
-    /// claims them.
-    ///
-    /// Each worker additionally carries the caller's cache partition (so
-    /// an overflowing sweep evicts its own cache entries first, not
-    /// another experiment's) and — when the engine has warm starts
-    /// enabled — an ambient [`gtpn::engine::WarmStart`] store: consecutive
-    /// points solved by one worker hand their converged solutions to the
-    /// next same-shape solve. The store is scoped to this evaluation by a
-    /// token, so solves outside any sweep always start cold.
-    pub fn eval_in<O, F>(&self, engine: &gtpn::AnalysisEngine, f: F) -> Vec<O>
-    where
-        P: Sync,
-        O: Send,
-        F: Fn(&gtpn::AnalysisEngine, &P) -> O + Sync,
-    {
-        self.eval_in_with(engine, exec_mode(), threads(), f)
-    }
-
-    /// As [`Grid::eval_in`] with an explicit mode and thread count.
-    pub fn eval_in_with<O, F>(
-        &self,
-        engine: &gtpn::AnalysisEngine,
-        mode: ExecMode,
-        threads: usize,
-        f: F,
-    ) -> Vec<O>
-    where
-        P: Sync,
-        O: Send,
-        F: Fn(&gtpn::AnalysisEngine, &P) -> O + Sync,
-    {
-        let token = gtpn::engine::warm_token();
-        let warm = engine.config().warm_start;
-        let part = gtpn::cache::current_partition();
-        let out = map_with(mode, threads, &self.points, |p| {
-            let _part = gtpn::cache::enter_partition(part);
-            if warm {
-                gtpn::engine::warm_point_begin(token);
-            }
-            f(engine, p)
-        });
-        // Sequential evaluation ran on this thread: drop its store so
-        // later direct `analyze` calls start cold. (Pool workers took
-        // theirs to the grave with their thread-locals.)
-        if warm {
-            gtpn::engine::warm_end(token);
-        }
-        out
-    }
 }
 
 /// The cartesian product `outer × inner`, outer-major — the nested-loop
@@ -372,7 +316,6 @@ mod tests {
     #[test]
     fn thread_count_is_positive() {
         assert!(threads() >= 1);
-        assert_eq!(threads(), thread_count(), "deprecated alias must agree");
         // One policy everywhere: the sweep pool and the solver's inner
         // parallelism must size themselves identically.
         assert_eq!(threads(), gtpn::par::threads());

@@ -1,13 +1,13 @@
 //! The GTPN engine as a standalone tool: build the paper's Architecture II
 //! local model, inspect its structure (invariants, bounds, DOT export),
-//! solve it exactly, and cross-check with a Monte-Carlo run carrying a
-//! confidence interval.
+//! build and solve its reachability graph exactly, and cross-check with a
+//! Monte-Carlo run carrying a confidence interval.
 //!
 //! Run with: `cargo run --release --example petri_tools`
 
 use hsipc::gtpn::sim::{confidence_interval, SimOptions};
 use hsipc::gtpn::{dot, invariant};
-use hsipc::models::{local, AnalysisEngine, Architecture, BackendSel, EngineConfig};
+use hsipc::models::{self, local, Architecture};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,19 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_basis = invariant::t_invariants(&net);
     println!("T-invariants: {} (the conversation cycles)", t_basis.len());
 
-    // Exact analysis through the engine; its retained reachability graph
-    // answers the structural queries (bounds, liveness).
-    // Lumping off: this example inspects the raw reachability graph
-    // (bounds, dead transitions), which lumped runs do not retain.
-    let engine = AnalysisEngine::new(EngineConfig {
-        backend: BackendSel::Exact,
-        lump: hsipc::gtpn::LumpSel::Off,
-        ..EngineConfig::default()
-    });
-    let analysis = engine.analyze(&net)?;
-    let graph = analysis
-        .graph()
-        .expect("exact backend retains the reachability graph");
+    // Structure of the raw reachability graph (bounds, liveness), built
+    // and solved directly — the engine keeps measures, not chains.
+    let graph = net.reachability(models::STATE_BUDGET)?;
     println!(
         "\nreachability: {} tangible states, {} edges",
         graph.state_count(),
@@ -76,8 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     );
 
-    // Exact steady state (solved by the same engine call).
-    let exact = analysis.resource_usage("lambda")?;
+    // Exact steady state of that graph.
+    let solution = graph.solve(models::TOLERANCE, models::MAX_SWEEPS)?;
+    let exact = solution.resource_usage("lambda")?;
     println!(
         "\nexact throughput: {:.6} conversations/µs ({:.4}/ms)",
         exact,
@@ -85,8 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "solver: {} sweeps, residual {:.2e}",
-        analysis.iterations().expect("exact backend iterates"),
-        analysis.residual().expect("exact backend converges")
+        solution.iterations(),
+        solution.residual()
     );
 
     // Monte-Carlo cross-check with a confidence interval.

@@ -246,7 +246,6 @@ fn exact_chain_is_pinned_by_constants() {
             tolerance: hsipc::models::TOLERANCE,
             max_sweeps: hsipc::models::MAX_SWEEPS,
             state_budget: hsipc::models::STATE_BUDGET,
-            warm_start: true,
             lump,
             ..EngineConfig::default()
         })
@@ -280,7 +279,6 @@ fn pinned_engine() -> AnalysisEngine {
         tolerance: hsipc::models::TOLERANCE,
         max_sweeps: hsipc::models::MAX_SWEEPS,
         state_budget: hsipc::models::STATE_BUDGET,
-        warm_start: true,
         lump: hsipc::gtpn::LumpSel::On,
         ..EngineConfig::default()
     })

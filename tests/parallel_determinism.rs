@@ -22,10 +22,6 @@ fn engine(cores: usize) -> AnalysisEngine {
         max_sweeps: models::MAX_SWEEPS,
         state_budget: models::STATE_BUDGET,
         des: DesOptions::default(),
-        // Warm starting must not break budget invariance: the §6.6.3
-        // stores travel with the fixed point's closures, not with the
-        // threads the budget happens to grant.
-        warm_start: true,
         // Explicitly on: the budget-invariance assertions below must
         // also hold when the lumped chain is built frontier-parallel.
         lump: hsipc::gtpn::LumpSel::On,

@@ -45,37 +45,6 @@ fn fig_7_1_parallel_matches_sequential() {
     assert_eq!(par, seq);
 }
 
-/// Warm starting is a trajectory optimization, not a result change: a
-/// multi-axis grid (compute × conversations, the fig6.18 shape) rendered
-/// through a warm-started engine on the worker pool prints exactly what a
-/// cold sequential engine prints. Each engine gets a private cache, so
-/// the only hand-off under test is the warm-start one.
-#[test]
-fn warm_start_grid_matches_cold_start() {
-    let engine = |warm: bool| {
-        AnalysisEngine::new(EngineConfig {
-            warm_start: warm,
-            ..EngineConfig::default()
-        })
-        .with_cache(256)
-    };
-    let grid = sweep::cartesian(&[0.0f64, 500.0, 1500.0, 3000.0], &[1u32, 4]);
-    let render = |e: &AnalysisEngine, &(x_us, n): &(f64, u32)| {
-        let s = models::local::solve_in(e, Architecture::MessageCoprocessor, n, x_us)
-            .expect("local model solves");
-        (format!("{:.4}", s.throughput_per_ms), s.states)
-    };
-    let warm = grid.eval_in_with(&engine(true), ExecMode::Parallel, 4, render);
-    let cold = grid.eval_in_with(&engine(false), ExecMode::Sequential, 1, render);
-    assert_eq!(warm, cold, "warm-started grid diverged from cold");
-    // Not vacuous: at least one point took the iterative large-chain path
-    // where a seed can change the trajectory.
-    assert!(
-        warm.iter().any(|(_, states)| *states > 128),
-        "grid never left the direct-solve regime: {warm:?}"
-    );
-}
-
 /// Exact lumping is a solver optimization, not a result change: the same
 /// compute × conversations grid rendered at figure precision through a
 /// lumping engine prints exactly what the raw-chain engine prints. Each
@@ -97,18 +66,10 @@ fn lumped_grid_matches_raw_grid() {
             .expect("local model solves");
         format!("{:.4}", s.throughput_per_ms)
     };
-    let lumped = grid.eval_in_with(
-        &engine(hsipc::gtpn::LumpSel::On),
-        ExecMode::Parallel,
-        4,
-        render,
-    );
-    let raw = grid.eval_in_with(
-        &engine(hsipc::gtpn::LumpSel::Off),
-        ExecMode::Sequential,
-        1,
-        render,
-    );
+    let on = engine(hsipc::gtpn::LumpSel::On);
+    let off = engine(hsipc::gtpn::LumpSel::Off);
+    let lumped = grid.eval_with(ExecMode::Parallel, 4, |p| render(&on, p));
+    let raw = grid.eval_with(ExecMode::Sequential, 1, |p| render(&off, p));
     assert_eq!(lumped, raw, "lumped grid diverged from the raw chain");
 }
 
