@@ -83,8 +83,8 @@ impl WorkloadSpec {
 
 /// A batch of independent replications: mean throughput with a 95%
 /// confidence half-width, the same batch-means estimate the GTPN engine's
-/// DES backend reports — so model estimates and "experimental" measurements
-/// carry comparable error bars.
+/// DES backend reports ([`gtpn::sim::batch_means_interval`]) — so model
+/// estimates and "experimental" measurements carry comparable error bars.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Replicated {
     /// Mean throughput across replications, conversations per millisecond.
@@ -129,14 +129,10 @@ pub fn replicate(
                 .throughput_per_ms
         })
         .collect();
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / (n - 1.0);
+    let ci = gtpn::sim::batch_means_interval(&samples);
     Replicated {
-        throughput_per_ms: mean,
-        // t ≈ 2.1 for small batch counts — the same constant the GTPN
-        // engine's batch-means interval uses.
-        half_width_per_ms: 2.1 * (var / n).sqrt(),
+        throughput_per_ms: ci.estimate,
+        half_width_per_ms: ci.half_width,
         replications,
     }
 }

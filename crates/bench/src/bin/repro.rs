@@ -23,9 +23,8 @@ type KnobCheck = fn(&str) -> Result<(), String>;
 /// other `HSIPC_*` variable is an error, so a stale or misspelt knob cannot
 /// be silently ignored, and so is a value its parser rejects, so a bad
 /// value cannot silently mean the default.
-const KNOBS: [(&str, KnobCheck); 3] = [
+const KNOBS: [(&str, KnobCheck); 2] = [
     ("HSIPC_SWEEP", |v| gtpn::par::parse_threads(v).map(drop)),
-    ("HSIPC_BACKEND", |v| gtpn::BackendSel::parse(v).map(drop)),
     ("HSIPC_CACHE_CAP", |v| {
         gtpn::cache::parse_entry_cap(v).map(drop)
     }),

@@ -1,7 +1,7 @@
 //! The `repro` command line, end to end: flags are the one way to configure
 //! a live run, every bad value is a usage error (exit 2, naming the flag)
 //! rather than a panic or a quietly wrong run, any `HSIPC_*` variable
-//! outside the three knobs is refused, and so is a knob value its parser
+//! outside the two knobs is refused, and so is a knob value its parser
 //! rejects.
 
 use std::process::{Command, Output};
@@ -217,15 +217,15 @@ fn unknown_live_variable_is_a_typo_error() {
         "HSIPC_LUMP",
         "HSIPC_SWEEP_THREADS",
         "HSIPC_CACHE_MB",
+        "HSIPC_BACKEND",
     ] {
         refused(var, "is not a knob");
     }
-    // The three knobs are read, not refused.
-    for (var, value) in [
-        ("HSIPC_SWEEP", "4"),
-        ("HSIPC_BACKEND", "exact"),
-        ("HSIPC_CACHE_CAP", "4"),
-    ] {
+    // A value the deleted knob once accepted is refused too.
+    let backend = repro(&["list"], &[("HSIPC_BACKEND", "exact")]);
+    assert_eq!(backend.status.code(), Some(2));
+    // The two knobs are read, not refused.
+    for (var, value) in [("HSIPC_SWEEP", "4"), ("HSIPC_CACHE_CAP", "4")] {
         assert!(repro(&["list"], &[(var, value)]).status.success(), "{var}");
     }
 }
@@ -236,7 +236,6 @@ fn malformed_knob_values_error_instead_of_defaulting() {
         ("HSIPC_CACHE_CAP", "zero", "a whole number"),
         ("HSIPC_CACHE_CAP", "-1", "a whole number"),
         ("HSIPC_CACHE_CAP", "", "a whole number"),
-        ("HSIPC_BACKEND", "exakt", "exact, des or auto"),
         (
             "HSIPC_SWEEP",
             "foo",

@@ -402,10 +402,11 @@ pub fn fig_7_1_with(mode: ExecMode, threads: usize) -> String {
 /// Chapter 7 scale-out — past the paper's n ≤ 4 ceiling (§6.9.2 notes the
 /// GTPN tools could not go further). Exact lumping collapses the
 /// permutation-symmetric client population to occupancy counts
-/// ([`gtpn::lump`]), so the `auto` engine now solves n = 8, 16 and 32
-/// exactly within the chapter-6 two-million-state budget — the raw chains
-/// there are billions of states — and falls back to the discrete-event
-/// backend (95% confidence half-widths) only past the *lumped* budget.
+/// ([`gtpn::lump`]), so the `auto` engine solves n = 8 and 16 exactly
+/// within the chapter-6 two-million-state budget — the raw chains there
+/// are billions of states. The curve saturates by n = 8; n = 32 is left
+/// out, because its lumped chain (~10M states) is past the budget and a
+/// DES estimate's interval is wider than the whole n = 8 → 16 step.
 pub fn fig_7_scale() -> String {
     let (mode, threads) = env_exec();
     fig_7_scale_with(mode, threads)
@@ -414,8 +415,7 @@ pub fn fig_7_scale() -> String {
 /// [`fig_7_scale`] under an explicit execution mode.
 pub fn fig_7_scale_with(mode: ExecMode, threads: usize) -> String {
     let x = 5_700.0;
-    // Lumping on: the figure's whole point is the exact-vs-DES switchover
-    // location, which only the quotient chain pushes out to n = 16.
+    // Lumping on: only the quotient chain brings n = 16 within budget.
     let engine = AnalysisEngine::new(EngineConfig {
         backend: BackendSel::Auto,
         tolerance: models::TOLERANCE,
@@ -424,20 +424,9 @@ pub fn fig_7_scale_with(mode: ExecMode, threads: usize) -> String {
         des: DesOptions::default(),
         lump: gtpn::LumpSel::On,
     });
-    // The n = 32 point: its lumped chain (~10M states by measurement) is
-    // past the two-million budget, so `Auto` would spend minutes expanding
-    // before aborting into the DES fallback. DES replication seeds derive
-    // from the canonical net alone — not from the engine — so running the
-    // DES backend directly produces the byte-identical result the `Auto`
-    // fallback would reach, skipping the doomed expansion.
-    let des_engine = AnalysisEngine::new(EngineConfig {
-        backend: BackendSel::Des,
-        ..engine.config().clone()
-    });
-    let grid = Grid::new(vec![2u32, 4, 8, 16, 32]);
+    let grid = Grid::new(vec![2u32, 4, 8, 16]);
     let rows = grid.eval_with(mode, threads, |&n| {
-        let engine = if n <= 16 { &engine } else { &des_engine };
-        let t = local::solve_in(engine, Architecture::MessageCoprocessor, n, x)
+        let t = local::solve_in(&engine, Architecture::MessageCoprocessor, n, x)
             .expect("scale point solves");
         vec![
             n.to_string(),

@@ -19,10 +19,10 @@
 //!   budget. The DES backend replaces the exact solve by batched
 //!   Monte-Carlo runs of [`crate::sim`] and reports batch-means estimates
 //!   with 95% confidence half-widths — usable when the reachability graph
-//!   is too large to enumerate. [`BackendSel::Auto`] (the
-//!   `HSIPC_BACKEND=auto` default) tries the exact path and falls back to
-//!   DES exactly when the state budget is exceeded, which opens the
-//!   `n > 4` conversation axis the exact solver cannot reach.
+//!   is too large to enumerate. [`BackendSel::Auto`] (the default) tries
+//!   the exact path and falls back to DES exactly when the state budget is
+//!   exceeded, which opens the `n > 4` conversation axis the raw exact
+//!   solver cannot reach.
 //!
 //! * **One result shape.** A raw solve, a de-lumped quotient solve and a
 //!   DES estimate all produce the same measures, filled in when the result
@@ -31,13 +31,12 @@
 //!   exact run's iterations and residual. No result keeps its chain, so a
 //!   cached entry costs a few short vectors.
 //!
-//! * **Canonical solution caching.** Results are cached process-globally,
-//!   keyed by `(canonical net fingerprint, backend, solver parameters)`
-//!   where the fingerprint comes from [`crate::canonical`] — so two call
-//!   sites that build the *same model in different orders* share one
-//!   solve. A hit under a permuted build order transparently remaps
-//!   [`PlaceId`]/[`TransId`] queries through the composed permutation. Hits
-//!   are verified by full structural equality of the canonical forms, so
+//! * **Solution caching.** Results are cached process-globally, keyed by
+//!   `(net fingerprint, backend, solver parameters)` where the fingerprint
+//!   hashes the net *as built*: the same builder producing the same net in
+//!   the same order hits, and a net built in another order is another net
+//!   and misses. (Every hit of the paper's evaluation is of the first
+//!   kind.) Hits are verified by full structural equality of the nets, so
 //!   fingerprint collisions cannot alias distinct nets. The cache is
 //!   bounded by resident bytes ([`crate::cache::DEFAULT_CACHE_MB`]) and
 //!   optionally entry count (`HSIPC_CACHE_CAP`, `0` disables), evicts the
@@ -47,25 +46,26 @@
 //!
 //! * **Determinism.** With lumping off the exact backend is bitwise
 //!   identical to calling `net.reachability(budget)?.solve(tol, sweeps)`
-//!   directly — a cache miss always solves the *caller's* net, never the
-//!   canonical reordering (summation order changes the last ulp), and a
-//!   re-priced chain is the fresh build's chain bit for bit. A
-//!   lumped solve is itself deterministic (byte-identical across runs,
-//!   thread counts and build orders) but agrees with the raw solve to
-//!   solver tolerance, not bit-for-bit — which is why the cache key
-//!   records whether a result is lumped. DES replication seeds derive
-//!   from the canonical fingerprint, so estimates are identical run-to-run
-//!   and across build orders, no matter which sweep worker executes them.
+//!   directly — every result, hit or miss, is the solve of the caller's
+//!   net as built, and a re-priced chain is the fresh build's chain bit for
+//!   bit. A lumped solve is itself deterministic (byte-identical across
+//!   runs and thread counts) but agrees with the raw solve to solver
+//!   tolerance, not bit-for-bit — which is why the cache key records
+//!   whether a result is lumped. DES simulates the caller's net with
+//!   replication seeds derived from its fingerprint, so an estimate is
+//!   identical run-to-run no matter which sweep worker executes it. Two
+//!   build orders of one model sum in different orders and sample
+//!   different trajectories, so they agree to solver tolerance (exact) or
+//!   to sampling error (DES), not bit for bit.
 
 use crate::cache::{CacheLimits, CacheStats, SkeletonStore, StoreStats};
-use crate::canonical::{self, Canonical};
 use crate::error::GtpnError;
 use crate::lru::BoundedLru;
 use crate::lump::LumpSel;
 use crate::net::{Net, PlaceId, TransId};
 use crate::par::ParallelBudget;
 use crate::reach::ReachabilityGraph;
-use crate::sim::{self, ConfidenceInterval, SimOptions};
+use crate::sim::{self, batch_means_interval, ConfidenceInterval, SimOptions};
 use crate::solve::{Solution, SolveWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,36 +104,6 @@ pub enum BackendSel {
     /// Solve exactly when the state space fits the budget, otherwise
     /// estimate by simulation — the default.
     Auto,
-}
-
-impl BackendSel {
-    /// Parses an `HSIPC_BACKEND` value: `exact`, `des` or `auto`,
-    /// case-insensitive.
-    ///
-    /// # Errors
-    ///
-    /// Any other value, with a message naming the variable and the values
-    /// it accepts.
-    pub fn parse(value: &str) -> Result<BackendSel, String> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "exact" => Ok(BackendSel::Exact),
-            "des" => Ok(BackendSel::Des),
-            "auto" => Ok(BackendSel::Auto),
-            _ => Err(format!(
-                "HSIPC_BACKEND=`{value}` is not a backend (exact, des or auto)"
-            )),
-        }
-    }
-
-    /// The policy `HSIPC_BACKEND` selects ([`parse`](Self::parse)); unset
-    /// means [`Auto`](BackendSel::Auto).
-    ///
-    /// # Panics
-    ///
-    /// When the variable is set to a value [`parse`](Self::parse) rejects.
-    pub fn from_env() -> BackendSel {
-        crate::knob("HSIPC_BACKEND", BackendSel::parse).unwrap_or(BackendSel::Auto)
-    }
 }
 
 /// Options for the DES backend's batched replications.
@@ -312,44 +282,15 @@ struct AnalysisData {
 
 /// The result of [`AnalysisEngine::analyze`]: backend-agnostic access to
 /// steady-state measures, cheap to clone and share across sweep workers.
-///
 /// Ids passed to [`mean_tokens`](Analysis::mean_tokens) /
-/// [`transition_usage`](Analysis::transition_usage) are interpreted in the
-/// id space of the net the caller passed to `analyze` — when the result
-/// was served from cache under a different build order, the stored
-/// permutation is applied transparently.
+/// [`transition_usage`](Analysis::transition_usage) are those of the net
+/// the caller passed to `analyze`.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     data: Arc<AnalysisData>,
-    /// `orig place id -> stored id`; `None` = identity.
-    place_map: Option<Arc<Vec<usize>>>,
-    /// `orig transition id -> stored id`; `None` = identity.
-    trans_map: Option<Arc<Vec<usize>>>,
 }
 
 impl Analysis {
-    fn identity(data: Arc<AnalysisData>) -> Analysis {
-        Analysis {
-            data,
-            place_map: None,
-            trans_map: None,
-        }
-    }
-
-    fn map_place(&self, p: PlaceId) -> PlaceId {
-        match &self.place_map {
-            Some(m) => PlaceId(m.get(p.0).copied().unwrap_or(p.0)),
-            None => p,
-        }
-    }
-
-    fn map_trans(&self, t: TransId) -> TransId {
-        match &self.trans_map {
-            Some(m) => TransId(m.get(t.0).copied().unwrap_or(t.0)),
-            None => t,
-        }
-    }
-
     /// Which backend produced this analysis.
     pub fn backend(&self) -> BackendKind {
         self.data.backend
@@ -410,14 +351,16 @@ impl Analysis {
     /// Time-averaged token count of a place (tokens in transit inside
     /// in-progress firings not counted, on either backend).
     pub fn mean_tokens(&self, place: PlaceId) -> f64 {
-        let p = self.map_place(place);
-        self.data.mean_tokens.get(p.0).copied().unwrap_or(0.0)
+        self.data.mean_tokens.get(place.0).copied().unwrap_or(0.0)
     }
 
     /// Usage of an individual transition.
     pub fn transition_usage(&self, transition: TransId) -> f64 {
-        let t = self.map_trans(transition);
-        self.data.transition_usage.get(t.0).copied().unwrap_or(0.0)
+        self.data
+            .transition_usage
+            .get(transition.0)
+            .copied()
+            .unwrap_or(0.0)
     }
 
     /// Gauss–Seidel sweeps performed (exact backend only; for a lumped
@@ -503,20 +446,11 @@ fn exact(
 }
 
 /// The simulation backend: `batches` independent replications of
-/// [`sim::simulate`], combined into batch-means estimates with 95%
-/// half-widths. It simulates `canon`, the *canonical* form of `net` with
-/// fingerprint `fp`: the sampled trajectory depends on transition
-/// iteration order, so running the caller's ordering would make the
-/// estimate depend on build order even with identical seeds. Replication
-/// seeds derive from `fp`, so the estimate is a pure function of the model
-/// — stable across runs, build orders and sweep-worker schedules — and the
-/// per-id vectors are mapped back to `net`'s ids.
-fn des(
-    net: &Net,
-    canon: &Canonical,
-    fp: u64,
-    cfg: &EngineConfig,
-) -> Result<AnalysisData, GtpnError> {
+/// [`sim::simulate`] on `net`, combined into batch-means estimates with 95%
+/// half-widths ([`batch_means_interval`]). Replication seeds derive from
+/// `fp`, the net's fingerprint, so the estimate is a pure function of the
+/// net as built — stable across runs and sweep-worker schedules.
+fn des(net: &Net, fp: u64, cfg: &EngineConfig) -> Result<AnalysisData, GtpnError> {
     net.validate()?;
     let batches = cfg.des.batches.max(2);
     let opts = SimOptions {
@@ -525,42 +459,32 @@ fn des(
     };
     let resources: Vec<String> = net.resources().iter().map(|r| r.to_string()).collect();
     let mut batch_usage: Vec<Vec<f64>> = vec![Vec::with_capacity(batches); resources.len()];
-    let mut canon_tokens = vec![0.0f64; net.place_count()];
-    let mut canon_usage = vec![0.0f64; net.transition_count()];
+    let mut mean_tokens = vec![0.0f64; net.place_count()];
+    let mut transition_usage = vec![0.0f64; net.transition_count()];
     for b in 0..batches {
         let seed = splitmix64(fp ^ splitmix64(b as u64 + 1));
         let mut rng = StdRng::seed_from_u64(seed);
-        let result = sim::simulate(&canon.net, &opts, &mut rng)?;
+        let result = sim::simulate(net, &opts, &mut rng)?;
         for (ri, name) in resources.iter().enumerate() {
             batch_usage[ri].push(result.resource_usage(name)?);
         }
-        for (acc, v) in canon_tokens.iter_mut().zip(&result.mean_tokens) {
+        for (acc, v) in mean_tokens.iter_mut().zip(&result.mean_tokens) {
             *acc += v;
         }
-        for (acc, v) in canon_usage.iter_mut().zip(&result.transition_usage) {
+        for (acc, v) in transition_usage.iter_mut().zip(&result.transition_usage) {
             *acc += v;
         }
     }
     let n = batches as f64;
-    let mean_tokens: Vec<f64> = canon
-        .place_map
-        .iter()
-        .map(|&c| canon_tokens[c] / n)
-        .collect();
-    let transition_usage: Vec<f64> = canon
-        .trans_map
-        .iter()
-        .map(|&c| canon_usage[c] / n)
-        .collect();
+    for v in mean_tokens.iter_mut().chain(&mut transition_usage) {
+        *v /= n;
+    }
     let mut resource_usage = HashMap::new();
     let mut resource_half_width = HashMap::new();
     for (name, means) in resources.iter().zip(&batch_usage) {
-        let mean = means.iter().sum::<f64>() / n;
-        let var = means.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / (n - 1.0);
-        // Same mildly conservative small-batch constant as
-        // `sim::confidence_interval`.
-        resource_usage.insert(name.clone(), mean);
-        resource_half_width.insert(name.clone(), 2.1 * (var / n).sqrt());
+        let ci = batch_means_interval(means);
+        resource_usage.insert(name.clone(), ci.estimate);
+        resource_half_width.insert(name.clone(), ci.half_width);
     }
     // A resource's estimate is the mean of its batch means, not the sum of
     // its transitions' averaged usages: only the delays are taken here.
@@ -591,29 +515,23 @@ fn splitmix64(mut z: u64) -> u64 {
 // The process-global solution cache.
 // ---------------------------------------------------------------------------
 
-/// Cache key: canonical fingerprint, backend kind, solver-parameter hash.
+/// Cache key: net fingerprint, backend kind, solver-parameter hash.
 type CacheKey = (u64, BackendKind, u64);
 
 #[derive(Debug)]
 struct CacheEntry {
-    /// Canonical form, for equality verification of candidate hits.
-    canonical: Net,
-    /// `canonical place id -> stored (analyzed net's) place id`.
-    place_from_canon: Vec<usize>,
-    /// `canonical transition id -> stored transition id`.
-    trans_from_canon: Vec<usize>,
+    /// The analyzed net, for equality verification of candidate hits.
+    net: Net,
     data: Arc<AnalysisData>,
 }
 
 /// Estimated resident bytes of a cache entry: the per-name maps and per-id
-/// vectors of its measures, plus the canonical net kept for hit
-/// verification.
+/// vectors of its measures, plus the net kept for hit verification.
 fn entry_bytes(e: &CacheEntry) -> usize {
     let d = &e.data;
     64 * (d.resource_usage.len() + d.resource_half_width.len() + d.resource_delay.len())
         + 8 * (d.mean_tokens.len() + d.transition_usage.len())
-        + crate::cache::net_bytes(&e.canonical)
-        + 8 * (e.place_from_canon.len() + e.trans_from_canon.len())
+        + crate::cache::net_bytes(&e.net)
         + 128
 }
 
@@ -813,26 +731,24 @@ impl AnalysisEngine {
         self.caches().store_stats()
     }
 
-    /// Hash of the parameters that determine a backend's result, beyond
-    /// the net itself — part of the cache key so engines with different
+    /// The cache key of `net` (fingerprint `fp`) under backend `kind`: the
+    /// fingerprint plus a hash of the parameters that determine the
+    /// backend's result beyond the net itself, so engines with different
     /// settings never alias. The DES hash includes the state budget so an
     /// `Auto` fallback result is only reused by engines that would have
-    /// fallen back at the same point. `lumped` is whether the exact
+    /// fallen back at the same point. The exact hash includes whether the
     /// backend would solve the quotient chain for this net (a property of
-    /// net and policy together, computed by [`effective_lump`]): lumped
-    /// and raw solves agree to solver tolerance, not bit-for-bit, and
-    /// their `states` counts mean different things, so they never alias —
-    /// while any two engines that both lump share hits for every
-    /// client-permutation of a net through the canonical fingerprint.
-    ///
-    /// [`effective_lump`]: AnalysisEngine::effective_lump
-    fn params_hash(&self, kind: BackendKind, lumped: bool) -> u64 {
+    /// net and policy together): lumped and raw solves agree to solver
+    /// tolerance, not bit-for-bit, and their `states` counts mean
+    /// different things, so they never alias — while any two engines that
+    /// both lump share hits.
+    fn key(&self, kind: BackendKind, net: &Net, fp: u64) -> CacheKey {
         let mut h = DefaultHasher::new();
         match kind {
             BackendKind::Exact => {
                 self.cfg.tolerance.to_bits().hash(&mut h);
                 self.cfg.max_sweeps.hash(&mut h);
-                lumped.hash(&mut h);
+                (self.cfg.lump.enabled() && crate::lump::lumpable(net)).hash(&mut h);
             }
             BackendKind::Des => {
                 self.cfg.des.horizon.hash(&mut h);
@@ -841,54 +757,29 @@ impl AnalysisEngine {
                 self.cfg.state_budget.hash(&mut h);
             }
         }
-        h.finish()
-    }
-
-    /// Whether an exact run of `canon`'s net would solve the lumped
-    /// chain under this engine's policy. [`crate::lump::lumpable`] is
-    /// permutation-invariant, so probing on the canonical net answers
-    /// for the caller's build order too.
-    fn effective_lump(&self, kind: BackendKind, canon: &Canonical) -> bool {
-        kind == BackendKind::Exact && self.cfg.lump.enabled() && crate::lump::lumpable(&canon.net)
+        (fp, kind, h.finish())
     }
 
     /// The slot index of a verified hit for `key` under this engine's
     /// state budget, if any. Caller holds the lock.
-    fn find_slot(
-        c: &EngineCache,
-        key: &CacheKey,
-        budget: usize,
-        canon: &Canonical,
-    ) -> Option<usize> {
+    fn find_slot(c: &EngineCache, key: &CacheKey, budget: usize, net: &Net) -> Option<usize> {
         let kind = key.1;
         c.map.get(key)?.iter().copied().find(|&i| {
             let (_, e) = c.lru.get(i);
-            (kind != BackendKind::Exact || e.data.states <= budget) && e.canonical == canon.net
+            (kind != BackendKind::Exact || e.data.states <= budget) && e.net == *net
         })
     }
 
-    /// Looks for a verified cache hit, composing the id permutation when
-    /// the stored analysis came from a different build order. A disabled
-    /// cache holds nothing, so its probes miss.
-    fn probe(&self, kind: BackendKind, canon: &Canonical, fp: u64) -> Option<Analysis> {
-        let key = (
-            fp,
-            kind,
-            self.params_hash(kind, self.effective_lump(kind, canon)),
-        );
+    /// Looks for a verified cache hit. A disabled cache holds nothing, so
+    /// its probes miss.
+    fn probe(&self, kind: BackendKind, net: &Net, fp: u64) -> Option<Analysis> {
+        let key = self.key(kind, net, fp);
         let mut c = self.cache_mutex().lock().expect("engine cache poisoned");
-        let idx = Self::find_slot(&c, &key, self.cfg.state_budget, canon)?;
+        let idx = Self::find_slot(&c, &key, self.cfg.state_budget, net)?;
         c.lru.touch(idx);
-        let (_, entry) = c.lru.get(idx);
-        let place_map = compose(&canon.place_map, &entry.place_from_canon);
-        let trans_map = compose(&canon.trans_map, &entry.trans_from_canon);
-        let analysis = Analysis {
-            data: Arc::clone(&entry.data),
-            place_map: place_map.map(Arc::new),
-            trans_map: trans_map.map(Arc::new),
-        };
+        let data = Arc::clone(&c.lru.get(idx).1.data);
         c.hits += 1;
-        Some(analysis)
+        Some(Analysis { data })
     }
 
     /// Inserts a freshly computed analysis, evicting least recently used
@@ -896,25 +787,19 @@ impl AnalysisEngine {
     /// cache keeps nothing. A racing insert of the same net is dropped,
     /// not duplicated — the old chain `push` could stack several copies of
     /// one solution when sweep workers missed simultaneously.
-    fn insert(&self, kind: BackendKind, canon: &Canonical, fp: u64, data: &Arc<AnalysisData>) {
-        let key = (
-            fp,
-            kind,
-            self.params_hash(kind, self.effective_lump(kind, canon)),
-        );
+    fn insert(&self, kind: BackendKind, net: &Net, fp: u64, data: &Arc<AnalysisData>) {
+        let key = self.key(kind, net, fp);
         let mut c = self.cache_mutex().lock().expect("engine cache poisoned");
         if c.limits.disabled() {
             return;
         }
-        if let Some(idx) = Self::find_slot(&c, &key, usize::MAX, canon) {
+        if let Some(idx) = Self::find_slot(&c, &key, usize::MAX, net) {
             c.dedup_drops += 1;
             c.lru.touch(idx);
             return;
         }
         let entry = CacheEntry {
-            canonical: canon.net.clone(),
-            place_from_canon: invert(&canon.place_map),
-            trans_from_canon: invert(&canon.trans_map),
+            net: net.clone(),
             data: Arc::clone(data),
         };
         let bytes = entry_bytes(&entry);
@@ -941,17 +826,16 @@ impl AnalysisEngine {
     /// [`BackendSel::Auto`], [`GtpnError::StateSpaceExceeded`] from the
     /// exact path triggers the DES fallback instead of being returned.
     pub fn analyze(&self, net: &Net) -> Result<Analysis, GtpnError> {
-        let canon = canonical::canonicalize(net);
-        let fp = canonical::fingerprint_canonical(&canon.net);
+        let fp = net.fingerprint();
         let kinds: &[BackendKind] = match self.cfg.backend {
             BackendSel::Exact => &[BackendKind::Exact],
             BackendSel::Des => &[BackendKind::Des],
             BackendSel::Auto => &[BackendKind::Exact, BackendKind::Des],
         };
-        if let Some(hit) = kinds.iter().find_map(|&k| self.probe(k, &canon, fp)) {
+        if let Some(hit) = kinds.iter().find_map(|&k| self.probe(k, net, fp)) {
             return Ok(hit);
         }
-        // A miss runs the backend on the caller's net and caches the result.
+        // A miss runs the backend and caches the result.
         let run = |kind: BackendKind| -> Result<Analysis, GtpnError> {
             self.cache_mutex()
                 .lock()
@@ -961,36 +845,16 @@ impl AnalysisEngine {
                 BackendKind::Exact => {
                     exact(&self.caches().skeletons, net, &self.cfg, self.budget())?
                 }
-                BackendKind::Des => des(net, &canon, fp, &self.cfg)?,
+                BackendKind::Des => des(net, fp, &self.cfg)?,
             });
-            self.insert(kind, &canon, fp, &data);
-            Ok(Analysis::identity(data))
+            self.insert(kind, net, fp, &data);
+            Ok(Analysis { data })
         };
         match run(kinds[0]) {
             Err(GtpnError::StateSpaceExceeded { .. }) if kinds.len() > 1 => run(kinds[1]),
             other => other,
         }
     }
-}
-
-/// `orig -> canon` composed with `canon -> stored`; `None` when the
-/// composition is the identity (the common same-build-order case).
-fn compose(to_canon: &[usize], from_canon: &[usize]) -> Option<Vec<usize>> {
-    let composed: Vec<usize> = to_canon.iter().map(|&c| from_canon[c]).collect();
-    if composed.iter().enumerate().all(|(i, &v)| i == v) {
-        None
-    } else {
-        Some(composed)
-    }
-}
-
-/// Inverts a permutation given as `orig -> canon`.
-fn invert(map: &[usize]) -> Vec<usize> {
-    let mut inv = vec![0usize; map.len()];
-    for (orig, &canon) in map.iter().enumerate() {
-        inv[canon] = orig;
-    }
-    inv
 }
 
 #[cfg(test)]
@@ -1001,55 +865,43 @@ mod tests {
 
     /// Geometric stage ring with mean `m`; exact usage of "lambda" = 1/m.
     fn geo(m: f64) -> Net {
-        let mut net = Net::new("geo");
-        let p = net.add_place("P", 1);
-        let q = net.add_place("Q", 0);
-        net.add_transition(
-            Transition::new("exit")
-                .delay(1)
-                .frequency(Expr::constant(1.0 / m))
-                .resource("lambda")
-                .input(p, 1)
-                .output(q, 1),
-        )
-        .unwrap();
-        net.add_transition(
-            Transition::new("loop")
-                .delay(1)
-                .frequency(Expr::constant(1.0 - 1.0 / m))
-                .input(p, 1)
-                .output(p, 1),
-        )
-        .unwrap();
-        net.add_transition(Transition::new("recycle").delay(0).input(q, 1).output(p, 1))
-            .unwrap();
-        net
+        geo_built(m, false)
     }
 
     /// The same net as `geo`, places and transitions added in reverse.
     fn geo_reversed(m: f64) -> Net {
+        geo_built(m, true)
+    }
+
+    fn geo_built(m: f64, reversed: bool) -> Net {
         let mut net = Net::new("geo");
-        let q = net.add_place("Q", 0);
-        let p = net.add_place("P", 1);
-        net.add_transition(Transition::new("recycle").delay(0).input(q, 1).output(p, 1))
-            .unwrap();
-        net.add_transition(
-            Transition::new("loop")
-                .delay(1)
-                .frequency(Expr::constant(1.0 - 1.0 / m))
-                .input(p, 1)
-                .output(p, 1),
-        )
-        .unwrap();
-        net.add_transition(
+        let (p, q) = if reversed {
+            let q = net.add_place("Q", 0);
+            (net.add_place("P", 1), q)
+        } else {
+            let p = net.add_place("P", 1);
+            (p, net.add_place("Q", 0))
+        };
+        let mut transitions = [
             Transition::new("exit")
                 .delay(1)
                 .frequency(Expr::constant(1.0 / m))
                 .resource("lambda")
                 .input(p, 1)
                 .output(q, 1),
-        )
-        .unwrap();
+            Transition::new("loop")
+                .delay(1)
+                .frequency(Expr::constant(1.0 - 1.0 / m))
+                .input(p, 1)
+                .output(p, 1),
+            Transition::new("recycle").delay(0).input(q, 1).output(p, 1),
+        ];
+        if reversed {
+            transitions.reverse();
+        }
+        for t in transitions {
+            net.add_transition(t).unwrap();
+        }
         net
     }
 
@@ -1068,21 +920,20 @@ mod tests {
 
     /// A raw exact result is filled when it is made, with the bits a
     /// direct `reachability(..)?.solve(..)` caller reads — every place's
-    /// mean tokens and every transition's usage, in either build order —
-    /// and a cache hit under the other build order answers, through the
-    /// permutation, with the bits of the solve that filled it.
+    /// mean tokens and every transition's usage, rate, iterations and
+    /// residual. The key is the net as built: the reversed build of a
+    /// cached net is a miss, answered by its own direct solve's bits.
     #[test]
     fn exact_backend_is_bitwise_identical_to_direct_solve() {
         let _gate = crate::test_serial();
-        let direct = |net: &Net| {
-            let graph = net.reachability(1_000).unwrap();
-            let solution = graph.solve(1e-12, 100_000).unwrap();
-            (graph, solution)
-        };
+        clear_cache();
         for net in [geo(10.0), geo_reversed(10.0)] {
-            clear_cache();
-            let (graph, want) = direct(&net);
+            let graph = net.reachability(1_000).unwrap();
+            let want = graph.solve(1e-12, 100_000).unwrap();
+            let before = cache_stats();
             let a = exact_engine().analyze(&net).unwrap();
+            let after = cache_stats();
+            assert_eq!((after.hits, after.misses), (before.hits, before.misses + 1));
             assert_eq!(a.backend(), BackendKind::Exact);
             assert_eq!(
                 a.resource_usage("lambda").unwrap().to_bits(),
@@ -1117,57 +968,10 @@ mod tests {
             assert!(a.residual().unwrap() < 1e-12);
             assert!(a.resource_interval("lambda").is_none());
         }
-        // The loop left the reversed build's solve in the cache.
-        let (net, filler) = (geo(10.0), geo_reversed(10.0));
-        let (graph, want) = direct(&filler);
+        // The same build again is a hit.
         let before = cache_stats();
-        let hit = exact_engine().analyze(&net).unwrap();
-        assert_eq!(cache_stats().hits, before.hits + 1, "permuted net must hit");
-        for p in (0..net.place_count()).map(PlaceId) {
-            let q = filler.place_by_name(net.place_name(p)).unwrap();
-            assert_eq!(
-                hit.mean_tokens(p).to_bits(),
-                graph.mean_tokens(&want, q).to_bits()
-            );
-        }
-        for t in (0..net.transition_count()).map(TransId) {
-            let u = filler.transition_by_name(net.transition_name(t)).unwrap();
-            assert_eq!(
-                hit.transition_usage(t).to_bits(),
-                want.transition_usage(u).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn permuted_build_order_hits_the_cache() {
-        let _gate = crate::test_serial();
-        clear_cache();
-        let engine = exact_engine();
-        let first = engine.analyze(&geo(7.0)).unwrap();
-        let before = cache_stats();
-        let second = engine.analyze(&geo_reversed(7.0)).unwrap();
-        let after = cache_stats();
-        assert_eq!(after.hits, before.hits + 1, "permuted net must cache-hit");
-        assert_eq!(after.misses, before.misses);
-        assert_eq!(
-            first.resource_usage("lambda").unwrap().to_bits(),
-            second.resource_usage("lambda").unwrap().to_bits()
-        );
-        // Id queries resolve through the composed permutation: place "P"
-        // is id 1 in the reversed net, id 0 in the original.
-        let reversed = geo_reversed(7.0);
-        let p_rev = reversed.place_by_name("P").unwrap();
-        let p_orig = geo(7.0).place_by_name("P").unwrap();
-        assert_ne!(p_rev, p_orig, "permutation test needs differing ids");
-        let direct = first.mean_tokens(p_orig);
-        assert!(
-            (second.mean_tokens(p_rev) - direct).abs() < 1e-12,
-            "remapped mean_tokens must match"
-        );
-        // Transition queries remap too.
-        let t_rev = reversed.transition_by_name("exit").unwrap();
-        assert!(second.transition_usage(t_rev) > 0.0);
+        exact_engine().analyze(&geo(10.0)).unwrap();
+        assert_eq!(cache_stats().hits, before.hits + 1);
     }
 
     #[test]
@@ -1213,10 +1017,10 @@ mod tests {
         assert_eq!(cache_stats().hits, before.hits + 1);
     }
 
+    /// A DES estimate is a pure function of the net: a fresh run of the
+    /// same net (no cache) repeats every bit.
     #[test]
-    fn des_estimates_are_deterministic_across_build_orders() {
-        let _gate = crate::test_serial();
-        clear_cache();
+    fn des_estimates_are_bit_deterministic() {
         let engine = AnalysisEngine::new(EngineConfig {
             backend: BackendSel::Des,
             des: DesOptions {
@@ -1225,15 +1029,18 @@ mod tests {
                 batches: 3,
             },
             ..EngineConfig::default()
-        });
-        let a = engine.analyze(&geo(9.0)).unwrap();
-        clear_cache(); // force a fresh DES run for the permuted build
-        let b = engine.analyze(&geo_reversed(9.0)).unwrap();
-        assert_eq!(
-            a.resource_usage("lambda").unwrap().to_bits(),
-            b.resource_usage("lambda").unwrap().to_bits(),
-            "canonical seeding must make DES order-invariant"
-        );
+        })
+        .with_cache(0);
+        let net = geo(9.0);
+        let bits = |x: Analysis| {
+            let ci = x.resource_interval("lambda").unwrap();
+            let tokens = (0..net.place_count()).map(|p| x.mean_tokens(PlaceId(p)));
+            let usage = (0..net.transition_count()).map(|t| x.transition_usage(TransId(t)));
+            let all = [ci.estimate, ci.half_width].into_iter().chain(tokens);
+            all.chain(usage).map(f64::to_bits).collect::<Vec<_>>()
+        };
+        let run = || bits(engine.analyze(&net).unwrap());
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -1278,16 +1085,6 @@ mod tests {
         let s = off.cache_stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 2, 0));
         assert_eq!(cache_stats().misses, global_after.misses);
-    }
-
-    #[test]
-    fn backend_sel_env_parsing_defaults_to_auto() {
-        // Never mutates the environment: only asserts the fallback.
-        assert_eq!(BackendSel::from_env(), BackendSel::Auto);
-        assert_eq!(BackendSel::parse(" Exact "), Ok(BackendSel::Exact));
-        assert_eq!(BackendSel::parse("DES"), Ok(BackendSel::Des));
-        let err = BackendSel::parse("exakt").unwrap_err();
-        assert!(err.contains("HSIPC_BACKEND") && err.contains("exact, des or auto"));
     }
 
     /// Two clients cycling through two geometric stages (A → B → A, mean
@@ -1510,65 +1307,5 @@ mod tests {
         // Same effective key (both raw): the second analyze was a hit.
         let s = cache_stats();
         assert!(s.hits >= 1);
-    }
-
-    #[test]
-    fn lumped_hits_serve_permuted_build_orders() {
-        let _gate = crate::test_serial();
-        clear_cache();
-        // sym2 built in reverse: same canonical form, so the lumped
-        // solve is shared and id queries remap.
-        let m = 7.0;
-        let mut rev = Net::new("sym2");
-        let b = rev.add_place("B", 0);
-        let a = rev.add_place("A", 2);
-        rev.add_transition(
-            Transition::new("loopB")
-                .delay(1)
-                .frequency(Expr::constant(1.0 - 1.0 / m))
-                .input(b, 1)
-                .output(b, 1),
-        )
-        .unwrap();
-        rev.add_transition(
-            Transition::new("exitB")
-                .delay(1)
-                .frequency(Expr::constant(1.0 / m))
-                .input(b, 1)
-                .output(a, 1),
-        )
-        .unwrap();
-        rev.add_transition(
-            Transition::new("loopA")
-                .delay(1)
-                .frequency(Expr::constant(1.0 - 1.0 / m))
-                .input(a, 1)
-                .output(a, 1),
-        )
-        .unwrap();
-        rev.add_transition(
-            Transition::new("exitA")
-                .delay(1)
-                .frequency(Expr::constant(1.0 / m))
-                .resource("lambda")
-                .input(a, 1)
-                .output(b, 1),
-        )
-        .unwrap();
-        let engine = lump_engine(LumpSel::On);
-        let first = engine.analyze(&sym2(m)).unwrap();
-        let before = cache_stats();
-        let second = engine.analyze(&rev).unwrap();
-        assert_eq!(cache_stats().hits, before.hits + 1);
-        assert!(second.lumped());
-        let orig_exit = sym2(m).transition_by_name("exitB").unwrap();
-        let rev_exit = rev.transition_by_name("exitB").unwrap();
-        assert_ne!(orig_exit, rev_exit, "permutation test needs differing ids");
-        let want = first.transition_usage(orig_exit);
-        assert!(want > 0.0);
-        assert!(
-            (second.transition_usage(rev_exit) - want).abs() < 1e-12,
-            "remapped lumped transition_usage must match"
-        );
     }
 }

@@ -78,7 +78,6 @@ mod solve;
 mod state;
 
 pub mod cache;
-pub mod canonical;
 pub mod dot;
 pub mod engine;
 pub mod geometric;

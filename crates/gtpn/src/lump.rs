@@ -76,8 +76,6 @@ impl LumpSel {
 
 /// Whether `net` qualifies for exact lumping: valid and every transition
 /// delay ≤ 1 (see the module docs for why that is the exact criterion).
-/// Permutation-invariant, so it answers identically for a canonical
-/// reordering of the same net.
 pub fn lumpable(net: &Net) -> bool {
     net.validate().is_ok()
         && (0..net.transition_count()).all(|t| net.transition_delay(crate::net::TransId(t)) <= 1)

@@ -2,7 +2,9 @@
 
 use crate::error::GtpnError;
 use crate::expr::Expr;
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifier of a place within a [`Net`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -105,8 +107,8 @@ impl Transition {
 /// A Generalized Timed Petri Net.
 ///
 /// Equality is structural — same names, places, transitions, arcs, delays
-/// and frequency expressions — and is what the engine's solution cache
-/// ([`crate::engine`]) verifies a hit by, on the canonical forms.
+/// and frequency expressions, in the same order — and is what the engine's
+/// solution cache ([`crate::engine`]) verifies a hit by.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     name: String,
@@ -287,6 +289,74 @@ impl Net {
         }
         Ok(())
     }
+
+    /// Hash of the net as built — the engine's cache key and DES seed
+    /// ([`crate::engine`]). Names are included: the cache verifies hits by
+    /// full equality, so labels that discriminate keys only shorten
+    /// collision chains. Build order counts: the same model built in
+    /// another order is another net.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.name.hash(&mut h);
+        self.places.len().hash(&mut h);
+        for p in &self.places {
+            p.name.hash(&mut h);
+            p.initial.hash(&mut h);
+        }
+        self.transitions.len().hash(&mut h);
+        for t in &self.transitions {
+            t.name.hash(&mut h);
+            t.delay.hash(&mut h);
+            t.resource.hash(&mut h);
+            t.inputs.hash(&mut h);
+            t.outputs.hash(&mut h);
+            hash_expr(&t.frequency, &mut h);
+        }
+        h.finish()
+    }
+}
+
+/// Hashes an expression tree; floats hash by bit pattern so distinct
+/// timings produce distinct fingerprints.
+fn hash_expr(e: &Expr, h: &mut DefaultHasher) {
+    let pair = |tag: u8, a: &Expr, b: &Expr, h: &mut DefaultHasher| {
+        tag.hash(h);
+        hash_expr(a, h);
+        hash_expr(b, h);
+    };
+    match e {
+        Expr::Const(v) => {
+            0u8.hash(h);
+            v.to_bits().hash(h);
+        }
+        Expr::Tokens(p) => {
+            1u8.hash(h);
+            p.0.hash(h);
+        }
+        Expr::Firing(t) => {
+            2u8.hash(h);
+            t.0.hash(h);
+        }
+        Expr::Add(a, b) => pair(3, a, b, h),
+        Expr::Sub(a, b) => pair(4, a, b, h),
+        Expr::Mul(a, b) => pair(5, a, b, h),
+        Expr::Div(a, b) => pair(6, a, b, h),
+        Expr::Eq(a, b) => pair(7, a, b, h),
+        Expr::Lt(a, b) => pair(8, a, b, h),
+        Expr::Le(a, b) => pair(9, a, b, h),
+        Expr::And(a, b) => pair(10, a, b, h),
+        Expr::Or(a, b) => pair(11, a, b, h),
+        Expr::Not(a) => {
+            12u8.hash(h);
+            hash_expr(a, h);
+        }
+        Expr::If(c, a, b) => {
+            13u8.hash(h);
+            hash_expr(c, h);
+            hash_expr(a, h);
+            hash_expr(b, h);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -342,6 +412,31 @@ mod tests {
         net.add_transition(Transition::new("T2").resource("x").input(a, 1))
             .unwrap();
         assert_eq!(net.resources(), vec!["x", "y"]);
+    }
+
+    /// The fingerprint is of the net as built: the same build twice shares
+    /// it, while another place order or another structure moves it.
+    #[test]
+    fn different_structure_changes_fingerprint() {
+        let build = |names: [&str; 2]| {
+            let mut net = Net::new("fp");
+            for name in names {
+                net.add_place(name, 1);
+            }
+            let p = net.place_by_name("P").unwrap();
+            let q = net.place_by_name("Q").unwrap();
+            net.add_transition(Transition::new("t").delay(1).input(p, 1).output(q, 1))
+                .unwrap();
+            net
+        };
+        let net = build(["P", "Q"]);
+        assert_eq!(net.fingerprint(), build(["P", "Q"]).fingerprint());
+        assert_ne!(net.fingerprint(), build(["Q", "P"]).fingerprint());
+        let mut other = build(["P", "Q"]);
+        other
+            .add_transition(Transition::new("noise").delay(1).input(PlaceId(0), 1))
+            .unwrap();
+        assert_ne!(net.fingerprint(), other.fingerprint());
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use gtpn::geometric::GeometricStage;
 use gtpn::sim::{simulate, SimOptions};
 use gtpn::{
-    canonical, invariant, AnalysisEngine, BackendSel, EngineConfig, LumpSel, Net, PlaceId, TransId,
-    Transition,
+    invariant, AnalysisEngine, BackendSel, EngineConfig, LumpSel, Net, PlaceId, TransId, Transition,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -113,13 +112,14 @@ fn lump_engine(lump: LumpSel) -> AnalysisEngine {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Canonicalization is invariant under random place/transition build
-    /// permutations: the permuted net has the same canonical fingerprint,
-    /// and analyzing it through the engine yields the same `Solution`
-    /// numbers — bitwise, because the permuted build is a cache hit on the
-    /// original's entry.
+    /// Build order does not change the model: a ring built under random
+    /// place/transition permutations solves, through the engine, to the
+    /// analytically known cycle rate (`tandem_cycle_rate_exact` holds
+    /// the natural build to it), and its per-id queries resolve by its own
+    /// ids (stage 0's exit transition carries the `lambda` usage wherever
+    /// it was inserted).
     #[test]
-    fn canonicalization_is_permutation_invariant(
+    fn permuted_build_solves_to_the_cycle_rate(
         means in proptest::collection::vec(1.0f64..40.0, 2..5),
         seed in 0u64..10_000,
     ) {
@@ -130,17 +130,11 @@ proptest! {
                 v.swap(i, j);
             }
         }
-        let natural: Vec<usize> = (0..means.len()).collect();
-        let mut place_order = natural.clone();
-        let mut stage_order = natural.clone();
+        let mut place_order: Vec<usize> = (0..means.len()).collect();
+        let mut stage_order = place_order.clone();
         let mut rng = StdRng::seed_from_u64(seed);
         shuffle(&mut place_order, &mut rng);
         shuffle(&mut stage_order, &mut rng);
-
-        let a = stage_ring_ordered(&means, &natural, &natural);
-        let b = stage_ring_ordered(&means, &place_order, &stage_order);
-        prop_assert_eq!(canonical::fingerprint(&a), canonical::fingerprint(&b),
-            "permuted build must share the canonical fingerprint");
 
         let engine = AnalysisEngine::new(EngineConfig {
             backend: BackendSel::Exact,
@@ -149,29 +143,15 @@ proptest! {
             state_budget: 200_000,
             ..EngineConfig::default()
         });
-        let sa = engine.analyze(&a).unwrap();
-        let sb = engine.analyze(&b).unwrap();
-        prop_assert_eq!(
-            sa.resource_usage("lambda").unwrap().to_bits(),
-            sb.resource_usage("lambda").unwrap().to_bits(),
-            "permuted build must reuse the cached solution"
-        );
-        // And the shared number is the analytically known cycle rate.
+        let net = stage_ring_ordered(&means, &place_order, &stage_order);
+        let a = engine.analyze(&net).unwrap();
         let expect = 1.0 / means.iter().sum::<f64>();
-        let usage = sa.resource_usage("lambda").unwrap();
+        let usage = a.resource_usage("lambda").unwrap();
         prop_assert!((usage - expect).abs() < 1e-6 * expect.max(1e-3),
             "means {:?}: usage {} vs {}", means, usage, expect);
-        // Per-id queries on the permuted net resolve by that net's own
-        // ids: stage 0's exit transition carries the `lambda` usage
-        // wherever it was inserted.
-        let ta = a.transition_by_name("S0_exit").unwrap();
-        let tb = b.transition_by_name("S0_exit").unwrap();
-        prop_assert_eq!(
-            sa.transition_usage(ta).to_bits(),
-            sb.transition_usage(tb).to_bits(),
-            "remapped transition query must match"
-        );
-        prop_assert!(sb.transition_usage(tb) > 0.0);
+        let exit = a.transition_usage(net.transition_by_name("S0_exit").unwrap());
+        prop_assert!((exit - expect).abs() < 1e-6 * expect.max(1e-3),
+            "means {:?}: S0_exit usage {} vs {}", means, exit, expect);
     }
 
     /// The cycle rate of a tandem of geometric stages is 1/Σmeans, for any

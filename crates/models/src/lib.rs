@@ -86,17 +86,16 @@ impl From<gtpn::GtpnError> for ModelError {
 
 /// The process-wide default analysis engine: the chapter-6 budgets
 /// ([`TOLERANCE`], [`MAX_SWEEPS`], [`STATE_BUDGET`]), exact lumping on,
-/// and the backend policy taken from `HSIPC_BACKEND` at first use
-/// ([`BackendSel::from_env`]).
+/// and the [`BackendSel::Auto`] policy.
 ///
 /// Every model-level `solve` function without an explicit engine argument
 /// analyzes through this engine, so sweeps, experiments and tests share
-/// one canonical-net solution cache and one set of hit/miss counters.
+/// one solution cache and one set of hit/miss counters.
 pub fn default_engine() -> &'static AnalysisEngine {
     static ENGINE: std::sync::OnceLock<AnalysisEngine> = std::sync::OnceLock::new();
     ENGINE.get_or_init(|| {
         AnalysisEngine::new(EngineConfig {
-            backend: BackendSel::from_env(),
+            backend: BackendSel::Auto,
             tolerance: TOLERANCE,
             max_sweeps: MAX_SWEEPS,
             state_budget: STATE_BUDGET,

@@ -23,8 +23,19 @@ fn auto_engine() -> AnalysisEngine {
     })
 }
 
+/// An exact engine on the lumped chain, at the default two-million-state
+/// budget.
+fn lumped_engine() -> AnalysisEngine {
+    AnalysisEngine::new(EngineConfig {
+        backend: BackendSel::Exact,
+        lump: hsipc::gtpn::LumpSel::On,
+        ..EngineConfig::default()
+    })
+}
+
 /// n ≤ 4 solves exactly; n > 4 exceeds the budget and comes back as a DES
-/// estimate carrying a 95% confidence interval.
+/// estimate carrying a 95% confidence interval — an interval that holds
+/// the exact n = 6 value the lumped chain computes.
 #[test]
 fn auto_backend_opens_the_n_gt_4_axis() {
     let engine = auto_engine();
@@ -45,13 +56,21 @@ fn auto_backend_opens_the_n_gt_4_axis() {
     assert!(hw > 0.0 && hw < big.throughput_per_ms, "half-width {hw}");
 
     // More conversations on a compute-bound node: throughput keeps rising
-    // (each conversation brings its own server compute), and the exact
-    // n=4 point is on the same curve.
+    // (each conversation brings its own server compute). The n = 6 step
+    // over n = 4 is smaller than one DES estimate's spread, so it is
+    // asserted on the exact lumped value, which the estimate must cover.
+    let exact = local::solve_in(&lumped_engine(), Architecture::MessageCoprocessor, 6, x).unwrap();
     assert!(
-        big.throughput_per_ms > small.throughput_per_ms,
+        exact.throughput_per_ms > small.throughput_per_ms,
         "n=6 {} vs n=4 {}",
-        big.throughput_per_ms,
+        exact.throughput_per_ms,
         small.throughput_per_ms
+    );
+    assert!(
+        (big.throughput_per_ms - exact.throughput_per_ms).abs() <= hw,
+        "exact n=6 {} outside DES {} ± {hw}",
+        exact.throughput_per_ms,
+        big.throughput_per_ms
     );
 }
 
@@ -149,13 +168,7 @@ fn lumped_multi_host_net_agrees_with_raw() {
 #[test]
 fn lumped_exact_n8_lands_inside_the_des_interval() {
     let x = 5_700.0;
-    let exact = AnalysisEngine::new(EngineConfig {
-        backend: BackendSel::Exact,
-        state_budget: 2_000_000,
-        lump: hsipc::gtpn::LumpSel::On,
-        ..EngineConfig::default()
-    });
-    let e = local::solve_in(&exact, Architecture::MessageCoprocessor, 8, x).unwrap();
+    let e = local::solve_in(&lumped_engine(), Architecture::MessageCoprocessor, 8, x).unwrap();
     assert_eq!(e.backend, BackendKind::Exact);
     assert!(e.states > 0, "lumped runs report the quotient state count");
     assert!(e.half_width_per_ms.is_none());
