@@ -381,7 +381,7 @@ pub(crate) fn build_chain(
 }
 
 /// A fresh build of the raw or lumped chain, recording its tape or not.
-fn fresh(
+pub(crate) fn fresh(
     net: &Net,
     lumped: bool,
     max_states: usize,

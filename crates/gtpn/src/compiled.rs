@@ -17,6 +17,11 @@
 //! *slot program*: its frequency with every rate replaced by that rate's
 //! slot number, so a recording build can note which rate each enabled
 //! transition drew (see `crate::reach`'s skeletons).
+//!
+//! Each transition's demand is ordered scarce place first (ascending
+//! initial marking), so the enabling test usually fails on a processor
+//! token before it reads a client count — which is what lets the phase memo
+//! of `crate::reach` ignore those counts ([`CompiledNet::clamp`]).
 
 use crate::expr::{EvalContext, Expr};
 use crate::net::Net;
@@ -26,9 +31,9 @@ use crate::net::Net;
 pub(crate) struct CompiledTransition {
     /// For error messages.
     pub(crate) name: String,
-    /// `(place, tokens needed)` per distinct input place: repeated arcs
-    /// from one place are summed, so the enabling test and the token
-    /// removal are one pass each.
+    /// `(place, tokens needed)` per distinct input place, scarce place
+    /// first: repeated arcs from one place are summed, so the enabling
+    /// test and the token removal are one pass each.
     pub(crate) demand: Vec<(usize, u32)>,
     /// Output arcs `(place, multiplicity)`, as declared.
     pub(crate) outputs: Vec<(usize, u32)>,
@@ -96,13 +101,23 @@ impl Op {
 pub(crate) struct CompiledNet {
     pub(crate) places: usize,
     pub(crate) transitions: Vec<CompiledTransition>,
+    /// Per place, the count above which a phase memo starts out not telling
+    /// start markings apart: `u32::MAX` (never) for a place a frequency or
+    /// slot program reads, else the place's largest single demand — every
+    /// enabling test of a phase that has not consumed from the place
+    /// answers alike above it ([`raise_clamp`](Self::raise_clamp)).
+    pub(crate) clamp: Vec<u32>,
+    /// Per place, the enabling tests that read it: `(transition, index in
+    /// its demand)`.
+    tested_by: Vec<Vec<(usize, usize)>>,
 }
 
 impl CompiledNet {
     /// Compiles `net`, which must have passed [`Net::validate`].
     pub(crate) fn new(net: &Net) -> CompiledNet {
+        let initial = net.initial_marking();
         let mut slots = Shape::walk(net).map(|(_, _, slots)| slots.into_iter());
-        let transitions = net
+        let transitions: Vec<CompiledTransition> = net
             .transitions
             .iter()
             .map(|t| {
@@ -113,6 +128,7 @@ impl CompiledNet {
                         None => demand.push((p.0, m)),
                     }
                 }
+                demand.sort_by_key(|&(p, _)| initial[p]);
                 let frequency = if t.frequency.is_constant() {
                     Frequency::Constant(t.frequency.eval(EvalContext::new(&[], &[])))
                 } else {
@@ -130,9 +146,48 @@ impl CompiledNet {
                 }
             })
             .collect();
+        let mut clamp = vec![0; net.place_count()];
+        let mut tested_by = vec![Vec::new(); net.place_count()];
+        for (ti, t) in transitions.iter().enumerate() {
+            for (k, &(p, needed)) in t.demand.iter().enumerate() {
+                clamp[p] = clamp[p].max(needed);
+                tested_by[p].push((ti, k));
+            }
+            for program in [Some(&t.frequency), t.slot.as_ref()].into_iter().flatten() {
+                if let Frequency::Program(ops) = program {
+                    for op in ops {
+                        if let Op::Tokens(p) = *op {
+                            clamp[p] = u32::MAX;
+                        }
+                    }
+                }
+            }
+        }
         CompiledNet {
             places: net.place_count(),
             transitions,
+            clamp,
+            tested_by,
+        }
+    }
+
+    /// Raises `clamp[p]` for a configuration `marking` of a phase from
+    /// `start` that has consumed from `p`.
+    ///
+    /// An enabling test ([`CompiledTransition::has_tokens`]) of the
+    /// configuration reads `p` when every place before it in the
+    /// transition's demand is covered, and answers alike for every start
+    /// count of `p` at or above `needed − (marking − start)`. A memo that
+    /// tells starts apart only up to the clamp must raise it to that
+    /// threshold. Only a test after consumption can need more than the
+    /// largest single demand, where the clamp starts.
+    pub(crate) fn raise_clamp(&self, p: usize, marking: &[u32], start: &[u32], clamp: &mut [u32]) {
+        let consumed = start[p].saturating_sub(marking[p]);
+        for &(t, k) in &self.tested_by[p] {
+            let demand = &self.transitions[t].demand;
+            if demand[..k].iter().all(|&(q, needed)| marking[q] >= needed) {
+                clamp[p] = clamp[p].max(demand[k].1.saturating_add(consumed));
+            }
         }
     }
 }
@@ -421,7 +476,41 @@ mod tests {
         )
         .unwrap();
         let t = &CompiledNet::new(&net).transitions[0];
-        assert_eq!(t.demand, vec![(0, 2), (1, 3)]);
+        // Scarce first: B starts empty, A with two tokens.
+        assert_eq!(t.demand, vec![(1, 3), (0, 2)]);
         assert!(t.has_tokens(&[2, 3]) && !t.has_tokens(&[1, 3]));
+    }
+
+    /// The clamp starts at each place's largest single demand, places a
+    /// program reads stay exact, and a test the configuration evaluates
+    /// after the phase consumed from a place raises its clamp to the start
+    /// count that test needed.
+    #[test]
+    fn clamp_seeds_and_grows_where_tokens_were_consumed() {
+        let mut net = Net::new("clamp");
+        let a = net.add_place("A", 4);
+        let b = net.add_place("B", 1);
+        let c = net.add_place("C", 0);
+        net.add_transition(Transition::new("T0").input(a, 2).input(b, 1))
+            .unwrap();
+        net.add_transition(Transition::new("T1").input(a, 1).output(c, 1))
+            .unwrap();
+        net.add_transition(Transition::new("T2").input(c, 1).frequency(Expr::tokens(c)))
+            .unwrap();
+        let compiled = CompiledNet::new(&net);
+        assert_eq!(compiled.clamp, vec![2, 1, u32::MAX]);
+        assert_eq!(compiled.transitions[0].demand, vec![(1, 1), (0, 2)]);
+        let start = [5, 1, 0];
+        // From A = 5 the phase took three tokens; T0 asks for two more,
+        // which a start of at least 2 + 3 would have held, T1 for one.
+        let mut clamp = compiled.clamp.clone();
+        compiled.raise_clamp(0, &[2, 1, 0], &start, &mut clamp);
+        assert_eq!(clamp, vec![5, 1, u32::MAX]);
+        // Short on B, T0 never reads A: T1's test alone counts.
+        let mut clamp = compiled.clamp.clone();
+        compiled.raise_clamp(0, &[2, 0, 0], &start, &mut clamp);
+        assert_eq!(clamp, vec![4, 1, u32::MAX]);
+        compiled.raise_clamp(1, &[2, 0, 0], &start, &mut clamp);
+        assert_eq!(clamp, vec![4, 2, u32::MAX]);
     }
 }

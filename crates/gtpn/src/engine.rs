@@ -202,6 +202,12 @@ pub struct StageLedger {
     pub phase_calls: u64,
     /// Configurations those phases expanded.
     pub phase_configs: u64,
+    /// Phases of `phase_calls` served by the expansion's phase memo
+    /// instead of run (DESIGN §12); 0 for a re-priced chain. A serial
+    /// build's count repeats exactly. Under a parallel build each worker
+    /// keeps its own memo, so the count depends on which worker expanded
+    /// which state — the chain does not.
+    pub phase_hits: u64,
 }
 
 impl StageLedger {
@@ -222,6 +228,7 @@ impl StageLedger {
             sweeps: solution.iterations() as u64,
             phase_calls: graph.build.phase_calls,
             phase_configs: graph.build.phase_configs,
+            phase_hits: graph.build.phase_hits,
         }
     }
 
@@ -239,6 +246,7 @@ impl StageLedger {
         self.sweeps += other.sweeps;
         self.phase_calls += other.phase_calls;
         self.phase_configs += other.phase_configs;
+        self.phase_hits += other.phase_hits;
     }
 }
 
@@ -1206,6 +1214,7 @@ mod tests {
             let initial_phase = u64::from(lump == LumpSel::Off);
             assert_eq!(ledger.phase_calls, ledger.states + initial_phase);
             assert!(ledger.phase_configs > ledger.phase_calls);
+            assert!(ledger.phase_hits <= ledger.phase_calls);
             assert!(ledger.bfs_s > 0.0 && ledger.solve_s > 0.0);
             assert_eq!(ledger.delump_s > 0.0, lump == LumpSel::On);
             let after = stage_totals();

@@ -402,14 +402,20 @@ mod tests {
     /// (one firing per ring) while the lumped states, products of the
     /// rings' occupancy vectors, make BFS levels hundreds of states wide.
     fn rings() -> Net {
+        rings_of([4, 0, 0], 2.0)
+    }
+
+    /// [`rings`] with `tokens` in each ring's three places and stage means
+    /// from `mean` up.
+    fn rings_of(tokens: [u32; 3], mean: f64) -> Net {
         let mut net = Net::new("rings");
         for r in 0..3 {
             let cpu = net.add_place(format!("Cpu{r}"), 1);
             let places: Vec<_> = (0..3)
-                .map(|i| net.add_place(format!("P{r}_{i}"), if i == 0 { 4 } else { 0 }))
+                .map(|i| net.add_place(format!("P{r}_{i}"), tokens[i]))
                 .collect();
             for i in 0..3 {
-                GeometricStage::new(format!("S{r}_{i}"), 2.0 + (r + i) as f64)
+                GeometricStage::new(format!("S{r}_{i}"), mean + (r + i) as f64)
                     .input(places[i], 1)
                     .held(cpu)
                     .output(places[(i + 1) % 3], 1)
@@ -541,6 +547,53 @@ mod tests {
         Ok((states, edges, usage, tokens))
     }
 
+    /// Asserts the flat lumped build of `net` is the reference lumped
+    /// build: numbering, edge bits, both conditional-expectation rows bit
+    /// for bit — or the same error. Returns the flat build.
+    fn assert_matches_reference(net: &Net, max_states: usize) -> Option<LumpedGraph> {
+        let got = reach_lumped_budgeted(net, max_states, &ParallelBudget::serial());
+        match (got, reference_lumped(net, max_states)) {
+            (Ok(got), Ok((states, edges, usage, tokens))) => {
+                let g = &got.graph;
+                assert_eq!(g.state_count(), states.len());
+                let tcount = net.transition_count();
+                for (i, u) in states.iter().enumerate() {
+                    assert_eq!(g.marking(i), u.as_slice(), "state {i}");
+                    assert!(g.firings(i).is_empty());
+                    let bits = |e: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                        e.iter().map(|&(j, p)| (j, p.to_bits())).collect()
+                    };
+                    assert_eq!(bits(g.out_edges(i)), bits(&edges[i]), "edges of state {i}");
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for (i, row) in got
+                    .rows
+                    .chunks_exact(tcount + net.place_count())
+                    .enumerate()
+                {
+                    let (urow, trow) = row.split_at(tcount);
+                    assert_eq!(
+                        bits(urow),
+                        bits(&usage[i * tcount..][..tcount]),
+                        "usage {i}"
+                    );
+                    let pcount = net.place_count();
+                    assert_eq!(
+                        bits(trow),
+                        bits(&tokens[i * pcount..][..pcount]),
+                        "tokens {i}"
+                    );
+                }
+                assert!(g.sojourns().iter().all(|&h| h == 1));
+                Some(got)
+            }
+            (got, want) => {
+                assert_eq!(got.err(), want.err());
+                None
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(384))]
 
@@ -554,31 +607,65 @@ mod tests {
         ) {
             let net = crate::reach::arbitrary::net(&initial, &specs, [0, 0, 1, 1, 1, 1]);
             assert!(lumpable(&net) || net.validate().is_err());
-            let got = reach_lumped_budgeted(&net, 300, &ParallelBudget::serial());
-            match (got, reference_lumped(&net, 300)) {
-                (Ok(got), Ok((states, edges, usage, tokens))) => {
-                    let g = &got.graph;
-                    assert_eq!(g.state_count(), states.len());
-                    let tcount = net.transition_count();
-                    for (i, u) in states.iter().enumerate() {
-                        assert_eq!(g.marking(i), u.as_slice(), "state {i}");
-                        assert!(g.firings(i).is_empty());
-                        let bits = |e: &[(usize, f64)]| -> Vec<(usize, u64)> {
-                            e.iter().map(|&(j, p)| (j, p.to_bits())).collect()
-                        };
-                        assert_eq!(bits(g.out_edges(i)), bits(&edges[i]), "edges of state {i}");
-                    }
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    for (i, row) in got.rows.chunks_exact(tcount + net.place_count()).enumerate() {
-                        let (urow, trow) = row.split_at(tcount);
-                        assert_eq!(bits(urow), bits(&usage[i * tcount..][..tcount]), "usage {i}");
-                        let pcount = net.place_count();
-                        assert_eq!(bits(trow), bits(&tokens[i * pcount..][..pcount]), "tokens {i}");
-                    }
-                    assert!(g.sojourns().iter().all(|&h| h == 1));
-                }
-                (got, want) => assert_eq!(got.err(), want.err()),
-            }
+            assert_matches_reference(&net, 300);
+        }
+    }
+
+    /// The phase memo serves almost every phase of a wide lumped build —
+    /// 21,952 states whose rings' processors gate every stage, so a
+    /// phase's class ignores how many tokens wait behind them — and the
+    /// chain is still the reference build's bit for bit.
+    #[test]
+    fn memo_served_build_matches_reference() {
+        let lumped =
+            assert_matches_reference(&rings_of([2, 2, 2], 2.0), 100_000).expect("the rings build");
+        let build = lumped.graph.build;
+        assert_eq!(lumped.graph.state_count(), 21_952);
+        assert_eq!(build.phase_calls, 21_952);
+        assert!(
+            build.phase_hits * 10 >= build.phase_calls * 9,
+            "{} of {} phases served",
+            build.phase_hits,
+            build.phase_calls
+        );
+    }
+
+    /// A recording build served by the phase memo records the tape a
+    /// fresh run of every phase would: it is the plain build, and its
+    /// skeleton, re-priced at other stage means, is the fresh build at
+    /// those means — lumped and raw.
+    #[test]
+    fn a_memo_served_recording_replays_to_a_fresh_build() {
+        use crate::reach::{assert_graphs_identical, Skeleton};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (tokens, lumped) in [([2, 2, 2], true), ([1, 1, 1], false)] {
+            let build = |net: &Net, record| {
+                crate::cache::fresh(net, lumped, 100_000, &ParallelBudget::serial(), record)
+                    .unwrap()
+            };
+            let (net, other) = (rings_of(tokens, 2.0), rings_of(tokens, 3.5));
+            let (graph, rows, tape) = build(&net, true);
+            let served = graph.build;
+            assert!(
+                served.phase_hits * 10 >= served.phase_calls * 9,
+                "{} of {} phases served",
+                served.phase_hits,
+                served.phase_calls
+            );
+            let (plain, plain_rows, _) = build(&net, false);
+            assert_graphs_identical(&graph, &plain);
+            assert_eq!(bits(&rows), bits(&plain_rows));
+            let rates = crate::compiled::Shape::of(&other)
+                .expect("constant rates")
+                .rates;
+            let Ok((replayed, replayed_rows)) =
+                Skeleton::new(&graph, tape, lumped).replay(&other, &rates)
+            else {
+                panic!("no branch of these rings is near the probability floor");
+            };
+            let (fresh, fresh_rows, _) = build(&other, false);
+            assert_graphs_identical(&replayed, &fresh);
+            assert_eq!(bits(&replayed_rows), bits(&fresh_rows), "rows drifted");
         }
     }
 

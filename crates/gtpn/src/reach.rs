@@ -25,7 +25,8 @@
 //! Everything between the net and the solver is flat. The net is compiled
 //! once per build ([`CompiledNet`]); the instantaneous phase
 //! ([`instantaneous_phase`]) runs on fixed-stride `u32` keys in reusable
-//! per-worker buffers ([`PhaseScratch`]); states live once, in the graph's
+//! per-worker buffers ([`PhaseScratch`]), which also remember finished
+//! phases by start class ([`PhaseMemo`]); states live once, in the graph's
 //! own marking arena and firing lists, found through an [`IndexTable`];
 //! and edges are stored in compressed-sparse-row form. One breadth-first
 //! driver ([`explore`]) serves both the raw chain built here and the lumped
@@ -78,6 +79,8 @@ pub(crate) struct BuildStats {
     pub(crate) phase_calls: u64,
     /// Configurations those phases expanded (terminal ones included).
     pub(crate) phase_configs: u64,
+    /// Phases the phase memo served; 0 for a re-priced chain.
+    pub(crate) phase_hits: u64,
     /// 1 when the chain was re-priced from a skeleton.
     pub(crate) replays: u64,
     /// 1 when the build recorded a skeleton.
@@ -578,6 +581,7 @@ pub(crate) fn explore(
         }
         graph.build.phase_calls += w.phase.calls;
         graph.build.phase_configs += w.phase.configs;
+        graph.build.phase_hits += w.phase.hits;
     }
     graph.build.net_compile_s = (compiled_at - started).as_secs_f64();
     graph.build.bfs_s = compiled_at.elapsed().as_secs_f64();
@@ -820,9 +824,14 @@ pub(crate) struct PhaseScratch {
     firing_counts: Vec<u32>,
     enabled: Vec<(usize, f64)>,
     stack: Vec<f64>,
-    /// Phases run and configurations expanded through these buffers.
+    /// Transitions the running phase has selected.
+    selected: Vec<bool>,
+    memo: PhaseMemo,
+    /// Phases and configurations through these buffers, replayed ones
+    /// included, and the phases the memo served.
     pub(crate) calls: u64,
     pub(crate) configs: u64,
+    pub(crate) hits: u64,
 }
 
 impl PhaseScratch {
@@ -838,8 +847,11 @@ impl PhaseScratch {
             firing_counts: vec![0; net.transitions.len()],
             enabled: Vec::new(),
             stack: Vec::new(),
+            selected: vec![false; net.transitions.len()],
+            memo: PhaseMemo::new(net),
             calls: 0,
             configs: 0,
+            hits: 0,
         }
     }
 
@@ -931,6 +943,10 @@ fn sort_order(src: &Configs, order: &mut Vec<u32>, stride: usize) {
 /// [`PROB_FLOOR`] — and after every [`sort_merge`] its destinations.
 /// [`Skeleton::replay`] reads the tape back. Without `RECORD` no
 /// recording code is compiled in.
+///
+/// A phase already run from a start of the same class ([`PhaseMemo`]) is
+/// not run again: its outcomes, shifted to `marking`, its tape words, its
+/// `fired` marks and its configuration count are replayed from `s`.
 pub(crate) fn instantaneous_phase<const RECORD: bool>(
     net: &CompiledNet,
     marking: &[u32],
@@ -939,8 +955,48 @@ pub(crate) fn instantaneous_phase<const RECORD: bool>(
     s: &mut PhaseScratch,
     tape: &mut Vec<u32>,
 ) -> Result<(), GtpnError> {
-    let places = net.places;
     s.calls += 1;
+    let hash = s.memo.key(marking, carried, RECORD);
+    let class = s.memo.find(hash);
+    if let Some(e) = class.filter(|&e| s.memo.entries[e].stored()) {
+        s.hits += 1;
+        s.configs += s.memo.replay(e, marking, fired, &mut s.out, s.cap, tape);
+        return Ok(());
+    }
+    // The first sighting of a class only notes it; the second proves the
+    // clamp its key needs while it runs, and keeps it.
+    let keep = class.is_some();
+    if !keep {
+        s.memo.sight(hash);
+    }
+    let (configs, at) = (s.configs, tape.len());
+    s.memo.begin(net, marking, keep);
+    s.selected.fill(false);
+    run_phase::<RECORD>(net, marking, carried, fired, s, tape)?;
+    if keep {
+        let phase = Phase {
+            configs: s.configs - configs,
+            selected: &s.selected,
+            out: &s.out,
+            cap: s.cap,
+            tape: &tape[at..],
+        };
+        s.memo.keep(marking, carried, RECORD, &phase);
+    }
+    Ok(())
+}
+
+/// The kernel of [`instantaneous_phase`]: the phase itself, its selections
+/// marked in `fired` and in `s.selected`.
+fn run_phase<const RECORD: bool>(
+    net: &CompiledNet,
+    marking: &[u32],
+    carried: &[(TransId, u64)],
+    fired: &mut [bool],
+    s: &mut PhaseScratch,
+    tape: &mut Vec<u32>,
+) -> Result<(), GtpnError> {
+    let places = net.places;
     s.carried_counts.fill(0);
     for &(t, _) in carried {
         s.carried_counts[t.0] += 1;
@@ -980,6 +1036,13 @@ pub(crate) fn instantaneous_phase<const RECORD: bool>(
             if RECORD {
                 tape.push(0);
             }
+            // A keeping run proves its class's clamp as it goes
+            // ([`PhaseMemo::begin`]).
+            for &(p, bar) in &s.memo.watch {
+                if m[p] < bar {
+                    net.raise_clamp(p, m, marking, &mut s.memo.clamp);
+                }
+            }
             for (ti, t) in net.transitions.iter().enumerate() {
                 if !t.has_tokens(m) {
                     continue;
@@ -1018,6 +1081,7 @@ pub(crate) fn instantaneous_phase<const RECORD: bool>(
                     continue;
                 }
                 fired[ti] = true;
+                s.selected[ti] = true;
                 let t = &net.transitions[ti];
                 if t.delay != 0 && started == s.cap {
                     let cap = 2 * s.cap;
@@ -1059,6 +1123,304 @@ pub(crate) fn instantaneous_phase<const RECORD: bool>(
     Ok(())
 }
 
+/// Bytes past which a [`PhaseMemo`] notes and keeps no more classes: a
+/// net whose phases never repeat a class then costs a bounded arena, not
+/// one that grows with the chain. No class larger than this is kept, so
+/// the arenas stay under twice it and every offset fits a `u32`.
+const MEMO_CAP_BYTES: usize = 4 << 20;
+
+/// A finished phase, as [`PhaseMemo::keep`] keeps it.
+struct Phase<'a> {
+    configs: u64,
+    selected: &'a [bool],
+    out: &'a Configs,
+    cap: usize,
+    tape: &'a [u32],
+}
+
+/// One class of a [`PhaseMemo`]: where its key ends (keys are stored in
+/// entry order) and, once kept, where its words and probabilities are and
+/// how many configurations its phase expanded.
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoEntry {
+    key_end: u32,
+    words: [u32; 2],
+    probs: [u32; 2],
+    configs: u64,
+}
+
+impl MemoEntry {
+    /// Whether the class's phase is kept (its words hold at least its
+    /// fired count), not just sighted.
+    fn stored(&self) -> bool {
+        self.words[0] < self.words[1]
+    }
+}
+
+/// Finished phases of one build, keyed by start class — one memo per
+/// [`PhaseScratch`], so per worker.
+///
+/// A phase reads its start marking only through the places frequency and
+/// slot programs read and through enabling tests
+/// ([`CompiledTransition::has_tokens`](crate::compiled::CompiledTransition::has_tokens)).
+/// Two starts that agree on every program-read place and on the carried
+/// firings, and agree on every other place once it is clamped at the
+/// highest start count a test needed there, run the same phase: the same
+/// branches, the same probabilities, tape words and `fired` marks, and
+/// outcomes that differ only by the start each is offset from. Sorting and
+/// merging keys `start + δ` depends on `δ` alone, so the outcome order and
+/// every float sum carry over too.
+///
+/// The clamp ([`CompiledNet::clamp`] to begin with) is shared by all
+/// classes and only grows, raised by a run whose tests needed more
+/// ([`CompiledNet::raise_clamp`]): a class keyed under a lower clamp stays
+/// valid, its own thresholds being no higher. A class is noted on its
+/// first sighting and kept on its second, as the skeleton store records a
+/// shape: a build whose phases rarely repeat pays a key per phase, not a
+/// copy. Classes live in flat arenas — keys, then per kept class its fired
+/// transitions, tape words and, per outcome, the places it moved with
+/// their zigzagged deltas and its pending ids, all width-packed
+/// ([`Packed`]), then its probabilities. Noting and keeping stop at
+/// [`MEMO_CAP_BYTES`].
+#[derive(Debug)]
+struct PhaseMemo {
+    /// Per place, the count above which starts are not told apart.
+    clamp: Vec<u32>,
+    /// The places whose clamp the running phase may have to raise, each
+    /// with the count below which a configuration's tests may need it.
+    watch: Vec<(usize, u32)>,
+    /// The key of the phase at hand: its clamped start, whether it
+    /// records, and its carried firings' transitions.
+    key: Vec<u32>,
+    table: IndexTable,
+    entries: Vec<MemoEntry>,
+    keys: Vec<u32>,
+    words: Packed,
+    probs: Vec<f64>,
+    /// A class's words, gathered to be packed at one width check.
+    stage: Vec<u64>,
+}
+
+impl PhaseMemo {
+    fn new(net: &CompiledNet) -> PhaseMemo {
+        PhaseMemo {
+            clamp: net.clamp.clone(),
+            watch: Vec::new(),
+            key: Vec::new(),
+            table: IndexTable::new(),
+            entries: Vec::new(),
+            keys: Vec::new(),
+            words: Packed::default(),
+            probs: Vec::new(),
+            stage: Vec::new(),
+        }
+    }
+
+    /// Makes the phase from `start` with `carried` in progress the one at
+    /// hand; returns its key's hash.
+    fn key(&mut self, start: &[u32], carried: &[(TransId, u64)], record: bool) -> u64 {
+        self.key.clear();
+        self.key
+            .extend(start.iter().zip(&self.clamp).map(|(&m, &c)| m.min(c)));
+        self.key.push(u32::from(record));
+        self.key.extend(carried.iter().map(|&(t, _)| t.0 as u32));
+        hash_words(0, &self.key)
+    }
+
+    /// The class of the phase at hand, kept or only sighted.
+    fn find(&self, hash: u64) -> Option<usize> {
+        self.table.find(hash, |e| {
+            entry_key(&self.keys, &self.entries, e) == self.key
+        })
+    }
+
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<MemoEntry>() * self.entries.capacity()
+            + size_of::<u32>() * self.keys.capacity()
+            + self.words.bytes()
+            + size_of::<f64>() * self.probs.capacity()
+    }
+
+    /// Notes the phase at hand's class, unless the memo is full.
+    fn sight(&mut self, hash: u64) -> Option<usize> {
+        if self.bytes() >= MEMO_CAP_BYTES {
+            return None;
+        }
+        self.keys.extend_from_slice(&self.key);
+        self.entries.push(MemoEntry {
+            key_end: self.keys.len() as u32,
+            ..MemoEntry::default()
+        });
+        let PhaseMemo {
+            table,
+            entries,
+            keys,
+            ..
+        } = self;
+        table.insert(hash, entries.len() - 1, |e| {
+            hash_words(0, entry_key(keys, entries, e))
+        });
+        Some(entries.len() - 1)
+    }
+
+    /// Readies the watch for a phase run from `start`; with `prove` false
+    /// the run raises no clamp, and is not kept.
+    ///
+    /// Below its clamp a start is told apart exactly, so only a place that
+    /// starts at or above it is watched. A test there needs at most the
+    /// place's largest single demand plus what the phase has consumed, so
+    /// only a configuration holding fewer than `start + largest − clamp`
+    /// tokens can raise the clamp.
+    fn begin(&mut self, net: &CompiledNet, start: &[u32], prove: bool) {
+        self.watch.clear();
+        if !prove {
+            return;
+        }
+        for (p, (&m, &clamp)) in start.iter().zip(&self.clamp).enumerate() {
+            if m >= clamp {
+                self.watch
+                    .push((p, (m - clamp).saturating_add(net.clamp[p])));
+            }
+        }
+    }
+
+    /// Keeps `phase`, run from `start` with `carried` in progress, under
+    /// the class its run proved — unless that class is kept already or the
+    /// memo is full.
+    fn keep(&mut self, start: &[u32], carried: &[(TransId, u64)], record: bool, phase: &Phase<'_>) {
+        // The run may have raised the clamp, and so moved the key.
+        let hash = self.key(start, carried, record);
+        let e = match self.find(hash) {
+            Some(e) if self.entries[e].stored() => return,
+            Some(e) => e,
+            None => match self.sight(hash) {
+                Some(e) => e,
+                None => return,
+            },
+        };
+        let words = &mut self.stage;
+        words.clear();
+        words.push(0);
+        for (t, _) in phase.selected.iter().enumerate().filter(|&(_, &f)| f) {
+            words.push(t as u64);
+        }
+        words[0] = words.len() as u64 - 1;
+        words.push(phase.tape.len() as u64);
+        words.extend(phase.tape.iter().map(|&word| u64::from(word)));
+        for key in phase.out.keys.chunks_exact(start.len() + phase.cap) {
+            let (m, pending) = key.split_at(start.len());
+            let at = words.len();
+            words.push(0);
+            for (p, (&m, &m0)) in m.iter().zip(start).enumerate() {
+                if m != m0 {
+                    let delta = i64::from(m) - i64::from(m0);
+                    words.extend([p as u64, ((delta << 1) ^ (delta >> 63)) as u64]);
+                }
+            }
+            words[at] = (words.len() - at - 1) as u64 / 2;
+            let at = words.len();
+            words.push(0);
+            words.extend(pending_ids(pending).map(|t| t as u64 + 1));
+            words[at] = (words.len() - at - 1) as u64;
+        }
+        if self.bytes() >= MEMO_CAP_BYTES
+            || 8 * (self.stage.len() + phase.out.probs.len()) > MEMO_CAP_BYTES
+        {
+            return;
+        }
+        let entry = &mut self.entries[e];
+        entry.words = [self.words.len() as u32, 0];
+        self.words.extend(&self.stage);
+        entry.words[1] = self.words.len() as u32;
+        entry.probs = [self.probs.len() as u32, 0];
+        self.probs.extend_from_slice(&phase.out.probs);
+        entry.probs[1] = self.probs.len() as u32;
+        entry.configs = phase.configs;
+    }
+
+    /// Replays kept class `e` for a phase from `start`: `fired` marks and
+    /// tape words appended, `out` the outcomes shifted to `start` at `cap`
+    /// pending slots. Returns the class's configuration count.
+    fn replay(
+        &self,
+        e: usize,
+        start: &[u32],
+        fired: &mut [bool],
+        out: &mut Configs,
+        cap: usize,
+        tape: &mut Vec<u32>,
+    ) -> u64 {
+        let entry = self.entries[e];
+        let words = entry.words[0] as usize..entry.words[1] as usize;
+        let replay = Replay {
+            start,
+            probs: &self.probs[entry.probs[0] as usize..entry.probs[1] as usize],
+            fired,
+            out,
+            cap,
+            tape,
+        };
+        match &self.words {
+            Packed::U8(w) => replay.run(&w[words]),
+            Packed::U16(w) => replay.run(&w[words]),
+            Packed::U32(w) => replay.run(&w[words]),
+            Packed::U64(w) => replay.run(&w[words]),
+        }
+        entry.configs
+    }
+}
+
+/// Class `e`'s key.
+fn entry_key<'a>(keys: &'a [u32], entries: &[MemoEntry], e: usize) -> &'a [u32] {
+    let start = if e == 0 { 0 } else { entries[e - 1].key_end };
+    &keys[start as usize..entries[e].key_end as usize]
+}
+
+/// Where [`PhaseMemo::replay`] writes a class.
+struct Replay<'a> {
+    start: &'a [u32],
+    probs: &'a [f64],
+    fired: &'a mut [bool],
+    out: &'a mut Configs,
+    cap: usize,
+    tape: &'a mut Vec<u32>,
+}
+
+impl Replay<'_> {
+    /// Decodes one class's words, matched to their width once.
+    fn run<W: Copy + Into<u64>>(self, words: &[W]) {
+        let at = &mut 0;
+        for _ in 0..read(words, at) {
+            self.fired[read(words, at)] = true;
+        }
+        let n = read(words, at);
+        self.tape
+            .extend(words[*at..*at + n].iter().map(|&w| w.into() as u32));
+        *at += n;
+        self.out.clear();
+        for &p in self.probs {
+            let marking = self.out.keys.len();
+            self.out.keys.extend_from_slice(self.start);
+            for _ in 0..read(words, at) {
+                let place = marking + read(words, at);
+                let z = read(words, at) as u64;
+                let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
+                self.out.keys[place] = (i64::from(self.out.keys[place]) + delta) as u32;
+            }
+            let n = read(words, at);
+            let pending = self.out.keys.len();
+            self.out
+                .keys
+                .extend(words[*at..*at + n].iter().map(|&w| w.into() as u32));
+            *at += n;
+            self.out.keys.resize(pending + self.cap, 0);
+            self.out.probs.push(p);
+        }
+        debug_assert_eq!(*at, words.len(), "a replay consumes its class");
+    }
+}
+
 /// Unsigned integers stored at the narrowest width that holds the largest
 /// of them; pushing a wider value widens them all. A recording build's
 /// tape is one, filled as the builder merges each state's words.
@@ -1087,19 +1449,39 @@ impl Packed {
     }
 
     fn push(&mut self, v: u64) {
+        self.extend(&[v]);
+    }
+
+    /// Appends `values`, widening first if the largest needs it.
+    fn extend(&mut self, values: &[u64]) {
+        if let Some(&widest) = values.iter().max() {
+            self.fit(widest);
+        }
         match self {
-            Packed::U8(w) if v <= u64::from(u8::MAX) => w.push(v as u8),
-            Packed::U16(w) if v <= u64::from(u16::MAX) => w.push(v as u16),
-            Packed::U32(w) if v <= u64::from(u32::MAX) => w.push(v as u32),
-            Packed::U64(w) => w.push(v),
-            _ => {
-                *self = match self {
-                    Packed::U8(w) => Packed::U16(w.iter().map(|&x| x.into()).collect()),
-                    Packed::U16(w) => Packed::U32(w.iter().map(|&x| x.into()).collect()),
-                    _ => Packed::U64(self.unpack(|x| x)),
-                };
-                self.push(v);
+            Packed::U8(w) => w.extend(values.iter().map(|&v| v as u8)),
+            Packed::U16(w) => w.extend(values.iter().map(|&v| v as u16)),
+            Packed::U32(w) => w.extend(values.iter().map(|&v| v as u32)),
+            Packed::U64(w) => w.extend_from_slice(values),
+        }
+    }
+
+    /// Widens every value until `v` fits.
+    fn fit(&mut self, v: u64) {
+        loop {
+            let fits = match self {
+                Packed::U8(_) => v <= u64::from(u8::MAX),
+                Packed::U16(_) => v <= u64::from(u16::MAX),
+                Packed::U32(_) => v <= u64::from(u32::MAX),
+                Packed::U64(_) => true,
+            };
+            if fits {
+                return;
             }
+            *self = match self {
+                Packed::U8(w) => Packed::U16(w.iter().map(|&x| x.into()).collect()),
+                Packed::U16(w) => Packed::U32(w.iter().map(|&x| x.into()).collect()),
+                _ => Packed::U64(self.unpack(|x| x)),
+            };
         }
     }
 
@@ -2011,6 +2393,116 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, GtpnError::ZeroDelayDivergence);
         assert_kernels_agree(&zeno, &compiled, &mut scratch, &[1], &[]);
+    }
+
+    /// The memo's kernel contract, each call with a fresh `fired` record:
+    /// the first phase from a start notes its class, the second keeps it,
+    /// the third is served — and marks `fired` as a run does. A phase that
+    /// fails part-way marks the transitions it selected before it failed,
+    /// whether or not the memo has seen its class.
+    #[test]
+    fn memo_served_and_failed_phases_mark_fired() {
+        let mut net = Net::new("fired");
+        let a = net.add_place("A", 1);
+        let b = net.add_place("B", 0);
+        net.add_transition(Transition::new("go").delay(0).input(a, 1).output(b, 1))
+            .unwrap();
+        net.add_transition(Transition::new("work").delay(1).input(b, 1).output(a, 1))
+            .unwrap();
+        let compiled = CompiledNet::new(&net);
+        let mut scratch = PhaseScratch::new(&compiled);
+        for _ in 0..3 {
+            assert_kernels_agree(&net, &compiled, &mut scratch, &[1, 0], &[]);
+        }
+        assert_eq!((scratch.calls, scratch.hits), (3, 1));
+        // From A = 2 `go` fires twice: the run that kept A = 1's class
+        // raised A's clamp past 1, so that class does not serve A = 2.
+        assert_kernels_agree(&net, &compiled, &mut scratch, &[2, 0], &[]);
+        assert_eq!(scratch.hits, 1);
+
+        // `go` is selected, then `bad` turns negative once B holds a token.
+        let b = net.place_by_name("B").unwrap();
+        net.add_transition(
+            Transition::new("bad")
+                .delay(1)
+                .frequency(Expr::If(
+                    Box::new(Expr::place_empty(b)),
+                    Box::new(Expr::constant(1.0)),
+                    Box::new(Expr::constant(-1.0)),
+                ))
+                .input(b, 1)
+                .output(b, 1),
+        )
+        .unwrap();
+        let compiled = CompiledNet::new(&net);
+        let mut scratch = PhaseScratch::new(&compiled);
+        for _ in 0..3 {
+            assert_kernels_agree(&net, &compiled, &mut scratch, &[1, 0], &[]);
+            let mut fired = [false; 3];
+            let err = instantaneous_phase::<false>(
+                &compiled,
+                &[1, 0],
+                &[],
+                &mut fired,
+                &mut scratch,
+                &mut Vec::new(),
+            )
+            .unwrap_err();
+            assert!(matches!(err, GtpnError::BadFrequency { .. }), "{err}");
+            assert_eq!(fired, [true, false, false], "`go` was selected");
+        }
+        assert_eq!(scratch.hits, 0, "a failed phase is never kept");
+    }
+
+    /// A frequency that reads a place makes that place part of every
+    /// class: with `Big` different at every start no class repeats beyond
+    /// the run that keeps it, and the memo notes and keeps classes only up
+    /// to its byte cap — then stops growing, while every phase still
+    /// matches the reference kernel.
+    #[test]
+    fn memo_stops_growing_at_its_cap() {
+        let mut net = Net::new("coins");
+        let big = net.add_place("Big", 0);
+        let coins = net.add_place("Coins", 8);
+        net.add_transition(
+            Transition::new("heads")
+                .delay(1)
+                .frequency(Expr::Add(
+                    Box::new(Expr::tokens(big)),
+                    Box::new(Expr::constant(1.0)),
+                ))
+                .input(coins, 1)
+                .output(coins, 1),
+        )
+        .unwrap();
+        net.add_transition(
+            Transition::new("tails")
+                .delay(1)
+                .input(coins, 1)
+                .output(coins, 1),
+        )
+        .unwrap();
+        let compiled = CompiledNet::new(&net);
+        let mut scratch = PhaseScratch::new(&compiled);
+        let mut full = None;
+        let mut classes = 0;
+        for big in 0..30_000 {
+            for _ in 0..2 {
+                assert_kernels_agree(&net, &compiled, &mut scratch, &[big, 8], &[]);
+            }
+            let bytes = scratch.memo.bytes();
+            assert!(bytes < 2 * MEMO_CAP_BYTES, "{bytes} bytes");
+            let grown = scratch.memo.entries.len();
+            match full {
+                None if bytes >= MEMO_CAP_BYTES => full = Some(big),
+                None => assert!(grown > classes, "start {big} not kept"),
+                Some(_) => assert_eq!(grown, classes, "grew past the cap"),
+            }
+            classes = grown;
+        }
+        let big = full.expect("30,000 classes must fill the memo");
+        assert!(big > 1_000 && big < 25_000, "filled at start {big}");
+        assert_eq!(scratch.hits, 0, "no class repeats past its keeping run");
     }
 
     /// A single token looping through a delay-1 transition: one state with a

@@ -204,18 +204,18 @@ fn replications_are_deterministic() {
 
 /// The exact chain pinned by constants, not by print precision: state
 /// count, sweep count and the *bits* of `lambda` usage and of the final
-/// residual for four solves under `fig7.scale`'s engine settings (arch II
-/// and III local, X = 5700 µs, a private cache per solve), recorded on the
-/// commit before the flat-key expansion kernel. A reordered sum or a
-/// renumbered state moves the last ulp long before it moves a digit of
-/// `repro_output.txt`; n = 12 is what the benchmark's `scale` workload
-/// re-checks on every run.
+/// residual for five solves under `fig7.scale`'s engine settings (arch II
+/// and III local, X = 5700 µs, a private cache per solve). The n = 4 and
+/// n = 8 cases were recorded on the commit before the flat-key expansion
+/// kernel, the n = 12 case on the commit before the phase memo. A reordered
+/// sum or a renumbered state moves the last ulp long before it moves a
+/// digit of `repro_output.txt`; n = 12 is the benchmark's `scale` solve.
 #[test]
 fn exact_chain_is_pinned_by_constants() {
     use hsipc::gtpn::LumpSel;
     let x = 5_700.0;
     // (architecture, n, lumping, states, sweeps, usage bits, residual bits)
-    let cases: [(Architecture, u32, LumpSel, usize, usize, u64, u64); 4] = [
+    let cases: [(Architecture, u32, LumpSel, usize, usize, u64, u64); 5] = [
         (
             Architecture::MessageCoprocessor,
             4,
@@ -233,6 +233,15 @@ fn exact_chain_is_pinned_by_constants() {
             84,
             0x3f22_0240_c1c6_79a5,
             0x3d8a_7278_0000_0000,
+        ),
+        (
+            Architecture::MessageCoprocessor,
+            12,
+            LumpSel::On,
+            76_076,
+            96,
+            0x3f22_0c8b_4549_6848,
+            0x3d85_ce18_0000_0000,
         ),
         (
             Architecture::MessageCoprocessor,
