@@ -208,6 +208,11 @@ pub struct StageLedger {
     /// keeps its own memo, so the count depends on which worker expanded
     /// which state — the chain does not.
     pub phase_hits: u64,
+    /// Lumped states of `phase_hits` whose fold the phase memo served too
+    /// (DESIGN §12); 0 for a raw or re-priced chain. Like `phase_hits`, a
+    /// serial build's count repeats exactly and a parallel build's
+    /// depends on the schedule.
+    pub fold_hits: u64,
 }
 
 impl StageLedger {
@@ -229,6 +234,7 @@ impl StageLedger {
             phase_calls: graph.build.phase_calls,
             phase_configs: graph.build.phase_configs,
             phase_hits: graph.build.phase_hits,
+            fold_hits: graph.build.fold_hits,
         }
     }
 
@@ -247,6 +253,7 @@ impl StageLedger {
         self.phase_calls += other.phase_calls;
         self.phase_configs += other.phase_configs;
         self.phase_hits += other.phase_hits;
+        self.fold_hits += other.fold_hits;
     }
 }
 
@@ -1215,6 +1222,7 @@ mod tests {
             assert_eq!(ledger.phase_calls, ledger.states + initial_phase);
             assert!(ledger.phase_configs > ledger.phase_calls);
             assert!(ledger.phase_hits <= ledger.phase_calls);
+            assert!(ledger.fold_hits <= ledger.phase_hits);
             assert!(ledger.bfs_s > 0.0 && ledger.solve_s > 0.0);
             assert_eq!(ledger.delump_s > 0.0, lump == LumpSel::On);
             let after = stage_totals();

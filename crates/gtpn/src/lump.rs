@@ -50,7 +50,7 @@ use crate::error::GtpnError;
 use crate::net::{Net, TransId};
 use crate::par::ParallelBudget;
 use crate::reach::{
-    explore, instantaneous_phase, pending_ids, state_hash, Cursor, Expansion, Packed,
+    explore, instantaneous_phase, pending_ids, state_hash, Class, Cursor, Expansion, Packed,
     ReachabilityGraph, Worker,
 };
 use crate::solve::Solution;
@@ -142,19 +142,32 @@ fn expand_lumped<const RECORD: bool>(
     w: &mut Worker,
     out: &mut Expansion,
 ) -> Result<(), GtpnError> {
+    fold::<RECORD>(net, graph.marking(si), si, w, out)
+}
+
+/// [`expand_lumped`] for state `si`, whose marking is `start`. The phase
+/// memo keeps a kept class's first fold beside its phase and serves the
+/// class's later starts from it ([`Worker::serve_fold`]), with the bits
+/// of the fold below; a fold that fails is never kept.
+pub(crate) fn fold<const RECORD: bool>(
+    net: &CompiledNet,
+    start: &[u32],
+    si: usize,
+    w: &mut Worker,
+    out: &mut Expansion,
+) -> Result<(), GtpnError> {
     let tcount = net.transitions.len();
-    instantaneous_phase::<RECORD>(
-        net,
-        graph.marking(si),
-        &[],
-        &mut w.fired,
-        &mut w.phase,
-        &mut out.tape,
-    )?;
-    let first = out.successor_count();
-    w.seen.clear();
+    let class =
+        instantaneous_phase::<RECORD>(net, start, &[], &mut w.fired, &mut w.phase, &mut out.tape)?;
     w.row.clear();
     w.row.resize(tcount + net.places, 0.0);
+    if let Class::Folded(e) = class {
+        w.serve_fold(e, start, tcount, out);
+        out.finish_state(1, &w.row);
+        return Ok(());
+    }
+    let (first, tape_from) = (out.successor_count(), out.tape.len());
+    w.seen.clear();
     let (usage_row, tokens_row) = w.row.split_at_mut(tcount);
     for (m, pending, p) in w.phase.outcomes(net.places) {
         if pending[0] == 0 {
@@ -196,6 +209,9 @@ fn expand_lumped<const RECORD: bool>(
             out.tape.extend(pending_ids(pending).map(|t| t as u32));
             out.tape[at + 1] = (out.tape.len() - at - 2) as u32;
         }
+    }
+    if let Class::Kept(e) = class {
+        w.phase.keep_fold(e, start, out, first, &w.row, tape_from);
     }
     out.finish_state(1, &w.row);
     Ok(())
@@ -611,10 +627,11 @@ mod tests {
         }
     }
 
-    /// The phase memo serves almost every phase of a wide lumped build —
-    /// 21,952 states whose rings' processors gate every stage, so a
-    /// phase's class ignores how many tokens wait behind them — and the
-    /// chain is still the reference build's bit for bit.
+    /// The phase memo serves almost every phase of a wide lumped build,
+    /// and its fold with it — 21,952 states whose rings' processors gate
+    /// every stage, so a phase's class ignores how many tokens wait behind
+    /// them — and the chain is still the reference build's bit for bit,
+    /// token rows included.
     #[test]
     fn memo_served_build_matches_reference() {
         let lumped =
@@ -623,17 +640,52 @@ mod tests {
         assert_eq!(lumped.graph.state_count(), 21_952);
         assert_eq!(build.phase_calls, 21_952);
         assert!(
-            build.phase_hits * 10 >= build.phase_calls * 9,
-            "{} of {} phases served",
-            build.phase_hits,
+            build.fold_hits * 10 >= build.phase_calls * 9,
+            "{} of {} folds served",
+            build.fold_hits,
             build.phase_calls
         );
+        assert!(build.fold_hits <= build.phase_hits);
     }
 
-    /// A recording build served by the phase memo records the tape a
-    /// fresh run of every phase would: it is the plain build, and its
-    /// skeleton, re-priced at other stage means, is the fresh build at
-    /// those means — lumped and raw.
+    /// A class whose fold fails — an outcome with nothing in progress — is
+    /// never folded: noted, kept, then served, its phase is replayed and
+    /// its fold re-run every time, and every run names the state at hand,
+    /// as the reference build does. A healthy class beside it is folded
+    /// on its keeping run and served from then on.
+    #[test]
+    fn a_served_class_with_a_dead_outcome_is_never_folded() {
+        let mut net = Net::new("dead");
+        let a = net.add_place("A", 1);
+        let b = net.add_place("B", 0);
+        net.add_transition(Transition::new("T").delay(1).input(a, 1).output(b, 1))
+            .unwrap();
+        // State 0 is `A`, its successor `B` enables nothing.
+        assert_matches_reference(&net, 100);
+        let err = reach_lumped_budgeted(&net, 100, &ParallelBudget::serial()).unwrap_err();
+        assert_eq!(err, GtpnError::Deadlock { state: 1 });
+        let compiled = CompiledNet::new(&net);
+        let mut w = Worker::new(&compiled);
+        for _ in 0..4 {
+            let mut out = Expansion::new(compiled.places);
+            let err = fold::<false>(&compiled, &[0, 1], 1, &mut w, &mut out).unwrap_err();
+            assert_eq!(err, GtpnError::Deadlock { state: 1 });
+        }
+        let phase = &w.phase;
+        assert_eq!((phase.calls, phase.hits, phase.fold_hits), (4, 2, 0));
+        for _ in 0..4 {
+            let mut out = Expansion::new(compiled.places);
+            fold::<false>(&compiled, &[1, 0], 0, &mut w, &mut out).unwrap();
+            assert_eq!(out.successor_marking(0), [0, 1]);
+        }
+        let phase = &w.phase;
+        assert_eq!((phase.calls, phase.hits, phase.fold_hits), (8, 4, 2));
+    }
+
+    /// A recording build served by the phase memo — and, lumped, by its
+    /// folds — records the tape a fresh run of every phase and fold would:
+    /// it is the plain build, and its skeleton, re-priced at other stage
+    /// means, is the fresh build at those means — lumped and raw.
     #[test]
     fn a_memo_served_recording_replays_to_a_fresh_build() {
         use crate::reach::{assert_graphs_identical, Skeleton};
@@ -652,6 +704,18 @@ mod tests {
                 served.phase_hits,
                 served.phase_calls
             );
+            // The lumped build serves its folds — tape entries included —
+            // from the memo too; a raw build has none.
+            if lumped {
+                assert!(
+                    served.fold_hits * 10 >= served.phase_calls * 9,
+                    "{} of {} folds served",
+                    served.fold_hits,
+                    served.phase_calls
+                );
+            } else {
+                assert_eq!(served.fold_hits, 0);
+            }
             let (plain, plain_rows, _) = build(&net, false);
             assert_graphs_identical(&graph, &plain);
             assert_eq!(bits(&rows), bits(&plain_rows));

@@ -81,6 +81,9 @@ pub(crate) struct BuildStats {
     pub(crate) phase_configs: u64,
     /// Phases the phase memo served; 0 for a re-priced chain.
     pub(crate) phase_hits: u64,
+    /// Lumped states whose fold the phase memo served too; 0 for a raw
+    /// or re-priced chain.
+    pub(crate) fold_hits: u64,
     /// 1 when the chain was re-priced from a skeleton.
     pub(crate) replays: u64,
     /// 1 when the build recorded a skeleton.
@@ -269,7 +272,7 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    fn new(net: &CompiledNet) -> Worker {
+    pub(crate) fn new(net: &CompiledNet) -> Worker {
         Worker {
             phase: PhaseScratch::new(net),
             fired: vec![false; net.transitions.len()],
@@ -306,7 +309,7 @@ pub(crate) struct Expansion {
 }
 
 impl Expansion {
-    fn new(places: usize) -> Expansion {
+    pub(crate) fn new(places: usize) -> Expansion {
         Expansion {
             places,
             ..Expansion::default()
@@ -582,6 +585,7 @@ pub(crate) fn explore(
         graph.build.phase_calls += w.phase.calls;
         graph.build.phase_configs += w.phase.configs;
         graph.build.phase_hits += w.phase.hits;
+        graph.build.fold_hits += w.phase.fold_hits;
     }
     graph.build.net_compile_s = (compiled_at - started).as_secs_f64();
     graph.build.bfs_s = compiled_at.elapsed().as_secs_f64();
@@ -828,10 +832,12 @@ pub(crate) struct PhaseScratch {
     selected: Vec<bool>,
     memo: PhaseMemo,
     /// Phases and configurations through these buffers, replayed ones
-    /// included, and the phases the memo served.
+    /// included, the phases the memo served, and those of them whose
+    /// lumped fold it served too.
     pub(crate) calls: u64,
     pub(crate) configs: u64,
     pub(crate) hits: u64,
+    pub(crate) fold_hits: u64,
 }
 
 impl PhaseScratch {
@@ -852,6 +858,7 @@ impl PhaseScratch {
             calls: 0,
             configs: 0,
             hits: 0,
+            fold_hits: 0,
         }
     }
 
@@ -946,7 +953,9 @@ fn sort_order(src: &Configs, order: &mut Vec<u32>, stride: usize) {
 ///
 /// A phase already run from a start of the same class ([`PhaseMemo`]) is
 /// not run again: its outcomes, shifted to `marking`, its tape words, its
-/// `fired` marks and its configuration count are replayed from `s`.
+/// `fired` marks and its configuration count are replayed from `s` — or,
+/// when the class's lumped fold is kept too, only its configuration count,
+/// the rest being left to [`Worker::serve_fold`]. The result says which.
 pub(crate) fn instantaneous_phase<const RECORD: bool>(
     net: &CompiledNet,
     marking: &[u32],
@@ -954,14 +963,19 @@ pub(crate) fn instantaneous_phase<const RECORD: bool>(
     fired: &mut [bool],
     s: &mut PhaseScratch,
     tape: &mut Vec<u32>,
-) -> Result<(), GtpnError> {
+) -> Result<Class, GtpnError> {
     s.calls += 1;
     let hash = s.memo.key(marking, carried, RECORD);
     let class = s.memo.find(hash);
     if let Some(e) = class.filter(|&e| s.memo.entries[e].stored()) {
         s.hits += 1;
-        s.configs += s.memo.replay(e, marking, fired, &mut s.out, s.cap, tape);
-        return Ok(());
+        s.configs += s.memo.entries[e].configs;
+        if s.memo.entries[e].folded() {
+            s.fold_hits += 1;
+            return Ok(Class::Folded(e));
+        }
+        s.memo.replay(e, marking, fired, &mut s.out, s.cap, tape);
+        return Ok(Class::Kept(e));
     }
     // The first sighting of a class only notes it; the second proves the
     // clamp its key needs while it runs, and keeps it.
@@ -981,9 +995,27 @@ pub(crate) fn instantaneous_phase<const RECORD: bool>(
             cap: s.cap,
             tape: &tape[at..],
         };
-        s.memo.keep(marking, carried, RECORD, &phase);
+        if let Some(e) = s.memo.keep(marking, carried, RECORD, &phase) {
+            return Ok(Class::Kept(e));
+        }
     }
-    Ok(())
+    Ok(Class::Unkept)
+}
+
+/// Where the phase memo holds the phase [`instantaneous_phase`] just
+/// served or ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Class {
+    /// Nowhere: the phase ran, and its class is not kept (yet).
+    Unkept,
+    /// Kept class `e` holds the phase, and the outcomes are in the
+    /// scratch; a lumped build may add its fold
+    /// ([`PhaseScratch::keep_fold`]).
+    Kept(usize),
+    /// Kept class `e` holds the phase and its lumped fold. Only the counts
+    /// are replayed — [`Worker::serve_fold`] does the rest. Only a lumped
+    /// build keeps folds, and a memo serves one build.
+    Folded(usize),
 }
 
 /// The kernel of [`instantaneous_phase`]: the phase itself, its selections
@@ -1123,10 +1155,11 @@ fn run_phase<const RECORD: bool>(
     Ok(())
 }
 
-/// Bytes past which a [`PhaseMemo`] notes and keeps no more classes: a
-/// net whose phases never repeat a class then costs a bounded arena, not
-/// one that grows with the chain. No class larger than this is kept, so
-/// the arenas stay under twice it and every offset fits a `u32`.
+/// Bytes past which a [`PhaseMemo`] notes and keeps no more classes or
+/// folds: a net whose phases never repeat a class then costs a bounded
+/// arena, not one that grows with the chain. No class or fold larger than
+/// this is kept, so the arenas stay under twice it and every offset fits a
+/// `u32`.
 const MEMO_CAP_BYTES: usize = 4 << 20;
 
 /// A finished phase, as [`PhaseMemo::keep`] keeps it.
@@ -1139,13 +1172,16 @@ struct Phase<'a> {
 }
 
 /// One class of a [`PhaseMemo`]: where its key ends (keys are stored in
-/// entry order) and, once kept, where its words and probabilities are and
-/// how many configurations its phase expanded.
+/// entry order), once kept where its words and probabilities are and how
+/// many configurations its phase expanded, and once its lumped fold is
+/// kept where the fold's words are and where its probabilities start.
 #[derive(Debug, Clone, Copy, Default)]
 struct MemoEntry {
     key_end: u32,
     words: [u32; 2],
     probs: [u32; 2],
+    fold: [u32; 2],
+    fold_probs: u32,
     configs: u64,
 }
 
@@ -1154,6 +1190,12 @@ impl MemoEntry {
     /// fired count), not just sighted.
     fn stored(&self) -> bool {
         self.words[0] < self.words[1]
+    }
+
+    /// Whether the class's lumped fold is kept too (its fold words hold at
+    /// least their counts).
+    fn folded(&self) -> bool {
+        self.fold[0] < self.fold[1]
     }
 }
 
@@ -1180,8 +1222,9 @@ impl MemoEntry {
 /// copy. Classes live in flat arenas — keys, then per kept class its fired
 /// transitions, tape words and, per outcome, the places it moved with
 /// their zigzagged deltas and its pending ids, all width-packed
-/// ([`Packed`]), then its probabilities. Noting and keeping stop at
-/// [`MEMO_CAP_BYTES`].
+/// ([`Packed`]), then its probabilities. A lumped build appends a kept
+/// class's fold to the same arenas ([`PhaseScratch::keep_fold`]).
+/// Noting and keeping stop at [`MEMO_CAP_BYTES`].
 #[derive(Debug)]
 struct PhaseMemo {
     /// Per place, the count above which starts are not told apart.
@@ -1197,7 +1240,8 @@ struct PhaseMemo {
     keys: Vec<u32>,
     words: Packed,
     probs: Vec<f64>,
-    /// A class's words, gathered to be packed at one width check.
+    /// A class's or fold's words, gathered to be packed at one width
+    /// check.
     stage: Vec<u64>,
 }
 
@@ -1240,6 +1284,12 @@ impl PhaseMemo {
             + size_of::<u32>() * self.keys.capacity()
             + self.words.bytes()
             + size_of::<f64>() * self.probs.capacity()
+    }
+
+    /// Whether `words` staged words and `probs` probabilities may be kept:
+    /// the memo is not full and they are no larger than its cap.
+    fn room(&self, words: usize, probs: usize) -> bool {
+        self.bytes() < MEMO_CAP_BYTES && 8 * (words + probs) <= MEMO_CAP_BYTES
     }
 
     /// Notes the phase at hand's class, unless the memo is full.
@@ -1286,18 +1336,21 @@ impl PhaseMemo {
     }
 
     /// Keeps `phase`, run from `start` with `carried` in progress, under
-    /// the class its run proved — unless that class is kept already or the
-    /// memo is full.
-    fn keep(&mut self, start: &[u32], carried: &[(TransId, u64)], record: bool, phase: &Phase<'_>) {
+    /// the class its run proved, unless the memo is full; returns that
+    /// class if it holds the phase now (it may have held it already).
+    fn keep(
+        &mut self,
+        start: &[u32],
+        carried: &[(TransId, u64)],
+        record: bool,
+        phase: &Phase<'_>,
+    ) -> Option<usize> {
         // The run may have raised the clamp, and so moved the key.
         let hash = self.key(start, carried, record);
         let e = match self.find(hash) {
-            Some(e) if self.entries[e].stored() => return,
+            Some(e) if self.entries[e].stored() => return Some(e),
             Some(e) => e,
-            None => match self.sight(hash) {
-                Some(e) => e,
-                None => return,
-            },
+            None => self.sight(hash)?,
         };
         let words = &mut self.stage;
         words.clear();
@@ -1324,10 +1377,8 @@ impl PhaseMemo {
             words.extend(pending_ids(pending).map(|t| t as u64 + 1));
             words[at] = (words.len() - at - 1) as u64;
         }
-        if self.bytes() >= MEMO_CAP_BYTES
-            || 8 * (self.stage.len() + phase.out.probs.len()) > MEMO_CAP_BYTES
-        {
-            return;
+        if !self.room(self.stage.len(), phase.out.probs.len()) {
+            return None;
         }
         let entry = &mut self.entries[e];
         entry.words = [self.words.len() as u32, 0];
@@ -1337,11 +1388,12 @@ impl PhaseMemo {
         self.probs.extend_from_slice(&phase.out.probs);
         entry.probs[1] = self.probs.len() as u32;
         entry.configs = phase.configs;
+        Some(e)
     }
 
     /// Replays kept class `e` for a phase from `start`: `fired` marks and
     /// tape words appended, `out` the outcomes shifted to `start` at `cap`
-    /// pending slots. Returns the class's configuration count.
+    /// pending slots.
     fn replay(
         &self,
         e: usize,
@@ -1350,7 +1402,7 @@ impl PhaseMemo {
         out: &mut Configs,
         cap: usize,
         tape: &mut Vec<u32>,
-    ) -> u64 {
+    ) {
         let entry = self.entries[e];
         let words = entry.words[0] as usize..entry.words[1] as usize;
         let replay = Replay {
@@ -1367,7 +1419,6 @@ impl PhaseMemo {
             Packed::U32(w) => replay.run(&w[words]),
             Packed::U64(w) => replay.run(&w[words]),
         }
-        entry.configs
     }
 }
 
@@ -1375,6 +1426,22 @@ impl PhaseMemo {
 fn entry_key<'a>(keys: &'a [u32], entries: &[MemoEntry], e: usize) -> &'a [u32] {
     let start = if e == 0 { 0 } else { entries[e - 1].key_end };
     &keys[start as usize..entries[e].key_end as usize]
+}
+
+/// Replays a kept class's `fired` marks and tape words, leaving `at` at its
+/// first outcome.
+fn replay_head<W: Copy + Into<u64>>(
+    words: &[W],
+    at: &mut usize,
+    fired: &mut [bool],
+    tape: &mut Vec<u32>,
+) {
+    for _ in 0..read(words, at) {
+        fired[read(words, at)] = true;
+    }
+    let n = read(words, at);
+    tape.extend(words[*at..*at + n].iter().map(|&w| w.into() as u32));
+    *at += n;
 }
 
 /// Where [`PhaseMemo::replay`] writes a class.
@@ -1391,13 +1458,7 @@ impl Replay<'_> {
     /// Decodes one class's words, matched to their width once.
     fn run<W: Copy + Into<u64>>(self, words: &[W]) {
         let at = &mut 0;
-        for _ in 0..read(words, at) {
-            self.fired[read(words, at)] = true;
-        }
-        let n = read(words, at);
-        self.tape
-            .extend(words[*at..*at + n].iter().map(|&w| w.into() as u32));
-        *at += n;
+        replay_head(words, at, self.fired, self.tape);
         self.out.clear();
         for &p in self.probs {
             let marking = self.out.keys.len();
@@ -1419,6 +1480,235 @@ impl Replay<'_> {
         }
         debug_assert_eq!(*at, words.len(), "a replay consumes its class");
     }
+}
+
+impl PhaseScratch {
+    /// Keeps the fold of the lumped state `start` ([`crate::lump`]) beside
+    /// its phase, which class `e` holds and whose outcomes are in this
+    /// scratch: its successors are `out`'s from `first` on, its row is
+    /// `row` (`E[c_t | u]`, then `E[m_p | u]` for the places of `start`),
+    /// its tape entries are `out.tape` from `tape_from` on. Does
+    /// nothing when the class's fold is kept already or the memo is full.
+    ///
+    /// Little of that depends on the start `s`. The successors are `s +
+    /// Δ_k` de-duplicated in first-seen outcome order, and `s + Δ₁ = s +
+    /// Δ₂` exactly when `Δ₁ = Δ₂`; their probabilities and the usages are
+    /// sums in outcome order; the tape entries are slots and pending ids.
+    /// A token `E[m_p | u] = Σ_o p_o · (s_p + δ_op)`, summed in outcome
+    /// order, depends on `s_p` alone — and every start the class serves
+    /// has this start's `s_p` wherever the key tells starts apart, the
+    /// clamp only growing. So the fold serves every later start of the
+    /// class ([`Worker::serve_fold`]), recomputing only the tokens of the
+    /// places at or above their clamp.
+    ///
+    /// Words: the used transitions (count, ids); the clamped places and
+    /// each outcome's deltas there, as [`push_moves`] stages them; the
+    /// successors' count and deltas, likewise over the places any of them
+    /// moves; the tape entries (count, words). Probabilities: the usages
+    /// of the used transitions, the token row with the clamped places'
+    /// entries zero, then the successors'. The outcomes' probabilities are
+    /// the phase's.
+    pub(crate) fn keep_fold(
+        &mut self,
+        e: usize,
+        start: &[u32],
+        out: &Expansion,
+        first: usize,
+        row: &[f64],
+        tape_from: usize,
+    ) {
+        let memo = &mut self.memo;
+        if memo.entries[e].folded() {
+            return;
+        }
+        let (usage, tokens) = row.split_at(row.len() - start.len());
+        let words = &mut memo.stage;
+        words.clear();
+        let used = usage.iter().filter(|&&u| u != 0.0).count();
+        words.push(used as u64);
+        words.extend(
+            (0..usage.len())
+                .filter(|&t| usage[t] != 0.0)
+                .map(|t| t as u64),
+        );
+        let clamped: Vec<usize> = (0..start.len())
+            .filter(|&p| start[p] >= memo.clamp[p])
+            .collect();
+        let stride = start.len() + self.cap;
+        let outcomes = self
+            .out
+            .keys
+            .chunks_exact(stride)
+            .map(|key| &key[..start.len()]);
+        push_moves(words, &clamped, outcomes, start);
+        let successors = first..out.successor_count();
+        let markings = successors.clone().map(|k| out.successor_marking(k));
+        let moved: Vec<usize> = (0..start.len())
+            .filter(|&p| markings.clone().any(|m| m[p] != start[p]))
+            .collect();
+        words.push(successors.len() as u64);
+        push_moves(words, &moved, markings, start);
+        let tape = &out.tape[tape_from..];
+        words.push(tape.len() as u64);
+        words.extend(tape.iter().map(|&w| u64::from(w)));
+        if !memo.room(memo.stage.len(), used + tokens.len() + successors.len()) {
+            return;
+        }
+        let entry = &mut memo.entries[e];
+        entry.fold = [memo.words.len() as u32, 0];
+        memo.words.extend(&memo.stage);
+        entry.fold[1] = memo.words.len() as u32;
+        entry.fold_probs = memo.probs.len() as u32;
+        memo.probs.extend(usage.iter().filter(|&&u| u != 0.0));
+        let at = memo.probs.len();
+        memo.probs.extend_from_slice(tokens);
+        for &p in &clamped {
+            memo.probs[at + p] = 0.0;
+        }
+        memo.probs.extend_from_slice(&out.probs[successors]);
+    }
+}
+
+/// Stages `markings` as moves from `start` at the places `moved`: their
+/// count and ids, then per marking its zigzagged delta at each of them —
+/// one shape for the whole list, so serving it runs loops of one length.
+fn push_moves<'a>(
+    words: &mut Vec<u64>,
+    moved: &[usize],
+    markings: impl Iterator<Item = &'a [u32]>,
+    start: &[u32],
+) {
+    words.push(moved.len() as u64);
+    words.extend(moved.iter().map(|&p| p as u64));
+    for m in markings {
+        for &p in moved {
+            let delta = i64::from(m[p]) - i64::from(start[p]);
+            words.push(((delta << 1) ^ (delta >> 63)) as u64);
+        }
+    }
+}
+
+impl Worker {
+    /// Expands the lumped state `start` from folded class `e` (see
+    /// [`Class::Folded`] and [`PhaseScratch::keep_fold`]): marks `fired`
+    /// and appends the phase's tape words, fills the
+    /// [`row`](Worker::row) — the usage row and the kept tokens copied,
+    /// each clamped place's token summed `acc_p += p_o · (s_p + δ_op)`
+    /// over the phase's outcomes in outcome order, the fold's own
+    /// arithmetic — and pushes the successors `start + Δ_k` with their
+    /// summed probabilities and, when the class records, the fold's tape
+    /// entries.
+    pub(crate) fn serve_fold(
+        &mut self,
+        e: usize,
+        start: &[u32],
+        tcount: usize,
+        out: &mut Expansion,
+    ) {
+        let Worker {
+            phase,
+            fired,
+            marking,
+            row,
+            ..
+        } = self;
+        let memo = &phase.memo;
+        let entry = memo.entries[e];
+        let words = entry.words[0] as usize..entry.words[1] as usize;
+        let fold = entry.fold[0] as usize..entry.fold[1] as usize;
+        let served = Served {
+            start,
+            probs: &memo.probs[entry.probs[0] as usize..entry.probs[1] as usize],
+            fold_probs: &memo.probs[entry.fold_probs as usize..],
+            fired,
+            marking,
+            row: row.split_at_mut(tcount),
+            out,
+        };
+        match &memo.words {
+            Packed::U8(w) => served.run(&w[words], &w[fold]),
+            Packed::U16(w) => served.run(&w[words], &w[fold]),
+            Packed::U32(w) => served.run(&w[words], &w[fold]),
+            Packed::U64(w) => served.run(&w[words], &w[fold]),
+        }
+    }
+}
+
+/// Where [`Worker::serve_fold`] writes a folded class.
+struct Served<'a> {
+    start: &'a [u32],
+    probs: &'a [f64],
+    fold_probs: &'a [f64],
+    fired: &'a mut [bool],
+    /// Scratch for `start` moved to one successor at a time.
+    marking: &'a mut Vec<u32>,
+    /// The usage row and the token row.
+    row: (&'a mut [f64], &'a mut [f64]),
+    out: &'a mut Expansion,
+}
+
+impl Served<'_> {
+    /// Decodes one class's phase head and fold words, matched to their
+    /// width once.
+    fn run<W: Copy + Into<u64>>(self, words: &[W], fold: &[W]) {
+        let Served {
+            start,
+            probs,
+            fold_probs,
+            fired,
+            marking,
+            row: (usage, tokens),
+            out,
+        } = self;
+        replay_head(words, &mut 0, fired, &mut out.tape);
+        let at = &mut 0;
+        let mut fold_probs = fold_probs.iter();
+        for _ in 0..read(fold, at) {
+            usage[read(fold, at)] = *fold_probs.next().expect("a usage per used transition");
+        }
+        for (acc, &kept) in tokens.iter_mut().zip(fold_probs.by_ref()) {
+            *acc = kept;
+        }
+        let clamped = moves(fold, at);
+        for &p in probs {
+            let deltas = &fold[*at..*at + clamped.len()];
+            *at += clamped.len();
+            for (&place, &z) in fold[clamped.clone()].iter().zip(deltas) {
+                let place = place.into() as usize;
+                tokens[place] += p * f64::from(shift(start[place], z.into()));
+            }
+        }
+        marking.clear();
+        marking.extend_from_slice(start);
+        let successors = read(fold, at);
+        let moved = moves(fold, at);
+        for &p in fold_probs.take(successors) {
+            let deltas = &fold[*at..*at + moved.len()];
+            *at += moved.len();
+            for (&place, &z) in fold[moved.clone()].iter().zip(deltas) {
+                let place = place.into() as usize;
+                marking[place] = shift(start[place], z.into());
+            }
+            out.push_successor(marking, &[], p, state_hash(marking, &[]));
+        }
+        let n = read(fold, at);
+        out.tape
+            .extend(fold[*at..*at + n].iter().map(|&w| w.into() as u32));
+        debug_assert_eq!(*at + n, fold.len(), "a fold consumes its words");
+    }
+}
+
+/// Reads the place list [`push_moves`] staged; returns where it is.
+fn moves<W: Copy + Into<u64>>(words: &[W], at: &mut usize) -> Range<usize> {
+    let n = read(words, at);
+    *at += n;
+    *at - n..*at
+}
+
+/// `m` moved by the zigzagged delta `z`.
+fn shift(m: u32, z: u64) -> u32 {
+    let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
+    (i64::from(m) + delta) as u32
 }
 
 /// Unsigned integers stored at the narrowest width that holds the largest
@@ -2173,7 +2463,7 @@ mod tests {
             scratch,
             &mut Vec::new(),
         )
-        .map(|()| {
+        .map(|_class| {
             scratch
                 .outcomes(compiled.places)
                 .map(|(m, pending, p)| {
@@ -2456,9 +2746,10 @@ mod tests {
 
     /// A frequency that reads a place makes that place part of every
     /// class: with `Big` different at every start no class repeats beyond
-    /// the run that keeps it, and the memo notes and keeps classes only up
-    /// to its byte cap — then stops growing, while every phase still
-    /// matches the reference kernel.
+    /// the run that keeps it, and the memo notes and keeps classes — each
+    /// kept one with its lumped fold, whose words count toward the cap as
+    /// the phase's do — only up to its byte cap, then stops growing, while
+    /// every phase still matches the reference kernel.
     #[test]
     fn memo_stops_growing_at_its_cap() {
         let mut net = Net::new("coins");
@@ -2483,26 +2774,34 @@ mod tests {
         )
         .unwrap();
         let compiled = CompiledNet::new(&net);
-        let mut scratch = PhaseScratch::new(&compiled);
+        let mut w = Worker::new(&compiled);
         let mut full = None;
-        let mut classes = 0;
+        let (mut classes, mut folds) = (0, 0);
         for big in 0..30_000 {
-            for _ in 0..2 {
-                assert_kernels_agree(&net, &compiled, &mut scratch, &[big, 8], &[]);
-            }
-            let bytes = scratch.memo.bytes();
+            // The kernel's run notes the class; the lumped fold's run
+            // keeps it, and keeps its fold beside it.
+            assert_kernels_agree(&net, &compiled, &mut w.phase, &[big, 8], &[]);
+            let mut out = Expansion::new(compiled.places);
+            crate::lump::fold::<false>(&compiled, &[big, 8], 0, &mut w, &mut out).unwrap();
+            let memo = &w.phase.memo;
+            let bytes = memo.bytes();
             assert!(bytes < 2 * MEMO_CAP_BYTES, "{bytes} bytes");
-            let grown = scratch.memo.entries.len();
+            let grown = memo.entries.len();
+            let kept = memo.entries.iter().filter(|e| e.stored()).count();
+            let folded = memo.entries.iter().filter(|e| e.folded()).count();
             match full {
                 None if bytes >= MEMO_CAP_BYTES => full = Some(big),
-                None => assert!(grown > classes, "start {big} not kept"),
-                Some(_) => assert_eq!(grown, classes, "grew past the cap"),
+                None => {
+                    assert!(grown > classes, "start {big} not kept");
+                    assert_eq!(folded, kept, "start {big}'s fold not kept");
+                }
+                Some(_) => assert_eq!((grown, folded), (classes, folds), "grew past the cap"),
             }
-            classes = grown;
+            (classes, folds) = (grown, folded);
         }
         let big = full.expect("30,000 classes must fill the memo");
         assert!(big > 1_000 && big < 25_000, "filled at start {big}");
-        assert_eq!(scratch.hits, 0, "no class repeats past its keeping run");
+        assert_eq!(w.phase.hits, 0, "no class repeats past its keeping run");
     }
 
     /// A single token looping through a delay-1 transition: one state with a

@@ -34,12 +34,17 @@ use std::collections::{HashMap, VecDeque};
 /// returned [`Solution`].
 #[derive(Debug, Default)]
 pub(crate) struct SolveWorkspace {
-    /// The transposed chain in compressed-sparse-row form: the `(i, p)`
-    /// edges into state `j`, self-loops excluded, are
-    /// `in_edges[in_offsets[j]..in_offsets[j + 1]]`, ordered by source and
-    /// then by position in the source's out-list.
-    in_offsets: Vec<usize>,
-    in_edges: Vec<(usize, f64)>,
+    /// The transposed chain in compressed-sparse-row form: the edges into
+    /// state `j`, self-loops excluded, are entries
+    /// `in_offsets[j]..in_offsets[j + 1]` of the parallel arrays
+    /// `in_sources` and `in_probs`, ordered by source and then by position
+    /// in the source's out-list. Offsets and sources are `u32` — 12 bytes
+    /// per edge, not the 16 of a `(usize, f64)` pair: a large chain's
+    /// sweeps are bound by memory traffic, and no chain the state budget
+    /// admits nears 2³² edges.
+    in_offsets: Vec<u32>,
+    in_sources: Vec<u32>,
+    in_probs: Vec<f64>,
     /// Total self-loop probability of each state.
     self_loop: Vec<f64>,
 }
@@ -56,6 +61,11 @@ impl SolveWorkspace {
     /// the Gauss–Seidel inflow sums have always added in.
     fn load(&mut self, graph: &ReachabilityGraph) {
         let n = graph.state_count();
+        assert!(
+            u32::try_from(graph.edge_count()).is_ok() && u32::try_from(n).is_ok(),
+            "a chain of {n} states and {} edges overflows 32-bit in-edges",
+            graph.edge_count()
+        );
         self.self_loop.clear();
         self.self_loop.resize(n, 0.0);
         self.in_offsets.clear();
@@ -70,8 +80,11 @@ impl SolveWorkspace {
         for j in 0..n {
             self.in_offsets[j + 1] += self.in_offsets[j];
         }
-        self.in_edges.clear();
-        self.in_edges.resize(self.in_offsets[n], (0, 0.0));
+        let edges = self.in_offsets[n] as usize;
+        self.in_sources.clear();
+        self.in_sources.resize(edges, 0);
+        self.in_probs.clear();
+        self.in_probs.resize(edges, 0.0);
         // `in_offsets[j]` doubles as state `j`'s write cursor; the shift
         // back afterwards restores the offsets.
         for i in 0..n {
@@ -79,7 +92,9 @@ impl SolveWorkspace {
                 if i == j {
                     self.self_loop[i] += p;
                 } else {
-                    self.in_edges[self.in_offsets[j]] = (i, p);
+                    let at = self.in_offsets[j] as usize;
+                    self.in_sources[at] = i as u32;
+                    self.in_probs[at] = p;
                     self.in_offsets[j] += 1;
                 }
             }
@@ -88,10 +103,16 @@ impl SolveWorkspace {
         self.in_offsets[0] = 0;
     }
 
-    /// The `(source, probability)` edges into state `j`.
+    /// The probability mass flowing into state `j` under `pi`: each
+    /// in-edge's `pi[source] · p`, summed in in-list order.
     #[inline]
-    fn incoming(&self, j: usize) -> &[(usize, f64)] {
-        &self.in_edges[self.in_offsets[j]..self.in_offsets[j + 1]]
+    fn inflow(&self, j: usize, pi: &[f64]) -> f64 {
+        let edges = self.in_offsets[j] as usize..self.in_offsets[j + 1] as usize;
+        self.in_sources[edges.clone()]
+            .iter()
+            .zip(&self.in_probs[edges])
+            .map(|(&i, &p)| pi[i as usize] * p)
+            .sum()
     }
 }
 
@@ -176,7 +197,7 @@ impl Solution {
                 x_pre.clone_from(&pi);
             }
             let update = |j: usize, pi: &mut Vec<f64>, max_delta: &mut f64| {
-                let inflow: f64 = ws.incoming(j).iter().map(|&(i, p)| pi[i] * p).sum();
+                let inflow = ws.inflow(j, pi);
                 let denom = 1.0 - self_loop[j];
                 let new = if denom <= 0.0 {
                     // Absorbing self-loop state: leave mass as-is; the

@@ -203,19 +203,25 @@ fn replications_are_deterministic() {
 }
 
 /// The exact chain pinned by constants, not by print precision: state
-/// count, sweep count and the *bits* of `lambda` usage and of the final
-/// residual for five solves under `fig7.scale`'s engine settings (arch II
-/// and III local, X = 5700 µs, a private cache per solve). The n = 4 and
-/// n = 8 cases were recorded on the commit before the flat-key expansion
-/// kernel, the n = 12 case on the commit before the phase memo. A reordered
-/// sum or a renumbered state moves the last ulp long before it moves a
-/// digit of `repro_output.txt`; n = 12 is the benchmark's `scale` solve.
+/// count, sweep count and the *bits* of `lambda` usage, of the final
+/// residual and of the mean tokens in `Matched` for six solves under
+/// `fig7.scale`'s engine settings (arch II and III local, X = 5700 µs, a
+/// private cache per solve). The n = 4 and n = 8 usage and residual bits
+/// were recorded on the commit before the flat-key expansion kernel, the
+/// n = 12 ones on the commit before the phase memo, and every `Matched`
+/// bit pattern and the n = 16 case on the commit before the fold memo. A
+/// reordered sum or a renumbered state moves the last ulp long before it
+/// moves a digit of `repro_output.txt`; usage bits cannot see a drift in a
+/// lumped chain's token rows, the `Matched` bits can. n = 12 is the
+/// benchmark's `scale` solve, n = 16 the largest row of `fig7.scale`.
 #[test]
 fn exact_chain_is_pinned_by_constants() {
     use hsipc::gtpn::LumpSel;
     let x = 5_700.0;
-    // (architecture, n, lumping, states, sweeps, usage bits, residual bits)
-    let cases: [(Architecture, u32, LumpSel, usize, usize, u64, u64); 5] = [
+    // (architecture, n, lumping, states, sweeps, usage bits, residual
+    // bits, `Matched` mean-token bits)
+    type Case = (Architecture, u32, LumpSel, usize, usize, u64, u64, u64);
+    let cases: [Case; 6] = [
         (
             Architecture::MessageCoprocessor,
             4,
@@ -224,6 +230,7 @@ fn exact_chain_is_pinned_by_constants() {
             69,
             0x3f21_5f2d_45fe_8f18,
             0x3d92_6a50_0000_0000,
+            0x3fff_e0ba_3dc5_958b,
         ),
         (
             Architecture::MessageCoprocessor,
@@ -233,6 +240,7 @@ fn exact_chain_is_pinned_by_constants() {
             84,
             0x3f22_0240_c1c6_79a5,
             0x3d8a_7278_0000_0000,
+            0x4016_ff53_f73c_ba3c,
         ),
         (
             Architecture::MessageCoprocessor,
@@ -242,6 +250,17 @@ fn exact_chain_is_pinned_by_constants() {
             96,
             0x3f22_0c8b_4549_6848,
             0x3d85_ce18_0000_0000,
+            0x4023_71f6_195c_6e61,
+        ),
+        (
+            Architecture::MessageCoprocessor,
+            16,
+            LumpSel::On,
+            330_429,
+            142,
+            0x3f22_0d34_5276_6ddc,
+            0x3d90_6caa_0000_0000,
+            0x402b_70b4_458c_c21a,
         ),
         (
             Architecture::MessageCoprocessor,
@@ -251,6 +270,7 @@ fn exact_chain_is_pinned_by_constants() {
             6_041,
             0x3f21_5f2d_261d_f3c1,
             0x3d9e_1b6c_0000_0000,
+            0x3fff_e0ba_2202_1ff9,
         ),
         (
             Architecture::SmartBus,
@@ -260,9 +280,10 @@ fn exact_chain_is_pinned_by_constants() {
             75,
             0x3f23_084b_865a_fdfe,
             0x3d90_3910_0000_0000,
+            0x4019_39e1_7272_1890,
         ),
     ];
-    for (arch, n, lump, states, sweeps, usage_bits, residual_bits) in cases {
+    for (arch, n, lump, states, sweeps, usage_bits, residual_bits, matched_bits) in cases {
         let engine = AnalysisEngine::new(EngineConfig {
             backend: BackendSel::Auto,
             tolerance: hsipc::models::TOLERANCE,
@@ -288,6 +309,12 @@ fn exact_chain_is_pinned_by_constants() {
             a.residual().unwrap().to_bits(),
             residual_bits,
             "{at}: residual bits"
+        );
+        let matched = net.place_by_name("Matched").expect("a Matched place");
+        assert_eq!(
+            a.mean_tokens(matched).to_bits(),
+            matched_bits,
+            "{at}: Matched mean-token bits"
         );
     }
 }
