@@ -231,7 +231,7 @@ fn expand_from<const RECORD: bool>(
     w: &mut Worker,
     out: &mut Expansion,
 ) -> Result<(), GtpnError> {
-    instantaneous_phase::<RECORD>(
+    let class = instantaneous_phase::<RECORD>(
         net,
         &w.marking,
         &w.carried,
@@ -239,6 +239,9 @@ fn expand_from<const RECORD: bool>(
         &mut w.phase,
         &mut out.tape,
     )?;
+    // Only a lumped build keeps folds, so the scratch holds this phase's
+    // outcomes.
+    debug_assert!(!matches!(class, Class::Folded(_)), "a raw phase is folded");
     for (m, pending, p) in w.phase.outcomes(net.places) {
         w.firings.clear();
         w.firings.extend_from_slice(&w.carried);
@@ -344,6 +347,10 @@ impl Expansion {
 
     pub(crate) fn successor_hash(&self, k: usize) -> u64 {
         self.hashes[k]
+    }
+
+    pub(crate) fn successor_probability(&self, k: usize) -> f64 {
+        self.probs[k]
     }
 
     pub(crate) fn add_probability(&mut self, k: usize, p: f64) {
@@ -955,7 +962,8 @@ fn sort_order(src: &Configs, order: &mut Vec<u32>, stride: usize) {
 /// not run again: its outcomes, shifted to `marking`, its tape words, its
 /// `fired` marks and its configuration count are replayed from `s` — or,
 /// when the class's lumped fold is kept too, only its configuration count,
-/// the rest being left to [`Worker::serve_fold`]. The result says which.
+/// the rest being left to the fold ([`crate::lump`]). The result says
+/// which.
 pub(crate) fn instantaneous_phase<const RECORD: bool>(
     net: &CompiledNet,
     marking: &[u32],
@@ -1013,8 +1021,10 @@ pub(crate) enum Class {
     /// ([`PhaseScratch::keep_fold`]).
     Kept(usize),
     /// Kept class `e` holds the phase and its lumped fold. Only the counts
-    /// are replayed — [`Worker::serve_fold`] does the rest. Only a lumped
-    /// build keeps folds, and a memo serves one build.
+    /// are replayed; the outcomes in the scratch are another phase's, and
+    /// the fold ([`crate::lump`], through [`PhaseScratch::read_fold`])
+    /// does the rest. Only a lumped build keeps folds, and a memo serves
+    /// one build.
     Folded(usize),
 }
 
@@ -1174,14 +1184,14 @@ struct Phase<'a> {
 /// One class of a [`PhaseMemo`]: where its key ends (keys are stored in
 /// entry order), once kept where its words and probabilities are and how
 /// many configurations its phase expanded, and once its lumped fold is
-/// kept where the fold's words are and where its probabilities start.
+/// kept where the fold's words and probabilities are.
 #[derive(Debug, Clone, Copy, Default)]
 struct MemoEntry {
     key_end: u32,
     words: [u32; 2],
     probs: [u32; 2],
     fold: [u32; 2],
-    fold_probs: u32,
+    fold_probs: [u32; 2],
     configs: u64,
 }
 
@@ -1240,8 +1250,7 @@ struct PhaseMemo {
     keys: Vec<u32>,
     words: Packed,
     probs: Vec<f64>,
-    /// A class's or fold's words, gathered to be packed at one width
-    /// check.
+    /// A class's words, gathered to be packed at one width check.
     stage: Vec<u64>,
 }
 
@@ -1367,8 +1376,7 @@ impl PhaseMemo {
             words.push(0);
             for (p, (&m, &m0)) in m.iter().zip(start).enumerate() {
                 if m != m0 {
-                    let delta = i64::from(m) - i64::from(m0);
-                    words.extend([p as u64, ((delta << 1) ^ (delta >> 63)) as u64]);
+                    words.extend([p as u64, zigzag(m0, m)]);
                 }
             }
             words[at] = (words.len() - at - 1) as u64 / 2;
@@ -1430,7 +1438,7 @@ fn entry_key<'a>(keys: &'a [u32], entries: &[MemoEntry], e: usize) -> &'a [u32] 
 
 /// Replays a kept class's `fired` marks and tape words, leaving `at` at its
 /// first outcome.
-fn replay_head<W: Copy + Into<u64>>(
+pub(crate) fn replay_head<W: Copy + Into<u64>>(
     words: &[W],
     at: &mut usize,
     fired: &mut [bool],
@@ -1465,9 +1473,7 @@ impl Replay<'_> {
             self.out.keys.extend_from_slice(self.start);
             for _ in 0..read(words, at) {
                 let place = marking + read(words, at);
-                let z = read(words, at) as u64;
-                let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
-                self.out.keys[place] = (i64::from(self.out.keys[place]) + delta) as u32;
+                self.out.keys[place] = shift(self.out.keys[place], read(words, at) as u64);
             }
             let n = read(words, at);
             let pending = self.out.keys.len();
@@ -1483,230 +1489,68 @@ impl Replay<'_> {
 }
 
 impl PhaseScratch {
-    /// Keeps the fold of the lumped state `start` ([`crate::lump`]) beside
-    /// its phase, which class `e` holds and whose outcomes are in this
-    /// scratch: its successors are `out`'s from `first` on, its row is
-    /// `row` (`E[c_t | u]`, then `E[m_p | u]` for the places of `start`),
-    /// its tape entries are `out.tape` from `tape_from` on. Does
-    /// nothing when the class's fold is kept already or the memo is full.
-    ///
-    /// Little of that depends on the start `s`. The successors are `s +
-    /// Δ_k` de-duplicated in first-seen outcome order, and `s + Δ₁ = s +
-    /// Δ₂` exactly when `Δ₁ = Δ₂`; their probabilities and the usages are
-    /// sums in outcome order; the tape entries are slots and pending ids.
-    /// A token `E[m_p | u] = Σ_o p_o · (s_p + δ_op)`, summed in outcome
-    /// order, depends on `s_p` alone — and every start the class serves
-    /// has this start's `s_p` wherever the key tells starts apart, the
-    /// clamp only growing. So the fold serves every later start of the
-    /// class ([`Worker::serve_fold`]), recomputing only the tokens of the
-    /// places at or above their clamp.
-    ///
-    /// Words: the used transitions (count, ids); the clamped places and
-    /// each outcome's deltas there, as [`push_moves`] stages them; the
-    /// successors' count and deltas, likewise over the places any of them
-    /// moves; the tape entries (count, words). Probabilities: the usages
-    /// of the used transitions, the token row with the clamped places'
-    /// entries zero, then the successors'. The outcomes' probabilities are
-    /// the phase's.
-    pub(crate) fn keep_fold(
-        &mut self,
-        e: usize,
-        start: &[u32],
-        out: &Expansion,
-        first: usize,
-        row: &[f64],
-        tape_from: usize,
-    ) {
+    /// Per place, the count above which the memo tells starts apart no
+    /// more; it only grows.
+    pub(crate) fn clamp(&self) -> &[u32] {
+        &self.memo.clamp
+    }
+
+    /// Whether kept class `e` holds a lumped fold too.
+    pub(crate) fn folded(&self, e: usize) -> bool {
+        self.memo.entries[e].folded()
+    }
+
+    /// Keeps `words` and `probs` beside kept class `e`'s phase as its
+    /// lumped fold, whose format is [`crate::lump`]'s own, unless the class
+    /// holds one already or the memo is full. They count toward the cap as
+    /// the phase's words do.
+    pub(crate) fn keep_fold(&mut self, e: usize, words: &[u64], probs: &[f64]) {
         let memo = &mut self.memo;
-        if memo.entries[e].folded() {
-            return;
-        }
-        let (usage, tokens) = row.split_at(row.len() - start.len());
-        let words = &mut memo.stage;
-        words.clear();
-        let used = usage.iter().filter(|&&u| u != 0.0).count();
-        words.push(used as u64);
-        words.extend(
-            (0..usage.len())
-                .filter(|&t| usage[t] != 0.0)
-                .map(|t| t as u64),
-        );
-        let clamped: Vec<usize> = (0..start.len())
-            .filter(|&p| start[p] >= memo.clamp[p])
-            .collect();
-        let stride = start.len() + self.cap;
-        let outcomes = self
-            .out
-            .keys
-            .chunks_exact(stride)
-            .map(|key| &key[..start.len()]);
-        push_moves(words, &clamped, outcomes, start);
-        let successors = first..out.successor_count();
-        let markings = successors.clone().map(|k| out.successor_marking(k));
-        let moved: Vec<usize> = (0..start.len())
-            .filter(|&p| markings.clone().any(|m| m[p] != start[p]))
-            .collect();
-        words.push(successors.len() as u64);
-        push_moves(words, &moved, markings, start);
-        let tape = &out.tape[tape_from..];
-        words.push(tape.len() as u64);
-        words.extend(tape.iter().map(|&w| u64::from(w)));
-        if !memo.room(memo.stage.len(), used + tokens.len() + successors.len()) {
+        if memo.entries[e].folded() || !memo.room(words.len(), probs.len()) {
             return;
         }
         let entry = &mut memo.entries[e];
         entry.fold = [memo.words.len() as u32, 0];
-        memo.words.extend(&memo.stage);
+        memo.words.extend(words);
         entry.fold[1] = memo.words.len() as u32;
-        entry.fold_probs = memo.probs.len() as u32;
-        memo.probs.extend(usage.iter().filter(|&&u| u != 0.0));
-        let at = memo.probs.len();
-        memo.probs.extend_from_slice(tokens);
-        for &p in &clamped {
-            memo.probs[at + p] = 0.0;
-        }
-        memo.probs.extend_from_slice(&out.probs[successors]);
+        entry.fold_probs = [memo.probs.len() as u32, 0];
+        memo.probs.extend_from_slice(probs);
+        entry.fold_probs[1] = memo.probs.len() as u32;
     }
-}
 
-/// Stages `markings` as moves from `start` at the places `moved`: their
-/// count and ids, then per marking its zigzagged delta at each of them —
-/// one shape for the whole list, so serving it runs loops of one length.
-fn push_moves<'a>(
-    words: &mut Vec<u64>,
-    moved: &[usize],
-    markings: impl Iterator<Item = &'a [u32]>,
-    start: &[u32],
-) {
-    words.push(moved.len() as u64);
-    words.extend(moved.iter().map(|&p| p as u64));
-    for m in markings {
-        for &p in moved {
-            let delta = i64::from(m[p]) - i64::from(start[p]);
-            words.push(((delta << 1) ^ (delta >> 63)) as u64);
-        }
-    }
-}
-
-impl Worker {
-    /// Expands the lumped state `start` from folded class `e` (see
-    /// [`Class::Folded`] and [`PhaseScratch::keep_fold`]): marks `fired`
-    /// and appends the phase's tape words, fills the
-    /// [`row`](Worker::row) — the usage row and the kept tokens copied,
-    /// each clamped place's token summed `acc_p += p_o · (s_p + δ_op)`
-    /// over the phase's outcomes in outcome order, the fold's own
-    /// arithmetic — and pushes the successors `start + Δ_k` with their
-    /// summed probabilities and, when the class records, the fold's tape
-    /// entries.
-    pub(crate) fn serve_fold(
-        &mut self,
-        e: usize,
-        start: &[u32],
-        tcount: usize,
-        out: &mut Expansion,
-    ) {
-        let Worker {
-            phase,
-            fired,
-            marking,
-            row,
-            ..
-        } = self;
-        let memo = &phase.memo;
+    /// Hands `reader` folded class `e`: its phase's words (read them with
+    /// [`replay_head`] up to the outcomes) and outcome probabilities, and
+    /// its fold's words and probabilities, at the width they are packed at.
+    pub(crate) fn read_fold(&self, e: usize, reader: impl FoldReader) {
+        let memo = &self.memo;
         let entry = memo.entries[e];
-        let words = entry.words[0] as usize..entry.words[1] as usize;
-        let fold = entry.fold[0] as usize..entry.fold[1] as usize;
-        let served = Served {
-            start,
-            probs: &memo.probs[entry.probs[0] as usize..entry.probs[1] as usize],
-            fold_probs: &memo.probs[entry.fold_probs as usize..],
-            fired,
-            marking,
-            row: row.split_at_mut(tcount),
-            out,
-        };
+        let range = |[from, to]: [u32; 2]| from as usize..to as usize;
+        let (words, fold) = (range(entry.words), range(entry.fold));
+        let probs = &memo.probs[range(entry.probs)];
+        let fold_probs = &memo.probs[range(entry.fold_probs)];
         match &memo.words {
-            Packed::U8(w) => served.run(&w[words], &w[fold]),
-            Packed::U16(w) => served.run(&w[words], &w[fold]),
-            Packed::U32(w) => served.run(&w[words], &w[fold]),
-            Packed::U64(w) => served.run(&w[words], &w[fold]),
+            Packed::U8(w) => reader.read(&w[words], probs, &w[fold], fold_probs),
+            Packed::U16(w) => reader.read(&w[words], probs, &w[fold], fold_probs),
+            Packed::U32(w) => reader.read(&w[words], probs, &w[fold], fold_probs),
+            Packed::U64(w) => reader.read(&w[words], probs, &w[fold], fold_probs),
         }
     }
 }
 
-/// Where [`Worker::serve_fold`] writes a folded class.
-struct Served<'a> {
-    start: &'a [u32],
-    probs: &'a [f64],
-    fold_probs: &'a [f64],
-    fired: &'a mut [bool],
-    /// Scratch for `start` moved to one successor at a time.
-    marking: &'a mut Vec<u32>,
-    /// The usage row and the token row.
-    row: (&'a mut [f64], &'a mut [f64]),
-    out: &'a mut Expansion,
+/// What [`PhaseScratch::read_fold`] hands a folded class to, matched to
+/// the width of the memo's words once.
+pub(crate) trait FoldReader {
+    fn read<W: Copy + Into<u64>>(self, phase: &[W], probs: &[f64], fold: &[W], fold_probs: &[f64]);
 }
 
-impl Served<'_> {
-    /// Decodes one class's phase head and fold words, matched to their
-    /// width once.
-    fn run<W: Copy + Into<u64>>(self, words: &[W], fold: &[W]) {
-        let Served {
-            start,
-            probs,
-            fold_probs,
-            fired,
-            marking,
-            row: (usage, tokens),
-            out,
-        } = self;
-        replay_head(words, &mut 0, fired, &mut out.tape);
-        let at = &mut 0;
-        let mut fold_probs = fold_probs.iter();
-        for _ in 0..read(fold, at) {
-            usage[read(fold, at)] = *fold_probs.next().expect("a usage per used transition");
-        }
-        for (acc, &kept) in tokens.iter_mut().zip(fold_probs.by_ref()) {
-            *acc = kept;
-        }
-        let clamped = moves(fold, at);
-        for &p in probs {
-            let deltas = &fold[*at..*at + clamped.len()];
-            *at += clamped.len();
-            for (&place, &z) in fold[clamped.clone()].iter().zip(deltas) {
-                let place = place.into() as usize;
-                tokens[place] += p * f64::from(shift(start[place], z.into()));
-            }
-        }
-        marking.clear();
-        marking.extend_from_slice(start);
-        let successors = read(fold, at);
-        let moved = moves(fold, at);
-        for &p in fold_probs.take(successors) {
-            let deltas = &fold[*at..*at + moved.len()];
-            *at += moved.len();
-            for (&place, &z) in fold[moved.clone()].iter().zip(deltas) {
-                let place = place.into() as usize;
-                marking[place] = shift(start[place], z.into());
-            }
-            out.push_successor(marking, &[], p, state_hash(marking, &[]));
-        }
-        let n = read(fold, at);
-        out.tape
-            .extend(fold[*at..*at + n].iter().map(|&w| w.into() as u32));
-        debug_assert_eq!(*at + n, fold.len(), "a fold consumes its words");
-    }
-}
-
-/// Reads the place list [`push_moves`] staged; returns where it is.
-fn moves<W: Copy + Into<u64>>(words: &[W], at: &mut usize) -> Range<usize> {
-    let n = read(words, at);
-    *at += n;
-    *at - n..*at
+/// The zigzagged delta that moves `from` to `to`; [`shift`] applies it.
+pub(crate) fn zigzag(from: u32, to: u32) -> u64 {
+    let delta = i64::from(to) - i64::from(from);
+    ((delta << 1) ^ (delta >> 63)) as u64
 }
 
 /// `m` moved by the zigzagged delta `z`.
-fn shift(m: u32, z: u64) -> u32 {
+pub(crate) fn shift(m: u32, z: u64) -> u32 {
     let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
     (i64::from(m) + delta) as u32
 }
@@ -1919,7 +1763,7 @@ impl Repricer {
     }
 }
 
-fn read<W: Copy + Into<u64>>(words: &[W], at: &mut usize) -> usize {
+pub(crate) fn read<W: Copy + Into<u64>>(words: &[W], at: &mut usize) -> usize {
     *at += 1;
     words[*at - 1].into() as usize
 }
@@ -2436,6 +2280,49 @@ mod tests {
     use crate::net::Transition;
     use proptest::prelude::*;
 
+    /// Outcomes as the reference kernel lists them: states and probability
+    /// bits.
+    type Outcomes = Vec<(State, u64)>;
+
+    /// The reference kernel's outcomes from `marking` with `carried` in
+    /// progress, and the transitions it fired.
+    fn reference_outcomes(
+        net: &Net,
+        marking: &[u32],
+        carried: &[(TransId, u64)],
+    ) -> (Result<Outcomes, GtpnError>, Vec<bool>) {
+        let mut fired = vec![false; net.transition_count()];
+        let dist =
+            reference::instantaneous_phase(net, marking.to_vec(), carried.to_vec(), &mut fired);
+        let outcomes = dist.map(|dist| {
+            dist.into_iter()
+                .map(|(s, p)| (s, p.to_bits()))
+                .collect::<Vec<_>>()
+        });
+        (outcomes, fired)
+    }
+
+    /// The outcomes `scratch` holds after a phase with `carried` in
+    /// progress — one the memo did not answer with a fold, which leaves
+    /// another phase's outcomes ([`Class::Folded`]).
+    fn scratch_outcomes(
+        net: &Net,
+        compiled: &CompiledNet,
+        scratch: &PhaseScratch,
+        carried: &[(TransId, u64)],
+    ) -> Outcomes {
+        scratch
+            .outcomes(compiled.places)
+            .map(|(m, pending, p)| {
+                let mut firings = carried.to_vec();
+                firings.extend(
+                    pending_ids(pending).map(|t| (TransId(t), net.transition_delay(TransId(t)))),
+                );
+                (State::new(m.to_vec(), firings), p.to_bits())
+            })
+            .collect()
+    }
+
     /// Runs both kernels from `marking` with `carried` in progress and
     /// asserts the same outcome list (states, probability bits), the same
     /// fired record and the same error.
@@ -2446,15 +2333,8 @@ mod tests {
         marking: &[u32],
         carried: &[(TransId, u64)],
     ) {
-        let tcount = net.transition_count();
-        let mut want_fired = vec![false; tcount];
-        let want = reference::instantaneous_phase(
-            net,
-            marking.to_vec(),
-            carried.to_vec(),
-            &mut want_fired,
-        );
-        let mut fired = vec![false; tcount];
+        let (want, want_fired) = reference_outcomes(net, marking, carried);
+        let mut fired = vec![false; net.transition_count()];
         let got = instantaneous_phase::<false>(
             compiled,
             marking,
@@ -2463,23 +2343,12 @@ mod tests {
             scratch,
             &mut Vec::new(),
         )
-        .map(|_class| {
-            scratch
-                .outcomes(compiled.places)
-                .map(|(m, pending, p)| {
-                    let mut firings = carried.to_vec();
-                    firings.extend(
-                        pending_ids(pending)
-                            .map(|t| (TransId(t), net.transition_delay(TransId(t)))),
-                    );
-                    (State::new(m.to_vec(), firings), p.to_bits())
-                })
-                .collect::<Vec<_>>()
-        });
-        let want = want.map(|dist| {
-            dist.into_iter()
-                .map(|(s, p)| (s, p.to_bits()))
-                .collect::<Vec<_>>()
+        .map(|class| {
+            assert!(
+                !matches!(class, Class::Folded(_)),
+                "a kernel phase is folded"
+            );
+            scratch_outcomes(net, compiled, scratch, carried)
         });
         assert_eq!(got, want, "from {marking:?} carrying {carried:?}");
         assert_eq!(fired, want_fired, "from {marking:?} carrying {carried:?}");
@@ -2749,7 +2618,9 @@ mod tests {
     /// the run that keeps it, and the memo notes and keeps classes — each
     /// kept one with its lumped fold, whose words count toward the cap as
     /// the phase's do — only up to its byte cap, then stops growing, while
-    /// every phase still matches the reference kernel.
+    /// every phase still matches the reference kernel: the noting run's
+    /// and the keeping run's, whose outcomes the fold leaves in the
+    /// scratch.
     #[test]
     fn memo_stops_growing_at_its_cap() {
         let mut net = Net::new("coins");
@@ -2781,8 +2652,14 @@ mod tests {
             // The kernel's run notes the class; the lumped fold's run
             // keeps it, and keeps its fold beside it.
             assert_kernels_agree(&net, &compiled, &mut w.phase, &[big, 8], &[]);
+            let (want, want_fired) = reference_outcomes(&net, &[big, 8], &[]);
             let mut out = Expansion::new(compiled.places);
-            crate::lump::fold::<false>(&compiled, &[big, 8], 0, &mut w, &mut out).unwrap();
+            w.fired.fill(false);
+            let folded = crate::lump::fold::<false>(&compiled, &[big, 8], 0, &mut w, &mut out);
+            assert_eq!(w.phase.fold_hits, 0, "the scratch holds the keeping run");
+            let got = folded.map(|()| scratch_outcomes(&net, &compiled, &w.phase, &[]));
+            assert_eq!(got, want, "the keeping run from {big}");
+            assert_eq!(w.fired, want_fired, "the keeping run from {big}");
             let memo = &w.phase.memo;
             let bytes = memo.bytes();
             assert!(bytes < 2 * MEMO_CAP_BYTES, "{bytes} bytes");
