@@ -6,9 +6,10 @@
 //! order and is byte-identical to a sequential run (`--sequential` or
 //! `HSIPC_SWEEP=1` forces one; `HSIPC_SWEEP=<n>` sets the worker count).
 //!
-//! `--timing` additionally reports wall-clock, cache statistics and the
-//! exact solver's stage ledger (`gtpn::engine::stage_totals`) on stderr —
-//! stdout stays byte-identical either way. `repro` writes no files.
+//! `--timing` additionally reports wall-clock, cache statistics, the
+//! exact solver's stage ledger (`gtpn::engine::stage_totals`) and the
+//! process's peak resident memory on stderr — stdout stays byte-identical
+//! either way. `repro` writes no files.
 
 use hsipc::livesweep::SweepSpec;
 use runtime::{Architecture, ClockMode, Config, Locality};
@@ -177,12 +178,26 @@ fn main() -> ExitCode {
             stages.fold_hits,
             stages.phase_configs
         );
+        eprintln!("peak resident memory: {}", peak_resident());
     }
     if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// The process's peak resident set so far — `VmHWM` in
+/// `/proc/self/status` — in MiB, or `unknown` where that cannot be read.
+fn peak_resident() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+            Some(format!("{:.1} MiB", kib / 1024.0))
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Rejects any set `HSIPC_*` variable that is not one of [`KNOBS`], naming

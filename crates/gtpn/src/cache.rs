@@ -42,6 +42,7 @@
 use crate::compiled::Shape;
 use crate::error::GtpnError;
 use crate::lru::BoundedLru;
+use crate::lump::Rows;
 use crate::net::Net;
 use crate::par::ParallelBudget;
 use crate::reach::{Packed, ReachabilityGraph, Skeleton};
@@ -309,7 +310,7 @@ pub(crate) struct Chain {
     pub(crate) graph: ReachabilityGraph,
     /// The lumped chain's rows of conditional expectations; empty for a
     /// raw chain.
-    pub(crate) rows: Vec<f64>,
+    pub(crate) rows: Rows,
 }
 
 /// Builds the raw or `lumped` chain of `net` within `max_states` states,
@@ -368,11 +369,11 @@ pub(crate) fn build_chain(
         }
         Plan::Record => {
             graph.build.records = 1;
-            let skeleton = Arc::new(Skeleton::new(&graph, tape, lumped));
+            let skeleton = Arc::new(Skeleton::new(&graph, tape, lumped.then_some(&rows)));
             lock(store).shelve(shelf(Sighting::Recorded(skeleton)));
         }
         Plan::Sight => {
-            let least = Skeleton::least_bytes(&graph);
+            let least = Skeleton::least_bytes(&graph, &rows);
             lock(store).shelve(shelf(Sighting::Seen { least }));
         }
         Plan::Build => {}
@@ -387,13 +388,13 @@ pub(crate) fn fresh(
     max_states: usize,
     par: &ParallelBudget,
     record: bool,
-) -> Result<(ReachabilityGraph, Vec<f64>, Packed), GtpnError> {
+) -> Result<(ReachabilityGraph, Rows, Packed), GtpnError> {
     if lumped {
         let (chain, tape) = crate::lump::lumped_chain(net, max_states, par, record)?;
         Ok((chain.graph, chain.rows, tape))
     } else {
         let (graph, tape) = crate::reach::raw_chain(net, max_states, par, record)?;
-        Ok((graph, Vec::new(), tape))
+        Ok((graph, Rows::default(), tape))
     }
 }
 
@@ -466,8 +467,7 @@ mod tests {
         let (graph, rows, _) =
             fresh(net, lumped, 10_000, &ParallelBudget::serial(), false).unwrap();
         assert_graphs_identical(&chain.graph, &graph);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&chain.rows), bits(&rows), "rows drifted");
+        assert_eq!(chain.rows.bits(), rows.bits(), "rows drifted");
     }
 
     /// A shape is shelved as a sighting on its first build, recorded on
@@ -625,7 +625,7 @@ mod tests {
         let skeleton = || {
             let (graph, _, tape) =
                 fresh(&net, false, 100, &ParallelBudget::serial(), true).unwrap();
-            Arc::new(Skeleton::new(&graph, tape, false))
+            Arc::new(Skeleton::new(&graph, tape, None))
         };
         let (first, second) = (skeleton(), skeleton());
         let mut s = SkeletonStore::new(CacheLimits {

@@ -58,7 +58,7 @@
 //!   different trajectories, so they agree to solver tolerance (exact) or
 //!   to sampling error (DES), not bit for bit.
 
-use crate::cache::{CacheLimits, CacheStats, SkeletonStore, StoreStats};
+use crate::cache::{CacheLimits, CacheStats, Chain, SkeletonStore, StoreStats};
 use crate::error::GtpnError;
 use crate::lru::BoundedLru;
 use crate::lump::LumpSel;
@@ -216,9 +216,15 @@ pub struct StageLedger {
 }
 
 impl StageLedger {
-    /// The ledger of one exact run: `graph`'s build record plus the solve
-    /// and de-lump stages timed by the caller.
-    fn of(graph: &ReachabilityGraph, solution: &Solution, solve_s: f64, delump_s: f64) -> Self {
+    /// The ledger of one exact run: `graph`'s build record, its `edges`
+    /// as built, and the solve and de-lump stages timed by the caller.
+    fn of(
+        graph: &ReachabilityGraph,
+        edges: usize,
+        solution: &Solution,
+        solve_s: f64,
+        delump_s: f64,
+    ) -> Self {
         StageLedger {
             net_compile_s: graph.build.net_compile_s,
             bfs_s: graph.build.bfs_s,
@@ -229,7 +235,7 @@ impl StageLedger {
             records: graph.build.records,
             fallbacks: graph.build.fallbacks,
             states: graph.state_count() as u64,
-            edges: graph.edge_count() as u64,
+            edges: edges as u64,
             sweeps: solution.iterations() as u64,
             phase_calls: graph.build.phase_calls,
             phase_configs: graph.build.phase_configs,
@@ -409,6 +415,12 @@ thread_local! {
 /// per-thread workspace; and fills the measures: de-lumped from a quotient
 /// solution, read off a raw one by the very calls a direct
 /// `net.reachability(..)?.solve(..)` caller makes, so the bits agree.
+///
+/// A chain too large to solve directly is held once: the sweeps read the
+/// workspace's transpose, so the graph's out-edges go as soon as it is
+/// loaded, and a lumped chain's markings, which nothing after the build
+/// reads, go before. Both are gone before the sweeps allocate anything.
+/// The graph never leaves this function.
 fn exact(
     store: &Mutex<SkeletonStore>,
     net: &Net,
@@ -416,15 +428,26 @@ fn exact(
     par: &ParallelBudget,
 ) -> Result<AnalysisData, GtpnError> {
     let lumped = cfg.lump.enabled() && crate::lump::lumpable(net);
-    let chain = crate::cache::build_chain(store, net, lumped, cfg.state_budget, par)?;
-    let graph = &chain.graph;
+    let Chain { mut graph, rows } =
+        crate::cache::build_chain(store, net, lumped, cfg.state_budget, par)?;
+    let edges = graph.edge_count();
     let built = Instant::now();
-    let solution = WORKSPACE.with(|ws| {
-        Solution::solve_with(graph, cfg.tolerance, cfg.max_sweeps, &mut ws.borrow_mut())
-    })?;
+    let solution = match Solution::direct(&graph) {
+        Some(solution) => solution,
+        None => WORKSPACE.with(|ws| {
+            let ws = &mut ws.borrow_mut();
+            if lumped {
+                graph.drop_markings();
+            }
+            ws.load(&graph);
+            graph.drop_edges();
+            Solution::iterate(&graph, cfg.tolerance, cfg.max_sweeps, ws)
+        })?,
+    };
+    let graph = &graph;
     let solved = Instant::now();
     let (mean_tokens, transition_usage) = if lumped {
-        crate::lump::delump(graph, &chain.rows, &solution)
+        crate::lump::delump(&rows, &solution)
     } else {
         (
             (0..net.place_count())
@@ -440,7 +463,13 @@ fn exact(
     } else {
         0.0
     };
-    let stages = StageLedger::of(graph, &solution, (solved - built).as_secs_f64(), delump_s);
+    let stages = StageLedger::of(
+        graph,
+        edges,
+        &solution,
+        (solved - built).as_secs_f64(),
+        delump_s,
+    );
     stage_totals_cell()
         .lock()
         .expect("stage totals poisoned")
@@ -1146,6 +1175,29 @@ mod tests {
         net
     }
 
+    /// Twenty clients cycling through three geometric stages (means `m`,
+    /// `m + 1`, `m + 2`) that share one processor: a lumped state is a
+    /// split of the clients over the stages, C(22, 2) = 231 of them — too
+    /// many to solve directly.
+    fn served_ring(m: f64) -> Net {
+        let mut net = Net::new("served ring");
+        let cpu = net.add_place("Cpu", 1);
+        let stages: Vec<_> = [20, 0, 0]
+            .iter()
+            .enumerate()
+            .map(|(i, &clients)| net.add_place(format!("Stage{i}"), clients))
+            .collect();
+        for (i, &from) in stages.iter().enumerate() {
+            crate::geometric::GeometricStage::new(format!("S{i}"), m + i as f64)
+                .input(from, 1)
+                .held(cpu)
+                .output(stages[(i + 1) % 3], 1)
+                .build(&mut net)
+                .unwrap();
+        }
+        net
+    }
+
     fn lump_engine(lump: LumpSel) -> AnalysisEngine {
         AnalysisEngine::new(EngineConfig {
             backend: BackendSel::Exact,
@@ -1244,6 +1296,33 @@ mod tests {
         })
         .with_cache(0);
         assert!(des.analyze(&net).unwrap().stages().is_none());
+
+        // A lumped chain too large to solve directly drops its markings and
+        // out-edges before the sweeps. The ledger counts its edges as built,
+        // and every measure is that of a solve of the whole chain.
+        let net = served_ring(4.0);
+        let analysis = lump_engine(LumpSel::On)
+            .with_cache(0)
+            .analyze(&net)
+            .unwrap();
+        let (whole, _) =
+            crate::lump::lumped_chain(&net, 10_000, &ParallelBudget::serial(), false).unwrap();
+        assert!(whole.graph.state_count() > crate::solve::DIRECT_MAX_STATES);
+        assert_eq!(analysis.states(), whole.graph.state_count());
+        let ledger = analysis.stages().unwrap();
+        assert_eq!(ledger.edges, whole.graph.edge_count() as u64);
+        let solution = whole.graph.solve(1e-12, 100_000).unwrap();
+        assert_eq!(analysis.iterations(), Some(solution.iterations()));
+        let (mean_tokens, transition_usage) = crate::lump::delump(&whole.rows, &solution);
+        for (p, tokens) in mean_tokens.into_iter().enumerate() {
+            assert_eq!(analysis.mean_tokens(PlaceId(p)).to_bits(), tokens.to_bits());
+        }
+        for (t, usage) in transition_usage.into_iter().enumerate() {
+            assert_eq!(
+                analysis.transition_usage(TransId(t)).to_bits(),
+                usage.to_bits()
+            );
+        }
     }
 
     /// A sweep over one stage's mean is one shape at many rates: the

@@ -47,6 +47,7 @@
 
 use crate::compiled::CompiledNet;
 use crate::error::GtpnError;
+use crate::intern::{hash_words, IndexTable};
 use crate::net::{Net, TransId};
 use crate::par::ParallelBudget;
 use crate::reach::{
@@ -90,36 +91,271 @@ pub(crate) struct LumpedGraph {
     /// (with empty firing multisets), all sojourns 1. Solvers run on it
     /// unchanged.
     pub(crate) graph: ReachabilityGraph,
-    /// One row per state, `transition_count + place_count` wide: first
-    /// `E[c_t | u]`, the expected number of in-progress firings of each
-    /// transition conditioned on the lumped state, then `E[m_p | u]`, the
-    /// expected tangible token count of each place.
-    pub(crate) rows: Vec<f64>,
+    /// Its de-lumping rows.
+    pub(crate) rows: Rows,
+}
+
+/// A lumped chain's de-lumping rows: per state `E[c_t | u]`, the expected
+/// number of in-progress firings of each transition conditioned on the
+/// lumped state (its *usage row*), and `E[m_p | u]`, the expected tangible
+/// token count of each place (its *token row*). Empty for a raw chain.
+///
+/// A usage row is a sum of phase-outcome probabilities over the pending
+/// firings, so the many states whose phases fire alike share one: the
+/// Architecture II chain at n = 12 has 127 distinct usage rows over 76,076
+/// states. Each distinct row is held once, and a state keeps its row's id
+/// beside its own token row. Ids are internal — two builds of one chain may
+/// number its rows differently; a state's values are what they agree on.
+#[derive(Debug, Default)]
+pub(crate) struct Rows {
+    transitions: usize,
+    places: usize,
+    /// The distinct usage rows, `transitions` wide, in first-use order.
+    usage: Vec<f64>,
+    /// Per state, the id of its usage row.
+    ids: Vec<u32>,
+    /// Per state, its token row, `places` wide.
+    tokens: Vec<f64>,
+}
+
+impl Rows {
+    /// Rows of a chain of `net`'s width, with room for `states` states.
+    fn new(net: &Net, states: usize) -> Rows {
+        Rows {
+            transitions: net.transition_count(),
+            places: net.place_count(),
+            usage: Vec::new(),
+            ids: Vec::with_capacity(states),
+            tokens: Vec::with_capacity(states * net.place_count()),
+        }
+    }
+
+    /// State `i`'s usage row.
+    pub(crate) fn usage(&self, i: usize) -> &[f64] {
+        self.usage_row(self.ids[i] as usize)
+    }
+
+    /// State `i`'s token row.
+    pub(crate) fn tokens(&self, i: usize) -> &[f64] {
+        &self.tokens[i * self.places..(i + 1) * self.places]
+    }
+
+    fn usage_row(&self, id: usize) -> &[f64] {
+        &self.usage[id * self.transitions..(id + 1) * self.transitions]
+    }
+
+    /// Appends `usage` as a new distinct row; returns its id.
+    fn add_usage(&mut self, usage: &[f64]) -> u32 {
+        let id = self.usage_rows();
+        self.usage.extend_from_slice(usage);
+        u32::try_from(id).expect("usage rows fit u32")
+    }
+
+    /// The number of distinct usage rows.
+    pub(crate) fn usage_rows(&self) -> usize {
+        self.usage.len() / self.transitions.max(1)
+    }
+
+    /// Every state's usage row and token row, by bit pattern — what two
+    /// builds of one chain must agree on, whatever their ids.
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> Vec<u64> {
+        (0..self.ids.len())
+            .flat_map(|i| self.usage(i).iter().chain(self.tokens(i)))
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    /// What a skeleton records of these rows.
+    pub(crate) fn record(&self) -> RecordedRows {
+        RecordedRows {
+            ids: Packed::collect(self.ids.iter().map(|&id| u64::from(id))),
+            distinct: self.usage_rows(),
+        }
+    }
+
+    /// The least [`record`](Self::record) can hold: a byte per state.
+    pub(crate) fn least_record_bytes(&self) -> usize {
+        self.ids.len()
+    }
+}
+
+/// What a skeleton keeps of a lumped chain's rows: each state's usage-row
+/// id, packed, and the number of distinct rows. The rows themselves are
+/// re-priced ([`RowReplay`]).
+#[derive(Debug)]
+pub(crate) struct RecordedRows {
+    ids: Packed,
+    distinct: usize,
+}
+
+impl RecordedRows {
+    /// Resident bytes.
+    pub(crate) fn bytes(&self) -> usize {
+        self.ids.bytes()
+    }
+}
+
+/// Whether two rows are the same bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The rows of a fresh build as the merge appends them, each state's usage
+/// row de-duplicated by content against the rows before it. The merge runs
+/// in frontier order, so every [`ParallelBudget`] numbers the rows alike.
+pub(crate) struct RowIndex {
+    rows: Rows,
+    /// Finds a distinct usage row by its content hash; `hashes[id]` is row
+    /// `id`'s, kept so that growing the table rehashes nothing.
+    table: IndexTable,
+    hashes: Vec<u64>,
+}
+
+impl RowIndex {
+    pub(crate) fn new(net: &Net) -> RowIndex {
+        RowIndex {
+            rows: Rows::new(net, 0),
+            table: IndexTable::new(),
+            hashes: Vec::new(),
+        }
+    }
+
+    /// The width of a row [`push`](Self::push) takes.
+    pub(crate) fn row_len(&self) -> usize {
+        self.rows.transitions + self.rows.places
+    }
+
+    /// Appends the next state's rows: `row` is its usage row, then its
+    /// token row.
+    pub(crate) fn push(&mut self, row: &[f64]) {
+        let RowIndex {
+            rows,
+            table,
+            hashes,
+        } = self;
+        let (usage, tokens) = row.split_at(rows.transitions);
+        let hash = usage.iter().fold(0, |h, x| {
+            let bits = x.to_bits();
+            hash_words(h, &[bits as u32, (bits >> 32) as u32])
+        });
+        let id = match table.find(hash, |id| same_bits(rows.usage_row(id), usage)) {
+            Some(id) => id as u32,
+            None => {
+                let id = rows.add_usage(usage);
+                hashes.push(hash);
+                table.insert(hash, id as usize, |id| hashes[id]);
+                id
+            }
+        };
+        rows.ids.push(id);
+        rows.tokens.extend_from_slice(tokens);
+    }
+
+    pub(crate) fn finish(self) -> Rows {
+        let mut rows = self.rows;
+        rows.usage.shrink_to_fit();
+        rows.ids.shrink_to_fit();
+        rows.tokens.shrink_to_fit();
+        rows
+    }
+}
+
+/// A replay's rows, sized up front. The replay hashes nothing: it follows
+/// the recording's ids. Ids are numbered in first-use order, so the
+/// replayed table starts as the recorded one, its row `r` re-priced at the
+/// first state the recording gave id `r`. A later state of id `r` is
+/// checked against that row, bit for bit. Rows equal at the recording's
+/// rates may differ at the replay's, so a row that fails the check is
+/// appended with an id of its own.
+pub(crate) struct RowReplay<'a> {
+    recorded: &'a RecordedRows,
+    rows: Rows,
+    /// Recorded ids re-priced so far: `0..seen`.
+    seen: usize,
+    /// A later state's usage row, to check.
+    usage: Vec<f64>,
+}
+
+impl<'a> RowReplay<'a> {
+    /// The rows of a replay of `recorded`'s chain, a chain of `net` with
+    /// `states` states.
+    pub(crate) fn new(net: &Net, recorded: &'a RecordedRows, states: usize) -> RowReplay<'a> {
+        let mut rows = Rows::new(net, states);
+        rows.usage.resize(recorded.distinct * rows.transitions, 0.0);
+        rows.tokens.resize(states * rows.places, 0.0);
+        RowReplay {
+            recorded,
+            usage: vec![0.0; rows.transitions],
+            rows,
+            seen: 0,
+        }
+    }
+
+    /// The zeroed usage row to re-price for state `i` — its row in the
+    /// table when the state is the first of its recorded id — and the
+    /// state's zeroed token row.
+    pub(crate) fn state(&mut self, i: usize) -> (&mut [f64], &mut [f64]) {
+        let Rows {
+            transitions,
+            places,
+            usage,
+            tokens,
+            ..
+        } = &mut self.rows;
+        let id = self.recorded.ids.get(i) as usize;
+        debug_assert!(id <= self.seen, "recorded ids are in first-use order");
+        let row = if id == self.seen {
+            &mut usage[id * *transitions..(id + 1) * *transitions]
+        } else {
+            self.usage.fill(0.0);
+            &mut self.usage
+        };
+        (row, &mut tokens[i * *places..(i + 1) * *places])
+    }
+
+    /// Files state `i`'s re-priced usage row, under the id the recording
+    /// gave it unless the check fails.
+    pub(crate) fn file(&mut self, i: usize) {
+        let RowReplay {
+            recorded,
+            rows,
+            seen,
+            usage,
+        } = self;
+        let id = recorded.ids.get(i) as usize;
+        let id = if id == *seen {
+            *seen += 1;
+            id as u32
+        } else if same_bits(rows.usage_row(id), usage) {
+            id as u32
+        } else {
+            rows.add_usage(usage)
+        };
+        rows.ids.push(id);
+    }
+
+    pub(crate) fn finish(self) -> Rows {
+        self.rows
+    }
 }
 
 /// Recovers the raw chain's per-place mean tokens and per-transition usages
-/// — in that order — from the solution of the lumped chain `graph` with
-/// conditional-expectation `rows` ([`LumpedGraph::rows`]):
-/// `measure = Σ_u π̄(u)·E[measure | u]` (exact; module docs).
-pub(crate) fn delump(
-    graph: &ReachabilityGraph,
-    rows: &[f64],
-    solution: &Solution,
-) -> (Vec<f64>, Vec<f64>) {
+/// — in that order — from the solution of a lumped chain with these
+/// de-lumping `rows`: `measure = Σ_u π̄(u)·E[measure | u]` (exact; module
+/// docs).
+pub(crate) fn delump(rows: &Rows, solution: &Solution) -> (Vec<f64>, Vec<f64>) {
     let pi = solution.state_probabilities();
-    let tcount = graph.net.transition_count();
-    let pcount = graph.net.place_count();
-    let mut transition_usage = vec![0.0f64; tcount];
-    let mut mean_tokens = vec![0.0f64; pcount];
-    for (&p, row) in pi.iter().zip(rows.chunks_exact(tcount + pcount)) {
+    let mut transition_usage = vec![0.0f64; rows.transitions];
+    let mut mean_tokens = vec![0.0f64; rows.places];
+    for (i, &p) in pi.iter().enumerate() {
         if p == 0.0 {
             continue;
         }
-        let (urow, trow) = row.split_at(tcount);
-        for (acc, &e) in transition_usage.iter_mut().zip(urow) {
+        for (acc, &e) in transition_usage.iter_mut().zip(rows.usage(i)) {
             *acc += p * e;
         }
-        for (acc, &e) in mean_tokens.iter_mut().zip(trow) {
+        for (acc, &e) in mean_tokens.iter_mut().zip(rows.tokens(i)) {
             *acc += p * e;
         }
     }
@@ -383,20 +619,20 @@ impl FoldReader for Served<'_> {
 
 /// Replays one lumped state's fold from its tape (see [`expand_lumped`]):
 /// `outcomes` are its phase's replayed probabilities, `edges` start at its
-/// first edge with their targets filled in, `row` is its zeroed row. Every
-/// sum is accumulated in the recorded outcome order, as the fold does.
-/// Returns the number of successors.
+/// first edge with their targets filled in, `row` is its zeroed usage row
+/// and token row ([`RowReplay::state`]). Every sum is accumulated in the
+/// recorded outcome order, as the fold does. Returns the number of
+/// successors.
 pub(crate) fn refold(
     tape: &mut Cursor<'_>,
     outcomes: &[f64],
     net: &Net,
     markings: &[u32],
     edges: &mut [(usize, f64)],
-    row: &mut [f64],
+    (usage_row, tokens_row): (&mut [f64], &mut [f64]),
     tokens: &mut Vec<u32>,
 ) -> usize {
     let places = net.place_count();
-    let (usage_row, tokens_row) = row.split_at_mut(net.transition_count());
     let mut successors = 0;
     for &p in outcomes {
         let slot = tape.read();
@@ -453,13 +689,13 @@ pub(crate) fn lumped_chain(
         out.push_successor(&initial, &[], 1.0, state_hash(&initial, &[]));
         Ok(())
     };
-    let row_len = net.transition_count() + net.place_count();
     let expand = if record {
         expand_lumped::<true>
     } else {
         expand_lumped::<false>
     };
-    let (graph, rows, tape) = explore(net, max_states, par, row_len, seed, expand)?;
+    let rows = Some(RowIndex::new(net));
+    let (graph, rows, tape) = explore(net, max_states, par, rows, seed, expand)?;
     Ok((LumpedGraph { graph, rows }, tape))
 }
 
@@ -551,7 +787,7 @@ mod tests {
                 "n={n}: lumped {} > raw {raw_states}",
                 lumped.graph.state_count()
             );
-            let (mean_tokens, transition_usage) = delump(&lumped.graph, &lumped.rows, &sol);
+            let (mean_tokens, transition_usage) = delump(&lumped.rows, &sol);
             let want = raw.resource_usage("lambda").unwrap();
             let got = crate::solve::by_resource(&net, &transition_usage).0["lambda"];
             assert!(
@@ -618,10 +854,11 @@ mod tests {
         let budget = ParallelBudget::new(8);
         let par = reach_lumped_budgeted(&net, 100_000, &budget).unwrap();
         crate::reach::assert_graphs_identical(&serial.graph, &par.graph);
-        assert_eq!(serial.rows.len(), par.rows.len());
-        for (a, b) in serial.rows.iter().zip(&par.rows) {
-            assert_eq!(a.to_bits(), b.to_bits(), "conditional expectation drifted");
-        }
+        assert_eq!(
+            serial.rows.bits(),
+            par.rows.bits(),
+            "conditional expectation drifted"
+        );
         assert_eq!(budget.available(), 7, "expansion must release its leases");
         // Errors agree too: the budget, and a deadlock in a wide level —
         // a processor serving its ring's last stage can crash for good, and
@@ -746,20 +983,15 @@ mod tests {
                     assert_eq!(bits(g.out_edges(i)), bits(&edges[i]), "edges of state {i}");
                 }
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                for (i, row) in got
-                    .rows
-                    .chunks_exact(tcount + net.place_count())
-                    .enumerate()
-                {
-                    let (urow, trow) = row.split_at(tcount);
+                let pcount = net.place_count();
+                for i in 0..states.len() {
                     assert_eq!(
-                        bits(urow),
+                        bits(got.rows.usage(i)),
                         bits(&usage[i * tcount..][..tcount]),
                         "usage {i}"
                     );
-                    let pcount = net.place_count();
                     assert_eq!(
-                        bits(trow),
+                        bits(got.rows.tokens(i)),
                         bits(&tokens[i * pcount..][..pcount]),
                         "tokens {i}"
                     );
@@ -853,7 +1085,6 @@ mod tests {
     #[test]
     fn a_memo_served_recording_replays_to_a_fresh_build() {
         use crate::reach::{assert_graphs_identical, Skeleton};
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (tokens, lumped) in [([2, 2, 2], true), ([1, 1, 1], false)] {
             let build = |net: &Net, record| {
                 crate::cache::fresh(net, lumped, 100_000, &ParallelBudget::serial(), record)
@@ -882,19 +1113,105 @@ mod tests {
             }
             let (plain, plain_rows, _) = build(&net, false);
             assert_graphs_identical(&graph, &plain);
-            assert_eq!(bits(&rows), bits(&plain_rows));
+            assert_eq!(rows.bits(), plain_rows.bits());
             let rates = crate::compiled::Shape::of(&other)
                 .expect("constant rates")
                 .rates;
             let Ok((replayed, replayed_rows)) =
-                Skeleton::new(&graph, tape, lumped).replay(&other, &rates)
+                Skeleton::new(&graph, tape, lumped.then_some(&rows)).replay(&other, &rates)
             else {
                 panic!("no branch of these rings is near the probability floor");
             };
             let (fresh, fresh_rows, _) = build(&other, false);
             assert_graphs_identical(&replayed, &fresh);
-            assert_eq!(bits(&replayed_rows), bits(&fresh_rows), "rows drifted");
+            assert_eq!(replayed_rows.bits(), fresh_rows.bits(), "rows drifted");
         }
+    }
+
+    /// The rings' 21,952 states fire their stages in few ways — a ring's
+    /// usage depends only on which of its three places hold tokens, seven
+    /// ways for six tokens — and each way's usage row is held once.
+    #[test]
+    fn states_share_their_usage_rows() {
+        let lumped = reach_lumped_budgeted(
+            &rings_of([2, 2, 2], 2.0),
+            100_000,
+            &ParallelBudget::serial(),
+        )
+        .unwrap();
+        let (states, rows) = (lumped.graph.state_count(), lumped.rows.usage_rows());
+        assert_eq!((states, rows), (21_952, 7 * 7 * 7));
+    }
+
+    /// One token either works or toggles a flag through a zero-delay
+    /// raise or lower, and `work`'s rate reads the flag: `down` while it is
+    /// down, `up` while it is up. Every lumped state fires `work` or
+    /// `toggle` alone, so their usage rows are one row when `down = up` and
+    /// two otherwise.
+    fn flag(down: f64, up: f64) -> Net {
+        let mut net = Net::new("flag");
+        let p = net.add_place("P", 1);
+        let t = net.add_place("T", 0);
+        let lowered = net.add_place("Down", 1);
+        let raised = net.add_place("Up", 0);
+        let is_down = Expr::Lt(
+            Box::new(Expr::tokens(raised)),
+            Box::new(Expr::constant(1.0)),
+        );
+        let rate = Expr::If(
+            Box::new(is_down),
+            Box::new(Expr::constant(down)),
+            Box::new(Expr::constant(up)),
+        );
+        for transition in [
+            Transition::new("work")
+                .delay(1)
+                .frequency(rate)
+                .input(p, 1)
+                .output(p, 1),
+            Transition::new("toggle").delay(1).input(p, 1).output(t, 1),
+            Transition::new("raise")
+                .delay(0)
+                .input(t, 1)
+                .input(lowered, 1)
+                .output(raised, 1)
+                .output(p, 1),
+            Transition::new("lower")
+                .delay(0)
+                .input(t, 1)
+                .input(raised, 1)
+                .output(lowered, 1)
+                .output(p, 1),
+        ] {
+            net.add_transition(transition).unwrap();
+        }
+        net
+    }
+
+    /// A recording whose states all share one usage row, re-priced at
+    /// rates that tell them apart: each state's replayed rows are the fresh
+    /// build's, bit for bit.
+    #[test]
+    fn a_replay_parts_rows_the_recording_shared() {
+        use crate::reach::{assert_graphs_identical, Skeleton};
+        let build = |net: &Net, record| {
+            crate::cache::fresh(net, true, 100, &ParallelBudget::serial(), record).unwrap()
+        };
+        let (graph, rows, tape) = build(&flag(0.5, 0.5), true);
+        assert_eq!((graph.state_count(), rows.usage_rows()), (4, 1));
+        let other = flag(0.5, 2.0);
+        let rates = crate::compiled::Shape::of(&other)
+            .expect("constant rates")
+            .rates;
+        let Ok((replayed, replayed_rows)) =
+            Skeleton::new(&graph, tape, Some(&rows)).replay(&other, &rates)
+        else {
+            panic!("no branch of the flag net is near the probability floor");
+        };
+        let (fresh, fresh_rows, _) = build(&other, false);
+        assert_eq!(fresh_rows.usage_rows(), 2);
+        assert_graphs_identical(&replayed, &fresh);
+        assert_eq!(replayed_rows.bits(), fresh_rows.bits(), "rows drifted");
     }
 
     #[test]

@@ -35,6 +35,7 @@
 use crate::compiled::CompiledNet;
 use crate::error::GtpnError;
 use crate::intern::{hash_words, IndexTable};
+use crate::lump::{RecordedRows, RowIndex, RowReplay, Rows};
 use crate::net::{Net, PlaceId, TransId};
 use crate::par::ParallelBudget;
 use crate::solve::Solution;
@@ -186,7 +187,7 @@ pub(crate) fn raw_chain(
     } else {
         expand_state::<false>
     };
-    explore(net, max_states, par, 0, seed, expand).map(|(graph, _, tape)| (graph, tape))
+    explore(net, max_states, par, None, seed, expand).map(|(graph, _, tape)| (graph, tape))
 }
 
 /// Expands one tangible state: advance time by its sojourn, then run the
@@ -395,9 +396,9 @@ struct Builder {
     graph: ReachabilityGraph,
     table: IndexTable,
     max_states: usize,
-    /// One row of `row_len` conditional expectations per expanded state.
-    rows: Vec<f64>,
-    row_len: usize,
+    /// A lumped build's rows of conditional expectations, one per expanded
+    /// state.
+    rows: Option<RowIndex>,
     /// The seed's tape, then every expanded state's, in state order.
     tape: Packed,
 }
@@ -452,8 +453,10 @@ impl Builder {
             if record_edges {
                 self.graph.sojourn.push(sojourn);
                 self.graph.edge_offsets.push(self.graph.edges.len());
-                self.rows
-                    .extend_from_slice(&out.rows[s * self.row_len..(s + 1) * self.row_len]);
+                if let Some(rows) = &mut self.rows {
+                    let len = rows.row_len();
+                    rows.push(&out.rows[s * len..(s + 1) * len]);
+                }
             }
         }
         for &word in &out.tape {
@@ -481,7 +484,8 @@ pub(crate) type ExpandFn = fn(
 ///
 /// `seed` fills an expansion whose successors are the chain's first states;
 /// `expand(net, graph, i, worker, out)` then records state `i`'s successors
-/// (and its row of `row_len` conditional expectations) with
+/// (and, in a lumped build, which passes `rows`, its row of conditional
+/// expectations) with
 /// [`Expansion::push_successor`] / [`Expansion::finish_state`]. States are
 /// numbered in discovery order and expanded level by level: a level is
 /// expanded serially, streaming each state straight into the merge, or — when
@@ -491,16 +495,16 @@ pub(crate) type ExpandFn = fn(
 /// rows and the first error reported are those of a serial build — and so
 /// is the tape a recording expander appends to [`Expansion::tape`].
 ///
-/// Returns the graph, the concatenated rows and the tape (empty unless the
-/// expanders record).
+/// Returns the graph, the rows (empty unless `rows` was given) and the tape
+/// (empty unless the expanders record).
 pub(crate) fn explore(
     net: &Net,
     max_states: usize,
     par: &ParallelBudget,
-    row_len: usize,
+    rows: Option<RowIndex>,
     seed: impl FnOnce(&CompiledNet, &mut Worker, &mut Expansion) -> Result<(), GtpnError>,
     expand: ExpandFn,
-) -> Result<(ReachabilityGraph, Vec<f64>, Packed), GtpnError> {
+) -> Result<(ReachabilityGraph, Rows, Packed), GtpnError> {
     net.validate()?;
     let started = Instant::now();
     let compiled = CompiledNet::new(net);
@@ -520,8 +524,7 @@ pub(crate) fn explore(
         },
         table: IndexTable::new(),
         max_states,
-        rows: Vec::new(),
-        row_len,
+        rows,
         tape: Packed::default(),
     };
     let mut workers = vec![Worker::new(&compiled)];
@@ -582,6 +585,7 @@ pub(crate) fn explore(
     graph.edge_offsets.shrink_to_fit();
     graph.edges.shrink_to_fit();
     graph.sojourn.shrink_to_fit();
+    let rows = rows.map_or_else(Rows::default, RowIndex::finish);
     // `fired` is the union of every worker's record (commutative, so which
     // worker expanded what cannot matter); the counts are plain sums.
     graph.fired = vec![false; compiled.transitions.len()];
@@ -723,6 +727,21 @@ impl ReachabilityGraph {
         Solution::solve(self, tolerance, max_sweeps)
     }
 
+    /// Frees the markings, for a solve that reads none: a lumped chain's
+    /// measures come from its rows. [`marking`](Self::marking) panics
+    /// afterwards.
+    pub(crate) fn drop_markings(&mut self) {
+        release(&mut self.markings);
+    }
+
+    /// Frees the out-edges once the solver holds its own transpose.
+    /// [`out_edges`](Self::out_edges) panics and
+    /// [`edge_count`](Self::edge_count) is 0 afterwards.
+    pub(crate) fn drop_edges(&mut self) {
+        release(&mut self.edge_offsets);
+        release(&mut self.edges);
+    }
+
     /// Resident bytes of this graph. Sums the flat arrays' capacities; only
     /// the retained net is an estimate.
     pub fn resident_bytes(&self) -> usize {
@@ -781,6 +800,21 @@ impl ReachabilityGraph {
             .map(|(i, &p)| p * f64::from(self.marking(i)[place.0]))
             .sum()
     }
+}
+
+/// Frees `v`'s memory ahead of the allocations of a solve: shrunk to one
+/// element first, then dropped. glibc's allocator takes the size of a
+/// freed block it had mapped on its own as its new threshold for mapping
+/// blocks, so freeing the n = 12 chain's 15 MB of out-edges whole would
+/// send every later block under 15 MB — the sweeps' vectors, Anderson's
+/// window — to a heap it then trims only past 30 MB free: 12 MB more stays
+/// resident until the process exits, and exiting takes 0.7 ms longer
+/// (measured). Shrinking a mapped block remaps it, which moves no
+/// threshold.
+fn release<T>(v: &mut Vec<T>) {
+    v.clear();
+    v.shrink_to(1);
+    *v = Vec::new();
 }
 
 /// Fixed-stride configuration keys with their probabilities; the stride is
@@ -1573,7 +1607,7 @@ impl Default for Packed {
 }
 
 impl Packed {
-    fn collect(values: impl IntoIterator<Item = u64>) -> Packed {
+    pub(crate) fn collect(values: impl IntoIterator<Item = u64>) -> Packed {
         let mut packed = Packed::default();
         for v in values {
             packed.push(v);
@@ -1619,7 +1653,7 @@ impl Packed {
         }
     }
 
-    fn get(&self, i: usize) -> u64 {
+    pub(crate) fn get(&self, i: usize) -> u64 {
         match self {
             Packed::U8(v) => v[i].into(),
             Packed::U16(v) => v[i].into(),
@@ -1637,7 +1671,7 @@ impl Packed {
         }
     }
 
-    fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         match self {
             Packed::U8(v) => v.capacity(),
             Packed::U16(v) => 2 * v.capacity(),
@@ -1799,8 +1833,9 @@ fn merge<W: Copy + Into<u64>>(words: &[W], at: &mut usize, src: &[f64], dst: &mu
 /// (the replay re-derives them).
 #[derive(Debug)]
 pub(crate) struct Skeleton {
-    /// Whether this is the lumped chain of [`crate::lump`].
-    lumped: bool,
+    /// For the lumped chain of [`crate::lump`], what it keeps of its rows;
+    /// `None` for a raw chain.
+    rows: Option<RecordedRows>,
     markings: Packed,
     firing_offsets: Packed,
     firings: Box<[(TransId, u64)]>,
@@ -1813,12 +1848,16 @@ pub(crate) struct Skeleton {
 }
 
 impl Skeleton {
-    /// The skeleton of `graph`, built with `tape` recorded; `lumped` says
-    /// whether it is the lumped chain.
-    pub(crate) fn new(graph: &ReachabilityGraph, mut tape: Packed, lumped: bool) -> Skeleton {
+    /// The skeleton of `graph`, built with `tape` recorded; `lumped` holds
+    /// its rows when it is the lumped chain.
+    pub(crate) fn new(
+        graph: &ReachabilityGraph,
+        mut tape: Packed,
+        lumped: Option<&Rows>,
+    ) -> Skeleton {
         tape.shrink_to_fit();
         Skeleton {
-            lumped,
+            rows: lumped.map(Rows::record),
             markings: Packed::collect(graph.markings.iter().map(|&m| u64::from(m))),
             firing_offsets: Packed::collect(graph.firing_offsets.iter().map(|&o| o as u64)),
             firings: graph.firings.clone().into_boxed_slice(),
@@ -1831,12 +1870,13 @@ impl Skeleton {
         }
     }
 
-    /// The least a skeleton of `graph` can hold, known before it is
-    /// recorded: a byte per value, and per phase configuration at least
-    /// two tape words — its enabled count and, unless it is a phase's
-    /// first, its merge destination.
-    pub(crate) fn least_bytes(graph: &ReachabilityGraph) -> usize {
+    /// The least a skeleton of `graph`, with these `rows`, can hold, known
+    /// before it is recorded: a byte per value, and per phase configuration
+    /// at least two tape words — its enabled count and, unless it is a
+    /// phase's first, its merge destination.
+    pub(crate) fn least_bytes(graph: &ReachabilityGraph, rows: &Rows) -> usize {
         std::mem::size_of::<Skeleton>()
+            + rows.least_record_bytes()
             + graph.markings.len()
             + graph.firing_offsets.len()
             + graph.edges.len()
@@ -1854,6 +1894,7 @@ impl Skeleton {
     /// Resident bytes — what the store bounds.
     pub(crate) fn bytes(&self) -> usize {
         std::mem::size_of::<Skeleton>()
+            + self.rows.as_ref().map_or(0, RecordedRows::bytes)
             + self.markings.bytes()
             + self.firing_offsets.bytes()
             + std::mem::size_of::<(TransId, u64)>() * self.firings.len()
@@ -1864,8 +1905,9 @@ impl Skeleton {
     }
 
     /// The chain of `net` — of this skeleton's shape — under `rates`, and
-    /// its rows when lumped: bit for bit what a fresh build returns. The
-    /// build record counts one replay and the skeleton's phase work.
+    /// its rows when lumped: bit for bit what a fresh build returns, every
+    /// state's rows included. The build record counts one replay and the
+    /// skeleton's phase work.
     ///
     /// # Errors
     ///
@@ -1875,7 +1917,7 @@ impl Skeleton {
         &self,
         net: &Net,
         rates: &[f64],
-    ) -> Result<(ReachabilityGraph, Vec<f64>), FloorMoved> {
+    ) -> Result<(ReachabilityGraph, Rows), FloorMoved> {
         let mut tape = Cursor {
             tape: &self.tape,
             at: 0,
@@ -1886,14 +1928,9 @@ impl Skeleton {
         let mut edges = self.targets.unpack(|j| (j as usize, 0.0));
         let mut edge_offsets = Vec::with_capacity(states + 1);
         edge_offsets.push(0);
-        let row_len = if self.lumped {
-            net.transition_count() + net.place_count()
-        } else {
-            0
-        };
-        let mut rows = vec![0.0; states * row_len];
+        let mut rows = self.rows.as_ref().map(|r| RowReplay::new(net, r, states));
         let mut scratch = Vec::new();
-        if !self.lumped {
+        if rows.is_none() {
             // The raw chain's seed phase: its outcomes are the first
             // states, so only its floor decisions matter.
             phase.phase(&mut tape, rates)?;
@@ -1901,21 +1938,26 @@ impl Skeleton {
         for si in 0..states {
             phase.phase(&mut tape, rates)?;
             let first = *edge_offsets.last().expect("offsets start at 0");
-            let successors = if self.lumped {
-                crate::lump::refold(
-                    &mut tape,
-                    &phase.out,
-                    net,
-                    &markings,
-                    &mut edges[first..],
-                    &mut rows[si * row_len..(si + 1) * row_len],
-                    &mut scratch,
-                )
-            } else {
-                for (edge, &p) in edges[first..].iter_mut().zip(&phase.out) {
-                    edge.1 = p;
+            let successors = match &mut rows {
+                Some(rows) => {
+                    let successors = crate::lump::refold(
+                        &mut tape,
+                        &phase.out,
+                        net,
+                        &markings,
+                        &mut edges[first..],
+                        rows.state(si),
+                        &mut scratch,
+                    );
+                    rows.file(si);
+                    successors
                 }
-                phase.out.len()
+                None => {
+                    for (edge, &p) in edges[first..].iter_mut().zip(&phase.out) {
+                        edge.1 = p;
+                    }
+                    phase.out.len()
+                }
             };
             edge_offsets.push(first + successors);
         }
@@ -1936,7 +1978,7 @@ impl Skeleton {
                 ..BuildStats::default()
             },
         };
-        Ok((graph, rows))
+        Ok((graph, rows.map_or_else(Rows::default, RowReplay::finish)))
     }
 }
 

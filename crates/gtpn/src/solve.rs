@@ -32,6 +32,10 @@ use std::collections::{HashMap, VecDeque};
 /// worker thread, so those buffers are reused across points. The solution
 /// vector itself is always freshly allocated — it is moved into the
 /// returned [`Solution`].
+///
+/// Once [`load`](Self::load)ed, the workspace is all the sweeps read of
+/// the chain's edges: the engine drops the graph's own out-edges before
+/// they start.
 #[derive(Debug, Default)]
 pub(crate) struct SolveWorkspace {
     /// The transposed chain in compressed-sparse-row form: the edges into
@@ -59,7 +63,7 @@ impl SolveWorkspace {
     /// prefix sums, then one pass over the sources in ascending order — so
     /// every in-list comes out in source-ascending, edge order, the order
     /// the Gauss–Seidel inflow sums have always added in.
-    fn load(&mut self, graph: &ReachabilityGraph) {
+    pub(crate) fn load(&mut self, graph: &ReachabilityGraph) {
         let n = graph.state_count();
         assert!(
             u32::try_from(graph.edge_count()).is_ok() && u32::try_from(n).is_ok(),
@@ -134,43 +138,55 @@ pub struct Solution {
 }
 
 impl Solution {
+    /// Solves `graph` directly when it is small enough
+    /// ([`direct`](Self::direct)), by Gauss–Seidel sweeps
+    /// ([`iterate`](Self::iterate)) otherwise.
     pub(crate) fn solve(
         graph: &ReachabilityGraph,
         tolerance: f64,
         max_sweeps: usize,
     ) -> Result<Solution, GtpnError> {
-        Solution::solve_with(graph, tolerance, max_sweeps, &mut SolveWorkspace::new())
+        if let Some(solution) = Solution::direct(graph) {
+            return Ok(solution);
+        }
+        let mut ws = SolveWorkspace::new();
+        ws.load(graph);
+        Solution::iterate(graph, tolerance, max_sweeps, &ws)
     }
 
-    /// As [`solve`](Self::solve), through `ws`'s reusable buffers. The
-    /// Gauss–Seidel iteration starts from the uniform vector.
-    pub(crate) fn solve_with(
+    /// The exact solution of a chain of at most [`DIRECT_MAX_STATES`]
+    /// states; `None` for a larger chain, or when elimination degenerates,
+    /// which leaves the chain to [`iterate`](Self::iterate).
+    ///
+    /// The §6.6.3 fixed-point models produce tiny (tens of states) but
+    /// numerically stiff chains — geometric stages with means in the
+    /// thousands — on which the Gauss–Seidel residual oscillates over
+    /// orders of magnitude and any local stopping rule can fire 10³ short
+    /// of the requested accuracy (observed: δ = 7e-12 with true error
+    /// 1.5e-8). One dense LU is exact, deterministic, and replaces tens of
+    /// thousands of sweeps on exactly the solver critical path.
+    pub(crate) fn direct(graph: &ReachabilityGraph) -> Option<Solution> {
+        let n = graph.state_count();
+        assert!(n > 0, "empty reachability graph");
+        if n > DIRECT_MAX_STATES {
+            return None;
+        }
+        let (pi, residual) = solve_direct(graph)?;
+        Some(finish(graph, pi, 1, residual))
+    }
+
+    /// The Gauss–Seidel solve of the chain `ws` holds
+    /// ([`SolveWorkspace::load`]), from the uniform vector. Of `graph`, the
+    /// same chain, only the sojourns, firings and net are read — for the
+    /// time weighting — never its out-edges or markings.
+    pub(crate) fn iterate(
         graph: &ReachabilityGraph,
         tolerance: f64,
         max_sweeps: usize,
-        ws: &mut SolveWorkspace,
+        ws: &SolveWorkspace,
     ) -> Result<Solution, GtpnError> {
         let n = graph.state_count();
-        assert!(n > 0, "empty reachability graph");
-
-        // Small graphs are solved exactly. The §6.6.3 fixed-point models
-        // produce tiny (tens of states) but numerically stiff chains —
-        // geometric stages with means in the thousands — on which the
-        // Gauss–Seidel residual oscillates over orders of magnitude and
-        // any local stopping rule can fire 10³ short of the requested
-        // accuracy (observed: δ = 7e-12 with true error 1.5e-8). One
-        // dense LU is exact, deterministic, and replaces tens of
-        // thousands of sweeps on exactly the solver critical path.
-        if n <= DIRECT_MAX_STATES {
-            if let Some((pi, residual)) = solve_direct(graph) {
-                return Ok(finish(graph, pi, 1, residual));
-            }
-        }
-
-        // Incoming edge lists with self-loop separation, built into the
-        // workspace's reusable buffers.
-        ws.load(graph);
-        let ws = &*ws;
+        assert_eq!(ws.self_loop.len(), n, "the workspace holds another chain");
         let self_loop = &ws.self_loop;
 
         let mut pi = vec![1.0 / n as f64; n];
@@ -241,9 +257,7 @@ impl Solution {
             // tracking, mixing stops — a mixed step there could only
             // perturb the endgame with rounding noise.
             if iterations >= AA_WARMUP && !forward && residual >= tolerance * 1e-2 {
-                if let Some(cand) = aa.mix(&x_pre, &pi, residual) {
-                    pi = cand;
-                }
+                aa.mix(&x_pre, &mut pi, residual);
             }
         }
         if !converged {
@@ -252,6 +266,11 @@ impl Solution {
                 iterations,
             });
         }
+        // Free the window before `finish` allocates the result: a result
+        // placed above it on the heap would keep the allocator from
+        // returning the window's pages, which then stay resident until the
+        // process exits.
+        drop((aa, x_pre));
         Ok(finish(graph, pi, iterations, residual))
     }
 }
@@ -262,7 +281,7 @@ impl Solution {
 /// graph the §6.6.3 fixed point solves at the paper's conversation counts,
 /// which is where the stiff chains live. Larger graphs stay on the sparse
 /// iterative solver.
-const DIRECT_MAX_STATES: usize = 128;
+pub(crate) const DIRECT_MAX_STATES: usize = 128;
 
 /// Depth of Anderson mixing: an accelerated step combines up to
 /// `AA_DEPTH + 1` of the most recent sweep images.
@@ -325,11 +344,20 @@ const AA_ALPHA_CAP: f64 = 1e6;
 /// stays bit-reproducible. A degenerate least-squares system or a candidate
 /// that fails the probability-vector guards resets the window; the solve
 /// falls back to plain sweeps while it refills.
+///
+/// A mix allocates nothing once the window is full: the pair it drops
+/// makes room for the new one, a reset keeps the window's vectors for the
+/// refill, and the candidate is built in a vector that trades places with
+/// the caller's iterate.
 struct Anderson {
     /// Sweep residuals `f_j = g(x_j) − x_j`, oldest first.
     fs: VecDeque<Vec<f64>>,
     /// Images `g(x_j)`, aligned with `fs`.
     gxs: VecDeque<Vec<f64>>,
+    /// Vectors a reset took out of the window, for the next pairs.
+    free: Vec<Vec<f64>>,
+    /// Where the next candidate is built.
+    cand: Vec<f64>,
     /// Gram rows: `gram[a][b] = f_a · f_b`, maintained incrementally (one
     /// new row of dot products per call, not a full rebuild).
     gram: VecDeque<Vec<f64>>,
@@ -350,6 +378,8 @@ impl Anderson {
         Anderson {
             fs: VecDeque::new(),
             gxs: VecDeque::new(),
+            free: Vec::new(),
+            cand: Vec::new(),
             gram: VecDeque::new(),
             best: f64::INFINITY,
             since_best: 0,
@@ -360,15 +390,24 @@ impl Anderson {
     }
 
     fn reset(&mut self) {
-        self.fs.clear();
-        self.gxs.clear();
+        self.free.extend(self.fs.drain(..));
+        self.free.extend(self.gxs.drain(..));
         self.gram.clear();
     }
 
-    /// Records one `(x, g(x))` pair and returns the mixed iterate, or
-    /// `None` while the window is too shallow or when the least-squares
-    /// system degenerates (which resets the window).
-    fn mix(&mut self, x: &[f64], gx: &[f64], residual: f64) -> Option<Vec<f64>> {
+    /// Records one `(x, g(x))` pair and replaces `gx` with the mixed
+    /// iterate. Leaves `gx` as it is while the window is too shallow or
+    /// when the least-squares system degenerates (which resets the
+    /// window).
+    fn mix(&mut self, x: &[f64], gx: &mut Vec<f64>, residual: f64) {
+        if self.candidate(x, gx, residual).is_some() {
+            std::mem::swap(gx, &mut self.cand);
+        }
+    }
+
+    /// [`mix`](Self::mix)'s work: records the pair and builds the mixed
+    /// iterate in `cand`, or returns `None`.
+    fn candidate(&mut self, x: &[f64], gx: &[f64], residual: f64) -> Option<()> {
         if self.disabled {
             return None;
         }
@@ -397,15 +436,20 @@ impl Anderson {
             }
         }
         let n = x.len();
-        let f: Vec<f64> = gx.iter().zip(x).map(|(g, x)| g - x).collect();
-        if self.fs.len() == AA_DEPTH + 1 {
-            self.fs.pop_front();
-            self.gxs.pop_front();
+        let (f, g) = if self.fs.len() == AA_DEPTH + 1 {
             self.gram.pop_front();
             for row in self.gram.iter_mut() {
                 row.remove(0);
             }
-        }
+            (self.fs.pop_front(), self.gxs.pop_front())
+        } else {
+            (self.free.pop(), self.free.pop())
+        };
+        let (mut f, mut g) = (f.unwrap_or_default(), g.unwrap_or_default());
+        f.clear();
+        f.extend(gx.iter().zip(x).map(|(g, x)| g - x));
+        g.clear();
+        g.extend_from_slice(gx);
         let new_row: Vec<f64> = self
             .fs
             .iter()
@@ -417,7 +461,7 @@ impl Anderson {
         }
         self.gram.push_back(new_row);
         self.fs.push_back(f);
-        self.gxs.push_back(gx.to_vec());
+        self.gxs.push_back(g);
         let m = self.fs.len();
         if m < 2 {
             return None;
@@ -465,7 +509,9 @@ impl Anderson {
         }
         let (lo, alpha) = chosen?;
         // Candidate: Σ α_j g(x_j) over the chosen suffix.
-        let mut cand = vec![0.0f64; n];
+        let cand = &mut self.cand;
+        cand.clear();
+        cand.resize(n, 0.0);
         for (j, &aj) in alpha.iter().enumerate() {
             for (c, &v) in cand.iter_mut().zip(&self.gxs[lo + j]) {
                 *c += aj * v;
@@ -474,24 +520,25 @@ impl Anderson {
         // A probability vector or nothing: clamp rounding-level negatives,
         // reject real ones, renormalize.
         let mut total = 0.0f64;
+        let mut rejected = false;
         for v in cand.iter_mut() {
             if !v.is_finite() || *v < -1e-8 {
-                self.reset();
-                return None;
+                rejected = true;
+                break;
             }
             if *v < 0.0 {
                 *v = 0.0;
             }
             total += *v;
         }
-        if !total.is_finite() || total <= 0.5 {
+        if rejected || !total.is_finite() || total <= 0.5 {
             self.reset();
             return None;
         }
-        for v in cand.iter_mut() {
+        for v in self.cand.iter_mut() {
             *v /= total;
         }
-        Some(cand)
+        Some(())
     }
 }
 
