@@ -1027,7 +1027,7 @@ mod tests {
     /// and its fold with it — 21,952 states whose rings' processors gate
     /// every stage, so a phase's class ignores how many tokens wait behind
     /// them — and the chain is still the reference build's bit for bit,
-    /// token rows included.
+    /// token rows included, its usage rows held once each.
     #[test]
     fn memo_served_build_matches_reference() {
         let lumped =
@@ -1042,6 +1042,10 @@ mod tests {
             build.phase_calls
         );
         assert!(build.fold_hits <= build.phase_hits);
+        // The states fire their stages in few ways — a ring's usage depends
+        // only on which of its three places hold tokens, seven ways for six
+        // tokens — and each way's usage row is held once.
+        assert_eq!(lumped.rows.usage_rows(), 7 * 7 * 7);
     }
 
     /// A class whose fold fails — an outcome with nothing in progress — is
@@ -1126,21 +1130,6 @@ mod tests {
             assert_graphs_identical(&replayed, &fresh);
             assert_eq!(replayed_rows.bits(), fresh_rows.bits(), "rows drifted");
         }
-    }
-
-    /// The rings' 21,952 states fire their stages in few ways — a ring's
-    /// usage depends only on which of its three places hold tokens, seven
-    /// ways for six tokens — and each way's usage row is held once.
-    #[test]
-    fn states_share_their_usage_rows() {
-        let lumped = reach_lumped_budgeted(
-            &rings_of([2, 2, 2], 2.0),
-            100_000,
-            &ParallelBudget::serial(),
-        )
-        .unwrap();
-        let (states, rows) = (lumped.graph.state_count(), lumped.rows.usage_rows());
-        assert_eq!((states, rows), (21_952, 7 * 7 * 7));
     }
 
     /// One token either works or toggles a flag through a zero-delay
