@@ -40,13 +40,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod sim;
 
 pub mod timings;
 
 pub use sim::{Metrics, Simulation, TraceSegment};
-pub use timings::{Activity, ActivityKind, Architecture, Initiator, Locality, Processor};
+pub use timings::{Architecture, Locality};
+
+use gtpn::sim::splitmix64;
 
 /// Workload parameters (§6.3 / §4.8).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +106,7 @@ impl Replicated {
 }
 
 /// Runs `replications` independent simulations of `spec` (seeds derived
-/// from `spec.seed` by a SplitMix64 scramble, so replication *r* is the
+/// from `spec.seed` by [`gtpn::sim::splitmix64`], so replication *r* is the
 /// same run no matter the batch size) and aggregates their throughputs.
 pub fn replicate(
     arch: Architecture,
@@ -112,16 +115,10 @@ pub fn replicate(
     replications: usize,
 ) -> Replicated {
     let replications = replications.max(2);
-    let scramble = |z: u64| {
-        let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
     let samples: Vec<f64> = (0..replications)
         .map(|r| {
             let rep = WorkloadSpec {
-                seed: scramble(spec.seed ^ scramble(r as u64 + 1)),
+                seed: splitmix64(spec.seed ^ splitmix64(r as u64 + 1)),
                 ..*spec
             };
             Simulation::with_hosts(arch, &rep, hosts)

@@ -264,13 +264,8 @@ impl Simulation {
     }
 
     /// Enables recording of processor-occupancy segments (Figure 4.6).
-    pub fn enable_trace(&mut self) {
+    pub(crate) fn enable_trace(&mut self) {
         self.trace = Some(Vec::new());
-    }
-
-    /// The recorded trace (empty unless [`Simulation::enable_trace`]).
-    pub fn trace(&self) -> &[TraceSegment] {
-        self.trace.as_deref().unwrap_or(&[])
     }
 
     fn setup_tasks(&mut self) {
@@ -780,7 +775,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timings::round_trip_us;
+    use crate::timings::{activity_table, round_trip_us};
 
     fn spec(n: usize, x: f64, locality: Locality) -> WorkloadSpec {
         WorkloadSpec {
@@ -885,10 +880,22 @@ mod tests {
         )
         .run();
         // Round trip = the serial critical path (the server's next receive
-        // posting overlaps the reply's flight) + two 112 µs wire transits.
-        let expect =
-            crate::timings::critical_path_us(Architecture::MessageCoprocessor, Locality::NonLocal)
-                + 2.0 * 112.0;
+        // posting overlaps the reply's flight, DMA is on it) + two 112 µs
+        // wire transits.
+        let critical_path: f64 =
+            activity_table(Architecture::MessageCoprocessor, Locality::NonLocal)
+                .iter()
+                .filter(|a| {
+                    !matches!(
+                        a.kind,
+                        ActivityKind::SyscallReceive
+                            | ActivityKind::ProcessReceive
+                            | ActivityKind::RestartServerAfterReply
+                    )
+                })
+                .map(Activity::best_us)
+                .sum();
+        let expect = critical_path + 2.0 * 112.0;
         assert!(
             (m.mean_round_trip_us - expect).abs() / expect < 0.05,
             "rt {} vs {}",

@@ -48,7 +48,7 @@ impl Architecture {
     }
 
     /// Whether the shared memory/bus is partitioned (Architecture IV).
-    pub fn partitioned(self) -> bool {
+    pub(crate) fn partitioned(self) -> bool {
         matches!(self, Architecture::PartitionedSmartBus)
     }
 }
@@ -191,7 +191,7 @@ use Initiator as I;
 use Processor as P;
 
 /// Table 6.4 — Architecture I, local conversation.
-pub const ARCH1_LOCAL: &[Activity] = &[
+pub(crate) const ARCH1_LOCAL: &[Activity] = &[
     act(
         "1",
         K::SyscallSend,
@@ -255,7 +255,7 @@ pub const ARCH1_LOCAL: &[Activity] = &[
 ];
 
 /// Table 6.6 — Architecture I, non-local conversation.
-pub const ARCH1_NONLOCAL: &[Activity] = &[
+pub(crate) const ARCH1_NONLOCAL: &[Activity] = &[
     act(
         "1",
         K::SyscallSend,
@@ -331,7 +331,7 @@ pub const ARCH1_NONLOCAL: &[Activity] = &[
 ];
 
 /// Table 6.9 — Architecture II, local conversation.
-pub const ARCH2_LOCAL: &[Activity] = &[
+pub(crate) const ARCH2_LOCAL: &[Activity] = &[
     act(
         "1",
         K::SyscallSend,
@@ -426,7 +426,7 @@ pub const ARCH2_LOCAL: &[Activity] = &[
 ];
 
 /// Table 6.11 — Architecture II, non-local conversation.
-pub const ARCH2_NONLOCAL: &[Activity] = &[
+pub(crate) const ARCH2_NONLOCAL: &[Activity] = &[
     act(
         "1",
         K::SyscallSend,
@@ -562,7 +562,7 @@ pub const ARCH2_NONLOCAL: &[Activity] = &[
 ];
 
 /// Table 6.14 — Architecture III, local conversation.
-pub const ARCH3_LOCAL: &[Activity] = &[
+pub(crate) const ARCH3_LOCAL: &[Activity] = &[
     act(
         "1",
         K::SyscallSend,
@@ -657,7 +657,7 @@ pub const ARCH3_LOCAL: &[Activity] = &[
 ];
 
 /// Table 6.16 — Architecture III, non-local conversation.
-pub const ARCH3_NONLOCAL: &[Activity] = &[
+pub(crate) const ARCH3_NONLOCAL: &[Activity] = &[
     act(
         "1",
         K::SyscallSend,
@@ -793,7 +793,7 @@ pub const ARCH3_NONLOCAL: &[Activity] = &[
 ];
 
 /// Table 6.19 — Architecture IV, local conversation (KB/TCB split).
-pub const ARCH4_LOCAL: &[Activity] = &[
+pub(crate) const ARCH4_LOCAL: &[Activity] = &[
     act(
         "1",
         K::SyscallSend,
@@ -888,7 +888,7 @@ pub const ARCH4_LOCAL: &[Activity] = &[
 ];
 
 /// Table 6.21 — Architecture IV, non-local conversation (KB/TCB split).
-pub const ARCH4_NONLOCAL: &[Activity] = &[
+pub(crate) const ARCH4_NONLOCAL: &[Activity] = &[
     act(
         "1",
         K::SyscallSend,
@@ -1067,26 +1067,6 @@ pub fn round_trip_us(arch: Architecture, locality: Locality, contended: bool) ->
                 a.best_us()
             }
         })
-        .sum()
-}
-
-/// The *elapsed* serial chain of one non-pipelined round trip as a client
-/// observes it: every activity on the critical path (the server's next
-/// `receive` preparation overlaps the reply's flight and is excluded),
-/// including DMA. Wire time is not included — add the network transit
-/// separately.
-pub fn critical_path_us(arch: Architecture, locality: Locality) -> f64 {
-    activity_table(arch, locality)
-        .iter()
-        .filter(|a| {
-            !matches!(
-                a.kind,
-                ActivityKind::SyscallReceive
-                    | ActivityKind::ProcessReceive
-                    | ActivityKind::RestartServerAfterReply
-            )
-        })
-        .map(Activity::best_us)
         .sum()
 }
 

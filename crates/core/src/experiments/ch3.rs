@@ -40,32 +40,32 @@ fn breakdown_table(spec: &KernelSpec, paper_table: &str) -> String {
 }
 
 /// Table 3.1 — Charlotte.
-pub fn table_3_1() -> String {
+pub(crate) fn table_3_1() -> String {
     breakdown_table(&systems::charlotte(), "Table 3.1")
 }
 
 /// Table 3.2 — Jasmin.
-pub fn table_3_2() -> String {
+pub(crate) fn table_3_2() -> String {
     breakdown_table(&systems::jasmin(), "Table 3.2")
 }
 
 /// Table 3.3 — 925.
-pub fn table_3_3() -> String {
+pub(crate) fn table_3_3() -> String {
     breakdown_table(&systems::sys925(), "Table 3.3")
 }
 
 /// Table 3.4 — Unix, local.
-pub fn table_3_4() -> String {
+pub(crate) fn table_3_4() -> String {
     breakdown_table(&systems::unix_local(), "Table 3.4")
 }
 
 /// Table 3.5 — Unix, non-local.
-pub fn table_3_5() -> String {
+pub(crate) fn table_3_5() -> String {
     breakdown_table(&systems::unix_nonlocal(), "Table 3.5")
 }
 
 /// Table 3.6 — Unix servers.
-pub fn table_3_6() -> String {
+pub(crate) fn table_3_6() -> String {
     let rows: Vec<Vec<String>> = systems::UNIX_SERVERS
         .iter()
         .map(|&(name, t)| vec![name.to_string(), format!("{t:.3}")])
@@ -83,7 +83,7 @@ pub fn table_3_6() -> String {
 }
 
 /// Table 3.7 — Unix read/write by block size.
-pub fn table_3_7() -> String {
+pub(crate) fn table_3_7() -> String {
     let rows: Vec<Vec<String>> = systems::UNIX_READ_WRITE
         .iter()
         .map(|&(b, r, w)| vec![b.to_string(), format!("{r:.4}"), format!("{w:.4}")])
@@ -104,7 +104,7 @@ pub fn table_3_7() -> String {
 /// §3.3 measurement 3 — message-path time-stamping: the Unix transmit
 /// route under light and saturating load, with the bottleneck queue
 /// identified.
-pub fn fig_3_msgpath() -> String {
+pub(crate) fn fig_3_msgpath() -> String {
     use profiler::msgpath::MessagePath;
     let path = MessagePath::unix_transmit();
     let mut out =

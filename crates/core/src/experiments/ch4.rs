@@ -6,7 +6,7 @@ use archsim::{Architecture, Locality, Simulation, WorkloadSpec};
 
 /// Figure 4.6 — the timeline of one blocking remote-invocation send across
 /// two nodes: which processor does what, when.
-pub fn fig_4_6() -> String {
+pub(crate) fn fig_4_6() -> String {
     let spec = WorkloadSpec {
         conversations: 1,
         server_compute_us: 1_000.0,

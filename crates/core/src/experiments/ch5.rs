@@ -8,7 +8,7 @@ use smartbus::{BlockDirection, BusEngine, Command, RequestNumber, Transaction};
 use smartmem::SmartMemory;
 
 /// Table 5.1 — smart bus signals.
-pub fn table_5_1() -> String {
+pub(crate) fn table_5_1() -> String {
     let rows: Vec<Vec<String>> = Signal::ALL
         .iter()
         .map(|s| {
@@ -28,7 +28,7 @@ pub fn table_5_1() -> String {
 
 /// Table 5.2 — smart bus commands, with the handshake cost each incurs on
 /// the simulated bus.
-pub fn table_5_2() -> String {
+pub(crate) fn table_5_2() -> String {
     let rows: Vec<Vec<String>> = Command::ALL
         .iter()
         .map(|c| {
@@ -81,7 +81,7 @@ pub fn table_5_2() -> String {
 
 /// Figures 5.4–5.16 — the transaction timing diagrams, generated from the
 /// protocol definitions.
-pub fn fig_5_timing() -> String {
+pub(crate) fn fig_5_timing() -> String {
     let mut out = String::from("Figures 5.4-5.16 — Smart Bus Timing Diagrams\n\n");
     for c in Command::ALL {
         out.push_str(&TimingDiagram::for_command(c, 4).render());

@@ -32,7 +32,7 @@ fn env_exec() -> (ExecMode, usize) {
 
 /// Figure 6.7 — the geometric approximation of a large constant delay
 /// preserves mean throughput.
-pub fn fig_6_7() -> String {
+pub(crate) fn fig_6_7() -> String {
     use gtpn::{Net, Transition};
     let delay = 500u64;
     // Constant-delay net: a token cycles through one delay-500 transition.
@@ -91,13 +91,13 @@ pub fn fig_6_7() -> String {
 
 /// Figure 6.15 — validation: GTPN model vs the discrete-event experiment,
 /// architecture II non-local, 1–4 conversations at three compute levels.
-pub fn fig_6_15() -> String {
+pub(crate) fn fig_6_15() -> String {
     let (mode, threads) = env_exec();
     fig_6_15_with(mode, threads)
 }
 
 /// [`fig_6_15`] under an explicit execution mode.
-pub fn fig_6_15_with(mode: ExecMode, threads: usize) -> String {
+pub(crate) fn fig_6_15_with(mode: ExecMode, threads: usize) -> String {
     let mut points = Vec::new();
     for &n in &CONVERSATIONS {
         for (i, server_us) in [570.0, 2_850.0, 11_400.0].into_iter().enumerate() {
@@ -236,13 +236,13 @@ const MAIN_THREE: [Architecture; 3] = [
 const THREE_FOUR: [Architecture; 2] = [Architecture::SmartBus, Architecture::PartitionedSmartBus];
 
 /// Figure 6.17(a, b) — maximum communication load.
-pub fn fig_6_17() -> String {
+pub(crate) fn fig_6_17() -> String {
     let (mode, threads) = env_exec();
     fig_6_17_with(mode, threads)
 }
 
 /// [`fig_6_17`] under an explicit execution mode.
-pub fn fig_6_17_with(mode: ExecMode, threads: usize) -> String {
+pub(crate) fn fig_6_17_with(mode: ExecMode, threads: usize) -> String {
     let mut out = max_load(
         mode,
         threads,
@@ -262,13 +262,13 @@ pub fn fig_6_17_with(mode: ExecMode, threads: usize) -> String {
 }
 
 /// Figure 6.18 — realistic workload, local.
-pub fn fig_6_18() -> String {
+pub(crate) fn fig_6_18() -> String {
     let (mode, threads) = env_exec();
     fig_6_18_with(mode, threads)
 }
 
 /// [`fig_6_18`] under an explicit execution mode.
-pub fn fig_6_18_with(mode: ExecMode, threads: usize) -> String {
+pub(crate) fn fig_6_18_with(mode: ExecMode, threads: usize) -> String {
     realistic(
         mode,
         threads,
@@ -279,13 +279,13 @@ pub fn fig_6_18_with(mode: ExecMode, threads: usize) -> String {
 }
 
 /// Figure 6.19 — realistic workload, non-local.
-pub fn fig_6_19() -> String {
+pub(crate) fn fig_6_19() -> String {
     let (mode, threads) = env_exec();
     fig_6_19_with(mode, threads)
 }
 
 /// [`fig_6_19`] under an explicit execution mode.
-pub fn fig_6_19_with(mode: ExecMode, threads: usize) -> String {
+pub(crate) fn fig_6_19_with(mode: ExecMode, threads: usize) -> String {
     realistic(
         mode,
         threads,
@@ -296,13 +296,13 @@ pub fn fig_6_19_with(mode: ExecMode, threads: usize) -> String {
 }
 
 /// Figure 6.20 — maximum load, III vs IV, local.
-pub fn fig_6_20() -> String {
+pub(crate) fn fig_6_20() -> String {
     let (mode, threads) = env_exec();
     fig_6_20_with(mode, threads)
 }
 
 /// [`fig_6_20`] under an explicit execution mode.
-pub fn fig_6_20_with(mode: ExecMode, threads: usize) -> String {
+pub(crate) fn fig_6_20_with(mode: ExecMode, threads: usize) -> String {
     max_load(
         mode,
         threads,
@@ -313,13 +313,13 @@ pub fn fig_6_20_with(mode: ExecMode, threads: usize) -> String {
 }
 
 /// Figure 6.21 — maximum load, III vs IV, non-local.
-pub fn fig_6_21() -> String {
+pub(crate) fn fig_6_21() -> String {
     let (mode, threads) = env_exec();
     fig_6_21_with(mode, threads)
 }
 
 /// [`fig_6_21`] under an explicit execution mode.
-pub fn fig_6_21_with(mode: ExecMode, threads: usize) -> String {
+pub(crate) fn fig_6_21_with(mode: ExecMode, threads: usize) -> String {
     max_load(
         mode,
         threads,
@@ -330,13 +330,13 @@ pub fn fig_6_21_with(mode: ExecMode, threads: usize) -> String {
 }
 
 /// Figure 6.22 — realistic load, III vs IV, local.
-pub fn fig_6_22() -> String {
+pub(crate) fn fig_6_22() -> String {
     let (mode, threads) = env_exec();
     fig_6_22_with(mode, threads)
 }
 
 /// [`fig_6_22`] under an explicit execution mode.
-pub fn fig_6_22_with(mode: ExecMode, threads: usize) -> String {
+pub(crate) fn fig_6_22_with(mode: ExecMode, threads: usize) -> String {
     realistic(
         mode,
         threads,
@@ -347,13 +347,13 @@ pub fn fig_6_22_with(mode: ExecMode, threads: usize) -> String {
 }
 
 /// Figure 6.23 — realistic load, III vs IV, non-local.
-pub fn fig_6_23() -> String {
+pub(crate) fn fig_6_23() -> String {
     let (mode, threads) = env_exec();
     fig_6_23_with(mode, threads)
 }
 
 /// [`fig_6_23`] under an explicit execution mode.
-pub fn fig_6_23_with(mode: ExecMode, threads: usize) -> String {
+pub(crate) fn fig_6_23_with(mode: ExecMode, threads: usize) -> String {
     realistic(
         mode,
         threads,
@@ -366,13 +366,13 @@ pub fn fig_6_23_with(mode: ExecMode, threads: usize) -> String {
 /// Chapter 7 extension — a shared-memory multiprocessor node: one message
 /// coprocessor serving 1–3 hosts (Figure 7.1's proposal), at a
 /// computation-heavy load where extra hosts matter.
-pub fn fig_7_1() -> String {
+pub(crate) fn fig_7_1() -> String {
     let (mode, threads) = env_exec();
     fig_7_1_with(mode, threads)
 }
 
 /// [`fig_7_1`] under an explicit execution mode.
-pub fn fig_7_1_with(mode: ExecMode, threads: usize) -> String {
+pub(crate) fn fig_7_1_with(mode: ExecMode, threads: usize) -> String {
     let x = 5_700.0;
     let hosts_axis: [u32; 3] = [1, 2, 3];
     let conv_axis: [u32; 2] = [2, 4];
@@ -407,13 +407,13 @@ pub fn fig_7_1_with(mode: ExecMode, threads: usize) -> String {
 /// are billions of states. The curve saturates by n = 8; n = 32 is left
 /// out, because its lumped chain (~10M states) is past the budget and a
 /// DES estimate's interval is wider than the whole n = 8 → 16 step.
-pub fn fig_7_scale() -> String {
+pub(crate) fn fig_7_scale() -> String {
     let (mode, threads) = env_exec();
     fig_7_scale_with(mode, threads)
 }
 
 /// [`fig_7_scale`] under an explicit execution mode.
-pub fn fig_7_scale_with(mode: ExecMode, threads: usize) -> String {
+pub(crate) fn fig_7_scale_with(mode: ExecMode, threads: usize) -> String {
     let x = 5_700.0;
     // Lumping on: only the quotient chain brings n = 16 within budget.
     let engine = AnalysisEngine::new(EngineConfig {

@@ -6,7 +6,7 @@ use archsim::timings::{self, Architecture, Locality};
 use models::contention;
 
 /// Table 6.1 — queue/block primitive times under Architectures II and III.
-pub fn table_6_1() -> String {
+pub(crate) fn table_6_1() -> String {
     let rows: Vec<Vec<String>> = timings::TABLE_6_1
         .iter()
         .map(|&(op, (p2, m2), (p3, m3))| {
@@ -36,7 +36,7 @@ pub fn table_6_1() -> String {
 
 /// Table 6.2 — contention completion times from the low-level model,
 /// side by side with the published values.
-pub fn table_6_2() -> String {
+pub(crate) fn table_6_2() -> String {
     let published = [1314.9, 235.2, 235.2, 982.0];
     let times = contention::completion_times(contention::TABLE_6_2).expect("table 6.2 mix solves");
     let rows: Vec<Vec<String>> = contention::TABLE_6_2
@@ -96,17 +96,17 @@ fn activity_table(paper_table: &str, arch: Architecture, locality: Locality) -> 
 }
 
 /// Table 6.4 — Architecture I, local.
-pub fn table_6_4() -> String {
+pub(crate) fn table_6_4() -> String {
     activity_table("Table 6.4", Architecture::Uniprocessor, Locality::Local)
 }
 
 /// Table 6.6 — Architecture I, non-local.
-pub fn table_6_6() -> String {
+pub(crate) fn table_6_6() -> String {
     activity_table("Table 6.6", Architecture::Uniprocessor, Locality::NonLocal)
 }
 
 /// Table 6.9 — Architecture II, local.
-pub fn table_6_9() -> String {
+pub(crate) fn table_6_9() -> String {
     activity_table(
         "Table 6.9",
         Architecture::MessageCoprocessor,
@@ -115,7 +115,7 @@ pub fn table_6_9() -> String {
 }
 
 /// Table 6.11 — Architecture II, non-local.
-pub fn table_6_11() -> String {
+pub(crate) fn table_6_11() -> String {
     activity_table(
         "Table 6.11",
         Architecture::MessageCoprocessor,
@@ -124,17 +124,17 @@ pub fn table_6_11() -> String {
 }
 
 /// Table 6.14 — Architecture III, local.
-pub fn table_6_14() -> String {
+pub(crate) fn table_6_14() -> String {
     activity_table("Table 6.14", Architecture::SmartBus, Locality::Local)
 }
 
 /// Table 6.16 — Architecture III, non-local.
-pub fn table_6_16() -> String {
+pub(crate) fn table_6_16() -> String {
     activity_table("Table 6.16", Architecture::SmartBus, Locality::NonLocal)
 }
 
 /// Table 6.19 — Architecture IV, local.
-pub fn table_6_19() -> String {
+pub(crate) fn table_6_19() -> String {
     activity_table(
         "Table 6.19",
         Architecture::PartitionedSmartBus,
@@ -143,7 +143,7 @@ pub fn table_6_19() -> String {
 }
 
 /// Table 6.21 — Architecture IV, non-local.
-pub fn table_6_21() -> String {
+pub(crate) fn table_6_21() -> String {
     activity_table(
         "Table 6.21",
         Architecture::PartitionedSmartBus,
@@ -173,22 +173,22 @@ fn offered_table(
 }
 
 /// Table 6.24 — offered loads, local.
-pub fn table_6_24() -> String {
+pub(crate) fn table_6_24() -> String {
     table_6_24_with(sweep::exec_mode(), sweep::threads())
 }
 
 /// [`table_6_24`] under an explicit execution mode.
-pub fn table_6_24_with(mode: sweep::ExecMode, threads: usize) -> String {
+pub(crate) fn table_6_24_with(mode: sweep::ExecMode, threads: usize) -> String {
     offered_table(mode, threads, "Table 6.24", Locality::Local)
 }
 
 /// Table 6.25 — offered loads, non-local.
-pub fn table_6_25() -> String {
+pub(crate) fn table_6_25() -> String {
     table_6_25_with(sweep::exec_mode(), sweep::threads())
 }
 
 /// [`table_6_25`] under an explicit execution mode.
-pub fn table_6_25_with(mode: sweep::ExecMode, threads: usize) -> String {
+pub(crate) fn table_6_25_with(mode: sweep::ExecMode, threads: usize) -> String {
     offered_table(mode, threads, "Table 6.25", Locality::NonLocal)
 }
 

@@ -46,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use archsim;
 pub use gtpn;

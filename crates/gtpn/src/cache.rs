@@ -26,7 +26,7 @@
 //! # Bounding and eviction
 //!
 //! The solution cache and the store beside it are each bounded by
-//! **resident bytes** ([`DEFAULT_CACHE_MB`]) and optionally by entry count
+//! **resident bytes** (1 GiB, `DEFAULT_CACHE_MB`) and optionally by entry count
 //! (`HSIPC_CACHE_CAP`, [`parse_entry_cap`]; unset means unbounded, `0`
 //! disables caching — and with it re-pricing — entirely). Eviction is
 //! least-recently-used via an intrusive doubly-linked list (`lru`), O(1)
@@ -57,7 +57,7 @@ use std::time::Instant;
 /// Sized so the full evaluation (`repro all`) runs eviction-free: its
 /// resident working set is a few MiB per cache, and an eviction on the
 /// critical path costs a re-solve that dwarfs the memory it saved.
-pub const DEFAULT_CACHE_MB: usize = 1024;
+pub(crate) const DEFAULT_CACHE_MB: usize = 1024;
 
 /// Parses an `HSIPC_CACHE_CAP` value: a whole number of entries, `0` to
 /// disable caching.
@@ -654,7 +654,7 @@ mod tests {
         let a = net.add_place("A", 3);
         let b = net.add_place("B", 0);
         let room = Expr::Lt(
-            Box::new(Expr::tokens(PlaceId(1))),
+            Box::new(Expr::Tokens(PlaceId(1))),
             Box::new(Expr::constant(limit)),
         );
         net.add_transition(

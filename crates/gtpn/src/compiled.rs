@@ -408,8 +408,8 @@ mod tests {
     #[test]
     fn program_matches_tree_walk() {
         let b = |e: Expr| Box::new(e);
-        let p0 = || Expr::tokens(PlaceId(0));
-        let t1 = || Expr::firing(TransId(1));
+        let p0 = || Expr::Tokens(PlaceId(0));
+        let t1 = || Expr::Firing(TransId(1));
         let exprs = [
             Expr::gate(
                 Expr::all([
@@ -428,10 +428,15 @@ mod tests {
                 )),
                 b(Expr::Add(b(t1()), b(Expr::constant(0.1)))),
             ),
-            Expr::Le(b(p0()), b(t1())).or(Expr::Eq(b(p0()), b(Expr::constant(2.0)))),
+            Expr::Or(
+                b(Expr::Le(b(p0()), b(t1()))),
+                b(Expr::Eq(b(p0()), b(Expr::constant(2.0)))),
+            ),
             // 0 · ∞ is NaN when P0 is empty: it must flow through identically.
-            Expr::Mul(b(p0()), b(Expr::constant(f64::INFINITY)))
-                .and(Expr::Div(b(Expr::constant(1.0)), b(p0()))),
+            Expr::And(
+                b(Expr::Mul(b(p0()), b(Expr::constant(f64::INFINITY)))),
+                b(Expr::Div(b(Expr::constant(1.0)), b(p0()))),
+            ),
             Expr::Not(b(Expr::Mul(b(p0()), b(Expr::constant(f64::INFINITY))))),
         ];
         let mut net = Net::new("ops");
@@ -495,7 +500,7 @@ mod tests {
             .unwrap();
         net.add_transition(Transition::new("T1").input(a, 1).output(c, 1))
             .unwrap();
-        net.add_transition(Transition::new("T2").input(c, 1).frequency(Expr::tokens(c)))
+        net.add_transition(Transition::new("T2").input(c, 1).frequency(Expr::Tokens(c)))
             .unwrap();
         let compiled = CompiledNet::new(&net);
         assert_eq!(compiled.clamp, vec![2, 1, u32::MAX]);

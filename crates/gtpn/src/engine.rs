@@ -38,7 +38,7 @@
 //!   and misses. (Every hit of the paper's evaluation is of the first
 //!   kind.) Hits are verified by full structural equality of the nets, so
 //!   fingerprint collisions cannot alias distinct nets. The cache is
-//!   bounded by resident bytes ([`crate::cache::DEFAULT_CACHE_MB`]) and
+//!   bounded by resident bytes (1 GiB, `cache::DEFAULT_CACHE_MB`) and
 //!   optionally entry count (`HSIPC_CACHE_CAP`, `0` disables), evicts the
 //!   least recently used entry first, and reports [`cache_stats`]. The
 //!   skeleton store the exact backend re-prices from lives beside it,
@@ -65,7 +65,7 @@ use crate::lump::LumpSel;
 use crate::net::{Net, PlaceId, TransId};
 use crate::par::ParallelBudget;
 use crate::reach::ReachabilityGraph;
-use crate::sim::{self, batch_means_interval, ConfidenceInterval, SimOptions};
+use crate::sim::{self, batch_means_interval, splitmix64, ConfidenceInterval, SimOptions};
 use crate::solve::{Solution, SolveWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -168,8 +168,7 @@ impl Default for EngineConfig {
 ///
 /// Seconds are wall-clock around whole stages (a handful of clock reads per
 /// analysis, none inside the expansion kernel); counts are exact and repeat
-/// from run to run. [`Analysis::stages`] returns the ledger of the run that
-/// produced an analysis; [`stage_totals`] sums every exact run of the
+/// from run to run. [`stage_totals`] sums every exact run of the
 /// process (under a parallel sweep that is seconds summed over workers, not
 /// elapsed time).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -297,8 +296,6 @@ struct AnalysisData {
     solve: Option<(usize, f64)>,
     /// Whether the exact run solved the lumped quotient chain.
     lumped: bool,
-    /// Exact runs: where the time went.
-    stages: Option<StageLedger>,
 }
 
 /// The result of [`AnalysisEngine::analyze`]: backend-agnostic access to
@@ -343,8 +340,7 @@ impl Analysis {
     }
 
     /// Completion rate of a resource: `usage / delay` of its transitions
-    /// (usage itself for zero-delay resources), as
-    /// [`Solution::resource_rate`].
+    /// (usage itself for zero-delay resources).
     ///
     /// # Errors
     ///
@@ -395,12 +391,6 @@ impl Analysis {
     pub fn residual(&self) -> Option<f64> {
         self.data.solve.map(|(_, residual)| residual)
     }
-
-    /// The stage ledger of the exact run that produced this analysis —
-    /// for a cache hit, of the run that filled the entry. `None` for DES.
-    pub fn stages(&self) -> Option<&StageLedger> {
-        self.data.stages.as_ref()
-    }
 }
 
 thread_local! {
@@ -420,13 +410,14 @@ thread_local! {
 /// workspace's transpose, so the graph's out-edges go as soon as it is
 /// loaded, and a lumped chain's markings, which nothing after the build
 /// reads, go before. Both are gone before the sweeps allocate anything.
-/// The graph never leaves this function.
+/// The graph never leaves this function; the run's [`StageLedger`] does,
+/// beside the measures.
 fn exact(
     store: &Mutex<SkeletonStore>,
     net: &Net,
     cfg: &EngineConfig,
     par: &ParallelBudget,
-) -> Result<AnalysisData, GtpnError> {
+) -> Result<(AnalysisData, StageLedger), GtpnError> {
     let lumped = cfg.lump.enabled() && crate::lump::lumpable(net);
     let Chain { mut graph, rows } =
         crate::cache::build_chain(store, net, lumped, cfg.state_budget, par)?;
@@ -470,12 +461,8 @@ fn exact(
         (solved - built).as_secs_f64(),
         delump_s,
     );
-    stage_totals_cell()
-        .lock()
-        .expect("stage totals poisoned")
-        .add(&stages);
     let (resource_usage, resource_delay) = crate::solve::by_resource(net, &transition_usage);
-    Ok(AnalysisData {
+    let data = AnalysisData {
         backend: BackendKind::Exact,
         states: graph.state_count(),
         resource_usage,
@@ -485,8 +472,8 @@ fn exact(
         transition_usage,
         solve: Some((solution.iterations(), solution.residual())),
         lumped,
-        stages: Some(stages),
-    })
+    };
+    Ok((data, stages))
 }
 
 /// The simulation backend: `batches` independent replications of
@@ -543,16 +530,7 @@ fn des(net: &Net, fp: u64, cfg: &EngineConfig) -> Result<AnalysisData, GtpnError
         transition_usage,
         solve: None,
         lumped: false,
-        stages: None,
     })
-}
-
-/// SplitMix64 scramble — the seed spacing for DES replications.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------------
@@ -727,7 +705,7 @@ impl AnalysisEngine {
 
     /// This engine with a private solution cache of `cap` entries (`0`
     /// disables caching for this engine), byte-bounded by the same
-    /// [`DEFAULT_CACHE_MB`](crate::cache::DEFAULT_CACHE_MB) budget as the
+    /// `cache::DEFAULT_CACHE_MB` budget as the
     /// global cache, and a private skeleton store under the same limits.
     /// Results no longer flow through — or count against — the
     /// process-global LRU: tests get isolation without serializing on the
@@ -768,11 +746,6 @@ impl AnalysisEngine {
     /// [`with_cache`](Self::with_cache) was applied).
     pub fn cache_stats(&self) -> CacheStats {
         self.caches().cache_stats()
-    }
-
-    /// What the skeleton store beside that cache holds.
-    pub fn store_stats(&self) -> StoreStats {
-        self.caches().store_stats()
     }
 
     /// The cache key of `net` (fingerprint `fp`) under backend `kind`: the
@@ -887,7 +860,13 @@ impl AnalysisEngine {
                 .misses += 1;
             let data = Arc::new(match kind {
                 BackendKind::Exact => {
-                    exact(&self.caches().skeletons, net, &self.cfg, self.budget())?
+                    let (data, stages) =
+                        exact(&self.caches().skeletons, net, &self.cfg, self.budget())?;
+                    stage_totals_cell()
+                        .lock()
+                        .expect("stage totals poisoned")
+                        .add(&stages);
+                    data
                 }
                 BackendKind::Des => des(net, fp, &self.cfg)?,
             });
@@ -983,9 +962,11 @@ mod tests {
                 a.resource_usage("lambda").unwrap().to_bits(),
                 want.resource_usage("lambda").unwrap().to_bits()
             );
+            let zeros = vec![0.0; net.transition_count()];
+            let delay = crate::solve::by_resource(&net, &zeros).1["lambda"];
             assert_eq!(
                 a.resource_rate("lambda").unwrap().to_bits(),
-                want.resource_rate("lambda").unwrap().to_bits()
+                crate::solve::rate(want.resource_usage("lambda").unwrap(), delay).to_bits()
             );
             for p in (0..net.place_count()).map(PlaceId) {
                 assert_eq!(
@@ -1000,7 +981,7 @@ mod tests {
                     a.transition_usage(t).to_bits(),
                     want.transition_usage(t).to_bits(),
                     "transition {}",
-                    net.transition_name(t)
+                    net.transitions[t.0].name
                 );
             }
             assert_eq!(a.iterations(), Some(want.iterations()));
@@ -1209,6 +1190,15 @@ mod tests {
         })
     }
 
+    /// One exact run of `net` through `engine`'s skeleton store, bypassing
+    /// its solution cache: the analysis and the run's ledger.
+    fn run_exact(engine: &AnalysisEngine, net: &Net) -> (Analysis, StageLedger) {
+        let store = &engine.caches().skeletons;
+        let (data, ledger) = exact(store, net, engine.config(), engine.budget()).unwrap();
+        let data = Arc::new(data);
+        (Analysis { data }, ledger)
+    }
+
     #[test]
     fn lumped_engine_agrees_with_raw_and_shrinks_the_chain() {
         let _gate = crate::test_serial();
@@ -1253,19 +1243,16 @@ mod tests {
         assert!(raw.resource_rate("nope").is_err());
     }
 
-    /// Every exact analysis carries the ledger of the run that produced
-    /// it — counts equal to what the analysis itself reports — a cache hit
-    /// hands back the filling run's ledger unchanged and adds nothing to
-    /// the process totals, and a DES estimate has none.
+    /// Every exact run hands back its ledger beside its measures — counts
+    /// equal to what the analysis itself reports — and the engine adds it
+    /// to the process totals.
     #[test]
     fn stage_ledger_travels_with_the_analysis() {
         let _gate = crate::test_serial();
         let net = sym2(8.0);
         for lump in [LumpSel::On, LumpSel::Off] {
             let engine = lump_engine(lump).with_cache(8);
-            let before = stage_totals();
-            let fresh = engine.analyze(&net).unwrap();
-            let ledger = *fresh.stages().expect("exact runs keep a ledger");
+            let (fresh, ledger) = run_exact(&engine, &net);
             assert_eq!(ledger.states, fresh.states() as u64);
             assert_eq!(ledger.sweeps, fresh.iterations().unwrap() as u64);
             assert!(ledger.edges >= ledger.states);
@@ -1277,39 +1264,22 @@ mod tests {
             assert!(ledger.fold_hits <= ledger.phase_hits);
             assert!(ledger.bfs_s > 0.0 && ledger.solve_s > 0.0);
             assert_eq!(ledger.delump_s > 0.0, lump == LumpSel::On);
+            let before = stage_totals();
+            engine.analyze(&net).unwrap();
             let after = stage_totals();
             assert!(after.phase_configs >= before.phase_configs + ledger.phase_configs);
-            assert!(after.bfs_s >= before.bfs_s + ledger.bfs_s);
-
-            let hit = engine.analyze(&net).unwrap();
-            assert_eq!(engine.cache_stats().hits, 1);
-            assert_eq!(hit.stages(), Some(&ledger));
+            assert!(after.states >= before.states + ledger.states);
         }
-        let des = AnalysisEngine::new(EngineConfig {
-            backend: BackendSel::Des,
-            des: DesOptions {
-                horizon: 20_000,
-                warmup: 2_000,
-                batches: 2,
-            },
-            ..EngineConfig::default()
-        })
-        .with_cache(0);
-        assert!(des.analyze(&net).unwrap().stages().is_none());
 
         // A lumped chain too large to solve directly drops its markings and
         // out-edges before the sweeps. The ledger counts its edges as built,
         // and every measure is that of a solve of the whole chain.
         let net = served_ring(4.0);
-        let analysis = lump_engine(LumpSel::On)
-            .with_cache(0)
-            .analyze(&net)
-            .unwrap();
+        let (analysis, ledger) = run_exact(&lump_engine(LumpSel::On).with_cache(0), &net);
         let (whole, _) =
             crate::lump::lumped_chain(&net, 10_000, &ParallelBudget::serial(), false).unwrap();
         assert!(whole.graph.state_count() > crate::solve::DIRECT_MAX_STATES);
         assert_eq!(analysis.states(), whole.graph.state_count());
-        let ledger = analysis.stages().unwrap();
         assert_eq!(ledger.edges, whole.graph.edge_count() as u64);
         let solution = whole.graph.solve(1e-12, 100_000).unwrap();
         assert_eq!(analysis.iterations(), Some(solution.iterations()));
@@ -1335,9 +1305,8 @@ mod tests {
             let engine = lump_engine(lump).with_cache(64);
             let fresh = lump_engine(lump).with_cache(0);
             for (i, m) in [3.0, 4.0, 5.5, 7.25, 9.0].into_iter().enumerate() {
-                let a = engine.analyze(&sym2(m)).unwrap();
-                let b = fresh.analyze(&sym2(m)).unwrap();
-                let ledger = a.stages().unwrap();
+                let (a, ledger) = run_exact(&engine, &sym2(m));
+                let (b, fresh_ledger) = run_exact(&fresh, &sym2(m));
                 assert_eq!(
                     (ledger.replays, ledger.records),
                     (u64::from(i >= 2), u64::from(i == 1)),
@@ -1351,10 +1320,10 @@ mod tests {
                     );
                 }
                 assert_eq!(a.iterations(), b.iterations());
-                assert_eq!(ledger.phase_configs, b.stages().unwrap().phase_configs);
+                assert_eq!(ledger.phase_configs, fresh_ledger.phase_configs);
             }
-            assert_eq!(engine.store_stats().skeletons, 1);
-            assert_eq!(fresh.store_stats(), StoreStats::default());
+            assert_eq!(engine.caches().store_stats().skeletons, 1);
+            assert_eq!(fresh.caches().store_stats(), StoreStats::default());
         }
     }
 

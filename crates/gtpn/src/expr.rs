@@ -18,7 +18,7 @@ use std::fmt;
 /// in-progress firings (including transitions selected earlier in the same
 /// instantaneous firing round, matching the paper's "host is busy" gating).
 #[derive(Debug, Clone, Copy)]
-pub struct EvalContext<'a> {
+pub(crate) struct EvalContext<'a> {
     /// Tokens per place.
     pub marking: &'a [u32],
     /// Number of in-progress firing instances per transition.
@@ -27,7 +27,7 @@ pub struct EvalContext<'a> {
 
 impl<'a> EvalContext<'a> {
     /// Creates a context from marking and firing-count slices.
-    pub fn new(marking: &'a [u32], firing: &'a [u32]) -> Self {
+    pub(crate) fn new(marking: &'a [u32], firing: &'a [u32]) -> Self {
         EvalContext { marking, firing }
     }
 }
@@ -35,7 +35,8 @@ impl<'a> EvalContext<'a> {
 /// A state-dependent real-valued expression.
 ///
 /// Comparison and boolean operators yield `1.0` (true) or `0.0` (false).
-/// Expressions are evaluated against an [`EvalContext`].
+/// Expressions are evaluated against a marking and the in-progress firing
+/// counts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A constant value.
@@ -75,16 +76,6 @@ impl Expr {
         Expr::Const(v)
     }
 
-    /// The number of tokens in `place`.
-    pub fn tokens(place: PlaceId) -> Expr {
-        Expr::Tokens(place)
-    }
-
-    /// The number of in-progress firings of `transition`.
-    pub fn firing(transition: TransId) -> Expr {
-        Expr::Firing(transition)
-    }
-
     /// `1.0` when `place` is empty — the paper's `(P = 0)` gate.
     pub fn place_empty(place: PlaceId) -> Expr {
         Expr::Eq(Box::new(Expr::Tokens(place)), Box::new(Expr::Const(0.0)))
@@ -112,18 +103,8 @@ impl Expr {
         iter.fold(first, |acc, e| Expr::And(Box::new(acc), Box::new(e)))
     }
 
-    /// Builds `a.and(b)`.
-    pub fn and(self, other: Expr) -> Expr {
-        Expr::And(Box::new(self), Box::new(other))
-    }
-
-    /// Builds `a.or(b)`.
-    pub fn or(self, other: Expr) -> Expr {
-        Expr::Or(Box::new(self), Box::new(other))
-    }
-
     /// Evaluates the expression in `ctx`.
-    pub fn eval(&self, ctx: EvalContext<'_>) -> f64 {
+    pub(crate) fn eval(&self, ctx: EvalContext<'_>) -> f64 {
         match self {
             Expr::Const(v) => *v,
             Expr::Tokens(p) => f64::from(ctx.marking.get(p.0).copied().unwrap_or(0)),
@@ -184,7 +165,7 @@ impl Expr {
 
     /// True when the expression cannot depend on the state (no `Tokens` /
     /// `Firing` leaves), so its value can be cached.
-    pub fn is_constant(&self) -> bool {
+    pub(crate) fn is_constant(&self) -> bool {
         match self {
             Expr::Const(_) => true,
             Expr::Tokens(_) | Expr::Firing(_) => false,
@@ -255,9 +236,9 @@ mod tests {
 
     #[test]
     fn marking_and_firing_lookups() {
-        let e = Expr::tokens(PlaceId(1));
+        let e = Expr::Tokens(PlaceId(1));
         assert_eq!(e.eval(ctx(&[4, 7], &[])), 7.0);
-        let e = Expr::firing(TransId(0));
+        let e = Expr::Firing(TransId(0));
         assert_eq!(e.eval(ctx(&[], &[2])), 2.0);
         assert!(!e.is_constant());
     }
@@ -293,8 +274,8 @@ mod tests {
 
     #[test]
     fn out_of_range_lookups_are_zero() {
-        assert_eq!(Expr::tokens(PlaceId(9)).eval(ctx(&[1], &[])), 0.0);
-        assert_eq!(Expr::firing(TransId(9)).eval(ctx(&[], &[1])), 0.0);
+        assert_eq!(Expr::Tokens(PlaceId(9)).eval(ctx(&[1], &[])), 0.0);
+        assert_eq!(Expr::Firing(TransId(9)).eval(ctx(&[], &[1])), 0.0);
     }
 
     #[test]

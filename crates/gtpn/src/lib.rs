@@ -66,6 +66,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod compiled;
 mod error;
@@ -75,6 +76,7 @@ mod lru;
 mod net;
 mod reach;
 mod solve;
+#[cfg(test)]
 mod state;
 
 pub mod cache;
@@ -87,17 +89,14 @@ pub mod par;
 pub mod parse;
 pub mod sim;
 
-pub use engine::{
-    Analysis, AnalysisEngine, BackendKind, BackendSel, DesOptions, EngineConfig, StageLedger,
-};
+pub use engine::{Analysis, AnalysisEngine, BackendKind, BackendSel, DesOptions, EngineConfig};
 pub use error::GtpnError;
-pub use expr::{EvalContext, Expr};
+pub use expr::Expr;
 pub use lump::LumpSel;
 pub use net::{Net, PlaceId, TransId, Transition};
 pub use par::ParallelBudget;
 pub use reach::ReachabilityGraph;
 pub use solve::Solution;
-pub use state::{Marking, State};
 
 /// The value of the environment knob `name` as `parse` reads it; `None`
 /// when unset. A set value `parse` rejects panics with `parse`'s message:

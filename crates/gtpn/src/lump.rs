@@ -71,7 +71,7 @@ pub enum LumpSel {
 
 impl LumpSel {
     /// Whether this policy permits lumping at all.
-    pub fn enabled(self) -> bool {
+    pub(crate) fn enabled(self) -> bool {
         !matches!(self, LumpSel::Off)
     }
 }
@@ -1144,7 +1144,7 @@ mod tests {
         let lowered = net.add_place("Down", 1);
         let raised = net.add_place("Up", 0);
         let is_down = Expr::Lt(
-            Box::new(Expr::tokens(raised)),
+            Box::new(Expr::Tokens(raised)),
             Box::new(Expr::constant(1.0)),
         );
         let rate = Expr::If(

@@ -178,21 +178,12 @@ impl Net {
         &self.places[place.0].name
     }
 
-    /// Name of a transition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `transition` does not belong to this net.
-    pub fn transition_name(&self, transition: TransId) -> &str {
-        &self.transitions[transition.0].name
-    }
-
     /// Delay attribute of a transition.
     ///
     /// # Panics
     ///
     /// Panics if `transition` does not belong to this net.
-    pub fn transition_delay(&self, transition: TransId) -> u64 {
+    pub(crate) fn transition_delay(&self, transition: TransId) -> u64 {
         self.transitions[transition.0].delay
     }
 
@@ -202,7 +193,7 @@ impl Net {
     /// # Panics
     ///
     /// Panics if `transition` does not belong to this net.
-    pub fn transition_outputs(&self, transition: TransId) -> &[(PlaceId, u32)] {
+    pub(crate) fn transition_outputs(&self, transition: TransId) -> &[(PlaceId, u32)] {
         &self.transitions[transition.0].outputs
     }
 
@@ -225,7 +216,7 @@ impl Net {
     }
 
     /// All distinct resource labels, in order of first appearance.
-    pub fn resources(&self) -> Vec<&str> {
+    pub(crate) fn resources(&self) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
         for t in &self.transitions {
             if let Some(r) = &t.resource {
@@ -238,7 +229,7 @@ impl Net {
     }
 
     /// The incidence matrix `C[t][p] = outputs(t, p) - inputs(t, p)`.
-    pub fn incidence_matrix(&self) -> Vec<Vec<i64>> {
+    pub(crate) fn incidence_matrix(&self) -> Vec<Vec<i64>> {
         let mut c = vec![vec![0i64; self.places.len()]; self.transitions.len()];
         for (ti, t) in self.transitions.iter().enumerate() {
             for &(p, m) in &t.inputs {
@@ -263,7 +254,7 @@ impl Net {
     /// * [`GtpnError::UnknownPlace`] / [`GtpnError::UnknownTransition`]
     ///   when a frequency expression has a `Tokens` / `Firing` leaf outside
     ///   the net — which evaluation would otherwise read as a silent 0.
-    pub fn validate(&self) -> Result<(), GtpnError> {
+    pub(crate) fn validate(&self) -> Result<(), GtpnError> {
         if self.places.is_empty() || self.transitions.is_empty() {
             return Err(GtpnError::EmptyNet);
         }
@@ -374,7 +365,6 @@ mod tests {
         assert_eq!(net.place_count(), 2);
         assert_eq!(net.transition_count(), 1);
         assert_eq!(net.place_name(a), "A");
-        assert_eq!(net.transition_name(t), "T0");
         assert_eq!(net.transition_delay(t), 3);
         assert_eq!(net.initial_marking(), vec![2, 0]);
         assert_eq!(net.place_by_name("B"), Some(b));
@@ -471,7 +461,7 @@ mod tests {
             net
         };
         let place = build(Expr::Mul(
-            Box::new(Expr::tokens(PlaceId(99))),
+            Box::new(Expr::Tokens(PlaceId(99))),
             Box::new(Expr::constant(0.5)),
         ));
         let want_place = GtpnError::UnknownPlace {

@@ -15,10 +15,10 @@
 //! * [`ParallelBudget`] — a counter of *extra* cores (beyond the calling
 //!   thread) that may be running at once. Outer pool workers
 //!   [`register`](ParallelBudget::register) the core they occupy; inner
-//!   loops [`claim_extra`](ParallelBudget::claim_extra) whatever is left
-//!   and degrade to serial when the pool has the machine saturated. As
-//!   pool workers drain and exit, their cores free up and the remaining
-//!   big solves widen — the critical-path handoff the sweep needs.
+//!   loops claim whatever is left and degrade to serial when the pool has
+//!   the machine saturated. As pool workers drain and exit, their cores
+//!   free up and the remaining big solves widen — the critical-path
+//!   handoff the sweep needs.
 //! * [`join2`] — run two closures concurrently when the budget grants a
 //!   core, sequentially otherwise; results are identical either way.
 //!
@@ -90,7 +90,7 @@ impl ParallelBudget {
     }
 
     /// A strictly serial budget: every claim returns zero extra cores.
-    pub fn serial() -> ParallelBudget {
+    pub(crate) fn serial() -> ParallelBudget {
         ParallelBudget::new(1)
     }
 
@@ -101,11 +101,6 @@ impl ParallelBudget {
         GLOBAL.get_or_init(|| ParallelBudget::new(threads()))
     }
 
-    /// Total cores this budget represents (extras plus the caller).
-    pub fn cores(&self) -> usize {
-        self.extra + 1
-    }
-
     /// Extra cores currently unclaimed.
     pub fn available(&self) -> usize {
         self.extra
@@ -113,7 +108,7 @@ impl ParallelBudget {
     }
 
     /// Cores currently leased (registered pool workers plus inner claims);
-    /// may exceed [`cores`](Self::cores)` - 1` when the pool overcommits.
+    /// may exceed the budget's extra cores when the pool overcommits.
     pub fn in_use(&self) -> usize {
         self.in_use.load(Ordering::Relaxed)
     }
@@ -129,7 +124,7 @@ impl ParallelBudget {
     /// Claims up to `want` extra cores, never exceeding the budget; the
     /// returned lease may hold zero. Inner parallel loops size themselves
     /// by `1 + lease.extra()` workers and release by dropping the lease.
-    pub fn claim_extra(&self, want: usize) -> CoreLease<'_> {
+    pub(crate) fn claim_extra(&self, want: usize) -> CoreLease<'_> {
         if want == 0 || self.extra == 0 {
             return CoreLease { budget: self, n: 0 };
         }
@@ -162,7 +157,7 @@ pub struct CoreLease<'a> {
 
 impl CoreLease<'_> {
     /// Number of extra cores this lease holds (0 = run serial).
-    pub fn extra(&self) -> usize {
+    pub(crate) fn extra(&self) -> usize {
         self.n
     }
 }
@@ -225,7 +220,6 @@ mod tests {
     #[test]
     fn budget_claims_are_bounded_and_released() {
         let b = ParallelBudget::new(4);
-        assert_eq!(b.cores(), 4);
         assert_eq!(b.available(), 3);
         let first = b.claim_extra(2);
         assert_eq!(first.extra(), 2);
@@ -250,7 +244,7 @@ mod tests {
     #[test]
     fn serial_budget_never_grants() {
         let b = ParallelBudget::serial();
-        assert_eq!(b.cores(), 1);
+        assert_eq!(b.available(), 0);
         assert_eq!(b.claim_extra(usize::MAX).extra(), 0);
     }
 

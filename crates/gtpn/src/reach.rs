@@ -39,7 +39,6 @@ use crate::lump::{RecordedRows, RowIndex, RowReplay, Rows};
 use crate::net::{Net, PlaceId, TransId};
 use crate::par::ParallelBudget;
 use crate::solve::Solution;
-use crate::state::State;
 use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -691,18 +690,6 @@ impl ReachabilityGraph {
         &self.firings[self.firing_offsets[i]..self.firing_offsets[i + 1]]
     }
 
-    /// The tangible states, materialized from the flat storage
-    /// ([`marking`](Self::marking) and [`firings`](Self::firings) borrow
-    /// it instead).
-    pub fn states(&self) -> Vec<State> {
-        (0..self.state_count())
-            .map(|i| State {
-                marking: self.marking(i).to_vec(),
-                firings: self.firings(i).to_vec(),
-            })
-            .collect()
-    }
-
     /// Holding time of each tangible state.
     pub fn sojourns(&self) -> &[u64] {
         &self.sojourn
@@ -742,20 +729,6 @@ impl ReachabilityGraph {
         release(&mut self.edges);
     }
 
-    /// Resident bytes of this graph. Sums the flat arrays' capacities; only
-    /// the retained net is an estimate.
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<ReachabilityGraph>()
-            + size_of::<u32>() * self.markings.capacity()
-            + size_of::<usize>() * (self.firing_offsets.capacity() + self.edge_offsets.capacity())
-            + size_of::<(TransId, u64)>() * self.firings.capacity()
-            + size_of::<(usize, f64)>() * self.edges.capacity()
-            + size_of::<u64>() * self.sojourn.capacity()
-            + self.fired.capacity()
-            + crate::cache::net_bytes(&self.net)
-    }
-
     /// The maximum reachable token count of `place` — its bound. A net is
     /// k-bounded when every place's bound is ≤ k. (Tokens held in transit by
     /// in-progress firings are not in any place and are not counted.)
@@ -789,7 +762,7 @@ impl ReachabilityGraph {
     /// Tokens held by in-progress firings are *not* counted (they are in
     /// transit, not in the place); add the relevant transition usages for a
     /// customers-in-system count.
-    pub fn mean_tokens(&self, solution: &Solution, place: PlaceId) -> f64 {
+    pub(crate) fn mean_tokens(&self, solution: &Solution, place: PlaceId) -> f64 {
         if place.0 >= self.net.place_count() {
             return 0.0;
         }
@@ -2284,7 +2257,7 @@ pub(crate) mod arbitrary {
                     Expr::not_firing(TransId(operand % specs.len())),
                     Expr::constant(w),
                 ),
-                17..=19 => Expr::Mul(Box::new(Expr::tokens(place)), Box::new(Expr::constant(w))),
+                17..=19 => Expr::Mul(Box::new(Expr::Tokens(place)), Box::new(Expr::constant(w))),
                 20..=22 => Expr::If(
                     Box::new(Expr::place_empty(place)),
                     Box::new(Expr::constant(w)),
@@ -2320,6 +2293,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::net::Transition;
+    use crate::state::State;
     use proptest::prelude::*;
 
     /// Outcomes as the reference kernel lists them: states and probability
@@ -2403,7 +2377,19 @@ mod tests {
         let want = reference::reachability(net, max_states);
         match (got, want) {
             (Ok(g), Ok((states, edges, sojourn, fired))) => {
-                assert_eq!(g.states(), states);
+                assert_eq!(g.state_count(), states.len());
+                for (i, want) in states.iter().enumerate() {
+                    assert_eq!(
+                        g.marking(i),
+                        want.marking.as_slice(),
+                        "marking of state {i}"
+                    );
+                    assert_eq!(
+                        g.firings(i),
+                        want.firings.as_slice(),
+                        "firings of state {i}"
+                    );
+                }
                 assert_eq!(g.sojourn, sojourn);
                 assert_eq!(g.fired, fired);
                 for (i, want) in edges.iter().enumerate() {
@@ -2456,64 +2442,6 @@ mod tests {
             }
             assert_builds_agree(&net, 300);
         }
-    }
-
-    /// The byte count the solution cache evicts by tracks what the graph
-    /// really holds: on the Figure 6.12 net at four conversations (the
-    /// arch II raw n = 4 chain, 6,336 states whatever the stage means) it is
-    /// within 25% of the bytes of the states, firings, edges and sojourns
-    /// themselves — no growth slack, no array left out.
-    #[test]
-    fn resident_bytes_tracks_the_flat_layout() {
-        use crate::geometric::GeometricStage;
-        let mut net = Net::new("figure-6.12");
-        let n = 4;
-        let clients = net.add_place("Clients", n);
-        let servers = net.add_place("Servers", n);
-        let host = net.add_place("Host", 1);
-        let mp = net.add_place("MP", 1);
-        let mut place = |name: &str| net.add_place(name, 0);
-        let (sent, recvd) = (place("SendSubmitted"), place("RecvSubmitted"));
-        let (send_p, recv_p) = (place("SendProcessed"), place("RecvProcessed"));
-        let (matched, replied) = (place("Matched"), place("ReplySubmitted"));
-        let stages = [
-            ("client_syscall", 520.0, vec![clients], host, vec![sent]),
-            ("process_send", 310.0, vec![sent], mp, vec![send_p]),
-            ("server_syscall", 480.0, vec![servers], host, vec![recvd]),
-            ("process_receive", 290.0, vec![recvd], mp, vec![recv_p]),
-            ("match", 250.0, vec![send_p, recv_p], mp, vec![matched]),
-            ("server_run", 6_100.0, vec![matched], host, vec![replied]),
-            (
-                "process_reply",
-                330.0,
-                vec![replied],
-                mp,
-                vec![clients, servers],
-            ),
-        ];
-        for (name, mean, inputs, held, outputs) in stages {
-            let mut stage = GeometricStage::new(name, mean).held(held);
-            for p in inputs {
-                stage = stage.input(p, 1);
-            }
-            for p in outputs {
-                stage = stage.output(p, 1);
-            }
-            stage.build(&mut net).unwrap();
-        }
-        let g = net.reachability(100_000).unwrap();
-        assert_eq!(g.state_count(), 6_336);
-        let firings: usize = (0..g.state_count()).map(|i| g.firings(i).len()).sum();
-        let held = 4 * net.place_count() * g.state_count()
-            + 16 * firings
-            + 16 * g.edge_count()
-            + 8 * g.sojourns().len()
-            + 2 * 8 * (g.state_count() + 1);
-        let reported = g.resident_bytes();
-        assert!(
-            (reported as f64 - held as f64).abs() <= 0.25 * held as f64,
-            "resident_bytes {reported} vs {held} bytes held"
-        );
     }
 
     /// Six tokens start six timed firings in one phase: the configuration
@@ -2672,7 +2600,7 @@ mod tests {
             Transition::new("heads")
                 .delay(1)
                 .frequency(Expr::Add(
-                    Box::new(Expr::tokens(big)),
+                    Box::new(Expr::Tokens(big)),
                     Box::new(Expr::constant(1.0)),
                 ))
                 .input(coins, 1)
@@ -2960,7 +2888,7 @@ mod tests {
             Transition::new("bad")
                 .delay(1)
                 .frequency(Expr::gate(
-                    Expr::all(exits.map(Expr::firing)),
+                    Expr::all(exits.map(Expr::Firing)),
                     Expr::constant(-1.0),
                 ))
                 .input(p3, 1)

@@ -16,8 +16,8 @@
 //! number of in-progress firings of transitions labelled `r` — exactly the
 //! output measure of the UW–Madison GTPN analyzer that the paper reads
 //! throughput (`Λ`) from. A transition with delay `d` firing at rate `λ` has
-//! usage `λ·d`, so the *rate* reported by [`Solution::resource_rate`] is
-//! `usage / d`.
+//! usage `λ·d`, so the *rate* reported by
+//! [`Analysis::resource_rate`](crate::Analysis::resource_rate) is `usage / d`.
 
 use crate::error::GtpnError;
 use crate::net::{Net, TransId};
@@ -125,14 +125,10 @@ impl SolveWorkspace {
 pub struct Solution {
     /// Time-weighted steady-state probability of each tangible state.
     pi_time: Vec<f64>,
-    /// Embedded-chain stationary distribution.
-    pi: Vec<f64>,
     /// Usage per transition (time-weighted mean number in progress).
     transition_usage: Vec<f64>,
     /// Resource label -> usage.
     resource_usage_map: HashMap<String, f64>,
-    /// Resource label -> minimum delay among its transitions (for rates).
-    resource_delay: HashMap<String, u64>,
     iterations: usize,
     residual: f64,
 }
@@ -789,13 +785,11 @@ fn finish(graph: &ReachabilityGraph, pi: Vec<f64>, iterations: usize, residual: 
         }
     }
 
-    let (resource_usage_map, resource_delay) = by_resource(&graph.net, &transition_usage);
+    let (resource_usage_map, _) = by_resource(&graph.net, &transition_usage);
     Solution {
         pi_time,
-        pi,
         transition_usage,
         resource_usage_map,
-        resource_delay,
         iterations,
         residual,
     }
@@ -803,9 +797,10 @@ fn finish(graph: &ReachabilityGraph, pi: Vec<f64>, iterations: usize, residual: 
 
 /// The per-resource aggregates of `net`'s per-transition usages: each
 /// resource label's usage (the sum over its transitions, in transition
-/// order) and its minimum transition delay. Every result reports these —
+/// order) and its minimum transition delay. Every analysis reports these —
 /// a raw solve, a de-lumped one, and a DES estimate (whose usages are
-/// batch means, so it takes only the delays).
+/// batch means, so it takes only the delays); a [`Solution`] keeps only
+/// the usages.
 pub(crate) fn by_resource(
     net: &Net,
     transition_usage: &[f64],
@@ -838,11 +833,6 @@ impl Solution {
         &self.pi_time
     }
 
-    /// Embedded-chain (per-step) stationary distribution.
-    pub fn embedded_probabilities(&self) -> &[f64] {
-        &self.pi
-    }
-
     /// Usage (time-weighted mean in-progress count) of a resource label.
     pub fn resource_usage(&self, resource: &str) -> Result<f64, GtpnError> {
         self.resource_usage_map
@@ -851,25 +841,8 @@ impl Solution {
             .ok_or_else(|| GtpnError::UnknownName(resource.to_string()))
     }
 
-    /// Completion rate of a resource: `usage / delay` of its transitions.
-    ///
-    /// When several transitions share a resource label they must share the
-    /// same delay for this to be meaningful; the paper's nets satisfy this.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GtpnError::UnknownName`] for an unknown resource.
-    pub fn resource_rate(&self, resource: &str) -> Result<f64, GtpnError> {
-        let usage = self.resource_usage(resource)?;
-        let delay = *self
-            .resource_delay
-            .get(resource)
-            .ok_or_else(|| GtpnError::UnknownName(resource.to_string()))?;
-        Ok(rate(usage, delay))
-    }
-
     /// Usage of an individual transition.
-    pub fn transition_usage(&self, transition: TransId) -> f64 {
+    pub(crate) fn transition_usage(&self, transition: TransId) -> f64 {
         self.transition_usage
             .get(transition.0)
             .copied()
@@ -1030,8 +1003,6 @@ mod tests {
         let s = g.solve(1e-13, 100_000).unwrap();
         let total: f64 = s.state_probabilities().iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
-        let embedded: f64 = s.embedded_probabilities().iter().sum();
-        assert!((embedded - 1.0).abs() < 1e-9);
         assert!(s.iterations() > 0);
         assert!(s.residual() < 1e-13);
     }
@@ -1044,6 +1015,5 @@ mod tests {
             .unwrap();
         let s = net.reachability(10).unwrap().solve(1e-12, 1000).unwrap();
         assert!(s.resource_usage("nope").is_err());
-        assert!(s.resource_rate("nope").is_err());
     }
 }

@@ -1,10 +1,11 @@
-//! Markings and tangible states of a GTPN.
+//! Tangible states as the reference kernels in [`crate::reach::reference`]
+//! and [`crate::lump`]'s tests key them: one allocation per state, the
+//! layout the flat pipeline replaced.
 
 use crate::net::TransId;
-use std::fmt;
 
 /// A marking: number of tokens in each place, indexed by `PlaceId`.
-pub type Marking = Vec<u32>;
+pub(crate) type Marking = Vec<u32>;
 
 /// A tangible state of the timed net: a marking together with the multiset
 /// of in-progress firings and their remaining durations.
@@ -13,49 +14,25 @@ pub type Marking = Vec<u32>;
 /// firing removes enabling tokens at start-of-firing and deposits output
 /// tokens at end-of-firing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct State {
+pub(crate) struct State {
     /// Tokens per place.
-    pub marking: Marking,
+    pub(crate) marking: Marking,
     /// In-progress firings `(transition, remaining time)`, kept sorted so the
     /// representation is canonical and hashable.
-    pub firings: Vec<(TransId, u64)>,
+    pub(crate) firings: Vec<(TransId, u64)>,
 }
 
 impl State {
     /// Creates a state, canonicalizing the firing list.
-    pub fn new(marking: Marking, mut firings: Vec<(TransId, u64)>) -> State {
+    pub(crate) fn new(marking: Marking, mut firings: Vec<(TransId, u64)>) -> State {
         firings.sort_unstable();
         State { marking, firings }
     }
 
     /// The remaining time until the next firing completes, or `None` when no
     /// firing is in progress (a potential deadlock).
-    pub fn time_to_next_completion(&self) -> Option<u64> {
+    pub(crate) fn time_to_next_completion(&self) -> Option<u64> {
         self.firings.iter().map(|&(_, r)| r).min()
-    }
-
-    /// Number of in-progress firing instances per transition.
-    pub fn firing_counts(&self, transition_count: usize) -> Vec<u32> {
-        let mut counts = vec![0u32; transition_count];
-        for &(t, _) in &self.firings {
-            if t.0 < transition_count {
-                counts[t.0] += 1;
-            }
-        }
-        counts
-    }
-}
-
-impl fmt::Display for State {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "M{:?} F{{", self.marking)?;
-        for (i, (t, r)) in self.firings.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{t}:{r}")?;
-        }
-        write!(f, "}}")
     }
 }
 
@@ -76,14 +53,5 @@ mod tests {
         assert_eq!(s.time_to_next_completion(), Some(3));
         let empty = State::new(vec![], vec![]);
         assert_eq!(empty.time_to_next_completion(), None);
-    }
-
-    #[test]
-    fn firing_counts_multiset() {
-        let s = State::new(
-            vec![],
-            vec![(TransId(1), 2), (TransId(1), 4), (TransId(0), 1)],
-        );
-        assert_eq!(s.firing_counts(3), vec![1, 2, 0]);
     }
 }

@@ -270,8 +270,12 @@ proptest! {
         let par = net.reachability_budgeted(200_000, &budget).unwrap();
 
         prop_assert_eq!(par.state_count(), serial.state_count());
-        prop_assert_eq!(par.states(), serial.states(),
-            "state numbering must match the serial FIFO order");
+        for i in 0..serial.state_count() {
+            prop_assert_eq!(par.marking(i), serial.marking(i),
+                "state numbering must match the serial FIFO order");
+            prop_assert_eq!(par.firings(i), serial.firings(i),
+                "state numbering must match the serial FIFO order");
+        }
         prop_assert_eq!(par.sojourns(), serial.sojourns());
         for i in 0..serial.state_count() {
             let (se, pe) = (serial.out_edges(i), par.out_edges(i));

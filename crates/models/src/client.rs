@@ -16,7 +16,7 @@ use gtpn::{AnalysisEngine, Expr, Net, TransId};
 
 /// Solution of the client model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClientSolution {
+pub(crate) struct ClientSolution {
     /// Round-trip completion rate per microsecond (Λ).
     pub lambda_per_us: f64,
     /// Mean client cycle time `T = n / Λ`, µs.
@@ -34,14 +34,9 @@ fn gate(intr: gtpn::PlaceId, cleanup: (TransId, TransId)) -> Expr {
 }
 
 /// Builds the client-node net for `n` conversations with surrogate server
-/// delay `s_d` µs.
-pub fn build(arch: Architecture, n: u32, s_d: f64) -> Result<Net, ModelError> {
-    build_with_hosts(arch, n, s_d, 1)
-}
-
-/// As [`build`] with `hosts` host processors on the node (the 925 test-bed
+/// delay `s_d` µs and `hosts` host processors on the node (the 925 test-bed
 /// ran two; see also the Chapter 7 extension).
-pub fn build_with_hosts(
+pub(crate) fn build_with_hosts(
     arch: Architecture,
     n: u32,
     s_d: f64,
@@ -146,23 +141,9 @@ pub fn build_with_hosts(
     Ok(net)
 }
 
-/// Builds and solves the client model.
-pub fn solve(arch: Architecture, n: u32, s_d: f64) -> Result<ClientSolution, ModelError> {
-    solve_with_hosts(arch, n, s_d, 1)
-}
-
-/// As [`solve`] with `hosts` host processors.
-pub fn solve_with_hosts(
-    arch: Architecture,
-    n: u32,
-    s_d: f64,
-    hosts: u32,
-) -> Result<ClientSolution, ModelError> {
-    solve_with_hosts_in(crate::default_engine(), arch, n, s_d, hosts)
-}
-
-/// As [`solve_with_hosts`], analyzing through an explicit engine.
-pub fn solve_with_hosts_in(
+/// Builds and solves the client model with `hosts` host processors,
+/// analyzing through `engine`.
+pub(crate) fn solve_with_hosts_in(
     engine: &AnalysisEngine,
     arch: Architecture,
     n: u32,
@@ -182,6 +163,10 @@ pub fn solve_with_hosts_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn solve(arch: Architecture, n: u32, s_d: f64) -> Result<ClientSolution, ModelError> {
+        solve_with_hosts_in(crate::default_engine(), arch, n, s_d, 1)
+    }
 
     #[test]
     fn single_client_cycle_time_is_chain_sum() {

@@ -27,7 +27,7 @@ pub struct ContendingActivity {
 }
 
 /// Builds the Figure 6.8 net for a set of concurrently-cycling activities.
-pub fn build(activities: &[ContendingActivity]) -> Result<Net, ModelError> {
+pub(crate) fn build(activities: &[ContendingActivity]) -> Result<Net, ModelError> {
     let mut net = Net::new("contention");
     let port = net.add_place("MemoryPort", 1);
     for a in activities {
@@ -96,7 +96,7 @@ pub fn completion_times(activities: &[ContendingActivity]) -> Result<Vec<f64>, M
 }
 
 /// As [`completion_times`], analyzing through an explicit engine.
-pub fn completion_times_in(
+pub(crate) fn completion_times_in(
     engine: &AnalysisEngine,
     activities: &[ContendingActivity],
 ) -> Result<Vec<f64>, ModelError> {

@@ -6,7 +6,7 @@
 //! * [`local`] — the single-node conversation models (Figures 6.9 and 6.12):
 //!   clients, servers and processor tokens cycle through geometric service
 //!   stages approximating the measured activity costs.
-//! * [`client`] / [`server`] — the split non-local models (Figures
+//! * `client` / `server` — the split non-local models (Figures
 //!   6.10/6.11/6.13/6.14), with surrogate delays standing in for the remote
 //!   half, interrupt-priority gating (`(NetIntr = 0) & !T & !T'`), and the
 //!   paper's `IoOut`/`IoIn` network-interface places.
@@ -25,16 +25,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod client;
+mod client;
+mod server;
+mod stages;
+
 pub mod contention;
 pub mod local;
 pub mod nonlocal;
 pub mod offered;
-pub mod server;
 pub mod validation;
-
-mod stages;
 
 pub use archsim::timings::{Architecture, Locality};
 pub use gtpn::{Analysis, AnalysisEngine, BackendKind, BackendSel, DesOptions, EngineConfig};

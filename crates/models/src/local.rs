@@ -50,7 +50,7 @@ pub fn build(arch: Architecture, n: u32, x_us: f64) -> Result<Net, ModelError> {
 /// serving a collection of hosts that share memory); modeling it is a
 /// one-token change because processor sharing is expressed by the `Host`
 /// place's marking.
-pub fn build_with_hosts(
+pub(crate) fn build_with_hosts(
     arch: Architecture,
     n: u32,
     x_us: f64,
@@ -169,7 +169,8 @@ pub fn solve_in(
     solve_with_hosts_in(engine, arch, n, x_us, 1)
 }
 
-/// Solves the Chapter 7 multi-host extension (see [`build_with_hosts`]).
+/// Solves the Chapter 7 multi-host extension: [`solve`] with `hosts` host
+/// processors on the node.
 pub fn solve_with_hosts(
     arch: Architecture,
     n: u32,

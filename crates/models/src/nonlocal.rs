@@ -30,14 +30,14 @@ pub struct NonLocalSolution {
 }
 
 /// Relative convergence tolerance on `S_d`.
-pub const FIXED_POINT_TOL: f64 = 1e-3;
+pub(crate) const FIXED_POINT_TOL: f64 = 1e-3;
 
 /// Maximum fixed-point iterations.
-pub const MAX_ITERATIONS: usize = 60;
+pub(crate) const MAX_ITERATIONS: usize = 60;
 
 /// Wire transit of one 40-byte packet on the 4 Mb/s ring, µs — a constant
 /// added to `S_d` outside the model together with the DMA times (§6.6.4).
-pub const WIRE_US: f64 = 112.0;
+pub(crate) const WIRE_US: f64 = 112.0;
 
 /// Solves the non-local model for `n` conversations and server compute
 /// `x_us`.
@@ -62,7 +62,7 @@ pub fn solve_in(
 
 /// As [`solve`] with `hosts` host processors per node — the paper's 925
 /// validation configuration ran two hosts per node (§6.8).
-pub fn solve_with_hosts(
+pub(crate) fn solve_with_hosts(
     arch: Architecture,
     n: u32,
     x_us: f64,
@@ -74,7 +74,7 @@ pub fn solve_with_hosts(
 /// As [`solve_with_hosts`], analyzing every sub-model through an explicit
 /// engine — the §6.6.3 iteration re-solves nearly identical nets each
 /// round, so the engine's solution cache pays off across iterations.
-pub fn solve_with_hosts_in(
+pub(crate) fn solve_with_hosts_in(
     engine: &AnalysisEngine,
     arch: Architecture,
     n: u32,

@@ -34,14 +34,6 @@ pub fn row(locality: Locality, server_ms: f64) -> OfferedLoadRow {
     OfferedLoadRow { server_ms, loads }
 }
 
-/// Computes the full table for `locality`.
-pub fn table(locality: Locality) -> Vec<OfferedLoadRow> {
-    SERVER_TIMES_MS
-        .iter()
-        .map(|&server_ms| row(locality, server_ms))
-        .collect()
-}
-
 /// Server time (µs) that produces a given offered load under architecture
 /// I — used to sweep the figures' x-axes, which plot "offered load computed
 /// for architecture I" (§6.9.2).
@@ -54,6 +46,13 @@ pub fn server_time_for_load_arch1(locality: Locality, load: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn table(locality: Locality) -> Vec<OfferedLoadRow> {
+        SERVER_TIMES_MS
+            .iter()
+            .map(|&ms| row(locality, ms))
+            .collect()
+    }
 
     #[test]
     fn zero_server_time_is_unit_load() {

@@ -18,7 +18,7 @@ use gtpn::{AnalysisEngine, Expr, Net, PlaceId, TransId};
 
 /// Solution of the server model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerSolution {
+pub(crate) struct ServerSolution {
     /// Client-request arrival rate per µs (λ).
     pub arrival_per_us: f64,
     /// Mean customers in the served system (N).
@@ -164,30 +164,10 @@ fn build(arch: Architecture, n: u32, x_us: f64, c_d: f64, hosts: u32) -> Result<
     }
 }
 
-/// Builds and solves the server model for compute time `x_us` and surrogate
-/// client delay `c_d` µs.
-pub fn solve(
-    arch: Architecture,
-    n: u32,
-    x_us: f64,
-    c_d: f64,
-) -> Result<ServerSolution, ModelError> {
-    solve_with_hosts(arch, n, x_us, c_d, 1)
-}
-
-/// As [`solve`] with `hosts` host processors on the server node.
-pub fn solve_with_hosts(
-    arch: Architecture,
-    n: u32,
-    x_us: f64,
-    c_d: f64,
-    hosts: u32,
-) -> Result<ServerSolution, ModelError> {
-    solve_with_hosts_in(crate::default_engine(), arch, n, x_us, c_d, hosts)
-}
-
-/// As [`solve_with_hosts`], analyzing through an explicit engine.
-pub fn solve_with_hosts_in(
+/// Builds and solves the server model for compute time `x_us`, surrogate
+/// client delay `c_d` µs and `hosts` host processors on the server node,
+/// analyzing through `engine`.
+pub(crate) fn solve_with_hosts_in(
     engine: &AnalysisEngine,
     arch: Architecture,
     n: u32,
@@ -219,6 +199,15 @@ pub fn solve_with_hosts_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn solve(
+        arch: Architecture,
+        n: u32,
+        x_us: f64,
+        c_d: f64,
+    ) -> Result<ServerSolution, ModelError> {
+        solve_with_hosts_in(crate::default_engine(), arch, n, x_us, c_d, 1)
+    }
 
     #[test]
     fn single_server_delay_is_service_chain() {

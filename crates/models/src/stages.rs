@@ -1,11 +1,11 @@
 //! Shared helpers for assembling the chapter-6 nets from the timing tables.
 
-use archsim::timings::{activity, Activity, ActivityKind, Architecture, Locality};
+use archsim::timings::{activity, ActivityKind, Architecture, Locality};
 
 /// Mean stage duration (µs) for a set of activity kinds, using the paper's
 /// contention completion times (the models' frequency expressions are built
 /// from the contention column, §6.6.2).
-pub fn stage_mean(arch: Architecture, locality: Locality, kinds: &[ActivityKind]) -> f64 {
+pub(crate) fn stage_mean(arch: Architecture, locality: Locality, kinds: &[ActivityKind]) -> f64 {
     kinds
         .iter()
         .filter_map(|&k| activity(arch, locality, k))
@@ -13,18 +13,8 @@ pub fn stage_mean(arch: Architecture, locality: Locality, kinds: &[ActivityKind]
         .sum()
 }
 
-/// Contention-free mean (the "Best" column), for comparisons.
-#[allow(dead_code)]
-pub fn stage_mean_best(arch: Architecture, locality: Locality, kinds: &[ActivityKind]) -> f64 {
-    kinds
-        .iter()
-        .filter_map(|&k| activity(arch, locality, k))
-        .map(Activity::best_us)
-        .sum()
-}
-
 /// Rounds a mean to at least one time unit (geometric stages need mean ≥ 1).
-pub fn clamp_mean(mean: f64) -> f64 {
+pub(crate) fn clamp_mean(mean: f64) -> f64 {
     mean.max(1.0)
 }
 
@@ -54,13 +44,5 @@ mod tests {
         );
         assert_eq!(m, 0.0);
         assert_eq!(clamp_mean(m), 1.0);
-    }
-
-    #[test]
-    fn best_leq_contention() {
-        let kinds = [K::SyscallSend, K::Match, K::ProcessReply];
-        let b = stage_mean_best(Architecture::SmartBus, Locality::NonLocal, &kinds);
-        let c = stage_mean(Architecture::SmartBus, Locality::NonLocal, &kinds);
-        assert!(b <= c);
     }
 }

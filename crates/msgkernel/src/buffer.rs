@@ -16,7 +16,7 @@ pub struct BufferId(pub u32);
 
 /// A kernel-buffer free list.
 ///
-/// The default [`BufferPool`] is an in-process deque; the live runtime
+/// The default pool (`Kernel::new`) is an in-process deque; the live runtime
 /// substitutes a free list backed by `smartmem`'s shared queue
 /// transactions, so buffer acquisition is a real atomic operation on the
 /// shared module (§5.1 keeps the free-buffer list in shared memory).
@@ -51,14 +51,14 @@ impl BufferQueue for BufferPool {
 
 /// A bounded pool of kernel message buffers with a free list.
 #[derive(Debug, Clone)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     free: VecDeque<BufferId>,
     capacity: usize,
 }
 
 impl BufferPool {
     /// Creates a pool of `capacity` buffers, all free.
-    pub fn new(capacity: usize) -> BufferPool {
+    pub(crate) fn new(capacity: usize) -> BufferPool {
         BufferPool {
             free: (0..capacity as u32).map(BufferId).collect(),
             capacity,
@@ -66,18 +66,18 @@ impl BufferPool {
     }
 
     /// Total buffers in the pool.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Currently free buffers.
-    pub fn available(&self) -> usize {
+    pub(crate) fn available(&self) -> usize {
         self.free.len()
     }
 
     /// Takes the first free buffer, or `None` when exhausted (the caller
     /// blocks the requesting task).
-    pub fn acquire(&mut self) -> Option<BufferId> {
+    pub(crate) fn acquire(&mut self) -> Option<BufferId> {
         self.free.pop_front()
     }
 
@@ -87,7 +87,7 @@ impl BufferPool {
     ///
     /// Panics if the buffer is already free (double release) — a kernel
     /// invariant violation.
-    pub fn release(&mut self, buffer: BufferId) {
+    pub(crate) fn release(&mut self, buffer: BufferId) {
         assert!(
             !self.free.contains(&buffer),
             "double release of kernel buffer {buffer:?}"

@@ -46,7 +46,7 @@ impl SendMode {
     }
 
     /// Whether a reply is expected at all.
-    pub fn awaits_reply(self) -> bool {
+    pub(crate) fn awaits_reply(self) -> bool {
         matches!(self, SendMode::RemoteInvocation { .. })
     }
 }
@@ -150,15 +150,6 @@ pub enum KernelEvent {
     PacketOut(Packet),
     /// The send blocked on kernel-buffer shortage (§3.2.3) and will retry.
     BufferShortage(TaskId),
-    /// A message was delivered on a service created with a handler
-    /// (§4.2.1): the kernel invokes the handler in the receiving task's
-    /// context; control returns to the task when the handler replies.
-    HandlerInvoked {
-        /// The receiving task whose handler runs.
-        server: TaskId,
-        /// The handler tag given at service creation.
-        handler: u32,
-    },
     /// A reply addressed a task that no longer exists; it was dropped.
     ReplyDropped {
         /// The dead client's id.
@@ -283,39 +274,11 @@ impl Kernel {
         id
     }
 
-    /// Creates a service.
-    pub fn create_service(&mut self, name: impl Into<String>) -> ServiceId {
-        self.services.push(Some(Service::new(name)));
+    /// Creates a service. The kernel names services by [`ServiceId`] only;
+    /// `_name` labels the call site.
+    pub fn create_service(&mut self, _name: impl Into<String>) -> ServiceId {
+        self.services.push(Some(Service::default()));
         ServiceId(self.services.len() as u32 - 1)
-    }
-
-    /// Creates a service with a handler tag (§4.2.1): every delivery on it
-    /// additionally raises [`KernelEvent::HandlerInvoked`], modeling the
-    /// kernel invoking the task's handler with the message.
-    pub fn create_service_with_handler(
-        &mut self,
-        name: impl Into<String>,
-        handler: u32,
-    ) -> ServiceId {
-        let id = self.create_service(name);
-        self.services[id.0 as usize]
-            .as_mut()
-            .expect("just created")
-            .handler = Some(handler);
-        id
-    }
-
-    /// Name of a service.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::UnknownService`] for dead or never-created ids.
-    pub fn service_name(&self, id: ServiceId) -> Result<&str, KernelError> {
-        self.services
-            .get(id.0 as usize)
-            .and_then(Option::as_ref)
-            .map(|s| s.name.as_str())
-            .ok_or(KernelError::UnknownService(id))
     }
 
     /// Number of messages currently queued on a service.
@@ -433,38 +396,9 @@ impl Kernel {
         self.rendezvous(task).is_some()
     }
 
-    /// Whether the rendezvous partner of server `task` is local to this
-    /// node; `None` when the task is not in a rendezvous.
-    pub fn rendezvous_is_local(&self, task: TaskId) -> Option<bool> {
-        self.rendezvous(task)
-            .map(|info| matches!(info.reply_to, ReplyTo::Local(_)))
-    }
-
-    /// Whether communication work is pending.
-    pub fn communication_pending(&self) -> bool {
-        !self.communication_list.is_empty()
-    }
-
     /// Host side: first task of the computation list, if any.
     pub fn next_computation(&mut self) -> Option<TaskId> {
         self.computation_list.pop_front()
-    }
-
-    /// Whether computation work is pending.
-    pub fn computation_pending(&self) -> bool {
-        !self.computation_list.is_empty()
-    }
-
-    /// Host side: put a still-runnable task back on the computation list.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::UnknownTask`] for a dead task.
-    pub fn push_computation(&mut self, task: TaskId) -> Result<(), KernelError> {
-        self.task(task)?;
-        let p = self.priority_of(task);
-        self.computation_list.push_back(task, p);
-        Ok(())
     }
 
     fn make_runnable(&mut self, task: TaskId, events: &mut Vec<KernelEvent>) {
@@ -674,7 +608,6 @@ impl Kernel {
     /// the message in its control block.
     fn hand_to_server(
         &mut self,
-        sid: ServiceId,
         server: TaskId,
         message: Message,
         reply_to: Option<ReplyTo>,
@@ -690,14 +623,6 @@ impl Kernel {
         }
         self.stats.deliveries += 1;
         events.push(KernelEvent::Delivered { server });
-        if let Some(h) = self
-            .services
-            .get(sid.0 as usize)
-            .and_then(Option::as_ref)
-            .and_then(|s| s.handler)
-        {
-            events.push(KernelEvent::HandlerInvoked { server, handler: h });
-        }
         self.make_runnable(server, events);
         Ok(())
     }
@@ -714,7 +639,7 @@ impl Kernel {
             .pop_front()
             .expect("caller checked non-empty");
         self.buffers.release(qm.buffer);
-        self.hand_to_server(sid, server, qm.message, qm.reply_to, events)?;
+        self.hand_to_server(server, qm.message, qm.reply_to, events)?;
         // A freed buffer may unblock a stalled send.
         self.retry_stalled(events)
     }
@@ -892,7 +817,7 @@ impl Kernel {
                 return Ok(Delivery::NoBuffer);
             };
             self.buffers.release(buf);
-            self.hand_to_server(sid, server, message, reply_to, events)?;
+            self.hand_to_server(server, message, reply_to, events)?;
             Ok(Delivery::Direct)
         } else {
             let Some(buffer) = self.buffers.acquire() else {
@@ -970,7 +895,7 @@ impl Kernel {
     /// # Errors
     ///
     /// [`KernelError::UnknownService`] for a dead service.
-    pub fn activate(
+    pub(crate) fn activate(
         &mut self,
         service: ServiceId,
         message: Message,
@@ -1889,52 +1814,6 @@ mod tests {
             .any(|e| matches!(e, KernelEvent::ReplyDropped { client: c } if *c == client)));
         // The server continues normally.
         assert_eq!(k.task(server).unwrap().state, TaskState::Computing);
-    }
-
-    #[test]
-    fn handler_service_raises_invocation() {
-        // §4.2.1: a service created with a handler gets the handler invoked
-        // on each delivery.
-        let mut k = kernel();
-        let client = k.create_task("client", 1, 64);
-        let server = k.create_task("server", 1, 64);
-        let svc = k.create_service_with_handler("with-handler", 42);
-        k.submit(server, Syscall::Offer { service: svc }).unwrap();
-        drain(&mut k);
-        k.submit(server, Syscall::Receive).unwrap();
-        drain(&mut k);
-        k.submit(
-            client,
-            Syscall::Send {
-                to: addr(&k, svc),
-                message: Message::empty(),
-                mode: SendMode::NoWait,
-            },
-        )
-        .unwrap();
-        let events = drain(&mut k);
-        assert!(events.iter().any(
-            |e| matches!(e, KernelEvent::HandlerInvoked { server: s, handler: 42 } if *s == server)
-        ), "{events:?}");
-        // A plain service never raises the event.
-        let plain = k.create_service("plain");
-        k.submit(server, Syscall::Offer { service: plain }).unwrap();
-        drain(&mut k);
-        k.submit(server, Syscall::Receive).unwrap();
-        drain(&mut k);
-        k.submit(
-            client,
-            Syscall::Send {
-                to: addr(&k, plain),
-                message: Message::empty(),
-                mode: SendMode::NoWait,
-            },
-        )
-        .unwrap();
-        let events = drain(&mut k);
-        assert!(!events
-            .iter()
-            .any(|e| matches!(e, KernelEvent::HandlerInvoked { .. })));
     }
 
     #[test]

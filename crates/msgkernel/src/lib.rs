@@ -39,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod buffer;
 mod error;
@@ -48,7 +49,7 @@ mod sched;
 mod service;
 mod task;
 
-pub use buffer::{BufferId, BufferPool, BufferQueue};
+pub use buffer::{BufferId, BufferQueue};
 pub use error::KernelError;
 pub use kernel::{
     Kernel, KernelEvent, KernelStats, MoveDirection, Packet, PacketBody, SendMode, Syscall,

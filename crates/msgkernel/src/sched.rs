@@ -65,11 +65,6 @@ impl PriorityList {
         self.entries.retain(|&(t, _)| t != task);
         self.disordered &= !self.entries.is_empty();
     }
-
-    /// Whether the list is empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -149,6 +144,6 @@ mod tests {
         l.push_back(TaskId(1), 1);
         l.remove(TaskId(0));
         assert_eq!(l.pop_front(), Some(TaskId(1)));
-        assert!(l.is_empty());
+        assert!(l.entries.is_empty());
     }
 }

@@ -49,23 +49,8 @@ pub(crate) enum ReplyTo {
 /// to the first waiting server, ordered by time (§4.2.1).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Service {
-    pub name: String,
     pub messages: VecDeque<QueuedMessage>,
     pub waiting_servers: VecDeque<TaskId>,
-    /// Handler tag (§4.2.1): when set, the kernel reports a handler
-    /// invocation with each delivery on this service.
-    pub handler: Option<u32>,
-}
-
-impl Service {
-    pub fn new(name: impl Into<String>) -> Service {
-        Service {
-            name: name.into(),
-            messages: VecDeque::new(),
-            waiting_servers: VecDeque::new(),
-            handler: None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -92,9 +77,8 @@ mod tests {
 
     #[test]
     fn new_service_is_empty() {
-        let s = Service::new("files");
+        let s = Service::default();
         assert!(s.messages.is_empty());
         assert!(s.waiting_servers.is_empty());
-        assert_eq!(s.name, "files");
     }
 }

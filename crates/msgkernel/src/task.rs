@@ -53,7 +53,7 @@ pub struct Task {
 
 impl Task {
     /// Creates a task with an address space of `space` bytes.
-    pub fn new(name: impl Into<String>, priority: u8, space: usize) -> Task {
+    pub(crate) fn new(name: impl Into<String>, priority: u8, space: usize) -> Task {
         Task {
             name: name.into(),
             priority,

@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod live;
 
@@ -100,10 +101,10 @@ pub struct TokenRing<P> {
 }
 
 /// The paper's ring: four megabits per second (§3.1, §4.3).
-pub const DEFAULT_BIT_RATE: u64 = 4_000_000;
+pub(crate) const DEFAULT_BIT_RATE: u64 = 4_000_000;
 
 /// Frame header overhead (addresses, framing) in bytes.
-pub const HEADER_BYTES: u32 = 16;
+pub(crate) const HEADER_BYTES: u32 = 16;
 
 impl<P> TokenRing<P> {
     /// Creates a ring with the given bit rate.

@@ -84,7 +84,7 @@ pub struct Port<P> {
 /// handle and one [`Port`] per node (index = node id).
 ///
 /// `bit_rate_bps = 0` disables medium serialization (infinite-speed wire);
-/// [`crate::DEFAULT_BIT_RATE`] reproduces the paper's 4 Mb/s ring.
+/// `4_000_000` reproduces the paper's 4 Mb/s ring.
 pub fn live_ring<P>(nodes: u32, bit_rate_bps: u64) -> (LiveRing<P>, Vec<Port<P>>) {
     let depths: Arc<Vec<AtomicU64>> = Arc::new((0..nodes).map(|_| AtomicU64::new(0)).collect());
     let mut senders = Vec::with_capacity(nodes as usize);
@@ -207,11 +207,6 @@ impl<P> LiveRing<P> {
 }
 
 impl<P> Port<P> {
-    /// The node this port belongs to.
-    pub fn node(&self) -> RingNodeId {
-        self.node
-    }
-
     /// Non-blocking receive: the network-interface poll the MP performs on
     /// each scheduling pass.
     pub fn try_recv(&self) -> Option<Frame<P>> {

@@ -19,7 +19,7 @@ pub fn fixed_overhead_ms(b: &Breakdown) -> f64 {
 
 /// Per-byte copy cost, µs/byte (copy time is for the bytes moved in one
 /// round trip, i.e. the message both ways through kernel buffers).
-pub fn copy_us_per_byte(b: &Breakdown) -> f64 {
+pub(crate) fn copy_us_per_byte(b: &Breakdown) -> f64 {
     if b.message_bytes == 0 {
         return 0.0;
     }

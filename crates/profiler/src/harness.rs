@@ -23,7 +23,7 @@ use crate::timer::HardwareTimer;
 use std::collections::HashMap;
 
 /// Cost of one timer read on the instrumented machine, microseconds.
-pub const TIMER_READ_US: u64 = 4;
+pub(crate) const TIMER_READ_US: u64 = 4;
 
 /// Per-procedure statistics record.
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,50 +35,40 @@ struct ProcedureEntry {
 
 /// The statistics array plus the virtual clock and timer.
 #[derive(Debug)]
-pub struct Profiler {
+pub(crate) struct Profiler {
     timer: HardwareTimer,
     statistics: HashMap<&'static str, ProcedureEntry>,
-    order: Vec<&'static str>,
     now_us: u64,
 }
 
 impl Profiler {
     /// A profiler over a fresh virtual clock.
-    pub fn new(timer: HardwareTimer) -> Profiler {
+    pub(crate) fn new(timer: HardwareTimer) -> Profiler {
         Profiler {
             timer,
             statistics: HashMap::new(),
-            order: Vec::new(),
             now_us: 0,
         }
-    }
-
-    /// The current virtual time, µs.
-    pub fn now_us(&self) -> u64 {
-        self.now_us
     }
 
     /// Enters an instrumented procedure: read the timer (the read itself
     /// costs time that lands inside the measured window) and record the
     /// value.
-    pub fn enter(&mut self, name: &'static str) {
+    pub(crate) fn enter(&mut self, name: &'static str) {
         let value = self.timer.read(self.now_us);
         self.now_us += TIMER_READ_US;
-        if !self.statistics.contains_key(name) {
-            self.order.push(name);
-        }
         let e = self.statistics.entry(name).or_default();
         e.timer_value_at_entry = value;
     }
 
     /// Burns `us` microseconds of procedure body.
-    pub fn execute_us(&mut self, us: u64) {
+    pub(crate) fn execute_us(&mut self, us: u64) {
         self.now_us += us;
     }
 
     /// Exits the procedure: read the timer again (paying for the read),
     /// wrap-correct, accumulate.
-    pub fn exit(&mut self, name: &'static str) {
+    pub(crate) fn exit(&mut self, name: &'static str) {
         self.now_us += TIMER_READ_US;
         let value = self.timer.read(self.now_us);
         let e = self.statistics.get_mut(name).expect("exit without enter");
@@ -86,32 +76,17 @@ impl Profiler {
         e.count += 1;
     }
 
-    /// Raw (uncorrected) elapsed time for a procedure, µs.
-    pub fn raw_elapsed_us(&self, name: &str) -> u64 {
-        self.statistics.get(name).map_or(0, |e| e.elapsed_time)
-    }
-
-    /// Visit count for a procedure.
-    pub fn count(&self, name: &str) -> u64 {
-        self.statistics.get(name).map_or(0, |e| e.count)
-    }
-
     /// Elapsed time with the timing-code overhead removed: both timer reads
     /// sit inside the measured window, so each visit carries
     /// `2 × TIMER_READ_US` of instrumentation cost — "suitable corrections
     /// have to be made to remove the cost incurred due to the timing code
     /// itself" (§3.3).
-    pub fn corrected_elapsed_us(&self, name: &str) -> u64 {
+    pub(crate) fn corrected_elapsed_us(&self, name: &str) -> u64 {
         let e = match self.statistics.get(name) {
             Some(e) => *e,
             None => return 0,
         };
         e.elapsed_time.saturating_sub(2 * TIMER_READ_US * e.count)
-    }
-
-    /// Procedure names in first-visit order.
-    pub fn procedures(&self) -> &[&'static str] {
-        &self.order
     }
 }
 
@@ -180,11 +155,6 @@ impl<'a> KernelRun<'a> {
             self.round_trips += 1;
         }
         self
-    }
-
-    /// Access to the profiler (counts, raw elapsed).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
     }
 
     /// Analyzes the statistics array into a Table 3.x breakdown.
@@ -275,8 +245,8 @@ mod tests {
     fn counts_track_visits() {
         let spec = tiny_spec();
         let run = KernelRun::new(&spec).execute(10);
-        assert_eq!(run.profiler().count("Alpha"), 10);
-        assert_eq!(run.profiler().count("Copy Time"), 40);
+        assert_eq!(run.profiler.statistics["Alpha"].count, 10);
+        assert_eq!(run.profiler.statistics["Copy Time"].count, 40);
     }
 
     #[test]
@@ -286,7 +256,7 @@ mod tests {
         // is far shorter than the 65.5 ms period.
         let spec = tiny_spec();
         let run = KernelRun::new(&spec).execute(1_000);
-        assert!(run.profiler().now_us() > 4 * 65_536);
+        assert!(run.profiler.now_us > 4 * 65_536);
         let b = run.breakdown();
         assert!((b.round_trip_ms - 4.0).abs() < 0.02, "{}", b.round_trip_ms);
     }

@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod harness;
 mod spec;
@@ -37,6 +38,5 @@ pub mod analysis;
 pub mod msgpath;
 pub mod systems;
 
-pub use harness::{Breakdown, BreakdownRow, KernelRun, Profiler};
+pub use harness::{Breakdown, BreakdownRow, KernelRun};
 pub use spec::{ActivitySpec, KernelSpec};
-pub use timer::HardwareTimer;

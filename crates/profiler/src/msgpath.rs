@@ -14,7 +14,7 @@
 
 /// One stage of the message route.
 #[derive(Debug, Clone)]
-pub struct PathStage {
+pub(crate) struct PathStage {
     /// Stage name ("device queue", "copy to kernel buffer", …).
     pub name: &'static str,
     /// Service time per message, µs.
@@ -24,7 +24,7 @@ pub struct PathStage {
 /// The stamp record a message accumulates: `(stage, enqueued_at,
 /// dequeued_at, completed_at)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Stamp {
+pub(crate) struct Stamp {
     /// Stage name.
     pub stage: &'static str,
     /// Arrival at the stage's queue.
@@ -37,14 +37,14 @@ pub struct Stamp {
 
 impl Stamp {
     /// Time spent waiting on this stage's queue.
-    pub fn wait_us(&self) -> u64 {
+    pub(crate) fn wait_us(&self) -> u64 {
         self.dequeued_at - self.enqueued_at
     }
 }
 
 /// A traced message.
 #[derive(Debug, Clone)]
-pub struct TracedMessage {
+pub(crate) struct TracedMessage {
     /// Arrival time of the message at the first stage.
     pub arrived_at: u64,
     /// Stamps, one per stage in route order.
@@ -53,7 +53,7 @@ pub struct TracedMessage {
 
 impl TracedMessage {
     /// Total source-to-destination latency.
-    pub fn latency_us(&self) -> u64 {
+    pub(crate) fn latency_us(&self) -> u64 {
         self.stamps
             .last()
             .map_or(0, |s| s.completed_at - self.arrived_at)
@@ -94,7 +94,7 @@ impl MessagePath {
     /// # Panics
     ///
     /// Panics on an empty route.
-    pub fn new(stages: Vec<PathStage>) -> MessagePath {
+    pub(crate) fn new(stages: Vec<PathStage>) -> MessagePath {
         assert!(
             !stages.is_empty(),
             "a message route needs at least one stage"
@@ -135,7 +135,7 @@ impl MessagePath {
 
     /// Pushes messages arriving every `interarrival_us` through the route
     /// and returns the fully stamped messages.
-    pub fn run(&self, messages: usize, interarrival_us: u64) -> Vec<TracedMessage> {
+    pub(crate) fn run(&self, messages: usize, interarrival_us: u64) -> Vec<TracedMessage> {
         // Each stage is FCFS: it becomes free at `free_at[i]`.
         let mut free_at = vec![0u64; self.stages.len()];
         let mut out = Vec::with_capacity(messages);

@@ -32,28 +32,15 @@ pub struct KernelSpec {
 
 impl KernelSpec {
     /// Time for one instruction, microseconds.
-    pub fn instruction_us(&self) -> f64 {
+    pub(crate) fn instruction_us(&self) -> f64 {
         1.0 / self.mips
-    }
-
-    /// Nominal round-trip time: all activities end to end, µs.
-    pub fn nominal_round_trip_us(&self) -> f64 {
-        self.activities
-            .iter()
-            .map(|a| a.instructions_per_round_trip as f64 * self.instruction_us())
-            .sum()
-    }
-
-    /// The copy activity, if the table breaks one out.
-    pub fn copy_activity(&self) -> Option<&ActivitySpec> {
-        self.activities.iter().find(|a| a.name.contains("Copy"))
     }
 }
 
 /// Builds an activity spec from a published activity time (ms) at a given
 /// MIPS rating: the instruction budget is what that time buys on that
 /// processor.
-pub fn activity_from_time(
+pub(crate) fn activity_from_time(
     name: &'static str,
     time_ms: f64,
     mips: f64,
@@ -83,6 +70,8 @@ mod tests {
             local: true,
             activities: vec![a],
         };
-        assert!((spec.nominal_round_trip_us() - 2_000.0).abs() < 1e-9);
+        let a = &spec.activities[0];
+        let us = a.instructions_per_round_trip as f64 * spec.instruction_us();
+        assert!((us - 2_000.0).abs() < 1e-9);
     }
 }

@@ -5,7 +5,7 @@
 /// the §3.3 procedure ("applying correction if the timer wraps around")
 /// must handle wrap-around, which [`HardwareTimer::elapsed`] implements.
 #[derive(Debug, Clone, Copy)]
-pub struct HardwareTimer {
+pub(crate) struct HardwareTimer {
     /// Counter width in bits.
     width: u32,
 }
@@ -16,23 +16,23 @@ impl HardwareTimer {
     /// # Panics
     ///
     /// Panics for widths outside 1..=32.
-    pub fn new(width: u32) -> HardwareTimer {
+    pub(crate) fn new(width: u32) -> HardwareTimer {
         assert!((1..=32).contains(&width), "timer width out of range");
         HardwareTimer { width }
     }
 
     /// The 16-bit timer typical of the profiled hardware.
-    pub fn sixteen_bit() -> HardwareTimer {
+    pub(crate) fn sixteen_bit() -> HardwareTimer {
         HardwareTimer::new(16)
     }
 
     /// Modulus of the counter.
-    pub fn modulus(&self) -> u64 {
+    pub(crate) fn modulus(&self) -> u64 {
         1u64 << self.width
     }
 
     /// Reads the timer at absolute time `now_us` (microseconds).
-    pub fn read(&self, now_us: u64) -> u64 {
+    pub(crate) fn read(&self, now_us: u64) -> u64 {
         now_us & (self.modulus() - 1)
     }
 
@@ -41,7 +41,7 @@ impl HardwareTimer {
     /// Intervals longer than the timer period are irrecoverable (the real
     /// measurement had the same constraint); callers keep instrumented
     /// sections short.
-    pub fn elapsed(&self, entry: u64, exit: u64) -> u64 {
+    pub(crate) fn elapsed(&self, entry: u64, exit: u64) -> u64 {
         if exit >= entry {
             exit - entry
         } else {

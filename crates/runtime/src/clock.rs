@@ -9,7 +9,7 @@
 //! on a condvar-backed [`Bell`] with a timeout. Real occupancy additionally
 //! records *sleep overshoot* per activity class — the OS never wakes a
 //! sleeper exactly on time, and the requested-vs-actual ledger
-//! ([`ClockSystem::overshoot_report`]) puts error bars on every real-time
+//! (`ClockSystem::overshoot_report`) puts error bars on every real-time
 //! measurement.
 //!
 //! # Virtual mode
@@ -79,7 +79,7 @@ pub enum ClockMode {
 
 impl ClockMode {
     /// Lower-case label (`real` / `virtual`), as accepted by `--clock`.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ClockMode::Real => "real",
             ClockMode::Virtual => "virtual",
@@ -315,7 +315,7 @@ impl ClockSystem {
 
     /// Execution-token handoffs so far: scheduling decisions that picked an
     /// actor other than the one giving the token up (0 in real mode).
-    pub fn handoffs(&self) -> u64 {
+    pub(crate) fn handoffs(&self) -> u64 {
         match &self.inner {
             Inner::Real { .. } => 0,
             Inner::Virtual { state, .. } => lock(state).handoffs,
@@ -323,7 +323,7 @@ impl ClockSystem {
     }
 
     /// The mode this system runs in.
-    pub fn mode(&self) -> ClockMode {
+    pub(crate) fn mode(&self) -> ClockMode {
         match self.inner {
             Inner::Real { .. } => ClockMode::Real,
             Inner::Virtual { .. } => ClockMode::Virtual,
@@ -404,7 +404,7 @@ impl ClockSystem {
     /// The recorded requested-vs-actual occupancy per activity class
     /// (non-empty classes only; empty in virtual mode, where occupancy is
     /// exact by construction).
-    pub fn overshoot_report(&self) -> Vec<OvershootRow> {
+    pub(crate) fn overshoot_report(&self) -> Vec<OvershootRow> {
         self.overshoot
             .iter()
             .enumerate()
@@ -468,14 +468,14 @@ pub struct ClockHandle {
 
 impl ClockHandle {
     /// The clock mode.
-    pub fn mode(&self) -> ClockMode {
+    pub(crate) fn mode(&self) -> ClockMode {
         self.sys.mode()
     }
 
     /// Whether idle loops should spin-poll before waiting (real mode only:
     /// a virtual actor polling without a clock op would hold the execution
     /// token forever).
-    pub fn spins(&self) -> bool {
+    pub(crate) fn spins(&self) -> bool {
         self.mode() == ClockMode::Real
     }
 
@@ -488,7 +488,7 @@ impl ClockHandle {
 
     /// Nanoseconds since the run's zero point: wall time in real mode, the
     /// actor's logical clock in virtual mode.
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         match &self.sys.inner {
             Inner::Real { epoch } => epoch.elapsed().as_nanos() as u64,
             Inner::Virtual { state, .. } => lock(state).actors[self.actor].clock_ns,
@@ -646,7 +646,7 @@ impl Bell {
     /// Wakes every waiter. Virtual mode stamps the ring with the clock of
     /// the executing actor — only it runs code, so only it can ring — and
     /// makes every actor blocked on this bell runnable at that time.
-    pub fn ring(&self) {
+    pub(crate) fn ring(&self) {
         match &self.inner {
             BellInner::Real { seq, cv } => {
                 *seq.lock().expect("bell lock") += 1;

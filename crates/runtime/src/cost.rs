@@ -41,7 +41,7 @@ pub(crate) fn kind_index(kind: ActivityKind) -> usize {
 }
 
 /// Busy-spins the calling thread for `us` microseconds (no-op for `<= 0`).
-pub fn spin_us(us: f64) {
+pub(crate) fn spin_us(us: f64) {
     if us <= 0.0 {
         return;
     }
@@ -53,7 +53,7 @@ pub fn spin_us(us: f64) {
 
 /// Pre-scaled per-kind activity costs for one architecture and locality.
 #[derive(Debug, Clone)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     us: [f64; KINDS],
 }
 
@@ -61,7 +61,7 @@ impl CostModel {
     /// Sums the `best_us` of every table row per [`ActivityKind`] and
     /// applies `scale`. Kinds absent from the table (e.g. MP processing on
     /// Architecture I, DMA on local conversations) cost zero.
-    pub fn new(arch: Architecture, locality: Locality, scale: f64) -> CostModel {
+    pub(crate) fn new(arch: Architecture, locality: Locality, scale: f64) -> CostModel {
         let mut us = [0.0; KINDS];
         for activity in activity_table(arch, locality) {
             us[kind_index(activity.kind)] += activity.best_us() * scale;
@@ -70,12 +70,12 @@ impl CostModel {
     }
 
     /// The scaled cost of one activity kind, microseconds.
-    pub fn us(&self, kind: ActivityKind) -> f64 {
+    pub(crate) fn us(&self, kind: ActivityKind) -> f64 {
         self.us[kind_index(kind)]
     }
 
     /// Occupies the calling processor's clock for the activity's time.
-    pub async fn charge(&self, kind: ActivityKind, clock: &ClockHandle) {
+    pub(crate) async fn charge(&self, kind: ActivityKind, clock: &ClockHandle) {
         clock
             .occupy_us(self.us(kind), crate::clock::class_of(kind))
             .await;

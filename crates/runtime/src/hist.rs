@@ -15,7 +15,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 /// Sub-bucket resolution: each power of two splits into `2^SUB_BITS`
 /// linear sub-buckets.
@@ -73,13 +72,8 @@ impl Histogram {
             .get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU64::new(0))))
     }
 
-    /// Records one sample.
-    pub fn record(&self, sample: Duration) {
-        self.record_ns(sample.as_nanos() as u64);
-    }
-
     /// Records one sample given directly in nanoseconds — the form clock
-    /// timestamps arrive in ([`crate::clock::ClockHandle::now_ns`]), real
+    /// timestamps arrive in (`ClockHandle::now_ns`), real
     /// or virtual.
     pub fn record_ns(&self, ns: u64) {
         let ns = ns.max(1);
@@ -98,7 +92,7 @@ impl Histogram {
     /// from the split (unlike averaging per-node quantiles, which is
     /// biased whenever node distributions differ). Bucket sums commute,
     /// so any merge order produces identical counts.
-    pub fn merge(&self, other: &Histogram) {
+    pub(crate) fn merge(&self, other: &Histogram) {
         let Some(theirs) = other.buckets.get() else {
             return; // `other` never recorded: nothing to add.
         };
@@ -123,7 +117,7 @@ impl Histogram {
     }
 
     /// Mean latency in microseconds (0 with no samples).
-    pub fn mean_us(&self) -> f64 {
+    pub(crate) fn mean_us(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             return 0.0;
@@ -132,7 +126,7 @@ impl Histogram {
     }
 
     /// Largest recorded sample, microseconds.
-    pub fn max_us(&self) -> f64 {
+    pub(crate) fn max_us(&self) -> f64 {
         self.max_ns.load(Ordering::Relaxed) as f64 / 1_000.0
     }
 
@@ -144,7 +138,7 @@ impl Histogram {
     /// at the observed maximum (no sample lies beyond it, and the cap
     /// keeps tail estimates both below `max` and strictly ordered instead
     /// of collapsing onto a clamp).
-    pub fn quantile_us(&self, q: f64) -> f64 {
+    pub(crate) fn quantile_us(&self, q: f64) -> f64 {
         let n = self.count();
         if n == 0 {
             return 0.0;
@@ -169,22 +163,6 @@ impl Histogram {
             seen += c;
         }
         self.max_us()
-    }
-
-    /// The per-bucket counts with their lower bounds in microseconds, for
-    /// printing (only non-empty buckets).
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        let Some(buckets) = self.buckets.get() else {
-            return Vec::new();
-        };
-        buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(index, slot)| {
-                let n = slot.load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_bounds(index).0 / 1_000.0, n))
-            })
-            .collect()
     }
 }
 
@@ -215,7 +193,7 @@ mod tests {
     fn quantiles_bracket_the_samples() {
         let h = Histogram::default();
         for us in [10u64, 20, 40, 80, 160, 320, 640, 1_280, 2_560, 5_120] {
-            h.record(Duration::from_micros(us));
+            h.record_ns(us * 1_000);
         }
         assert_eq!(h.count(), 10);
         let p50 = h.quantile_us(0.50);
@@ -234,7 +212,7 @@ mod tests {
         // separate the quantiles, strictly and in order.
         let h = Histogram::default();
         for i in 0..100u64 {
-            h.record(Duration::from_micros(34_000 + i * 300));
+            h.record_ns((34_000 + i * 300) * 1_000);
         }
         let (p50, p95, p99) = (
             h.quantile_us(0.50),
@@ -249,6 +227,13 @@ mod tests {
         assert!((p50 - 49_000.0).abs() < 49_000.0 * 0.07, "p50 {p50}");
         assert!((p95 - 62_500.0).abs() < 62_500.0 * 0.07, "p95 {p95}");
         assert!(p99 <= h.max_us());
+    }
+
+    /// Every bucket's count; empty for a histogram that never allocated.
+    fn counts(h: &Histogram) -> Vec<u64> {
+        h.buckets.get().map_or_else(Vec::new, |grid| {
+            grid.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+        })
     }
 
     #[test]
@@ -272,7 +257,7 @@ mod tests {
         fleet.merge(&node_a);
         fleet.merge(&node_b);
         assert_eq!(fleet.count(), reference.count());
-        assert_eq!(fleet.nonzero_buckets(), reference.nonzero_buckets());
+        assert_eq!(counts(&fleet), counts(&reference));
         for q in [0.05, 0.25, 0.50, 0.75, 0.95, 0.99, 1.0] {
             assert_eq!(fleet.quantile_us(q), reference.quantile_us(q), "q={q}");
         }
@@ -290,7 +275,7 @@ mod tests {
         let swapped = Histogram::default();
         swapped.merge(&node_b);
         swapped.merge(&node_a);
-        assert_eq!(swapped.nonzero_buckets(), fleet.nonzero_buckets());
+        assert_eq!(counts(&swapped), counts(&fleet));
     }
 
     #[test]
@@ -310,7 +295,7 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile_us(0.5), 0.0);
         assert_eq!(h.mean_us(), 0.0);
-        assert!(h.nonzero_buckets().is_empty());
+        assert!(h.buckets.get().is_none());
     }
 
     #[test]
@@ -321,7 +306,7 @@ mod tests {
                 let h = std::sync::Arc::clone(&h);
                 std::thread::spawn(move || {
                     for i in 1..=1_000u64 {
-                        h.record(Duration::from_nanos(i));
+                        h.record_ns(i);
                     }
                 })
             })

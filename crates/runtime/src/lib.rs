@@ -23,19 +23,21 @@
 //! load generator spawns fleets of client–server conversations — blocking
 //! remote invocations with reply semantics, kernel-buffer backpressure
 //! (§3.2.3), graceful shutdown — while every activity occupies its
-//! processor for its measured Table 6.4–6.23 time ([`cost`]). Throughput
-//! and latency come out of a lock-free histogram ([`hist`]); the `repro
+//! processor for its measured Table 6.4–6.23 time (`cost`). Throughput
+//! and latency come out of a lock-free histogram ([`Histogram`]); the `repro
 //! live` subcommand prints them and `tests/live_runtime.rs` cross-validates
 //! the measured architecture ordering against the GTPN model's predictions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+
+mod cost;
+mod hist;
+mod node;
+mod shm;
 
 pub mod clock;
-pub mod cost;
-pub mod hist;
-mod node;
-pub mod shm;
 
 pub use archsim::timings::{Architecture, Locality};
 pub use clock::{ClockMode, OvershootRow};

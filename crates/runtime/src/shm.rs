@@ -29,7 +29,7 @@ const COMMUNICATION: ListId = ListId(1);
 /// One node's shared-memory image: the computation and communication lists
 /// (and, on I–III, the buffer free list) as concurrent queue transactions.
 #[derive(Debug, Clone)]
-pub struct NodeShm {
+pub(crate) struct NodeShm {
     tcb: Arc<dyn SharedQueue>,
 }
 
@@ -52,7 +52,11 @@ impl NodeShm {
     /// `buffers` kernel buffers, returning the TCB image and the buffer
     /// free list (already full) for [`msgkernel::Kernel::with_queues`],
     /// whose only pluggable queue it is.
-    pub fn for_arch(arch: Architecture, tasks: u16, buffers: u16) -> (NodeShm, SharedBufferQueue) {
+    pub(crate) fn for_arch(
+        arch: Architecture,
+        tasks: u16,
+        buffers: u16,
+    ) -> (NodeShm, SharedBufferQueue) {
         let elements = tasks
             .checked_add(buffers)
             .expect("tasks + buffers fit a u16");
@@ -78,22 +82,22 @@ impl NodeShm {
 
     /// Host side: pop the next runnable task (the §5.1 `First` transaction
     /// on the computation list).
-    pub fn pop_computation(&self) -> Option<TaskId> {
+    pub(crate) fn pop_computation(&self) -> Option<TaskId> {
         self.tcb.first(COMPUTATION).map(|e| TaskId(u32::from(e)))
     }
 
     /// MP side: make a task runnable on the host.
-    pub fn push_computation(&self, task: TaskId) {
+    pub(crate) fn push_computation(&self, task: TaskId) {
         self.tcb.enqueue(COMPUTATION, task.0 as u16);
     }
 
     /// MP side: pop the next communication request.
-    pub fn pop_communication(&self) -> Option<TaskId> {
+    pub(crate) fn pop_communication(&self) -> Option<TaskId> {
         self.tcb.first(COMMUNICATION).map(|e| TaskId(u32::from(e)))
     }
 
     /// Host side: submit a task's communication request to the MP.
-    pub fn push_communication(&self, task: TaskId) {
+    pub(crate) fn push_communication(&self, task: TaskId) {
         self.tcb.enqueue(COMMUNICATION, task.0 as u16);
     }
 }
@@ -105,7 +109,7 @@ impl NodeShm {
 /// `First` transaction — on Architecture IV against the kernel-buffer
 /// partition.
 #[derive(Debug)]
-pub struct SharedBufferQueue {
+pub(crate) struct SharedBufferQueue {
     module: Arc<dyn SharedQueue>,
     list: ListId,
     /// Element index of buffer 0 within the module.
@@ -155,7 +159,7 @@ impl BufferQueue for SharedBufferQueue {
 /// communication list (Figure 4.4); the inbox carries the message the MP
 /// deposited before making the task runnable (Figure 4.5).
 #[derive(Debug, Default)]
-pub struct TcbSlot {
+pub(crate) struct TcbSlot {
     /// Host → MP: the pending syscall.
     pub request: Mutex<Option<msgkernel::Syscall>>,
     /// MP → host: the delivered message.

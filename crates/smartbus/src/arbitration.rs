@@ -40,7 +40,7 @@ impl RequestNumber {
     }
 
     /// Bit `i` with `br0` the most significant (paper convention).
-    pub fn bit(self, i: usize) -> bool {
+    pub(crate) fn bit(self, i: usize) -> bool {
         debug_assert!(i < 3);
         (self.0 >> (2 - i)) & 1 == 1
     }
@@ -101,40 +101,6 @@ impl Arbiter {
     }
 }
 
-/// Outcome of the end-of-cycle arbitration decision (§5.4 rules 1–4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Grant {
-    /// A new master takes the bus after `BBSY` is released (rule 2).
-    NewMaster(usize),
-    /// The current master won again and continues without releasing `BBSY`
-    /// (rule 3, Figure 5.19).
-    Retained,
-    /// Nobody requested; the current master stays responsible for starting
-    /// the next arbitration cycle (rule 4, Figure 5.20).
-    Idle,
-}
-
-/// Applies the protocol rules given the current master's number (if it wants
-/// to continue) and the other contenders. `contenders[i]` maps to
-/// `Grant::NewMaster(i)`.
-pub fn grant(current: Option<RequestNumber>, contenders: &[RequestNumber]) -> Grant {
-    let arbiter = Arbiter::new();
-    let mut all: Vec<RequestNumber> = contenders.to_vec();
-    if let Some(c) = current {
-        all.push(c);
-    }
-    match arbiter.resolve(&all) {
-        None => Grant::Idle,
-        Some(winner) => {
-            if current.is_some() && winner == all.len() - 1 {
-                Grant::Retained
-            } else {
-                Grant::NewMaster(winner)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,22 +144,24 @@ mod tests {
 
     #[test]
     fn retained_when_current_master_highest() {
-        let g = grant(
-            Some(RequestNumber::new(7)),
-            &[RequestNumber::new(2), RequestNumber::new(5)],
-        );
-        assert_eq!(g, Grant::Retained);
+        // §5.4 rule 3: the current master (last) out-numbers the others and
+        // keeps the bus.
+        let cs = [2, 5, 7].map(RequestNumber::new);
+        assert_eq!(Arbiter::new().resolve(&cs), Some(2));
     }
 
     #[test]
     fn preempted_by_higher_priority() {
-        let g = grant(Some(RequestNumber::new(2)), &[RequestNumber::new(6)]);
-        assert_eq!(g, Grant::NewMaster(0));
+        // Rule 2: a higher-numbered contender takes the bus from the master.
+        let cs = [6, 2].map(RequestNumber::new);
+        assert_eq!(Arbiter::new().resolve(&cs), Some(0));
     }
 
     #[test]
     fn idle_when_no_requests() {
-        assert_eq!(grant(None, &[]), Grant::Idle);
+        // Rule 4: with no requests nobody wins; the master stays responsible
+        // for the next cycle.
+        assert_eq!(Arbiter::new().resolve(&[]), None);
     }
 
     #[test]

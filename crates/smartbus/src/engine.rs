@@ -462,7 +462,6 @@ impl<S: BusSlave> BusEngine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::FOUR_EDGE_NS;
 
     /// A minimal in-crate slave for engine tests: flat memory, FIFO block
     /// table, no queue support beyond a trivial stack.
@@ -595,7 +594,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].response, Response::Data(0xBEEF));
         // Write = 4 edges (1 us), read = 8 edges (2 us).
-        assert_eq!(bus.time_ns(), 3 * FOUR_EDGE_NS);
+        assert_eq!(bus.time_ns(), 3 * edges_to_ns(4));
     }
 
     #[test]

@@ -37,17 +37,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod arbitration;
-pub mod command;
-pub mod engine;
+mod arbitration;
+mod command;
+mod engine;
+mod timing;
+mod transaction;
+
 pub mod signal;
-pub mod timing;
-pub mod transaction;
 pub mod waveform;
 
 pub use arbitration::{Arbiter, RequestNumber};
 pub use command::Command;
 pub use engine::{BusEngine, BusEvent, CompletedTransaction, EngineError, UnitId};
-pub use timing::{edges_to_ns, EDGE_NS, FOUR_EDGE_NS, TWO_EDGE_NS};
 pub use transaction::{BlockDirection, BusSlave, Response, SlaveError, Tag, Transaction};

@@ -91,45 +91,6 @@ impl fmt::Display for Signal {
     }
 }
 
-/// Instantaneous state of the bus lines — used by trace/visualization code.
-///
-/// Protocol lines are *asserted* on a one-to-zero transition and *released*
-/// on zero-to-one (§5.2); here `true` simply means asserted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BusLines {
-    /// Multiplexed address/data value.
-    pub ad: u16,
-    /// Tag value.
-    pub tg: u8,
-    /// Command encoding (see [`crate::Command`]).
-    pub cm: u8,
-    /// Information strobe.
-    pub is: bool,
-    /// Information acknowledge.
-    pub ik: bool,
-    /// Bus busy.
-    pub bbsy: bool,
-    /// Bus-request lines (3 bits).
-    pub br: u8,
-    /// Arbitration start.
-    pub ar: bool,
-    /// Arbitration not complete.
-    pub anc: bool,
-}
-
-impl BusLines {
-    /// All protocol lines released (the idle state between transactions).
-    pub fn released() -> BusLines {
-        BusLines::default()
-    }
-
-    /// True when all protocol handshake lines are in the released state, as
-    /// required at the end of every transaction (§5.2).
-    pub fn is_quiescent(&self) -> bool {
-        !self.is && !self.ik && !self.bbsy && !self.ar && !self.anc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,15 +108,5 @@ mod tests {
         for s in Signal::ALL {
             assert!(seen.insert(s.mnemonic()), "duplicate mnemonic {}", s);
         }
-    }
-
-    #[test]
-    fn idle_bus_quiescent() {
-        assert!(BusLines::released().is_quiescent());
-        let busy = BusLines {
-            bbsy: true,
-            ..BusLines::released()
-        };
-        assert!(!busy.is_quiescent());
     }
 }

@@ -7,24 +7,12 @@
 
 /// Duration of a single handshake edge, in nanoseconds (250 ns, so that a
 /// four-edge handshake equals the 1 µs Versabus memory cycle).
-pub const EDGE_NS: u64 = 250;
-
-/// A four-edge handshake: 1 µs (one Versabus memory cycle).
-pub const FOUR_EDGE_NS: u64 = 4 * EDGE_NS;
-
-/// A two-edge streaming transfer: 0.5 µs.
-pub const TWO_EDGE_NS: u64 = 2 * EDGE_NS;
+pub(crate) const EDGE_NS: u64 = 250;
 
 /// Converts a number of handshake edges to nanoseconds.
-pub fn edges_to_ns(edges: u32) -> u64 {
+pub(crate) fn edges_to_ns(edges: u32) -> u64 {
     u64::from(edges) * EDGE_NS
 }
-
-/// Mean Versabus memory cycle time, nanoseconds.
-pub const VERSABUS_CYCLE_NS: u64 = 1_000;
-
-/// Host/MP instruction execution time at 8 MHz / ~0.3 MIPS: 3 µs (§6.4).
-pub const INSTRUCTION_NS: u64 = 3_000;
 
 #[cfg(test)]
 mod tests {
@@ -32,9 +20,10 @@ mod tests {
 
     #[test]
     fn four_edges_equal_versabus_cycle() {
-        assert_eq!(edges_to_ns(4), VERSABUS_CYCLE_NS);
-        assert_eq!(FOUR_EDGE_NS, VERSABUS_CYCLE_NS);
-        assert_eq!(TWO_EDGE_NS * 2, FOUR_EDGE_NS);
+        // The mean Versabus memory cycle is 1 µs; a two-edge streaming
+        // transfer is half of one.
+        assert_eq!(edges_to_ns(4), 1_000);
+        assert_eq!(edges_to_ns(2) * 2, edges_to_ns(4));
     }
 
     #[test]
@@ -42,7 +31,7 @@ mod tests {
         // Table 6.1, architecture III: one four-edge request followed by
         // twenty two-edge transfers = 11 µs spent in memory cycles.
         let words = 40 / 2;
-        let total = FOUR_EDGE_NS + words * TWO_EDGE_NS;
+        let total = edges_to_ns(4) + words * edges_to_ns(2);
         assert_eq!(total, 11_000);
     }
 }

@@ -10,7 +10,7 @@ use smartbus::{BlockDirection, SlaveError, Tag};
 
 /// One outstanding block transfer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockEntry {
+pub(crate) struct BlockEntry {
     /// Identifying tag returned on the `TG` lines.
     pub tag: Tag,
     /// Starting byte address.
@@ -27,12 +27,12 @@ pub struct BlockEntry {
 
 impl BlockEntry {
     /// Next byte address to transfer.
-    pub fn cursor(&self) -> u16 {
+    pub(crate) fn cursor(&self) -> u16 {
         self.addr.wrapping_add(self.done)
     }
 
     /// Whether the whole block has been moved.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.done >= self.count
     }
 }
@@ -46,16 +46,11 @@ pub struct BlockTable {
 
 impl BlockTable {
     /// Sixteen entries: the tag bus is four bits wide (Table 5.1).
-    pub const CAPACITY: usize = 16;
+    pub(crate) const CAPACITY: usize = 16;
 
     /// Creates an empty table.
-    pub fn new() -> BlockTable {
+    pub(crate) fn new() -> BlockTable {
         BlockTable::default()
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// Whether the table is empty.
@@ -68,7 +63,7 @@ impl BlockTable {
     /// # Errors
     ///
     /// [`SlaveError::BlockTableFull`] when all sixteen tags are live.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         addr: u16,
         count: u16,
@@ -97,34 +92,29 @@ impl BlockTable {
     }
 
     /// Looks up an entry by tag.
-    pub fn get(&self, tag: Tag) -> Option<&BlockEntry> {
+    pub(crate) fn get(&self, tag: Tag) -> Option<&BlockEntry> {
         self.entries.iter().find(|e| e.tag == tag)
     }
 
     /// Mutable lookup by tag.
-    pub fn get_mut(&mut self, tag: Tag) -> Option<&mut BlockEntry> {
+    pub(crate) fn get_mut(&mut self, tag: Tag) -> Option<&mut BlockEntry> {
         self.entries.iter_mut().find(|e| e.tag == tag)
     }
 
     /// Removes an entry (transfer complete or aborted).
-    pub fn remove(&mut self, tag: Tag) -> Option<BlockEntry> {
+    pub(crate) fn remove(&mut self, tag: Tag) -> Option<BlockEntry> {
         let idx = self.entries.iter().position(|e| e.tag == tag)?;
         Some(self.entries.remove(idx))
     }
 
     /// The highest-priority pending *read* transfer — the one the memory
     /// masters the bus for next. Ties break toward the older request.
-    pub fn next_read(&self) -> Option<Tag> {
+    pub(crate) fn next_read(&self) -> Option<Tag> {
         self.entries
             .iter()
             .filter(|e| e.direction == BlockDirection::Read && !e.is_complete())
             .max_by(|a, b| a.priority.cmp(&b.priority))
             .map(|e| e.tag)
-    }
-
-    /// Iterates over live entries.
-    pub fn iter(&self) -> impl Iterator<Item = &BlockEntry> {
-        self.entries.iter()
     }
 }
 
@@ -136,7 +126,7 @@ mod tests {
     fn insert_lookup_remove() {
         let mut t = BlockTable::new();
         let tag = t.insert(0x100, 40, BlockDirection::Read, 3).unwrap();
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.entries.len(), 1);
         let e = t.get(tag).unwrap();
         assert_eq!(e.addr, 0x100);
         assert_eq!(e.cursor(), 0x100);

@@ -234,7 +234,9 @@ mod tests {
     #[test]
     fn preempted_block_resumes_from_cursor() {
         let mut sm = SmartMemory::new(4096);
-        sm.memory_mut().load(0, &[1, 0, 2, 0, 3, 0, 4, 0]).unwrap();
+        for (addr, word) in [(0, 1), (2, 2), (4, 3), (6, 4)] {
+            sm.memory_mut().write_word(addr, word).unwrap();
+        }
         let tag = sm.block_transfer(0, 8, BlockDirection::Read, 1).unwrap();
         let (first_pair, _) = sm.stream_out(tag, 2).unwrap();
         assert_eq!(first_pair, vec![1, 2]);

@@ -4,128 +4,31 @@
 //! The thesis argues the controller can stay simple because the environment
 //! is *limited and controlled*: only trusted kernel code on the host and MP
 //! issues requests, each unit has exactly one outstanding request, and the
-//! memory holds only protected kernel data structures. This module encodes
-//! the §A.5 taxonomy — block-request errors, queue-manipulation errors, and
-//! non-programming (hardware) errors — with, for each, whether the
-//! controller detects it, and which [`smartbus::SlaveError`] it raises.
-
-use smartbus::SlaveError;
-
-/// How the controller responds to an error class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Handling {
-    /// Detected and rejected at request time, before any state changes.
-    RejectedUpFront,
-    /// Detected during execution; the operation is abandoned and reported.
-    DetectedDuringExecution,
-    /// Cannot occur in the controlled environment (trusted kernel callers,
-    /// one outstanding request per unit); the controller carries no
-    /// recovery hardware for it.
-    PreventedByEnvironment,
-    /// Outside the controller's scope (e.g. parity errors belong to the
-    /// memory array / system reset path).
-    OutOfScope,
-}
-
-/// One §A.5 error condition.
-#[derive(Debug, Clone)]
-pub struct ErrorCondition {
-    /// §A.5 subsection: 1 = block requests, 2 = queue manipulation,
-    /// 3 = non-programming errors.
-    pub section: u8,
-    /// Description of the fault.
-    pub description: &'static str,
-    /// The controller's response.
-    pub handling: Handling,
-    /// The error surfaced on the bus, when one is.
-    pub surfaced_as: Option<fn() -> SlaveError>,
-}
-
-/// The §A.5 catalogue.
-pub fn catalogue() -> Vec<ErrorCondition> {
-    vec![
-        // §A.5.1 — block requests.
-        ErrorCondition {
-            section: 1,
-            description: "block request whose address + count runs past the memory module",
-            handling: Handling::RejectedUpFront,
-            surfaced_as: Some(|| SlaveError::AddressOutOfRange { addr: 0 }),
-        },
-        ErrorCondition {
-            section: 1,
-            description: "more outstanding block transfers than tags (internal table full)",
-            handling: Handling::RejectedUpFront,
-            surfaced_as: Some(|| SlaveError::BlockTableFull),
-        },
-        ErrorCondition {
-            section: 1,
-            description: "streaming data carrying a tag with no table entry",
-            handling: Handling::DetectedDuringExecution,
-            surfaced_as: Some(|| SlaveError::UnknownTag(smartbus::Tag(0))),
-        },
-        ErrorCondition {
-            section: 1,
-            description: "two units streaming against the same tag concurrently",
-            handling: Handling::PreventedByEnvironment, // one request per unit; tags are per-request
-            surfaced_as: None,
-        },
-        // §A.5.2 — queue manipulation.
-        ErrorCondition {
-            section: 2,
-            description: "list whose links do not cycle back to the tail",
-            handling: Handling::DetectedDuringExecution,
-            surfaced_as: Some(|| SlaveError::CorruptList { list: 0 }),
-        },
-        ErrorCondition {
-            section: 2,
-            description: "enqueue of an element already on another list",
-            handling: Handling::PreventedByEnvironment, // kernel moves control blocks between lists atomically
-            surfaced_as: None,
-        },
-        ErrorCondition {
-            section: 2,
-            description: "concurrent queue operations interleaving mid-update",
-            handling: Handling::PreventedByEnvironment, // each op completes inside one bus transaction
-            surfaced_as: None,
-        },
-        // §A.5.3 — non-programming errors.
-        ErrorCondition {
-            section: 3,
-            description: "memory array parity / ECC fault",
-            handling: Handling::OutOfScope,
-            surfaced_as: None,
-        },
-        ErrorCondition {
-            section: 3,
-            description: "bus unit dying mid-handshake (watchdog, system reset via CLR)",
-            handling: Handling::OutOfScope,
-            surfaced_as: None,
-        },
-    ]
-}
+//! memory holds only protected kernel data structures. The §A.5 taxonomy,
+//! with the [`smartbus::SlaveError`] each detected error raises:
+//!
+//! * §A.5.1, block requests: a request whose address + count runs past the
+//!   module is rejected up front (`AddressOutOfRange`), as is one more
+//!   outstanding transfer than there are tags (`BlockTableFull`); streaming
+//!   data carrying a tag with no table entry is detected during execution
+//!   (`UnknownTag`); two units streaming against one tag cannot happen, one
+//!   request per unit and tags per request.
+//! * §A.5.2, queue manipulation: a list whose links do not cycle back to the
+//!   tail is detected during execution (`CorruptList`); enqueueing an
+//!   element already on another list, or two operations interleaving
+//!   mid-update, cannot happen — the kernel moves control blocks between
+//!   lists atomically, and each operation completes inside one bus
+//!   transaction.
+//! * §A.5.3, non-programming errors: parity faults in the memory array and a
+//!   unit dying mid-handshake belong to the array and the system reset path
+//!   (watchdog, `CLR`), not to the controller.
+//!
+//! The test below raises every detected class through the controller.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::SmartMemory;
-    use smartbus::{BlockDirection, BusSlave, Tag};
-
-    #[test]
-    fn catalogue_covers_three_sections() {
-        let cat = catalogue();
-        for s in 1..=3u8 {
-            assert!(cat.iter().any(|c| c.section == s), "section {s} missing");
-        }
-        // Every detected error names its surfaced SlaveError.
-        for c in &cat {
-            match c.handling {
-                Handling::RejectedUpFront | Handling::DetectedDuringExecution => {
-                    assert!(c.surfaced_as.is_some(), "{}", c.description);
-                }
-                _ => assert!(c.surfaced_as.is_none(), "{}", c.description),
-            }
-        }
-    }
+    use smartbus::{BlockDirection, BusSlave, SlaveError, Tag};
 
     /// Each surfaced error class is actually raised by the controller.
     #[test]

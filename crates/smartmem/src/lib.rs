@@ -12,8 +12,8 @@
 //! * [`Memory`] — the byte-addressable memory module (task control blocks +
 //!   kernel buffers live here; the paper sizes it under 64 KB, which is why
 //!   the bus carries 16-bit addresses).
-//! * [`BlockTable`] — the internal table of outstanding block transfers;
-//!   one entry per tag, progress cursor per entry, so a lower-priority
+//! * The block table — the internal table of outstanding block transfers
+//!   ([`SmartMemory::block_table`]); one entry per tag, progress cursor per entry, so a lower-priority
 //!   transfer preempted between word pairs resumes where it stopped.
 //! * [`queue`] — the `Enqueue` / `First` / `Dequeue` primitives, coded
 //!   exactly from the §5.1 pseudo-code over the memory image, with memory-
@@ -47,18 +47,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod blocktable;
 mod controller;
+mod errors;
 mod memory;
+mod micro;
 
-pub mod errors;
-pub mod micro;
 pub mod microcode;
 pub mod queue;
 pub mod shared;
 
-pub use blocktable::{BlockEntry, BlockTable};
 pub use controller::{ControllerStats, SmartMemory};
 pub use memory::Memory;
 

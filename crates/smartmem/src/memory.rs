@@ -31,7 +31,7 @@ impl Memory {
     }
 
     /// Memory size in bytes.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.bytes.len()
     }
 
@@ -41,7 +41,7 @@ impl Memory {
     }
 
     /// Resets the cycle counter.
-    pub fn reset_cycles(&mut self) {
+    pub(crate) fn reset_cycles(&mut self) {
         self.cycles = 0;
     }
 
@@ -53,23 +53,12 @@ impl Memory {
         Ok(())
     }
 
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`SlaveError::AddressOutOfRange`] past the end of the module.
-    pub fn read_byte(&mut self, addr: u16) -> Result<u8, SlaveError> {
-        self.check(addr, 1)?;
-        self.cycles += 1;
-        Ok(self.bytes[addr as usize])
-    }
-
     /// Writes one byte.
     ///
     /// # Errors
     ///
     /// [`SlaveError::AddressOutOfRange`] past the end of the module.
-    pub fn write_byte(&mut self, addr: u16, value: u8) -> Result<(), SlaveError> {
+    pub(crate) fn write_byte(&mut self, addr: u16, value: u8) -> Result<(), SlaveError> {
         self.check(addr, 1)?;
         self.cycles += 1;
         self.bytes[addr as usize] = value;
@@ -93,25 +82,12 @@ impl Memory {
     /// # Errors
     ///
     /// [`SlaveError::AddressOutOfRange`] past the end of the module.
-    pub fn write_word(&mut self, addr: u16, value: u16) -> Result<(), SlaveError> {
+    pub(crate) fn write_word(&mut self, addr: u16, value: u16) -> Result<(), SlaveError> {
         self.check(addr, 2)?;
         self.cycles += 1;
         let a = addr as usize;
         self.bytes[a] = value as u8;
         self.bytes[a + 1] = (value >> 8) as u8;
-        Ok(())
-    }
-
-    /// Copies `data` into memory starting at `addr` without cycle
-    /// accounting — used by tests and loaders to set up images.
-    ///
-    /// # Errors
-    ///
-    /// [`SlaveError::AddressOutOfRange`] past the end of the module.
-    pub fn load(&mut self, addr: u16, data: &[u8]) -> Result<(), SlaveError> {
-        self.check(addr, data.len() as u32)?;
-        let a = addr as usize;
-        self.bytes[a..a + data.len()].copy_from_slice(data);
         Ok(())
     }
 
@@ -136,8 +112,7 @@ mod tests {
         let mut m = Memory::new(256);
         m.write_word(10, 0xABCD).unwrap();
         assert_eq!(m.read_word(10).unwrap(), 0xABCD);
-        assert_eq!(m.read_byte(10).unwrap(), 0xCD);
-        assert_eq!(m.read_byte(11).unwrap(), 0xAB);
+        assert_eq!(m.dump(10, 2).unwrap(), &[0xCD, 0xAB]);
     }
 
     #[test]
@@ -145,7 +120,7 @@ mod tests {
         let mut m = Memory::new(64);
         m.write_word(0, 1).unwrap();
         m.read_word(0).unwrap();
-        m.read_byte(5).unwrap();
+        m.write_byte(5, 0).unwrap();
         assert_eq!(m.cycles(), 3);
         m.reset_cycles();
         assert_eq!(m.cycles(), 0);
@@ -156,8 +131,8 @@ mod tests {
         let mut m = Memory::new(16);
         assert!(m.read_word(15).is_err());
         assert!(m.write_byte(16, 0).is_err());
-        assert!(m.read_byte(15).is_ok());
-        assert!(m.load(14, &[1, 2, 3]).is_err());
+        assert!(m.write_byte(15, 0).is_ok());
+        assert!(m.write_word(15, 0).is_err());
         assert!(m.dump(0, 17).is_err());
     }
 
@@ -170,7 +145,8 @@ mod tests {
     #[test]
     fn load_and_dump_skip_cycles() {
         let mut m = Memory::new(32);
-        m.load(4, &[9, 8, 7]).unwrap();
+        // A loader writes the image directly, as a kernel's loader would.
+        m.bytes[4..7].copy_from_slice(&[9, 8, 7]);
         assert_eq!(m.dump(4, 3).unwrap(), &[9, 8, 7]);
         assert_eq!(m.cycles(), 0);
     }

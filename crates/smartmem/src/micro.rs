@@ -11,7 +11,7 @@ use smartbus::Command;
 
 /// One micro-operation class of the data path (§A.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MicroOp {
+pub(crate) enum MicroOp {
     /// Latch the command/tag/address from the bus.
     LatchBus,
     /// Read a word from the memory array.
@@ -32,7 +32,7 @@ pub enum MicroOp {
 
 /// A micro-routine: the straight-line op budget of one bus command.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MicroRoutine {
+pub(crate) struct MicroRoutine {
     /// Routine name, per the §A.4 listing.
     pub name: &'static str,
     /// Micro-op sequence of the common (non-looping) path.
@@ -43,27 +43,18 @@ pub struct MicroRoutine {
 
 impl MicroRoutine {
     /// Micro-cycles for the fixed path (one cycle per op).
-    pub fn fixed_cycles(&self) -> u64 {
+    pub(crate) fn fixed_cycles(&self) -> u64 {
         self.ops.len() as u64
     }
 
     /// Micro-cycles for `items` loop iterations.
-    pub fn cycles_for(&self, items: u64) -> u64 {
+    pub(crate) fn cycles_for(&self, items: u64) -> u64 {
         self.fixed_cycles() + items * self.per_item_ops.len() as u64
-    }
-
-    /// Rough control-store bits: one 24-bit micro-instruction per op in the
-    /// routine (main path + loop body), matching the §A.3 format.
-    pub fn control_bits(&self) -> u64 {
-        (self.ops.len() + self.per_item_ops.len()) as u64 * MICRO_INSTRUCTION_BITS
     }
 }
 
-/// Width of a micro-instruction word (§A.3 format).
-pub const MICRO_INSTRUCTION_BITS: u64 = 24;
-
 /// The §A.4 micro-routine for a bus command.
-pub fn routine_for(command: Command) -> MicroRoutine {
+pub(crate) fn routine_for(command: Command) -> MicroRoutine {
     use MicroOp::*;
     match command {
         Command::SimpleRead => MicroRoutine {
@@ -127,29 +118,6 @@ pub fn routine_for(command: Command) -> MicroRoutine {
     }
 }
 
-/// Total control-store budget across all routines plus the main loop.
-///
-/// The thesis claims the controller microcode fits "under 3000 bits"; the
-/// main dispatch loop costs a handful of instructions on top of the
-/// per-command routines.
-pub fn total_control_bits() -> u64 {
-    let main_loop: u64 = 8 * MICRO_INSTRUCTION_BITS; // fetch/dispatch/error
-    Command::ALL
-        .iter()
-        .map(|&c| routine_for(c).control_bits())
-        .sum::<u64>()
-        + main_loop
-}
-
-/// Approximate active-component counts from Table A.1: the data-path chip
-/// (~6000 active components) and the sequencer chip (~1000).
-pub mod components {
-    /// Data-path chip active components (Table A.1 bound).
-    pub const DATA_PATH: u32 = 6_000;
-    /// Micro-sequencer chip active components.
-    pub const SEQUENCER: u32 = 1_000;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,8 +132,15 @@ mod tests {
 
     #[test]
     fn control_store_under_3000_bits() {
-        // Appendix A feasibility claim.
-        let bits = total_control_bits();
+        // Appendix A feasibility claim: one 24-bit micro-instruction (the
+        // §A.3 format) per op of every routine, main path and loop body,
+        // plus eight for the fetch/dispatch/error main loop.
+        let words: usize = Command::ALL
+            .iter()
+            .map(|&c| routine_for(c))
+            .map(|r| r.ops.len() + r.per_item_ops.len())
+            .sum();
+        let bits = 24 * (words + 8);
         assert!(bits < 3_000, "control store {bits} bits");
     }
 

@@ -21,7 +21,7 @@ use smartbus::SlaveError;
 /// NULL value and ignores writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub enum Reg {
+pub(crate) enum Reg {
     /// Constant NULL/zero source.
     Zero = 0,
     /// Anchor (list) address latched from the bus.
@@ -81,10 +81,7 @@ enum Op {
 /// One 24-bit micro-instruction: `[op:4][a:4][b:4][target:8]` with four
 /// spare bits — the §A.3 format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MicroInstruction(u32);
-
-/// Width of the encoded micro-instruction in bits.
-pub const MICRO_WORD_BITS: u32 = 24;
+pub(crate) struct MicroInstruction(u32);
 
 impl MicroInstruction {
     fn new(op: Op, a: Reg, b: Reg, target: u8) -> MicroInstruction {
@@ -131,36 +128,12 @@ impl MicroInstruction {
     fn target(self) -> usize {
         (self.0 & 0xFF) as usize
     }
-
-    /// The raw 24-bit word.
-    pub fn word(self) -> u32 {
-        self.0 & 0x00FF_FFFF
-    }
 }
 
 /// A micro-routine: a slice of the control store.
 #[derive(Debug, Clone)]
-pub struct MicroRoutine {
-    /// Routine name per the §A.4 listing.
-    pub name: &'static str,
+pub(crate) struct MicroRoutine {
     code: Vec<MicroInstruction>,
-}
-
-impl MicroRoutine {
-    /// Control-store bits this routine occupies.
-    pub fn control_bits(&self) -> u32 {
-        self.code.len() as u32 * MICRO_WORD_BITS
-    }
-
-    /// Number of micro-instructions.
-    pub fn len(&self) -> usize {
-        self.code.len()
-    }
-
-    /// Whether the routine is empty (never, for the shipped routines).
-    pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
-    }
 }
 
 fn mi(op: Op, a: Reg, b: Reg, t: u8) -> MicroInstruction {
@@ -169,11 +142,10 @@ fn mi(op: Op, a: Reg, b: Reg, t: u8) -> MicroInstruction {
 
 /// §A.4.5 — ENQUEUE CONTROL BLOCK. Entry: `List` = anchor address,
 /// `Elem` = element address.
-pub fn enqueue_routine() -> MicroRoutine {
+pub(crate) fn enqueue_routine() -> MicroRoutine {
     use Op::*;
     use Reg::*;
     MicroRoutine {
-        name: "ENQUEUE CONTROL BLOCK",
         code: vec![
             /* 0 */ mi(Load, Tail, List, 0), // tail <- MEM[anchor]
             /* 1 */ mi(Cmp, Tail, Zero, 0), // empty list?
@@ -194,11 +166,10 @@ pub fn enqueue_routine() -> MicroRoutine {
 
 /// §A.4.6 — FIRST CONTROL BLOCK. Entry: `List` = anchor address. Exit:
 /// `Res` = head element or NULL.
-pub fn first_routine() -> MicroRoutine {
+pub(crate) fn first_routine() -> MicroRoutine {
     use Op::*;
     use Reg::*;
     MicroRoutine {
-        name: "FIRST CONTROL BLOCK",
         code: vec![
             /* 0 */ mi(Load, Tail, List, 0), // tail <- MEM[anchor]
             /* 1 */ mi(Cmp, Tail, Zero, 0),
@@ -221,11 +192,10 @@ pub fn first_routine() -> MicroRoutine {
 
 /// §A.4.7 — DEQUEUE CONTROL BLOCK. Entry: `List` = anchor address,
 /// `Elem` = element to remove, `Count` = watchdog bound.
-pub fn dequeue_routine() -> MicroRoutine {
+pub(crate) fn dequeue_routine() -> MicroRoutine {
     use Op::*;
     use Reg::*;
     MicroRoutine {
-        name: "DEQUEUE CONTROL BLOCK",
         code: vec![
             /* 0 */ mi(Load, Tail, List, 0), // tail <- MEM[anchor]
             /* 1 */ mi(Cmp, Tail, Zero, 0),
@@ -267,10 +237,9 @@ pub fn dequeue_routine() -> MicroRoutine {
 
 /// The micro-sequencer: executes a routine against the memory image.
 #[derive(Debug)]
-pub struct Sequencer {
+pub(crate) struct Sequencer {
     regs: [u16; REG_COUNT],
     zero_flag: bool,
-    cycles: u64,
 }
 
 impl Default for Sequencer {
@@ -281,33 +250,27 @@ impl Default for Sequencer {
 
 impl Sequencer {
     /// A sequencer with cleared registers.
-    pub fn new() -> Sequencer {
+    pub(crate) fn new() -> Sequencer {
         Sequencer {
             regs: [0; REG_COUNT],
             zero_flag: false,
-            cycles: 0,
         }
     }
 
     /// Latches a register from the bus (the `LatchBus` step).
-    pub fn latch(&mut self, reg: Reg, value: u16) {
+    pub(crate) fn latch(&mut self, reg: Reg, value: u16) {
         if reg != Reg::Zero {
             self.regs[reg as usize] = value;
         }
     }
 
     /// Reads a register (e.g. `Res` after FIRST).
-    pub fn reg(&self, reg: Reg) -> u16 {
+    pub(crate) fn reg(&self, reg: Reg) -> u16 {
         if reg == Reg::Zero {
             NULL_PTR
         } else {
             self.regs[reg as usize]
         }
-    }
-
-    /// Micro-cycles executed so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
     }
 
     fn get(&self, idx: usize) -> u16 {
@@ -330,11 +293,14 @@ impl Sequencer {
     ///
     /// Propagates memory range errors; a watchdog fault surfaces as
     /// [`Status::CorruptList`], not an error.
-    pub fn run(&mut self, routine: &MicroRoutine, mem: &mut Memory) -> Result<Status, SlaveError> {
+    pub(crate) fn run(
+        &mut self,
+        routine: &MicroRoutine,
+        mem: &mut Memory,
+    ) -> Result<Status, SlaveError> {
         let mut pc = 0usize;
         loop {
             let inst = routine.code[pc];
-            self.cycles += 1;
             pc += 1;
             match inst.op() {
                 Op::Load => {
@@ -424,16 +390,6 @@ pub mod exec {
     }
 }
 
-/// Total control-store bits for the three queue routines — the Appendix A
-/// "under 3000 bits" budget covers them with room for the block-transfer
-/// and read/write routines (which the controller implements in its
-/// datapath FSM here).
-pub fn queue_control_bits() -> u32 {
-    enqueue_routine().control_bits()
-        + first_routine().control_bits()
-        + dequeue_routine().control_bits()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,12 +465,14 @@ mod tests {
 
     #[test]
     fn control_store_budget_appendix_a() {
-        let bits = queue_control_bits();
+        // One 24-bit word per micro-instruction, and every encoding fits
+        // its word.
+        let routines = [enqueue_routine(), first_routine(), dequeue_routine()];
+        let bits: usize = routines.iter().map(|r| 24 * r.code.len()).sum();
         assert!(bits < 3_000, "queue routines use {bits} bits");
-        // And the encoding honors the 24-bit word.
-        for r in [enqueue_routine(), first_routine(), dequeue_routine()] {
+        for r in &routines {
             for i in &r.code {
-                assert!(i.word() < (1 << 24));
+                assert!(i.0 < (1 << 24));
             }
         }
     }
@@ -522,12 +480,15 @@ mod tests {
     #[test]
     fn cycle_counts_are_small_constants() {
         // Enqueue/first complete in O(1) micro-cycles — the hardware-speed
-        // claim behind Table 6.1's arch-III column.
-        let mut hw = Memory::new(1024);
-        let mut seq = Sequencer::new();
-        seq.latch(Reg::List, LIST);
-        seq.latch(Reg::Elem, 0x100);
-        seq.run(&enqueue_routine(), &mut hw).unwrap();
-        assert!(seq.cycles() <= 13, "{}", seq.cycles());
+        // claim behind Table 6.1's arch-III column: every branch goes
+        // forward, so a run executes each of at most 13 instructions once.
+        for r in [enqueue_routine(), first_routine()] {
+            assert!(r.code.len() <= 13, "{} instructions", r.code.len());
+            for (pc, i) in r.code.iter().enumerate() {
+                if matches!(i.op(), Op::Jmp | Op::Bz | Op::Bnz) {
+                    assert!(i.target() > pc, "backward branch at {pc}");
+                }
+            }
+        }
     }
 }

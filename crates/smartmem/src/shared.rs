@@ -53,15 +53,6 @@ pub trait SharedQueue: Send + Sync + std::fmt::Debug {
     fn is_empty(&self, list: ListId) -> bool;
 }
 
-/// Statistics a module keeps about its transaction stream.
-#[derive(Debug, Default)]
-pub struct SharedStats {
-    /// Enqueue transactions executed.
-    pub enqueues: AtomicUsize,
-    /// First transactions that returned an element.
-    pub firsts: AtomicUsize,
-}
-
 /// Architecture II's conventional shared memory: every transaction runs the
 /// genuine singly-linked-circular-list micro-routine over a byte-addressed
 /// [`Memory`] image, serialized by one module-wide lock.
@@ -70,7 +61,6 @@ pub struct LockedModule {
     mem: Mutex<Memory>,
     lists: u16,
     blocks: u16,
-    stats: SharedStats,
 }
 
 impl LockedModule {
@@ -83,7 +73,6 @@ impl LockedModule {
             mem: Mutex::new(Memory::new(bytes.next_power_of_two().max(64))),
             lists,
             blocks,
-            stats: SharedStats::default(),
         }
     }
 
@@ -100,11 +89,6 @@ impl LockedModule {
     fn element_of(&self, addr: u16) -> u16 {
         (addr - 2 - 2 * self.lists) / 2
     }
-
-    /// Transaction counters.
-    pub fn stats(&self) -> &SharedStats {
-        &self.stats
-    }
 }
 
 impl SharedQueue for LockedModule {
@@ -113,14 +97,12 @@ impl SharedQueue for LockedModule {
         let addr = self.block_addr(element);
         let mut mem = self.mem.lock().expect("module lock");
         queue::enqueue(&mut mem, anchor, addr).expect("enqueue in range");
-        self.stats.enqueues.fetch_add(1, Ordering::Relaxed);
     }
 
     fn first(&self, list: ListId) -> Option<u16> {
         let anchor = self.anchor(list);
         let mut mem = self.mem.lock().expect("module lock");
         let head = queue::first(&mut mem, anchor).expect("first in range")?;
-        self.stats.firsts.fetch_add(1, Ordering::Relaxed);
         Some(self.element_of(head))
     }
 
@@ -269,7 +251,6 @@ impl MpmcFifo {
 pub struct LockFreeModule {
     lists: Vec<MpmcFifo>,
     dead: Vec<AtomicBool>,
-    stats: SharedStats,
 }
 
 impl LockFreeModule {
@@ -279,17 +260,11 @@ impl LockFreeModule {
         LockFreeModule {
             lists: (0..lists).map(|_| MpmcFifo::new(blocks as usize)).collect(),
             dead: (0..blocks).map(|_| AtomicBool::new(false)).collect(),
-            stats: SharedStats::default(),
         }
     }
 
     fn list(&self, list: ListId) -> &MpmcFifo {
         &self.lists[list.0 as usize]
-    }
-
-    /// Transaction counters.
-    pub fn stats(&self) -> &SharedStats {
-        &self.stats
     }
 }
 
@@ -300,7 +275,6 @@ impl SharedQueue for LockFreeModule {
         // tombstone was left behind by a remove that raced an in-flight pop.
         self.dead[element as usize].store(false, Ordering::Relaxed);
         assert!(self.list(list).push(element), "shared list overflow");
-        self.stats.enqueues.fetch_add(1, Ordering::Relaxed);
     }
 
     fn first(&self, list: ListId) -> Option<u16> {
@@ -309,7 +283,6 @@ impl SharedQueue for LockFreeModule {
             if self.dead[e as usize].swap(false, Ordering::Relaxed) {
                 continue; // tombstoned by a Dequeue; drop it
             }
-            self.stats.firsts.fetch_add(1, Ordering::Relaxed);
             return Some(e);
         }
         None

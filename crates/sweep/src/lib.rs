@@ -8,13 +8,12 @@
 //! sequential evaluation. This crate provides exactly that contract:
 //!
 //! * [`Grid`] — an ordered collection of sweep points with an
-//!   order-preserving [`Grid::eval`]. A grid of model solves captures its
+//!   order-preserving [`Grid::eval_with`]. A grid of model solves captures its
 //!   [`gtpn::AnalysisEngine`] in the closure: the engine holds no per-thread
 //!   state, so every worker shares its one solution cache and a point's
 //!   result does not depend on which worker solved it;
-//! * [`map`] / [`map_with`] — the underlying order-preserving parallel map
-//!   (self-scheduling workers over a shared index, results reassembled by
-//!   position);
+//!   Underneath is an order-preserving parallel map (self-scheduling
+//!   workers over a shared index, results reassembled by position);
 //! * [`point_seed`] — deterministic RNG seeds derived from grid
 //!   coordinates, so DES replications are reproducible run-to-run no matter
 //!   which worker executes them or in what order;
@@ -33,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -70,20 +70,9 @@ pub fn threads() -> usize {
     gtpn::par::threads()
 }
 
-/// Order-preserving map over `items` using the environment's execution mode
-/// and thread count. `out[i]` is always `f(&items[i])`.
-pub fn map<I, O, F>(items: &[I], f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    map_with(exec_mode(), threads(), items, f)
-}
-
-/// Order-preserving map with explicit mode and thread count — the testable
-/// core of [`map`].
-pub fn map_with<I, O, F>(mode: ExecMode, threads: usize, items: &[I], f: F) -> Vec<O>
+/// Order-preserving map over `items` under `mode` with up to `threads`
+/// workers: `out[i]` is always `f(&items[i])`.
+pub(crate) fn map_with<I, O, F>(mode: ExecMode, threads: usize, items: &[I], f: F) -> Vec<O>
 where
     I: Sync,
     O: Send,
@@ -157,7 +146,7 @@ where
 /// An ordered grid of independent sweep points.
 ///
 /// The order of `points` is the *paper order* — the order rows appear in
-/// the rendered table or figure — and [`Grid::eval`] returns results in
+/// the rendered table or figure — and [`Grid::eval_with`] returns results in
 /// exactly that order regardless of execution mode.
 #[derive(Debug, Clone)]
 pub struct Grid<P> {
@@ -185,18 +174,8 @@ impl<P> Grid<P> {
         &self.points
     }
 
-    /// Evaluates every point under the environment's execution policy;
+    /// Evaluates every point under `mode` with up to `threads` workers;
     /// `out[i]` corresponds to `points()[i]`.
-    pub fn eval<O, F>(&self, f: F) -> Vec<O>
-    where
-        P: Sync,
-        O: Send,
-        F: Fn(&P) -> O + Sync,
-    {
-        map(&self.points, f)
-    }
-
-    /// Evaluates with an explicit mode — used by the byte-identity tests.
     pub fn eval_with<O, F>(&self, mode: ExecMode, threads: usize, f: F) -> Vec<O>
     where
         P: Sync,
@@ -224,8 +203,8 @@ pub fn cartesian<A: Clone, B: Clone>(outer: &[A], inner: &[B]) -> Grid<(A, B)> {
 /// id and the point's coordinates — never from a shared RNG, so the seed a
 /// point gets does not depend on which worker ran first.
 ///
-/// FNV-1a over the label and coordinate words, finished with a SplitMix64
-/// scramble for avalanche.
+/// FNV-1a over the label and coordinate words, finished with
+/// [`gtpn::sim::splitmix64`] for avalanche.
 pub fn point_seed(experiment: &str, coords: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |b: u8| {
@@ -240,10 +219,7 @@ pub fn point_seed(experiment: &str, coords: &[u64]) -> u64 {
             eat(b);
         }
     }
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    gtpn::sim::splitmix64(h)
 }
 
 #[cfg(test)]
