@@ -2,9 +2,9 @@
 //!
 //! Experiments run through the sweep engine: the requested ids are a grid
 //! whose points execute on a worker pool, and each swept experiment fans
-//! its own points out on the same policy. Output is printed in request
-//! order and is byte-identical to a sequential run (`--sequential` or
-//! `HSIPC_SWEEP=1` forces one; `HSIPC_SWEEP=<n>` sets the worker count).
+//! its own points out on the same pool. Output is printed in request
+//! order and is byte-identical to a sequential run (`HSIPC_SWEEP=<n>` sets
+//! the worker count; `HSIPC_SWEEP=1` is the sequential run).
 //!
 //! `--timing` additionally reports wall-clock, cache statistics, the
 //! exact solver's stage ledger (`gtpn::engine::stage_totals`) and the
@@ -15,7 +15,6 @@ use hsipc::livesweep::SweepSpec;
 use runtime::{Architecture, ClockMode, Config, Locality};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use sweep::ExecMode;
 
 /// Checks a knob's value with the parser the library reads it through.
 type KnobCheck = fn(&str) -> Result<(), String>;
@@ -25,7 +24,7 @@ type KnobCheck = fn(&str) -> Result<(), String>;
 /// be silently ignored, and so is a value its parser rejects, so a bad
 /// value cannot silently mean the default.
 const KNOBS: [(&str, KnobCheck); 2] = [
-    ("HSIPC_SWEEP", |v| gtpn::par::parse_threads(v).map(drop)),
+    ("HSIPC_SWEEP", |v| sweep::parse_threads(v).map(drop)),
     ("HSIPC_CACHE_CAP", |v| {
         gtpn::cache::parse_entry_cap(v).map(drop)
     }),
@@ -68,16 +67,9 @@ fn main() -> ExitCode {
     }
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let timing = args.iter().any(|a| a == "--timing");
-    let mode = if args.iter().any(|a| a == "--sequential" || a == "--seq") {
-        ExecMode::Sequential
-    } else {
-        sweep::exec_mode()
-    };
-    args.retain(|a| !matches!(a.as_str(), "--sequential" | "--seq" | "--timing"));
+    args.retain(|a| a != "--timing");
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        eprintln!(
-            "usage: repro [--sequential] [--timing] [list | all | live | live-sweep | <experiment-id>...]"
-        );
+        eprintln!("usage: repro [--timing] [list | all | live | live-sweep | <experiment-id>...]");
         eprintln!("experiment ids: table3.1..table3.7, table5.1, table5.2,");
         eprintln!("  table6.1, table6.2, table6.4..table6.25, fig6.7..fig6.23, fig7.1, fig7.scale");
         for (command, sweep) in [("live", false), ("live-sweep", true)] {
@@ -93,7 +85,7 @@ fn main() -> ExitCode {
         return run_live(&args[1..]);
     }
     if args[0] == "live-sweep" {
-        return run_live_sweep(&args[1..], mode);
+        return run_live_sweep(&args[1..]);
     }
     if args[0] == "list" {
         for e in hsipc::experiments::all() {
@@ -116,9 +108,7 @@ fn main() -> ExitCode {
     // order no matter which worker produced it. Swept experiments fan out
     // their own points on the same pool policy.
     let grid = sweep::Grid::new(ids);
-    let results = grid.eval_with(mode, threads, |id| {
-        hsipc::experiments::run_with(id, mode, threads)
-    });
+    let results = grid.eval_with(threads, |id| hsipc::experiments::run_with(id, threads));
 
     let mut failed = false;
     for (id, result) in grid.points().iter().zip(results) {
@@ -132,7 +122,7 @@ fn main() -> ExitCode {
     }
     if timing {
         eprintln!(
-            "repro: {} experiment(s) in {:.2?} ({mode:?}, {threads} thread(s))",
+            "repro: {} experiment(s) in {:.2?} ({threads} thread(s))",
             grid.len(),
             started.elapsed()
         );
@@ -443,7 +433,7 @@ fn run_live(args: &[String]) -> ExitCode {
 /// worker pool, rendered in paper order next to the matching GTPN model
 /// points. Stdout is byte-deterministic (virtual clock everywhere, no
 /// wall-clock content); wall-clock totals go to stderr.
-fn run_live_sweep(args: &[String], mode: ExecMode) -> ExitCode {
+fn run_live_sweep(args: &[String]) -> ExitCode {
     let spec = match parse_live(args, true) {
         Ok((.., spec)) => spec,
         Err(e) => {
@@ -453,16 +443,15 @@ fn run_live_sweep(args: &[String], mode: ExecMode) -> ExitCode {
     };
     let threads = sweep::threads();
     let started = Instant::now();
-    let outcome = hsipc::livesweep::run_with(&spec, mode, threads);
+    let outcome = hsipc::livesweep::run_with(&spec, threads);
     let total_seconds = started.elapsed().as_secs_f64();
     print!("{}", outcome.rendered);
     // Wall-clock lives on stderr only: the rendered stdout is the
     // byte-identity surface CI diffs across runs and thread counts.
     eprintln!(
-        "live-sweep: {} point(s) in {:.2} s wall ({:?}, {} thread(s)); {:.2} s virtual simulated in {:.2} s of run wall ({:.0}x aggregate)",
+        "live-sweep: {} point(s) in {:.2} s wall ({} thread(s)); {:.2} s virtual simulated in {:.2} s of run wall ({:.0}x aggregate)",
         outcome.outcomes.len(),
         total_seconds,
-        mode,
         threads,
         outcome.virtual_seconds,
         outcome.run_wall_seconds,

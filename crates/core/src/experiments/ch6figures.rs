@@ -3,18 +3,18 @@
 //!
 //! Every figure is a grid of independent model solves (or DES runs), so
 //! each is expressed as a [`sweep`] grid: points are laid out in *paper
-//! order* — the order rows appear in the rendered table — evaluated under
-//! the engine's execution policy, and reassembled positionally. The
-//! rendered text is byte-identical whether the grid runs sequentially or
-//! on a worker pool; the `*_with` variants take an explicit mode so the
-//! identity is testable.
+//! order* — the order rows appear in the rendered table — evaluated by
+//! the sweep pool, and reassembled positionally. The rendered text is
+//! byte-identical whether the grid runs sequentially or on a worker pool;
+//! the `*_with` variants take an explicit worker count so the identity is
+//! testable.
 
 use super::render_table;
 use archsim::timings::{Architecture, Locality};
 use models::{
     local, nonlocal, offered, validation, AnalysisEngine, BackendSel, DesOptions, EngineConfig,
 };
-use sweep::{ExecMode, Grid};
+use sweep::Grid;
 
 /// Conversation counts the paper plots (1–4; its tools could not go
 /// further, §6.9.2).
@@ -23,12 +23,6 @@ const CONVERSATIONS: [u32; 4] = [1, 2, 3, 4];
 /// Offered-load sweep (architecture-I axis) used by the realistic-workload
 /// figures.
 const LOAD_SWEEP: [f64; 7] = [0.95, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4];
-
-/// The environment's execution policy, for the registry's `fn() -> String`
-/// entries.
-fn env_exec() -> (ExecMode, usize) {
-    (sweep::exec_mode(), sweep::threads())
-}
 
 /// Figure 6.7 — the geometric approximation of a large constant delay
 /// preserves mean throughput.
@@ -92,12 +86,11 @@ pub(crate) fn fig_6_7() -> String {
 /// Figure 6.15 — validation: GTPN model vs the discrete-event experiment,
 /// architecture II non-local, 1–4 conversations at three compute levels.
 pub(crate) fn fig_6_15() -> String {
-    let (mode, threads) = env_exec();
-    fig_6_15_with(mode, threads)
+    fig_6_15_with(sweep::threads())
 }
 
-/// [`fig_6_15`] under an explicit execution mode.
-pub(crate) fn fig_6_15_with(mode: ExecMode, threads: usize) -> String {
+/// [`fig_6_15`] with an explicit worker count.
+pub(crate) fn fig_6_15_with(threads: usize) -> String {
     let mut points = Vec::new();
     for &n in &CONVERSATIONS {
         for (i, server_us) in [570.0, 2_850.0, 11_400.0].into_iter().enumerate() {
@@ -106,7 +99,7 @@ pub(crate) fn fig_6_15_with(mode: ExecMode, threads: usize) -> String {
     }
     let grid = Grid::new(points);
     let engine = models::default_engine();
-    let rows = grid.eval_with(mode, threads, |&(n, i, server_us)| {
+    let rows = grid.eval_with(threads, |&(n, i, server_us)| {
         // Each DES replication seeds from its grid coordinates — never from
         // a shared RNG — so results are identical no matter which worker
         // runs the point or in what order.
@@ -154,16 +147,10 @@ fn solve_throughput(
     }
 }
 
-fn max_load(
-    mode: ExecMode,
-    threads: usize,
-    archs: &[Architecture],
-    locality: Locality,
-    title: &str,
-) -> String {
+fn max_load(threads: usize, archs: &[Architecture], locality: Locality, title: &str) -> String {
     let grid = sweep::cartesian(&CONVERSATIONS, archs);
     let engine = models::default_engine();
-    let cells = grid.eval_with(mode, threads, |&(n, arch)| {
+    let cells = grid.eval_with(threads, |&(n, arch)| {
         format!("{:.4}", solve_throughput(engine, arch, locality, n, 0.0))
     });
     let rows: Vec<Vec<String>> = CONVERSATIONS
@@ -184,13 +171,7 @@ fn max_load(
     render_table(title, &header, &rows)
 }
 
-fn realistic(
-    mode: ExecMode,
-    threads: usize,
-    archs: &[Architecture],
-    locality: Locality,
-    title: &str,
-) -> String {
+fn realistic(threads: usize, archs: &[Architecture], locality: Locality, title: &str) -> String {
     let mut points = Vec::new();
     for &load in &LOAD_SWEEP {
         let server_us = offered::server_time_for_load_arch1(locality, load);
@@ -202,7 +183,7 @@ fn realistic(
     }
     let grid = Grid::new(points);
     let engine = models::default_engine();
-    let cells = grid.eval_with(mode, threads, |&(_, server_us, n, arch)| {
+    let cells = grid.eval_with(threads, |&(_, server_us, n, arch)| {
         format!(
             "{:.4}",
             solve_throughput(engine, arch, locality, n, server_us)
@@ -237,14 +218,12 @@ const THREE_FOUR: [Architecture; 2] = [Architecture::SmartBus, Architecture::Par
 
 /// Figure 6.17(a, b) — maximum communication load.
 pub(crate) fn fig_6_17() -> String {
-    let (mode, threads) = env_exec();
-    fig_6_17_with(mode, threads)
+    fig_6_17_with(sweep::threads())
 }
 
-/// [`fig_6_17`] under an explicit execution mode.
-pub(crate) fn fig_6_17_with(mode: ExecMode, threads: usize) -> String {
+/// [`fig_6_17`] with an explicit worker count.
+pub(crate) fn fig_6_17_with(threads: usize) -> String {
     let mut out = max_load(
-        mode,
         threads,
         &MAIN_THREE,
         Locality::Local,
@@ -252,7 +231,6 @@ pub(crate) fn fig_6_17_with(mode: ExecMode, threads: usize) -> String {
     );
     out.push('\n');
     out.push_str(&max_load(
-        mode,
         threads,
         &MAIN_THREE,
         Locality::NonLocal,
@@ -263,14 +241,12 @@ pub(crate) fn fig_6_17_with(mode: ExecMode, threads: usize) -> String {
 
 /// Figure 6.18 — realistic workload, local.
 pub(crate) fn fig_6_18() -> String {
-    let (mode, threads) = env_exec();
-    fig_6_18_with(mode, threads)
+    fig_6_18_with(sweep::threads())
 }
 
-/// [`fig_6_18`] under an explicit execution mode.
-pub(crate) fn fig_6_18_with(mode: ExecMode, threads: usize) -> String {
+/// [`fig_6_18`] with an explicit worker count.
+pub(crate) fn fig_6_18_with(threads: usize) -> String {
     realistic(
-        mode,
         threads,
         &MAIN_THREE,
         Locality::Local,
@@ -280,14 +256,12 @@ pub(crate) fn fig_6_18_with(mode: ExecMode, threads: usize) -> String {
 
 /// Figure 6.19 — realistic workload, non-local.
 pub(crate) fn fig_6_19() -> String {
-    let (mode, threads) = env_exec();
-    fig_6_19_with(mode, threads)
+    fig_6_19_with(sweep::threads())
 }
 
-/// [`fig_6_19`] under an explicit execution mode.
-pub(crate) fn fig_6_19_with(mode: ExecMode, threads: usize) -> String {
+/// [`fig_6_19`] with an explicit worker count.
+pub(crate) fn fig_6_19_with(threads: usize) -> String {
     realistic(
-        mode,
         threads,
         &MAIN_THREE,
         Locality::NonLocal,
@@ -297,14 +271,12 @@ pub(crate) fn fig_6_19_with(mode: ExecMode, threads: usize) -> String {
 
 /// Figure 6.20 — maximum load, III vs IV, local.
 pub(crate) fn fig_6_20() -> String {
-    let (mode, threads) = env_exec();
-    fig_6_20_with(mode, threads)
+    fig_6_20_with(sweep::threads())
 }
 
-/// [`fig_6_20`] under an explicit execution mode.
-pub(crate) fn fig_6_20_with(mode: ExecMode, threads: usize) -> String {
+/// [`fig_6_20`] with an explicit worker count.
+pub(crate) fn fig_6_20_with(threads: usize) -> String {
     max_load(
-        mode,
         threads,
         &THREE_FOUR,
         Locality::Local,
@@ -314,14 +286,12 @@ pub(crate) fn fig_6_20_with(mode: ExecMode, threads: usize) -> String {
 
 /// Figure 6.21 — maximum load, III vs IV, non-local.
 pub(crate) fn fig_6_21() -> String {
-    let (mode, threads) = env_exec();
-    fig_6_21_with(mode, threads)
+    fig_6_21_with(sweep::threads())
 }
 
-/// [`fig_6_21`] under an explicit execution mode.
-pub(crate) fn fig_6_21_with(mode: ExecMode, threads: usize) -> String {
+/// [`fig_6_21`] with an explicit worker count.
+pub(crate) fn fig_6_21_with(threads: usize) -> String {
     max_load(
-        mode,
         threads,
         &THREE_FOUR,
         Locality::NonLocal,
@@ -331,14 +301,12 @@ pub(crate) fn fig_6_21_with(mode: ExecMode, threads: usize) -> String {
 
 /// Figure 6.22 — realistic load, III vs IV, local.
 pub(crate) fn fig_6_22() -> String {
-    let (mode, threads) = env_exec();
-    fig_6_22_with(mode, threads)
+    fig_6_22_with(sweep::threads())
 }
 
-/// [`fig_6_22`] under an explicit execution mode.
-pub(crate) fn fig_6_22_with(mode: ExecMode, threads: usize) -> String {
+/// [`fig_6_22`] with an explicit worker count.
+pub(crate) fn fig_6_22_with(threads: usize) -> String {
     realistic(
-        mode,
         threads,
         &THREE_FOUR,
         Locality::Local,
@@ -348,14 +316,12 @@ pub(crate) fn fig_6_22_with(mode: ExecMode, threads: usize) -> String {
 
 /// Figure 6.23 — realistic load, III vs IV, non-local.
 pub(crate) fn fig_6_23() -> String {
-    let (mode, threads) = env_exec();
-    fig_6_23_with(mode, threads)
+    fig_6_23_with(sweep::threads())
 }
 
-/// [`fig_6_23`] under an explicit execution mode.
-pub(crate) fn fig_6_23_with(mode: ExecMode, threads: usize) -> String {
+/// [`fig_6_23`] with an explicit worker count.
+pub(crate) fn fig_6_23_with(threads: usize) -> String {
     realistic(
-        mode,
         threads,
         &THREE_FOUR,
         Locality::NonLocal,
@@ -367,18 +333,17 @@ pub(crate) fn fig_6_23_with(mode: ExecMode, threads: usize) -> String {
 /// coprocessor serving 1–3 hosts (Figure 7.1's proposal), at a
 /// computation-heavy load where extra hosts matter.
 pub(crate) fn fig_7_1() -> String {
-    let (mode, threads) = env_exec();
-    fig_7_1_with(mode, threads)
+    fig_7_1_with(sweep::threads())
 }
 
-/// [`fig_7_1`] under an explicit execution mode.
-pub(crate) fn fig_7_1_with(mode: ExecMode, threads: usize) -> String {
+/// [`fig_7_1`] with an explicit worker count.
+pub(crate) fn fig_7_1_with(threads: usize) -> String {
     let x = 5_700.0;
     let hosts_axis: [u32; 3] = [1, 2, 3];
     let conv_axis: [u32; 2] = [2, 4];
     let grid = sweep::cartesian(&hosts_axis, &conv_axis);
     let engine = models::default_engine();
-    let cells = grid.eval_with(mode, threads, |&(hosts, n)| {
+    let cells = grid.eval_with(threads, |&(hosts, n)| {
         let t = local::solve_with_hosts_in(engine, Architecture::MessageCoprocessor, n, x, hosts)
             .expect("multi-host model solves");
         format!("{:.4}", t.throughput_per_ms)
@@ -408,12 +373,11 @@ pub(crate) fn fig_7_1_with(mode: ExecMode, threads: usize) -> String {
 /// out, because its lumped chain (~10M states) is past the budget and a
 /// DES estimate's interval is wider than the whole n = 8 → 16 step.
 pub(crate) fn fig_7_scale() -> String {
-    let (mode, threads) = env_exec();
-    fig_7_scale_with(mode, threads)
+    fig_7_scale_with(sweep::threads())
 }
 
-/// [`fig_7_scale`] under an explicit execution mode.
-pub(crate) fn fig_7_scale_with(mode: ExecMode, threads: usize) -> String {
+/// [`fig_7_scale`] with an explicit worker count.
+pub(crate) fn fig_7_scale_with(threads: usize) -> String {
     let x = 5_700.0;
     // Lumping on: only the quotient chain brings n = 16 within budget.
     let engine = AnalysisEngine::new(EngineConfig {
@@ -425,7 +389,7 @@ pub(crate) fn fig_7_scale_with(mode: ExecMode, threads: usize) -> String {
         lump: gtpn::LumpSel::On,
     });
     let grid = Grid::new(vec![2u32, 4, 8, 16]);
-    let rows = grid.eval_with(mode, threads, |&n| {
+    let rows = grid.eval_with(threads, |&n| {
         let t = local::solve_in(&engine, Architecture::MessageCoprocessor, n, x)
             .expect("scale point solves");
         vec![

@@ -151,15 +151,10 @@ pub(crate) fn table_6_21() -> String {
     )
 }
 
-fn offered_table(
-    mode: sweep::ExecMode,
-    threads: usize,
-    paper_table: &str,
-    locality: Locality,
-) -> String {
+fn offered_table(threads: usize, paper_table: &str, locality: Locality) -> String {
     // Each row is an independent sweep point over the paper's server times.
     let grid = sweep::Grid::new(models::offered::SERVER_TIMES_MS.to_vec());
-    let rows = grid.eval_with(mode, threads, |&server_ms| {
+    let rows = grid.eval_with(threads, |&server_ms| {
         let r = models::offered::row(locality, server_ms);
         let mut cells = vec![format!("{:.2}", r.server_ms)];
         cells.extend(r.loads.iter().map(|l| format!("{l:.3}")));
@@ -174,22 +169,22 @@ fn offered_table(
 
 /// Table 6.24 — offered loads, local.
 pub(crate) fn table_6_24() -> String {
-    table_6_24_with(sweep::exec_mode(), sweep::threads())
+    table_6_24_with(sweep::threads())
 }
 
-/// [`table_6_24`] under an explicit execution mode.
-pub(crate) fn table_6_24_with(mode: sweep::ExecMode, threads: usize) -> String {
-    offered_table(mode, threads, "Table 6.24", Locality::Local)
+/// [`table_6_24`] with an explicit worker count.
+pub(crate) fn table_6_24_with(threads: usize) -> String {
+    offered_table(threads, "Table 6.24", Locality::Local)
 }
 
 /// Table 6.25 — offered loads, non-local.
 pub(crate) fn table_6_25() -> String {
-    table_6_25_with(sweep::exec_mode(), sweep::threads())
+    table_6_25_with(sweep::threads())
 }
 
-/// [`table_6_25`] under an explicit execution mode.
-pub(crate) fn table_6_25_with(mode: sweep::ExecMode, threads: usize) -> String {
-    offered_table(mode, threads, "Table 6.25", Locality::NonLocal)
+/// [`table_6_25`] with an explicit worker count.
+pub(crate) fn table_6_25_with(threads: usize) -> String {
+    offered_table(threads, "Table 6.25", Locality::NonLocal)
 }
 
 #[cfg(test)]

@@ -212,30 +212,30 @@ pub fn run(id: &str) -> Option<String> {
     all().into_iter().find(|e| e.id == id).map(|e| (e.run)())
 }
 
-/// Runs one experiment under an explicit sweep execution mode, bypassing
-/// the `HSIPC_SWEEP` / thread-count environment policy. Experiments whose
-/// grids are swept honor `mode`/`threads`; the rest — the ch3 profiling
-/// tables and every other single-solve experiment — run as one-point
-/// grids on the same engine, so every experiment flows through one
-/// evaluation path. Output is byte-identical across modes — that is the
-/// sweep engine's contract, and `tests/sweep_identity.rs` holds it to it.
-pub fn run_with(id: &str, mode: sweep::ExecMode, threads: usize) -> Option<String> {
+/// Runs one experiment with an explicit sweep worker count (1 is the
+/// sequential path), bypassing `HSIPC_SWEEP`. Experiments whose grids are
+/// swept honor `threads`; the rest — the ch3 profiling tables and every
+/// other single-solve experiment — run as one-point grids on the same
+/// engine, so every experiment flows through one evaluation path. Output
+/// is byte-identical at every worker count — that is the sweep engine's
+/// contract, and `tests/sweep_identity.rs` holds it to it.
+pub fn run_with(id: &str, threads: usize) -> Option<String> {
     match id {
-        "table6.24" => Some(ch6tables::table_6_24_with(mode, threads)),
-        "table6.25" => Some(ch6tables::table_6_25_with(mode, threads)),
-        "fig6.15" => Some(ch6figures::fig_6_15_with(mode, threads)),
-        "fig6.17" => Some(ch6figures::fig_6_17_with(mode, threads)),
-        "fig6.18" => Some(ch6figures::fig_6_18_with(mode, threads)),
-        "fig6.19" => Some(ch6figures::fig_6_19_with(mode, threads)),
-        "fig6.20" => Some(ch6figures::fig_6_20_with(mode, threads)),
-        "fig6.21" => Some(ch6figures::fig_6_21_with(mode, threads)),
-        "fig6.22" => Some(ch6figures::fig_6_22_with(mode, threads)),
-        "fig6.23" => Some(ch6figures::fig_6_23_with(mode, threads)),
-        "fig7.1" => Some(ch6figures::fig_7_1_with(mode, threads)),
-        "fig7.scale" => Some(ch6figures::fig_7_scale_with(mode, threads)),
+        "table6.24" => Some(ch6tables::table_6_24_with(threads)),
+        "table6.25" => Some(ch6tables::table_6_25_with(threads)),
+        "fig6.15" => Some(ch6figures::fig_6_15_with(threads)),
+        "fig6.17" => Some(ch6figures::fig_6_17_with(threads)),
+        "fig6.18" => Some(ch6figures::fig_6_18_with(threads)),
+        "fig6.19" => Some(ch6figures::fig_6_19_with(threads)),
+        "fig6.20" => Some(ch6figures::fig_6_20_with(threads)),
+        "fig6.21" => Some(ch6figures::fig_6_21_with(threads)),
+        "fig6.22" => Some(ch6figures::fig_6_22_with(threads)),
+        "fig6.23" => Some(ch6figures::fig_6_23_with(threads)),
+        "fig7.1" => Some(ch6figures::fig_7_1_with(threads)),
+        "fig7.scale" => Some(ch6figures::fig_7_scale_with(threads)),
         _ => all().into_iter().find(|e| e.id == id).map(|e| {
             sweep::Grid::new(vec![e.run])
-                .eval_with(mode, threads, |run| run())
+                .eval_with(threads, |run| run())
                 .pop()
                 .expect("one-point grid yields one result")
         }),

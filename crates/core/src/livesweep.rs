@@ -32,7 +32,6 @@
 use runtime::{Architecture, ClockMode, Config, Locality, RunReport};
 use std::fmt::Write as _;
 use std::time::Duration;
-use sweep::ExecMode;
 
 /// The grid one `repro live-sweep` invocation executes.
 #[derive(Debug, Clone)]
@@ -193,23 +192,22 @@ pub struct SweepOutcome {
     pub all_progressed: bool,
 }
 
-/// Runs the sweep under the environment's execution policy
-/// (`HSIPC_SWEEP`).
+/// Runs the sweep with the environment's worker count (`HSIPC_SWEEP`).
 pub fn run(spec: &SweepSpec) -> SweepOutcome {
-    run_with(spec, sweep::exec_mode(), sweep::threads())
+    run_with(spec, sweep::threads())
 }
 
-/// Runs the sweep with an explicit execution mode and worker count — the
-/// testable core `tests/live_sweep.rs` drives for its byte-identity
+/// Runs the sweep with an explicit worker count (1 is the sequential
+/// path) — the testable core `tests/live_sweep.rs` drives for its byte-identity
 /// checks.
-pub fn run_with(spec: &SweepSpec, mode: ExecMode, threads: usize) -> SweepOutcome {
+pub fn run_with(spec: &SweepSpec, threads: usize) -> SweepOutcome {
     let grid = sweep::Grid::new(spec.points());
     let engine = models::default_engine();
     // Grid points fan out on the order-preserving pool; every worker
     // analyzes its model point through the shared engine (one solution
-    // cache). The closure is deterministic, so mode/threads only control
+    // cache). The closure is deterministic, so `threads` only controls
     // fan-out, never the bytes.
-    let outcomes = grid.eval_with(mode, threads, |point| {
+    let outcomes = grid.eval_with(threads, |point| {
         let report = runtime::run(&spec.config(point));
         let model_per_ms = models::live_throughput_in(
             engine,

@@ -44,7 +44,6 @@ use crate::error::GtpnError;
 use crate::lru::BoundedLru;
 use crate::lump::Rows;
 use crate::net::Net;
-use crate::par::ParallelBudget;
 use crate::reach::{Packed, ReachabilityGraph, Skeleton};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -327,7 +326,6 @@ pub(crate) fn build_chain(
     net: &Net,
     lumped: bool,
     max_states: usize,
-    par: &ParallelBudget,
 ) -> Result<Chain, GtpnError> {
     fn lock(store: &Mutex<SkeletonStore>) -> MutexGuard<'_, SkeletonStore> {
         store.lock().expect("skeleton store poisoned")
@@ -338,7 +336,7 @@ pub(crate) fn build_chain(
         Shape::of(net)
     };
     let Some(Shape { mut key, rates }) = shape else {
-        let (graph, rows, _) = fresh(net, lumped, max_states, par, false)?;
+        let (graph, rows, _) = fresh(net, lumped, max_states, false)?;
         return Ok(Chain { graph, rows });
     };
     key.push(u64::from(lumped));
@@ -356,7 +354,7 @@ pub(crate) fn build_chain(
     }
     let reprice_s = started.elapsed().as_secs_f64();
     let record = matches!(plan, Plan::Record);
-    let (mut graph, rows, tape) = fresh(net, lumped, max_states, par, record)?;
+    let (mut graph, rows, tape) = fresh(net, lumped, max_states, record)?;
     let shelf = |sighting| Shelf {
         hash,
         key,
@@ -386,14 +384,13 @@ pub(crate) fn fresh(
     net: &Net,
     lumped: bool,
     max_states: usize,
-    par: &ParallelBudget,
     record: bool,
 ) -> Result<(ReachabilityGraph, Rows, Packed), GtpnError> {
     if lumped {
-        let (chain, tape) = crate::lump::lumped_chain(net, max_states, par, record)?;
+        let (chain, tape) = crate::lump::lumped_chain(net, max_states, record)?;
         Ok((chain.graph, chain.rows, tape))
     } else {
-        let (graph, tape) = crate::reach::raw_chain(net, max_states, par, record)?;
+        let (graph, tape) = crate::reach::raw_chain(net, max_states, record)?;
         Ok((graph, Rows::default(), tape))
     }
 }
@@ -453,7 +450,7 @@ mod tests {
     }
 
     fn build(store: &Mutex<SkeletonStore>, net: &Net, lumped: bool) -> Chain {
-        build_chain(store, net, lumped, 10_000, &ParallelBudget::serial()).unwrap()
+        build_chain(store, net, lumped, 10_000).unwrap()
     }
 
     /// `(replays, records, fallbacks)` of a chain's build.
@@ -464,8 +461,7 @@ mod tests {
 
     /// A chain built by the store is the fresh build's, rows included.
     fn assert_fresh(chain: &Chain, net: &Net, lumped: bool) {
-        let (graph, rows, _) =
-            fresh(net, lumped, 10_000, &ParallelBudget::serial(), false).unwrap();
+        let (graph, rows, _) = fresh(net, lumped, 10_000, false).unwrap();
         assert_graphs_identical(&chain.graph, &graph);
         assert_eq!(chain.rows.bits(), rows.bits(), "rows drifted");
     }
@@ -526,7 +522,7 @@ mod tests {
         build(&store, &net, false);
         let recorded = build(&store, &net, false);
         assert!(recorded.graph.state_count() > 1);
-        let err = build_chain(&store, &net, false, 1, &ParallelBudget::serial());
+        let err = build_chain(&store, &net, false, 1);
         assert!(matches!(
             err.err(),
             Some(GtpnError::StateSpaceExceeded { limit: 1 })
@@ -623,8 +619,7 @@ mod tests {
         let net = ring(2, 0.44);
         let key = Shape::of(&net).unwrap().key;
         let skeleton = || {
-            let (graph, _, tape) =
-                fresh(&net, false, 100, &ParallelBudget::serial(), true).unwrap();
+            let (graph, _, tape) = fresh(&net, false, 100, true).unwrap();
             Arc::new(Skeleton::new(&graph, tape, None))
         };
         let (first, second) = (skeleton(), skeleton());
@@ -777,10 +772,10 @@ mod tests {
             let delays = if lumped { [0, 0, 1, 1, 1, 1] } else { [0, 0, 1, 1, 2, 3] };
             let net = crate::reach::arbitrary::net(&initial, &specs, delays);
             let store = unbounded();
-            let run = |net: &Net| build_chain(&store, net, lumped, 300, &ParallelBudget::serial());
+            let run = |net: &Net| build_chain(&store, net, lumped, 300);
             if run(&net).is_ok() && run(&net).is_ok() {
                 let repriced = crate::reach::arbitrary::net(&initial, &reprice(&specs, &scales), delays);
-                let want = fresh(&repriced, lumped, 300, &ParallelBudget::serial(), false);
+                let want = fresh(&repriced, lumped, 300, false);
                 match (run(&repriced), want) {
                     (Ok(chain), Ok(_)) => {
                         let (replays, _, fallbacks) = road(&chain);

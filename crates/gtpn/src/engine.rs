@@ -63,7 +63,6 @@ use crate::error::GtpnError;
 use crate::lru::BoundedLru;
 use crate::lump::LumpSel;
 use crate::net::{Net, PlaceId, TransId};
-use crate::par::ParallelBudget;
 use crate::reach::ReachabilityGraph;
 use crate::sim::{self, batch_means_interval, splitmix64, ConfidenceInterval, SimOptions};
 use crate::solve::{Solution, SolveWorkspace};
@@ -202,15 +201,10 @@ pub struct StageLedger {
     /// Configurations those phases expanded.
     pub phase_configs: u64,
     /// Phases of `phase_calls` served by the expansion's phase memo
-    /// instead of run (DESIGN §12); 0 for a re-priced chain. A serial
-    /// build's count repeats exactly. Under a parallel build each worker
-    /// keeps its own memo, so the count depends on which worker expanded
-    /// which state — the chain does not.
+    /// instead of run (DESIGN §12); 0 for a re-priced chain.
     pub phase_hits: u64,
     /// Lumped states of `phase_hits` whose fold the phase memo served too
-    /// (DESIGN §12); 0 for a raw or re-priced chain. Like `phase_hits`, a
-    /// serial build's count repeats exactly and a parallel build's
-    /// depends on the schedule.
+    /// (DESIGN §12); 0 for a raw or re-priced chain.
     pub fold_hits: u64,
 }
 
@@ -416,11 +410,10 @@ fn exact(
     store: &Mutex<SkeletonStore>,
     net: &Net,
     cfg: &EngineConfig,
-    par: &ParallelBudget,
 ) -> Result<(AnalysisData, StageLedger), GtpnError> {
     let lumped = cfg.lump.enabled() && crate::lump::lumpable(net);
     let Chain { mut graph, rows } =
-        crate::cache::build_chain(store, net, lumped, cfg.state_budget, par)?;
+        crate::cache::build_chain(store, net, lumped, cfg.state_budget)?;
     let edges = graph.edge_count();
     let built = Instant::now();
     let solution = match Solution::direct(&graph) {
@@ -677,9 +670,6 @@ pub fn clear_cache() {
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisEngine {
     cfg: EngineConfig,
-    /// Core budget for the backends' inner parallelism; `None` means the
-    /// process-global budget ([`ParallelBudget::global`]).
-    budget: Option<Arc<ParallelBudget>>,
     /// Solution cache and skeleton store; `None` means the process-global
     /// ones.
     cache: Option<Arc<Caches>>,
@@ -688,19 +678,7 @@ pub struct AnalysisEngine {
 impl AnalysisEngine {
     /// An engine with an explicit configuration.
     pub fn new(cfg: EngineConfig) -> AnalysisEngine {
-        AnalysisEngine {
-            cfg,
-            budget: None,
-            cache: None,
-        }
-    }
-
-    /// This engine with a dedicated core budget. Nested solvers (the
-    /// §6.6.3 fixed point, tests pinning parallelism) share one budget
-    /// across their engines instead of drawing on the global one.
-    pub fn with_budget(mut self, budget: Arc<ParallelBudget>) -> AnalysisEngine {
-        self.budget = Some(budget);
-        self
+        AnalysisEngine { cfg, cache: None }
     }
 
     /// This engine with a private solution cache of `cap` entries (`0`
@@ -719,14 +697,6 @@ impl AnalysisEngine {
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// The core budget the engine's backends draw extra threads from.
-    pub fn budget(&self) -> &ParallelBudget {
-        match &self.budget {
-            Some(b) => b,
-            None => ParallelBudget::global(),
-        }
     }
 
     /// The caches this engine reads and writes.
@@ -860,8 +830,7 @@ impl AnalysisEngine {
                 .misses += 1;
             let data = Arc::new(match kind {
                 BackendKind::Exact => {
-                    let (data, stages) =
-                        exact(&self.caches().skeletons, net, &self.cfg, self.budget())?;
+                    let (data, stages) = exact(&self.caches().skeletons, net, &self.cfg)?;
                     stage_totals_cell()
                         .lock()
                         .expect("stage totals poisoned")
@@ -1194,7 +1163,7 @@ mod tests {
     /// its solution cache: the analysis and the run's ledger.
     fn run_exact(engine: &AnalysisEngine, net: &Net) -> (Analysis, StageLedger) {
         let store = &engine.caches().skeletons;
-        let (data, ledger) = exact(store, net, engine.config(), engine.budget()).unwrap();
+        let (data, ledger) = exact(store, net, engine.config()).unwrap();
         let data = Arc::new(data);
         (Analysis { data }, ledger)
     }
@@ -1276,8 +1245,7 @@ mod tests {
         // and every measure is that of a solve of the whole chain.
         let net = served_ring(4.0);
         let (analysis, ledger) = run_exact(&lump_engine(LumpSel::On).with_cache(0), &net);
-        let (whole, _) =
-            crate::lump::lumped_chain(&net, 10_000, &ParallelBudget::serial(), false).unwrap();
+        let (whole, _) = crate::lump::lumped_chain(&net, 10_000, false).unwrap();
         assert!(whole.graph.state_count() > crate::solve::DIRECT_MAX_STATES);
         assert_eq!(analysis.states(), whole.graph.state_count());
         assert_eq!(ledger.edges, whole.graph.edge_count() as u64);

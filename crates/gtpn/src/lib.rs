@@ -85,7 +85,6 @@ pub mod engine;
 pub mod geometric;
 pub mod invariant;
 pub mod lump;
-pub mod par;
 pub mod parse;
 pub mod sim;
 
@@ -94,7 +93,6 @@ pub use error::GtpnError;
 pub use expr::Expr;
 pub use lump::LumpSel;
 pub use net::{Net, PlaceId, TransId, Transition};
-pub use par::ParallelBudget;
 pub use reach::ReachabilityGraph;
 pub use solve::Solution;
 

@@ -39,17 +39,15 @@
 //!
 //! The expansion is the raw build's own breadth-first driver
 //! (`reach::explore`) over post-completion markings, with this
-//! module's per-state fold in place of the time advance: workers expand
-//! disjoint chunks of a level, results are reduced in frontier order, and
-//! successor markings are numbered in each state's phase-outcome order —
-//! state numbering, edge lists and every accumulated float are
-//! byte-identical to a serial build.
+//! module's per-state fold in place of the time advance: states are
+//! expanded in discovery order and successor markings are numbered in each
+//! state's phase-outcome order, so state numbering, edge lists and every
+//! accumulated float are fixed by the net alone.
 
 use crate::compiled::CompiledNet;
 use crate::error::GtpnError;
 use crate::intern::{hash_words, IndexTable};
 use crate::net::{Net, TransId};
-use crate::par::ParallelBudget;
 use crate::reach::{
     explore, instantaneous_phase, pending_ids, read, replay_head, shift, state_hash, zigzag, Class,
     Cursor, Expansion, FoldReader, Packed, ReachabilityGraph, Worker,
@@ -203,7 +201,7 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
 
 /// The rows of a fresh build as the merge appends them, each state's usage
 /// row de-duplicated by content against the rows before it. The merge runs
-/// in frontier order, so every [`ParallelBudget`] numbers the rows alike.
+/// in state order, so a net's rows are numbered alike in every build.
 pub(crate) struct RowIndex {
     rows: Rows,
     /// Finds a distinct usage row by its content hash; `hashes[id]` is row
@@ -678,7 +676,6 @@ pub(crate) fn refold(
 pub(crate) fn lumped_chain(
     net: &Net,
     max_states: usize,
-    par: &ParallelBudget,
     record: bool,
 ) -> Result<(LumpedGraph, Packed), GtpnError> {
     // The initial marking is the chain's first post-completion marking
@@ -695,18 +692,14 @@ pub(crate) fn lumped_chain(
         expand_lumped::<false>
     };
     let rows = Some(RowIndex::new(net));
-    let (graph, rows, tape) = explore(net, max_states, par, rows, seed, expand)?;
+    let (graph, rows, tape) = explore(net, max_states, rows, seed, expand)?;
     Ok((LumpedGraph { graph, rows }, tape))
 }
 
 /// [`lumped_chain`] without a tape, as the tests build it.
 #[cfg(test)]
-pub(crate) fn reach_lumped_budgeted(
-    net: &Net,
-    max_states: usize,
-    par: &ParallelBudget,
-) -> Result<LumpedGraph, GtpnError> {
-    lumped_chain(net, max_states, par, false).map(|(lumped, _)| lumped)
+pub(crate) fn reach_lumped(net: &Net, max_states: usize) -> Result<LumpedGraph, GtpnError> {
+    lumped_chain(net, max_states, false).map(|(lumped, _)| lumped)
 }
 
 #[cfg(test)]
@@ -715,7 +708,6 @@ mod tests {
     use crate::expr::Expr;
     use crate::geometric::GeometricStage;
     use crate::net::Transition;
-    use crate::reach::PAR_MIN_FRONTIER;
     use std::collections::HashMap;
 
     /// `n` clients cycling through a geometric stage (mean `m`) that
@@ -758,7 +750,7 @@ mod tests {
     }
 
     fn solve_lumped(net: &Net) -> (LumpedGraph, Solution) {
-        let lumped = reach_lumped_budgeted(net, 100_000, &ParallelBudget::serial()).unwrap();
+        let lumped = reach_lumped(net, 100_000).unwrap();
         let sol = lumped.graph.solve(1e-13, 200_000).unwrap();
         (lumped, sol)
     }
@@ -812,17 +804,12 @@ mod tests {
         }
     }
 
-    /// Three independent rings of three geometric stages, four tokens and
-    /// one processor each — a stage holds its ring's processor while it
-    /// fires, as the paper's stages hold `Host` or `MP`. Phases stay short
-    /// (one firing per ring) while the lumped states, products of the
-    /// rings' occupancy vectors, make BFS levels hundreds of states wide.
-    fn rings() -> Net {
-        rings_of([4, 0, 0], 2.0)
-    }
-
-    /// [`rings`] with `tokens` in each ring's three places and stage means
-    /// from `mean` up.
+    /// Three independent rings of three geometric stages and one processor
+    /// each — a stage holds its ring's processor while it fires, as the
+    /// paper's stages hold `Host` or `MP` — with `tokens` in each ring's
+    /// three places and stage means from `mean` up. Phases stay short (one
+    /// firing per ring) while the lumped states are products of the rings'
+    /// occupancy vectors.
     fn rings_of(tokens: [u32; 3], mean: f64) -> Net {
         let mut net = Net::new("rings");
         for r in 0..3 {
@@ -840,57 +827,6 @@ mod tests {
             }
         }
         net
-    }
-
-    #[test]
-    fn lumped_build_is_deterministic_across_budgets() {
-        let net = rings();
-        let serial = reach_lumped_budgeted(&net, 100_000, &ParallelBudget::serial()).unwrap();
-        assert!(
-            serial.graph.state_count() >= 1_000,
-            "test net too small ({} states) to exercise the parallel path",
-            serial.graph.state_count()
-        );
-        let budget = ParallelBudget::new(8);
-        let par = reach_lumped_budgeted(&net, 100_000, &budget).unwrap();
-        crate::reach::assert_graphs_identical(&serial.graph, &par.graph);
-        assert_eq!(
-            serial.rows.bits(),
-            par.rows.bits(),
-            "conditional expectation drifted"
-        );
-        assert_eq!(budget.available(), 7, "expansion must release its leases");
-        // Errors agree too: the budget, and a deadlock in a wide level —
-        // a processor serving its ring's last stage can crash for good, and
-        // the many states with all three gone are dead. A worker abandons
-        // its chunk part-way through such a state's fold; the
-        // lowest-numbered one is reported.
-        let serr = reach_lumped_budgeted(&net, 500, &ParallelBudget::serial()).unwrap_err();
-        let perr = reach_lumped_budgeted(&net, 500, &budget).unwrap_err();
-        assert_eq!(serr, perr);
-        let mut crashing = rings();
-        for r in 0..3 {
-            let cpu = crashing.place_by_name(&format!("Cpu{r}")).unwrap();
-            let last = crashing.place_by_name(&format!("P{r}_2")).unwrap();
-            crashing
-                .add_transition(
-                    Transition::new(format!("crash{r}"))
-                        .delay(1)
-                        .frequency(Expr::constant(0.05))
-                        .input(cpu, 1)
-                        .input(last, 1),
-                )
-                .unwrap();
-        }
-        let serr = reach_lumped_budgeted(&crashing, 100_000, &ParallelBudget::serial());
-        let serr = serr.unwrap_err();
-        assert!(
-            matches!(serr, GtpnError::Deadlock { state } if state > PAR_MIN_FRONTIER),
-            "{serr}"
-        );
-        let perr = reach_lumped_budgeted(&crashing, 100_000, &budget).unwrap_err();
-        assert_eq!(serr, perr);
-        assert_eq!(budget.available(), 7);
     }
 
     /// The lumped chain as nested vectors: markings, out-edges, usage rows
@@ -968,7 +904,7 @@ mod tests {
     /// build: numbering, edge bits, both conditional-expectation rows bit
     /// for bit — or the same error. Returns the flat build.
     fn assert_matches_reference(net: &Net, max_states: usize) -> Option<LumpedGraph> {
-        let got = reach_lumped_budgeted(net, max_states, &ParallelBudget::serial());
+        let got = reach_lumped(net, max_states);
         match (got, reference_lumped(net, max_states)) {
             (Ok(got), Ok((states, edges, usage, tokens))) => {
                 let g = &got.graph;
@@ -1062,7 +998,7 @@ mod tests {
             .unwrap();
         // State 0 is `A`, its successor `B` enables nothing.
         assert_matches_reference(&net, 100);
-        let err = reach_lumped_budgeted(&net, 100, &ParallelBudget::serial()).unwrap_err();
+        let err = reach_lumped(&net, 100).unwrap_err();
         assert_eq!(err, GtpnError::Deadlock { state: 1 });
         let compiled = CompiledNet::new(&net);
         let mut w = Worker::new(&compiled);
@@ -1090,10 +1026,8 @@ mod tests {
     fn a_memo_served_recording_replays_to_a_fresh_build() {
         use crate::reach::{assert_graphs_identical, Skeleton};
         for (tokens, lumped) in [([2, 2, 2], true), ([1, 1, 1], false)] {
-            let build = |net: &Net, record| {
-                crate::cache::fresh(net, lumped, 100_000, &ParallelBudget::serial(), record)
-                    .unwrap()
-            };
+            let build =
+                |net: &Net, record| crate::cache::fresh(net, lumped, 100_000, record).unwrap();
             let (net, other) = (rings_of(tokens, 2.0), rings_of(tokens, 3.5));
             let (graph, rows, tape) = build(&net, true);
             let served = graph.build;
@@ -1183,9 +1117,7 @@ mod tests {
     #[test]
     fn a_replay_parts_rows_the_recording_shared() {
         use crate::reach::{assert_graphs_identical, Skeleton};
-        let build = |net: &Net, record| {
-            crate::cache::fresh(net, true, 100, &ParallelBudget::serial(), record).unwrap()
-        };
+        let build = |net: &Net, record| crate::cache::fresh(net, true, 100, record).unwrap();
         let (graph, rows, tape) = build(&flag(0.5, 0.5), true);
         assert_eq!((graph.state_count(), rows.usage_rows()), (4, 1));
         let other = flag(0.5, 2.0);
@@ -1206,11 +1138,8 @@ mod tests {
     #[test]
     fn lumped_budget_counts_lumped_states() {
         let net = symmetric(4, 5.0);
-        let count = reach_lumped_budgeted(&net, 100_000, &ParallelBudget::serial())
-            .unwrap()
-            .graph
-            .state_count();
-        let err = reach_lumped_budgeted(&net, count - 1, &ParallelBudget::serial()).unwrap_err();
+        let count = reach_lumped(&net, 100_000).unwrap().graph.state_count();
+        let err = reach_lumped(&net, count - 1).unwrap_err();
         assert!(matches!(
             err,
             GtpnError::StateSpaceExceeded { limit } if limit == count - 1
@@ -1224,7 +1153,7 @@ mod tests {
         let b = net.add_place("B", 0);
         net.add_transition(Transition::new("T").delay(1).input(a, 1).output(b, 1))
             .unwrap();
-        let err = reach_lumped_budgeted(&net, 100, &ParallelBudget::serial()).unwrap_err();
+        let err = reach_lumped(&net, 100).unwrap_err();
         assert!(matches!(err, GtpnError::Deadlock { .. }));
     }
 }

@@ -443,7 +443,6 @@ mod tests {
     fn unknown_expression_leaves_are_rejected() {
         use crate::engine::{AnalysisEngine, BackendSel, EngineConfig};
         use crate::expr::Expr;
-        use crate::par::ParallelBudget;
 
         let build = |frequency: Expr| {
             let mut net = Net::new("leaves");
@@ -479,7 +478,7 @@ mod tests {
         for (net, want) in [(&place, &want_place), (&transition, &want_transition)] {
             assert_eq!(net.validate().as_ref(), Err(want));
             assert_eq!(net.reachability(100).err().as_ref(), Some(want));
-            let lumped = crate::lump::reach_lumped_budgeted(net, 100, &ParallelBudget::serial());
+            let lumped = crate::lump::reach_lumped(net, 100);
             assert_eq!(lumped.err().as_ref(), Some(want));
             assert!(!crate::lump::lumpable(net));
             for backend in [BackendSel::Exact, BackendSel::Des, BackendSel::Auto] {

@@ -25,8 +25,8 @@
 //! Everything between the net and the solver is flat. The net is compiled
 //! once per build ([`CompiledNet`]); the instantaneous phase
 //! ([`instantaneous_phase`]) runs on fixed-stride `u32` keys in reusable
-//! per-worker buffers ([`PhaseScratch`]), which also remember finished
-//! phases by start class ([`PhaseMemo`]); states live once, in the graph's
+//! buffers ([`PhaseScratch`]), which also remember finished phases by
+//! start class ([`PhaseMemo`]); states live once, in the graph's
 //! own marking arena and firing lists, found through an [`IndexTable`];
 //! and edges are stored in compressed-sparse-row form. One breadth-first
 //! driver ([`explore`]) serves both the raw chain built here and the lumped
@@ -37,10 +37,8 @@ use crate::error::GtpnError;
 use crate::intern::{hash_words, IndexTable};
 use crate::lump::{RecordedRows, RowIndex, RowReplay, Rows};
 use crate::net::{Net, PlaceId, TransId};
-use crate::par::ParallelBudget;
 use crate::solve::Solution;
 use std::ops::Range;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Maximum number of sequential selection rounds inside one instantaneous
@@ -51,24 +49,16 @@ const MAX_PHASE_ROUNDS: usize = 10_000;
 /// point dust; exact zero frequencies never reach this point).
 const PROB_FLOOR: f64 = 1e-300;
 
-/// Frontier width below which a level is always expanded serially — the
-/// per-state work (microseconds) cannot amortize worker dispatch on a
-/// narrow level.
-pub(crate) const PAR_MIN_FRONTIER: usize = 64;
-
-/// Target states per self-scheduled work chunk in a parallel level.
-const PAR_CHUNK: usize = 16;
-
 /// Pending-firing slots a configuration key starts with; see
 /// [`PhaseScratch`]. Grows on demand, so this bounds nothing.
 const INITIAL_PENDING_CAP: usize = 4;
 
 /// What building a graph cost — the build half of the engine's
 /// [`StageLedger`](crate::engine::StageLedger). Seconds are wall-clock
-/// around the whole stage (no timer runs inside the expansion kernel);
-/// counts are summed over the build's workers. A re-priced chain
-/// ([`Skeleton::replay`]) carries its skeleton's phase counts: they count
-/// the work the chain stands for, not the work its replay did.
+/// around the whole stage (no timer runs inside the expansion kernel). A
+/// re-priced chain ([`Skeleton::replay`]) carries its skeleton's phase
+/// counts: they count the work the chain stands for, not the work its
+/// replay did.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct BuildStats {
     pub(crate) net_compile_s: f64,
@@ -133,30 +123,7 @@ impl Net {
     /// * [`GtpnError::UnknownPlace`] / [`GtpnError::UnknownTransition`] if a
     ///   frequency expression names a place or transition outside the net.
     pub fn reachability(&self, max_states: usize) -> Result<ReachabilityGraph, GtpnError> {
-        self.reachability_budgeted(max_states, &ParallelBudget::serial())
-    }
-
-    /// As [`reachability`](Self::reachability), expanding wide BFS frontiers
-    /// on extra worker threads claimed from `par`.
-    ///
-    /// Workers expand disjoint chunks of a frontier level into thread-local
-    /// buffers; the results are then merged *in frontier order*, interning
-    /// each state's successor distribution in its deterministic
-    /// (state-key-sorted) order. Discovery order — and therefore state
-    /// numbering, edge lists, sojourns, and every downstream float — is
-    /// byte-identical to the serial build, whatever the budget grants.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`reachability`](Self::reachability); when several
-    /// frontier states fail, the error of the lowest-numbered state is
-    /// reported, as a serial build would.
-    pub fn reachability_budgeted(
-        &self,
-        max_states: usize,
-        par: &ParallelBudget,
-    ) -> Result<ReachabilityGraph, GtpnError> {
-        raw_chain(self, max_states, par, false).map(|(graph, _)| graph)
+        raw_chain(self, max_states, false).map(|(graph, _)| graph)
     }
 }
 
@@ -166,7 +133,6 @@ impl Net {
 pub(crate) fn raw_chain(
     net: &Net,
     max_states: usize,
-    par: &ParallelBudget,
     record: bool,
 ) -> Result<(ReachabilityGraph, Packed), GtpnError> {
     // The initial instantaneous phase from the initial marking seeds the
@@ -186,11 +152,11 @@ pub(crate) fn raw_chain(
     } else {
         expand_state::<false>
     };
-    explore(net, max_states, par, None, seed, expand).map(|(graph, _, tape)| (graph, tape))
+    explore(net, max_states, None, seed, expand).map(|(graph, _, tape)| (graph, tape))
 }
 
 /// Expands one tangible state: advance time by its sojourn, then run the
-/// instantaneous phase. Pure per-state work — safe to run on any thread.
+/// instantaneous phase.
 fn expand_state<const RECORD: bool>(
     net: &CompiledNet,
     graph: &ReachabilityGraph,
@@ -260,8 +226,8 @@ pub(crate) fn state_hash(marking: &[u32], firings: &[(TransId, u64)]) -> u64 {
     })
 }
 
-/// Per-worker expansion state: the kernel's buffers, the worker's share of
-/// the `fired` record, and scratch the expanders reuse from state to state.
+/// A build's expansion state: the kernel's buffers, the `fired` record, and
+/// scratch the expanders reuse from state to state.
 pub(crate) struct Worker {
     pub(crate) phase: PhaseScratch,
     pub(crate) fired: Vec<bool>,
@@ -289,7 +255,7 @@ impl Worker {
 }
 
 /// Flat successor lists of one or more expanded states, in state order —
-/// what a worker hands the in-order merge.
+/// what an expander hands the merge.
 #[derive(Default)]
 pub(crate) struct Expansion {
     places: usize,
@@ -307,8 +273,6 @@ pub(crate) struct Expansion {
     rows: Vec<f64>,
     /// The expanded states' tape, in state order (recording builds).
     pub(crate) tape: Vec<u32>,
-    /// Why the state after the last recorded one could not be expanded.
-    error: Option<GtpnError>,
 }
 
 impl Expansion {
@@ -328,7 +292,6 @@ impl Expansion {
         self.hashes.clear();
         self.rows.clear();
         self.tape.clear();
-        self.error = None;
     }
 
     /// Successors recorded so far, over all states.
@@ -376,17 +339,6 @@ impl Expansion {
         self.states.push((sojourn, self.probs.len()));
         self.rows.extend_from_slice(row);
     }
-
-    /// Drops the successors of a state that failed part-way.
-    fn rollback(&mut self) {
-        let keep = self.states.last().map_or(0, |&(_, end)| end);
-        self.markings.truncate(keep * self.places);
-        self.firing_ends.truncate(keep);
-        self.firings
-            .truncate(self.firing_ends.last().copied().unwrap_or(0));
-        self.probs.truncate(keep);
-        self.hashes.truncate(keep);
-    }
 }
 
 /// A graph under construction: the graph itself, the index that finds its
@@ -433,8 +385,7 @@ impl Builder {
 
     /// Interns every successor of `out`'s states in order. With
     /// `record_edges`, each state of `out` is the next unexpanded state of
-    /// the graph and gets its sojourn, edges and row; then `out`'s error,
-    /// if it stopped at one.
+    /// the graph and gets its sojourn, edges and row.
     fn merge(&mut self, out: &Expansion, record_edges: bool) -> Result<(), GtpnError> {
         let mut k = 0;
         for (s, &(sojourn, end)) in out.states.iter().enumerate() {
@@ -461,15 +412,12 @@ impl Builder {
         for &word in &out.tape {
             self.tape.push(word.into());
         }
-        match &out.error {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
+        Ok(())
     }
 }
 
 /// Records state `i`'s successors into an [`Expansion`]: the per-state half
-/// of a build, run on whichever worker claims the state.
+/// of a build.
 pub(crate) type ExpandFn = fn(
     &CompiledNet,
     &ReachabilityGraph,
@@ -486,20 +434,15 @@ pub(crate) type ExpandFn = fn(
 /// (and, in a lumped build, which passes `rows`, its row of conditional
 /// expectations) with
 /// [`Expansion::push_successor`] / [`Expansion::finish_state`]. States are
-/// numbered in discovery order and expanded level by level: a level is
-/// expanded serially, streaming each state straight into the merge, or — when
-/// it is wide and `par` grants cores — in self-scheduled chunks on worker
-/// threads whose buffers are merged afterwards *in frontier order*. Either
-/// way successors are interned in the same sequence, so numbering, edges,
-/// rows and the first error reported are those of a serial build — and so
-/// is the tape a recording expander appends to [`Expansion::tape`].
+/// numbered in discovery order and expanded in that order, each streamed
+/// straight into the merge; the first state that fails ends the build with
+/// its error.
 ///
 /// Returns the graph, the rows (empty unless `rows` was given) and the tape
 /// (empty unless the expanders record).
 pub(crate) fn explore(
     net: &Net,
     max_states: usize,
-    par: &ParallelBudget,
     rows: Option<RowIndex>,
     seed: impl FnOnce(&CompiledNet, &mut Worker, &mut Expansion) -> Result<(), GtpnError>,
     expand: ExpandFn,
@@ -526,48 +469,19 @@ pub(crate) fn explore(
         rows,
         tape: Packed::default(),
     };
-    let mut workers = vec![Worker::new(&compiled)];
+    let mut w = Worker::new(&compiled);
     let mut out = Expansion::new(places);
 
-    seed(&compiled, &mut workers[0], &mut out)?;
+    seed(&compiled, &mut w, &mut out)?;
     out.finish_state(0, &[]);
     b.merge(&out, false)?;
 
-    let mut cursor = 0;
-    while cursor < b.graph.state_count() {
-        let level = cursor..b.graph.state_count();
-        let lease = if level.len() >= PAR_MIN_FRONTIER {
-            par.claim_extra(level.len() / (2 * PAR_CHUNK))
-        } else {
-            par.claim_extra(0)
-        };
-        let extra = lease.extra();
-        if extra == 0 {
-            for si in level.clone() {
-                out.clear();
-                expand(&compiled, &b.graph, si, &mut workers[0], &mut out)?;
-                b.merge(&out, true)?;
-            }
-        } else {
-            while workers.len() <= extra {
-                workers.push(Worker::new(&compiled));
-            }
-            let chunks = expand_level(
-                &compiled,
-                &b.graph,
-                level.clone(),
-                &mut workers[..=extra],
-                expand,
-            );
-            drop(lease);
-            // Deterministic reduction: chunks are merged strictly in
-            // frontier order, so numbering matches a serial build and the
-            // first in-order error is the one a serial build would hit.
-            for chunk in &chunks {
-                b.merge(chunk, true)?;
-            }
-        }
-        cursor = level.end;
+    let mut si = 0;
+    while si < b.graph.state_count() {
+        out.clear();
+        expand(&compiled, &b.graph, si, &mut w, &mut out)?;
+        b.merge(&out, true)?;
+        si += 1;
     }
 
     let Builder {
@@ -585,78 +499,14 @@ pub(crate) fn explore(
     graph.edges.shrink_to_fit();
     graph.sojourn.shrink_to_fit();
     let rows = rows.map_or_else(Rows::default, RowIndex::finish);
-    // `fired` is the union of every worker's record (commutative, so which
-    // worker expanded what cannot matter); the counts are plain sums.
-    graph.fired = vec![false; compiled.transitions.len()];
-    for w in &workers {
-        for (f, &l) in graph.fired.iter_mut().zip(&w.fired) {
-            *f |= l;
-        }
-        graph.build.phase_calls += w.phase.calls;
-        graph.build.phase_configs += w.phase.configs;
-        graph.build.phase_hits += w.phase.hits;
-        graph.build.fold_hits += w.phase.fold_hits;
-    }
+    graph.build.phase_calls = w.phase.calls;
+    graph.build.phase_configs = w.phase.configs;
+    graph.build.phase_hits = w.phase.hits;
+    graph.build.fold_hits = w.phase.fold_hits;
+    graph.fired = w.fired;
     graph.build.net_compile_s = (compiled_at - started).as_secs_f64();
     graph.build.bfs_s = compiled_at.elapsed().as_secs_f64();
     Ok((graph, rows, tape))
-}
-
-/// A self-scheduled unit of frontier work: the states to expand and the
-/// slot their expansion lands in.
-type LevelChunk<'a> = (Range<usize>, &'a mut Expansion);
-
-/// Expands the states of one wide frontier level on `workers.len()`
-/// threads (the caller's included). Chunk `c` of the result always holds
-/// the expansions of the `c`-th run of states, whichever thread produced
-/// it; a chunk stops at its first failing state.
-fn expand_level(
-    net: &CompiledNet,
-    graph: &ReachabilityGraph,
-    level: Range<usize>,
-    workers: &mut [Worker],
-    expand: ExpandFn,
-) -> Vec<Expansion> {
-    // Self-scheduling chunks: slots are disjoint `&mut`s, so a worker
-    // writes its results straight into the shared output vector.
-    let chunk = level.len().div_ceil(workers.len() * 4).max(PAR_CHUNK);
-    let mut slots: Vec<Expansion> = (0..level.len().div_ceil(chunk))
-        .map(|_| Expansion::new(net.places))
-        .collect();
-    {
-        let work: Mutex<Vec<LevelChunk<'_>>> = Mutex::new(
-            slots
-                .iter_mut()
-                .enumerate()
-                .map(|(ci, slot)| {
-                    let start = level.start + ci * chunk;
-                    (start..(start + chunk).min(level.end), slot)
-                })
-                .collect(),
-        );
-        let run = |w: &mut Worker| loop {
-            let item = work.lock().expect("level work queue poisoned").pop();
-            let Some((states, out)) = item else { break };
-            for si in states {
-                if let Err(e) = expand(net, graph, si, w, out) {
-                    out.rollback();
-                    out.error = Some(e);
-                    break;
-                }
-            }
-        };
-        let (own, extra) = workers.split_first_mut().expect("the caller is a worker");
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = extra.iter_mut().map(|w| scope.spawn(|| run(w))).collect();
-            run(own);
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-    }
-    slots
 }
 
 impl ReachabilityGraph {
@@ -816,7 +666,7 @@ impl Configs {
     }
 }
 
-/// Reusable buffers of [`instantaneous_phase`], one set per worker.
+/// Reusable buffers of [`instantaneous_phase`], one set per build.
 ///
 /// A configuration — a marking plus the multiset of firings started so far
 /// in this phase — is the flat key `[marking | pending ids + 1, ascending,
@@ -1217,7 +1067,7 @@ impl MemoEntry {
 }
 
 /// Finished phases of one build, keyed by start class — one memo per
-/// [`PhaseScratch`], so per worker.
+/// [`PhaseScratch`], so per build.
 ///
 /// A phase reads its start marking only through the places frequency and
 /// slot programs read and through enabling tests
@@ -2827,79 +2677,6 @@ mod tests {
         assert_eq!(g.place_bound(host), 0, "the Host token is always in use");
         assert_eq!(g.place_bound(c), 0);
         assert_eq!(g.dead_transitions(), vec![TransId(1)]);
-    }
-
-    /// A budgeted build with many logical workers is byte-identical to the
-    /// serial build — numbering, edges (bit-for-bit floats), sojourns and
-    /// the fired record all match, and errors agree too.
-    #[test]
-    fn budgeted_build_is_byte_identical() {
-        // A net wide enough to cross PAR_MIN_FRONTIER: several independent
-        // geometric stages multiply the frontier width.
-        let mut net = Net::new("wide");
-        for k in 0..4 {
-            let p = net.add_place(format!("P{k}"), 1);
-            let q = net.add_place(format!("Q{k}"), 0);
-            net.add_transition(
-                Transition::new(format!("exit{k}"))
-                    .delay(1 + k as u64)
-                    .frequency(Expr::constant(0.3))
-                    .input(p, 1)
-                    .output(q, 1),
-            )
-            .unwrap();
-            net.add_transition(
-                Transition::new(format!("loop{k}"))
-                    .delay(1)
-                    .frequency(Expr::constant(0.7))
-                    .input(p, 1)
-                    .output(p, 1),
-            )
-            .unwrap();
-            net.add_transition(
-                Transition::new(format!("recycle{k}"))
-                    .delay(0)
-                    .input(q, 1)
-                    .output(p, 1),
-            )
-            .unwrap();
-        }
-        let serial = net.reachability(100_000).unwrap();
-        assert!(
-            serial.state_count() > PAR_MIN_FRONTIER,
-            "test net too small ({} states) to exercise the parallel path",
-            serial.state_count()
-        );
-        let budget = crate::ParallelBudget::new(8);
-        let par = net.reachability_budgeted(100_000, &budget).unwrap();
-        assert_graphs_identical(&serial, &par);
-        // The budget is fully released afterwards.
-        assert_eq!(budget.available(), 7);
-        // Budget errors match the serial error too.
-        let serr = net.reachability(50).unwrap_err();
-        let perr = net.reachability_budgeted(50, &budget).unwrap_err();
-        assert_eq!(serr, perr);
-        // So does an expansion error deep in a wide level, where a worker
-        // abandons its chunk part-way: `bad` turns negative only once three
-        // exits are in progress together.
-        let p3 = net.place_by_name("P3").unwrap();
-        let exits = (0..3).map(|k| net.transition_by_name(&format!("exit{k}")).unwrap());
-        net.add_transition(
-            Transition::new("bad")
-                .delay(1)
-                .frequency(Expr::gate(
-                    Expr::all(exits.map(Expr::Firing)),
-                    Expr::constant(-1.0),
-                ))
-                .input(p3, 1)
-                .output(p3, 1),
-        )
-        .unwrap();
-        let serr = net.reachability(100_000).unwrap_err();
-        assert!(matches!(serr, GtpnError::BadFrequency { .. }), "{serr}");
-        let perr = net.reachability_budgeted(100_000, &budget).unwrap_err();
-        assert_eq!(serr, perr);
-        assert_eq!(budget.available(), 7);
     }
 
     /// Heterogeneous delays: a 3-tick and a 2-tick transition interleave.

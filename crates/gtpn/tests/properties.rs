@@ -238,64 +238,6 @@ proptest! {
         }
     }
 
-    /// The frontier-parallel reachability build is byte-identical to the
-    /// serial one: same state numbering, sojourns, successor lists, and
-    /// bit-for-bit edge probabilities, for random products of independent
-    /// stage rings (independent rings multiply the state space, widening
-    /// the BFS frontier enough to exercise the parallel expansion path).
-    #[test]
-    fn parallel_reachability_is_byte_identical(
-        rings in proptest::collection::vec(
-            proptest::collection::vec(1.0f64..30.0, 1..4), 1..4),
-    ) {
-        let mut net = Net::new("rings");
-        for (r, means) in rings.iter().enumerate() {
-            let places: Vec<_> = (0..means.len())
-                .map(|i| net.add_place(format!("P{r}_{i}"), u32::from(i == 0)))
-                .collect();
-            for (i, &m) in means.iter().enumerate() {
-                let next = places[(i + 1) % places.len()];
-                let mut stage = GeometricStage::new(format!("S{r}_{i}"), m)
-                    .input(places[i], 1)
-                    .output(next, 1);
-                if i == 0 {
-                    stage = stage.resource(format!("lambda{r}"));
-                }
-                stage.build(&mut net).unwrap();
-            }
-        }
-
-        let serial = net.reachability(200_000).unwrap();
-        let budget = gtpn::ParallelBudget::new(8);
-        let par = net.reachability_budgeted(200_000, &budget).unwrap();
-
-        prop_assert_eq!(par.state_count(), serial.state_count());
-        for i in 0..serial.state_count() {
-            prop_assert_eq!(par.marking(i), serial.marking(i),
-                "state numbering must match the serial FIFO order");
-            prop_assert_eq!(par.firings(i), serial.firings(i),
-                "state numbering must match the serial FIFO order");
-        }
-        prop_assert_eq!(par.sojourns(), serial.sojourns());
-        for i in 0..serial.state_count() {
-            let (se, pe) = (serial.out_edges(i), par.out_edges(i));
-            prop_assert_eq!(pe.len(), se.len(), "out-degree of state {}", i);
-            for (a, b) in se.iter().zip(pe) {
-                prop_assert_eq!(a.0, b.0, "successor from state {}", i);
-                prop_assert_eq!(a.1.to_bits(), b.1.to_bits(),
-                    "edge probability from state {}", i);
-            }
-        }
-        prop_assert_eq!(budget.available(), 7, "expansion must release its leases");
-
-        // Identical graphs solve to bit-identical stationary vectors.
-        let ss = serial.solve(1e-12, 300_000).unwrap();
-        let ps = par.solve(1e-12, 300_000).unwrap();
-        for (a, b) in ss.state_probabilities().iter().zip(ps.state_probabilities()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
     /// Exact lumping is exact: on random symmetric client–server stations
     /// the lumped engine reproduces the raw chain's numbers — resource
     /// usage, per-place mean tokens, and per-transition usage — within

@@ -9,7 +9,7 @@
 //! `S_d`. Iteration stops when successive server delays agree within a
 //! tolerance.
 
-use crate::client::{self, ClientSolution};
+use crate::client;
 use crate::server;
 use crate::stages::stage_mean;
 use crate::ModelError;
@@ -89,24 +89,14 @@ pub(crate) fn solve_with_hosts_in(
     // Initial guess: the full communication chain plus the compute time.
     let mut s_d = archsim::timings::round_trip_us(arch, loc, true) + x_us;
     let mut c_d = s_d; // refined on the first pass
-    let mut last_client: Option<ClientSolution> = None;
     let mut delta = f64::INFINITY;
 
     for it in 1..=MAX_ITERATIONS {
-        // The client solve (parameterized by s_d) and the server probe
-        // (parameterized by the *previous* c_d) are independent within an
-        // iteration — run them concurrently when the engine's core budget
-        // has room. join2 returns identical results either way, so the
-        // fixed-point trajectory does not depend on thread availability.
-        let (cl, sv_probe) = gtpn::par::join2(
-            engine.budget(),
-            || client::solve_with_hosts_in(engine, arch, n, s_d, hosts),
-            || server::solve_with_hosts_in(engine, arch, n, x_us, c_d.max(1.0), hosts),
-        );
-        let cl = cl?;
-        let sv_probe = sv_probe?;
+        // The client solve is parameterized by s_d, the server probe by
+        // the *previous* c_d.
+        let cl = client::solve_with_hosts_in(engine, arch, n, s_d, hosts)?;
+        let sv_probe = server::solve_with_hosts_in(engine, arch, n, x_us, c_d.max(1.0), hosts)?;
         let c_d_prime = cl.cycle_us - s_d;
-        last_client = Some(cl);
 
         c_d = (c_d_prime - sv_probe.s_c_us).max(1.0);
         let sv = server::solve_with_hosts_in(engine, arch, n, x_us, c_d, hosts)?;
@@ -122,17 +112,6 @@ pub(crate) fn solve_with_hosts_in(
                 s_d_us: s_d,
                 c_d_us: c_d,
                 iterations: it,
-            });
-        }
-    }
-    if let Some(cl) = last_client {
-        // Near-converged result is still useful when delta is small.
-        if delta < 10.0 * FIXED_POINT_TOL {
-            return Ok(NonLocalSolution {
-                throughput_per_ms: cl.lambda_per_us * 1_000.0,
-                s_d_us: s_d,
-                c_d_us: c_d,
-                iterations: MAX_ITERATIONS,
             });
         }
     }

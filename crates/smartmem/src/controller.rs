@@ -2,30 +2,8 @@
 
 use crate::blocktable::BlockTable;
 use crate::memory::Memory;
-use crate::micro::routine_for;
 use crate::queue;
-use smartbus::{BlockDirection, BusSlave, Command, SlaveError, Tag};
-
-/// Operation counters and micro-cycle accounting for the controller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ControllerStats {
-    /// Simple reads served.
-    pub simple_reads: u64,
-    /// Word/byte writes served.
-    pub writes: u64,
-    /// Block transfer requests registered.
-    pub block_requests: u64,
-    /// Words streamed (both directions).
-    pub words_streamed: u64,
-    /// Enqueue operations.
-    pub enqueues: u64,
-    /// First-control-block operations.
-    pub firsts: u64,
-    /// Dequeue operations.
-    pub dequeues: u64,
-    /// Micro-sequencer cycles consumed (per Appendix A budgets).
-    pub micro_cycles: u64,
-}
+use smartbus::{BlockDirection, BusSlave, SlaveError, Tag};
 
 /// The smart shared memory: memory array + block table + queue micro-code.
 ///
@@ -37,7 +15,6 @@ pub struct ControllerStats {
 pub struct SmartMemory {
     memory: Memory,
     table: BlockTable,
-    stats: ControllerStats,
 }
 
 impl SmartMemory {
@@ -51,7 +28,6 @@ impl SmartMemory {
         SmartMemory {
             memory: Memory::new(size),
             table: BlockTable::new(),
-            stats: ControllerStats::default(),
         }
     }
 
@@ -69,39 +45,18 @@ impl SmartMemory {
     pub fn block_table(&self) -> &BlockTable {
         &self.table
     }
-
-    /// Operation statistics.
-    pub fn stats(&self) -> ControllerStats {
-        self.stats
-    }
-
-    /// Resets the statistics counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = ControllerStats::default();
-        self.memory.reset_cycles();
-    }
-
-    fn charge(&mut self, command: Command, items: u64) {
-        self.stats.micro_cycles += routine_for(command).cycles_for(items);
-    }
 }
 
 impl BusSlave for SmartMemory {
     fn simple_read(&mut self, addr: u16) -> Result<u16, SlaveError> {
-        self.charge(Command::SimpleRead, 0);
-        self.stats.simple_reads += 1;
         self.memory.read_word(addr)
     }
 
     fn write_word(&mut self, addr: u16, value: u16) -> Result<(), SlaveError> {
-        self.charge(Command::WriteTwoBytes, 0);
-        self.stats.writes += 1;
         self.memory.write_word(addr, value)
     }
 
     fn write_byte(&mut self, addr: u16, value: u8) -> Result<(), SlaveError> {
-        self.charge(Command::WriteByte, 0);
-        self.stats.writes += 1;
         self.memory.write_byte(addr, value)
     }
 
@@ -118,8 +73,6 @@ impl BusSlave for SmartMemory {
         if end > self.memory.size() as u32 {
             return Err(SlaveError::AddressOutOfRange { addr: end });
         }
-        self.charge(Command::BlockTransfer, 0);
-        self.stats.block_requests += 1;
         self.table.insert(addr, count, direction, priority)
     }
 
@@ -141,8 +94,6 @@ impl BusSlave for SmartMemory {
             words.push(w);
             self.table.get_mut(tag).expect("entry exists").done += 2;
         }
-        self.charge(Command::BlockReadData, words.len() as u64);
-        self.stats.words_streamed += words.len() as u64;
         let done = self.table.get(tag).expect("entry exists").is_complete();
         if done {
             self.table.remove(tag);
@@ -160,8 +111,6 @@ impl BusSlave for SmartMemory {
             self.memory.write_word(addr, w)?;
             self.table.get_mut(tag).expect("entry exists").done += 2;
         }
-        self.charge(Command::BlockWriteData, words.len() as u64);
-        self.stats.words_streamed += words.len() as u64;
         let done = self.table.get(tag).expect("entry exists").is_complete();
         if done {
             self.table.remove(tag);
@@ -170,20 +119,14 @@ impl BusSlave for SmartMemory {
     }
 
     fn enqueue(&mut self, list: u16, element: u16) -> Result<(), SlaveError> {
-        self.charge(Command::EnqueueControlBlock, 0);
-        self.stats.enqueues += 1;
         queue::enqueue(&mut self.memory, list, element)
     }
 
     fn dequeue(&mut self, list: u16, element: u16) -> Result<(), SlaveError> {
-        self.charge(Command::DequeueControlBlock, 1);
-        self.stats.dequeues += 1;
         queue::dequeue(&mut self.memory, list, element)
     }
 
     fn first(&mut self, list: u16) -> Result<Option<u16>, SlaveError> {
-        self.charge(Command::FirstControlBlock, 0);
-        self.stats.firsts += 1;
         queue::first(&mut self.memory, list)
     }
 }
@@ -200,11 +143,6 @@ mod tests {
         assert_eq!(sm.first(0x20).unwrap(), Some(0x100));
         sm.dequeue(0x20, 0x200).unwrap();
         assert_eq!(sm.first(0x20).unwrap(), None);
-        let s = sm.stats();
-        assert_eq!(s.enqueues, 2);
-        assert_eq!(s.firsts, 2);
-        assert_eq!(s.dequeues, 1);
-        assert!(s.micro_cycles > 0);
     }
 
     #[test]
@@ -263,16 +201,5 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SlaveError::AddressOutOfRange { .. }));
         assert!(sm.block_table().is_empty());
-    }
-
-    #[test]
-    fn stats_reset() {
-        let mut sm = SmartMemory::new(256);
-        sm.write_word(0, 7).unwrap();
-        sm.simple_read(0).unwrap();
-        assert!(sm.stats().micro_cycles > 0);
-        sm.reset_stats();
-        assert_eq!(sm.stats(), ControllerStats::default());
-        assert_eq!(sm.memory().cycles(), 0);
     }
 }

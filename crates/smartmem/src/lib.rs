@@ -16,8 +16,7 @@
 //!   ([`SmartMemory::block_table`]); one entry per tag, progress cursor per entry, so a lower-priority
 //!   transfer preempted between word pairs resumes where it stopped.
 //! * [`queue`] — the `Enqueue` / `First` / `Dequeue` primitives, coded
-//!   exactly from the §5.1 pseudo-code over the memory image, with memory-
-//!   cycle accounting mirroring the micro-routines of Appendix A.
+//!   exactly from the §5.1 pseudo-code over the memory image.
 //! * [`shared`] — the same three queue transactions behind a
 //!   thread-shareable trait for the live runtime: a lock-serialized module
 //!   running the §5.1 routines (Architecture II) and a lock-free module
@@ -53,13 +52,12 @@ mod blocktable;
 mod controller;
 mod errors;
 mod memory;
-mod micro;
 
 pub mod microcode;
 pub mod queue;
 pub mod shared;
 
-pub use controller::{ControllerStats, SmartMemory};
+pub use controller::SmartMemory;
 pub use memory::Memory;
 
 /// The distinguished NULL pointer value for circular lists (§5.1): address

@@ -2,16 +2,10 @@
 
 use smartbus::SlaveError;
 
-/// A flat little-endian memory image with cycle accounting.
-///
-/// Every word access costs one memory cycle — the counter lets tests and
-/// benchmarks compare the controller's internal work against the bus-side
-/// handshake time (Table 6.1 separates "processing time" from "time spent
-/// in memory cycles").
+/// A flat little-endian memory image.
 #[derive(Debug, Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
-    cycles: u64,
 }
 
 impl Memory {
@@ -26,23 +20,12 @@ impl Memory {
         assert!(size <= 64 * 1024, "smart bus addresses are 16 bits");
         Memory {
             bytes: vec![0; size],
-            cycles: 0,
         }
     }
 
     /// Memory size in bytes.
     pub(crate) fn size(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// Total word cycles consumed so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Resets the cycle counter.
-    pub(crate) fn reset_cycles(&mut self) {
-        self.cycles = 0;
     }
 
     fn check(&self, addr: u16, len: u32) -> Result<(), SlaveError> {
@@ -60,7 +43,6 @@ impl Memory {
     /// [`SlaveError::AddressOutOfRange`] past the end of the module.
     pub(crate) fn write_byte(&mut self, addr: u16, value: u8) -> Result<(), SlaveError> {
         self.check(addr, 1)?;
-        self.cycles += 1;
         self.bytes[addr as usize] = value;
         Ok(())
     }
@@ -70,9 +52,8 @@ impl Memory {
     /// # Errors
     ///
     /// [`SlaveError::AddressOutOfRange`] past the end of the module.
-    pub fn read_word(&mut self, addr: u16) -> Result<u16, SlaveError> {
+    pub fn read_word(&self, addr: u16) -> Result<u16, SlaveError> {
         self.check(addr, 2)?;
-        self.cycles += 1;
         let a = addr as usize;
         Ok(u16::from(self.bytes[a]) | (u16::from(self.bytes[a + 1]) << 8))
     }
@@ -84,14 +65,13 @@ impl Memory {
     /// [`SlaveError::AddressOutOfRange`] past the end of the module.
     pub(crate) fn write_word(&mut self, addr: u16, value: u16) -> Result<(), SlaveError> {
         self.check(addr, 2)?;
-        self.cycles += 1;
         let a = addr as usize;
         self.bytes[a] = value as u8;
         self.bytes[a + 1] = (value >> 8) as u8;
         Ok(())
     }
 
-    /// Reads `len` bytes starting at `addr` without cycle accounting.
+    /// Reads `len` bytes starting at `addr`.
     ///
     /// # Errors
     ///
@@ -116,17 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_accounting() {
-        let mut m = Memory::new(64);
-        m.write_word(0, 1).unwrap();
-        m.read_word(0).unwrap();
-        m.write_byte(5, 0).unwrap();
-        assert_eq!(m.cycles(), 3);
-        m.reset_cycles();
-        assert_eq!(m.cycles(), 0);
-    }
-
-    #[test]
     fn bounds_checked() {
         let mut m = Memory::new(16);
         assert!(m.read_word(15).is_err());
@@ -145,9 +114,9 @@ mod tests {
     #[test]
     fn load_and_dump_skip_cycles() {
         let mut m = Memory::new(32);
-        // A loader writes the image directly, as a kernel's loader would.
+        // A loader writes the image directly, as a kernel's loader would,
+        // with no memory cycle on the bus.
         m.bytes[4..7].copy_from_slice(&[9, 8, 7]);
         assert_eq!(m.dump(4, 3).unwrap(), &[9, 8, 7]);
-        assert_eq!(m.cycles(), 0);
     }
 }

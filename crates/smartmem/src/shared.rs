@@ -115,7 +115,7 @@ impl SharedQueue for LockedModule {
 
     fn is_empty(&self, list: ListId) -> bool {
         let anchor = self.anchor(list);
-        let mut mem = self.mem.lock().expect("module lock");
+        let mem = self.mem.lock().expect("module lock");
         mem.read_word(anchor).expect("anchor in range") == NULL_PTR
     }
 }

@@ -11,21 +11,17 @@
 //!   order-preserving [`Grid::eval_with`]. A grid of model solves captures its
 //!   [`gtpn::AnalysisEngine`] in the closure: the engine holds no per-thread
 //!   state, so every worker shares its one solution cache and a point's
-//!   result does not depend on which worker solved it;
-//!   Underneath is an order-preserving parallel map (self-scheduling
-//!   workers over a shared index, results reassembled by position);
+//!   result does not depend on which worker solved it. Underneath is an
+//!   order-preserving parallel map (self-scheduling workers over a shared
+//!   index, results reassembled by position);
 //! * [`point_seed`] — deterministic RNG seeds derived from grid
 //!   coordinates, so DES replications are reproducible run-to-run no matter
 //!   which worker executes them or in what order;
-//! * [`ExecMode`] / [`threads`] — environment-controlled execution policy:
-//!   `HSIPC_SWEEP=<n>` sets the worker count (`1`, `seq` or `sequential`
-//!   force the sequential path; any other value is an error), falling back
-//!   to the machine's available parallelism when unset. The policy lives
-//!   in [`gtpn::par`] so the solver's inner
-//!   parallelism reads the very same knob — and both layers draw threads
-//!   from one [`gtpn::ParallelBudget`]: each pool worker registers the
-//!   core it occupies, so inner loops (frontier expansion, the §6.6.3
-//!   concurrent sub-solves) only widen onto cores the pool leaves free.
+//! * [`threads`] — the pool's worker count, read from the environment:
+//!   `HSIPC_SWEEP=<n>` sets it (`1`, `seq` or `sequential` force the
+//!   sequential path; any other value is an error), falling back to the
+//!   machine's available parallelism when unset. The pool is the
+//!   program's only layer of threads: every solve a point runs is serial.
 //!
 //! Worker panics propagate to the caller — a failing sweep point fails the
 //! whole sweep, as it would sequentially.
@@ -35,7 +31,7 @@
 #![warn(unreachable_pub)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 
 /// Stack size of each pool worker. Sweep closures run solver iterations
 /// and live-runtime drivers, not deep recursion; 2 MiB is ample while
@@ -43,43 +39,53 @@ use std::sync::mpsc;
 /// thread.
 const WORKER_STACK: usize = 2 * 1024 * 1024;
 
-/// How a sweep is evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// In-order, single-threaded — the reference path.
-    Sequential,
-    /// Self-scheduling worker pool; output order is still deterministic.
-    Parallel,
+/// The pool's worker count, parsed once: `HSIPC_SWEEP` ([`parse_threads`])
+/// when set, else the machine's available parallelism. One worker is the
+/// sequential path.
+///
+/// # Panics
+///
+/// When `HSIPC_SWEEP` is set to a value [`parse_threads`] rejects: a knob
+/// is validated, never silently replaced by its default.
+pub fn threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| match std::env::var_os("HSIPC_SWEEP") {
+        Some(v) => parse_threads(&v.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")),
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    })
 }
 
-/// The execution mode selected by the environment: sequential exactly when
-/// [`threads`] resolves to one worker (`HSIPC_SWEEP=1`, `seq` or
-/// `sequential`, or a single-core default), parallel otherwise.
-pub fn exec_mode() -> ExecMode {
-    if threads() <= 1 {
-        ExecMode::Sequential
-    } else {
-        ExecMode::Parallel
+/// Parses an `HSIPC_SWEEP` value: a positive worker count, or `seq` /
+/// `sequential` (case-insensitive) for one.
+///
+/// # Errors
+///
+/// Any other value, with a message naming the variable and the values it
+/// accepts.
+pub fn parse_threads(value: &str) -> Result<usize, String> {
+    let v = value.trim();
+    if v.eq_ignore_ascii_case("seq") || v.eq_ignore_ascii_case("sequential") {
+        return Ok(1);
+    }
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "HSIPC_SWEEP=`{value}` is not a thread count (a positive number, `seq` or `sequential`)"
+        )),
     }
 }
 
-/// Worker count for parallel sweeps — the one thread-count policy of the
-/// repository, re-exported from [`gtpn::par::threads`]: `HSIPC_SWEEP` as a
-/// number, else the machine's available parallelism.
-pub fn threads() -> usize {
-    gtpn::par::threads()
-}
-
-/// Order-preserving map over `items` under `mode` with up to `threads`
-/// workers: `out[i]` is always `f(&items[i])`.
-pub(crate) fn map_with<I, O, F>(mode: ExecMode, threads: usize, items: &[I], f: F) -> Vec<O>
+/// Order-preserving map over `items` with up to `threads` workers, in order
+/// on the calling thread when that is one: `out[i]` is always
+/// `f(&items[i])`.
+pub(crate) fn map_with<I, O, F>(threads: usize, items: &[I], f: F) -> Vec<O>
 where
     I: Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
     let workers = threads.min(items.len());
-    if mode == ExecMode::Sequential || workers <= 1 {
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
 
@@ -101,22 +107,14 @@ where
                 std::thread::Builder::new()
                     .name(format!("hsipc-sweep{w}"))
                     .stack_size(WORKER_STACK)
-                    .spawn_scoped(scope, move || {
-                        // Occupy one core in the shared budget for this
-                        // worker's lifetime: inner solver parallelism only
-                        // widens onto cores the pool leaves free, and as
-                        // workers drain off the end of the grid their cores
-                        // flow to the remaining (big) solves.
-                        let _core = gtpn::ParallelBudget::global().register();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            let out = f(&items[i]);
-                            if tx.send((i, out)).is_err() {
-                                break;
-                            }
+                    .spawn_scoped(scope, move || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break;
+                        }
+                        let out = f(&items[i]);
+                        if tx.send((i, out)).is_err() {
+                            break;
                         }
                     })
                     .expect("spawn sweep worker")
@@ -147,7 +145,7 @@ where
 ///
 /// The order of `points` is the *paper order* — the order rows appear in
 /// the rendered table or figure — and [`Grid::eval_with`] returns results in
-/// exactly that order regardless of execution mode.
+/// exactly that order whatever the worker count.
 #[derive(Debug, Clone)]
 pub struct Grid<P> {
     points: Vec<P>,
@@ -174,15 +172,15 @@ impl<P> Grid<P> {
         &self.points
     }
 
-    /// Evaluates every point under `mode` with up to `threads` workers;
-    /// `out[i]` corresponds to `points()[i]`.
-    pub fn eval_with<O, F>(&self, mode: ExecMode, threads: usize, f: F) -> Vec<O>
+    /// Evaluates every point with up to `threads` workers (1 is the
+    /// sequential path); `out[i]` corresponds to `points()[i]`.
+    pub fn eval_with<O, F>(&self, threads: usize, f: F) -> Vec<O>
     where
         P: Sync,
         O: Send,
         F: Fn(&P) -> O + Sync,
     {
-        map_with(mode, threads, &self.points, f)
+        map_with(threads, &self.points, f)
     }
 }
 
@@ -230,9 +228,9 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<u64> = (0..97).collect();
-        let seq = map_with(ExecMode::Sequential, 1, &items, |&x| x * x);
+        let seq = map_with(1, &items, |&x| x * x);
         for threads in [2, 3, 8] {
-            let par = map_with(ExecMode::Parallel, threads, &items, |&x| x * x);
+            let par = map_with(threads, &items, |&x| x * x);
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -241,7 +239,7 @@ mod tests {
     fn all_points_evaluated_exactly_once() {
         let calls = AtomicUsize::new(0);
         let items: Vec<usize> = (0..50).collect();
-        let out = map_with(ExecMode::Parallel, 4, &items, |&x| {
+        let out = map_with(4, &items, |&x| {
             calls.fetch_add(1, Ordering::Relaxed);
             x + 1
         });
@@ -252,11 +250,8 @@ mod tests {
     #[test]
     fn empty_and_singleton_grids() {
         let empty: Vec<u32> = Vec::new();
-        assert!(map_with(ExecMode::Parallel, 4, &empty, |&x| x).is_empty());
-        assert_eq!(
-            map_with(ExecMode::Parallel, 4, &[7u32], |&x| x * 2),
-            vec![14]
-        );
+        assert!(map_with(4, &empty, |&x| x).is_empty());
+        assert_eq!(map_with(4, &[7u32], |&x| x * 2), vec![14]);
         let g: Grid<u32> = Grid::new(vec![]);
         assert!(g.is_empty());
     }
@@ -265,7 +260,7 @@ mod tests {
     #[should_panic(expected = "sweep point 13")]
     fn worker_panic_propagates() {
         let items: Vec<usize> = (0..40).collect();
-        let _ = map_with(ExecMode::Parallel, 4, &items, |&x| {
+        let _ = map_with(4, &items, |&x| {
             assert!(x != 13, "sweep point 13 failed");
             x
         });
@@ -290,32 +285,23 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_is_positive() {
-        assert!(threads() >= 1);
-        // One policy everywhere: the sweep pool and the solver's inner
-        // parallelism must size themselves identically.
-        assert_eq!(threads(), gtpn::par::threads());
-        assert_eq!(
-            exec_mode() == ExecMode::Sequential,
-            threads() <= 1,
-            "mode and worker count must agree"
-        );
+    fn threads_policy_precedence() {
+        // A numeric HSIPC_SWEEP is the thread count.
+        assert_eq!(parse_threads("8"), Ok(8));
+        assert_eq!(parse_threads(" 1 "), Ok(1));
+        // seq/sequential are aliases for 1.
+        assert_eq!(parse_threads("seq"), Ok(1));
+        assert_eq!(parse_threads("Sequential"), Ok(1));
+        // Anything else is an error naming the variable, never a silent
+        // fall-through to the machine's parallelism; zero is never returned.
+        for bad in ["fast", "0", "", "-2"] {
+            let err = parse_threads(bad).unwrap_err();
+            assert!(err.contains("HSIPC_SWEEP"), "{bad:?}: {err}");
+        }
     }
 
     #[test]
-    fn pool_workers_occupy_the_shared_core_budget() {
-        use std::sync::atomic::AtomicUsize;
-        let items: Vec<usize> = (0..64).collect();
-        let min_in_use = AtomicUsize::new(usize::MAX);
-        let budget = gtpn::ParallelBudget::global();
-        map_with(ExecMode::Parallel, 3, &items, |&x| {
-            // The observing worker itself holds a registered core, so the
-            // shared ledger is never empty from inside the pool. (Other
-            // tests' pools may add to it concurrently; they never
-            // subtract below our own lease.)
-            min_in_use.fetch_min(budget.in_use(), Ordering::Relaxed);
-            x
-        });
-        assert!(min_in_use.load(Ordering::Relaxed) >= 1);
+    fn thread_count_is_positive() {
+        assert!(threads() >= 1);
     }
 }

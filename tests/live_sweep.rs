@@ -2,13 +2,12 @@
 //! settings, degenerate grids, and overload points.
 //!
 //! Everything here drives `hsipc::livesweep::run_with` with explicit
-//! execution modes, so the assertions hold regardless of the `HSIPC_SWEEP`
+//! worker counts, so the assertions hold regardless of the `HSIPC_SWEEP`
 //! the test process inherited. All runs are virtual-clock by construction
 //! (the sweep accepts nothing else), so none of this measures wall time.
 
 use hsipc::livesweep::{run_with, SweepSpec};
 use hsipc::runtime::{Architecture, Locality};
-use hsipc::sweep::ExecMode;
 use std::time::Duration;
 
 /// A grid small enough for CI but wide enough to exercise every render
@@ -30,12 +29,12 @@ fn small_spec() -> SweepSpec {
 #[test]
 fn rendered_sweep_is_byte_identical_across_runs_and_fanout() {
     let spec = small_spec();
-    let a = run_with(&spec, ExecMode::Sequential, 1);
-    let b = run_with(&spec, ExecMode::Sequential, 1);
+    let a = run_with(&spec, 1);
+    let b = run_with(&spec, 1);
     assert!(a.all_clean && a.all_progressed, "sweep did not complete");
     assert_eq!(a.rendered, b.rendered, "repeated runs diverged");
 
-    let par = run_with(&spec, ExecMode::Parallel, 8);
+    let par = run_with(&spec, 8);
     assert_eq!(a.rendered, par.rendered, "worker fan-out leaked into text");
 
     // And the virtual measurements themselves are bit-equal point by point.
@@ -55,7 +54,7 @@ fn rendered_sweep_is_byte_identical_across_runs_and_fanout() {
 #[test]
 fn every_point_has_a_model_and_live_tracks_it() {
     let spec = small_spec();
-    let outcome = run_with(&spec, ExecMode::Sequential, 1);
+    let outcome = run_with(&spec, 1);
     assert_eq!(outcome.outcomes.len(), 2 * 2 * 2);
     for o in &outcome.outcomes {
         let model = o.model_per_ms.expect("model point failed to solve");
@@ -83,7 +82,7 @@ fn one_point_grid_renders_and_progresses() {
     spec.conversations = vec![4];
     spec.buffers = vec![32];
     spec.duration = Duration::from_millis(100);
-    let outcome = run_with(&spec, ExecMode::Sequential, 1);
+    let outcome = run_with(&spec, 1);
     assert_eq!(outcome.outcomes.len(), 1);
     assert!(outcome.all_clean && outcome.all_progressed);
     assert!(outcome.rendered.contains("knee II"), "missing knee line");
@@ -109,7 +108,7 @@ fn single_buffer_overload_points_drain_cleanly() {
     spec.conversations = vec![32];
     spec.buffers = vec![1];
     spec.duration = Duration::from_millis(100);
-    let outcome = run_with(&spec, ExecMode::Sequential, 1);
+    let outcome = run_with(&spec, 1);
     assert!(outcome.all_clean, "overloaded sweep did not drain");
     assert!(outcome.all_progressed, "overloaded sweep made no progress");
     for o in &outcome.outcomes {
@@ -133,7 +132,7 @@ fn remote_grid_reports_ring_backlog() {
     spec.nodes = 2;
     spec.locality = Locality::NonLocal;
     spec.duration = Duration::from_millis(100);
-    let outcome = run_with(&spec, ExecMode::Sequential, 1);
+    let outcome = run_with(&spec, 1);
     assert!(outcome.all_clean && outcome.all_progressed);
     let o = &outcome.outcomes[0];
     assert!(o.report.ring_frames > 0, "remote run moved no frames");

@@ -9,27 +9,27 @@
 
 use hsipc::archsim::{Architecture, Locality, Simulation, WorkloadSpec};
 use hsipc::models::{self, AnalysisEngine, EngineConfig};
-use hsipc::sweep::{self, ExecMode};
+use hsipc::sweep;
 
 /// fig6.17 — four GTPN solves per architecture column, the slowest swept
-/// figure in the registry — must render identically in both modes.
+/// figure in the registry — must render identically on 1 and 4 workers.
 #[test]
 fn fig_6_17_parallel_matches_sequential() {
-    let seq = hsipc::experiments::run_with("fig6.17", ExecMode::Sequential, 1).unwrap();
-    let par = hsipc::experiments::run_with("fig6.17", ExecMode::Parallel, 4).unwrap();
+    let seq = hsipc::experiments::run_with("fig6.17", 1).unwrap();
+    let par = hsipc::experiments::run_with("fig6.17", 4).unwrap();
     assert_eq!(par, seq, "fig6.17 diverged under the worker pool");
     // Sanity: this is the real figure, not an empty render.
     assert!(seq.contains("Maximum Communication Load (Local)"));
     assert!(seq.lines().count() > 10);
 }
 
-/// table6.24 — the offered-load rows sweep — must render identically in
-/// both modes.
+/// table6.24 — the offered-load rows sweep — must render identically at
+/// every worker count.
 #[test]
 fn table_6_24_parallel_matches_sequential() {
-    let seq = hsipc::experiments::run_with("table6.24", ExecMode::Sequential, 1).unwrap();
+    let seq = hsipc::experiments::run_with("table6.24", 1).unwrap();
     for threads in [2, 4] {
-        let par = hsipc::experiments::run_with("table6.24", ExecMode::Parallel, threads).unwrap();
+        let par = hsipc::experiments::run_with("table6.24", threads).unwrap();
         assert_eq!(par, seq, "table6.24 diverged at {threads} threads");
     }
     assert!(seq.contains("Offered Loads"));
@@ -40,9 +40,20 @@ fn table_6_24_parallel_matches_sequential() {
 /// The multi-host Chapter 7 grid also survives the pool.
 #[test]
 fn fig_7_1_parallel_matches_sequential() {
-    let seq = hsipc::experiments::run_with("fig7.1", ExecMode::Sequential, 1).unwrap();
-    let par = hsipc::experiments::run_with("fig7.1", ExecMode::Parallel, 3).unwrap();
+    let seq = hsipc::experiments::run_with("fig7.1", 1).unwrap();
+    let par = hsipc::experiments::run_with("fig7.1", 3).unwrap();
     assert_eq!(par, seq);
+}
+
+/// fig6.19 — realistic workload, non-local: every column goes through the
+/// §6.6.3 fixed point, so its solves run nested in pool workers.
+#[test]
+fn nonlocal_figure_is_identical_at_1_and_8_threads() {
+    let seq = hsipc::experiments::run_with("fig6.19", 1).unwrap();
+    let par = hsipc::experiments::run_with("fig6.19", 8).unwrap();
+    assert_eq!(par, seq, "fig6.19 diverged between 1 and 8 threads");
+    assert!(seq.contains("Realistic Workload (Non-local)"));
+    assert!(seq.lines().count() > 10);
 }
 
 /// Exact lumping is a solver optimization, not a result change: the same
@@ -50,7 +61,7 @@ fn fig_7_1_parallel_matches_sequential() {
 /// lumping engine prints exactly what the raw-chain engine prints. Each
 /// engine carries a private cache (the orbit-aware key would otherwise
 /// keep the two policies apart anyway), and the lumped leg runs on the
-/// worker pool so the frontier-parallel quotient build is under test too.
+/// worker pool.
 #[test]
 fn lumped_grid_matches_raw_grid() {
     let engine = |lump: hsipc::gtpn::LumpSel| {
@@ -68,8 +79,8 @@ fn lumped_grid_matches_raw_grid() {
     };
     let on = engine(hsipc::gtpn::LumpSel::On);
     let off = engine(hsipc::gtpn::LumpSel::Off);
-    let lumped = grid.eval_with(ExecMode::Parallel, 4, |p| render(&on, p));
-    let raw = grid.eval_with(ExecMode::Sequential, 1, |p| render(&off, p));
+    let lumped = grid.eval_with(4, |p| render(&on, p));
+    let raw = grid.eval_with(1, |p| render(&off, p));
     assert_eq!(lumped, raw, "lumped grid diverged from the raw chain");
 }
 
@@ -110,7 +121,7 @@ fn pooled_model_solve_equals_direct_call() {
         .unwrap()
         .throughput_per_ms;
     let grid = sweep::Grid::new(vec![2u32; 4]);
-    let pooled = grid.eval_with(ExecMode::Parallel, 4, |&n| {
+    let pooled = grid.eval_with(4, |&n| {
         hsipc::models::local::solve(Architecture::SmartBus, n, 0.0)
             .unwrap()
             .throughput_per_ms
