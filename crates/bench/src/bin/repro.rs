@@ -1,15 +1,16 @@
 //! Regenerates the paper's tables and figures. See `bench` crate docs.
 //!
-//! Experiments run through the sweep engine: the requested ids are a grid
-//! whose points execute on a worker pool, and each swept experiment fans
-//! its own points out on the same pool. Output is printed in request
-//! order and is byte-identical to a sequential run (`HSIPC_SWEEP=<n>` sets
+//! Experiments run through the sweep engine: the requested ids run one
+//! after another, in request order, and each swept experiment fans its own
+//! points out on the worker pool, the program's one layer of threads.
+//! Output is byte-identical to a sequential run (`HSIPC_SWEEP=<n>` sets
 //! the worker count; `HSIPC_SWEEP=1` is the sequential run).
 //!
 //! `--timing` additionally reports wall-clock, cache statistics, the
 //! exact solver's stage ledger (`gtpn::engine::stage_totals`) and the
 //! process's peak resident memory on stderr — stdout stays byte-identical
-//! either way. `repro` writes no files.
+//! either way; `repro live` always reports the peak resident memory on
+//! stderr. `repro` writes no files.
 
 use hsipc::livesweep::SweepSpec;
 use runtime::{Architecture, ClockMode, Config, Locality};
@@ -104,15 +105,11 @@ fn main() -> ExitCode {
 
     let threads = sweep::threads();
     let started = Instant::now();
-    // One grid point per experiment; each result slot comes back in request
-    // order no matter which worker produced it. Swept experiments fan out
-    // their own points on the same pool policy.
-    let grid = sweep::Grid::new(ids);
-    let results = grid.eval_with(threads, |id| hsipc::experiments::run_with(id, threads));
-
+    // The experiments run one after another, each fanning its own grid
+    // points out `threads` wide: the pool is the one layer of threads.
     let mut failed = false;
-    for (id, result) in grid.points().iter().zip(results) {
-        match result {
+    for id in &ids {
+        match hsipc::experiments::run_with(id, threads) {
             Some(output) => println!("{output}"),
             None => {
                 eprintln!("unknown experiment `{id}` (try `repro list`)");
@@ -123,7 +120,7 @@ fn main() -> ExitCode {
     if timing {
         eprintln!(
             "repro: {} experiment(s) in {:.2?} ({threads} thread(s))",
-            grid.len(),
+            ids.len(),
             started.elapsed()
         );
         // Cache statistics go to stderr with the timing report; stdout
@@ -420,6 +417,7 @@ fn run_live(args: &[String]) -> ExitCode {
             }
         }
     }
+    eprintln!("peak resident memory: {}", peak_resident());
     if failed {
         eprintln!("repro live: an architecture made no progress or shut down unclean");
         ExitCode::FAILURE

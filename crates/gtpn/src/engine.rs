@@ -166,10 +166,13 @@ impl Default for EngineConfig {
 /// work each stage did — the solver's own answer to "which layer moved".
 ///
 /// Seconds are wall-clock around whole stages (a handful of clock reads per
-/// analysis, none inside the expansion kernel); counts are exact and repeat
-/// from run to run. [`stage_totals`] sums every exact run of the
-/// process (under a parallel sweep that is seconds summed over workers, not
-/// elapsed time).
+/// analysis, none inside the expansion kernel); a build's own counts are
+/// exact and repeat from run to run. [`stage_totals`] sums every exact run
+/// of the process (under a parallel sweep that is seconds summed over
+/// workers, not elapsed time). Its counts repeat only at one sweep worker,
+/// or for a run of one big build such as `fig7.scale`'s: with more workers,
+/// which chains the skeleton store re-prices and which it builds fresh
+/// depends on which worker sights a shape first.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageLedger {
     /// Compiling the net for expansion.

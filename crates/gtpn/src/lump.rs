@@ -219,11 +219,6 @@ impl RowIndex {
         }
     }
 
-    /// The width of a row [`push`](Self::push) takes.
-    pub(crate) fn row_len(&self) -> usize {
-        self.rows.transitions + self.rows.places
-    }
-
     /// Appends the next state's rows: `row` is its usage row, then its
     /// token row.
     pub(crate) fn push(&mut self, row: &[f64]) {
@@ -232,6 +227,7 @@ impl RowIndex {
             table,
             hashes,
         } = self;
+        debug_assert_eq!(row.len(), rows.transitions + rows.places, "one state's row");
         let (usage, tokens) = row.split_at(rows.transitions);
         let hash = usage.iter().fold(0, |h, x| {
             let bits = x.to_bits();
@@ -401,7 +397,8 @@ pub(crate) fn fold<const RECORD: bool>(
         out.finish_state(1, &w.row);
         return Ok(());
     }
-    let (first, tape_from) = (out.successor_count(), out.tape.len());
+    // The phase's tape words end here; the fold's entries follow.
+    let tape_from = out.tape.len();
     w.seen.clear();
     let (usage_row, tokens_row) = w.row.split_at_mut(tcount);
     for (m, pending, p) in w.phase.outcomes(net.places) {
@@ -423,17 +420,14 @@ pub(crate) fn fold<const RECORD: bool>(
         }
         let hash = state_hash(&w.marking, &[]);
         let next = w.marking.as_slice();
-        let slot = match w
-            .seen
-            .find(hash, |k| out.successor_marking(first + k) == next)
-        {
+        let slot = match w.seen.find(hash, |k| out.successor_marking(k) == next) {
             Some(k) => {
-                out.add_probability(first + k, p);
+                out.add_probability(k, p);
                 k
             }
             None => {
-                let k = out.successor_count() - first;
-                w.seen.insert(hash, k, |k| out.successor_hash(first + k));
+                let k = out.successor_count();
+                w.seen.insert(hash, k, |k| out.successor_hash(k));
                 out.push_successor(next, &[], p, hash);
                 k
             }
@@ -446,7 +440,7 @@ pub(crate) fn fold<const RECORD: bool>(
         }
     }
     if let Class::Kept(e) = class {
-        keep_fold(w, e, start, out, first, tape_from);
+        keep_fold(w, e, start, out, tape_from);
     }
     out.finish_state(1, &w.row);
     Ok(())
@@ -454,10 +448,10 @@ pub(crate) fn fold<const RECORD: bool>(
 
 /// Keeps the fold of the lumped state `start` beside its phase, which
 /// kept class `e` holds and whose outcomes are in `w.phase`: its
-/// successors are `out`'s from `first` on, its row is `w.row` (`E[c_t |
-/// u]`, then `E[m_p | u]`), its tape entries are `out.tape` from
-/// `tape_from` on. Does nothing when the class's fold is kept already; the
-/// memo declines it when full.
+/// successors are `out`'s, its row is `w.row` (`E[c_t | u]`, then
+/// `E[m_p | u]`), its tape entries are `out.tape` from `tape_from` on
+/// (the phase's own words come before). Does nothing when the class's
+/// fold is kept already; the memo declines it when full.
 ///
 /// Little of that depends on the start `s`. The successors are `s + Δ_k`
 /// de-duplicated in first-seen outcome order, and `s + Δ₁ = s + Δ₂`
@@ -475,14 +469,7 @@ pub(crate) fn fold<const RECORD: bool>(
 /// entries (count, words). Probabilities: the usages of the used
 /// transitions, the token row with the clamped places' entries zero, then
 /// the successors'. The outcomes' probabilities are the phase's.
-fn keep_fold(
-    w: &mut Worker,
-    e: usize,
-    start: &[u32],
-    out: &Expansion,
-    first: usize,
-    tape_from: usize,
-) {
+fn keep_fold(w: &mut Worker, e: usize, start: &[u32], out: &Expansion, tape_from: usize) {
     if w.phase.folded(e) {
         return;
     }
@@ -495,7 +482,7 @@ fn keep_fold(
     let clamped: Vec<usize> = (0..start.len()).filter(|&p| start[p] >= clamp[p]).collect();
     let outcomes = w.phase.outcomes(start.len()).map(|(m, _, _)| m);
     push_moves(&mut words, &clamped, outcomes, start);
-    let successors = first..out.successor_count();
+    let successors = 0..out.successor_count();
     let markings = successors.clone().map(|k| out.successor_marking(k));
     let moved: Vec<usize> = (0..start.len())
         .filter(|&p| markings.clone().any(|m| m[p] != start[p]))

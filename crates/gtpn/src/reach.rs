@@ -254,13 +254,13 @@ impl Worker {
     }
 }
 
-/// Flat successor lists of one or more expanded states, in state order —
-/// what an expander hands the merge.
+/// One expanded state's flat successor list — what an expander hands the
+/// merge.
 #[derive(Default)]
 pub(crate) struct Expansion {
     places: usize,
-    /// Per expanded state: its sojourn and where its successors end.
-    states: Vec<(u64, usize)>,
+    /// The state's sojourn.
+    sojourn: u64,
     /// Per successor: marking (fixed stride), end of its firing list,
     /// probability and intern hash.
     markings: Vec<u32>,
@@ -268,10 +268,10 @@ pub(crate) struct Expansion {
     firings: Vec<(TransId, u64)>,
     probs: Vec<f64>,
     hashes: Vec<u64>,
-    /// Per expanded state: its row of conditional expectations (lumped
-    /// builds; empty rows otherwise).
-    rows: Vec<f64>,
-    /// The expanded states' tape, in state order (recording builds).
+    /// The state's row of conditional expectations (lumped builds; empty
+    /// otherwise).
+    row: Vec<f64>,
+    /// The state's tape (recording builds).
     pub(crate) tape: Vec<u32>,
 }
 
@@ -284,17 +284,17 @@ impl Expansion {
     }
 
     fn clear(&mut self) {
-        self.states.clear();
+        self.sojourn = 0;
         self.markings.clear();
         self.firing_ends.clear();
         self.firings.clear();
         self.probs.clear();
         self.hashes.clear();
-        self.rows.clear();
+        self.row.clear();
         self.tape.clear();
     }
 
-    /// Successors recorded so far, over all states.
+    /// Successors recorded so far.
     pub(crate) fn successor_count(&self) -> usize {
         self.probs.len()
     }
@@ -334,10 +334,10 @@ impl Expansion {
         self.hashes.push(hash);
     }
 
-    /// Closes the state whose successors were pushed since the last call.
+    /// Closes the state: its sojourn and its row.
     pub(crate) fn finish_state(&mut self, sojourn: u64, row: &[f64]) {
-        self.states.push((sojourn, self.probs.len()));
-        self.rows.extend_from_slice(row);
+        self.sojourn = sojourn;
+        self.row.extend_from_slice(row);
     }
 }
 
@@ -383,30 +383,25 @@ impl Builder {
         Ok(n)
     }
 
-    /// Interns every successor of `out`'s states in order. With
-    /// `record_edges`, each state of `out` is the next unexpanded state of
-    /// the graph and gets its sojourn, edges and row.
+    /// Interns `out`'s successors in order. With `record_edges`, `out` is
+    /// the next unexpanded state of the graph and gets its sojourn, edges
+    /// and row.
     fn merge(&mut self, out: &Expansion, record_edges: bool) -> Result<(), GtpnError> {
-        let mut k = 0;
-        for (s, &(sojourn, end)) in out.states.iter().enumerate() {
-            while k < end {
-                let j = self.intern(
-                    out.hashes[k],
-                    out.successor_marking(k),
-                    out.successor_firings(k),
-                )?;
-                if record_edges {
-                    self.graph.edges.push((j, out.probs[k]));
-                }
-                k += 1;
-            }
+        for k in 0..out.successor_count() {
+            let j = self.intern(
+                out.hashes[k],
+                out.successor_marking(k),
+                out.successor_firings(k),
+            )?;
             if record_edges {
-                self.graph.sojourn.push(sojourn);
-                self.graph.edge_offsets.push(self.graph.edges.len());
-                if let Some(rows) = &mut self.rows {
-                    let len = rows.row_len();
-                    rows.push(&out.rows[s * len..(s + 1) * len]);
-                }
+                self.graph.edges.push((j, out.probs[k]));
+            }
+        }
+        if record_edges {
+            self.graph.sojourn.push(out.sojourn);
+            self.graph.edge_offsets.push(self.graph.edges.len());
+            if let Some(rows) = &mut self.rows {
+                rows.push(&out.row);
             }
         }
         for &word in &out.tape {
@@ -473,7 +468,6 @@ pub(crate) fn explore(
     let mut out = Expansion::new(places);
 
     seed(&compiled, &mut w, &mut out)?;
-    out.finish_state(0, &[]);
     b.merge(&out, false)?;
 
     let mut si = 0;

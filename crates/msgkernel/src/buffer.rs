@@ -25,7 +25,9 @@ pub trait BufferQueue: Send + std::fmt::Debug {
     fn capacity(&self) -> usize;
     /// Currently free buffers.
     fn available(&self) -> usize;
-    /// Takes the first free buffer, or `None` when exhausted.
+    /// Takes the first free buffer, or `None` when exhausted. Buffer ids
+    /// run from 0 to `capacity() - 1`: the kernel keeps a queued message
+    /// in the slot its buffer's id indexes.
     fn acquire(&mut self) -> Option<BufferId>;
     /// Returns a buffer to the free list.
     fn release(&mut self, buffer: BufferId);

@@ -2,16 +2,18 @@
 //! lists, and network packets mirroring IPC calls.
 //!
 //! Every per-event operation is indexed, not scanned: per-task state lives
-//! in a dense table indexed by [`TaskId`], a queued message carries the
-//! kernel buffer it holds, and a server that receives leaves only the
-//! waiting lists of the services it offers — so the cost of a delivery does
-//! not grow with the number of services or tasks on the node.
+//! in a dense table indexed by [`TaskId`], a queued message lives in the
+//! slot of the kernel buffer it holds, linked into its service's FIFO by
+//! buffer index, and a server that receives leaves only the waiting lists
+//! of the services it offers — so the cost of a delivery does not grow
+//! with the number of services or tasks on the node, and neither does the
+//! memory of the messages queued on them.
 
 use crate::buffer::{BufferPool, BufferQueue};
 use crate::error::KernelError;
 use crate::message::Message;
 use crate::sched::PriorityList;
-use crate::service::{QueuedMessage, ReplyTo, Service, ServiceAddr, ServiceId};
+use crate::service::{Offer, OfferId, QueuedMessage, ReplyTo, Service, ServiceAddr, ServiceId};
 use crate::task::{NodeId, Task, TaskId, TaskState};
 use std::collections::VecDeque;
 
@@ -190,6 +192,8 @@ struct TaskIpc {
     completion: Option<bool>,
     /// Stopped inside a `Wait`.
     in_wait: bool,
+    /// The task's first offer in the offer table.
+    first_offer: Option<OfferId>,
 }
 
 /// Cumulative kernel statistics.
@@ -218,6 +222,12 @@ pub struct Kernel {
     ipc: Vec<TaskIpc>,
     services: Vec<Option<Service>>,
     buffers: Box<dyn BufferQueue>,
+    /// The message each kernel buffer holds while queued on a service,
+    /// indexed by [`BufferId`]; one slot per buffer.
+    queued: Vec<Option<QueuedMessage>>,
+    /// Every offer made, in the order made; a destroyed task's rows stay
+    /// unlinked.
+    offers: Vec<Offer>,
     computation_list: PriorityList,
     communication_list: PriorityList,
     /// Sends blocked on buffer shortage, retried as buffers free.
@@ -232,19 +242,29 @@ pub struct Kernel {
 impl Kernel {
     /// Creates a kernel for `node` with `buffer_capacity` kernel buffers.
     pub fn new(node: NodeId, buffer_capacity: usize) -> Kernel {
-        Kernel::with_queues(node, Box::new(BufferPool::new(buffer_capacity)))
+        Kernel::with_queues(node, Box::new(BufferPool::new(buffer_capacity)), 0, 0)
     }
 
     /// Creates a kernel whose buffer free list is supplied by the caller —
     /// the live runtime passes one backed by `smartmem`'s shared
     /// transactions, so every buffer acquisition is a real operation on the
-    /// shared module (§5.1).
-    pub fn with_queues(node: NodeId, buffers: Box<dyn BufferQueue>) -> Kernel {
+    /// shared module (§5.1). The task tables are sized for `tasks` tasks
+    /// and the service and offer tables for `services` services offered
+    /// once each up front, so a node built to a known size holds no growth
+    /// slack; creating more still works.
+    pub fn with_queues(
+        node: NodeId,
+        buffers: Box<dyn BufferQueue>,
+        tasks: usize,
+        services: usize,
+    ) -> Kernel {
         Kernel {
             node,
-            tasks: Vec::new(),
-            ipc: Vec::new(),
-            services: Vec::new(),
+            tasks: Vec::with_capacity(tasks),
+            ipc: Vec::with_capacity(tasks),
+            services: Vec::with_capacity(services),
+            queued: vec![None; buffers.capacity()],
+            offers: Vec::with_capacity(services),
             buffers,
             computation_list: PriorityList::default(),
             communication_list: PriorityList::default(),
@@ -265,9 +285,11 @@ impl Kernel {
         self.stats
     }
 
-    /// Creates a task; it starts on the computation list.
-    pub fn create_task(&mut self, name: impl Into<String>, priority: u8, space: usize) -> TaskId {
-        self.tasks.push(Some(Task::new(name, priority, space)));
+    /// Creates a task with an address space of `space` bytes (0 allocates
+    /// none); it starts on the computation list. The kernel names tasks by
+    /// [`TaskId`] only; `_name` labels the call site.
+    pub fn create_task(&mut self, _name: impl Into<String>, priority: u8, space: usize) -> TaskId {
+        self.tasks.push(Some(Task::new(priority, space)));
         self.ipc.push(TaskIpc::default());
         let id = TaskId(self.tasks.len() as u32 - 1);
         self.computation_list.push_back(id, priority);
@@ -290,7 +312,7 @@ impl Kernel {
         self.services
             .get(id.0 as usize)
             .and_then(Option::as_ref)
-            .map(|s| s.messages.len())
+            .map(Service::len)
             .ok_or(KernelError::UnknownService(id))
     }
 
@@ -313,10 +335,10 @@ impl Kernel {
             .ok_or(KernelError::UnknownTask(id))
     }
 
-    fn service_mut(&mut self, id: ServiceId) -> Result<&mut Service, KernelError> {
+    fn service(&self, id: ServiceId) -> Result<&Service, KernelError> {
         self.services
-            .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
+            .get(id.0 as usize)
+            .and_then(Option::as_ref)
             .ok_or(KernelError::UnknownService(id))
     }
 
@@ -338,10 +360,29 @@ impl Kernel {
 
     /// Whether a message is queued on `sid` (false for an unknown service).
     fn has_messages(&self, sid: ServiceId) -> bool {
-        self.services
-            .get(sid.0 as usize)
-            .and_then(Option::as_ref)
-            .is_some_and(|s| !s.messages.is_empty())
+        self.service(sid).is_ok_and(|s| !s.is_empty())
+    }
+
+    /// The services `task` offers, in offer order, with the offer of each.
+    fn offers_of(&self, task: TaskId) -> impl Iterator<Item = (OfferId, ServiceId)> + '_ {
+        let mut next = self.ipc(task).and_then(|s| s.first_offer);
+        std::iter::from_fn(move || {
+            let id = next?;
+            let offer = &self.offers[id.0 as usize];
+            next = offer.next;
+            Some((id, offer.service))
+        })
+    }
+
+    /// Appends an offer of `service` to `task`'s chain.
+    fn add_offer(&mut self, task: TaskId, service: ServiceId) {
+        let id = OfferId(self.offers.len() as u32);
+        let last = self.offers_of(task).last().map(|(last, _)| last);
+        self.offers.push(Offer::new(task, service));
+        match last {
+            Some(last) => self.offers[last.0 as usize].next = Some(id),
+            None => self.ipc[task.0 as usize].first_offer = Some(id),
+        }
     }
 
     /// Host side: the task issues a communication request and moves to the
@@ -438,20 +479,20 @@ impl Kernel {
             Syscall::Receive => self.do_receive(task, &mut events)?,
             Syscall::Reply { message } => self.do_reply(task, message, &mut events)?,
             Syscall::Offer { service } => {
-                self.service_mut(service)?;
-                let t = self.task_mut(task)?;
-                if t.offers.contains(&service) {
+                self.service(service)?;
+                self.task(task)?;
+                if self.offers_of(task).any(|(_, s)| s == service) {
                     return Err(KernelError::DuplicateOffer { task, service });
                 }
-                t.offers.push(service);
+                self.add_offer(task, service);
                 self.make_runnable(task, &mut events);
             }
             Syscall::Inquire => {
-                let offers = &self.task(task)?.offers;
-                if offers.is_empty() {
+                self.task(task)?;
+                if self.ipc[task.0 as usize].first_offer.is_none() {
                     return Err(KernelError::NoOffers(task));
                 }
-                let ready = offers.iter().any(|&s| self.has_messages(s));
+                let ready = self.offers_of(task).any(|(_, s)| self.has_messages(s));
                 events.push(KernelEvent::InquireResult { task, ready });
                 self.make_runnable(task, &mut events);
             }
@@ -558,29 +599,24 @@ impl Kernel {
         server: TaskId,
         events: &mut Vec<KernelEvent>,
     ) -> Result<(), KernelError> {
-        let offers = &self
-            .tasks
-            .get(server.0 as usize)
-            .and_then(Option::as_ref)
-            .ok_or(KernelError::UnknownTask(server))?
-            .offers;
-        if offers.is_empty() {
-            return Err(KernelError::NoOffers(server));
-        }
+        self.task(server)?;
+        let first = self.ipc[server.0 as usize]
+            .first_offer
+            .ok_or(KernelError::NoOffers(server))?;
         // First waiting message across the offered services, in offer order.
-        if let Some(sid) = offers.iter().copied().find(|&s| self.has_messages(s)) {
+        let ready = self
+            .offers_of(server)
+            .map(|(_, s)| s)
+            .find(|&s| self.has_messages(s));
+        if let Some(sid) = ready {
             return self.deliver_first(sid, server, events);
         }
         // Nothing waiting: park on every offered service.
-        for &sid in offers {
-            let svc = self
-                .services
-                .get_mut(sid.0 as usize)
-                .and_then(Option::as_mut)
-                .ok_or(KernelError::UnknownService(sid))?;
-            if !svc.waiting_servers.contains(&server) {
-                svc.waiting_servers.push_back(server);
-            }
+        let mut next = Some(first);
+        while let Some(id) = next {
+            let offer = &self.offers[id.0 as usize];
+            next = offer.next;
+            service_in(&mut self.services, offer.service)?.wait(&mut self.offers, id);
         }
         self.stop(server, events);
         Ok(())
@@ -589,16 +625,12 @@ impl Kernel {
     /// Takes `server` off the waiting list of every service it offers —
     /// the only lists [`Kernel::do_receive`] ever parks it on.
     fn leave_waiting_lists(&mut self, server: TaskId) {
-        let Some(task) = self.tasks.get(server.0 as usize).and_then(Option::as_ref) else {
-            return;
-        };
-        for &sid in &task.offers {
-            if let Some(svc) = self
-                .services
-                .get_mut(sid.0 as usize)
-                .and_then(Option::as_mut)
-            {
-                svc.waiting_servers.retain(|&t| t != server);
+        let mut next = self.ipc(server).and_then(|s| s.first_offer);
+        while let Some(id) = next {
+            let offer = &self.offers[id.0 as usize];
+            next = offer.next;
+            if let Ok(svc) = service_in(&mut self.services, offer.service) {
+                svc.leave(&mut self.offers, id);
             }
         }
     }
@@ -633,12 +665,10 @@ impl Kernel {
         server: TaskId,
         events: &mut Vec<KernelEvent>,
     ) -> Result<(), KernelError> {
-        let qm = self
-            .service_mut(sid)?
-            .messages
-            .pop_front()
+        let (buffer, qm) = service_in(&mut self.services, sid)?
+            .pop_front(&mut self.queued)
             .expect("caller checked non-empty");
-        self.buffers.release(qm.buffer);
+        self.buffers.release(buffer);
         self.hand_to_server(server, qm.message, qm.reply_to, events)?;
         // A freed buffer may unblock a stalled send.
         self.retry_stalled(events)
@@ -804,16 +834,12 @@ impl Kernel {
         reply_to: Option<ReplyTo>,
         events: &mut Vec<KernelEvent>,
     ) -> Result<Delivery, KernelError> {
-        let waiting = {
-            let svc = self.service_mut(sid)?;
-            svc.waiting_servers.pop_front()
-        };
+        let waiting = self.service(sid)?.first_waiting(&self.offers);
         if let Some(server) = waiting {
             // Direct rendezvous: the message passes through a kernel buffer
-            // momentarily; account for it without leaving it held.
+            // momentarily; account for it without leaving it held. On a
+            // shortage the server stays first in line.
             let Some(buf) = self.buffers.acquire() else {
-                // Put the server back and report shortage.
-                self.service_mut(sid)?.waiting_servers.push_front(server);
                 return Ok(Delivery::NoBuffer);
             };
             self.buffers.release(buf);
@@ -823,11 +849,12 @@ impl Kernel {
             let Some(buffer) = self.buffers.acquire() else {
                 return Ok(Delivery::NoBuffer);
             };
-            self.service_mut(sid)?.messages.push_back(QueuedMessage {
+            service_in(&mut self.services, sid)?.push_back(
+                &mut self.queued,
+                buffer,
                 message,
                 reply_to,
-                buffer,
-            });
+            );
             Ok(Delivery::Queued)
         }
     }
@@ -984,6 +1011,19 @@ impl Kernel {
     }
 }
 
+/// Service `id` of a service table. A free function, so a caller can hold
+/// the service beside the kernel's buffer slots or offer table, which its
+/// queues are linked through.
+fn service_in(
+    services: &mut [Option<Service>],
+    id: ServiceId,
+) -> Result<&mut Service, KernelError> {
+    services
+        .get_mut(id.0 as usize)
+        .and_then(Option::as_mut)
+        .ok_or(KernelError::UnknownService(id))
+}
+
 /// Internal delivery outcome.
 enum Delivery {
     /// Handed straight to a waiting server.
@@ -993,6 +1033,9 @@ enum Delivery {
     /// No kernel buffer free.
     NoBuffer,
 }
+
+#[cfg(test)]
+mod queue_model;
 
 #[cfg(test)]
 mod tests {

@@ -28,8 +28,11 @@
 //! Like the paper's §4.4/§5.1 kernel, a delivery is a fixed handful of
 //! indexed steps, independent of how many tasks and services the node
 //! holds: per-task kernel state is a dense table indexed by [`TaskId`], a
-//! queued message carries the [`BufferId`] it holds, and a server that
-//! receives leaves only the waiting lists of the services it offers. The
+//! queued message sits in the slot of the [`BufferId`] it holds, linked
+//! into its service's queue by buffer index, and a server that receives
+//! leaves only the waiting lists of the services it offers. Memory is
+//! fixed-size per task and service: queued messages take one slot per
+//! kernel buffer, and a task owns no heap beyond its address space. The
 //! two scheduling lists are plain in-kernel priority lists; a caller may
 //! supply only the buffer free list ([`Kernel::with_queues`]).
 //!

@@ -34,11 +34,14 @@ pub enum TaskState {
     Stopped,
 }
 
-/// A task control block.
+/// A task control block: fixed-size scheduling and delivery state. The
+/// kernel's IPC state for the task (its pending request, open rendezvous,
+/// outstanding non-blocking send and the services it offers) sits beside
+/// it in tables indexed by the same [`TaskId`]. A task has no name: the
+/// kernel knows it by id. It owns heap memory only for a non-empty address
+/// space.
 #[derive(Debug, Clone)]
 pub struct Task {
-    /// Task name (diagnostics).
-    pub name: String,
     /// Scheduling priority; higher runs first, FCFS among equals.
     pub priority: u8,
     /// Current state.
@@ -47,20 +50,16 @@ pub struct Task {
     pub address_space: Vec<u8>,
     /// Message delivered by the last completed receive/wait.
     pub delivered: Option<crate::message::Message>,
-    /// Services this task has offered to serve.
-    pub offers: Vec<crate::service::ServiceId>,
 }
 
 impl Task {
     /// Creates a task with an address space of `space` bytes.
-    pub(crate) fn new(name: impl Into<String>, priority: u8, space: usize) -> Task {
+    pub(crate) fn new(priority: u8, space: usize) -> Task {
         Task {
-            name: name.into(),
             priority,
             state: TaskState::Computing,
             address_space: vec![0; space],
             delivered: None,
-            offers: Vec::new(),
         }
     }
 }
@@ -71,11 +70,10 @@ mod tests {
 
     #[test]
     fn new_task_starts_computing() {
-        let t = Task::new("editor", 1, 1024);
+        let t = Task::new(1, 1024);
         assert_eq!(t.state, TaskState::Computing);
         assert_eq!(t.address_space.len(), 1024);
         assert!(t.delivered.is_none());
-        assert!(t.offers.is_empty());
     }
 
     #[test]

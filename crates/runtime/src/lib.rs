@@ -44,7 +44,7 @@ pub use clock::{ClockMode, OvershootRow};
 pub use hist::Histogram;
 
 use clock::{block_on, Actor, Bell, ClockSystem};
-use msgkernel::{Kernel, NodeId, Packet, ServiceAddr, Syscall};
+use msgkernel::{Kernel, NodeId, Packet, ServiceAddr, ServiceId, Syscall};
 use netsim::RingNodeId;
 use node::{HostCtx, MpCtx, NodeShared, Role};
 use shm::{NodeShm, TcbSlot};
@@ -286,22 +286,21 @@ pub fn run(config: &Config) -> RunReport {
     let started = Instant::now();
     for node in 0..config.nodes {
         let (shm, buffer_queue) = NodeShm::for_arch(config.architecture, tasks, config.buffers);
-        let mut kernel = Kernel::with_queues(NodeId(node), Box::new(buffer_queue));
+        let mut kernel = Kernel::with_queues(NodeId(node), Box::new(buffer_queue), 2 * n, n);
 
-        let mut services = Vec::with_capacity(n);
-        for i in 0..n {
-            services.push(kernel.create_service(format!("svc{node}.{i}")));
-        }
+        let services: Vec<ServiceId> = (0..n).map(|_| kernel.create_service("svc")).collect();
         let mut clients = Vec::with_capacity(n);
         let mut servers = Vec::with_capacity(n);
         let mut roles = vec![Role::Client(0); 2 * n];
+        // Neither clients nor servers move memory by reference, so their
+        // address spaces are empty: a task holds no heap of its own.
         for i in 0..n {
-            let client = kernel.create_task(format!("client{node}.{i}"), 1, 64);
+            let client = kernel.create_task("client", 1, 0);
             roles[client.0 as usize] = Role::Client(i);
             clients.push(client);
         }
         for (i, &service) in services.iter().enumerate() {
-            let server = kernel.create_task(format!("server{node}.{i}"), 1, 64);
+            let server = kernel.create_task("server", 1, 0);
             roles[server.0 as usize] = Role::Server(i);
             // The offer rides the kernel's internal communication list; the
             // MP drains it on its first pass.
