@@ -38,12 +38,11 @@ fn knob_names() -> String {
 
 /// Every live flag: name, value hint (empty: none), and whether `repro
 /// live` and `repro live-sweep` take it. `--help` is printed from here.
-const FLAGS: [(&str, &str, bool, bool); 12] = [
+const FLAGS: [(&str, &str, bool, bool); 11] = [
     ("--arch", "I|II|III|IV|all", true, true),
     ("--nodes", "N", true, true),
     ("--conversations", "N", true, false),
     ("--duration-ms", "N", true, true),
-    ("--scale", "F", true, true),
     ("--server-compute-us", "F", true, false),
     ("--buffers", "N", true, false),
     ("--remote", "", true, true),
@@ -250,7 +249,6 @@ fn parse_live(args: &[String], sweep: bool) -> Result<(Vec<ClockMode>, Config, S
             "--nodes" => config.nodes = parse(&v, &flag)?,
             "--conversations" => config.conversations = parse(&v, &flag)?,
             "--duration-ms" => config.duration = Duration::from_millis(parse(&v, &flag)?),
-            "--scale" => config.scale = parse(&v, &flag)?,
             "--server-compute-us" => config.server_compute_us = parse(&v, &flag)?,
             "--buffers" => config.buffers = parse(&v, &flag)?,
             "--clock" => {
@@ -271,7 +269,6 @@ fn parse_live(args: &[String], sweep: bool) -> Result<(Vec<ClockMode>, Config, S
     }
     spec.nodes = config.nodes;
     spec.duration = config.duration;
-    spec.scale = config.scale;
     spec.locality = config.locality;
     if !sweep {
         // A live run validates as the one-point grid of its own values.
@@ -333,7 +330,7 @@ fn run_live(args: &[String]) -> ExitCode {
         }
         config.clock = mode;
         println!(
-            "live runtime: {} conversation(s)/node x {} node(s), {} traffic, X = {:.0} us, scale {}, {} ms load, {} clock",
+            "live runtime: {} conversation(s)/node x {} node(s), {} traffic, X = {:.0} us, {} ms load, {} clock",
             config.conversations,
             config.nodes,
             match config.locality {
@@ -341,7 +338,6 @@ fn run_live(args: &[String]) -> ExitCode {
                 Locality::NonLocal => "non-local",
             },
             config.server_compute_us,
-            config.scale,
             config.duration.as_millis(),
             mode,
         );

@@ -55,10 +55,6 @@ fn malformed_values_error_instead_of_defaulting() {
         ("--conversations", "0", "conversations must be at least 1"),
         ("--conversations", "40000", "conversations: 2 x 40000 tasks"),
         ("--duration-ms", "soon", "--duration-ms: bad value"),
-        ("--scale", "fast", "--scale: bad value"),
-        ("--scale", "0", "scale must be a positive"),
-        ("--scale", "-1.5", "scale must be a positive"),
-        ("--scale", "nan", "scale must be a positive"),
         ("--server-compute-us", "slow", "--server-compute-us: bad"),
         ("--server-compute-us", "-10", "server-compute-us must be"),
         ("--server-compute-us", "inf", "server-compute-us must be"),
@@ -89,7 +85,6 @@ fn malformed_sweep_lists_error() {
         ("--buffers-list", "32,many", "--buffers-list: bad value"),
         ("--buffers-list", "1,0", "buffers must be at least 1"),
         ("--nodes", "0", "nodes must be at least 1"),
-        ("--scale", "0", "scale must be a positive"),
         ("--arch", "V", "--arch: unknown architecture"),
     ] {
         rejected(&["live-sweep", flag, value], needle);
@@ -108,13 +103,17 @@ fn unknown_flags_are_rejected() {
         "unknown flag `--clock`",
     );
     rejected(&["live", "--x-list", "0"], "unknown flag `--x-list`");
+    // Activity times are the paper's: there is no factor on them.
+    for command in ["live", "live-sweep"] {
+        rejected(&[command, "--scale", "0.5"], "unknown flag `--scale`");
+    }
 }
 
 #[test]
 fn unset_flags_keep_the_defaults() {
     let out = accepted_line("live --clock virtual --duration-ms 10");
     let header = "live runtime: 64 conversation(s)/node x 1 node(s), local traffic, \
-                  X = 1140 us, scale 1, 10 ms load, virtual clock";
+                  X = 1140 us, 10 ms load, virtual clock";
     assert_eq!(out.lines().next(), Some(header), "{out}");
 }
 
@@ -128,13 +127,12 @@ fn well_formed_values_apply() {
         "--conversations",
         " 3 ",
         "--duration-ms=20",
-        "--scale=0.5",
         "--server-compute-us=5700",
         "--buffers=16",
         "--remote",
     ]);
     let header = "live runtime: 3 conversation(s)/node x 2 node(s), non-local traffic, \
-                  X = 5700 us, scale 0.5, 20 ms load, virtual clock";
+                  X = 5700 us, 20 ms load, virtual clock";
     assert_eq!(out.lines().next(), Some(header), "{out}");
     let rows: Vec<&str> = out.lines().skip(2).collect();
     assert!(rows.len() == 1 && rows[0].starts_with("II "), "{out}");
@@ -177,7 +175,7 @@ fn sweep_lists_parse() {
         "--duration-ms=20",
     ]);
     let header = "live-sweep: arch IV x 2 X-point(s), 1 node(s), local traffic, \
-                  20 ms virtual load, scale 1";
+                  20 ms virtual load";
     assert_eq!(out.lines().next(), Some(header), "{out}");
     for buffers in [1, 2] {
         let section = format!("\nconversations 1/node, buffers {buffers}:\n");
@@ -212,6 +210,7 @@ fn unknown_live_variable_is_a_typo_error() {
     for var in [
         "HSIPC_LIVE_CONVERSATION",
         "HSIPC_LIVE_HANDOFF",
+        "HSIPC_LIVE_SCALE",
         "HSIPC_PAR_SOLVE",
         "HSIPC_WARM_START",
         "HSIPC_LUMP",

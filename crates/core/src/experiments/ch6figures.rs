@@ -6,8 +6,7 @@
 //! order* — the order rows appear in the rendered table — evaluated by
 //! the sweep pool, and reassembled positionally. The rendered text is
 //! byte-identical whether the grid runs sequentially or on a worker pool;
-//! the `*_with` variants take an explicit worker count so the identity is
-//! testable.
+//! each swept figure takes its worker count, so the identity is testable.
 
 use super::render_table;
 use archsim::timings::{Architecture, Locality};
@@ -85,12 +84,7 @@ pub(crate) fn fig_6_7() -> String {
 
 /// Figure 6.15 — validation: GTPN model vs the discrete-event experiment,
 /// architecture II non-local, 1–4 conversations at three compute levels.
-pub(crate) fn fig_6_15() -> String {
-    fig_6_15_with(sweep::threads())
-}
-
-/// [`fig_6_15`] with an explicit worker count.
-pub(crate) fn fig_6_15_with(threads: usize) -> String {
+pub(crate) fn fig_6_15(threads: usize) -> String {
     let mut points = Vec::new();
     for &n in &CONVERSATIONS {
         for (i, server_us) in [570.0, 2_850.0, 11_400.0].into_iter().enumerate() {
@@ -217,12 +211,7 @@ const MAIN_THREE: [Architecture; 3] = [
 const THREE_FOUR: [Architecture; 2] = [Architecture::SmartBus, Architecture::PartitionedSmartBus];
 
 /// Figure 6.17(a, b) — maximum communication load.
-pub(crate) fn fig_6_17() -> String {
-    fig_6_17_with(sweep::threads())
-}
-
-/// [`fig_6_17`] with an explicit worker count.
-pub(crate) fn fig_6_17_with(threads: usize) -> String {
+pub(crate) fn fig_6_17(threads: usize) -> String {
     let mut out = max_load(
         threads,
         &MAIN_THREE,
@@ -240,12 +229,7 @@ pub(crate) fn fig_6_17_with(threads: usize) -> String {
 }
 
 /// Figure 6.18 — realistic workload, local.
-pub(crate) fn fig_6_18() -> String {
-    fig_6_18_with(sweep::threads())
-}
-
-/// [`fig_6_18`] with an explicit worker count.
-pub(crate) fn fig_6_18_with(threads: usize) -> String {
+pub(crate) fn fig_6_18(threads: usize) -> String {
     realistic(
         threads,
         &MAIN_THREE,
@@ -255,12 +239,7 @@ pub(crate) fn fig_6_18_with(threads: usize) -> String {
 }
 
 /// Figure 6.19 — realistic workload, non-local.
-pub(crate) fn fig_6_19() -> String {
-    fig_6_19_with(sweep::threads())
-}
-
-/// [`fig_6_19`] with an explicit worker count.
-pub(crate) fn fig_6_19_with(threads: usize) -> String {
+pub(crate) fn fig_6_19(threads: usize) -> String {
     realistic(
         threads,
         &MAIN_THREE,
@@ -270,12 +249,7 @@ pub(crate) fn fig_6_19_with(threads: usize) -> String {
 }
 
 /// Figure 6.20 — maximum load, III vs IV, local.
-pub(crate) fn fig_6_20() -> String {
-    fig_6_20_with(sweep::threads())
-}
-
-/// [`fig_6_20`] with an explicit worker count.
-pub(crate) fn fig_6_20_with(threads: usize) -> String {
+pub(crate) fn fig_6_20(threads: usize) -> String {
     max_load(
         threads,
         &THREE_FOUR,
@@ -285,12 +259,7 @@ pub(crate) fn fig_6_20_with(threads: usize) -> String {
 }
 
 /// Figure 6.21 — maximum load, III vs IV, non-local.
-pub(crate) fn fig_6_21() -> String {
-    fig_6_21_with(sweep::threads())
-}
-
-/// [`fig_6_21`] with an explicit worker count.
-pub(crate) fn fig_6_21_with(threads: usize) -> String {
+pub(crate) fn fig_6_21(threads: usize) -> String {
     max_load(
         threads,
         &THREE_FOUR,
@@ -300,12 +269,7 @@ pub(crate) fn fig_6_21_with(threads: usize) -> String {
 }
 
 /// Figure 6.22 — realistic load, III vs IV, local.
-pub(crate) fn fig_6_22() -> String {
-    fig_6_22_with(sweep::threads())
-}
-
-/// [`fig_6_22`] with an explicit worker count.
-pub(crate) fn fig_6_22_with(threads: usize) -> String {
+pub(crate) fn fig_6_22(threads: usize) -> String {
     realistic(
         threads,
         &THREE_FOUR,
@@ -315,12 +279,7 @@ pub(crate) fn fig_6_22_with(threads: usize) -> String {
 }
 
 /// Figure 6.23 — realistic load, III vs IV, non-local.
-pub(crate) fn fig_6_23() -> String {
-    fig_6_23_with(sweep::threads())
-}
-
-/// [`fig_6_23`] with an explicit worker count.
-pub(crate) fn fig_6_23_with(threads: usize) -> String {
+pub(crate) fn fig_6_23(threads: usize) -> String {
     realistic(
         threads,
         &THREE_FOUR,
@@ -332,12 +291,7 @@ pub(crate) fn fig_6_23_with(threads: usize) -> String {
 /// Chapter 7 extension — a shared-memory multiprocessor node: one message
 /// coprocessor serving 1–3 hosts (Figure 7.1's proposal), at a
 /// computation-heavy load where extra hosts matter.
-pub(crate) fn fig_7_1() -> String {
-    fig_7_1_with(sweep::threads())
-}
-
-/// [`fig_7_1`] with an explicit worker count.
-pub(crate) fn fig_7_1_with(threads: usize) -> String {
+pub(crate) fn fig_7_1(threads: usize) -> String {
     let x = 5_700.0;
     let hosts_axis: [u32; 3] = [1, 2, 3];
     let conv_axis: [u32; 2] = [2, 4];
@@ -372,12 +326,7 @@ pub(crate) fn fig_7_1_with(threads: usize) -> String {
 /// are billions of states. The curve saturates by n = 8; n = 32 is left
 /// out, because its lumped chain (~10M states) is past the budget and a
 /// DES estimate's interval is wider than the whole n = 8 → 16 step.
-pub(crate) fn fig_7_scale() -> String {
-    fig_7_scale_with(sweep::threads())
-}
-
-/// [`fig_7_scale`] with an explicit worker count.
-pub(crate) fn fig_7_scale_with(threads: usize) -> String {
+pub(crate) fn fig_7_scale(threads: usize) -> String {
     let x = 5_700.0;
     // Lumping on: only the quotient chain brings n = 16 within budget.
     let engine = AnalysisEngine::new(EngineConfig {
@@ -417,7 +366,7 @@ mod tests {
 
     #[test]
     fn max_load_local_orders_architectures() {
-        let t = super::fig_6_17();
+        let t = super::fig_6_17(1);
         assert!(t.contains("Maximum Communication Load (Local)"));
         assert!(t.contains("Non-local"));
     }

@@ -168,22 +168,12 @@ fn offered_table(threads: usize, paper_table: &str, locality: Locality) -> Strin
 }
 
 /// Table 6.24 — offered loads, local.
-pub(crate) fn table_6_24() -> String {
-    table_6_24_with(sweep::threads())
-}
-
-/// [`table_6_24`] with an explicit worker count.
-pub(crate) fn table_6_24_with(threads: usize) -> String {
+pub(crate) fn table_6_24(threads: usize) -> String {
     offered_table(threads, "Table 6.24", Locality::Local)
 }
 
 /// Table 6.25 — offered loads, non-local.
-pub(crate) fn table_6_25() -> String {
-    table_6_25_with(sweep::threads())
-}
-
-/// [`table_6_25`] with an explicit worker count.
-pub(crate) fn table_6_25_with(threads: usize) -> String {
+pub(crate) fn table_6_25(threads: usize) -> String {
     offered_table(threads, "Table 6.25", Locality::NonLocal)
 }
 
@@ -198,7 +188,7 @@ mod tests {
 
     #[test]
     fn offered_tables_have_thirteen_rows() {
-        let t = super::table_6_24();
+        let t = super::table_6_24(1);
         // Header + rule + 13 rows + title.
         assert_eq!(t.lines().count(), 16, "{t}");
     }

@@ -22,8 +22,9 @@ pub struct Experiment {
     pub id: &'static str,
     /// Human-readable title.
     pub title: &'static str,
-    /// Produces the experiment's output.
-    pub run: fn() -> String,
+    /// Produces the experiment's output with a sweep worker count (which
+    /// an experiment that is not swept ignores).
+    pub run: fn(usize) -> String,
 }
 
 /// All experiments, in paper order.
@@ -32,112 +33,112 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             id: "table3.1",
             title: "Charlotte profiling (local, 1000 B)",
-            run: ch3::table_3_1,
+            run: |_| ch3::table_3_1(),
         },
         Experiment {
             id: "table3.2",
             title: "Jasmin profiling (local, 32 B)",
-            run: ch3::table_3_2,
+            run: |_| ch3::table_3_2(),
         },
         Experiment {
             id: "table3.3",
             title: "925 profiling (local, 40 B)",
-            run: ch3::table_3_3,
+            run: |_| ch3::table_3_3(),
         },
         Experiment {
             id: "table3.4",
             title: "Unix profiling (local, 128 B)",
-            run: ch3::table_3_4,
+            run: |_| ch3::table_3_4(),
         },
         Experiment {
             id: "table3.5",
             title: "Unix profiling (non-local, 128 B)",
-            run: ch3::table_3_5,
+            run: |_| ch3::table_3_5(),
         },
         Experiment {
             id: "table3.6",
             title: "Unix server service times",
-            run: ch3::table_3_6,
+            run: |_| ch3::table_3_6(),
         },
         Experiment {
             id: "table3.7",
             title: "Unix read/write vs block size",
-            run: ch3::table_3_7,
+            run: |_| ch3::table_3_7(),
         },
         Experiment {
             id: "fig3.path",
             title: "Message-path time-stamping (S3.3 technique 3)",
-            run: ch3::fig_3_msgpath,
+            run: |_| ch3::fig_3_msgpath(),
         },
         Experiment {
             id: "fig4.6",
             title: "Blocking remote invocation send timeline",
-            run: ch4::fig_4_6,
+            run: |_| ch4::fig_4_6(),
         },
         Experiment {
             id: "table5.1",
             title: "Smart bus signals",
-            run: ch5::table_5_1,
+            run: |_| ch5::table_5_1(),
         },
         Experiment {
             id: "table5.2",
             title: "Smart bus commands",
-            run: ch5::table_5_2,
+            run: |_| ch5::table_5_2(),
         },
         Experiment {
             id: "fig5.timing",
             title: "Smart bus timing diagrams (Figs 5.4-5.16)",
-            run: ch5::fig_5_timing,
+            run: |_| ch5::fig_5_timing(),
         },
         Experiment {
             id: "table6.1",
             title: "Queue/block primitive times, Arch II vs III",
-            run: ch6tables::table_6_1,
+            run: |_| ch6tables::table_6_1(),
         },
         Experiment {
             id: "table6.2",
             title: "Shared-memory contention completion times",
-            run: ch6tables::table_6_2,
+            run: |_| ch6tables::table_6_2(),
         },
         Experiment {
             id: "table6.4",
             title: "Arch I local activity costs",
-            run: ch6tables::table_6_4,
+            run: |_| ch6tables::table_6_4(),
         },
         Experiment {
             id: "table6.6",
             title: "Arch I non-local activity costs",
-            run: ch6tables::table_6_6,
+            run: |_| ch6tables::table_6_6(),
         },
         Experiment {
             id: "table6.9",
             title: "Arch II local activity costs",
-            run: ch6tables::table_6_9,
+            run: |_| ch6tables::table_6_9(),
         },
         Experiment {
             id: "table6.11",
             title: "Arch II non-local activity costs",
-            run: ch6tables::table_6_11,
+            run: |_| ch6tables::table_6_11(),
         },
         Experiment {
             id: "table6.14",
             title: "Arch III local activity costs",
-            run: ch6tables::table_6_14,
+            run: |_| ch6tables::table_6_14(),
         },
         Experiment {
             id: "table6.16",
             title: "Arch III non-local activity costs",
-            run: ch6tables::table_6_16,
+            run: |_| ch6tables::table_6_16(),
         },
         Experiment {
             id: "table6.19",
             title: "Arch IV local activity costs",
-            run: ch6tables::table_6_19,
+            run: |_| ch6tables::table_6_19(),
         },
         Experiment {
             id: "table6.21",
             title: "Arch IV non-local activity costs",
-            run: ch6tables::table_6_21,
+            run: |_| ch6tables::table_6_21(),
         },
         Experiment {
             id: "table6.24",
@@ -152,7 +153,7 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             id: "fig6.7",
             title: "Geometric-delay approximation",
-            run: ch6figures::fig_6_7,
+            run: |_| ch6figures::fig_6_7(),
         },
         Experiment {
             id: "fig6.15",
@@ -201,7 +202,7 @@ pub fn all() -> Vec<Experiment> {
         },
         Experiment {
             id: "fig7.scale",
-            title: "Chapter 7 scale-out: beyond n=4 via the DES backend",
+            title: "Chapter 7 scale-out: lumped exact solves up to n=16",
             run: ch6figures::fig_7_scale,
         },
     ]
@@ -209,37 +210,19 @@ pub fn all() -> Vec<Experiment> {
 
 /// Runs one experiment by id; `None` for an unknown id.
 pub fn run(id: &str) -> Option<String> {
-    all().into_iter().find(|e| e.id == id).map(|e| (e.run)())
+    run_with(id, sweep::threads())
 }
 
 /// Runs one experiment with an explicit sweep worker count (1 is the
-/// sequential path), bypassing `HSIPC_SWEEP`. Experiments whose grids are
-/// swept honor `threads`; the rest — the ch3 profiling tables and every
-/// other single-solve experiment — run as one-point grids on the same
-/// engine, so every experiment flows through one evaluation path. Output
-/// is byte-identical at every worker count — that is the sweep engine's
+/// sequential path), bypassing `HSIPC_SWEEP`. Swept experiments fan their
+/// grids out `threads` wide; the rest run on the calling thread. Output is
+/// byte-identical at every worker count — that is the sweep engine's
 /// contract, and `tests/sweep_identity.rs` holds it to it.
 pub fn run_with(id: &str, threads: usize) -> Option<String> {
-    match id {
-        "table6.24" => Some(ch6tables::table_6_24_with(threads)),
-        "table6.25" => Some(ch6tables::table_6_25_with(threads)),
-        "fig6.15" => Some(ch6figures::fig_6_15_with(threads)),
-        "fig6.17" => Some(ch6figures::fig_6_17_with(threads)),
-        "fig6.18" => Some(ch6figures::fig_6_18_with(threads)),
-        "fig6.19" => Some(ch6figures::fig_6_19_with(threads)),
-        "fig6.20" => Some(ch6figures::fig_6_20_with(threads)),
-        "fig6.21" => Some(ch6figures::fig_6_21_with(threads)),
-        "fig6.22" => Some(ch6figures::fig_6_22_with(threads)),
-        "fig6.23" => Some(ch6figures::fig_6_23_with(threads)),
-        "fig7.1" => Some(ch6figures::fig_7_1_with(threads)),
-        "fig7.scale" => Some(ch6figures::fig_7_scale_with(threads)),
-        _ => all().into_iter().find(|e| e.id == id).map(|e| {
-            sweep::Grid::new(vec![e.run])
-                .eval_with(threads, |run| run())
-                .pop()
-                .expect("one-point grid yields one result")
-        }),
-    }
+    all()
+        .into_iter()
+        .find(|e| e.id == id)
+        .map(|e| (e.run)(threads))
 }
 
 /// Renders a text table: a header row and aligned columns.

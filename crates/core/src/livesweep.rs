@@ -51,8 +51,6 @@ pub struct SweepSpec {
     pub locality: Locality,
     /// Virtual load-phase length of every run.
     pub duration: Duration,
-    /// Activity-time scale factor.
-    pub scale: f64,
 }
 
 impl SweepSpec {
@@ -73,7 +71,6 @@ impl SweepSpec {
             nodes: 1,
             locality: Locality::Local,
             duration: Duration::from_millis(1_000),
-            scale: 1.0,
         }
     }
 
@@ -122,7 +119,6 @@ impl SweepSpec {
         config.server_compute_us = point.x_us;
         config.duration = self.duration;
         config.locality = self.locality;
-        config.scale = self.scale;
         config.buffers = point.buffers;
         config.clock = ClockMode::Virtual;
         config
@@ -268,7 +264,7 @@ fn render(spec: &SweepSpec, outcomes: &[PointOutcome]) -> String {
         .join(",");
     let _ = writeln!(
         out,
-        "live-sweep: arch {} x {} X-point(s), {} node(s), {} traffic, {} ms virtual load, scale {}",
+        "live-sweep: arch {} x {} X-point(s), {} node(s), {} traffic, {} ms virtual load",
         arch_list,
         spec.x_us.len(),
         spec.nodes,
@@ -277,7 +273,6 @@ fn render(spec: &SweepSpec, outcomes: &[PointOutcome]) -> String {
             Locality::NonLocal => "non-local",
         },
         spec.duration.as_millis(),
-        spec.scale,
     );
     let mut index = 0;
     for &conversations in &spec.conversations {

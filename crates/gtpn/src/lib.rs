@@ -19,16 +19,22 @@
 //!
 //! * [`Net`] / [`Transition`] — net description with a small expression
 //!   language ([`Expr`]) for state-dependent frequencies such as the paper's
-//!   `(NetIntr = 0) & !T8 & !T9 -> 1/982, 0` gates,
+//!   `(NetIntr = 0) & !T8 & !T9 -> 1/982, 0` gates, which models build as
+//!   `Expr` values (the crate reads no text notation),
 //! * [`ReachabilityGraph`] — exact construction of the embedded Markov chain
 //!   (tangible states only; zero-delay firings are eliminated inline),
 //! * [`solve`](ReachabilityGraph::solve) — steady-state solution and
 //!   time-weighted resource-usage estimates,
+//! * [`engine`] — the analysis engine, the one road from a net to
+//!   steady-state numbers, with its solution cache,
+//! * [`lump`] — exact symmetry lumping of the embedded chain,
+//! * [`cache`] — cache bounds and the store of chain skeletons,
 //! * [`sim`] — a Monte-Carlo token-game simulator with identical semantics,
 //!   used for cross-validation and for nets too large to solve exactly,
 //! * [`invariant`] — place-invariant (conservation) analysis,
 //! * [`geometric`] — the paper's §6.6.1 trick of replacing a large constant
-//!   delay by a geometrically distributed delay with the same mean.
+//!   delay by a geometrically distributed delay with the same mean,
+//! * [`dot`] — Graphviz export of a net.
 //!
 //! ## Example
 //!
@@ -85,7 +91,6 @@ pub mod engine;
 pub mod geometric;
 pub mod invariant;
 pub mod lump;
-pub mod parse;
 pub mod sim;
 
 pub use engine::{Analysis, AnalysisEngine, BackendKind, BackendSel, DesOptions, EngineConfig};

@@ -152,11 +152,6 @@ pub enum KernelEvent {
     PacketOut(Packet),
     /// The send blocked on kernel-buffer shortage (§3.2.3) and will retry.
     BufferShortage(TaskId),
-    /// A reply addressed a task that no longer exists; it was dropped.
-    ReplyDropped {
-        /// The dead client's id.
-        client: TaskId,
-    },
     /// A [`Syscall::Wait`] completed (the awaited response had arrived).
     WaitComplete {
         /// The waiting client.
@@ -217,16 +212,15 @@ pub struct KernelStats {
 #[derive(Debug)]
 pub struct Kernel {
     node: NodeId,
-    tasks: Vec<Option<Task>>,
+    tasks: Vec<Task>,
     /// Per-task IPC state, indexed like `tasks`.
     ipc: Vec<TaskIpc>,
-    services: Vec<Option<Service>>,
+    services: Vec<Service>,
     buffers: Box<dyn BufferQueue>,
     /// The message each kernel buffer holds while queued on a service,
     /// indexed by [`BufferId`]; one slot per buffer.
     queued: Vec<Option<QueuedMessage>>,
-    /// Every offer made, in the order made; a destroyed task's rows stay
-    /// unlinked.
+    /// Every offer made, in the order made.
     offers: Vec<Offer>,
     computation_list: PriorityList,
     communication_list: PriorityList,
@@ -234,8 +228,6 @@ pub struct Kernel {
     resource_waiters: VecDeque<TaskId>,
     /// Incoming packets parked during buffer shortage.
     pending_packets: VecDeque<Packet>,
-    /// Interrupt-handler activations parked during buffer shortage.
-    pending_activations: VecDeque<(ServiceId, Message)>,
     stats: KernelStats,
 }
 
@@ -270,7 +262,6 @@ impl Kernel {
             communication_list: PriorityList::default(),
             resource_waiters: VecDeque::new(),
             pending_packets: VecDeque::new(),
-            pending_activations: VecDeque::new(),
             stats: KernelStats::default(),
         }
     }
@@ -289,7 +280,7 @@ impl Kernel {
     /// none); it starts on the computation list. The kernel names tasks by
     /// [`TaskId`] only; `_name` labels the call site.
     pub fn create_task(&mut self, _name: impl Into<String>, priority: u8, space: usize) -> TaskId {
-        self.tasks.push(Some(Task::new(priority, space)));
+        self.tasks.push(Task::new(priority, space));
         self.ipc.push(TaskIpc::default());
         let id = TaskId(self.tasks.len() as u32 - 1);
         self.computation_list.push_back(id, priority);
@@ -299,7 +290,7 @@ impl Kernel {
     /// Creates a service. The kernel names services by [`ServiceId`] only;
     /// `_name` labels the call site.
     pub fn create_service(&mut self, _name: impl Into<String>) -> ServiceId {
-        self.services.push(Some(Service::default()));
+        self.services.push(Service::default());
         ServiceId(self.services.len() as u32 - 1)
     }
 
@@ -307,49 +298,35 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// [`KernelError::UnknownService`] for dead or never-created ids.
+    /// [`KernelError::UnknownService`] for an id never created.
     pub fn service_queue_len(&self, id: ServiceId) -> Result<usize, KernelError> {
-        self.services
-            .get(id.0 as usize)
-            .and_then(Option::as_ref)
-            .map(Service::len)
-            .ok_or(KernelError::UnknownService(id))
+        self.service(id).map(Service::len)
     }
 
     /// Immutable task lookup.
     ///
     /// # Errors
     ///
-    /// [`KernelError::UnknownTask`] for dead or never-created ids.
+    /// [`KernelError::UnknownTask`] for an id never created.
     pub fn task(&self, id: TaskId) -> Result<&Task, KernelError> {
         self.tasks
             .get(id.0 as usize)
-            .and_then(Option::as_ref)
             .ok_or(KernelError::UnknownTask(id))
     }
 
     fn task_mut(&mut self, id: TaskId) -> Result<&mut Task, KernelError> {
         self.tasks
             .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
             .ok_or(KernelError::UnknownTask(id))
     }
 
     fn service(&self, id: ServiceId) -> Result<&Service, KernelError> {
         self.services
             .get(id.0 as usize)
-            .and_then(Option::as_ref)
             .ok_or(KernelError::UnknownService(id))
     }
 
-    /// Priority of a task (0 for a dead task, which only arises for entries
-    /// being purged).
-    fn priority_of(&self, task: TaskId) -> u8 {
-        self.task(task).map(|t| t.priority).unwrap_or(0)
-    }
-
-    /// IPC state of a created task (dead or alive; `None` for an id never
-    /// created).
+    /// IPC state of a task (`None` for an id never created).
     fn ipc(&self, task: TaskId) -> Option<&TaskIpc> {
         self.ipc.get(task.0 as usize)
     }
@@ -393,7 +370,7 @@ impl Kernel {
     /// [`KernelError::UnknownTask`] or [`KernelError::RequestOutstanding`].
     pub fn submit(&mut self, task: TaskId, request: Syscall) -> Result<(), KernelError> {
         self.place_request(task, request)?;
-        let p = self.priority_of(task);
+        let p = self.tasks[task.0 as usize].priority;
         self.communication_list.insert_by_priority(task, p);
         Ok(())
     }
@@ -442,19 +419,17 @@ impl Kernel {
         self.computation_list.pop_front()
     }
 
+    /// Puts a created task on the computation list.
     fn make_runnable(&mut self, task: TaskId, events: &mut Vec<KernelEvent>) {
-        if let Ok(t) = self.task_mut(task) {
-            t.state = TaskState::Computing;
-        }
-        let p = self.priority_of(task);
-        self.computation_list.insert_by_priority(task, p);
+        let t = &mut self.tasks[task.0 as usize];
+        t.state = TaskState::Computing;
+        self.computation_list.insert_by_priority(task, t.priority);
         events.push(KernelEvent::Runnable(task));
     }
 
+    /// Stops a created task.
     fn stop(&mut self, task: TaskId, events: &mut Vec<KernelEvent>) {
-        if let Ok(t) = self.task_mut(task) {
-            t.state = TaskState::Stopped;
-        }
+        self.tasks[task.0 as usize].state = TaskState::Stopped;
         events.push(KernelEvent::Stopped(task));
     }
 
@@ -679,26 +654,18 @@ impl Kernel {
         // the communication list so they retry before new work.
         while self.buffers.available() > 0 {
             // Prefer parked packets (network data must drain first to avoid
-            // overrun), then parked interrupt activations, then blocked
-            // sends.
+            // overrun), then blocked sends.
             if let Some(packet) = self.pending_packets.pop_front() {
                 let evs = self.handle_packet(packet)?;
-                events.extend(evs);
-                continue;
-            }
-            if let Some((service, message)) = self.pending_activations.pop_front() {
-                let evs = self.activate(service, message)?;
                 events.extend(evs);
                 continue;
             }
             let Some(task) = self.resource_waiters.pop_front() else {
                 break;
             };
-            let p = self.priority_of(task);
-            self.communication_list.push_front(task, p);
-            if let Ok(t) = self.task_mut(task) {
-                t.state = TaskState::Communicating;
-            }
+            let t = &mut self.tasks[task.0 as usize];
+            t.state = TaskState::Communicating;
+            self.communication_list.push_front(task, t.priority);
             break;
         }
         Ok(())
@@ -716,9 +683,7 @@ impl Kernel {
             .ok_or(KernelError::NoRendezvous(server))?;
         self.stats.replies += 1;
         match info.reply_to {
-            ReplyTo::Local(client) => {
-                self.deliver_reply(client, message, events);
-            }
+            ReplyTo::Local(client) => self.deliver_reply(client, message, events)?,
             ReplyTo::Remote { node, task } => {
                 self.stats.packets_out += 1;
                 events.push(KernelEvent::PacketOut(Packet {
@@ -804,13 +769,19 @@ impl Kernel {
     }
 
     /// Delivers a reply to a client, honoring the non-blocking-send
-    /// protocol and tolerating clients that died while waiting.
-    fn deliver_reply(&mut self, client: TaskId, message: Message, events: &mut Vec<KernelEvent>) {
-        let Ok(task) = self.task_mut(client) else {
-            events.push(KernelEvent::ReplyDropped { client });
-            return;
-        };
-        task.delivered = Some(message);
+    /// protocol.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::UnknownTask`] for a client this node never created
+    /// (only a packet can name one); nothing changes.
+    fn deliver_reply(
+        &mut self,
+        client: TaskId,
+        message: Message,
+        events: &mut Vec<KernelEvent>,
+    ) -> Result<(), KernelError> {
+        self.task_mut(client)?.delivered = Some(message);
         events.push(KernelEvent::ReplyDelivered { client });
         let slot = &mut self.ipc[client.0 as usize];
         if slot.completion.is_some() {
@@ -825,6 +796,7 @@ impl Kernel {
         } else {
             self.make_runnable(client, events);
         }
+        Ok(())
     }
 
     fn deliver_to_service(
@@ -865,13 +837,12 @@ impl Kernel {
     /// # Errors
     ///
     /// [`KernelError::BadPacket`] for misrouted packets; service/task
-    /// validity errors otherwise.
+    /// validity errors otherwise. A rejected packet changes nothing.
     pub fn handle_packet(&mut self, packet: Packet) -> Result<Vec<KernelEvent>, KernelError> {
         if packet.to != self.node {
             return Err(KernelError::BadPacket("packet routed to wrong node"));
         }
         let mut events = Vec::new();
-        self.stats.packets_in += 1;
         match packet.body {
             PacketBody::SendMsg {
                 service,
@@ -884,11 +855,10 @@ impl Kernel {
                     task: client,
                 });
                 match self.deliver_to_service(service, message, reply_to, &mut events)? {
-                    Delivery::Direct | Delivery::Queued => {}
+                    Delivery::Direct | Delivery::Queued => self.stats.packets_in += 1,
                     Delivery::NoBuffer => {
                         // Park the packet until a buffer frees: the network
                         // interface's receive buffering absorbs the burst.
-                        self.stats.packets_in -= 1;
                         self.pending_packets.push_back(Packet {
                             from: packet.from,
                             to: packet.to,
@@ -903,7 +873,8 @@ impl Kernel {
                 }
             }
             PacketBody::ReplyMsg { client, message } => {
-                self.deliver_reply(client, message, &mut events);
+                self.deliver_reply(client, message, &mut events)?;
+                self.stats.packets_in += 1;
             }
         }
         Ok(events)
@@ -914,75 +885,12 @@ impl Kernel {
         self.buffers.available()
     }
 
-    /// `activate` (§4.2.2): the one system call permitted inside an
-    /// interrupt handler. Sends `message` to an "interrupt service" without
-    /// a task context — the device driver task posts a `Receive` on that
-    /// service to pick up the non-time-critical part of interrupt handling.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::UnknownService`] for a dead service.
-    pub(crate) fn activate(
-        &mut self,
-        service: ServiceId,
-        message: Message,
-    ) -> Result<Vec<KernelEvent>, KernelError> {
-        let mut events = Vec::new();
-        match self.deliver_to_service(service, message, None, &mut events)? {
-            Delivery::Direct | Delivery::Queued => {
-                self.stats.sends += 1;
-            }
-            Delivery::NoBuffer => {
-                // Interrupt data must not be lost: park the activation
-                // until a buffer frees.
-                self.stats.buffer_stalls += 1;
-                self.pending_activations.push_back((service, message));
-            }
-        }
-        Ok(events)
-    }
-
-    /// Destroys a task: removes it from every kernel list and frees its
-    /// control block (the paper's §5.1 task-death path: the freed TCB goes
-    /// back on the free list, a killed task is dequeued from the
-    /// computation list).
-    ///
-    /// A server killed mid-rendezvous leaves its local client runnable with
-    /// no reply (the reply is lost); a reply later addressed to a destroyed
-    /// client is dropped with a [`KernelEvent::ReplyDropped`].
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::UnknownTask`] if the task is already dead.
-    pub fn destroy_task(&mut self, task: TaskId) -> Result<Vec<KernelEvent>, KernelError> {
-        self.task(task)?;
-        let mut events = Vec::new();
-        // Off both scheduling lists (the Dequeue primitive's job in §5.1).
-        self.computation_list.remove(task);
-        self.communication_list.remove(task);
-        self.resource_waiters.retain(|&t| t != task);
-        self.leave_waiting_lists(task);
-        // A dying server releases its rendezvous: the local client would
-        // otherwise hang forever.
-        let ipc = std::mem::take(&mut self.ipc[task.0 as usize]);
-        if let Some(RendezvousInfo {
-            reply_to: ReplyTo::Local(client),
-            ..
-        }) = ipc.rendezvous
-        {
-            events.push(KernelEvent::ReplyDropped { client });
-            self.make_runnable(client, &mut events);
-        }
-        self.tasks[task.0 as usize] = None;
-        Ok(events)
-    }
-
     /// Loads bytes into a task's address space — the program/data loading a
     /// real kernel performs at task creation.
     ///
     /// # Errors
     ///
-    /// [`KernelError::UnknownTask`] for a dead task, or
+    /// [`KernelError::UnknownTask`] for an id never created, or
     /// [`KernelError::AccessViolation`] if the range exceeds the task's
     /// address space.
     pub fn load_address_space(
@@ -1014,13 +922,9 @@ impl Kernel {
 /// Service `id` of a service table. A free function, so a caller can hold
 /// the service beside the kernel's buffer slots or offer table, which its
 /// queues are linked through.
-fn service_in(
-    services: &mut [Option<Service>],
-    id: ServiceId,
-) -> Result<&mut Service, KernelError> {
+fn service_in(services: &mut [Service], id: ServiceId) -> Result<&mut Service, KernelError> {
     services
         .get_mut(id.0 as usize)
-        .and_then(Option::as_mut)
         .ok_or(KernelError::UnknownService(id))
 }
 
@@ -1522,6 +1426,55 @@ mod tests {
         assert!(matches!(k.handle_packet(p), Err(KernelError::BadPacket(_))));
     }
 
+    /// A reply packet can name any task id; one this node never created is
+    /// rejected as bad input and leaves the kernel as it was.
+    #[test]
+    fn reply_packet_for_an_unknown_task_is_rejected() {
+        // A node with a queued message (one buffer held), a server parked
+        // on a second service, and tasks on the computation list.
+        let node = || {
+            let mut k = kernel();
+            let client = k.create_task("client", 1, 64);
+            let server = k.create_task("server", 1, 64);
+            let (queued, waited) = (k.create_service("q"), k.create_service("w"));
+            k.submit(server, Syscall::Offer { service: waited })
+                .unwrap();
+            drain(&mut k);
+            k.submit(server, Syscall::Receive).unwrap();
+            drain(&mut k);
+            send_no_wait(&mut k, client, queued);
+            (k, client, waited)
+        };
+        let (mut k, client, waited) = node();
+        let (mut twin, ..) = node();
+        let stranger = TaskId(99);
+        let reply = Packet {
+            from: NodeId(1),
+            to: k.node(),
+            body: PacketBody::ReplyMsg {
+                client: stranger,
+                message: Message::empty(),
+            },
+        };
+        assert_eq!(
+            k.handle_packet(reply).unwrap_err(),
+            KernelError::UnknownTask(stranger)
+        );
+        // Buffers, counters, the waiting list and both scheduling lists are
+        // those of a node that never saw the packet.
+        let state = |k: &mut Kernel| {
+            let (buffers, stats) = (k.buffers_available(), k.stats());
+            let reached = send_no_wait(k, client, waited)
+                .iter()
+                .any(|e| matches!(e, KernelEvent::Delivered { .. }));
+            let computation: Vec<TaskId> = std::iter::from_fn(|| k.next_computation()).collect();
+            (buffers, stats, reached, computation, k.next_communication())
+        };
+        let after = state(&mut k);
+        assert_eq!(after, state(&mut twin));
+        assert_eq!((after.0, after.2), (7, true));
+    }
+
     #[test]
     fn non_blocking_send_then_wait() {
         // §4.2.1: a non-blocking remote-invocation send lets the client
@@ -1618,108 +1571,6 @@ mod tests {
         assert!(matches!(k.process(id), Err(KernelError::NoRendezvous(_))));
     }
 
-    #[test]
-    fn activate_feeds_interrupt_service() {
-        // §4.2.2: device interrupts map into the client-server paradigm;
-        // the handler's activate sends to the driver task's interrupt
-        // service.
-        let mut k = kernel();
-        let driver = k.create_task("disk-driver", 1, 64);
-        let intr_svc = k.create_service("disk-interrupts");
-        k.submit(driver, Syscall::Offer { service: intr_svc })
-            .unwrap();
-        drain(&mut k);
-        k.submit(driver, Syscall::Receive).unwrap();
-        drain(&mut k);
-        assert_eq!(k.task(driver).unwrap().state, TaskState::Stopped);
-
-        // The interrupt handler fires (no task context).
-        let events = k
-            .activate(intr_svc, Message::from_bytes(b"sector 9 done"))
-            .unwrap();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, KernelEvent::Delivered { server } if *server == driver)));
-        assert_eq!(
-            &k.task(driver).unwrap().delivered.unwrap().data[..13],
-            b"sector 9 done"
-        );
-        assert_eq!(k.task(driver).unwrap().state, TaskState::Computing);
-    }
-
-    #[test]
-    fn activate_parks_on_buffer_shortage() {
-        let mut k = Kernel::new(NodeId(0), 1);
-        let driver = k.create_task("driver", 1, 64);
-        let filler = k.create_task("filler", 1, 64);
-        let svc = k.create_service("s");
-        let intr = k.create_service("intr");
-        k.submit(driver, Syscall::Offer { service: intr }).unwrap();
-        drain(&mut k);
-        // Exhaust the single buffer with a queued message.
-        k.submit(
-            filler,
-            Syscall::Send {
-                to: addr(&k, svc),
-                message: Message::empty(),
-                mode: SendMode::NoWait,
-            },
-        )
-        .unwrap();
-        drain(&mut k);
-        assert_eq!(k.buffers_available(), 0);
-        // The activation is parked, not lost.
-        let events = k.activate(intr, Message::from_bytes(b"irq")).unwrap();
-        assert!(events.is_empty());
-        assert_eq!(k.stats().buffer_stalls, 1);
-        // Freeing the buffer (a receive on svc) replays the activation...
-        let receiver = k.create_task("receiver", 1, 64);
-        k.submit(receiver, Syscall::Offer { service: svc }).unwrap();
-        drain(&mut k);
-        k.submit(driver, Syscall::Receive).unwrap();
-        drain(&mut k);
-        k.submit(receiver, Syscall::Receive).unwrap();
-        let events = drain(&mut k);
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, KernelEvent::Delivered { server } if *server == driver)),
-            "parked activation delivered: {events:?}"
-        );
-    }
-
-    #[test]
-    fn destroy_task_cleans_every_list() {
-        let mut k = kernel();
-        let client = k.create_task("client", 1, 64);
-        let server = k.create_task("server", 1, 64);
-        let svc = k.create_service("s");
-        k.submit(server, Syscall::Offer { service: svc }).unwrap();
-        drain(&mut k);
-        k.submit(server, Syscall::Receive).unwrap();
-        drain(&mut k);
-        // Kill the waiting server: it leaves the service's waiting list.
-        k.destroy_task(server).unwrap();
-        assert!(k.task(server).is_err());
-        // A send now queues instead of matching a dead server.
-        k.submit(
-            client,
-            Syscall::Send {
-                to: addr(&k, svc),
-                message: Message::empty(),
-                mode: SendMode::NoWait,
-            },
-        )
-        .unwrap();
-        drain(&mut k);
-        assert_eq!(k.service_queue_len(svc).unwrap(), 1);
-        // Destroying again is an error.
-        assert!(matches!(
-            k.destroy_task(server),
-            Err(KernelError::UnknownTask(_))
-        ));
-    }
-
     /// A server parked on two offered services.
     fn two_service_server(k: &mut Kernel) -> (TaskId, TaskId, ServiceId, ServiceId) {
         let client = k.create_task("client", 1, 64);
@@ -1776,87 +1627,6 @@ mod tests {
             assert_eq!(k.service_queue_len(services[second]).unwrap(), 0);
             assert_eq!(k.buffers_available(), 8);
         }
-    }
-
-    #[test]
-    fn destroying_a_two_service_server_clears_both_lists() {
-        let mut k = kernel();
-        let (client, server, a, b) = two_service_server(&mut k);
-        k.destroy_task(server).unwrap();
-        for service in [a, b] {
-            let events = send_no_wait(&mut k, client, service);
-            assert!(!events
-                .iter()
-                .any(|e| matches!(e, KernelEvent::Delivered { .. })));
-            assert_eq!(k.service_queue_len(service).unwrap(), 1);
-        }
-    }
-
-    #[test]
-    fn destroy_server_mid_rendezvous_releases_client() {
-        let mut k = kernel();
-        let client = k.create_task("client", 1, 64);
-        let server = k.create_task("server", 1, 64);
-        let svc = k.create_service("s");
-        k.submit(server, Syscall::Offer { service: svc }).unwrap();
-        drain(&mut k);
-        k.submit(server, Syscall::Receive).unwrap();
-        drain(&mut k);
-        k.submit(
-            client,
-            Syscall::Send {
-                to: addr(&k, svc),
-                message: Message::empty(),
-                mode: SendMode::invocation(),
-            },
-        )
-        .unwrap();
-        drain(&mut k);
-        assert_eq!(k.task(client).unwrap().state, TaskState::Stopped);
-        // The server dies inside the rendezvous: the client is released
-        // (with the reply lost) instead of hanging forever.
-        let events = k.destroy_task(server).unwrap();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, KernelEvent::ReplyDropped { client: c } if *c == client)));
-        assert_eq!(k.task(client).unwrap().state, TaskState::Computing);
-    }
-
-    #[test]
-    fn reply_to_destroyed_client_is_dropped() {
-        let mut k = kernel();
-        let client = k.create_task("client", 1, 64);
-        let server = k.create_task("server", 1, 64);
-        let svc = k.create_service("s");
-        k.submit(server, Syscall::Offer { service: svc }).unwrap();
-        drain(&mut k);
-        k.submit(server, Syscall::Receive).unwrap();
-        drain(&mut k);
-        k.submit(
-            client,
-            Syscall::Send {
-                to: addr(&k, svc),
-                message: Message::empty(),
-                mode: SendMode::invocation(),
-            },
-        )
-        .unwrap();
-        drain(&mut k);
-        k.destroy_task(client).unwrap();
-        // The server's reply does not crash the kernel; it reports a drop.
-        k.submit(
-            server,
-            Syscall::Reply {
-                message: Message::empty(),
-            },
-        )
-        .unwrap();
-        let events = drain(&mut k);
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, KernelEvent::ReplyDropped { client: c } if *c == client)));
-        // The server continues normally.
-        assert_eq!(k.task(server).unwrap().state, TaskState::Computing);
     }
 
     #[test]

@@ -59,12 +59,6 @@ impl PriorityList {
         self.disordered &= !self.entries.is_empty();
         head
     }
-
-    /// Removes `task` wherever it sits (task destruction).
-    pub(crate) fn remove(&mut self, task: TaskId) {
-        self.entries.retain(|&(t, _)| t != task);
-        self.disordered &= !self.entries.is_empty();
-    }
 }
 
 #[cfg(test)]
@@ -126,24 +120,9 @@ mod tests {
                     list.push_front(task, priority);
                     reference.push_front((task, priority));
                 }
-                5 if !reference.is_empty() => {
-                    let (victim, _) = reference[next(reference.len() as u64) as usize];
-                    list.remove(victim);
-                    reference.retain(|&(t, _)| t != victim);
-                }
                 _ => assert_eq!(list.pop_front(), reference.pop_front().map(|(t, _)| t)),
             }
             assert!(list.entries.iter().eq(reference.iter()), "step {step}");
         }
-    }
-
-    #[test]
-    fn remove_deletes_all_occurrences() {
-        let mut l = PriorityList::default();
-        l.push_back(TaskId(0), 1);
-        l.push_back(TaskId(1), 1);
-        l.remove(TaskId(0));
-        assert_eq!(l.pop_front(), Some(TaskId(1)));
-        assert!(l.entries.is_empty());
     }
 }

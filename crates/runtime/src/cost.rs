@@ -51,25 +51,25 @@ pub(crate) fn spin_us(us: f64) {
     }
 }
 
-/// Pre-scaled per-kind activity costs for one architecture and locality.
+/// Per-kind activity costs for one architecture and locality.
 #[derive(Debug, Clone)]
 pub(crate) struct CostModel {
     us: [f64; KINDS],
 }
 
 impl CostModel {
-    /// Sums the `best_us` of every table row per [`ActivityKind`] and
-    /// applies `scale`. Kinds absent from the table (e.g. MP processing on
+    /// Sums the `best_us` of every table row per [`ActivityKind`]. Kinds
+    /// absent from the table (e.g. MP processing on
     /// Architecture I, DMA on local conversations) cost zero.
-    pub(crate) fn new(arch: Architecture, locality: Locality, scale: f64) -> CostModel {
+    pub(crate) fn new(arch: Architecture, locality: Locality) -> CostModel {
         let mut us = [0.0; KINDS];
         for activity in activity_table(arch, locality) {
-            us[kind_index(activity.kind)] += activity.best_us() * scale;
+            us[kind_index(activity.kind)] += activity.best_us();
         }
         CostModel { us }
     }
 
-    /// The scaled cost of one activity kind, microseconds.
+    /// The cost of one activity kind, microseconds.
     pub(crate) fn us(&self, kind: ActivityKind) -> f64 {
         self.us[kind_index(kind)]
     }
@@ -88,28 +88,20 @@ mod tests {
 
     #[test]
     fn arch1_charges_syscalls_but_no_mp_processing() {
-        let c = CostModel::new(Architecture::Uniprocessor, Locality::Local, 1.0);
+        let c = CostModel::new(Architecture::Uniprocessor, Locality::Local);
         assert!(c.us(ActivityKind::SyscallSend) > 0.0);
         assert_eq!(c.us(ActivityKind::ProcessSend), 0.0);
     }
 
     #[test]
     fn arch2_splits_work_between_host_and_mp() {
-        let c = CostModel::new(Architecture::MessageCoprocessor, Locality::Local, 1.0);
+        let c = CostModel::new(Architecture::MessageCoprocessor, Locality::Local);
         assert!(c.us(ActivityKind::SyscallSend) > 0.0);
         assert!(c.us(ActivityKind::ProcessSend) > 0.0);
         // The host-side syscall entry is cheaper than Architecture I's
         // all-inclusive send — that offload is the whole design.
-        let a1 = CostModel::new(Architecture::Uniprocessor, Locality::Local, 1.0);
+        let a1 = CostModel::new(Architecture::Uniprocessor, Locality::Local);
         assert!(c.us(ActivityKind::SyscallSend) < a1.us(ActivityKind::SyscallSend));
-    }
-
-    #[test]
-    fn scale_is_linear() {
-        let full = CostModel::new(Architecture::SmartBus, Locality::NonLocal, 1.0);
-        let half = CostModel::new(Architecture::SmartBus, Locality::NonLocal, 0.5);
-        let kind = ActivityKind::ProcessSend;
-        assert!((half.us(kind) - full.us(kind) / 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -64,19 +64,14 @@ pub struct Config {
     pub nodes: u32,
     /// Client–server conversations per node.
     pub conversations: u32,
-    /// Server compute time per request (the workload's X), *unscaled*
-    /// microseconds. §6.3's workload is 1140 µs.
+    /// Server compute time per request (the workload's X), microseconds.
+    /// §6.3's workload is 1140 µs.
     pub server_compute_us: f64,
     /// How long the load generator runs before draining.
     pub duration: Duration,
     /// Local (client and server on one node) or non-local (each node's
     /// clients invoke the next node's servers) conversations.
     pub locality: Locality,
-    /// Factor applied to every paper-measured activity time before it is
-    /// replayed as wall-clock occupancy. Ratios — and therefore the
-    /// architecture ordering — are scale-invariant, but scales far below 1
-    /// push activities under the OS sleep/wake granularity.
-    pub scale: f64,
     /// Kernel message buffers per node; fewer buffers than conversations
     /// exercises the §3.2.3 blocking-on-shortage path.
     pub buffers: u16,
@@ -90,7 +85,7 @@ pub struct Config {
 
 impl Config {
     /// The default workload: 64 local conversations on one node at the
-    /// §6.3 server compute time, full-scale activity times.
+    /// §6.3 server compute time.
     pub fn new(architecture: Architecture) -> Config {
         Config {
             architecture,
@@ -99,7 +94,6 @@ impl Config {
             server_compute_us: 1_140.0,
             duration: Duration::from_millis(400),
             locality: Locality::Local,
-            scale: 1.0,
             buffers: 32,
             grace: Duration::from_secs(10),
             clock: ClockMode::Real,
@@ -108,8 +102,8 @@ impl Config {
 
     /// Checks that [`run`] can execute this configuration: at least one
     /// node and one conversation, every task and kernel buffer addressable
-    /// in the node's shared memory, a positive finite scale, a non-negative
-    /// finite server compute time, at least one buffer, and two nodes for
+    /// in the node's shared memory, a non-negative finite server compute
+    /// time, at least one buffer, and two nodes for
     /// non-local traffic.
     ///
     /// # Errors
@@ -136,12 +130,6 @@ impl Config {
                 self.conversations,
                 self.buffers,
                 self.architecture.label()
-            ));
-        }
-        if !(self.scale > 0.0 && self.scale.is_finite()) {
-            return Err(format!(
-                "scale must be a positive finite number, got {}",
-                self.scale
             ));
         }
         if !(self.server_compute_us >= 0.0 && self.server_compute_us.is_finite()) {
@@ -269,11 +257,7 @@ pub fn run(config: &Config) -> RunReport {
     let active = Arc::new(AtomicUsize::new(config.nodes as usize * n));
     let stopping = Arc::new(AtomicBool::new(false));
     let halt = Arc::new(AtomicBool::new(false));
-    let cost = Arc::new(cost::CostModel::new(
-        config.architecture,
-        config.locality,
-        config.scale,
-    ));
+    let cost = Arc::new(cost::CostModel::new(config.architecture, config.locality));
 
     let mut shareds: Vec<Arc<NodeShared>> = Vec::with_capacity(config.nodes as usize);
     // Phase 1: build every node's contexts and register its clock actors
@@ -376,7 +360,7 @@ pub fn run(config: &Config) -> RunReport {
             clients,
             targets,
             servers,
-            config.server_compute_us * config.scale,
+            config.server_compute_us,
             node_hist,
             Arc::clone(&round_trips),
             Arc::clone(&active),

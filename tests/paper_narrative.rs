@@ -1,58 +1,14 @@
 //! Cross-crate scenarios following the paper's own narrative, exercising
-//! integration paths the per-crate suites do not: the expression parser
-//! feeding the solver, waveforms against engine timing, non-blocking sends
-//! across nodes, and Architecture IV under the discrete-event simulator.
+//! integration paths the per-crate suites do not: waveforms against engine
+//! timing, non-blocking sends across nodes, and Architecture IV under the
+//! discrete-event simulator.
 
 use hsipc::archsim::{Architecture, Locality, Simulation, WorkloadSpec};
-use hsipc::gtpn::{parse, Net, Transition};
 use hsipc::msgkernel::{
     Kernel, KernelEvent, Message, NodeId, SendMode, ServiceAddr, Syscall, TaskState,
 };
 use hsipc::smartbus::waveform::TimingDiagram;
 use hsipc::smartbus::Command;
-
-/// A net whose frequencies are written in the paper's textual notation,
-/// parsed, and solved — the full front-to-back path of the gtpn crate.
-#[test]
-fn parsed_notation_drives_the_solver() {
-    let mut net = Net::new("parsed");
-    let p = net.add_place("Client", 1);
-    let intr = net.add_place("NetIntr", 0);
-    // Geometric stage written exactly as a thesis table would print it.
-    let exit_t = net
-        .add_transition(
-            Transition::new("T0")
-                .delay(1)
-                .frequency(parse::parse_expr(&net, "(NetIntr = 0) -> 1/50, 0").unwrap())
-                .resource("lambda")
-                .input(p, 1)
-                .output(p, 1),
-        )
-        .unwrap();
-    let loop_freq = parse::parse_expr(&net, "(NetIntr = 0) -> 1 - 1/50, 0").unwrap();
-    net.add_transition(
-        Transition::new("T1")
-            .delay(1)
-            .frequency(loop_freq)
-            .input(p, 1)
-            .output(p, 1),
-    )
-    .unwrap();
-    let _ = (intr, exit_t);
-    let engine = hsipc::gtpn::AnalysisEngine::new(hsipc::gtpn::EngineConfig {
-        backend: hsipc::gtpn::BackendSel::Exact,
-        tolerance: 1e-12,
-        max_sweeps: 100_000,
-        state_budget: 1_000,
-        ..hsipc::gtpn::EngineConfig::default()
-    });
-    let usage = engine
-        .analyze(&net)
-        .unwrap()
-        .resource_usage("lambda")
-        .unwrap();
-    assert!((usage - 1.0 / 50.0).abs() < 1e-9, "usage {usage}");
-}
 
 /// Waveform edge counts agree with the protocol engine's timing for every
 /// non-streaming command: the figures and the simulator share one truth.
