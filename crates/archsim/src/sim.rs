@@ -450,20 +450,22 @@ impl Simulation {
         }
     }
 
+    /// Acts on one kernel call's events, then takes the tasks the call made
+    /// runnable off the node's computation list.
     fn apply_events(&mut self, node: usize, events: Vec<KernelEvent>, from_packet: bool) {
         use KernelEvent as E;
         let mut handled: Vec<TaskId> = Vec::new();
-        for e in &events {
+        for e in events {
             match e {
                 E::Delivered { server } => {
-                    handled.push(*server);
+                    handled.push(server);
                     if from_packet {
                         // The interrupt job already charged the match work.
                         self.enqueue(
                             node,
                             ProcKind::Host,
                             Job::Restart {
-                                task: *server,
+                                task: server,
                                 kind: ActivityKind::RestartServer,
                             },
                             false,
@@ -474,64 +476,57 @@ impl Simulation {
                         } else {
                             ProcKind::Host
                         };
-                        self.enqueue(node, proc, Job::Match { server: *server }, false);
+                        self.enqueue(node, proc, Job::Match { server }, false);
                     }
                 }
                 E::ReplyDelivered { client } => {
-                    handled.push(*client);
+                    handled.push(client);
                     self.enqueue(
                         node,
                         ProcKind::Host,
                         Job::Restart {
-                            task: *client,
+                            task: client,
                             kind: ActivityKind::RestartClient,
                         },
                         false,
                     );
                 }
                 E::PacketOut(p) => {
-                    self.enqueue(
-                        node,
-                        ProcKind::IoOut,
-                        Job::DmaOut { packet: p.clone() },
-                        false,
-                    );
+                    self.enqueue(node, ProcKind::IoOut, Job::DmaOut { packet: p }, false);
                 }
                 _ => {}
             }
         }
-        for e in &events {
-            if let E::Runnable(task) = e {
-                if handled.contains(task) {
-                    continue;
+        while let Some(task) = self.kernels[node].next_computation() {
+            if handled.contains(&task) {
+                continue;
+            }
+            match self.last_call.get(&(node, task)) {
+                Some(LastCall::Offer) => {
+                    // Server is ready: post the first receive.
+                    self.enqueue(
+                        node,
+                        ProcKind::Host,
+                        Job::Syscall {
+                            task,
+                            kind: ActivityKind::SyscallReceive,
+                            call: Syscall::Receive,
+                        },
+                        false,
+                    );
                 }
-                match self.last_call.get(&(node, *task)) {
-                    Some(LastCall::Offer) => {
-                        // Server is ready: post the first receive.
-                        self.enqueue(
-                            node,
-                            ProcKind::Host,
-                            Job::Syscall {
-                                task: *task,
-                                kind: ActivityKind::SyscallReceive,
-                                call: Syscall::Receive,
-                            },
-                            false,
-                        );
-                    }
-                    Some(LastCall::Reply) => {
-                        self.enqueue(
-                            node,
-                            ProcKind::Host,
-                            Job::Restart {
-                                task: *task,
-                                kind: ActivityKind::RestartServerAfterReply,
-                            },
-                            false,
-                        );
-                    }
-                    _ => {}
+                Some(LastCall::Reply) => {
+                    self.enqueue(
+                        node,
+                        ProcKind::Host,
+                        Job::Restart {
+                            task,
+                            kind: ActivityKind::RestartServerAfterReply,
+                        },
+                        false,
+                    );
                 }
+                _ => {}
             }
         }
     }
@@ -982,6 +977,21 @@ mod tests {
         let a = Simulation::new(Architecture::SmartBus, &spec(2, 1_000.0, Locality::Local)).run();
         let b = Simulation::new(Architecture::SmartBus, &spec(2, 1_000.0, Locality::Local)).run();
         assert_eq!(a, b);
+    }
+
+    /// Every task a kernel call makes runnable is taken off the computation
+    /// list after the call, so no kernel's list outlives a run.
+    #[test]
+    fn computation_lists_are_drained() {
+        for arch in [Architecture::Uniprocessor, Architecture::MessageCoprocessor] {
+            for locality in [Locality::Local, Locality::NonLocal] {
+                let mut sim = Simulation::new(arch, &spec(3, 1_000.0, locality));
+                assert!(sim.run_inner().completed > 0);
+                for k in &mut sim.kernels {
+                    assert_eq!(k.next_computation(), None, "{arch:?} {locality:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -328,18 +328,12 @@ pub(crate) fn fig_7_1(threads: usize) -> String {
 /// DES estimate's interval is wider than the whole n = 8 → 16 step.
 pub(crate) fn fig_7_scale(threads: usize) -> String {
     let x = 5_700.0;
-    // Lumping on: only the quotient chain brings n = 16 within budget.
-    let engine = AnalysisEngine::new(EngineConfig {
-        backend: BackendSel::Auto,
-        tolerance: models::TOLERANCE,
-        max_sweeps: models::MAX_SWEEPS,
-        state_budget: models::STATE_BUDGET,
-        des: DesOptions::default(),
-        lump: gtpn::LumpSel::On,
-    });
+    // The default engine lumps: only the quotient chain brings n = 16
+    // within budget.
+    let engine = models::default_engine();
     let grid = Grid::new(vec![2u32, 4, 8, 16]);
     let rows = grid.eval_with(threads, |&n| {
-        let t = local::solve_in(&engine, Architecture::MessageCoprocessor, n, x)
+        let t = local::solve_in(engine, Architecture::MessageCoprocessor, n, x)
             .expect("scale point solves");
         vec![
             n.to_string(),

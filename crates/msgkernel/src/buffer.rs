@@ -33,24 +33,6 @@ pub trait BufferQueue: Send + std::fmt::Debug {
     fn release(&mut self, buffer: BufferId);
 }
 
-impl BufferQueue for BufferPool {
-    fn capacity(&self) -> usize {
-        BufferPool::capacity(self)
-    }
-
-    fn available(&self) -> usize {
-        BufferPool::available(self)
-    }
-
-    fn acquire(&mut self) -> Option<BufferId> {
-        BufferPool::acquire(self)
-    }
-
-    fn release(&mut self, buffer: BufferId) {
-        BufferPool::release(self, buffer)
-    }
-}
-
 /// A bounded pool of kernel message buffers with a free list.
 #[derive(Debug, Clone)]
 pub(crate) struct BufferPool {
@@ -66,20 +48,20 @@ impl BufferPool {
             capacity,
         }
     }
+}
 
-    /// Total buffers in the pool.
-    pub(crate) fn capacity(&self) -> usize {
+impl BufferQueue for BufferPool {
+    fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Currently free buffers.
-    pub(crate) fn available(&self) -> usize {
+    fn available(&self) -> usize {
         self.free.len()
     }
 
     /// Takes the first free buffer, or `None` when exhausted (the caller
     /// blocks the requesting task).
-    pub(crate) fn acquire(&mut self) -> Option<BufferId> {
+    fn acquire(&mut self) -> Option<BufferId> {
         self.free.pop_front()
     }
 
@@ -89,7 +71,7 @@ impl BufferPool {
     ///
     /// Panics if the buffer is already free (double release) — a kernel
     /// invariant violation.
-    pub(crate) fn release(&mut self, buffer: BufferId) {
+    fn release(&mut self, buffer: BufferId) {
         assert!(
             !self.free.contains(&buffer),
             "double release of kernel buffer {buffer:?}"

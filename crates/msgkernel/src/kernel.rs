@@ -131,13 +131,13 @@ pub enum PacketBody {
     },
 }
 
-/// Observable kernel events, consumed by the architecture simulator.
+/// What a kernel call did beyond scheduling, returned to its caller (the
+/// architecture simulator and the live runtime's MP). Scheduling is not an
+/// event: a task made runnable is on the computation list
+/// ([`Kernel::next_computation`]), and a stopped or buffer-stalled one
+/// shows in [`Task::state`] and [`KernelStats`].
 #[derive(Debug, Clone)]
 pub enum KernelEvent {
-    /// The task joined the computation list (ready to run on the host).
-    Runnable(TaskId),
-    /// The task stopped (waiting for a message, reply, or resource).
-    Stopped(TaskId),
     /// A receive completed: the message is in the server's control block.
     Delivered {
         /// The receiving server.
@@ -150,8 +150,6 @@ pub enum KernelEvent {
     },
     /// A packet must be transmitted by the network interface.
     PacketOut(Packet),
-    /// The send blocked on kernel-buffer shortage (§3.2.3) and will retry.
-    BufferShortage(TaskId),
     /// A [`Syscall::Wait`] completed (the awaited response had arrived).
     WaitComplete {
         /// The waiting client.
@@ -277,14 +275,14 @@ impl Kernel {
     }
 
     /// Creates a task with an address space of `space` bytes (0 allocates
-    /// none); it starts on the computation list. The kernel names tasks by
-    /// [`TaskId`] only; `_name` labels the call site.
+    /// none). It starts computing but off the computation list: its creator
+    /// runs it, and only the kernel's own scheduling puts a task on the
+    /// list. The kernel names tasks by [`TaskId`] only; `_name` labels the
+    /// call site.
     pub fn create_task(&mut self, _name: impl Into<String>, priority: u8, space: usize) -> TaskId {
         self.tasks.push(Task::new(priority, space));
         self.ipc.push(TaskIpc::default());
-        let id = TaskId(self.tasks.len() as u32 - 1);
-        self.computation_list.push_back(id, priority);
-        id
+        TaskId(self.tasks.len() as u32 - 1)
     }
 
     /// Creates a service. The kernel names services by [`ServiceId`] only;
@@ -414,27 +412,31 @@ impl Kernel {
         self.rendezvous(task).is_some()
     }
 
-    /// Host side: first task of the computation list, if any.
+    /// Host side: first task of the computation list, if any. Whoever
+    /// drives the kernel drains the list after the calls that make tasks
+    /// runnable ([`Kernel::process`], [`Kernel::handle_packet`]).
     pub fn next_computation(&mut self) -> Option<TaskId> {
         self.computation_list.pop_front()
     }
 
-    /// Puts a created task on the computation list.
-    fn make_runnable(&mut self, task: TaskId, events: &mut Vec<KernelEvent>) {
+    /// Puts a created task on the computation list — the list's only
+    /// producer. A task is on it at most once: only a communicating or
+    /// stopped task is made runnable.
+    fn make_runnable(&mut self, task: TaskId) {
         let t = &mut self.tasks[task.0 as usize];
+        debug_assert_ne!(t.state, TaskState::Computing, "{task} made runnable twice");
         t.state = TaskState::Computing;
         self.computation_list.insert_by_priority(task, t.priority);
-        events.push(KernelEvent::Runnable(task));
     }
 
     /// Stops a created task.
-    fn stop(&mut self, task: TaskId, events: &mut Vec<KernelEvent>) {
+    fn stop(&mut self, task: TaskId) {
         self.tasks[task.0 as usize].state = TaskState::Stopped;
-        events.push(KernelEvent::Stopped(task));
     }
 
     /// MP side: execute `task`'s pending communication request. Returns the
-    /// events produced (scheduling changes, packets to transmit).
+    /// events produced (deliveries, packets to transmit); the tasks it made
+    /// runnable are on the computation list.
     ///
     /// # Errors
     ///
@@ -460,7 +462,7 @@ impl Kernel {
                     return Err(KernelError::DuplicateOffer { task, service });
                 }
                 self.add_offer(task, service);
-                self.make_runnable(task, &mut events);
+                self.make_runnable(task);
             }
             Syscall::Inquire => {
                 self.task(task)?;
@@ -469,7 +471,7 @@ impl Kernel {
                 }
                 let ready = self.offers_of(task).any(|(_, s)| self.has_messages(s));
                 events.push(KernelEvent::InquireResult { task, ready });
-                self.make_runnable(task, &mut events);
+                self.make_runnable(task);
             }
             Syscall::MemoryMove {
                 direction,
@@ -477,7 +479,7 @@ impl Kernel {
                 length,
             } => {
                 self.do_memory_move(task, direction, local_offset, length)?;
-                self.make_runnable(task, &mut events);
+                self.make_runnable(task);
             }
         }
         Ok(events)
@@ -486,14 +488,14 @@ impl Kernel {
     /// Post-send scheduling: a blocking invocation stops the client; a
     /// non-blocking one registers an outstanding completion; no-wait just
     /// continues.
-    fn after_send(&mut self, client: TaskId, mode: SendMode, events: &mut Vec<KernelEvent>) {
+    fn after_send(&mut self, client: TaskId, mode: SendMode) {
         match mode {
-            SendMode::RemoteInvocation { blocking: true } => self.stop(client, events),
+            SendMode::RemoteInvocation { blocking: true } => self.stop(client),
             SendMode::RemoteInvocation { blocking: false } => {
                 self.ipc[client.0 as usize].completion = Some(false);
-                self.make_runnable(client, events);
+                self.make_runnable(client);
             }
-            SendMode::NoWait => self.make_runnable(client, events),
+            SendMode::NoWait => self.make_runnable(client),
         }
     }
 
@@ -521,7 +523,7 @@ impl Kernel {
                     await_reply,
                 },
             }));
-            self.after_send(client, mode, events);
+            self.after_send(client, mode);
             return Ok(());
         }
 
@@ -529,7 +531,7 @@ impl Kernel {
         match self.deliver_to_service(to.service, message, reply_to, events)? {
             Delivery::Direct | Delivery::Queued => {
                 self.stats.sends += 1;
-                self.after_send(client, mode, events);
+                self.after_send(client, mode);
             }
             Delivery::NoBuffer => {
                 // Block the client on the resource; retry when a buffer
@@ -537,8 +539,7 @@ impl Kernel {
                 self.stats.buffer_stalls += 1;
                 self.ipc[client.0 as usize].request = Some(Syscall::Send { to, message, mode });
                 self.resource_waiters.push_back(client);
-                events.push(KernelEvent::BufferShortage(client));
-                self.stop(client, events);
+                self.stop(client);
             }
         }
         Ok(())
@@ -558,11 +559,11 @@ impl Kernel {
             Some(true) => {
                 slot.completion = None;
                 events.push(KernelEvent::WaitComplete { client });
-                self.make_runnable(client, events);
+                self.make_runnable(client);
             }
             Some(false) => {
                 slot.in_wait = true;
-                self.stop(client, events);
+                self.stop(client);
             }
             None => return Err(KernelError::NoRendezvous(client)),
         }
@@ -593,7 +594,7 @@ impl Kernel {
             next = offer.next;
             service_in(&mut self.services, offer.service)?.wait(&mut self.offers, id);
         }
-        self.stop(server, events);
+        self.stop(server);
         Ok(())
     }
 
@@ -630,7 +631,7 @@ impl Kernel {
         }
         self.stats.deliveries += 1;
         events.push(KernelEvent::Delivered { server });
-        self.make_runnable(server, events);
+        self.make_runnable(server);
         Ok(())
     }
 
@@ -698,7 +699,7 @@ impl Kernel {
         }
         // The server continues computing; it has lost all access rights to
         // the enclosed memory reference (§4.2.1).
-        self.make_runnable(server, events);
+        self.make_runnable(server);
         Ok(())
     }
 
@@ -789,12 +790,12 @@ impl Kernel {
             if std::mem::take(&mut slot.in_wait) {
                 slot.completion = None;
                 events.push(KernelEvent::WaitComplete { client });
-                self.make_runnable(client, events);
+                self.make_runnable(client);
             }
             // A non-waiting, non-blocking client keeps running; nothing to
             // schedule.
         } else {
-            self.make_runnable(client, events);
+            self.make_runnable(client);
         }
         Ok(())
     }
@@ -1098,10 +1099,8 @@ mod tests {
             },
         )
         .unwrap();
-        let events = drain(&mut k);
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, KernelEvent::BufferShortage(t) if *t == c2)));
+        drain(&mut k);
+        assert_eq!(k.task(c2).unwrap().state, TaskState::Stopped);
         assert_eq!(k.stats().buffer_stalls, 1);
         // Server receives c1's message: buffer frees, c2's send retries.
         k.submit(server, Syscall::Receive).unwrap();
@@ -1646,6 +1645,25 @@ mod tests {
         assert_eq!(k.next_communication(), Some(high));
         assert_eq!(k.next_communication(), Some(low1));
         assert_eq!(k.next_communication(), Some(low2));
+    }
+
+    #[test]
+    fn created_task_starts_off_the_computation_list() {
+        let mut k = kernel();
+        let t = k.create_task("t", 1, 64);
+        assert_eq!(k.task(t).unwrap().state, TaskState::Computing);
+        assert_eq!(k.next_computation(), None);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "made runnable twice")]
+    fn a_task_is_on_the_computation_list_at_most_once() {
+        let mut k = kernel();
+        let t = k.create_task("t", 1, 64);
+        k.stop(t);
+        k.make_runnable(t);
+        k.make_runnable(t);
     }
 
     #[test]

@@ -14,8 +14,8 @@ use std::collections::VecDeque;
 #[derive(Debug, Default)]
 pub(crate) struct PriorityList {
     entries: VecDeque<(TaskId, u8)>,
-    /// Set once a head or tail insert breaks the non-increasing priority
-    /// order; cleared when the list empties.
+    /// Set once a head insert breaks the non-increasing priority order;
+    /// cleared when the list empties.
     disordered: bool,
 }
 
@@ -34,14 +34,6 @@ impl PriorityList {
             self.entries.partition_point(|&(_, p)| p >= priority)
         };
         self.entries.insert(pos, (task, priority));
-    }
-
-    /// Plain tail append.
-    pub(crate) fn push_back(&mut self, task: TaskId, priority: u8) {
-        if self.entries.back().is_some_and(|&(_, p)| p < priority) {
-            self.disordered = true;
-        }
-        self.entries.push_back((task, priority));
     }
 
     /// Head insert — the buffer-shortage retry path, which must run before
@@ -104,17 +96,13 @@ mod tests {
         for step in 0..20_000u32 {
             let (task, priority) = (TaskId(step), next(4) as u8);
             match next(10) {
-                0..=2 => {
+                0..=3 => {
                     list.insert_by_priority(task, priority);
                     let pos = reference
                         .iter()
                         .position(|&(_, p)| p < priority)
                         .unwrap_or(reference.len());
                     reference.insert(pos, (task, priority));
-                }
-                3 => {
-                    list.push_back(task, priority);
-                    reference.push_back((task, priority));
                 }
                 4 => {
                     list.push_front(task, priority);

@@ -25,7 +25,9 @@ impl fmt::Display for TaskId {
 /// The three task states of §4.4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskState {
-    /// Executing or ready to execute on the host (on the computation list).
+    /// Executing or ready to execute on the host. A task the kernel makes
+    /// runnable enters the computation list once, until the host takes it
+    /// off; a created task starts here without being on the list.
     Computing,
     /// Executing or ready to execute on the message coprocessor (on the
     /// communication list).

@@ -294,14 +294,6 @@ pub fn run(config: &Config) -> RunReport {
             servers.push(server);
         }
 
-        // `create_task` queues newborn tasks on the kernel's internal
-        // computation list; if the MP's first flush published them, every
-        // client would get a spurious wake (and double-send while its real
-        // send is parked on a buffer shortage). The live host drives clients
-        // from kickoff() and servers from the Offer-completion wake, so the
-        // creation-time entries are discarded here.
-        while kernel.next_computation().is_some() {}
-
         let target_node = match config.locality {
             Locality::Local => node,
             Locality::NonLocal => (node + 1) % config.nodes,

@@ -5,10 +5,11 @@
 //! dequeue micro-routines to completion on a single-threaded memory image;
 //! atomicity is implicit. A *live* node (the `runtime` crate) has a real
 //! host thread and a real MP thread racing on the task-control-block and
-//! kernel-buffer lists, so the same three transactions must be supplied in
-//! a form that is atomic under genuine concurrency. [`SharedQueue`] is that
-//! interface, and the two implementations mirror the paper's architectural
-//! split:
+//! kernel-buffer lists, so the transactions those lists use — `Enqueue`
+//! and `First`; a control block leaves a list only at its head — must be
+//! supplied in a form that is atomic under genuine concurrency.
+//! [`SharedQueue`] is that interface, and the two implementations mirror
+//! the paper's architectural split:
 //!
 //! * [`LockedModule`] — Architecture II: the lists live in *conventional*
 //!   memory and the kernel software manipulates them inside a critical
@@ -29,8 +30,7 @@
 
 use crate::memory::Memory;
 use crate::queue;
-use crate::NULL_PTR;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A list anchor within a shared module (§5.1 keeps one anchor word per
@@ -39,18 +39,13 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ListId(pub u16);
 
-/// The three smart-memory queue transactions, callable concurrently from
-/// any number of threads.
+/// The smart-memory queue transactions a live list uses, callable
+/// concurrently from any number of threads.
 pub trait SharedQueue: Send + Sync + std::fmt::Debug {
     /// `Enqueue(element, list)` — appends `element` at the tail.
     fn enqueue(&self, list: ListId, element: u16);
     /// `First(list)` — dequeues and returns the head, or `None` when empty.
     fn first(&self, list: ListId) -> Option<u16>;
-    /// `Dequeue(element, list)` — removes `element` wherever it sits; a
-    /// no-operation when the element is not on the list.
-    fn dequeue(&self, list: ListId, element: u16);
-    /// Whether the list is (momentarily) empty. Advisory under concurrency.
-    fn is_empty(&self, list: ListId) -> bool;
 }
 
 /// Architecture II's conventional shared memory: every transaction runs the
@@ -104,19 +99,6 @@ impl SharedQueue for LockedModule {
         let mut mem = self.mem.lock().expect("module lock");
         let head = queue::first(&mut mem, anchor).expect("first in range")?;
         Some(self.element_of(head))
-    }
-
-    fn dequeue(&self, list: ListId, element: u16) {
-        let anchor = self.anchor(list);
-        let addr = self.block_addr(element);
-        let mut mem = self.mem.lock().expect("module lock");
-        queue::dequeue(&mut mem, anchor, addr).expect("well-formed list");
-    }
-
-    fn is_empty(&self, list: ListId) -> bool {
-        let anchor = self.anchor(list);
-        let mem = self.mem.lock().expect("module lock");
-        mem.read_word(anchor).expect("anchor in range") == NULL_PTR
     }
 }
 
@@ -229,28 +211,16 @@ impl MpmcFifo {
         cell.seq.store(pos + self.mask + 1, Ordering::Release);
         v
     }
-
-    fn is_empty(&self) -> bool {
-        let pos = self.deq.load(Ordering::Relaxed);
-        let seq = self.cells[pos & self.mask].seq.load(Ordering::Acquire);
-        (seq as isize).wrapping_sub((pos + 1) as isize) < 0
-    }
 }
 
 /// Architectures III/IV's smart memory: each list is a non-blocking FIFO
 /// whose operations are single atomic transactions from the processors'
 /// point of view — the simulated analogue of the controller executing a
 /// whole `Enqueue`/`First` inside one bus tenure.
-///
-/// `Dequeue` (arbitrary removal) is implemented with per-element tombstone
-/// flags: the element is marked dead and discarded when it surfaces at the
-/// head. This preserves the §5.1 contract — the element no longer comes
-/// back from `First` — under the runtime's invariant that a control block
-/// sits on at most one list at a time.
 #[derive(Debug)]
 pub struct LockFreeModule {
     lists: Vec<MpmcFifo>,
-    dead: Vec<AtomicBool>,
+    blocks: u16,
 }
 
 impl LockFreeModule {
@@ -259,7 +229,7 @@ impl LockFreeModule {
     pub fn new(lists: u16, blocks: u16) -> LockFreeModule {
         LockFreeModule {
             lists: (0..lists).map(|_| MpmcFifo::new(blocks as usize)).collect(),
-            dead: (0..blocks).map(|_| AtomicBool::new(false)).collect(),
+            blocks,
         }
     }
 
@@ -270,32 +240,12 @@ impl LockFreeModule {
 
 impl SharedQueue for LockFreeModule {
     fn enqueue(&self, list: ListId, element: u16) {
-        assert!((element as usize) < self.dead.len(), "element out of range");
-        // A freshly enqueued element is live again even if a stale
-        // tombstone was left behind by a remove that raced an in-flight pop.
-        self.dead[element as usize].store(false, Ordering::Relaxed);
+        assert!(element < self.blocks, "element out of range");
         assert!(self.list(list).push(element), "shared list overflow");
     }
 
     fn first(&self, list: ListId) -> Option<u16> {
-        let fifo = self.list(list);
-        while let Some(e) = fifo.pop() {
-            if self.dead[e as usize].swap(false, Ordering::Relaxed) {
-                continue; // tombstoned by a Dequeue; drop it
-            }
-            return Some(e);
-        }
-        None
-    }
-
-    fn dequeue(&self, _list: ListId, element: u16) {
-        if (element as usize) < self.dead.len() {
-            self.dead[element as usize].store(true, Ordering::Relaxed);
-        }
-    }
-
-    fn is_empty(&self, list: ListId) -> bool {
-        self.list(list).is_empty()
+        self.list(list).pop()
     }
 }
 
@@ -320,7 +270,7 @@ mod tests {
             }
             let got: Vec<u16> = std::iter::from_fn(|| m.first(l)).collect();
             assert_eq!(got, vec![3, 1, 4, 11, 5]);
-            assert!(m.is_empty(l));
+            assert_eq!(m.first(l), None);
         }
     }
 
@@ -331,23 +281,6 @@ mod tests {
             m.enqueue(ListId(1), 9);
             assert_eq!(m.first(ListId(1)), Some(9));
             assert_eq!(m.first(ListId(0)), Some(7));
-        }
-    }
-
-    #[test]
-    fn dequeue_removes_element() {
-        for m in modules() {
-            let l = ListId(0);
-            for e in [10u16, 20, 30] {
-                m.enqueue(l, e);
-            }
-            m.dequeue(l, 20);
-            let got: Vec<u16> = std::iter::from_fn(|| m.first(l)).collect();
-            assert_eq!(got, vec![10, 30]);
-            // Removing a missing element is a no-operation.
-            m.dequeue(l, 55);
-            m.enqueue(l, 55);
-            assert_eq!(m.first(l), Some(55));
         }
     }
 
