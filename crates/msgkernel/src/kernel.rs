@@ -185,6 +185,8 @@ struct TaskIpc {
     completion: Option<bool>,
     /// Stopped inside a `Wait`.
     in_wait: bool,
+    /// The pending request is a buffer-stalled send being retried.
+    retrying: bool,
     /// The task's first offer in the offer table.
     first_offer: Option<OfferId>,
 }
@@ -528,8 +530,19 @@ impl Kernel {
         }
 
         let reply_to = await_reply.then_some(ReplyTo::Local(client));
+        let retrying = std::mem::take(&mut self.ipc[client.0 as usize].retrying);
         match self.deliver_to_service(to.service, message, reply_to, events)? {
-            Delivery::Direct | Delivery::Queued => {
+            Delivery::Direct => {
+                self.stats.sends += 1;
+                self.after_send(client, mode);
+                if retrying {
+                    // A retry that went straight to a waiting server holds
+                    // no buffer: the one freed for it is still free, so it
+                    // passes to the next stalled send.
+                    self.retry_stalled(events)?;
+                }
+            }
+            Delivery::Queued => {
                 self.stats.sends += 1;
                 self.after_send(client, mode);
             }
@@ -650,9 +663,13 @@ impl Kernel {
         self.retry_stalled(events)
     }
 
+    /// Hands a free buffer to the work stalled on a shortage: parked
+    /// packets are replayed while buffers are free, then the first stalled
+    /// send is re-submitted at the front of the communication list, so it
+    /// retries before new work. A retried send that goes straight to a
+    /// waiting server comes back here ([`Kernel::do_send`]), so no send
+    /// stays stalled while a buffer is free.
     fn retry_stalled(&mut self, events: &mut Vec<KernelEvent>) -> Result<(), KernelError> {
-        // Park the current waiters; re-submitting puts them at the front of
-        // the communication list so they retry before new work.
         while self.buffers.available() > 0 {
             // Prefer parked packets (network data must drain first to avoid
             // overrun), then blocked sends.
@@ -667,6 +684,7 @@ impl Kernel {
             let t = &mut self.tasks[task.0 as usize];
             t.state = TaskState::Communicating;
             self.communication_list.push_front(task, t.priority);
+            self.ipc[task.0 as usize].retrying = true;
             break;
         }
         Ok(())

@@ -6,8 +6,9 @@
 //! on a shortage), receives and replies drive one kernel. The model
 //! predicts, from the same history, every delivery in order, every queue
 //! length, the free-buffer count and the stalls; the kernel must match it
-//! after every step, and a kernel whose queues have drained must hold no
-//! message in any buffer slot.
+//! after every step, no step may end with a send stalled or a packet parked
+//! while a buffer is free, and a kernel whose queues have drained must hold
+//! no message in any buffer slot.
 
 use super::*;
 use proptest::prelude::*;
@@ -112,9 +113,11 @@ impl Model {
         }
     }
 
-    /// A receive takes the head of the server's queue, freeing its buffer:
-    /// parked packets are replayed while buffers are free, then one stalled
-    /// send is retried. On an empty queue the server waits.
+    /// A receive takes the head of the server's queue, freeing its buffer,
+    /// and the stalled work takes it while one is free: parked packets are
+    /// replayed first, then stalled sends are retried in order. A retried
+    /// send that goes straight to a waiting server leaves the buffer free
+    /// for the next. On an empty queue the server waits.
     fn receive(&mut self, server: usize) {
         let service = SERVES[server];
         let Some(id) = self.queues[service].pop_front() else {
@@ -126,12 +129,11 @@ impl Model {
         while self.free > 0 {
             if let Some((service, id)) = self.parked.pop_front() {
                 self.packet(service, id);
-                continue;
-            }
-            if let Some((client, service, id)) = self.stalled.pop_front() {
+            } else if let Some((client, service, id)) = self.stalled.pop_front() {
                 self.send(client, service, id);
+            } else {
+                break;
             }
-            break;
         }
     }
 
@@ -327,6 +329,19 @@ impl Node {
             return Err(format!(
                 "{free} free + {queued} queued, model {} free, capacity {capacity}",
                 m.free
+            ));
+        }
+        let (stalled, parked) = (self.k.resource_waiters.len(), self.k.pending_packets.len());
+        if (stalled, parked) != (m.stalled.len(), m.parked.len()) {
+            return Err(format!(
+                "{stalled} sends stalled and {parked} packets parked, model {} and {}",
+                m.stalled.len(),
+                m.parked.len()
+            ));
+        }
+        if stalled + parked > 0 && free > 0 {
+            return Err(format!(
+                "{stalled} sends stalled and {parked} packets parked beside {free} free buffers"
             ));
         }
         let held = self.k.queued.iter().filter(|slot| slot.is_some()).count();

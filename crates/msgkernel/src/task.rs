@@ -48,8 +48,8 @@ pub struct Task {
     pub priority: u8,
     /// Current state.
     pub state: TaskState,
-    /// The task's private address space.
-    pub address_space: Vec<u8>,
+    /// The task's private address space (fixed at creation).
+    pub address_space: Box<[u8]>,
     /// Message delivered by the last completed receive/wait.
     pub delivered: Option<crate::message::Message>,
 }
@@ -60,7 +60,7 @@ impl Task {
         Task {
             priority,
             state: TaskState::Computing,
-            address_space: vec![0; space],
+            address_space: vec![0; space].into_boxed_slice(),
             delivered: None,
         }
     }

@@ -28,12 +28,21 @@
 //!   peer has committed to a clock `>= t` (peers blocked on a [`Bell`] are
 //!   exempt: any future wake they receive carries the ringer's clock, which
 //!   is `>=` the frontier, so no event in their past can still be
-//!   generated). An actor that is still the minimum after advancing keeps
-//!   the token and never suspends. The runnable actors sit in a binary
-//!   min-heap keyed by `(clock, actor_id)`, each at most once, so a grant
-//!   is one `O(log n)` pop. The holder's id lives in one atomic word,
+//!   generated). The runnable actors sit in a binary min-heap keyed by
+//!   `(clock, actor_id)`, each at most once. An advance costs at most one
+//!   heap operation: an actor that is still the minimum after advancing
+//!   keeps the token without touching the heap and never suspends;
+//!   otherwise it trades places with the heap's top (one sift-down through
+//!   `peek_mut`), and the token goes to the actor it displaced. A wait or a
+//!   retirement pops the top. The holder's id lives in one atomic word,
 //!   written under the lock at every grant and read without it by the
 //!   executor and every token check.
+//! * **Lock-free reads.** Each actor's clock and each bell's ring count are
+//!   atomics of their own, written only by the token holder, so reading a
+//!   clock ([`ClockHandle::now_ns`]) or an epoch ([`Bell::epoch`]) takes no
+//!   lock, and neither does a ring that finds no actor blocked on its bell.
+//!   The scheduler's lock guards only the heap, the actors' modes and the
+//!   bells' waiter lists.
 //! * **Rendezvous.** Ringing a [`Bell`] stamps the ring with the ringer's
 //!   clock and makes every actor blocked on that bell runnable *at the ring
 //!   time*: a woken waiter's clock jumps forward to the instant the work
@@ -61,7 +70,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
@@ -187,9 +196,16 @@ enum ActorMode {
     Gone,
 }
 
+/// An actor's logical clock, nanoseconds, shared by its handles and the
+/// scheduler. Only the token holder writes it — the actor itself when it
+/// advances, a ringer when it wakes the actor — and the grant that passes
+/// the token on publishes it (the holder word's `Release` store), so every
+/// access may be `Relaxed` and none takes the lock.
+type ActorClock = Arc<AtomicU64>;
+
 #[derive(Debug)]
 struct ActorSlot {
-    clock_ns: u64,
+    clock: ActorClock,
     mode: ActorMode,
 }
 
@@ -199,7 +215,6 @@ const NO_HOLDER: usize = usize::MAX;
 #[derive(Debug)]
 struct VState {
     actors: Vec<ActorSlot>,
-    bell_epochs: Vec<u64>,
     /// Actors suspended on each bell, in arrival order — drained by
     /// [`Bell::ring`] without scanning the whole fleet.
     bell_waiters: Vec<Vec<usize>>,
@@ -224,7 +239,35 @@ impl VState {
             "actor {id} is already on the ready heap"
         );
         self.actors[id].mode = ActorMode::Waiting;
-        self.ready.push(Reverse((self.actors[id].clock_ns, id)));
+        let clock_ns = self.actors[id].clock.load(Ordering::Relaxed);
+        self.ready.push(Reverse((clock_ns, id)));
+    }
+
+    /// The executing actor `from` advanced to `clock_ns`. While it is still
+    /// the minimum `(clock, id)` it keeps the token and the heap is not
+    /// touched; otherwise it takes the heap top's place — one sift-down —
+    /// and the token goes to the actor it displaced, published in
+    /// `holder`. Returns whether the token moved. (Pushing `from` and
+    /// popping the minimum would grant the same actor, the keys being
+    /// unique, with a sift-up and a pop.)
+    fn advance(&mut self, from: usize, clock_ns: u64, holder: &AtomicUsize) -> bool {
+        debug_assert_eq!(
+            holder.load(Ordering::Relaxed),
+            from,
+            "clock operation by an actor that does not hold the execution token"
+        );
+        match self.ready.peek() {
+            Some(&Reverse(min)) if min < (clock_ns, from) => {}
+            _ => return false,
+        }
+        let mut top = self.ready.peek_mut().expect("peeked above");
+        let Reverse((_, next)) = std::mem::replace(&mut *top, Reverse((clock_ns, from)));
+        drop(top); // sifts `from` down
+        self.actors[from].mode = ActorMode::Waiting;
+        self.actors[next].mode = ActorMode::Executing;
+        self.handoffs += 1;
+        holder.store(next, Ordering::Release);
+        true
     }
 
     /// `from` gives the execution token up: it goes to the
@@ -239,7 +282,11 @@ impl VState {
         );
         let next = match self.ready.pop() {
             Some(Reverse((clock_ns, id))) => {
-                debug_assert_eq!(self.actors[id].clock_ns, clock_ns, "stale ready entry");
+                debug_assert_eq!(
+                    self.actors[id].clock.load(Ordering::Relaxed),
+                    clock_ns,
+                    "stale ready entry"
+                );
                 self.actors[id].mode = ActorMode::Executing;
                 if id != from {
                     self.handoffs += 1;
@@ -298,7 +345,6 @@ impl ClockSystem {
             ClockMode::Virtual => Inner::Virtual {
                 state: Mutex::new(VState {
                     actors: Vec::new(),
-                    bell_epochs: Vec::new(),
                     bell_waiters: Vec::new(),
                     ready: BinaryHeap::new(),
                     poisoned: false,
@@ -337,13 +383,14 @@ impl ClockSystem {
     /// token; all others start runnable at clock 0 and suspend in
     /// [`ClockHandle::attach`] until granted.
     pub fn register(self: &Arc<Self>) -> ClockHandle {
+        let clock = ActorClock::default();
         let actor = match &self.inner {
             Inner::Real { .. } => 0,
             Inner::Virtual { state, holder } => {
                 let mut st = lock(state);
                 let id = st.actors.len();
                 st.actors.push(ActorSlot {
-                    clock_ns: 0,
+                    clock: Arc::clone(&clock),
                     mode: ActorMode::Waiting,
                 });
                 if id == 0 {
@@ -359,6 +406,7 @@ impl ClockSystem {
         ClockHandle {
             sys: Arc::clone(self),
             actor,
+            clock,
         }
     }
 
@@ -464,6 +512,8 @@ impl Future for Token<'_> {
 pub struct ClockHandle {
     sys: Arc<ClockSystem>,
     actor: usize,
+    /// The actor's virtual clock (unused in real mode).
+    clock: ActorClock,
 }
 
 impl ClockHandle {
@@ -491,7 +541,7 @@ impl ClockHandle {
     pub(crate) fn now_ns(&self) -> u64 {
         match &self.sys.inner {
             Inner::Real { epoch } => epoch.elapsed().as_nanos() as u64,
-            Inner::Virtual { state, .. } => lock(state).actors[self.actor].clock_ns,
+            Inner::Virtual { .. } => self.clock.load(Ordering::Relaxed),
         }
     }
 
@@ -537,13 +587,12 @@ impl ClockHandle {
     /// Virtual clock advance: bump own clock, then pass the execution token
     /// on if another runnable actor now has a smaller `(clock, id)`.
     async fn advance(&self, state: &Mutex<VState>, holder: &AtomicUsize, ns: u64) {
-        {
-            let mut st = lock(state);
-            st.actors[self.actor].clock_ns += ns;
-            st.make_ready(self.actor);
-            st.grant(self.actor, holder);
+        let clock_ns = self.clock.load(Ordering::Relaxed) + ns;
+        self.clock.store(clock_ns, Ordering::Relaxed);
+        let passed = lock(state).advance(self.actor, clock_ns, holder);
+        if passed {
+            Token(self).await;
         }
-        Token(self).await;
     }
 
     /// Waits (on an idle poll that found nothing) until `bell` is rung past
@@ -554,20 +603,28 @@ impl ClockHandle {
     /// come, the executor panics (see module docs).
     pub async fn wait_past(&self, bell: &Bell, epoch: u64, timeout: Duration) {
         match (&self.sys.inner, &bell.inner) {
-            (Inner::Real { .. }, BellInner::Real { seq, cv }) => {
-                let guard = seq.lock().expect("bell lock");
+            (Inner::Real { .. }, BellInner::Real { rings, lock, cv }) => {
+                let guard = lock.lock().expect("bell lock");
                 let _ = cv
-                    .wait_timeout_while(guard, timeout, |s| *s == epoch)
+                    .wait_timeout_while(guard, timeout, |_| rings.load(Ordering::Acquire) == epoch)
                     .expect("bell lock");
             }
-            (Inner::Virtual { state, holder }, BellInner::Virtual { id }) => {
+            (
+                Inner::Virtual { state, holder },
+                BellInner::Virtual {
+                    id,
+                    rings,
+                    has_waiters,
+                },
+            ) => {
+                if rings.load(Ordering::Relaxed) != epoch {
+                    return; // rung since the caller polled: re-poll.
+                }
                 {
                     let mut st = lock(state);
-                    if st.bell_epochs[*id] != epoch {
-                        return; // rung since the caller polled: re-poll.
-                    }
                     st.actors[self.actor].mode = ActorMode::Blocked(*id);
                     st.bell_waiters[*id].push(self.actor);
+                    has_waiters.store(true, Ordering::Relaxed);
                     st.grant(self.actor, holder);
                 }
                 Token(self).await;
@@ -589,8 +646,21 @@ impl ClockHandle {
 
 #[derive(Debug)]
 enum BellInner {
-    Real { seq: Mutex<u64>, cv: Condvar },
-    Virtual { id: usize },
+    /// `rings` is bumped under `lock`, where a waiter checks it before it
+    /// sleeps, so a ring is never lost; reading it takes no lock.
+    Real {
+        rings: AtomicU64,
+        lock: Mutex<()>,
+        cv: Condvar,
+    },
+    /// `rings` and `has_waiters` are written only by the token holder (see
+    /// [`ActorClock`]); the waiters themselves are listed in the
+    /// scheduler's state under `id`.
+    Virtual {
+        id: usize,
+        rings: AtomicU64,
+        has_waiters: AtomicBool,
+    },
 }
 
 /// A wakeup channel between actors: ring after publishing work, wait (via
@@ -609,15 +679,17 @@ impl Bell {
     pub fn new(sys: &Arc<ClockSystem>) -> Bell {
         let inner = match &sys.inner {
             Inner::Real { .. } => BellInner::Real {
-                seq: Mutex::new(0),
+                rings: AtomicU64::new(0),
+                lock: Mutex::new(()),
                 cv: Condvar::new(),
             },
             Inner::Virtual { state, .. } => {
                 let mut st = lock(state);
-                st.bell_epochs.push(0);
                 st.bell_waiters.push(Vec::new());
                 BellInner::Virtual {
-                    id: st.bell_epochs.len() - 1,
+                    id: st.bell_waiters.len() - 1,
+                    rings: AtomicU64::new(0),
+                    has_waiters: AtomicBool::new(false),
                 }
             }
         };
@@ -633,13 +705,8 @@ impl Bell {
     /// the race cannot occur, but the protocol is shared).
     pub fn epoch(&self) -> u64 {
         match &self.inner {
-            BellInner::Real { seq, .. } => *seq.lock().expect("bell lock"),
-            BellInner::Virtual { id } => {
-                let Inner::Virtual { state, .. } = &self.sys.inner else {
-                    unreachable!();
-                };
-                lock(state).bell_epochs[*id]
-            }
+            BellInner::Real { rings, .. } => rings.load(Ordering::Acquire),
+            BellInner::Virtual { rings, .. } => rings.load(Ordering::Relaxed),
         }
     }
 
@@ -648,26 +715,40 @@ impl Bell {
     /// makes every actor blocked on this bell runnable at that time.
     pub(crate) fn ring(&self) {
         match &self.inner {
-            BellInner::Real { seq, cv } => {
-                *seq.lock().expect("bell lock") += 1;
+            BellInner::Real { rings, lock, cv } => {
+                {
+                    let _guard = lock.lock().expect("bell lock");
+                    rings.fetch_add(1, Ordering::Release);
+                }
                 cv.notify_all();
             }
-            BellInner::Virtual { id } => {
+            BellInner::Virtual {
+                id,
+                rings,
+                has_waiters,
+            } => {
                 let Inner::Virtual { state, holder } = &self.sys.inner else {
                     unreachable!();
                 };
-                let mut st = lock(state);
-                st.bell_epochs[*id] += 1;
                 let ringer = holder.load(Ordering::Relaxed);
                 assert_ne!(ringer, NO_HOLDER, "virtual ring outside an actor");
-                let at = st.actors[ringer].clock_ns;
+                rings.fetch_add(1, Ordering::Relaxed);
+                if !has_waiters.load(Ordering::Relaxed) {
+                    return;
+                }
+                let mut st = lock(state);
+                has_waiters.store(false, Ordering::Relaxed);
+                let at = st.actors[ringer].clock.load(Ordering::Relaxed);
                 // Only this bell's waiters, in arrival order — no fleet scan.
-                let waiters = std::mem::take(&mut st.bell_waiters[*id]);
-                for w in waiters {
+                // The emptied list goes back, keeping its allocation.
+                let mut waiters = std::mem::take(&mut st.bell_waiters[*id]);
+                for &w in &waiters {
                     debug_assert_eq!(st.actors[w].mode, ActorMode::Blocked(*id));
-                    st.actors[w].clock_ns = st.actors[w].clock_ns.max(at);
+                    st.actors[w].clock.fetch_max(at, Ordering::Relaxed);
                     st.make_ready(w);
                 }
+                waiters.clear();
+                st.bell_waiters[*id] = waiters;
             }
         }
     }
@@ -676,7 +757,9 @@ impl Bell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::cell::RefCell;
+    use std::collections::BTreeSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
@@ -824,6 +907,172 @@ mod tests {
         );
         assert!(handoffs > 0);
         assert_eq!((order, handoffs), run());
+    }
+
+    /// One step of an actor's script in the executor differential test.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Advance the clock by this many nanoseconds (0 makes ties).
+        Occupy(u64),
+        /// Ring bell `.0`.
+        Ring(usize),
+        /// Wait on bell `.0` past the ring count the actor last saw on it:
+        /// a ring since then makes the wait return at once.
+        Wait(usize),
+    }
+
+    /// Bell indices are reduced modulo the bell count in [`with_sweeper`].
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..6).prop_map(Op::Occupy),
+            (0usize..3).prop_map(Op::Ring),
+            (0usize..3).prop_map(Op::Wait),
+        ]
+    }
+
+    /// Fits `scripts` to `bells` bells and makes actor 0 a sweeper that
+    /// never blocks: after its own script it rings every bell once per wait
+    /// in the fleet (plus one), each time far ahead of every other actor's
+    /// remaining work, so every waiter is woken and no run deadlocks.
+    fn with_sweeper(mut scripts: Vec<Vec<Op>>, bells: usize) -> Vec<Vec<Op>> {
+        for (id, script) in scripts.iter_mut().enumerate() {
+            for op in script.iter_mut() {
+                *op = match *op {
+                    Op::Ring(b) => Op::Ring(b % bells),
+                    Op::Wait(b) if id == 0 => Op::Ring(b % bells),
+                    Op::Wait(b) => Op::Wait(b % bells),
+                    occupy => occupy,
+                };
+            }
+        }
+        let waits = scripts
+            .iter()
+            .flatten()
+            .filter(|op| matches!(op, Op::Wait(_)))
+            .count();
+        for _ in 0..=waits {
+            scripts[0].push(Op::Occupy(1 << 20));
+            scripts[0].extend((0..bells).map(Op::Ring));
+        }
+        scripts
+    }
+
+    /// Every step any actor took, as (actor, clock when it took it), and
+    /// the handoffs.
+    type Schedule = (Vec<(usize, u64)>, u64);
+
+    /// Runs the scripts on the virtual clock's executor.
+    fn executor(scripts: &[Vec<Op>], bells: usize) -> Schedule {
+        let sys = ClockSystem::new(ClockMode::Virtual);
+        let handles: Vec<ClockHandle> = scripts.iter().map(|_| sys.register()).collect();
+        let bells: Vec<Bell> = (0..bells).map(|_| Bell::new(&sys)).collect();
+        let steps = RefCell::new(Vec::new());
+        let actors: Vec<Actor<'_>> = scripts
+            .iter()
+            .zip(&handles)
+            .enumerate()
+            .map(|(id, (script, h))| {
+                let (bells, steps) = (&bells, &steps);
+                Box::pin(async move {
+                    h.attach().await;
+                    let mut seen = vec![0; bells.len()];
+                    for &op in script {
+                        steps.borrow_mut().push((id, h.now_ns()));
+                        match op {
+                            Op::Occupy(ns) => h.sleep(Duration::from_nanos(ns)).await,
+                            Op::Ring(b) => bells[b].ring(),
+                            Op::Wait(b) => {
+                                h.wait_past(&bells[b], seen[b], Duration::ZERO).await;
+                                seen[b] = bells[b].epoch();
+                            }
+                        }
+                    }
+                    h.retire();
+                }) as Actor<'_>
+            })
+            .collect();
+        sys.run_actors(actors);
+        (steps.into_inner(), sys.handoffs())
+    }
+
+    /// The frontier rule written out directly: the runnable actors in an
+    /// ordered set on `(clock, id)`, the token always with its first
+    /// element, and a ring moving each waiter's clock up to the ringer's.
+    fn reference(scripts: &[Vec<Op>], bells: usize) -> Schedule {
+        let n = scripts.len();
+        let mut clock = vec![0u64; n];
+        let mut next_op = vec![0usize; n];
+        let mut seen = vec![vec![0u64; bells]; n];
+        let mut woken_on: Vec<Option<usize>> = vec![None; n];
+        let mut rings = vec![0u64; bells];
+        let mut blocked: Vec<Vec<usize>> = vec![Vec::new(); bells];
+        let mut ready: BTreeSet<(u64, usize)> = (1..n).map(|id| (0, id)).collect();
+        let (mut steps, mut handoffs) = (Vec::new(), 0);
+        let mut holder = 0;
+        loop {
+            let a = holder;
+            if let Some(b) = woken_on[a].take() {
+                seen[a][b] = rings[b];
+            }
+            // Whether `a` keeps the token after its step (a retirement,
+            // `None`, gives it up).
+            let keeps = scripts[a].get(next_op[a]).is_some_and(|&op| {
+                next_op[a] += 1;
+                steps.push((a, clock[a]));
+                match op {
+                    Op::Occupy(ns) => {
+                        clock[a] += ns;
+                        ready.insert((clock[a], a));
+                        false
+                    }
+                    Op::Ring(b) => {
+                        rings[b] += 1;
+                        for w in std::mem::take(&mut blocked[b]) {
+                            clock[w] = clock[w].max(clock[a]);
+                            ready.insert((clock[w], w));
+                        }
+                        true
+                    }
+                    Op::Wait(b) if rings[b] != seen[a][b] => {
+                        seen[a][b] = rings[b];
+                        true
+                    }
+                    Op::Wait(b) => {
+                        blocked[b].push(a);
+                        woken_on[a] = Some(b);
+                        false
+                    }
+                }
+            });
+            if keeps {
+                continue;
+            }
+            let Some((_, next)) = ready.pop_first() else {
+                assert!(blocked.iter().all(Vec::is_empty), "the sweeper failed");
+                return (steps, handoffs);
+            };
+            if next != a {
+                handoffs += 1;
+            }
+            holder = next;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The executor — an advance that keeps the token off the heap or
+        /// trades places with its top, bells whose ring counts and clocks
+        /// are read without the lock — grants the same actors at the same
+        /// clocks, and hands off as often, as the reference.
+        #[test]
+        fn executor_matches_a_reference_scheduler(
+            bells in 1usize..4,
+            scripts in proptest::collection::vec(proptest::collection::vec(op(), 0..12), 2..41),
+        ) {
+            let scripts = with_sweeper(scripts, bells);
+            prop_assert_eq!(executor(&scripts, bells), reference(&scripts, bells));
+        }
     }
 
     #[test]

@@ -44,9 +44,9 @@ pub use clock::{ClockMode, OvershootRow};
 pub use hist::Histogram;
 
 use clock::{block_on, Actor, Bell, ClockSystem};
-use msgkernel::{Kernel, NodeId, Packet, ServiceAddr, ServiceId, Syscall};
+use msgkernel::{Kernel, NodeId, Packet, ServiceId, Syscall, TaskId};
 use netsim::RingNodeId;
-use node::{HostCtx, MpCtx, NodeShared, Role};
+use node::{HostCtx, MpCtx, NodeShared};
 use shm::{NodeShm, TcbSlot};
 use std::future::Future;
 use std::pin::Pin;
@@ -272,41 +272,36 @@ pub fn run(config: &Config) -> RunReport {
         let (shm, buffer_queue) = NodeShm::for_arch(config.architecture, tasks, config.buffers);
         let mut kernel = Kernel::with_queues(NodeId(node), Box::new(buffer_queue), 2 * n, n);
 
-        let services: Vec<ServiceId> = (0..n).map(|_| kernel.create_service("svc")).collect();
-        let mut clients = Vec::with_capacity(n);
-        let mut servers = Vec::with_capacity(n);
-        let mut roles = vec![Role::Client(0); 2 * n];
+        // The host knows a task's role by its id (`HostCtx`): conversation
+        // i is client task i, server task n + i and service i — on every
+        // node, so a remote client addresses its service by index too.
+        for i in 0..n {
+            assert_eq!(kernel.create_service("svc"), ServiceId(i as u32));
+        }
         // Neither clients nor servers move memory by reference, so their
         // address spaces are empty: a task holds no heap of its own.
         for i in 0..n {
-            let client = kernel.create_task("client", 1, 0);
-            roles[client.0 as usize] = Role::Client(i);
-            clients.push(client);
+            assert_eq!(kernel.create_task("client", 1, 0), TaskId(i as u32));
         }
-        for (i, &service) in services.iter().enumerate() {
+        for i in 0..n {
             let server = kernel.create_task("server", 1, 0);
-            roles[server.0 as usize] = Role::Server(i);
+            assert_eq!(server, TaskId((n + i) as u32));
             // The offer rides the kernel's internal communication list; the
             // MP drains it on its first pass.
             kernel
-                .submit(server, Syscall::Offer { service })
+                .submit(
+                    server,
+                    Syscall::Offer {
+                        service: ServiceId(i as u32),
+                    },
+                )
                 .expect("initial offer");
-            servers.push(server);
         }
 
-        let target_node = match config.locality {
+        let target = match config.locality {
             Locality::Local => node,
             Locality::NonLocal => (node + 1) % config.nodes,
         };
-        // Nodes are built identically, so conversation i's service has the
-        // same id everywhere — a remote client can address it by index.
-        let targets: Vec<ServiceAddr> = services
-            .iter()
-            .map(|&service| ServiceAddr {
-                node: NodeId(target_node),
-                service,
-            })
-            .collect();
 
         let shared = Arc::new(NodeShared {
             shm,
@@ -348,10 +343,8 @@ pub fn run(config: &Config) -> RunReport {
             Arc::clone(&shared),
             Arc::clone(&cost),
             host_clock,
-            roles,
-            clients,
-            targets,
-            servers,
+            n,
+            NodeId(target),
             config.server_compute_us,
             node_hist,
             Arc::clone(&round_trips),
@@ -519,6 +512,33 @@ mod tests {
                 "{arch}: latency distribution is empty or inconsistent"
             );
         }
+    }
+
+    /// What a live conversation holds (DESIGN §9): a TCB slot is one
+    /// mailbox, a kernel task control block owns no heap beside its fixed
+    /// fields, and the runtime's own per-conversation tables — the two TCB
+    /// slots, a client and a server state machine — sum to 161 B (337 B
+    /// when each slot held two mailboxes and the host kept role, client,
+    /// server and target tables). A field that regrows the fleet fails here.
+    #[test]
+    fn a_conversation_stays_within_its_byte_budget() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<TcbSlot>() <= 72,
+            "{} B TCB slot",
+            size_of::<TcbSlot>()
+        );
+        assert!(
+            size_of::<msgkernel::Task>() <= 72,
+            "{} B task control block",
+            size_of::<msgkernel::Task>()
+        );
+        let runtime =
+            2 * size_of::<TcbSlot>() + size_of::<node::ClientSm>() + size_of::<node::ServerPhase>();
+        assert!(
+            runtime <= 161,
+            "{runtime} B of runtime tables per conversation"
+        );
     }
 
     /// A conventional module's 64 KiB image holds 32,764 control blocks; a

@@ -15,7 +15,7 @@
 //!   kernel ([`Kernel::place_request`] + [`Kernel::process`]), services the
 //!   network interface, and makes tasks runnable again by enqueueing them
 //!   on the computation list — strictly *after* depositing any delivered
-//!   message in the TCB inbox, so the host can never pop a runnable server
+//!   message in the TCB mailbox, so the host can never pop a runnable server
 //!   whose message has not arrived.
 //!
 //! Architecture I has no MP: one loop alternates both sides, which is
@@ -24,10 +24,11 @@
 use crate::clock::{Bell, ClockHandle, CLASS_COMPUTE};
 use crate::cost::CostModel;
 use crate::hist::Histogram;
-use crate::shm::{NodeShm, TcbSlot};
+use crate::shm::{Mail, NodeShm, TcbSlot};
 use archsim::timings::ActivityKind;
 use msgkernel::{
-    Kernel, KernelEvent, KernelStats, Message, Packet, SendMode, ServiceAddr, Syscall, TaskId,
+    Kernel, KernelEvent, KernelStats, Message, NodeId, Packet, SendMode, ServiceAddr, ServiceId,
+    Syscall, TaskId,
 };
 use netsim::live::{LiveRing, Port};
 use netsim::RingNodeId;
@@ -45,14 +46,8 @@ const IDLE_PARK: Duration = Duration::from_micros(200);
 /// sleeping out an activity's occupancy on a small machine.
 const SPIN_POLLS: u32 = 256;
 
-/// What a popped computation-list element means to the host.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Role {
-    /// Client state machine `i`.
-    Client(usize),
-    /// Server state machine `i`.
-    Server(usize),
-}
+/// The payload of every client request.
+const REQUEST: &[u8] = b"request";
 
 /// One node's shared-memory image as both processors see it.
 #[derive(Debug)]
@@ -63,16 +58,21 @@ pub(crate) struct NodeShared {
     pub mp_bell: Bell,
 }
 
-#[derive(Debug, Default)]
-struct ClientSm {
-    /// Send timestamp of the outstanding round trip, clock nanoseconds.
-    sent_at: Option<u64>,
-    done: bool,
+/// A client's position in its round-trip cycle.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) enum ClientSm {
+    /// No round trip outstanding.
+    #[default]
+    Idle,
+    /// A round trip is outstanding, sent at this clock time (nanoseconds).
+    Sent(u64),
+    /// Drained: the run is stopping and the last round trip closed.
+    Done,
 }
 
 /// The server task's position in its offer → receive → reply cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ServerPhase {
+pub(crate) enum ServerPhase {
     /// Woken once the `Offer` completed; must post the first `Receive`.
     Offered,
     /// `Receive` posted; the next wake carries a delivered message.
@@ -82,18 +82,19 @@ enum ServerPhase {
 }
 
 /// The host side of one node: client/server state machines multiplexed on
-/// one processor.
+/// one processor. A task's role follows from its id: the node creates its
+/// `conversations` clients first, as tasks `0..n`, then their servers as
+/// tasks `n..2n`, and conversation `i`'s service as service `i` on every
+/// node ([`crate::run`] asserts all three).
 pub(crate) struct HostCtx {
     pub shared: Arc<NodeShared>,
     pub cost: Arc<CostModel>,
     /// This processor's time base (host).
     pub clock: ClockHandle,
-    /// Role of each task id.
-    pub roles: Vec<Role>,
-    pub clients: Vec<TaskId>,
-    /// Destination service per client index.
-    pub targets: Vec<ServiceAddr>,
-    pub servers: Vec<TaskId>,
+    /// Conversations on this node: `n` above.
+    pub conversations: usize,
+    /// The node whose services this node's clients invoke.
+    pub target: NodeId,
     /// Scaled server compute time (the workload's X), microseconds.
     pub compute_us: f64,
     pub hist: Arc<Histogram>,
@@ -112,10 +113,8 @@ impl HostCtx {
         shared: Arc<NodeShared>,
         cost: Arc<CostModel>,
         clock: ClockHandle,
-        roles: Vec<Role>,
-        clients: Vec<TaskId>,
-        targets: Vec<ServiceAddr>,
-        servers: Vec<TaskId>,
+        conversations: usize,
+        target: NodeId,
         compute_us: f64,
         hist: Arc<Histogram>,
         round_trips: Arc<AtomicU64>,
@@ -123,24 +122,20 @@ impl HostCtx {
         stopping: Arc<AtomicBool>,
         halt: Arc<AtomicBool>,
     ) -> HostCtx {
-        let n_clients = clients.len();
-        let n_servers = servers.len();
         HostCtx {
             shared,
             cost,
             clock,
-            roles,
-            clients,
-            targets,
-            servers,
+            conversations,
+            target,
             compute_us,
             hist,
             round_trips,
             active,
             stopping,
             halt,
-            client_sm: (0..n_clients).map(|_| ClientSm::default()).collect(),
-            server_phase: vec![ServerPhase::Offered; n_servers],
+            client_sm: vec![ClientSm::Idle; conversations],
+            server_phase: vec![ServerPhase::Offered; conversations],
         }
     }
 
@@ -148,23 +143,22 @@ impl HostCtx {
     /// into the TCB, enqueue the TCB on the communication list, ring the MP.
     async fn issue(&self, task: TaskId, kind: ActivityKind, request: Syscall) {
         self.cost.charge(kind, &self.clock).await;
-        *self.shared.slots[task.0 as usize]
-            .request
-            .lock()
-            .expect("request slot") = Some(request);
+        *self.shared.slots[task.0 as usize].lock().expect("TCB slot") = Mail::Request(request);
         self.shared.shm.push_communication(task);
         self.shared.mp_bell.ring();
     }
 
     async fn issue_send(&mut self, client: usize) {
-        let task = self.clients[client];
-        self.client_sm[client].sent_at = Some(self.clock.now_ns());
+        self.client_sm[client] = ClientSm::Sent(self.clock.now_ns());
         self.issue(
-            task,
+            TaskId(client as u32),
             ActivityKind::SyscallSend,
             Syscall::Send {
-                to: self.targets[client],
-                message: Message::from_bytes(b"request"),
+                to: ServiceAddr {
+                    node: self.target,
+                    service: ServiceId(client as u32),
+                },
+                message: Message::from_bytes(REQUEST),
                 mode: SendMode::invocation(),
             },
         )
@@ -173,19 +167,22 @@ impl HostCtx {
 
     /// Starts every client's first round trip.
     pub(crate) async fn kickoff(&mut self) {
-        for client in 0..self.clients.len() {
+        for client in 0..self.conversations {
             self.issue_send(client).await;
         }
     }
 
-    /// Pops and dispatches one computation-list entry; false when idle.
+    /// Pops and dispatches one computation-list entry — task `i` is client
+    /// `i` below `n`, server `i - n` from there — false when idle.
     pub(crate) async fn step(&mut self) -> bool {
         let Some(task) = self.shared.shm.pop_computation() else {
             return false;
         };
-        match self.roles[task.0 as usize] {
-            Role::Client(i) => self.wake_client(i).await,
-            Role::Server(i) => self.wake_server(i).await,
+        let i = task.0 as usize;
+        if i < self.conversations {
+            self.wake_client(i).await;
+        } else {
+            self.wake_server(i - self.conversations).await;
         }
         true
     }
@@ -193,17 +190,14 @@ impl HostCtx {
     /// A client wake means its reply arrived: close the round trip and
     /// (unless draining) immediately start the next one.
     async fn wake_client(&mut self, client: usize) {
-        if self.client_sm[client].done {
-            return;
-        }
-        let Some(sent_at) = self.client_sm[client].sent_at.take() else {
+        let ClientSm::Sent(sent_at) = self.client_sm[client] else {
             return;
         };
         self.hist
             .record_ns(self.clock.now_ns().saturating_sub(sent_at));
         self.round_trips.fetch_add(1, Ordering::Relaxed);
         if self.stopping.load(Ordering::Relaxed) {
-            self.client_sm[client].done = true;
+            self.client_sm[client] = ClientSm::Done;
             self.active.fetch_sub(1, Ordering::AcqRel);
         } else {
             self.issue_send(client).await;
@@ -211,7 +205,7 @@ impl HostCtx {
     }
 
     async fn wake_server(&mut self, server: usize) {
-        let task = self.servers[server];
+        let task = TaskId((self.conversations + server) as u32);
         match self.server_phase[server] {
             ServerPhase::Offered | ServerPhase::Replied => {
                 self.server_phase[server] = ServerPhase::AwaitDelivery;
@@ -219,14 +213,12 @@ impl HostCtx {
                     .await;
             }
             ServerPhase::AwaitDelivery => {
-                let message = self.shared.slots[task.0 as usize]
-                    .inbox
-                    .lock()
-                    .expect("inbox slot")
-                    .take();
+                let mail = std::mem::take(
+                    &mut *self.shared.slots[task.0 as usize].lock().expect("TCB slot"),
+                );
                 debug_assert!(
-                    message.is_some(),
-                    "server woken for delivery with an empty inbox"
+                    matches!(mail, Mail::Delivered(m) if m.data.starts_with(REQUEST)),
+                    "server woken for delivery without its client's request: {mail:?}"
                 );
                 // The conversation's server compute (the workload's X).
                 self.clock.occupy_us(self.compute_us, CLASS_COMPUTE).await;
@@ -249,6 +241,9 @@ impl HostCtx {
         self.kickoff().await;
         let mut empty_polls: u32 = 0;
         while !self.halt.load(Ordering::Relaxed) {
+            // The epoch is taken before the poll, so a ring after an empty
+            // poll makes the wait return at once: one empty poll to park.
+            let epoch = self.shared.host_bell.epoch();
             if self.step().await {
                 empty_polls = 0;
                 continue;
@@ -258,12 +253,9 @@ impl HostCtx {
                 std::hint::spin_loop();
                 continue;
             }
-            let epoch = self.shared.host_bell.epoch();
-            if !self.step().await {
-                self.clock
-                    .wait_past(&self.shared.host_bell, epoch, IDLE_PARK)
-                    .await;
-            }
+            self.clock
+                .wait_past(&self.shared.host_bell, epoch, IDLE_PARK)
+                .await;
         }
         self.clock.retire();
     }
@@ -316,30 +308,28 @@ impl MpCtx {
                 KernelEvent::Delivered { server } => {
                     self.charge(ActivityKind::Match).await;
                     self.charge(ActivityKind::RestartServer).await;
-                    let message = self
-                        .kernel
-                        .task(server)
-                        .expect("delivered server exists")
-                        .delivered;
-                    *self.shared.slots[server.0 as usize]
-                        .inbox
-                        .lock()
-                        .expect("inbox slot") = message;
+                    self.deposit(server);
                 }
                 KernelEvent::ReplyDelivered { client } => {
                     self.charge(ActivityKind::CleanupClient).await;
                     self.charge(ActivityKind::RestartClient).await;
-                    if let Ok(task) = self.kernel.task(client) {
-                        let message = task.delivered;
-                        *self.shared.slots[client.0 as usize]
-                            .inbox
-                            .lock()
-                            .expect("inbox slot") = message;
-                    }
+                    self.deposit(client);
                 }
                 _ => {}
             }
         }
+    }
+
+    /// Copies the message the kernel delivered to `task` into its TCB
+    /// mailbox, where the host picks it up.
+    fn deposit(&self, task: TaskId) {
+        let message = self
+            .kernel
+            .task(task)
+            .expect("the kernel delivered to a task it has")
+            .delivered;
+        *self.shared.slots[task.0 as usize].lock().expect("TCB slot") =
+            message.map_or(Mail::Empty, Mail::Delivered);
     }
 
     /// Services the kernel's *internal* communication list: initial offers
@@ -356,7 +346,7 @@ impl MpCtx {
     }
 
     /// Flushes newly runnable TCBs to the shared computation list. Runs
-    /// after event handling, so inboxes are populated before the host can
+    /// after event handling, so mailboxes are filled before the host can
     /// observe the task as runnable.
     fn flush(&mut self) -> bool {
         let mut any = false;
@@ -376,12 +366,11 @@ impl MpCtx {
         let mut did = self.drain_internal().await;
         while let Some(task) = self.shared.shm.pop_communication() {
             did = true;
-            let request = self.shared.slots[task.0 as usize]
-                .request
-                .lock()
-                .expect("request slot")
-                .take()
-                .expect("host writes the request before enqueueing the TCB");
+            let mail =
+                std::mem::take(&mut *self.shared.slots[task.0 as usize].lock().expect("TCB slot"));
+            let Mail::Request(request) = mail else {
+                panic!("host writes the request before enqueueing the TCB, found {mail:?}");
+            };
             self.charge_for(&request).await;
             self.kernel
                 .place_request(task, request)
@@ -417,6 +406,8 @@ impl MpCtx {
         self.clock.attach().await;
         let mut empty_polls: u32 = 0;
         while !self.halt.load(Ordering::Relaxed) {
+            // Epoch before poll, as in the host loop.
+            let epoch = self.shared.mp_bell.epoch();
             if self.pump().await {
                 empty_polls = 0;
                 continue;
@@ -426,12 +417,9 @@ impl MpCtx {
                 std::hint::spin_loop();
                 continue;
             }
-            let epoch = self.shared.mp_bell.epoch();
-            if !self.pump().await {
-                self.clock
-                    .wait_past(&self.shared.mp_bell, epoch, IDLE_PARK)
-                    .await;
-            }
+            self.clock
+                .wait_past(&self.shared.mp_bell, epoch, IDLE_PARK)
+                .await;
         }
         self.clock.retire();
         self.kernel.stats()
@@ -446,13 +434,14 @@ pub(crate) async fn combined_run(mut host: HostCtx, mut mp: MpCtx) -> KernelStat
     host.clock.attach().await;
     host.kickoff().await;
     loop {
+        // Epoch before poll, as in the host loop.
+        let epoch = host.shared.host_bell.epoch();
         let did_mp = mp.pump().await;
         let did_host = host.step().await;
         if mp.halt.load(Ordering::Relaxed) {
             break;
         }
         if !did_mp && !did_host {
-            let epoch = host.shared.host_bell.epoch();
             host.clock
                 .wait_past(&host.shared.host_bell, epoch, IDLE_PARK)
                 .await;

@@ -154,17 +154,24 @@ impl BufferQueue for SharedBufferQueue {
     }
 }
 
-/// A task control block's host↔MP mailboxes. The request slot carries the
-/// syscall arguments the host wrote before enqueueing the TCB on the
-/// communication list (Figure 4.4); the inbox carries the message the MP
-/// deposited before making the task runnable (Figure 4.5).
+/// What a task control block's mailbox holds. A task's request and its
+/// delivery never coexist: the MP takes the request before it processes
+/// it, and a delivery answers a processed request.
 #[derive(Debug, Default)]
-pub(crate) struct TcbSlot {
-    /// Host → MP: the pending syscall.
-    pub request: Mutex<Option<msgkernel::Syscall>>,
-    /// MP → host: the delivered message.
-    pub inbox: Mutex<Option<msgkernel::Message>>,
+pub(crate) enum Mail {
+    /// Nothing to pick up.
+    #[default]
+    Empty,
+    /// Host → MP: the syscall arguments the host wrote before enqueueing
+    /// the TCB on the communication list (Figure 4.4).
+    Request(msgkernel::Syscall),
+    /// MP → host: the message the MP deposited before making the task
+    /// runnable (Figure 4.5).
+    Delivered(msgkernel::Message),
 }
+
+/// A task control block's host↔MP mailbox: one lock per exchange.
+pub(crate) type TcbSlot = Mutex<Mail>;
 
 #[cfg(test)]
 mod tests {
