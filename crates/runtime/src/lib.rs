@@ -517,9 +517,8 @@ mod tests {
     /// What a live conversation holds (DESIGN §9): a TCB slot is one
     /// mailbox, a kernel task control block owns no heap beside its fixed
     /// fields, and the runtime's own per-conversation tables — the two TCB
-    /// slots, a client and a server state machine — sum to 161 B (337 B
-    /// when each slot held two mailboxes and the host kept role, client,
-    /// server and target tables). A field that regrows the fleet fails here.
+    /// slots, a client and a server state machine — sum to 161 B. A field
+    /// that regrows the fleet fails here.
     #[test]
     fn a_conversation_stays_within_its_byte_budget() {
         use std::mem::size_of;
