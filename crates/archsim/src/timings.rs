@@ -127,6 +127,26 @@ pub enum ActivityKind {
     RestartClient,
 }
 
+impl ActivityKind {
+    /// Every kind in declaration order, so `ALL[kind as usize] == kind`:
+    /// a per-kind table is an array indexed by `kind as usize`.
+    pub const ALL: [ActivityKind; 13] = [
+        ActivityKind::SyscallSend,
+        ActivityKind::ProcessSend,
+        ActivityKind::DmaOut,
+        ActivityKind::SyscallReceive,
+        ActivityKind::ProcessReceive,
+        ActivityKind::DmaIn,
+        ActivityKind::Match,
+        ActivityKind::RestartServer,
+        ActivityKind::SyscallReply,
+        ActivityKind::ProcessReply,
+        ActivityKind::RestartServerAfterReply,
+        ActivityKind::CleanupClient,
+        ActivityKind::RestartClient,
+    ];
+}
+
 /// One measured activity: Tables 6.4–6.23 row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Activity {
@@ -1091,6 +1111,13 @@ pub const TABLE_6_1: &[(&str, (f64, f64), (f64, f64))] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn activity_kinds_index_themselves() {
+        for (i, kind) in ActivityKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+    }
 
     #[test]
     fn arch1_local_round_trip_is_4970us() {

@@ -398,11 +398,11 @@ fn run_live(args: &[String]) -> ExitCode {
                 "{:<5} {:<24} {:>9} {:>13} {:>13} {:>13}",
                 "arch", "class", "calls", "requested_us", "actual_us", "mean_over_us"
             );
-            for report in &reports {
+            for (architecture, report) in archs.iter().zip(&reports) {
                 for row in &report.overshoot {
                     println!(
                         "{:<5} {:<24} {:>9} {:>13.1} {:>13.1} {:>13.2}",
-                        report.architecture.label(),
+                        architecture.label(),
                         row.class,
                         row.count,
                         row.requested_us,

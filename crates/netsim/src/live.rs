@@ -9,25 +9,22 @@
 //! when a bit rate is configured, each transmit holds a medium lock for the
 //! frame's wire time, so concurrent senders contend for the ring exactly as
 //! they would for the token.
+//!
+//! The ring only carries frames: a receiver finds them by polling its
+//! [`Port`]. Waking a receiver that parked for lack of work is the
+//! caller's business — the live runtime's sender rings the destination
+//! node's doorbell once `transmit` returns, as a packet's arrival
+//! interrupts the receiving node (§4.6).
 
 use crate::{Frame, RingNodeId, RingStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// A per-node arrival callback: invoked on the *sender's* thread after a
-/// frame is enqueued for that node.
-type ArrivalNotifier = Box<dyn Fn() + Send + Sync>;
 
 /// Shared transmit side of a [`LiveRing`]: clone one per thread.
 pub struct LiveRing<P> {
     senders: Vec<Sender<Frame<P>>>,
-    /// One optional arrival notifier per node, settable once before
-    /// traffic starts (the receive-side interrupt line: a runtime hangs
-    /// its doorbell ring here so a node blocked waiting for work wakes on
-    /// a remote arrival instead of polling).
-    notifiers: Arc<Vec<OnceLock<ArrivalNotifier>>>,
     /// `Some` when the medium serializes at a bit rate; the lock *is* the
     /// token — holding it for the frame's wire time makes concurrent
     /// senders queue behind each other.
@@ -59,7 +56,6 @@ impl<P> Clone for LiveRing<P> {
     fn clone(&self) -> LiveRing<P> {
         LiveRing {
             senders: self.senders.clone(),
-            notifiers: Arc::clone(&self.notifiers),
             medium: self.medium.clone(),
             header_bytes: self.header_bytes,
             bit_rate_bps: self.bit_rate_bps,
@@ -99,7 +95,6 @@ pub fn live_ring<P>(nodes: u32, bit_rate_bps: u64) -> (LiveRing<P>, Vec<Port<P>>
         });
     }
     let ring = LiveRing {
-        notifiers: Arc::new((0..nodes).map(|_| OnceLock::new()).collect()),
         senders,
         medium: (bit_rate_bps > 0).then(|| Arc::new(Mutex::new(()))),
         header_bytes: crate::HEADER_BYTES,
@@ -114,25 +109,6 @@ pub fn live_ring<P>(nodes: u32, bit_rate_bps: u64) -> (LiveRing<P>, Vec<Port<P>>
 }
 
 impl<P> LiveRing<P> {
-    /// Installs `node`'s arrival notifier: called on the sender's thread
-    /// after each frame destined for `node` is enqueued. Set once, before
-    /// traffic starts; a second call for the same node is ignored.
-    ///
-    /// # Panics
-    ///
-    /// If `node` is not attached to the ring.
-    pub fn set_arrival_notifier(
-        &self,
-        node: RingNodeId,
-        notify: impl Fn() + Send + Sync + 'static,
-    ) {
-        let slot = self
-            .notifiers
-            .get(node.0 as usize)
-            .expect("notifier target attached to the ring");
-        let _ = slot.set(Box::new(notify));
-    }
-
     /// Transmits a frame, blocking the calling thread for the frame's wire
     /// time while holding the medium (when serialization is enabled).
     ///
@@ -182,9 +158,6 @@ impl<P> LiveRing<P> {
         if tx.send(frame).is_err() {
             queued.fetch_sub(1, Ordering::Relaxed);
         }
-        if let Some(notify) = self.notifiers[to.0 as usize].get() {
-            notify();
-        }
         Ok(())
     }
 
@@ -231,24 +204,6 @@ mod tests {
         assert_eq!(got, (0..10).collect::<Vec<_>>());
         assert_eq!(ring.stats().frames, 10);
         assert_eq!(ring.stats().bytes, 400);
-    }
-
-    #[test]
-    fn arrival_notifier_fires_per_frame_to_its_node() {
-        let (ring, _ports) = live_ring::<u8>(2, 0);
-        let hits = Arc::new(AtomicU64::new(0));
-        {
-            let hits = Arc::clone(&hits);
-            ring.set_arrival_notifier(RingNodeId(1), move || {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        ring.transmit(RingNodeId(0), RingNodeId(1), 4, 1).unwrap();
-        ring.transmit(RingNodeId(0), RingNodeId(1), 4, 2).unwrap();
-        ring.transmit(RingNodeId(1), RingNodeId(0), 4, 3).unwrap(); // node 0: no notifier
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
-        // A second install for the same node is ignored, not a panic.
-        ring.set_arrival_notifier(RingNodeId(1), || {});
     }
 
     #[test]

@@ -114,43 +114,19 @@ impl std::fmt::Display for ClockMode {
     }
 }
 
-/// Occupancy classes tracked by the overshoot ledger: the thirteen
-/// [`ActivityKind`]s (indices from [`crate::cost`]) plus server compute.
-pub(crate) const CLASSES: usize = 14;
+/// Occupancy classes tracked by the overshoot ledger: each
+/// [`ActivityKind`] at `kind as usize`, then server compute.
+pub(crate) const CLASSES: usize = ActivityKind::ALL.len() + 1;
 
 /// Class index of the workload's server compute time (the X of §6.3).
-pub(crate) const CLASS_COMPUTE: usize = 13;
-
-/// Display labels, indexed like [`crate::cost::kind_index`] with
-/// [`CLASS_COMPUTE`] last.
-const CLASS_LABELS: [&str; CLASSES] = [
-    "SyscallSend",
-    "ProcessSend",
-    "DmaOut",
-    "SyscallReceive",
-    "ProcessReceive",
-    "DmaIn",
-    "Match",
-    "RestartServer",
-    "SyscallReply",
-    "ProcessReply",
-    "RestartServerAfterReply",
-    "CleanupClient",
-    "RestartClient",
-    "ServerCompute",
-];
-
-/// Overshoot class of an activity kind.
-pub(crate) fn class_of(kind: ActivityKind) -> usize {
-    crate::cost::kind_index(kind)
-}
+pub(crate) const CLASS_COMPUTE: usize = ActivityKind::ALL.len();
 
 /// Requested-vs-actual occupancy of one activity class under the real
 /// clock (virtual occupancy is exact by construction and records nothing).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct OvershootRow {
     /// Activity class label (an [`ActivityKind`] name or `ServerCompute`).
-    pub class: &'static str,
+    pub class: String,
     /// Occupancy calls in this class.
     pub count: u64,
     /// Total requested occupancy, microseconds.
@@ -459,7 +435,9 @@ impl ClockSystem {
             .filter_map(|(class, cell)| {
                 let count = cell.count.load(Ordering::Relaxed);
                 (count > 0).then(|| OvershootRow {
-                    class: CLASS_LABELS[class],
+                    class: ActivityKind::ALL
+                        .get(class)
+                        .map_or_else(|| "ServerCompute".to_string(), |kind| format!("{kind:?}")),
                     count,
                     requested_us: cell.requested_ns.load(Ordering::Relaxed) as f64 / 1_000.0,
                     actual_us: cell.actual_ns.load(Ordering::Relaxed) as f64 / 1_000.0,
@@ -763,36 +741,16 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn class_labels_match_activity_kind_names() {
-        for kind in [
-            ActivityKind::SyscallSend,
-            ActivityKind::ProcessSend,
-            ActivityKind::DmaOut,
-            ActivityKind::SyscallReceive,
-            ActivityKind::ProcessReceive,
-            ActivityKind::DmaIn,
-            ActivityKind::Match,
-            ActivityKind::RestartServer,
-            ActivityKind::SyscallReply,
-            ActivityKind::ProcessReply,
-            ActivityKind::RestartServerAfterReply,
-            ActivityKind::CleanupClient,
-            ActivityKind::RestartClient,
-        ] {
-            assert_eq!(CLASS_LABELS[class_of(kind)], format!("{kind:?}"));
-        }
-        assert_eq!(CLASS_LABELS[CLASS_COMPUTE], "ServerCompute");
-    }
-
-    #[test]
     fn real_occupancy_records_overshoot() {
         let sys = ClockSystem::new(ClockMode::Real);
         let h = sys.register();
         block_on(h.occupy_us(120.0, CLASS_COMPUTE));
         block_on(h.occupy_us(80.0, CLASS_COMPUTE));
+        block_on(h.occupy_us(5.0, ActivityKind::DmaIn as usize));
         let report = sys.overshoot_report();
-        assert_eq!(report.len(), 1);
-        let row = &report[0];
+        assert_eq!(report.len(), 2);
+        assert_eq!(report[0].class, "DmaIn");
+        let row = &report[1];
         assert_eq!(row.class, "ServerCompute");
         assert_eq!(row.count, 2);
         assert!((row.requested_us - 200.0).abs() < 1e-9);

@@ -19,27 +19,6 @@ use crate::clock::ClockHandle;
 use archsim::timings::{activity_table, ActivityKind, Architecture, Locality};
 use std::time::{Duration, Instant};
 
-/// Number of [`ActivityKind`] variants.
-const KINDS: usize = 13;
-
-pub(crate) fn kind_index(kind: ActivityKind) -> usize {
-    match kind {
-        ActivityKind::SyscallSend => 0,
-        ActivityKind::ProcessSend => 1,
-        ActivityKind::DmaOut => 2,
-        ActivityKind::SyscallReceive => 3,
-        ActivityKind::ProcessReceive => 4,
-        ActivityKind::DmaIn => 5,
-        ActivityKind::Match => 6,
-        ActivityKind::RestartServer => 7,
-        ActivityKind::SyscallReply => 8,
-        ActivityKind::ProcessReply => 9,
-        ActivityKind::RestartServerAfterReply => 10,
-        ActivityKind::CleanupClient => 11,
-        ActivityKind::RestartClient => 12,
-    }
-}
-
 /// Busy-spins the calling thread for `us` microseconds (no-op for `<= 0`).
 pub(crate) fn spin_us(us: f64) {
     if us <= 0.0 {
@@ -54,7 +33,8 @@ pub(crate) fn spin_us(us: f64) {
 /// Per-kind activity costs for one architecture and locality.
 #[derive(Debug, Clone)]
 pub(crate) struct CostModel {
-    us: [f64; KINDS],
+    /// Indexed by `kind as usize`.
+    us: [f64; ActivityKind::ALL.len()],
 }
 
 impl CostModel {
@@ -62,23 +42,21 @@ impl CostModel {
     /// absent from the table (e.g. MP processing on
     /// Architecture I, DMA on local conversations) cost zero.
     pub(crate) fn new(arch: Architecture, locality: Locality) -> CostModel {
-        let mut us = [0.0; KINDS];
+        let mut us = [0.0; ActivityKind::ALL.len()];
         for activity in activity_table(arch, locality) {
-            us[kind_index(activity.kind)] += activity.best_us();
+            us[activity.kind as usize] += activity.best_us();
         }
         CostModel { us }
     }
 
     /// The cost of one activity kind, microseconds.
     pub(crate) fn us(&self, kind: ActivityKind) -> f64 {
-        self.us[kind_index(kind)]
+        self.us[kind as usize]
     }
 
     /// Occupies the calling processor's clock for the activity's time.
     pub(crate) async fn charge(&self, kind: ActivityKind, clock: &ClockHandle) {
-        clock
-            .occupy_us(self.us(kind), crate::clock::class_of(kind))
-            .await;
+        clock.occupy_us(self.us(kind), kind as usize).await;
     }
 }
 

@@ -9,7 +9,7 @@
 //! ([`clock`]). The loops drive the **same** `msgkernel`
 //! task / service / rendezvous logic through a shared-memory image whose
 //! task-control-block and kernel-buffer queues are genuine concurrent
-//! queues implementing the §5.1 enqueue / first / dequeue transactions:
+//! queues implementing the §5.1 enqueue and first transactions:
 //!
 //! * Architectures I–II — [`smartmem::shared::LockedModule`]: the real
 //!   linked-list micro-routines under a module-wide lock (conventional
@@ -45,14 +45,16 @@ pub use hist::Histogram;
 
 use clock::{block_on, Actor, Bell, ClockSystem};
 use msgkernel::{Kernel, NodeId, Packet, ServiceId, Syscall, TaskId};
-use netsim::RingNodeId;
-use node::{HostCtx, MpCtx, NodeShared};
+use node::{Fleet, HostCtx, MpCtx, NodeShared, Processor};
 use shm::{NodeShm, TcbSlot};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long the drain may take before shutdown is declared unclean.
+const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
 /// Parameters of one live run.
 #[derive(Debug, Clone)]
@@ -75,8 +77,6 @@ pub struct Config {
     /// Kernel message buffers per node; fewer buffers than conversations
     /// exercises the §3.2.3 blocking-on-shortage path.
     pub buffers: u16,
-    /// How long the drain may take before shutdown is declared unclean.
-    pub grace: Duration,
     /// Time base: wall clock ([`ClockMode::Real`]) or conservative
     /// discrete-event virtual time ([`ClockMode::Virtual`], deterministic
     /// and orders of magnitude faster — see [`clock`]).
@@ -95,7 +95,6 @@ impl Config {
             duration: Duration::from_millis(400),
             locality: Locality::Local,
             buffers: 32,
-            grace: Duration::from_secs(10),
             clock: ClockMode::Real,
         }
     }
@@ -166,16 +165,6 @@ pub struct LatencySummary {
 /// Everything one live run measured.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Architecture executed.
-    pub architecture: Architecture,
-    /// Nodes run.
-    pub nodes: u32,
-    /// Conversations per node.
-    pub conversations: u32,
-    /// Traffic locality.
-    pub locality: Locality,
-    /// Time base the run executed under.
-    pub clock: ClockMode,
     /// Completed client round trips across all nodes.
     pub round_trips: u64,
     /// Run time from load start to drain completion, *in the run's time
@@ -204,7 +193,8 @@ pub struct RunReport {
     /// Frames the ring carried (2 × remote round trips: one send packet,
     /// one reply packet, §4.6).
     pub ring_frames: u64,
-    /// Whether every client drained within the grace period.
+    /// Whether every client drained within the grace period (ten seconds
+    /// in the run's time base).
     pub clean_shutdown: bool,
     /// Execution-token handoffs: scheduling decisions of the virtual clock
     /// that moved the token to another actor (0 under [`ClockMode::Real`]).
@@ -221,7 +211,7 @@ pub struct RunReport {
 
 /// One processor's loop; resolves to the buffer-shortage stalls its kernel
 /// counted.
-type Processor = Pin<Box<dyn Future<Output = u64> + Send>>;
+type ProcessorLoop = Pin<Box<dyn Future<Output = u64> + Send>>;
 
 /// Runs one live workload to completion and reports what was measured.
 ///
@@ -235,12 +225,7 @@ pub fn run(config: &Config) -> RunReport {
     }
     let n = config.conversations as usize;
     let tasks = u16::try_from(2 * n).expect("validated: tasks fit the control-block space");
-
-    // Bit rate 0: the ring's wire time is not modeled because §4.6 assumes
-    // the network is not a bottleneck — interface costs (DmaIn/DmaOut) are
-    // charged on the MP instead.
-    let (ring, ports) = netsim::live::live_ring::<Packet>(config.nodes, 0);
-    let mut ports = ports.into_iter();
+    let started = Instant::now();
 
     let clock_sys = ClockSystem::new(config.clock);
     // Actor 0: the load generator and drain driver. In virtual mode it
@@ -248,26 +233,9 @@ pub fn run(config: &Config) -> RunReport {
     // below all suspend in attach() until the load-phase sleep yields it.
     let main_clock = clock_sys.register();
 
-    // One histogram per node, merged into fleet-wide quantiles at report
-    // time: recording never contends across nodes, the bucket grids are
-    // lazily allocated, and the merge is exactly equivalent to one shared
-    // histogram (see [`Histogram::merge`]).
-    let mut hists: Vec<Arc<Histogram>> = Vec::with_capacity(config.nodes as usize);
-    let round_trips = Arc::new(AtomicU64::new(0));
-    let active = Arc::new(AtomicUsize::new(config.nodes as usize * n));
-    let stopping = Arc::new(AtomicBool::new(false));
-    let halt = Arc::new(AtomicBool::new(false));
-    let cost = Arc::new(cost::CostModel::new(config.architecture, config.locality));
-
-    let mut shareds: Vec<Arc<NodeShared>> = Vec::with_capacity(config.nodes as usize);
-    // Phase 1: build every node's contexts and register its clock actors
-    // in node order — actor ids are the virtual scheduler's determinism
-    // tie-break. One future per processor, in registration order; each
-    // resolves to the buffer-shortage stalls its kernel counted (0 for a
-    // host, which has none).
-    let mut processors: Vec<(String, Processor)> = Vec::with_capacity(2 * config.nodes as usize);
-
-    let started = Instant::now();
+    // Phase 1: every node's kernel and shared-memory image.
+    let mut kernels = Vec::with_capacity(config.nodes as usize);
+    let mut nodes = Vec::with_capacity(config.nodes as usize);
     for node in 0..config.nodes {
         let (shm, buffer_queue) = NodeShm::for_arch(config.architecture, tasks, config.buffers);
         let mut kernel = Kernel::with_queues(NodeId(node), Box::new(buffer_queue), 2 * n, n);
@@ -297,86 +265,66 @@ pub fn run(config: &Config) -> RunReport {
                 )
                 .expect("initial offer");
         }
-
-        let target = match config.locality {
-            Locality::Local => node,
-            Locality::NonLocal => (node + 1) % config.nodes,
-        };
-
-        let shared = Arc::new(NodeShared {
+        kernels.push(kernel);
+        nodes.push(NodeShared {
             shm,
             slots: (0..2 * n).map(|_| TcbSlot::default()).collect(),
             host_bell: Bell::new(&clock_sys),
             mp_bell: Bell::new(&clock_sys),
+            hist: Histogram::default(),
         });
-        shareds.push(Arc::clone(&shared));
+    }
 
-        // Remote arrivals ring the bell the receiving loop waits on: the
-        // MP's on II–IV, the combined loop's host bell on I. In virtual
-        // mode this is what wakes a blocked node at the sender's virtual
-        // timestamp; in real mode it saves the IDLE_PARK timeout.
-        {
-            let shared = Arc::clone(&shared);
-            let has_mp = config.architecture.has_mp();
-            ring.set_arrival_notifier(RingNodeId(node), move || {
-                if has_mp {
-                    shared.mp_bell.ring();
-                } else {
-                    shared.host_bell.ring();
-                }
-            });
-        }
+    // Bit rate 0: the ring's wire time is not modeled because §4.6 assumes
+    // the network is not a bottleneck — interface costs (DmaIn/DmaOut) are
+    // charged on the MP instead.
+    let (ring, ports) = netsim::live::live_ring::<Packet>(config.nodes, 0);
+    let fleet = Arc::new(Fleet {
+        nodes,
+        ring,
+        cost: cost::CostModel::new(config.architecture, config.locality),
+        architecture: config.architecture,
+        locality: config.locality,
+        conversations: n,
+        compute_us: config.server_compute_us,
+        round_trips: AtomicU64::new(0),
+        active: AtomicUsize::new(config.nodes as usize * n),
+        stopping: AtomicBool::new(false),
+        halt: AtomicBool::new(false),
+    });
 
-        // One actor per processor: host, plus the MP on II–IV. On I the
-        // combined loop is one processor, hence one actor for both contexts.
+    // Phase 2: one clock actor per processor — host, plus the MP on
+    // II–IV — registered in node order: actor ids are the virtual
+    // scheduler's determinism tie-break. One future per processor, in
+    // registration order.
+    let mut processors: Vec<(String, ProcessorLoop)> =
+        Vec::with_capacity(2 * config.nodes as usize);
+    for (node, (kernel, port)) in kernels.into_iter().zip(ports).enumerate() {
         let host_clock = clock_sys.register();
+        // On I the one processor is one actor for both roles.
         let mp_clock = if config.architecture.has_mp() {
             clock_sys.register()
         } else {
             host_clock.clone()
         };
-
-        let node_hist = Arc::new(Histogram::default());
-        hists.push(Arc::clone(&node_hist));
-
-        let host = HostCtx::new(
-            Arc::clone(&shared),
-            Arc::clone(&cost),
-            host_clock,
-            n,
-            NodeId(target),
-            config.server_compute_us,
-            node_hist,
-            Arc::clone(&round_trips),
-            Arc::clone(&active),
-            Arc::clone(&stopping),
-            Arc::clone(&halt),
-        );
+        let host = HostCtx::new(Arc::clone(&fleet), node, host_clock);
         let mp = MpCtx {
-            shared,
-            cost: Arc::clone(&cost),
+            fleet: Arc::clone(&fleet),
+            node,
             clock: mp_clock,
             kernel,
-            port: ports.next().expect("one port per node"),
-            ring: ring.clone(),
-            halt: Arc::clone(&halt),
+            port,
         };
         if config.architecture.has_mp() {
             processors.push((
                 format!("hsipc-host{node}"),
-                Box::pin(async move {
-                    host.run().await;
-                    0
-                }),
+                Box::pin(Processor::Host(host).run()),
             ));
-            processors.push((
-                format!("hsipc-mp{node}"),
-                Box::pin(async move { mp.run().await.buffer_stalls }),
-            ));
+            processors.push((format!("hsipc-mp{node}"), Box::pin(Processor::Mp(mp).run())));
         } else {
             processors.push((
                 format!("hsipc-node{node}"),
-                Box::pin(async move { node::combined_run(host, mp).await.buffer_stalls }),
+                Box::pin(Processor::Uniprocessor(host, mp).run()),
             ));
         }
     }
@@ -391,18 +339,18 @@ pub fn run(config: &Config) -> RunReport {
     // token or the processors could never run their exit path.
     let driver = async {
         main_clock.sleep(config.duration).await;
-        stopping.store(true, Ordering::SeqCst);
-        for shared in &shareds {
+        fleet.stopping.store(true, Ordering::SeqCst);
+        for shared in &fleet.nodes {
             shared.host_bell.ring();
         }
-        let deadline_ns = main_clock.now_ns() + config.grace.as_nanos() as u64;
-        while active.load(Ordering::Acquire) > 0 && main_clock.now_ns() < deadline_ns {
+        let deadline_ns = main_clock.now_ns() + DRAIN_GRACE.as_nanos() as u64;
+        while fleet.active.load(Ordering::Acquire) > 0 && main_clock.now_ns() < deadline_ns {
             main_clock.sleep(Duration::from_millis(1)).await;
         }
-        let clean_shutdown = active.load(Ordering::Acquire) == 0;
+        let clean_shutdown = fleet.active.load(Ordering::Acquire) == 0;
         let elapsed = Duration::from_nanos(main_clock.now_ns());
-        halt.store(true, Ordering::SeqCst);
-        for shared in &shareds {
+        fleet.halt.store(true, Ordering::SeqCst);
+        for shared in &fleet.nodes {
             shared.host_bell.ring();
             shared.mp_bell.ring();
         }
@@ -410,7 +358,7 @@ pub fn run(config: &Config) -> RunReport {
         (clean_shutdown, elapsed)
     };
 
-    // Phase 2: run. Each processor's first statement is attach(), so no
+    // Phase 3: run. Each processor's first statement is attach(), so no
     // node code runs before it holds the execution token.
     let run_started = Instant::now();
     let ((clean_shutdown, elapsed), buffer_stalls) = match config.clock {
@@ -448,11 +396,11 @@ pub fn run(config: &Config) -> RunReport {
     };
     let run_ended = Instant::now();
 
-    let round_trips = round_trips.load(Ordering::Relaxed);
+    let round_trips = fleet.round_trips.load(Ordering::Relaxed);
     let elapsed_ms = elapsed.as_secs_f64() * 1_000.0;
     let hist = Histogram::default();
-    for node_hist in &hists {
-        hist.merge(node_hist);
+    for shared in &fleet.nodes {
+        hist.merge(&shared.hist);
     }
     let latency = LatencySummary {
         mean_us: hist.mean_us(),
@@ -463,11 +411,6 @@ pub fn run(config: &Config) -> RunReport {
     };
     let ended = Instant::now();
     RunReport {
-        architecture: config.architecture,
-        nodes: config.nodes,
-        conversations: config.conversations,
-        locality: config.locality,
-        clock: config.clock,
         round_trips,
         elapsed,
         wall: ended - started,
@@ -481,10 +424,10 @@ pub fn run(config: &Config) -> RunReport {
         },
         latency,
         buffer_stalls,
-        ring_frames: ring.stats().frames,
+        ring_frames: fleet.ring.stats().frames,
         clean_shutdown,
         handoffs: clock_sys.handoffs(),
-        peak_ring_queue: ring.peak_queued(),
+        peak_ring_queue: fleet.ring.peak_queued(),
         overshoot: clock_sys.overshoot_report(),
     }
 }

@@ -1,9 +1,11 @@
-//! The per-node execution loops: the host multiplexing task state
-//! machines (Figure 4.4) and the message coprocessor running the kernel's
-//! communication side (Figure 4.5). Each loop is an `async fn` whose only
-//! suspension points are clock operations: under the real clock it runs on
-//! its own OS thread and never suspends, under the virtual clock the
-//! clock's executor polls it ([`crate::clock`]).
+//! The per-node processors: the host multiplexing task state machines
+//! (Figure 4.4) and the message coprocessor running the kernel's
+//! communication side (Figure 4.5), each driven by one processor loop
+//! ([`Processor::run`]) whose only suspension points are clock
+//! operations: under the real clock it runs on its own OS thread and never
+//! suspends, under the virtual clock the clock's executor polls it
+//! ([`crate::clock`]). Every processor of a run holds the one [`Fleet`]:
+//! each node's shared-memory image, the ring and the run-wide flags.
 //!
 //! The division of labor follows §4.4 exactly:
 //!
@@ -14,21 +16,21 @@
 //! * the **MP** pops the communication list, injects the request into the
 //!   kernel ([`Kernel::place_request`] + [`Kernel::process`]), services the
 //!   network interface, and makes tasks runnable again by enqueueing them
-//!   on the computation list — strictly *after* depositing any delivered
-//!   message in the TCB mailbox, so the host can never pop a runnable server
-//!   whose message has not arrived.
+//!   on the computation list — strictly *after* depositing a delivered
+//!   request in the server's TCB mailbox, so the host can never pop a
+//!   runnable server whose message has not arrived. A packet it sends
+//!   rings the destination node's arrival bell (§4.6).
 //!
-//! Architecture I has no MP: one loop alternates both sides, which is
+//! Architecture I has no MP: its one processor steps both sides, which is
 //! precisely why its host saturates first under load.
 
 use crate::clock::{Bell, ClockHandle, CLASS_COMPUTE};
 use crate::cost::CostModel;
 use crate::hist::Histogram;
 use crate::shm::{Mail, NodeShm, TcbSlot};
-use archsim::timings::ActivityKind;
+use archsim::timings::{ActivityKind, Architecture, Locality};
 use msgkernel::{
-    Kernel, KernelEvent, KernelStats, Message, NodeId, Packet, SendMode, ServiceAddr, ServiceId,
-    Syscall, TaskId,
+    Kernel, KernelEvent, Message, NodeId, Packet, SendMode, ServiceAddr, ServiceId, Syscall, TaskId,
 };
 use netsim::live::{LiveRing, Port};
 use netsim::RingNodeId;
@@ -49,13 +51,65 @@ const SPIN_POLLS: u32 = 256;
 /// The payload of every client request.
 const REQUEST: &[u8] = b"request";
 
-/// One node's shared-memory image as both processors see it.
+/// One node's shared-memory image as both processors see it, and the
+/// latencies its clients measured.
 #[derive(Debug)]
 pub(crate) struct NodeShared {
     pub shm: NodeShm,
     pub slots: Vec<TcbSlot>,
     pub host_bell: Bell,
     pub mp_bell: Bell,
+    /// Merged fleet-wide at report time: recording never contends across
+    /// nodes, and the merge equals one shared histogram
+    /// ([`Histogram::merge`]).
+    pub hist: Histogram,
+}
+
+/// What every processor of a run shares: each node's image, the ring
+/// between them, the cost model, the configuration facts a node needs,
+/// and the run-wide counters and flags.
+#[derive(Debug)]
+pub(crate) struct Fleet {
+    /// Indexed by node id.
+    pub nodes: Vec<NodeShared>,
+    pub ring: LiveRing<Packet>,
+    pub cost: CostModel,
+    pub architecture: Architecture,
+    pub locality: Locality,
+    /// Conversations per node: `n` in [`HostCtx`].
+    pub conversations: usize,
+    /// Server compute time per request (the workload's X), microseconds.
+    pub compute_us: f64,
+    pub round_trips: AtomicU64,
+    /// Clients still running, across all nodes.
+    pub active: AtomicUsize,
+    /// Set by the driver when the load phase ends: each client closes its
+    /// outstanding round trip and stops.
+    pub stopping: AtomicBool,
+    /// Set by the driver once drained: every processor loop exits.
+    pub halt: AtomicBool,
+}
+
+impl Fleet {
+    /// The node whose services `node`'s clients invoke.
+    fn target(&self, node: usize) -> NodeId {
+        let target = match self.locality {
+            Locality::Local => node,
+            Locality::NonLocal => (node + 1) % self.nodes.len(),
+        };
+        NodeId(target as u32)
+    }
+
+    /// The bell a packet arriving at `node` rings: the MP's on II–IV, the
+    /// host's on I, whose one loop also receives.
+    fn arrival_bell(&self, node: usize) -> &Bell {
+        let shared = &self.nodes[node];
+        if self.architecture.has_mp() {
+            &shared.mp_bell
+        } else {
+            &shared.host_bell
+        }
+    }
 }
 
 /// A client's position in its round-trip cycle.
@@ -87,65 +141,45 @@ pub(crate) enum ServerPhase {
 /// tasks `n..2n`, and conversation `i`'s service as service `i` on every
 /// node ([`crate::run`] asserts all three).
 pub(crate) struct HostCtx {
-    pub shared: Arc<NodeShared>,
-    pub cost: Arc<CostModel>,
-    /// This processor's time base (host).
-    pub clock: ClockHandle,
-    /// Conversations on this node: `n` above.
-    pub conversations: usize,
-    /// The node whose services this node's clients invoke.
-    pub target: NodeId,
-    /// Scaled server compute time (the workload's X), microseconds.
-    pub compute_us: f64,
-    pub hist: Arc<Histogram>,
-    pub round_trips: Arc<AtomicU64>,
-    /// Clients still running, across all nodes.
-    pub active: Arc<AtomicUsize>,
-    pub stopping: Arc<AtomicBool>,
-    pub halt: Arc<AtomicBool>,
+    fleet: Arc<Fleet>,
+    node: usize,
+    clock: ClockHandle,
     client_sm: Vec<ClientSm>,
     server_phase: Vec<ServerPhase>,
 }
 
 impl HostCtx {
-    #[allow(clippy::too_many_arguments)] // plain assembly of the run() wiring
-    pub(crate) fn new(
-        shared: Arc<NodeShared>,
-        cost: Arc<CostModel>,
-        clock: ClockHandle,
-        conversations: usize,
-        target: NodeId,
-        compute_us: f64,
-        hist: Arc<Histogram>,
-        round_trips: Arc<AtomicU64>,
-        active: Arc<AtomicUsize>,
-        stopping: Arc<AtomicBool>,
-        halt: Arc<AtomicBool>,
-    ) -> HostCtx {
+    pub(crate) fn new(fleet: Arc<Fleet>, node: usize, clock: ClockHandle) -> HostCtx {
+        let n = fleet.conversations;
         HostCtx {
-            shared,
-            cost,
+            fleet,
+            node,
             clock,
-            conversations,
-            target,
-            compute_us,
-            hist,
-            round_trips,
-            active,
-            stopping,
-            halt,
-            client_sm: vec![ClientSm::Idle; conversations],
-            server_phase: vec![ServerPhase::Offered; conversations],
+            client_sm: vec![ClientSm::Idle; n],
+            server_phase: vec![ServerPhase::Offered; n],
         }
+    }
+
+    fn shared(&self) -> &NodeShared {
+        &self.fleet.nodes[self.node]
     }
 
     /// Issues a kernel call: burn the syscall-entry cost, write the request
     /// into the TCB, enqueue the TCB on the communication list, ring the MP.
     async fn issue(&self, task: TaskId, kind: ActivityKind, request: Syscall) {
-        self.cost.charge(kind, &self.clock).await;
-        *self.shared.slots[task.0 as usize].lock().expect("TCB slot") = Mail::Request(request);
-        self.shared.shm.push_communication(task);
-        self.shared.mp_bell.ring();
+        self.fleet.cost.charge(kind, &self.clock).await;
+        let shared = self.shared();
+        {
+            let mut slot = shared.slots[task.0 as usize].lock().expect("TCB slot");
+            debug_assert!(
+                matches!(*slot, Mail::Empty),
+                "{task:?} issues over unread mail: {:?}",
+                *slot
+            );
+            *slot = Mail::Request(request);
+        }
+        shared.shm.push_communication(task);
+        shared.mp_bell.ring();
     }
 
     async fn issue_send(&mut self, client: usize) {
@@ -155,7 +189,7 @@ impl HostCtx {
             ActivityKind::SyscallSend,
             Syscall::Send {
                 to: ServiceAddr {
-                    node: self.target,
+                    node: self.fleet.target(self.node),
                     service: ServiceId(client as u32),
                 },
                 message: Message::from_bytes(REQUEST),
@@ -166,23 +200,24 @@ impl HostCtx {
     }
 
     /// Starts every client's first round trip.
-    pub(crate) async fn kickoff(&mut self) {
-        for client in 0..self.conversations {
+    async fn kickoff(&mut self) {
+        for client in 0..self.fleet.conversations {
             self.issue_send(client).await;
         }
     }
 
     /// Pops and dispatches one computation-list entry — task `i` is client
     /// `i` below `n`, server `i - n` from there — false when idle.
-    pub(crate) async fn step(&mut self) -> bool {
-        let Some(task) = self.shared.shm.pop_computation() else {
+    async fn step(&mut self) -> bool {
+        let Some(task) = self.shared().shm.pop_computation() else {
             return false;
         };
         let i = task.0 as usize;
-        if i < self.conversations {
+        let n = self.fleet.conversations;
+        if i < n {
             self.wake_client(i).await;
         } else {
-            self.wake_server(i - self.conversations).await;
+            self.wake_server(i - n).await;
         }
         true
     }
@@ -193,19 +228,21 @@ impl HostCtx {
         let ClientSm::Sent(sent_at) = self.client_sm[client] else {
             return;
         };
-        self.hist
+        let fleet = &self.fleet;
+        fleet.nodes[self.node]
+            .hist
             .record_ns(self.clock.now_ns().saturating_sub(sent_at));
-        self.round_trips.fetch_add(1, Ordering::Relaxed);
-        if self.stopping.load(Ordering::Relaxed) {
+        fleet.round_trips.fetch_add(1, Ordering::Relaxed);
+        if fleet.stopping.load(Ordering::Relaxed) {
             self.client_sm[client] = ClientSm::Done;
-            self.active.fetch_sub(1, Ordering::AcqRel);
+            fleet.active.fetch_sub(1, Ordering::AcqRel);
         } else {
             self.issue_send(client).await;
         }
     }
 
     async fn wake_server(&mut self, server: usize) {
-        let task = TaskId((self.conversations + server) as u32);
+        let task = TaskId((self.fleet.conversations + server) as u32);
         match self.server_phase[server] {
             ServerPhase::Offered | ServerPhase::Replied => {
                 self.server_phase[server] = ServerPhase::AwaitDelivery;
@@ -214,14 +251,18 @@ impl HostCtx {
             }
             ServerPhase::AwaitDelivery => {
                 let mail = std::mem::take(
-                    &mut *self.shared.slots[task.0 as usize].lock().expect("TCB slot"),
+                    &mut *self.shared().slots[task.0 as usize]
+                        .lock()
+                        .expect("TCB slot"),
                 );
                 debug_assert!(
                     matches!(mail, Mail::Delivered(m) if m.data.starts_with(REQUEST)),
                     "server woken for delivery without its client's request: {mail:?}"
                 );
                 // The conversation's server compute (the workload's X).
-                self.clock.occupy_us(self.compute_us, CLASS_COMPUTE).await;
+                self.clock
+                    .occupy_us(self.fleet.compute_us, CLASS_COMPUTE)
+                    .await;
                 self.server_phase[server] = ServerPhase::Replied;
                 self.issue(
                     task,
@@ -234,52 +275,29 @@ impl HostCtx {
             }
         }
     }
-
-    /// The host loop (Architectures II–IV).
-    pub(crate) async fn run(mut self) {
-        self.clock.attach().await;
-        self.kickoff().await;
-        let mut empty_polls: u32 = 0;
-        while !self.halt.load(Ordering::Relaxed) {
-            // The epoch is taken before the poll, so a ring after an empty
-            // poll makes the wait return at once: one empty poll to park.
-            let epoch = self.shared.host_bell.epoch();
-            if self.step().await {
-                empty_polls = 0;
-                continue;
-            }
-            empty_polls += 1;
-            if self.clock.spins() && empty_polls < SPIN_POLLS {
-                std::hint::spin_loop();
-                continue;
-            }
-            self.clock
-                .wait_past(&self.shared.host_bell, epoch, IDLE_PARK)
-                .await;
-        }
-        self.clock.retire();
-    }
 }
 
 /// The message-coprocessor side of one node: the kernel plus the network
 /// interface.
 pub(crate) struct MpCtx {
-    pub shared: Arc<NodeShared>,
-    pub cost: Arc<CostModel>,
-    /// This processor's time base (MP; on Architecture I a clone of the
-    /// host's handle, since one loop plays both roles).
+    pub fleet: Arc<Fleet>,
+    pub node: usize,
+    /// On Architecture I a clone of the host's handle: one processor plays
+    /// both roles.
     pub clock: ClockHandle,
     pub kernel: Kernel,
     pub port: Port<Packet>,
-    pub ring: LiveRing<Packet>,
-    pub halt: Arc<AtomicBool>,
 }
 
 impl MpCtx {
+    fn shared(&self) -> &NodeShared {
+        &self.fleet.nodes[self.node]
+    }
+
     /// Occupies the MP for one activity. (`&mut`: the MP's future moves to
     /// its real-clock thread, and `&MpCtx` is not `Send`.)
     async fn charge(&mut self, kind: ActivityKind) {
-        self.cost.charge(kind, &self.clock).await;
+        self.fleet.cost.charge(kind, &self.clock).await;
     }
 
     /// MP-side processing cost of an injected request.
@@ -301,35 +319,36 @@ impl MpCtx {
                 KernelEvent::PacketOut(packet) => {
                     self.charge(ActivityKind::DmaOut).await;
                     let (from, to) = (RingNodeId(packet.from.0), RingNodeId(packet.to.0));
-                    self.ring
+                    self.fleet
+                        .ring
                         .transmit(from, to, msgkernel::MESSAGE_SIZE as u32, packet)
                         .expect("destination node attached to the ring");
+                    // The arrival interrupt (§4.6): in virtual mode this
+                    // wakes a parked receiver at the sender's timestamp.
+                    self.fleet.arrival_bell(to.0 as usize).ring();
                 }
                 KernelEvent::Delivered { server } => {
                     self.charge(ActivityKind::Match).await;
                     self.charge(ActivityKind::RestartServer).await;
-                    self.deposit(server);
+                    // Deposit the request in the server's mailbox, where
+                    // the host picks it up. (A client reads nothing from
+                    // its reply, so a `ReplyDelivered` deposits nothing.)
+                    let message = self
+                        .kernel
+                        .task(server)
+                        .expect("the kernel delivered to a task it has")
+                        .delivered;
+                    *self.shared().slots[server.0 as usize]
+                        .lock()
+                        .expect("TCB slot") = message.map_or(Mail::Empty, Mail::Delivered);
                 }
-                KernelEvent::ReplyDelivered { client } => {
+                KernelEvent::ReplyDelivered { .. } => {
                     self.charge(ActivityKind::CleanupClient).await;
                     self.charge(ActivityKind::RestartClient).await;
-                    self.deposit(client);
                 }
                 _ => {}
             }
         }
-    }
-
-    /// Copies the message the kernel delivered to `task` into its TCB
-    /// mailbox, where the host picks it up.
-    fn deposit(&self, task: TaskId) {
-        let message = self
-            .kernel
-            .task(task)
-            .expect("the kernel delivered to a task it has")
-            .delivered;
-        *self.shared.slots[task.0 as usize].lock().expect("TCB slot") =
-            message.map_or(Mail::Empty, Mail::Delivered);
     }
 
     /// Services the kernel's *internal* communication list: initial offers
@@ -349,25 +368,29 @@ impl MpCtx {
     /// after event handling, so mailboxes are filled before the host can
     /// observe the task as runnable.
     fn flush(&mut self) -> bool {
+        let shared = &self.fleet.nodes[self.node];
         let mut any = false;
         while let Some(task) = self.kernel.next_computation() {
-            self.shared.shm.push_computation(task);
+            shared.shm.push_computation(task);
             any = true;
         }
         if any {
-            self.shared.host_bell.ring();
+            shared.host_bell.ring();
         }
         any
     }
 
     /// One scheduling pass: internal work, host requests, network arrivals,
     /// then the runnable flush. Returns whether anything happened.
-    pub(crate) async fn pump(&mut self) -> bool {
+    async fn pump(&mut self) -> bool {
         let mut did = self.drain_internal().await;
-        while let Some(task) = self.shared.shm.pop_communication() {
+        while let Some(task) = self.shared().shm.pop_communication() {
             did = true;
-            let mail =
-                std::mem::take(&mut *self.shared.slots[task.0 as usize].lock().expect("TCB slot"));
+            let mail = std::mem::take(
+                &mut *self.shared().slots[task.0 as usize]
+                    .lock()
+                    .expect("TCB slot"),
+            );
             let Mail::Request(request) = mail else {
                 panic!("host writes the request before enqueueing the TCB, found {mail:?}");
             };
@@ -399,54 +422,76 @@ impl MpCtx {
         }
         did
     }
+}
 
-    /// The MP loop (Architectures II–IV). Returns the kernel's cumulative
-    /// statistics.
-    pub(crate) async fn run(mut self) -> KernelStats {
-        self.clock.attach().await;
+/// One processor and its duties: a host, an MP, or on Architecture I both
+/// — the uniprocessor cannot overlap server compute with communication
+/// processing, which is exactly the bottleneck the MP removes.
+pub(crate) enum Processor {
+    Host(HostCtx),
+    Mp(MpCtx),
+    Uniprocessor(HostCtx, MpCtx),
+}
+
+impl Processor {
+    /// The run, this processor's clock, and the bell it parks on: the
+    /// MP's, or the host's (on I, also the node's arrival bell).
+    fn parts(&self) -> (&Fleet, &ClockHandle, &Bell) {
+        match self {
+            Processor::Host(host) | Processor::Uniprocessor(host, _) => {
+                (&host.fleet, &host.clock, &host.shared().host_bell)
+            }
+            Processor::Mp(mp) => (&mp.fleet, &mp.clock, &mp.shared().mp_bell),
+        }
+    }
+
+    /// One pass over the processor's duties; false when it found nothing
+    /// to do.
+    async fn step(&mut self) -> bool {
+        match self {
+            Processor::Host(host) => host.step().await,
+            Processor::Mp(mp) => mp.pump().await,
+            Processor::Uniprocessor(host, mp) => {
+                let kernel = mp.pump().await;
+                let task = host.step().await;
+                kernel || task
+            }
+        }
+    }
+
+    /// The processor loop: step until halted, parking on the bell when
+    /// idle. Resolves to the buffer-shortage stalls its kernel counted (0
+    /// for a host, which has none).
+    pub(crate) async fn run(mut self) -> u64 {
+        self.parts().1.attach().await;
+        if let Processor::Host(host) | Processor::Uniprocessor(host, _) = &mut self {
+            host.kickoff().await;
+        }
         let mut empty_polls: u32 = 0;
-        while !self.halt.load(Ordering::Relaxed) {
-            // Epoch before poll, as in the host loop.
-            let epoch = self.shared.mp_bell.epoch();
-            if self.pump().await {
+        loop {
+            let (fleet, _, bell) = self.parts();
+            if fleet.halt.load(Ordering::Relaxed) {
+                break;
+            }
+            // The epoch is taken before the poll, so a ring after an empty
+            // poll makes the wait return at once: one empty poll to park.
+            let epoch = bell.epoch();
+            if self.step().await {
                 empty_polls = 0;
                 continue;
             }
             empty_polls += 1;
-            if self.clock.spins() && empty_polls < SPIN_POLLS {
+            let (_, clock, bell) = self.parts();
+            if clock.spins() && empty_polls < SPIN_POLLS {
                 std::hint::spin_loop();
                 continue;
             }
-            self.clock
-                .wait_past(&self.shared.mp_bell, epoch, IDLE_PARK)
-                .await;
+            clock.wait_past(bell, epoch, IDLE_PARK).await;
         }
-        self.clock.retire();
-        self.kernel.stats()
-    }
-}
-
-/// Architecture I: one loop alternates host and kernel duties — the
-/// uniprocessor cannot overlap server compute with communication
-/// processing, which is exactly the bottleneck the MP removes. The two
-/// contexts share one clock handle (one processor, one actor).
-pub(crate) async fn combined_run(mut host: HostCtx, mut mp: MpCtx) -> KernelStats {
-    host.clock.attach().await;
-    host.kickoff().await;
-    loop {
-        // Epoch before poll, as in the host loop.
-        let epoch = host.shared.host_bell.epoch();
-        let did_mp = mp.pump().await;
-        let did_host = host.step().await;
-        if mp.halt.load(Ordering::Relaxed) {
-            break;
-        }
-        if !did_mp && !did_host {
-            host.clock
-                .wait_past(&host.shared.host_bell, epoch, IDLE_PARK)
-                .await;
+        self.parts().1.retire();
+        match self {
+            Processor::Host(_) => 0,
+            Processor::Mp(mp) | Processor::Uniprocessor(_, mp) => mp.kernel.stats().buffer_stalls,
         }
     }
-    host.clock.retire();
-    mp.kernel.stats()
 }

@@ -251,6 +251,48 @@ fn virtual_schedule_is_pinned_by_constants() {
             ]
         )
     );
+    // Non-local traffic on the smart-memory architectures, so every
+    // architecture's remote wake path is pinned: an MP blocked on its
+    // bell resumes at the virtual time a packet reached its node.
+    assert_eq!(
+        run(Architecture::SmartBus, 4, 16, 8, Locality::NonLocal, 500),
+        (
+            384,
+            7_504,
+            0,
+            768,
+            16,
+            579,
+            [
+                4_681_218_245_157_986_598,
+                4_681_527_130_064_626_385,
+                4_681_564_380_419_063_808
+            ]
+        )
+    );
+    assert_eq!(
+        run(
+            Architecture::PartitionedSmartBus,
+            3,
+            8,
+            64,
+            Locality::NonLocal,
+            1_000
+        ),
+        (
+            522,
+            9_957,
+            0,
+            1_044,
+            8,
+            1_038,
+            [
+                4_676_712_659_447_059_501,
+                4_676_967_024_213_513_266,
+                4_677_098_164_187_037_696
+            ]
+        )
+    );
 }
 
 /// A nonsensical fleet is a panic, not a hang: the run must refuse up
