@@ -484,7 +484,7 @@ impl Future for Token<'_> {
 }
 
 /// One actor's interface to the clock. Cloning is allowed for a single
-/// actor that plays several roles (Architecture I's combined loop); two
+/// actor that plays several roles (Architecture I's one processor, host and MP); two
 /// *actors* sharing a handle would break the execution-token invariant.
 #[derive(Debug, Clone)]
 pub struct ClockHandle {

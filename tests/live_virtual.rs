@@ -177,7 +177,7 @@ fn virtual_schedule_is_pinned_by_constants() {
             ]
         )
     );
-    // Zero-length load on the combined loop: one round trip per client.
+    // Zero-length load on Architecture I: one round trip per client.
     let (round_trips, handoffs, stalls, frames, peak, _, latency) =
         run(Architecture::Uniprocessor, 3, 5, 2, Locality::NonLocal, 0);
     assert_eq!(
