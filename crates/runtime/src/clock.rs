@@ -39,7 +39,7 @@
 //!   executor and every token check.
 //! * **Lock-free reads.** Each actor's clock and each bell's ring count are
 //!   atomics of their own, written only by the token holder, so reading a
-//!   clock ([`ClockHandle::now_ns`]) or an epoch ([`Bell::epoch`]) takes no
+//!   clock (`ClockHandle::now_ns`) or an epoch ([`Bell::epoch`]) takes no
 //!   lock, and neither does a ring that finds no actor blocked on its bell.
 //!   The scheduler's lock guards only the heap, the actors' modes and the
 //!   bells' waiter lists.
