@@ -134,7 +134,9 @@ struct BusShare {
 #[derive(Debug)]
 struct Node {
     procs: HashMap<ProcKind, Proc>,
-    running: HashMap<u64, BusShare>,
+    /// The running activities' bus shares by job id, in dispatch order, so
+    /// `Simulation::interference` sums them in an order the run fixes.
+    running: Vec<(u64, BusShare)>,
 }
 
 impl Node {
@@ -148,7 +150,7 @@ impl Node {
         procs.insert(ProcKind::IoIn, Proc::new(1));
         Node {
             procs,
-            running: HashMap::new(),
+            running: Vec::new(),
         }
     }
 }
@@ -321,7 +323,7 @@ impl Simulation {
     fn interference(&self, node: usize) -> (f64, f64) {
         let mut kb = 0.0;
         let mut tcb = 0.0;
-        for share in self.nodes[node].running.values() {
+        for (_, share) in &self.nodes[node].running {
             kb += share.kb_rho;
             tcb += share.tcb_rho;
         }
@@ -391,7 +393,7 @@ impl Simulation {
             let (duration_us, share) = self.job_duration_and_share(node, &job);
             let job_id = self.seq;
             self.seq += 1;
-            self.nodes[node].running.insert(job_id, share);
+            self.nodes[node].running.push((job_id, share));
             self.jobs.insert(job_id, (node, proc, job));
             let at = self.now_ns + us_to_ns(duration_us);
             self.job_starts.insert(job_id, self.now_ns);
@@ -533,7 +535,7 @@ impl Simulation {
 
     fn complete_job(&mut self, node: usize, proc: ProcKind, job_id: u64) {
         let (_, _, job) = self.jobs.remove(&job_id).expect("job registered");
-        self.nodes[node].running.remove(&job_id);
+        self.nodes[node].running.retain(|&(id, _)| id != job_id);
         let started = self.job_starts.remove(&job_id).expect("start recorded");
         {
             let p = self.nodes[node]

@@ -342,7 +342,7 @@ fn run_live(args: &[String]) -> ExitCode {
             mode,
         );
         // The headings of the row format below.
-        println!("arch   roundtrips   thru/ms   mean_us    p50_us    p95_us    p99_us    max_us  stalls  frames  shutdown");
+        println!("arch   roundtrips   thru/ms   mean_us    p50_us    p95_us    p99_us    max_us  stalls  parked  frames  shutdown");
         let mut reports = Vec::with_capacity(archs.len());
         for &architecture in &archs {
             let report = runtime::run(&Config {
@@ -355,7 +355,7 @@ fn run_live(args: &[String]) -> ExitCode {
                 "UNCLEAN"
             };
             println!(
-                "{:<5} {:>11} {:>9.2} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>7} {:>7}  {shutdown}",
+                "{:<5} {:>11} {:>9.2} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>7} {:>7} {:>7}  {shutdown}",
                 architecture.label(),
                 report.round_trips,
                 report.throughput_per_ms,
@@ -365,6 +365,7 @@ fn run_live(args: &[String]) -> ExitCode {
                 report.latency.p99_us,
                 report.latency.max_us,
                 report.buffer_stalls,
+                report.packets_parked,
                 report.ring_frames,
             );
             // Wall-clock figures go to stderr: virtual stdout stays

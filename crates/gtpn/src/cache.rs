@@ -8,13 +8,20 @@
 //! loop `1 − 1/mean`); the chain's states, edge targets and control flow
 //! stay put. The engine's solution cache ([`crate::engine`]) cannot help —
 //! a new rate is a new net — so the exact backend keeps a skeleton store
-//! beside it instead: chain skeletons (`reach::Skeleton`) keyed by the
-//! net's rate-free shape (`compiled::Shape`). A net whose shape is on the
-//! shelf is *re-priced*: the skeleton's tape of instantaneous-phase
-//! arithmetic is replayed under the new rates, with no kernel, sort-merge
-//! or interning, and yields the fresh build's chain bit for bit. A replay
-//! whose probabilities would fall on the other side of the probability
-//! floor than the recording's falls back to a fresh build (and counts it).
+//! beside it instead: skeletons of lumped chains (`reach::Skeleton`) keyed
+//! by the net's rate-free shape (`compiled::Shape`). A net whose shape is
+//! on the shelf is *re-priced*: the skeleton's tape of instantaneous-phase
+//! and fold arithmetic is replayed under the new rates, with no kernel,
+//! sort-merge or interning, and yields the fresh build's chain bit for
+//! bit. A replay whose probabilities would fall on the other side of the
+//! probability floor than the recording's falls back to a fresh build (and
+//! counts it).
+//!
+//! Only lumped chains are re-priced. Every net the paper re-solves is built
+//! from delay-1 geometric stages (§6.6.1) and lumps ([`crate::lump`]); a
+//! raw chain — lumping off, or declined — is built and solved by the public
+//! pipeline (`Net::reachability`, then `ReachabilityGraph::solve`) and
+//! never enters the store.
 //!
 //! A shape is *recorded* on its second sighting, so one-off builds (the
 //! `fig7.scale` points, the benchmark's `scale`) never pay for a tape, and
@@ -42,9 +49,9 @@
 use crate::compiled::Shape;
 use crate::error::GtpnError;
 use crate::lru::BoundedLru;
-use crate::lump::Rows;
+use crate::lump::{lumped_chain, LumpedGraph};
 use crate::net::Net;
-use crate::reach::{Packed, ReachabilityGraph, Skeleton};
+use crate::reach::Skeleton;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -162,8 +169,8 @@ enum Sighting {
     Recorded(Arc<Skeleton>),
 }
 
-/// One shelved shape: the key it is verified by — its [`Shape`] key and
-/// whether the chain is lumped — and what is known of it.
+/// One shelved shape: the [`Shape`] key it is verified by and what is
+/// known of it.
 #[derive(Debug)]
 struct Shelf {
     hash: u64,
@@ -304,29 +311,21 @@ impl SkeletonStore {
     }
 }
 
-/// A chain as the exact backend solves it.
-pub(crate) struct Chain {
-    pub(crate) graph: ReachabilityGraph,
-    /// The lumped chain's rows of conditional expectations; empty for a
-    /// raw chain.
-    pub(crate) rows: Rows,
-}
-
-/// Builds the raw or `lumped` chain of `net` within `max_states` states,
+/// Builds the lumped chain of `net` within `max_states` states,
 /// re-pricing a skeleton from `store` when one of the net's shape is
 /// shelved and fits the budget, recording one on the shape's second
 /// sighting. The result is the fresh build's, bit for bit, whichever road
-/// it took; its [`BuildStats`](crate::reach) say which.
+/// it took; its [`BuildStats`](crate::reach) say which. The caller checks
+/// [`lumpable`](crate::lump::lumpable) first.
 ///
 /// # Errors
 ///
-/// Those of [`Net::reachability`] (or the lumped build).
+/// Those of [`lumped_chain`].
 pub(crate) fn build_chain(
     store: &Mutex<SkeletonStore>,
     net: &Net,
-    lumped: bool,
     max_states: usize,
-) -> Result<Chain, GtpnError> {
+) -> Result<LumpedGraph, GtpnError> {
     fn lock(store: &Mutex<SkeletonStore>) -> MutexGuard<'_, SkeletonStore> {
         store.lock().expect("skeleton store poisoned")
     }
@@ -335,11 +334,9 @@ pub(crate) fn build_chain(
     } else {
         Shape::of(net)
     };
-    let Some(Shape { mut key, rates }) = shape else {
-        let (graph, rows, _) = fresh(net, lumped, max_states, false)?;
-        return Ok(Chain { graph, rows });
+    let Some(Shape { key, rates }) = shape else {
+        return lumped_chain(net, max_states, false).map(|(chain, _)| chain);
     };
-    key.push(u64::from(lumped));
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     let hash = h.finish();
@@ -347,14 +344,14 @@ pub(crate) fn build_chain(
 
     let started = Instant::now();
     if let Plan::Replay(skeleton) = &plan {
-        if let Ok((mut graph, rows)) = skeleton.replay(net, &rates) {
-            graph.build.reprice_s = started.elapsed().as_secs_f64();
-            return Ok(Chain { graph, rows });
+        if let Ok(mut chain) = skeleton.replay(net, &rates) {
+            chain.graph.build.reprice_s = started.elapsed().as_secs_f64();
+            return Ok(chain);
         }
     }
     let reprice_s = started.elapsed().as_secs_f64();
     let record = matches!(plan, Plan::Record);
-    let (mut graph, rows, tape) = fresh(net, lumped, max_states, record)?;
+    let (mut chain, tape) = lumped_chain(net, max_states, record)?;
     let shelf = |sighting| Shelf {
         hash,
         key,
@@ -362,37 +359,21 @@ pub(crate) fn build_chain(
     };
     match plan {
         Plan::Replay(_) => {
-            graph.build.reprice_s = reprice_s;
-            graph.build.fallbacks = 1;
+            chain.graph.build.reprice_s = reprice_s;
+            chain.graph.build.fallbacks = 1;
         }
         Plan::Record => {
-            graph.build.records = 1;
-            let skeleton = Arc::new(Skeleton::new(&graph, tape, lumped.then_some(&rows)));
+            chain.graph.build.records = 1;
+            let skeleton = Arc::new(Skeleton::new(&chain, tape));
             lock(store).shelve(shelf(Sighting::Recorded(skeleton)));
         }
         Plan::Sight => {
-            let least = Skeleton::least_bytes(&graph, &rows);
+            let least = Skeleton::least_bytes(&chain);
             lock(store).shelve(shelf(Sighting::Seen { least }));
         }
         Plan::Build => {}
     }
-    Ok(Chain { graph, rows })
-}
-
-/// A fresh build of the raw or lumped chain, recording its tape or not.
-pub(crate) fn fresh(
-    net: &Net,
-    lumped: bool,
-    max_states: usize,
-    record: bool,
-) -> Result<(ReachabilityGraph, Rows, Packed), GtpnError> {
-    if lumped {
-        let (chain, tape) = crate::lump::lumped_chain(net, max_states, record)?;
-        Ok((chain.graph, chain.rows, tape))
-    } else {
-        let (graph, tape) = crate::reach::raw_chain(net, max_states, record)?;
-        Ok((graph, Rows::default(), tape))
-    }
+    Ok(chain)
 }
 
 /// A rough resident-byte estimate for a net retained in a cache entry.
@@ -406,6 +387,7 @@ pub(crate) fn net_bytes(net: &Net) -> usize {
 mod tests {
     use super::*;
     use crate::expr::Expr;
+    use crate::lump::reach_lumped;
     use crate::net::{PlaceId, Transition};
     use crate::reach::arbitrary::TransitionSpec;
     use crate::reach::assert_graphs_identical;
@@ -449,42 +431,40 @@ mod tests {
         bounded(usize::MAX, usize::MAX)
     }
 
-    fn build(store: &Mutex<SkeletonStore>, net: &Net, lumped: bool) -> Chain {
-        build_chain(store, net, lumped, 10_000).unwrap()
+    fn build(store: &Mutex<SkeletonStore>, net: &Net) -> LumpedGraph {
+        build_chain(store, net, 10_000).unwrap()
     }
 
     /// `(replays, records, fallbacks)` of a chain's build.
-    fn road(chain: &Chain) -> (u64, u64, u64) {
+    fn road(chain: &LumpedGraph) -> (u64, u64, u64) {
         let b = chain.graph.build;
         (b.replays, b.records, b.fallbacks)
     }
 
     /// A chain built by the store is the fresh build's, rows included.
-    fn assert_fresh(chain: &Chain, net: &Net, lumped: bool) {
-        let (graph, rows, _) = fresh(net, lumped, 10_000, false).unwrap();
-        assert_graphs_identical(&chain.graph, &graph);
-        assert_eq!(chain.rows.bits(), rows.bits(), "rows drifted");
+    fn assert_fresh(chain: &LumpedGraph, net: &Net) {
+        let want = reach_lumped(net, 10_000).unwrap();
+        assert_graphs_identical(&chain.graph, &want.graph);
+        assert_eq!(chain.rows.bits(), want.rows.bits(), "rows drifted");
     }
 
     /// A shape is shelved as a sighting on its first build, recorded on
-    /// its second and re-priced from then on, raw and lumped alike.
+    /// its second and re-priced from then on.
     #[test]
     fn a_shape_records_on_its_second_sighting() {
-        for lumped in [false, true] {
-            let store = unbounded();
-            let net = ring(2, 0.25);
-            assert_eq!(road(&build(&store, &net, lumped)), (0, 0, 0));
-            let s = lock_stats(&store);
-            assert_eq!((s.skeletons, s.sightings), (0, 1));
-            assert_eq!(road(&build(&store, &net, lumped)), (0, 1, 0));
-            assert_eq!(lock_stats(&store).skeletons, 1);
-            let replayed = build(&store, &net, lumped);
-            assert_eq!(road(&replayed), (1, 0, 0));
-            assert_fresh(&replayed, &net, lumped);
-            let s = lock_stats(&store);
-            assert_eq!((s.skeletons, s.sightings, s.evictions), (1, 0, 0));
-            assert!(s.bytes > 0, "resident bytes should be accounted");
-        }
+        let store = unbounded();
+        let net = ring(2, 0.25);
+        assert_eq!(road(&build(&store, &net)), (0, 0, 0));
+        let s = lock_stats(&store);
+        assert_eq!((s.skeletons, s.sightings), (0, 1));
+        assert_eq!(road(&build(&store, &net)), (0, 1, 0));
+        assert_eq!(lock_stats(&store).skeletons, 1);
+        let replayed = build(&store, &net);
+        assert_eq!(road(&replayed), (1, 0, 0));
+        assert_fresh(&replayed, &net);
+        let s = lock_stats(&store);
+        assert_eq!((s.skeletons, s.sightings, s.evictions), (1, 0, 0));
+        assert!(s.bytes > 0, "resident bytes should be accounted");
     }
 
     fn lock_stats(store: &Mutex<SkeletonStore>) -> StoreStats {
@@ -497,14 +477,14 @@ mod tests {
     #[test]
     fn different_timings_share_one_skeleton() {
         let store = unbounded();
-        build(&store, &ring(3, 0.25), true);
-        build(&store, &ring(3, 0.125), true);
-        let a = build(&store, &ring(3, 0.5), true);
-        let b = build(&store, &ring(3, 0.0625), true);
+        build(&store, &ring(3, 0.25));
+        build(&store, &ring(3, 0.125));
+        let a = build(&store, &ring(3, 0.5));
+        let b = build(&store, &ring(3, 0.0625));
         assert_eq!((road(&a), road(&b)), ((1, 0, 0), (1, 0, 0)));
-        assert_fresh(&a, &ring(3, 0.5), true);
-        assert_fresh(&b, &ring(3, 0.0625), true);
-        let probs = |c: &Chain| -> Vec<u64> {
+        assert_fresh(&a, &ring(3, 0.5));
+        assert_fresh(&b, &ring(3, 0.0625));
+        let probs = |c: &LumpedGraph| -> Vec<u64> {
             (0..c.graph.state_count())
                 .flat_map(|i| c.graph.out_edges(i).iter().map(|&(_, p)| p.to_bits()))
                 .collect()
@@ -519,10 +499,11 @@ mod tests {
     fn budget_still_enforced_on_hit_path() {
         let store = unbounded();
         let net = ring(2, 0.5);
-        build(&store, &net, false);
-        let recorded = build(&store, &net, false);
+        build(&store, &net);
+        let recorded = build(&store, &net);
+        assert_eq!(road(&recorded), (0, 1, 0));
         assert!(recorded.graph.state_count() > 1);
-        let err = build_chain(&store, &net, false, 1);
+        let err = build_chain(&store, &net, 1);
         assert!(matches!(
             err.err(),
             Some(GtpnError::StateSpaceExceeded { limit: 1 })
@@ -533,14 +514,14 @@ mod tests {
     #[test]
     fn cached_solution_matches_fresh_solution() {
         let store = unbounded();
-        build(&store, &ring(2, 0.3), false);
-        build(&store, &ring(2, 0.2), false);
+        build(&store, &ring(2, 0.3));
+        build(&store, &ring(2, 0.2));
         let net = ring(2, 0.1);
-        let replayed = build(&store, &net, false);
+        let replayed = build(&store, &net);
         assert_eq!(road(&replayed), (1, 0, 0));
-        let fresh = net
-            .reachability(100)
+        let fresh = reach_lumped(&net, 100)
             .unwrap()
+            .graph
             .solve(1e-13, 100_000)
             .unwrap();
         let cached = replayed.graph.solve(1e-13, 100_000).unwrap();
@@ -557,19 +538,19 @@ mod tests {
         let store = bounded(cap, usize::MAX);
         // Fill to capacity with first sightings of distinct shapes.
         for tokens in 1..=cap as u32 {
-            build(&store, &ring(tokens, 0.5), false);
+            build(&store, &ring(tokens, 0.5));
         }
         assert_eq!(lock_stats(&store).sightings, cap);
         // Shape 1 again — a second sighting, so it records and becomes the
         // most recent; shape 2 is now the least recently used…
-        assert_eq!(road(&build(&store, &ring(1, 0.5), false)), (0, 1, 0));
+        assert_eq!(road(&build(&store, &ring(1, 0.5))), (0, 1, 0));
         // …so a new shape evicts it.
-        build(&store, &ring(cap as u32 + 1, 0.5), false);
+        build(&store, &ring(cap as u32 + 1, 0.5));
         let s = lock_stats(&store);
         assert_eq!((s.skeletons + s.sightings, s.evictions), (cap, 1));
-        assert_eq!(road(&build(&store, &ring(1, 0.5), false)), (1, 0, 0));
+        assert_eq!(road(&build(&store, &ring(1, 0.5))), (1, 0, 0));
         assert_eq!(
-            road(&build(&store, &ring(2, 0.5), false)),
+            road(&build(&store, &ring(2, 0.5))),
             (0, 0, 0),
             "the evicted shape starts over as a first sighting"
         );
@@ -579,8 +560,8 @@ mod tests {
     fn byte_budget_bounds_residency() {
         // The size of one recorded shape, measured on a scratch store.
         let scratch = unbounded();
-        build(&scratch, &ring(3, 0.5), true);
-        build(&scratch, &ring(3, 0.5), true);
+        build(&scratch, &ring(3, 0.5));
+        build(&scratch, &ring(3, 0.5));
         let one = lock_stats(&scratch).bytes;
         // Room for one skeleton and a sighting, not for two skeletons. The
         // second shape differs by a place no transition touches: another
@@ -591,24 +572,24 @@ mod tests {
             net.add_place("Spare", 0);
             net
         };
-        build(&store, &ring(3, 0.5), true);
-        build(&store, &ring(3, 0.5), true);
-        build(&store, &twin(), true);
-        build(&store, &twin(), true);
+        build(&store, &ring(3, 0.5));
+        build(&store, &ring(3, 0.5));
+        build(&store, &twin());
+        build(&store, &twin());
         let s = lock_stats(&store);
         assert_eq!(s.skeletons, 1, "byte budget should hold one skeleton");
         assert!(s.evictions >= 1);
         assert!(s.bytes <= one + one / 2);
         // The newest recording is the resident one.
-        assert_eq!(road(&build(&store, &twin(), true)), (1, 0, 0));
-        assert_eq!(road(&build(&store, &ring(3, 0.5), true)), (0, 0, 0));
+        assert_eq!(road(&build(&store, &twin())), (1, 0, 0));
+        assert_eq!(road(&build(&store, &ring(3, 0.5))), (0, 0, 0));
         // A skeleton larger than the whole budget is never shelved, and
         // after one try its size is known: later builds do not record.
         let tiny = bounded(usize::MAX, one / 2);
         for _ in 0..2 {
-            build(&tiny, &ring(3, 0.5), true);
+            build(&tiny, &ring(3, 0.5));
         }
-        assert_eq!(road(&build(&tiny, &ring(3, 0.5), true)), (0, 0, 0));
+        assert_eq!(road(&build(&tiny, &ring(3, 0.5))), (0, 0, 0));
         assert_eq!(lock_stats(&tiny).skeletons, 0);
     }
 
@@ -619,8 +600,8 @@ mod tests {
         let net = ring(2, 0.44);
         let key = Shape::of(&net).unwrap().key;
         let skeleton = || {
-            let (graph, _, tape) = fresh(&net, false, 100, true).unwrap();
-            Arc::new(Skeleton::new(&graph, tape, None))
+            let (chain, tape) = lumped_chain(&net, 100, true).unwrap();
+            Arc::new(Skeleton::new(&chain, tape))
         };
         let (first, second) = (skeleton(), skeleton());
         let mut s = SkeletonStore::new(CacheLimits {
@@ -678,13 +659,13 @@ mod tests {
     #[test]
     fn a_condition_constant_is_part_of_the_shape() {
         let store = unbounded();
-        build(&store, &gated(2.0, 0.3), true);
-        build(&store, &gated(2.0, 0.3), true);
-        assert_eq!(road(&build(&store, &gated(2.0, 0.7), true)), (1, 0, 0));
+        build(&store, &gated(2.0, 0.3));
+        build(&store, &gated(2.0, 0.3));
+        assert_eq!(road(&build(&store, &gated(2.0, 0.7))), (1, 0, 0));
         let other = gated(3.0, 0.3);
-        let chain = build(&store, &other, true);
+        let chain = build(&store, &other);
         assert_eq!(road(&chain), (0, 0, 0), "a first sighting, not a replay");
-        assert_fresh(&chain, &other, true);
+        assert_fresh(&chain, &other);
         assert_eq!(lock_stats(&store).sightings, 1);
     }
 
@@ -718,20 +699,18 @@ mod tests {
             }
             net
         };
-        for lumped in [false, true] {
-            let store = unbounded();
-            build(&store, &net(1e-200), lumped);
-            build(&store, &net(1e-200), lumped);
-            assert_eq!(road(&build(&store, &net(2e-200), lumped)), (1, 0, 0));
-            let crossed = build(&store, &net(1e-50), lumped);
-            assert_eq!(road(&crossed), (0, 0, 1), "lumped: {lumped}");
-            assert!(crossed.graph.build.reprice_s > 0.0);
-            assert_fresh(&crossed, &net(1e-50), lumped);
-            let jump = net(1.0).transition_by_name("jump").unwrap();
-            let recorded = build(&store, &net(1e-200), lumped);
-            assert!(recorded.graph.dead_transitions().contains(&jump));
-            assert!(!crossed.graph.dead_transitions().contains(&jump));
-        }
+        let store = unbounded();
+        build(&store, &net(1e-200));
+        build(&store, &net(1e-200));
+        assert_eq!(road(&build(&store, &net(2e-200))), (1, 0, 0));
+        let crossed = build(&store, &net(1e-50));
+        assert_eq!(road(&crossed), (0, 0, 1));
+        assert!(crossed.graph.build.reprice_s > 0.0);
+        assert_fresh(&crossed, &net(1e-50));
+        let jump = net(1.0).transition_by_name("jump").unwrap();
+        let recorded = build(&store, &net(1e-200));
+        assert!(recorded.graph.dead_transitions().contains(&jump));
+        assert!(!crossed.graph.dead_transitions().contains(&jump));
     }
 
     /// Re-prices `specs` within their rate classes: each transition's
@@ -756,31 +735,31 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Differential: on random nets (raw and lumped chains), a shape is
-        /// recorded at one set of rates and re-priced at others within the
-        /// same classes — constants, two-valued `If` rates, zero-class
-        /// loops, rates at the probability floor. Every result is the fresh
-        /// build's chain bit for bit, rows included; a re-pricing that moves
-        /// a floor decision falls back, and its fresh build is the result.
+        /// Differential: on random lumpable nets, a shape is recorded at
+        /// one set of rates and re-priced at others within the same
+        /// classes — constants, two-valued `If` rates, zero-class loops,
+        /// rates at the probability floor. Every result is the fresh
+        /// build's lumped chain bit for bit, rows included; a re-pricing
+        /// that moves a floor decision falls back, and its fresh build is
+        /// the result.
         #[test]
         fn replay_matches_a_fresh_build(
             initial in crate::reach::arbitrary::initial(),
             specs in crate::reach::arbitrary::transitions(),
             scales in proptest::collection::vec(0.25f64..4.0, 1..4),
-            lumped in any::<bool>(),
         ) {
-            let delays = if lumped { [0, 0, 1, 1, 1, 1] } else { [0, 0, 1, 1, 2, 3] };
+            let delays = [0, 0, 1, 1, 1, 1];
             let net = crate::reach::arbitrary::net(&initial, &specs, delays);
             let store = unbounded();
-            let run = |net: &Net| build_chain(&store, net, lumped, 300);
+            let run = |net: &Net| build_chain(&store, net, 300);
             if run(&net).is_ok() && run(&net).is_ok() {
                 let repriced = crate::reach::arbitrary::net(&initial, &reprice(&specs, &scales), delays);
-                let want = fresh(&repriced, lumped, 300, false);
+                let want = reach_lumped(&repriced, 300);
                 match (run(&repriced), want) {
                     (Ok(chain), Ok(_)) => {
                         let (replays, _, fallbacks) = road(&chain);
                         assert!(Shape::of(&net).is_none() || replays + fallbacks == 1);
-                        assert_fresh(&chain, &repriced, lumped);
+                        assert_fresh(&chain, &repriced);
                     }
                     (got, want) => assert_eq!(got.err(), want.err()),
                 }

@@ -7,17 +7,17 @@
 //! concerns around it:
 //!
 //! * **Backend selection.** The exact backend is the paper's reference
-//!   pipeline: reachability expansion (or, for a net whose rate-free shape
-//!   the engine has seen before, a re-pricing of the recorded chain
-//!   skeleton, see [`crate::cache`]) followed by the Gauss–Seidel
-//!   steady-state solve from the uniform vector, through a per-thread
-//!   scratch workspace. When the net qualifies for exact lumping
-//!   ([`crate::lump`]) and the engine's [`LumpSel`] policy permits, it
-//!   builds and solves the *quotient* chain instead and de-lumps the
-//!   measures — identical numbers to solver tolerance, combinatorially
-//!   fewer states, so `Auto` falls back to DES only past the lumped
-//!   budget. The DES backend replaces the exact solve by batched
-//!   Monte-Carlo runs of [`crate::sim`] and reports batch-means estimates
+//!   pipeline: reachability expansion followed by the Gauss–Seidel
+//!   steady-state solve from the uniform vector. When the net qualifies
+//!   for exact lumping ([`crate::lump`]) and the engine's [`LumpSel`]
+//!   policy permits, it builds and solves the *quotient* chain instead —
+//!   or, for a net whose rate-free shape the engine has seen before,
+//!   re-prices the recorded chain skeleton ([`crate::cache`]) — through a
+//!   per-thread scratch workspace and de-lumps the measures: identical
+//!   numbers to solver tolerance, combinatorially fewer states, so `Auto`
+//!   falls back to DES only past the lumped budget. Any other net runs
+//!   the public pipeline, `net.reachability(..)?.solve(..)`. The DES
+//!   backend replaces the exact solve by batched Monte-Carlo runs of [`crate::sim`] and reports batch-means estimates
 //!   with 95% confidence half-widths — usable when the reachability graph
 //!   is too large to enumerate. [`BackendSel::Auto`] (the default) tries
 //!   the exact path and falls back to DES exactly when the state budget is
@@ -47,8 +47,8 @@
 //! * **Determinism.** With lumping off the exact backend is bitwise
 //!   identical to calling `net.reachability(budget)?.solve(tol, sweeps)`
 //!   directly — every result, hit or miss, is the solve of the caller's
-//!   net as built, and a re-priced chain is the fresh build's chain bit for
-//!   bit. A lumped solve is itself deterministic (byte-identical across
+//!   net as built. A re-priced lumped chain is the fresh build's chain bit
+//!   for bit. A lumped solve is itself deterministic (byte-identical across
 //!   runs and thread counts) but agrees with the raw solve to solver
 //!   tolerance, not bit-for-bit — which is why the cache key records
 //!   whether a result is lumped. DES simulates the caller's net with
@@ -58,10 +58,10 @@
 //!   different trajectories, so they agree to solver tolerance (exact) or
 //!   to sampling error (DES), not bit for bit.
 
-use crate::cache::{CacheLimits, CacheStats, Chain, SkeletonStore, StoreStats};
+use crate::cache::{CacheLimits, CacheStats, SkeletonStore, StoreStats};
 use crate::error::GtpnError;
 use crate::lru::BoundedLru;
-use crate::lump::LumpSel;
+use crate::lump::{LumpSel, LumpedGraph};
 use crate::net::{Net, PlaceId, TransId};
 use crate::reach::ReachabilityGraph;
 use crate::sim::{self, batch_means_interval, splitmix64, ConfidenceInterval, SimOptions};
@@ -179,7 +179,7 @@ pub struct StageLedger {
     pub net_compile_s: f64,
     /// Breadth-first expansion of the (lumped or raw) chain.
     pub bfs_s: f64,
-    /// Re-pricing a recorded chain skeleton instead of expanding
+    /// Re-pricing a recorded lumped-chain skeleton instead of expanding
     /// ([`crate::cache`]); a replay that fell back counts here too.
     pub reprice_s: f64,
     /// Steady-state solve of that chain.
@@ -395,72 +395,61 @@ thread_local! {
     static WORKSPACE: RefCell<SolveWorkspace> = RefCell::new(SolveWorkspace::new());
 }
 
-/// The exact pipeline. Builds the raw or lumped chain of `net` — lumped
-/// when the config's [`LumpSel`] permits and the net qualifies
-/// ([`crate::lump::lumpable`]) — re-pricing a skeleton from `store` when the
-/// net's shape is shelved ([`crate::cache`]); solves it through the
-/// per-thread workspace; and fills the measures: de-lumped from a quotient
-/// solution, read off a raw one by the very calls a direct
-/// `net.reachability(..)?.solve(..)` caller makes, so the bits agree.
+/// The exact pipeline. A net the config's [`LumpSel`] lets lump, and
+/// which qualifies ([`crate::lump::lumpable`]), has its lumped chain built
+/// — re-priced from a skeleton in `store` when the net's shape is shelved
+/// ([`crate::cache`]) — solved through the per-thread workspace, and its
+/// measures de-lumped. Any other net takes the public pipeline,
+/// `net.reachability(..)?.solve(..)`, and its measures are read off by the
+/// very calls a direct caller makes, so the bits agree; a raw chain never
+/// enters the store.
 ///
-/// A chain too large to solve directly is held once: the sweeps read the
-/// workspace's transpose, so the graph's out-edges go as soon as it is
-/// loaded, and a lumped chain's markings, which nothing after the build
-/// reads, go before. Both are gone before the sweeps allocate anything.
-/// The graph never leaves this function; the run's [`StageLedger`] does,
-/// beside the measures.
+/// A lumped chain too large to solve directly is held once: the sweeps
+/// read the workspace's transpose, so the graph's markings, which nothing
+/// after the build reads, and its out-edges go before the sweeps allocate
+/// anything. The graph never leaves this function; the run's
+/// [`StageLedger`] does, beside the measures.
 fn exact(
     store: &Mutex<SkeletonStore>,
     net: &Net,
     cfg: &EngineConfig,
 ) -> Result<(AnalysisData, StageLedger), GtpnError> {
     let lumped = cfg.lump.enabled() && crate::lump::lumpable(net);
-    let Chain { mut graph, rows } =
-        crate::cache::build_chain(store, net, lumped, cfg.state_budget)?;
-    let edges = graph.edge_count();
-    let built = Instant::now();
-    let solution = match Solution::direct(&graph) {
-        Some(solution) => solution,
-        None => WORKSPACE.with(|ws| {
-            let ws = &mut ws.borrow_mut();
-            if lumped {
+    let (mean_tokens, transition_usage, solution, stages) = if lumped {
+        let LumpedGraph { mut graph, rows } =
+            crate::cache::build_chain(store, net, cfg.state_budget)?;
+        let edges = graph.edge_count();
+        let built = Instant::now();
+        let solution = match Solution::direct(&graph) {
+            Some(solution) => solution,
+            None => WORKSPACE.with(|ws| {
+                let ws = &mut ws.borrow_mut();
                 graph.drop_markings();
-            }
-            ws.load(&graph);
-            graph.drop_edges();
-            Solution::iterate(&graph, cfg.tolerance, cfg.max_sweeps, ws)
-        })?,
-    };
-    let graph = &graph;
-    let solved = Instant::now();
-    let (mean_tokens, transition_usage) = if lumped {
-        crate::lump::delump(&rows, &solution)
+                ws.load(&graph);
+                graph.drop_edges();
+                Solution::iterate(&graph, cfg.tolerance, cfg.max_sweeps, ws)
+            })?,
+        };
+        let solved = Instant::now();
+        let (tokens, usage) = crate::lump::delump(&rows, &solution);
+        let delump_s = solved.elapsed().as_secs_f64();
+        let solve_s = (solved - built).as_secs_f64();
+        let stages = StageLedger::of(&graph, edges, &solution, solve_s, delump_s);
+        (tokens, usage, solution, stages)
     } else {
-        (
-            (0..net.place_count())
-                .map(|p| graph.mean_tokens(&solution, PlaceId(p)))
-                .collect(),
-            (0..net.transition_count())
-                .map(|t| solution.transition_usage(TransId(t)))
-                .collect(),
-        )
+        let graph = net.reachability(cfg.state_budget)?;
+        let built = Instant::now();
+        let solution = graph.solve(cfg.tolerance, cfg.max_sweeps)?;
+        let solve_s = built.elapsed().as_secs_f64();
+        let stages = StageLedger::of(&graph, graph.edge_count(), &solution, solve_s, 0.0);
+        let tokens = (0..net.place_count()).map(|p| graph.mean_tokens(&solution, PlaceId(p)));
+        let usage = (0..net.transition_count()).map(|t| solution.transition_usage(TransId(t)));
+        (tokens.collect(), usage.collect(), solution, stages)
     };
-    let delump_s = if lumped {
-        solved.elapsed().as_secs_f64()
-    } else {
-        0.0
-    };
-    let stages = StageLedger::of(
-        graph,
-        edges,
-        &solution,
-        (solved - built).as_secs_f64(),
-        delump_s,
-    );
     let (resource_usage, resource_delay) = crate::solve::by_resource(net, &transition_usage);
     let data = AnalysisData {
         backend: BackendKind::Exact,
-        states: graph.state_count(),
+        states: stages.states as usize,
         resource_usage,
         resource_delay,
         resource_half_width: HashMap::new(),
@@ -1268,33 +1257,76 @@ mod tests {
 
     /// A sweep over one stage's mean is one shape at many rates: the
     /// engine records it on the second point and re-prices every later
-    /// one, and each result has the bits a store-less engine computes —
-    /// raw and lumped alike. The store is private to the engine.
+    /// one, and each result has the bits a store-less engine computes.
+    /// The store is private to the engine.
     #[test]
     fn a_rate_sweep_is_re_priced_to_the_same_bits() {
-        for lump in [LumpSel::Off, LumpSel::On] {
-            let engine = lump_engine(lump).with_cache(64);
-            let fresh = lump_engine(lump).with_cache(0);
-            for (i, m) in [3.0, 4.0, 5.5, 7.25, 9.0].into_iter().enumerate() {
-                let (a, ledger) = run_exact(&engine, &sym2(m));
-                let (b, fresh_ledger) = run_exact(&fresh, &sym2(m));
+        let engine = lump_engine(LumpSel::On).with_cache(64);
+        let fresh = lump_engine(LumpSel::On).with_cache(0);
+        for (i, m) in [3.0, 4.0, 5.5, 7.25, 9.0].into_iter().enumerate() {
+            let (a, ledger) = run_exact(&engine, &sym2(m));
+            let (b, fresh_ledger) = run_exact(&fresh, &sym2(m));
+            assert_eq!(
+                (ledger.replays, ledger.records),
+                (u64::from(i >= 2), u64::from(i == 1)),
+                "point {i}"
+            );
+            for t in 0..4 {
+                let t = TransId(t);
                 assert_eq!(
-                    (ledger.replays, ledger.records),
-                    (u64::from(i >= 2), u64::from(i == 1)),
-                    "point {i}"
+                    a.transition_usage(t).to_bits(),
+                    b.transition_usage(t).to_bits()
                 );
-                for t in 0..4 {
-                    let t = TransId(t);
-                    assert_eq!(
-                        a.transition_usage(t).to_bits(),
-                        b.transition_usage(t).to_bits()
-                    );
-                }
-                assert_eq!(a.iterations(), b.iterations());
-                assert_eq!(ledger.phase_configs, fresh_ledger.phase_configs);
             }
-            assert_eq!(engine.caches().store_stats().skeletons, 1);
-            assert_eq!(fresh.caches().store_stats(), StoreStats::default());
+            assert_eq!(a.iterations(), b.iterations());
+            assert_eq!(ledger.phase_configs, fresh_ledger.phase_configs);
+        }
+        assert_eq!(engine.caches().store_stats().skeletons, 1);
+        assert_eq!(fresh.caches().store_stats(), StoreStats::default());
+    }
+
+    /// `T2` alone, delay 2: a net lumping declines.
+    fn hetero() -> Net {
+        let mut net = Net::new("hetero");
+        let a = net.add_place("A", 1);
+        net.add_transition(
+            Transition::new("T2")
+                .delay(2)
+                .resource("lambda")
+                .input(a, 1)
+                .output(a, 1),
+        )
+        .unwrap();
+        net
+    }
+
+    /// A raw analysis — lumping off, or declined — takes the public
+    /// pipeline: it has the bits of `net.reachability(..)?.solve(..)`, its
+    /// result is kept in the solution cache, and the skeleton store never
+    /// sees it, not even across a rate sweep of one shape.
+    #[test]
+    fn raw_analyses_take_the_public_pipeline() {
+        let sweep = [3.0, 4.0, 5.5, 7.25].map(sym2);
+        let declined = [hetero()];
+        for (lump, nets) in [(LumpSel::Off, &sweep[..]), (LumpSel::On, &declined[..])] {
+            let engine = lump_engine(lump).with_cache(64);
+            for (i, net) in nets.iter().enumerate() {
+                let a = engine.analyze(net).unwrap();
+                let graph = net.reachability(10_000).unwrap();
+                let want = graph.solve(1e-12, 100_000).unwrap();
+                let places = (0..net.place_count()).map(PlaceId);
+                let tokens = places.map(|p| (a.mean_tokens(p), graph.mean_tokens(&want, p)));
+                let usage = (0..net.transition_count()).map(TransId);
+                let usage = usage.map(|t| (a.transition_usage(t), want.transition_usage(t)));
+                let residual = [(a.residual().unwrap(), want.residual())];
+                for (got, expected) in tokens.chain(usage).chain(residual) {
+                    assert_eq!(got.to_bits(), expected.to_bits());
+                }
+                let shape = (a.lumped(), a.states(), a.iterations());
+                assert_eq!(shape, (false, graph.state_count(), Some(want.iterations())));
+                assert_eq!(engine.cache_stats().entries, i + 1);
+            }
+            assert_eq!(engine.caches().store_stats(), StoreStats::default());
         }
     }
 
@@ -1322,16 +1354,7 @@ mod tests {
         clear_cache();
         // A delay-2 transition disqualifies the net: the lumping engine
         // must transparently solve the raw chain instead.
-        let mut net = Net::new("hetero");
-        let a = net.add_place("A", 1);
-        net.add_transition(
-            Transition::new("T2")
-                .delay(2)
-                .resource("lambda")
-                .input(a, 1)
-                .output(a, 1),
-        )
-        .unwrap();
+        let net = hetero();
         let on = lump_engine(LumpSel::On).analyze(&net).unwrap();
         assert!(!on.lumped());
         let off = lump_engine(LumpSel::Off).analyze(&net).unwrap();

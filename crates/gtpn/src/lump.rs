@@ -1005,52 +1005,42 @@ mod tests {
         assert_eq!((phase.calls, phase.hits, phase.fold_hits), (8, 4, 2));
     }
 
-    /// A recording build served by the phase memo — and, lumped, by its
-    /// folds — records the tape a fresh run of every phase and fold would:
-    /// it is the plain build, and its skeleton, re-priced at other stage
-    /// means, is the fresh build at those means — lumped and raw.
+    /// A recording build served by the phase memo and its folds records
+    /// the tape a fresh run of every phase and fold would: it is the plain
+    /// build, and its skeleton, re-priced at other stage means, is the
+    /// fresh build at those means.
     #[test]
     fn a_memo_served_recording_replays_to_a_fresh_build() {
         use crate::reach::{assert_graphs_identical, Skeleton};
-        for (tokens, lumped) in [([2, 2, 2], true), ([1, 1, 1], false)] {
-            let build =
-                |net: &Net, record| crate::cache::fresh(net, lumped, 100_000, record).unwrap();
-            let (net, other) = (rings_of(tokens, 2.0), rings_of(tokens, 3.5));
-            let (graph, rows, tape) = build(&net, true);
-            let served = graph.build;
-            assert!(
-                served.phase_hits * 10 >= served.phase_calls * 9,
-                "{} of {} phases served",
-                served.phase_hits,
-                served.phase_calls
-            );
-            // The lumped build serves its folds — tape entries included —
-            // from the memo too; a raw build has none.
-            if lumped {
-                assert!(
-                    served.fold_hits * 10 >= served.phase_calls * 9,
-                    "{} of {} folds served",
-                    served.fold_hits,
-                    served.phase_calls
-                );
-            } else {
-                assert_eq!(served.fold_hits, 0);
-            }
-            let (plain, plain_rows, _) = build(&net, false);
-            assert_graphs_identical(&graph, &plain);
-            assert_eq!(rows.bits(), plain_rows.bits());
-            let rates = crate::compiled::Shape::of(&other)
-                .expect("constant rates")
-                .rates;
-            let Ok((replayed, replayed_rows)) =
-                Skeleton::new(&graph, tape, lumped.then_some(&rows)).replay(&other, &rates)
-            else {
-                panic!("no branch of these rings is near the probability floor");
-            };
-            let (fresh, fresh_rows, _) = build(&other, false);
-            assert_graphs_identical(&replayed, &fresh);
-            assert_eq!(replayed_rows.bits(), fresh_rows.bits(), "rows drifted");
-        }
+        let (net, other) = (rings_of([2, 2, 2], 2.0), rings_of([2, 2, 2], 3.5));
+        let (chain, tape) = lumped_chain(&net, 100_000, true).unwrap();
+        let served = chain.graph.build;
+        assert!(
+            served.phase_hits * 10 >= served.phase_calls * 9,
+            "{} of {} phases served",
+            served.phase_hits,
+            served.phase_calls
+        );
+        // The build serves its folds — tape entries included — from the
+        // memo too.
+        assert!(
+            served.fold_hits * 10 >= served.phase_calls * 9,
+            "{} of {} folds served",
+            served.fold_hits,
+            served.phase_calls
+        );
+        let plain = reach_lumped(&net, 100_000).unwrap();
+        assert_graphs_identical(&chain.graph, &plain.graph);
+        assert_eq!(chain.rows.bits(), plain.rows.bits());
+        let rates = crate::compiled::Shape::of(&other)
+            .expect("constant rates")
+            .rates;
+        let Ok(replayed) = Skeleton::new(&chain, tape).replay(&other, &rates) else {
+            panic!("no branch of these rings is near the probability floor");
+        };
+        let fresh = reach_lumped(&other, 100_000).unwrap();
+        assert_graphs_identical(&replayed.graph, &fresh.graph);
+        assert_eq!(replayed.rows.bits(), fresh.rows.bits(), "rows drifted");
     }
 
     /// One token either works or toggles a flag through a zero-delay
@@ -1104,22 +1094,19 @@ mod tests {
     #[test]
     fn a_replay_parts_rows_the_recording_shared() {
         use crate::reach::{assert_graphs_identical, Skeleton};
-        let build = |net: &Net, record| crate::cache::fresh(net, true, 100, record).unwrap();
-        let (graph, rows, tape) = build(&flag(0.5, 0.5), true);
-        assert_eq!((graph.state_count(), rows.usage_rows()), (4, 1));
+        let (chain, tape) = lumped_chain(&flag(0.5, 0.5), 100, true).unwrap();
+        assert_eq!((chain.graph.state_count(), chain.rows.usage_rows()), (4, 1));
         let other = flag(0.5, 2.0);
         let rates = crate::compiled::Shape::of(&other)
             .expect("constant rates")
             .rates;
-        let Ok((replayed, replayed_rows)) =
-            Skeleton::new(&graph, tape, Some(&rows)).replay(&other, &rates)
-        else {
+        let Ok(replayed) = Skeleton::new(&chain, tape).replay(&other, &rates) else {
             panic!("no branch of the flag net is near the probability floor");
         };
-        let (fresh, fresh_rows, _) = build(&other, false);
-        assert_eq!(fresh_rows.usage_rows(), 2);
-        assert_graphs_identical(&replayed, &fresh);
-        assert_eq!(replayed_rows.bits(), fresh_rows.bits(), "rows drifted");
+        let fresh = reach_lumped(&other, 100).unwrap();
+        assert_eq!(fresh.rows.usage_rows(), 2);
+        assert_graphs_identical(&replayed.graph, &fresh.graph);
+        assert_eq!(replayed.rows.bits(), fresh.rows.bits(), "rows drifted");
     }
 
     #[test]

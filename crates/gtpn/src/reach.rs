@@ -35,7 +35,7 @@
 use crate::compiled::CompiledNet;
 use crate::error::GtpnError;
 use crate::intern::{hash_words, IndexTable};
-use crate::lump::{RecordedRows, RowIndex, RowReplay, Rows};
+use crate::lump::{LumpedGraph, RecordedRows, RowIndex, RowReplay, Rows};
 use crate::net::{Net, PlaceId, TransId};
 use crate::solve::Solution;
 use std::ops::Range;
@@ -123,41 +123,21 @@ impl Net {
     /// * [`GtpnError::UnknownPlace`] / [`GtpnError::UnknownTransition`] if a
     ///   frequency expression names a place or transition outside the net.
     pub fn reachability(&self, max_states: usize) -> Result<ReachabilityGraph, GtpnError> {
-        raw_chain(self, max_states, false).map(|(graph, _)| graph)
+        // The initial instantaneous phase from the initial marking seeds the
+        // chain. (The initial distribution itself is irrelevant for steady
+        // state.)
+        let seed = |compiled: &CompiledNet, w: &mut Worker, out: &mut Expansion| {
+            w.marking = self.initial_marking();
+            w.carried.clear();
+            expand_from(compiled, w, out)
+        };
+        explore(self, max_states, None, seed, expand_state).map(|(graph, _, _)| graph)
     }
-}
-
-/// Builds the raw chain of `net` and, with `record`, the tape of its phase
-/// arithmetic a [`Skeleton`] keeps (`net` must then have a
-/// [`Shape`](crate::compiled::Shape)).
-pub(crate) fn raw_chain(
-    net: &Net,
-    max_states: usize,
-    record: bool,
-) -> Result<(ReachabilityGraph, Packed), GtpnError> {
-    // The initial instantaneous phase from the initial marking seeds the
-    // chain. (The initial distribution itself is irrelevant for steady
-    // state.)
-    let seed = |compiled: &CompiledNet, w: &mut Worker, out: &mut Expansion| {
-        w.marking = net.initial_marking();
-        w.carried.clear();
-        if record {
-            expand_from::<true>(compiled, w, out)
-        } else {
-            expand_from::<false>(compiled, w, out)
-        }
-    };
-    let expand = if record {
-        expand_state::<true>
-    } else {
-        expand_state::<false>
-    };
-    explore(net, max_states, None, seed, expand).map(|(graph, _, tape)| (graph, tape))
 }
 
 /// Expands one tangible state: advance time by its sojourn, then run the
 /// instantaneous phase.
-fn expand_state<const RECORD: bool>(
+fn expand_state(
     net: &CompiledNet,
     graph: &ReachabilityGraph,
     si: usize,
@@ -182,7 +162,7 @@ fn expand_state<const RECORD: bool>(
             w.carried.push((t, r - dt));
         }
     }
-    expand_from::<RECORD>(net, w, out)?;
+    expand_from(net, w, out)?;
     out.finish_state(dt, &[]);
     Ok(())
 }
@@ -190,14 +170,8 @@ fn expand_state<const RECORD: bool>(
 /// Runs the instantaneous phase from `w.marking` with `w.carried` in
 /// progress and records every outcome as a successor state: its marking,
 /// and the carried firings plus the newly started ones, canonically sorted.
-/// The raw chain's edges are the outcomes themselves, so the phase's tape
-/// is all a replay needs.
-fn expand_from<const RECORD: bool>(
-    net: &CompiledNet,
-    w: &mut Worker,
-    out: &mut Expansion,
-) -> Result<(), GtpnError> {
-    let class = instantaneous_phase::<RECORD>(
+fn expand_from(net: &CompiledNet, w: &mut Worker, out: &mut Expansion) -> Result<(), GtpnError> {
+    let class = instantaneous_phase::<false>(
         net,
         &w.marking,
         &w.carried,
@@ -350,7 +324,7 @@ struct Builder {
     /// A lumped build's rows of conditional expectations, one per expanded
     /// state.
     rows: Option<RowIndex>,
-    /// The seed's tape, then every expanded state's, in state order.
+    /// Every expanded state's tape, in state order.
     tape: Packed,
 }
 
@@ -824,7 +798,7 @@ pub(crate) fn instantaneous_phase<const RECORD: bool>(
     tape: &mut Vec<u32>,
 ) -> Result<Class, GtpnError> {
     s.calls += 1;
-    let hash = s.memo.key(marking, carried, RECORD);
+    let hash = s.memo.key(marking, carried);
     let class = s.memo.find(hash);
     if let Some(e) = class.filter(|&e| s.memo.entries[e].stored()) {
         s.hits += 1;
@@ -854,7 +828,7 @@ pub(crate) fn instantaneous_phase<const RECORD: bool>(
             cap: s.cap,
             tape: &tape[at..],
         };
-        if let Some(e) = s.memo.keep(marking, carried, RECORD, &phase) {
+        if let Some(e) = s.memo.keep(marking, carried, &phase) {
             return Ok(Class::Kept(e));
         }
     }
@@ -1093,8 +1067,9 @@ struct PhaseMemo {
     /// The places whose clamp the running phase may have to raise, each
     /// with the count below which a configuration's tests may need it.
     watch: Vec<(usize, u32)>,
-    /// The key of the phase at hand: its clamped start, whether it
-    /// records, and its carried firings' transitions.
+    /// The key of the phase at hand: its clamped start and its carried
+    /// firings' transitions. (A memo serves one build, which records its
+    /// tape or does not throughout, so kept tape words always fit.)
     key: Vec<u32>,
     table: IndexTable,
     entries: Vec<MemoEntry>,
@@ -1122,11 +1097,10 @@ impl PhaseMemo {
 
     /// Makes the phase from `start` with `carried` in progress the one at
     /// hand; returns its key's hash.
-    fn key(&mut self, start: &[u32], carried: &[(TransId, u64)], record: bool) -> u64 {
+    fn key(&mut self, start: &[u32], carried: &[(TransId, u64)]) -> u64 {
         self.key.clear();
         self.key
             .extend(start.iter().zip(&self.clamp).map(|(&m, &c)| m.min(c)));
-        self.key.push(u32::from(record));
         self.key.extend(carried.iter().map(|&(t, _)| t.0 as u32));
         hash_words(0, &self.key)
     }
@@ -1202,11 +1176,10 @@ impl PhaseMemo {
         &mut self,
         start: &[u32],
         carried: &[(TransId, u64)],
-        record: bool,
         phase: &Phase<'_>,
     ) -> Option<usize> {
         // The run may have raised the clamp, and so moved the key.
-        let hash = self.key(start, carried, record);
+        let hash = self.key(start, carried);
         let e = match self.find(hash) {
             Some(e) if self.entries[e].stored() => return Some(e),
             Some(e) => e,
@@ -1629,11 +1602,12 @@ fn merge<W: Copy + Into<u64>>(words: &[W], at: &mut usize, src: &[f64], dst: &mu
     }
 }
 
-/// A chain with its probabilities taken out — states, edge targets, the
-/// fired record and the work counts — plus the tape of the phase
-/// arithmetic that produced them: each state's words from
-/// [`instantaneous_phase`] and, in a lumped chain, from the fold of
-/// `crate::lump`, in state order (a raw chain's seed phase first).
+/// A lumped chain with its probabilities taken out — states, edge
+/// targets, the fired record, the work counts and what its rows keep
+/// ([`RecordedRows`]) — plus the tape of the phase arithmetic that produced
+/// them: each state's words from [`instantaneous_phase`] and from the fold
+/// of `crate::lump`, in state order. A lumped state carries no firings and
+/// holds for one step, so neither is kept.
 ///
 /// Every branch of the instantaneous phase is decided by the net's
 /// structure, its conditions, which rates are zero, and which branch
@@ -1650,14 +1624,10 @@ fn merge<W: Copy + Into<u64>>(words: &[W], at: &mut usize, src: &[f64], dst: &mu
 /// (the replay re-derives them).
 #[derive(Debug)]
 pub(crate) struct Skeleton {
-    /// For the lumped chain of [`crate::lump`], what it keeps of its rows;
-    /// `None` for a raw chain.
-    rows: Option<RecordedRows>,
+    rows: RecordedRows,
+    states: usize,
     markings: Packed,
-    firing_offsets: Packed,
-    firings: Box<[(TransId, u64)]>,
     targets: Packed,
-    sojourn: Packed,
     fired: Box<[bool]>,
     phase_calls: u64,
     phase_configs: u64,
@@ -1665,21 +1635,16 @@ pub(crate) struct Skeleton {
 }
 
 impl Skeleton {
-    /// The skeleton of `graph`, built with `tape` recorded; `lumped` holds
-    /// its rows when it is the lumped chain.
-    pub(crate) fn new(
-        graph: &ReachabilityGraph,
-        mut tape: Packed,
-        lumped: Option<&Rows>,
-    ) -> Skeleton {
+    /// The skeleton of `chain`, built with `tape` recorded.
+    pub(crate) fn new(chain: &LumpedGraph, mut tape: Packed) -> Skeleton {
+        let graph = &chain.graph;
         tape.shrink_to_fit();
+        debug_assert!(graph.firings.is_empty() && graph.sojourn.iter().all(|&h| h == 1));
         Skeleton {
-            rows: lumped.map(Rows::record),
+            rows: chain.rows.record(),
+            states: graph.state_count(),
             markings: Packed::collect(graph.markings.iter().map(|&m| u64::from(m))),
-            firing_offsets: Packed::collect(graph.firing_offsets.iter().map(|&o| o as u64)),
-            firings: graph.firings.clone().into_boxed_slice(),
             targets: Packed::collect(graph.edges.iter().map(|&(j, _)| j as u64)),
-            sojourn: Packed::collect(graph.sojourn.iter().copied()),
             fired: graph.fired.clone().into_boxed_slice(),
             phase_calls: graph.build.phase_calls,
             phase_configs: graph.build.phase_configs,
@@ -1687,54 +1652,45 @@ impl Skeleton {
         }
     }
 
-    /// The least a skeleton of `graph`, with these `rows`, can hold, known
-    /// before it is recorded: a byte per value, and per phase configuration
-    /// at least two tape words — its enabled count and, unless it is a
-    /// phase's first, its merge destination.
-    pub(crate) fn least_bytes(graph: &ReachabilityGraph, rows: &Rows) -> usize {
+    /// The least a skeleton of `chain` can hold, known before it is
+    /// recorded: a byte per value, and per phase configuration at least
+    /// two tape words — its enabled count and, unless it is a phase's
+    /// first, its merge destination.
+    pub(crate) fn least_bytes(chain: &LumpedGraph) -> usize {
+        let graph = &chain.graph;
         std::mem::size_of::<Skeleton>()
-            + rows.least_record_bytes()
+            + chain.rows.least_record_bytes()
             + graph.markings.len()
-            + graph.firing_offsets.len()
             + graph.edges.len()
-            + graph.sojourn.len()
             + 2 * graph.build.phase_configs as usize
-            + std::mem::size_of::<(TransId, u64)>() * graph.firings.len()
             + graph.fired.len()
     }
 
     /// Tangible states of the chain.
     pub(crate) fn state_count(&self) -> usize {
-        self.sojourn.len()
+        self.states
     }
 
     /// Resident bytes — what the store bounds.
     pub(crate) fn bytes(&self) -> usize {
         std::mem::size_of::<Skeleton>()
-            + self.rows.as_ref().map_or(0, RecordedRows::bytes)
+            + self.rows.bytes()
             + self.markings.bytes()
-            + self.firing_offsets.bytes()
-            + std::mem::size_of::<(TransId, u64)>() * self.firings.len()
             + self.targets.bytes()
-            + self.sojourn.bytes()
             + self.fired.len()
             + self.tape.bytes()
     }
 
-    /// The chain of `net` — of this skeleton's shape — under `rates`, and
-    /// its rows when lumped: bit for bit what a fresh build returns, every
-    /// state's rows included. The build record counts one replay and the
-    /// skeleton's phase work.
+    /// The lumped chain of `net` — of this skeleton's shape — under
+    /// `rates`: bit for bit what a fresh build returns, every state's rows
+    /// included. The build record counts one replay and the skeleton's
+    /// phase work.
     ///
     /// # Errors
     ///
     /// [`FloorMoved`] when a branch would cross [`PROB_FLOOR`] the other
     /// way.
-    pub(crate) fn replay(
-        &self,
-        net: &Net,
-        rates: &[f64],
-    ) -> Result<(ReachabilityGraph, Rows), FloorMoved> {
+    pub(crate) fn replay(&self, net: &Net, rates: &[f64]) -> Result<LumpedGraph, FloorMoved> {
         let mut tape = Cursor {
             tape: &self.tape,
             at: 0,
@@ -1745,48 +1701,32 @@ impl Skeleton {
         let mut edges = self.targets.unpack(|j| (j as usize, 0.0));
         let mut edge_offsets = Vec::with_capacity(states + 1);
         edge_offsets.push(0);
-        let mut rows = self.rows.as_ref().map(|r| RowReplay::new(net, r, states));
+        let mut rows = RowReplay::new(net, &self.rows, states);
         let mut scratch = Vec::new();
-        if rows.is_none() {
-            // The raw chain's seed phase: its outcomes are the first
-            // states, so only its floor decisions matter.
-            phase.phase(&mut tape, rates)?;
-        }
         for si in 0..states {
             phase.phase(&mut tape, rates)?;
             let first = *edge_offsets.last().expect("offsets start at 0");
-            let successors = match &mut rows {
-                Some(rows) => {
-                    let successors = crate::lump::refold(
-                        &mut tape,
-                        &phase.out,
-                        net,
-                        &markings,
-                        &mut edges[first..],
-                        rows.state(si),
-                        &mut scratch,
-                    );
-                    rows.file(si);
-                    successors
-                }
-                None => {
-                    for (edge, &p) in edges[first..].iter_mut().zip(&phase.out) {
-                        edge.1 = p;
-                    }
-                    phase.out.len()
-                }
-            };
+            let successors = crate::lump::refold(
+                &mut tape,
+                &phase.out,
+                net,
+                &markings,
+                &mut edges[first..],
+                rows.state(si),
+                &mut scratch,
+            );
+            rows.file(si);
             edge_offsets.push(first + successors);
         }
         debug_assert_eq!(tape.at, self.tape.len(), "replay must consume the tape");
         let graph = ReachabilityGraph {
             net: net.clone(),
             markings,
-            firing_offsets: self.firing_offsets.unpack(|o| o as usize),
-            firings: self.firings.to_vec(),
+            firing_offsets: vec![0; states + 1],
+            firings: Vec::new(),
             edge_offsets,
             edges,
-            sojourn: self.sojourn.unpack(|h| h),
+            sojourn: vec![1; states],
             fired: self.fired.to_vec(),
             build: BuildStats {
                 phase_calls: self.phase_calls,
@@ -1795,7 +1735,10 @@ impl Skeleton {
                 ..BuildStats::default()
             },
         };
-        Ok((graph, rows.map_or_else(Rows::default, RowReplay::finish)))
+        Ok(LumpedGraph {
+            graph,
+            rows: rows.finish(),
+        })
     }
 }
 

@@ -206,6 +206,9 @@ pub struct KernelStats {
     pub packets_in: u64,
     /// Times a send blocked on buffer shortage.
     pub buffer_stalls: u64,
+    /// Send packets parked on a buffer shortage until a buffer frees
+    /// (§3.2.3); a parked packet counts in `packets_in` once replayed.
+    pub packets_parked: u64,
 }
 
 /// The per-node message kernel.
@@ -878,6 +881,7 @@ impl Kernel {
                     Delivery::NoBuffer => {
                         // Park the packet until a buffer frees: the network
                         // interface's receive buffering absorbs the burst.
+                        self.stats.packets_parked += 1;
                         self.pending_packets.push_back(Packet {
                             from: packet.from,
                             to: packet.to,
@@ -1138,6 +1142,47 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, KernelEvent::Delivered { .. })));
+    }
+
+    /// A send packet that finds no free buffer is parked, counted once,
+    /// and counted in as a packet once a freed buffer replays it.
+    #[test]
+    fn a_packet_parked_on_a_shortage_counts_once() {
+        let mut k = Kernel::new(NodeId(1), 1);
+        let client = k.create_task("client", 1, 64);
+        let server = k.create_task("server", 1, 64);
+        let svc = k.create_service("s");
+        k.submit(server, Syscall::Offer { service: svc }).unwrap();
+        drain(&mut k);
+        // A local send queues on the service and holds the only buffer.
+        k.submit(
+            client,
+            Syscall::Send {
+                to: addr(&k, svc),
+                message: Message::empty(),
+                mode: SendMode::invocation(),
+            },
+        )
+        .unwrap();
+        drain(&mut k);
+        let counts = |k: &Kernel| (k.stats().packets_parked, k.stats().packets_in);
+        let packet = Packet {
+            from: NodeId(0),
+            to: NodeId(1),
+            body: PacketBody::SendMsg {
+                service: svc,
+                client: TaskId(0),
+                message: Message::from_bytes(b"remote"),
+                await_reply: true,
+            },
+        };
+        assert!(k.handle_packet(packet).unwrap().is_empty());
+        assert_eq!(counts(&k), (1, 0));
+        // The server takes the local message: its buffer frees and the
+        // parked packet is replayed into it.
+        k.submit(server, Syscall::Receive).unwrap();
+        drain(&mut k);
+        assert_eq!((k.buffers_available(), counts(&k)), (0, (1, 1)));
     }
 
     #[test]

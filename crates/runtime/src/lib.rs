@@ -44,7 +44,7 @@ pub use clock::{ClockMode, OvershootRow};
 pub use hist::Histogram;
 
 use clock::{block_on, Actor, Bell, ClockSystem};
-use msgkernel::{Kernel, NodeId, Packet, ServiceId, Syscall, TaskId};
+use msgkernel::{Kernel, KernelStats, NodeId, Packet, ServiceId, Syscall, TaskId};
 use node::{Fleet, HostCtx, MpCtx, NodeShared, Processor};
 use shm::{NodeShm, TcbSlot};
 use std::future::Future;
@@ -190,6 +190,9 @@ pub struct RunReport {
     pub latency: LatencySummary,
     /// Sends that blocked on kernel-buffer shortage (§3.2.3).
     pub buffer_stalls: u64,
+    /// Send packets a receiving kernel parked on kernel-buffer shortage
+    /// until a buffer freed (§3.2.3).
+    pub packets_parked: u64,
     /// Frames the ring carried (2 × remote round trips: one send packet,
     /// one reply packet, §4.6).
     pub ring_frames: u64,
@@ -209,9 +212,8 @@ pub struct RunReport {
     pub overshoot: Vec<OvershootRow>,
 }
 
-/// One processor's loop; resolves to the buffer-shortage stalls its kernel
-/// counted.
-type ProcessorLoop = Pin<Box<dyn Future<Output = u64> + Send>>;
+/// One processor's loop; resolves to its kernel's statistics.
+type ProcessorLoop = Pin<Box<dyn Future<Output = KernelStats> + Send>>;
 
 /// Runs one live workload to completion and reports what was measured.
 ///
@@ -361,7 +363,7 @@ pub fn run(config: &Config) -> RunReport {
     // Phase 3: run. Each processor's first statement is attach(), so no
     // node code runs before it holds the execution token.
     let run_started = Instant::now();
-    let ((clean_shutdown, elapsed), buffer_stalls) = match config.clock {
+    let ((clean_shutdown, elapsed), kernels) = match config.clock {
         // One OS thread per processor, the driver on this one; real clock
         // operations complete inside the call, so each future is one poll.
         ClockMode::Real => {
@@ -375,23 +377,23 @@ pub fn run(config: &Config) -> RunReport {
                 })
                 .collect();
             let drained = block_on(driver);
-            let stalls = handles
+            let kernels: Vec<KernelStats> = handles
                 .into_iter()
                 .map(|handle| handle.join().expect("processor thread exits cleanly"))
-                .sum();
-            (drained, stalls)
+                .collect();
+            (drained, kernels)
         }
         // No threads: the clock polls, on this one, whichever actor holds
         // the execution token.
         ClockMode::Virtual => {
             let mut drained = None;
-            let mut actors: Vec<Actor<'_, u64>> = vec![Box::pin(async {
+            let mut actors: Vec<Actor<'_, KernelStats>> = vec![Box::pin(async {
                 drained = Some(driver.await);
-                0
+                KernelStats::default()
             })];
-            actors.extend(processors.into_iter().map(|(_, p)| p as Actor<'_, u64>));
-            let stalls = clock_sys.run_actors(actors).into_iter().sum();
-            (drained.expect("the driver retired"), stalls)
+            actors.extend(processors.into_iter().map(|(_, p)| p as Actor<'_, _>));
+            let kernels = clock_sys.run_actors(actors);
+            (drained.expect("the driver retired"), kernels)
         }
     };
     let run_ended = Instant::now();
@@ -423,7 +425,8 @@ pub fn run(config: &Config) -> RunReport {
             0.0
         },
         latency,
-        buffer_stalls,
+        buffer_stalls: kernels.iter().map(|k| k.buffer_stalls).sum(),
+        packets_parked: kernels.iter().map(|k| k.packets_parked).sum(),
         ring_frames: fleet.ring.stats().frames,
         clean_shutdown,
         handoffs: clock_sys.handoffs(),

@@ -30,7 +30,8 @@ use crate::hist::Histogram;
 use crate::shm::{Mail, NodeShm, TcbSlot};
 use archsim::timings::{ActivityKind, Architecture, Locality};
 use msgkernel::{
-    Kernel, KernelEvent, Message, NodeId, Packet, SendMode, ServiceAddr, ServiceId, Syscall, TaskId,
+    Kernel, KernelEvent, KernelStats, Message, NodeId, Packet, SendMode, ServiceAddr, ServiceId,
+    Syscall, TaskId,
 };
 use netsim::live::{LiveRing, Port};
 use netsim::RingNodeId;
@@ -460,9 +461,9 @@ impl Processor {
     }
 
     /// The processor loop: step until halted, parking on the bell when
-    /// idle. Resolves to the buffer-shortage stalls its kernel counted (0
-    /// for a host, which has none).
-    pub(crate) async fn run(mut self) -> u64 {
+    /// idle. Resolves to its kernel's statistics (all zero for a host,
+    /// which has none).
+    pub(crate) async fn run(mut self) -> KernelStats {
         self.parts().1.attach().await;
         if let Processor::Host(host) | Processor::Uniprocessor(host, _) = &mut self {
             host.kickoff().await;
@@ -490,8 +491,8 @@ impl Processor {
         }
         self.parts().1.retire();
         match self {
-            Processor::Host(_) => 0,
-            Processor::Mp(mp) | Processor::Uniprocessor(_, mp) => mp.kernel.stats().buffer_stalls,
+            Processor::Host(_) => KernelStats::default(),
+            Processor::Mp(mp) | Processor::Uniprocessor(_, mp) => mp.kernel.stats(),
         }
     }
 }

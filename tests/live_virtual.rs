@@ -333,6 +333,23 @@ fn single_buffer_starvation_still_drains() {
     }
 }
 
+/// §3.2.3 packet parking, pinned: two nodes of eight non-local
+/// conversations on four buffers each (`repro live --remote --nodes 2
+/// --conversations 8 --buffers 4`). On Architecture I a receiving kernel
+/// finds no free buffer eight times and parks the send packet until one
+/// frees, while no send stalls.
+#[test]
+fn parked_packets_are_counted() {
+    let mut config = virtual_config(Architecture::Uniprocessor);
+    config.nodes = 2;
+    config.conversations = 8;
+    config.buffers = 4;
+    config.locality = Locality::NonLocal;
+    let report = hsipc::runtime::run(&config);
+    assert!(report.clean_shutdown, "drain did not complete");
+    assert_eq!((report.packets_parked, report.buffer_stalls), (8, 0));
+}
+
 /// A zero-length load phase goes straight to drain: clients stop after at
 /// most one round trip and shutdown still completes.
 #[test]
