@@ -19,8 +19,8 @@
 //!
 //! Only lumped chains are re-priced. Every net the paper re-solves is built
 //! from delay-1 geometric stages (§6.6.1) and lumps ([`crate::lump`]); a
-//! raw chain — lumping off, or declined — is built and solved by the public
-//! pipeline (`Net::reachability`, then `ReachabilityGraph::solve`) and
+//! raw chain — lumping off, or declined — is built by the public
+//! `Net::reachability`, solved as `ReachabilityGraph::solve` solves it, and
 //! never enters the store.
 //!
 //! A shape is *recorded* on its second sighting, so one-off builds (the

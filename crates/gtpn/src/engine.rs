@@ -15,8 +15,9 @@
 //!   re-prices the recorded chain skeleton ([`crate::cache`]) — through a
 //!   per-thread scratch workspace and de-lumps the measures: identical
 //!   numbers to solver tolerance, combinatorially fewer states, so `Auto`
-//!   falls back to DES only past the lumped budget. Any other net runs
-//!   the public pipeline, `net.reachability(..)?.solve(..)`. The DES
+//!   falls back to DES only past the lumped budget. Any other net is
+//!   built by `net.reachability(..)` and solved, through the same
+//!   workspace, as its `solve(..)` would solve it. The DES
 //!   backend replaces the exact solve by batched Monte-Carlo runs of [`crate::sim`] and reports batch-means estimates
 //!   with 95% confidence half-widths — usable when the reachability graph
 //!   is too large to enumerate. [`BackendSel::Auto`] (the default) tries
@@ -398,54 +399,58 @@ thread_local! {
 /// The exact pipeline. A net the config's [`LumpSel`] lets lump, and
 /// which qualifies ([`crate::lump::lumpable`]), has its lumped chain built
 /// — re-priced from a skeleton in `store` when the net's shape is shelved
-/// ([`crate::cache`]) — solved through the per-thread workspace, and its
-/// measures de-lumped. Any other net takes the public pipeline,
-/// `net.reachability(..)?.solve(..)`, and its measures are read off by the
-/// very calls a direct caller makes, so the bits agree; a raw chain never
-/// enters the store.
+/// ([`crate::cache`]) — and its measures de-lumped. Any other net is
+/// built by the public [`Net::reachability`] and never enters the store;
+/// its measures are read off by the very calls a direct caller makes.
+/// Either chain is solved as [`ReachabilityGraph::solve`] solves it, so a
+/// raw analysis has the bits of `net.reachability(..)?.solve(..)`.
 ///
-/// A lumped chain too large to solve directly is held once: the sweeps
-/// read the workspace's transpose, so the graph's markings, which nothing
-/// after the build reads, and its out-edges go before the sweeps allocate
-/// anything. The graph never leaves this function; the run's
-/// [`StageLedger`] does, beside the measures.
+/// A chain too large to solve directly is held once: the sweeps read the
+/// per-thread workspace's transpose, so the graph's out-edges go before
+/// the sweeps allocate anything, and a lumped chain's markings, which
+/// nothing after its build reads, go before the transpose. The graph
+/// never leaves this function; the run's [`StageLedger`] does, beside the
+/// measures.
 fn exact(
     store: &Mutex<SkeletonStore>,
     net: &Net,
     cfg: &EngineConfig,
 ) -> Result<(AnalysisData, StageLedger), GtpnError> {
     let lumped = cfg.lump.enabled() && crate::lump::lumpable(net);
-    let (mean_tokens, transition_usage, solution, stages) = if lumped {
-        let LumpedGraph { mut graph, rows } =
-            crate::cache::build_chain(store, net, cfg.state_budget)?;
-        let edges = graph.edge_count();
-        let built = Instant::now();
-        let solution = match Solution::direct(&graph) {
-            Some(solution) => solution,
-            None => WORKSPACE.with(|ws| {
-                let ws = &mut ws.borrow_mut();
-                graph.drop_markings();
-                ws.load(&graph);
-                graph.drop_edges();
-                Solution::iterate(&graph, cfg.tolerance, cfg.max_sweeps, ws)
-            })?,
-        };
-        let solved = Instant::now();
-        let (tokens, usage) = crate::lump::delump(&rows, &solution);
-        let delump_s = solved.elapsed().as_secs_f64();
-        let solve_s = (solved - built).as_secs_f64();
-        let stages = StageLedger::of(&graph, edges, &solution, solve_s, delump_s);
-        (tokens, usage, solution, stages)
+    let (mut graph, rows) = if lumped {
+        let LumpedGraph { graph, rows } = crate::cache::build_chain(store, net, cfg.state_budget)?;
+        (graph, Some(rows))
     } else {
-        let graph = net.reachability(cfg.state_budget)?;
-        let built = Instant::now();
-        let solution = graph.solve(cfg.tolerance, cfg.max_sweeps)?;
-        let solve_s = built.elapsed().as_secs_f64();
-        let stages = StageLedger::of(&graph, graph.edge_count(), &solution, solve_s, 0.0);
-        let tokens = (0..net.place_count()).map(|p| graph.mean_tokens(&solution, PlaceId(p)));
-        let usage = (0..net.transition_count()).map(|t| solution.transition_usage(TransId(t)));
-        (tokens.collect(), usage.collect(), solution, stages)
+        (net.reachability(cfg.state_budget)?, None)
     };
+    let edges = graph.edge_count();
+    let built = Instant::now();
+    let solution = match Solution::direct(&graph) {
+        Some(solution) => solution,
+        None => WORKSPACE.with(|ws| {
+            let ws = &mut ws.borrow_mut();
+            if lumped {
+                graph.drop_markings();
+            }
+            ws.load(&graph);
+            graph.drop_edges();
+            Solution::iterate(&graph, cfg.tolerance, cfg.max_sweeps, ws)
+        })?,
+    };
+    let solved = Instant::now();
+    let (mean_tokens, transition_usage, delump_s) = match &rows {
+        Some(rows) => {
+            let (tokens, usage) = crate::lump::delump(rows, &solution);
+            (tokens, usage, solved.elapsed().as_secs_f64())
+        }
+        None => {
+            let tokens = (0..net.place_count()).map(|p| graph.mean_tokens(&solution, PlaceId(p)));
+            let usage = (0..net.transition_count()).map(|t| solution.transition_usage(TransId(t)));
+            (tokens.collect(), usage.collect(), 0.0)
+        }
+    };
+    let solve_s = (solved - built).as_secs_f64();
+    let stages = StageLedger::of(&graph, edges, &solution, solve_s, delump_s);
     let (resource_usage, resource_delay) = crate::solve::by_resource(net, &transition_usage);
     let data = AnalysisData {
         backend: BackendKind::Exact,
