@@ -147,7 +147,7 @@ fn main() -> ExitCode {
         // every run of the process (seconds add up across sweep workers).
         let stages = gtpn::engine::stage_totals();
         eprintln!(
-            "exact solver stages: net compile {:.3} s, bfs {:.3} s, reprice {:.3} s, solve {:.3} s, delump {:.3} s; {} replays, {} records, {} fallbacks, {} states, {} edges, {} sweeps, {} phase calls, {} phase hits, {} fold hits, {} phase configs",
+            "exact solver stages: net compile {:.3} s, bfs {:.3} s, reprice {:.3} s, solve {:.3} s, delump {:.3} s; {} replays, {} records, {} fallbacks, {} states, {} edges, {} sweeps, {} phase calls, {} phase hits, {} phase configs",
             stages.net_compile_s,
             stages.bfs_s,
             stages.reprice_s,
@@ -161,7 +161,6 @@ fn main() -> ExitCode {
             stages.sweeps,
             stages.phase_calls,
             stages.phase_hits,
-            stages.fold_hits,
             stages.phase_configs
         );
         eprintln!("peak resident memory: {}", peak_resident());

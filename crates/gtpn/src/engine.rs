@@ -204,12 +204,10 @@ pub struct StageLedger {
     pub phase_calls: u64,
     /// Configurations those phases expanded.
     pub phase_configs: u64,
-    /// Phases of `phase_calls` served by the expansion's phase memo
-    /// instead of run (DESIGN §12); 0 for a re-priced chain.
+    /// Lumped states of `phase_calls` whose phase and fold the
+    /// expansion's phase memo served instead of running them (DESIGN §12);
+    /// 0 for a raw or re-priced chain.
     pub phase_hits: u64,
-    /// Lumped states of `phase_hits` whose fold the phase memo served too
-    /// (DESIGN §12); 0 for a raw or re-priced chain.
-    pub fold_hits: u64,
 }
 
 impl StageLedger {
@@ -237,7 +235,6 @@ impl StageLedger {
             phase_calls: graph.build.phase_calls,
             phase_configs: graph.build.phase_configs,
             phase_hits: graph.build.phase_hits,
-            fold_hits: graph.build.fold_hits,
         }
     }
 
@@ -256,7 +253,6 @@ impl StageLedger {
         self.phase_calls += other.phase_calls;
         self.phase_configs += other.phase_configs;
         self.phase_hits += other.phase_hits;
-        self.fold_hits += other.fold_hits;
     }
 }
 
@@ -1227,7 +1223,6 @@ mod tests {
             assert_eq!(ledger.phase_calls, ledger.states + initial_phase);
             assert!(ledger.phase_configs > ledger.phase_calls);
             assert!(ledger.phase_hits <= ledger.phase_calls);
-            assert!(ledger.fold_hits <= ledger.phase_hits);
             assert!(ledger.bfs_s > 0.0 && ledger.solve_s > 0.0);
             assert_eq!(ledger.delump_s > 0.0, lump == LumpSel::On);
             let before = stage_totals();

@@ -49,11 +49,10 @@ use crate::error::GtpnError;
 use crate::intern::{hash_words, IndexTable};
 use crate::net::{Net, TransId};
 use crate::reach::{
-    explore, instantaneous_phase, pending_ids, read, replay_head, shift, state_hash, zigzag, Class,
-    Cursor, Expansion, FoldReader, Packed, ReachabilityGraph, Worker,
+    explore, keep, lumped_phase, pending_ids, state_hash, Class, Cursor, Expansion, Packed,
+    ReachabilityGraph, Worker,
 };
 use crate::solve::Solution;
-use std::ops::Range;
 
 /// Lumping policy of an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -377,9 +376,9 @@ fn expand_lumped<const RECORD: bool>(
 }
 
 /// [`expand_lumped`] for state `si`, whose marking is `start`. The phase
-/// memo keeps a kept class's first fold beside its phase ([`keep_fold`])
-/// and serves the class's later starts from it ([`serve_fold`]), with the
-/// bits of the fold below; a fold that fails is never kept.
+/// memo keeps a class's first successful fold together with its phase
+/// ([`keep`]) and serves the class's later starts from them
+/// ([`lumped_phase`]), with the bits of the fold below.
 pub(crate) fn fold<const RECORD: bool>(
     net: &CompiledNet,
     start: &[u32],
@@ -388,17 +387,15 @@ pub(crate) fn fold<const RECORD: bool>(
     out: &mut Expansion,
 ) -> Result<(), GtpnError> {
     let tcount = net.transitions.len();
-    let class =
-        instantaneous_phase::<RECORD>(net, start, &[], &mut w.fired, &mut w.phase, &mut out.tape)?;
     w.row.clear();
     w.row.resize(tcount + net.places, 0.0);
-    if let Class::Folded(e) = class {
-        serve_fold(w, e, start, tcount, out);
-        out.finish_state(1, &w.row);
-        return Ok(());
-    }
-    // The phase's tape words end here; the fold's entries follow.
-    let tape_from = out.tape.len();
+    let keeping = match lumped_phase::<RECORD>(net, start, w, out)? {
+        Class::Served => {
+            out.finish_state(1, &w.row);
+            return Ok(());
+        }
+        Class::Ran(keeping) => keeping,
+    };
     w.seen.clear();
     let (usage_row, tokens_row) = w.row.split_at_mut(tcount);
     for (m, pending, p) in w.phase.outcomes(net.places) {
@@ -439,167 +436,11 @@ pub(crate) fn fold<const RECORD: bool>(
             out.tape[at + 1] = (out.tape.len() - at - 2) as u32;
         }
     }
-    if let Class::Kept(e) = class {
-        keep_fold(w, e, start, out, tape_from);
+    if let Some(run) = keeping {
+        keep(w, run, start, out);
     }
     out.finish_state(1, &w.row);
     Ok(())
-}
-
-/// Keeps the fold of the lumped state `start` beside its phase, which
-/// kept class `e` holds and whose outcomes are in `w.phase`: its
-/// successors are `out`'s, its row is `w.row` (`E[c_t | u]`, then
-/// `E[m_p | u]`), its tape entries are `out.tape` from `tape_from` on
-/// (the phase's own words come before). Does nothing when the class's
-/// fold is kept already; the memo declines it when full.
-///
-/// Little of that depends on the start `s`. The successors are `s + Δ_k`
-/// de-duplicated in first-seen outcome order, and `s + Δ₁ = s + Δ₂`
-/// exactly when `Δ₁ = Δ₂`; their probabilities and the usages are sums in
-/// outcome order; the tape entries are slots and pending ids. A token
-/// `E[m_p | u] = Σ_o p_o · (s_p + δ_op)`, summed in outcome order, depends
-/// on `s_p` alone — and every start the class serves has this start's
-/// `s_p` wherever the key tells starts apart, the clamp only growing. So
-/// the fold serves every later start of the class ([`serve_fold`]),
-/// recomputing only the tokens of the places at or above their clamp.
-///
-/// Words: the used transitions (count, ids); the clamped places and each
-/// outcome's deltas there, as [`push_moves`] stages them; the successors'
-/// count and deltas, likewise over the places any of them moves; the tape
-/// entries (count, words). Probabilities: the usages of the used
-/// transitions, the token row with the clamped places' entries zero, then
-/// the successors'. The outcomes' probabilities are the phase's.
-fn keep_fold(w: &mut Worker, e: usize, start: &[u32], out: &Expansion, tape_from: usize) {
-    if w.phase.folded(e) {
-        return;
-    }
-    let (usage, tokens) = w.row.split_at(w.row.len() - start.len());
-    let mut words = Vec::new();
-    let used: Vec<usize> = (0..usage.len()).filter(|&t| usage[t] != 0.0).collect();
-    words.push(used.len() as u64);
-    words.extend(used.iter().map(|&t| t as u64));
-    let clamp = w.phase.clamp();
-    let clamped: Vec<usize> = (0..start.len()).filter(|&p| start[p] >= clamp[p]).collect();
-    let outcomes = w.phase.outcomes(start.len()).map(|(m, _, _)| m);
-    push_moves(&mut words, &clamped, outcomes, start);
-    let successors = 0..out.successor_count();
-    let markings = successors.clone().map(|k| out.successor_marking(k));
-    let moved: Vec<usize> = (0..start.len())
-        .filter(|&p| markings.clone().any(|m| m[p] != start[p]))
-        .collect();
-    words.push(successors.len() as u64);
-    push_moves(&mut words, &moved, markings, start);
-    let tape = &out.tape[tape_from..];
-    words.push(tape.len() as u64);
-    words.extend(tape.iter().map(|&word| u64::from(word)));
-    let mut probs: Vec<f64> = used.iter().map(|&t| usage[t]).collect();
-    let at = probs.len();
-    probs.extend_from_slice(tokens);
-    for &p in &clamped {
-        probs[at + p] = 0.0;
-    }
-    probs.extend(successors.map(|k| out.successor_probability(k)));
-    w.phase.keep_fold(e, &words, &probs);
-}
-
-/// Stages `markings` as moves from `start` at the places `moved`: their
-/// count and ids, then per marking its zigzagged delta at each of them —
-/// one shape for the whole list, so serving it runs loops of one length.
-fn push_moves<'a>(
-    words: &mut Vec<u64>,
-    moved: &[usize],
-    markings: impl Iterator<Item = &'a [u32]>,
-    start: &[u32],
-) {
-    words.push(moved.len() as u64);
-    words.extend(moved.iter().map(|&p| p as u64));
-    for m in markings {
-        words.extend(moved.iter().map(|&p| zigzag(start[p], m[p])));
-    }
-}
-
-/// Reads the place list [`push_moves`] staged; returns where it is.
-fn moves<W: Copy + Into<u64>>(words: &[W], at: &mut usize) -> Range<usize> {
-    let n = read(words, at);
-    *at += n;
-    *at - n..*at
-}
-
-/// Expands the lumped state `start` from folded class `e` (see
-/// [`Class::Folded`] and [`keep_fold`]): marks `fired` and appends the
-/// phase's tape words, fills `w.row` — the usage row and the kept tokens
-/// copied, each clamped place's token summed `acc_p += p_o · (s_p + δ_op)`
-/// over the phase's outcomes in outcome order, the fold's own arithmetic —
-/// and pushes the successors `start + Δ_k` with their summed
-/// probabilities and, when the class records, the fold's tape entries.
-fn serve_fold(w: &mut Worker, e: usize, start: &[u32], tcount: usize, out: &mut Expansion) {
-    let served = Served {
-        start,
-        fired: &mut w.fired,
-        marking: &mut w.marking,
-        row: w.row.split_at_mut(tcount),
-        out,
-    };
-    w.phase.read_fold(e, served);
-}
-
-/// Where [`serve_fold`] writes a folded class.
-struct Served<'a> {
-    start: &'a [u32],
-    fired: &'a mut [bool],
-    /// Scratch for `start` moved to one successor at a time.
-    marking: &'a mut Vec<u32>,
-    /// The usage row and the token row.
-    row: (&'a mut [f64], &'a mut [f64]),
-    out: &'a mut Expansion,
-}
-
-impl FoldReader for Served<'_> {
-    fn read<W: Copy + Into<u64>>(self, phase: &[W], probs: &[f64], fold: &[W], fold_probs: &[f64]) {
-        let Served {
-            start,
-            fired,
-            marking,
-            row: (usage, tokens),
-            out,
-        } = self;
-        replay_head(phase, &mut 0, fired, &mut out.tape);
-        let at = &mut 0;
-        let mut fold_probs = fold_probs.iter();
-        for _ in 0..read(fold, at) {
-            usage[read(fold, at)] = *fold_probs.next().expect("a usage per used transition");
-        }
-        for (acc, &kept) in tokens.iter_mut().zip(fold_probs.by_ref()) {
-            *acc = kept;
-        }
-        let clamped = moves(fold, at);
-        for &p in probs {
-            let deltas = &fold[*at..*at + clamped.len()];
-            *at += clamped.len();
-            for (&place, &z) in fold[clamped.clone()].iter().zip(deltas) {
-                let place = place.into() as usize;
-                tokens[place] += p * f64::from(shift(start[place], z.into()));
-            }
-        }
-        marking.clear();
-        marking.extend_from_slice(start);
-        let successors = read(fold, at);
-        let moved = moves(fold, at);
-        for &p in fold_probs.by_ref().take(successors) {
-            let deltas = &fold[*at..*at + moved.len()];
-            *at += moved.len();
-            for (&place, &z) in fold[moved.clone()].iter().zip(deltas) {
-                let place = place.into() as usize;
-                marking[place] = shift(start[place], z.into());
-            }
-            out.push_successor(marking, &[], p, state_hash(marking, &[]));
-        }
-        let n = read(fold, at);
-        out.tape
-            .extend(fold[*at..*at + n].iter().map(|&w| w.into() as u32));
-        debug_assert_eq!(*at + n, fold.len(), "a fold consumes its words");
-        debug_assert!(fold_probs.next().is_none(), "and its probabilities");
-    }
 }
 
 /// Replays one lumped state's fold from its tape (see [`expand_lumped`]):
@@ -959,12 +800,11 @@ mod tests {
         assert_eq!(lumped.graph.state_count(), 21_952);
         assert_eq!(build.phase_calls, 21_952);
         assert!(
-            build.fold_hits * 10 >= build.phase_calls * 9,
+            build.phase_hits * 10 >= build.phase_calls * 9,
             "{} of {} folds served",
-            build.fold_hits,
+            build.phase_hits,
             build.phase_calls
         );
-        assert!(build.fold_hits <= build.phase_hits);
         // The states fire their stages in few ways — a ring's usage depends
         // only on which of its three places hold tokens, seven ways for six
         // tokens — and each way's usage row is held once.
@@ -972,10 +812,9 @@ mod tests {
     }
 
     /// A class whose fold fails — an outcome with nothing in progress — is
-    /// never folded: noted, kept, then served, its phase is replayed and
-    /// its fold re-run every time, and every run names the state at hand,
-    /// as the reference build does. A healthy class beside it is folded
-    /// on its keeping run and served from then on.
+    /// never kept: every dead start runs its phase and its fold again, and
+    /// each error names the state at hand, as the reference build does. A
+    /// healthy class beside it is noted, kept with its fold, then served.
     #[test]
     fn a_served_class_with_a_dead_outcome_is_never_folded() {
         let mut net = Net::new("dead");
@@ -989,20 +828,18 @@ mod tests {
         assert_eq!(err, GtpnError::Deadlock { state: 1 });
         let compiled = CompiledNet::new(&net);
         let mut w = Worker::new(&compiled);
-        for _ in 0..4 {
+        for si in 0..4 {
             let mut out = Expansion::new(compiled.places);
-            let err = fold::<false>(&compiled, &[0, 1], 1, &mut w, &mut out).unwrap_err();
-            assert_eq!(err, GtpnError::Deadlock { state: 1 });
+            let err = fold::<false>(&compiled, &[0, 1], si, &mut w, &mut out).unwrap_err();
+            assert_eq!(err, GtpnError::Deadlock { state: si });
         }
-        let phase = &w.phase;
-        assert_eq!((phase.calls, phase.hits, phase.fold_hits), (4, 2, 0));
+        assert_eq!((w.phase.calls, w.memo.hits), (4, 0));
         for _ in 0..4 {
             let mut out = Expansion::new(compiled.places);
             fold::<false>(&compiled, &[1, 0], 0, &mut w, &mut out).unwrap();
             assert_eq!(out.successor_marking(0), [0, 1]);
         }
-        let phase = &w.phase;
-        assert_eq!((phase.calls, phase.hits, phase.fold_hits), (8, 4, 2));
+        assert_eq!((w.phase.calls, w.memo.hits), (8, 2));
     }
 
     /// A recording build served by the phase memo and its folds records
@@ -1015,18 +852,11 @@ mod tests {
         let (net, other) = (rings_of([2, 2, 2], 2.0), rings_of([2, 2, 2], 3.5));
         let (chain, tape) = lumped_chain(&net, 100_000, true).unwrap();
         let served = chain.graph.build;
+        // A served phase comes with its fold, tape entries included.
         assert!(
             served.phase_hits * 10 >= served.phase_calls * 9,
             "{} of {} phases served",
             served.phase_hits,
-            served.phase_calls
-        );
-        // The build serves its folds — tape entries included — from the
-        // memo too.
-        assert!(
-            served.fold_hits * 10 >= served.phase_calls * 9,
-            "{} of {} folds served",
-            served.fold_hits,
             served.phase_calls
         );
         let plain = reach_lumped(&net, 100_000).unwrap();

@@ -25,9 +25,10 @@
 //! Everything between the net and the solver is flat. The net is compiled
 //! once per build ([`CompiledNet`]); the instantaneous phase
 //! ([`instantaneous_phase`]) runs on fixed-stride `u32` keys in reusable
-//! buffers ([`PhaseScratch`]), which also remember finished phases by
-//! start class ([`PhaseMemo`]); states live once, in the graph's
-//! own marking arena and firing lists, found through an [`IndexTable`];
+//! buffers ([`PhaseScratch`]), and a lumped build remembers each expanded
+//! state's phase and fold by start class ([`PhaseMemo`]); states live
+//! once, in the graph's own marking arena and firing lists, found through
+//! an [`IndexTable`];
 //! and edges are stored in compressed-sparse-row form. One breadth-first
 //! driver ([`explore`]) serves both the raw chain built here and the lumped
 //! chain of [`crate::lump`].
@@ -69,11 +70,9 @@ pub(crate) struct BuildStats {
     pub(crate) phase_calls: u64,
     /// Configurations those phases expanded (terminal ones included).
     pub(crate) phase_configs: u64,
-    /// Phases the phase memo served; 0 for a re-priced chain.
+    /// Lumped states the phase memo served, their folds with them; 0 for
+    /// a raw or re-priced chain.
     pub(crate) phase_hits: u64,
-    /// Lumped states whose fold the phase memo served too; 0 for a raw
-    /// or re-priced chain.
-    pub(crate) fold_hits: u64,
     /// 1 when the chain was re-priced from a skeleton.
     pub(crate) replays: u64,
     /// 1 when the build recorded a skeleton.
@@ -171,17 +170,7 @@ fn expand_state(
 /// progress and records every outcome as a successor state: its marking,
 /// and the carried firings plus the newly started ones, canonically sorted.
 fn expand_from(net: &CompiledNet, w: &mut Worker, out: &mut Expansion) -> Result<(), GtpnError> {
-    let class = instantaneous_phase::<false>(
-        net,
-        &w.marking,
-        &w.carried,
-        &mut w.fired,
-        &mut w.phase,
-        &mut out.tape,
-    )?;
-    // Only a lumped build keeps folds, so the scratch holds this phase's
-    // outcomes.
-    debug_assert!(!matches!(class, Class::Folded(_)), "a raw phase is folded");
+    instantaneous_phase(net, &w.marking, &w.carried, &mut w.fired, &mut w.phase)?;
     for (m, pending, p) in w.phase.outcomes(net.places) {
         w.firings.clear();
         w.firings.extend_from_slice(&w.carried);
@@ -200,10 +189,12 @@ pub(crate) fn state_hash(marking: &[u32], firings: &[(TransId, u64)]) -> u64 {
     })
 }
 
-/// A build's expansion state: the kernel's buffers, the `fired` record, and
-/// scratch the expanders reuse from state to state.
+/// A build's expansion state: the kernel's buffers, the phase memo of a
+/// lumped build, the `fired` record, and scratch the expanders reuse from
+/// state to state.
 pub(crate) struct Worker {
     pub(crate) phase: PhaseScratch,
+    pub(crate) memo: PhaseMemo,
     pub(crate) fired: Vec<bool>,
     pub(crate) marking: Vec<u32>,
     pub(crate) carried: Vec<(TransId, u64)>,
@@ -218,6 +209,7 @@ impl Worker {
     pub(crate) fn new(net: &CompiledNet) -> Worker {
         Worker {
             phase: PhaseScratch::new(net),
+            memo: PhaseMemo::new(net),
             fired: vec![false; net.transitions.len()],
             marking: Vec::new(),
             carried: Vec::new(),
@@ -469,8 +461,7 @@ pub(crate) fn explore(
     let rows = rows.map_or_else(Rows::default, RowIndex::finish);
     graph.build.phase_calls = w.phase.calls;
     graph.build.phase_configs = w.phase.configs;
-    graph.build.phase_hits = w.phase.hits;
-    graph.build.fold_hits = w.phase.fold_hits;
+    graph.build.phase_hits = w.memo.hits;
     graph.fired = w.fired;
     graph.build.net_compile_s = (compiled_at - started).as_secs_f64();
     graph.build.bfs_s = compiled_at.elapsed().as_secs_f64();
@@ -662,14 +653,10 @@ pub(crate) struct PhaseScratch {
     stack: Vec<f64>,
     /// Transitions the running phase has selected.
     selected: Vec<bool>,
-    memo: PhaseMemo,
-    /// Phases and configurations through these buffers, replayed ones
-    /// included, the phases the memo served, and those of them whose
-    /// lumped fold it served too.
+    /// Phases and configurations through these buffers, those the phase
+    /// memo served included.
     pub(crate) calls: u64,
     pub(crate) configs: u64,
-    pub(crate) hits: u64,
-    pub(crate) fold_hits: u64,
 }
 
 impl PhaseScratch {
@@ -686,11 +673,8 @@ impl PhaseScratch {
             enabled: Vec::new(),
             stack: Vec::new(),
             selected: vec![false; net.transitions.len()],
-            memo: PhaseMemo::new(net),
             calls: 0,
             configs: 0,
-            hits: 0,
-            fold_hits: 0,
         }
     }
 
@@ -702,6 +686,26 @@ impl PhaseScratch {
             .chunks_exact(places + self.cap)
             .zip(&self.out.probs)
             .map(move |(key, &p)| (&key[..places], &key[places..], p))
+    }
+
+    /// The last phase's outcomes as [`reference::outcomes`] lists them,
+    /// `carried` being the firings it carried — for a phase that ran, not
+    /// one the memo served.
+    #[cfg(test)]
+    pub(crate) fn outcome_states(
+        &self,
+        net: &Net,
+        carried: &[(TransId, u64)],
+    ) -> reference::Outcomes {
+        self.outcomes(net.place_count())
+            .map(|(m, pending, p)| {
+                let mut firings = carried.to_vec();
+                firings.extend(
+                    pending_ids(pending).map(|t| (TransId(t), net.transition_delay(TransId(t)))),
+                );
+                (crate::state::State::new(m.to_vec(), firings), p.to_bits())
+            })
+            .collect()
     }
 }
 
@@ -767,9 +771,23 @@ fn sort_order(src: &Configs, order: &mut Vec<u32>, stride: usize) {
 /// Runs the instantaneous firing phase from `marking` with `carried`
 /// in-progress firings, leaving the distribution over tangible outcomes in
 /// `s` ([`PhaseScratch::outcomes`]) — the reference kernel's result in the
-/// reference kernel's order, without an allocation per configuration.
-/// Shared with the lumped expansion ([`crate::lump`]), whose states are
-/// exactly the post-completion markings this phase starts from.
+/// reference kernel's order, without an allocation per configuration. The
+/// raw build runs every phase so; the lumped expansion, whose states are
+/// exactly the post-completion markings this phase starts from, goes
+/// through its phase memo ([`lumped_phase`]).
+pub(crate) fn instantaneous_phase(
+    net: &CompiledNet,
+    marking: &[u32],
+    carried: &[(TransId, u64)],
+    fired: &mut [bool],
+    s: &mut PhaseScratch,
+) -> Result<(), GtpnError> {
+    s.calls += 1;
+    run_phase::<false>(net, marking, carried, fired, s, &mut Vec::new(), None)
+}
+
+/// The kernel of [`instantaneous_phase`] and [`lumped_phase`]: the phase
+/// itself, its selections marked in `fired` and in `s.selected`.
 ///
 /// Each round expands the frontier's configurations in key order and their
 /// enabled transitions in id order; children are sort-merged into the next
@@ -783,78 +801,8 @@ fn sort_order(src: &Configs, order: &mut Vec<u32>, stride: usize) {
 /// [`Skeleton::replay`] reads the tape back. Without `RECORD` no
 /// recording code is compiled in.
 ///
-/// A phase already run from a start of the same class ([`PhaseMemo`]) is
-/// not run again: its outcomes, shifted to `marking`, its tape words, its
-/// `fired` marks and its configuration count are replayed from `s` — or,
-/// when the class's lumped fold is kept too, only its configuration count,
-/// the rest being left to the fold ([`crate::lump`]). The result says
-/// which.
-pub(crate) fn instantaneous_phase<const RECORD: bool>(
-    net: &CompiledNet,
-    marking: &[u32],
-    carried: &[(TransId, u64)],
-    fired: &mut [bool],
-    s: &mut PhaseScratch,
-    tape: &mut Vec<u32>,
-) -> Result<Class, GtpnError> {
-    s.calls += 1;
-    let hash = s.memo.key(marking, carried);
-    let class = s.memo.find(hash);
-    if let Some(e) = class.filter(|&e| s.memo.entries[e].stored()) {
-        s.hits += 1;
-        s.configs += s.memo.entries[e].configs;
-        if s.memo.entries[e].folded() {
-            s.fold_hits += 1;
-            return Ok(Class::Folded(e));
-        }
-        s.memo.replay(e, marking, fired, &mut s.out, s.cap, tape);
-        return Ok(Class::Kept(e));
-    }
-    // The first sighting of a class only notes it; the second proves the
-    // clamp its key needs while it runs, and keeps it.
-    let keep = class.is_some();
-    if !keep {
-        s.memo.sight(hash);
-    }
-    let (configs, at) = (s.configs, tape.len());
-    s.memo.begin(net, marking, keep);
-    s.selected.fill(false);
-    run_phase::<RECORD>(net, marking, carried, fired, s, tape)?;
-    if keep {
-        let phase = Phase {
-            configs: s.configs - configs,
-            selected: &s.selected,
-            out: &s.out,
-            cap: s.cap,
-            tape: &tape[at..],
-        };
-        if let Some(e) = s.memo.keep(marking, carried, &phase) {
-            return Ok(Class::Kept(e));
-        }
-    }
-    Ok(Class::Unkept)
-}
-
-/// Where the phase memo holds the phase [`instantaneous_phase`] just
-/// served or ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Class {
-    /// Nowhere: the phase ran, and its class is not kept (yet).
-    Unkept,
-    /// Kept class `e` holds the phase, and the outcomes are in the
-    /// scratch; a lumped build may add its fold
-    /// ([`PhaseScratch::keep_fold`]).
-    Kept(usize),
-    /// Kept class `e` holds the phase and its lumped fold. Only the counts
-    /// are replayed; the outcomes in the scratch are another phase's, and
-    /// the fold ([`crate::lump`], through [`PhaseScratch::read_fold`])
-    /// does the rest. Only a lumped build keeps folds, and a memo serves
-    /// one build.
-    Folded(usize),
-}
-
-/// The kernel of [`instantaneous_phase`]: the phase itself, its selections
-/// marked in `fired` and in `s.selected`.
+/// A keeping run of `memo` proves its class's clamp as it goes
+/// ([`PhaseMemo::begin`]).
 fn run_phase<const RECORD: bool>(
     net: &CompiledNet,
     marking: &[u32],
@@ -862,8 +810,14 @@ fn run_phase<const RECORD: bool>(
     fired: &mut [bool],
     s: &mut PhaseScratch,
     tape: &mut Vec<u32>,
+    memo: Option<&mut PhaseMemo>,
 ) -> Result<(), GtpnError> {
+    let (watch, clamp): (&[(usize, u32)], &mut [u32]) = match memo {
+        Some(memo) => (&memo.watch, &mut memo.clamp),
+        None => (&[], &mut []),
+    };
     let places = net.places;
+    s.selected.fill(false);
     s.carried_counts.fill(0);
     for &(t, _) in carried {
         s.carried_counts[t.0] += 1;
@@ -903,11 +857,9 @@ fn run_phase<const RECORD: bool>(
             if RECORD {
                 tape.push(0);
             }
-            // A keeping run proves its class's clamp as it goes
-            // ([`PhaseMemo::begin`]).
-            for &(p, bar) in &s.memo.watch {
+            for &(p, bar) in watch {
                 if m[p] < bar {
-                    net.raise_clamp(p, m, marking, &mut s.memo.clamp);
+                    net.raise_clamp(p, m, marking, clamp);
                 }
             }
             for (ti, t) in net.transitions.iter().enumerate() {
@@ -990,98 +942,93 @@ fn run_phase<const RECORD: bool>(
     Ok(())
 }
 
-/// Bytes past which a [`PhaseMemo`] notes and keeps no more classes or
-/// folds: a net whose phases never repeat a class then costs a bounded
-/// arena, not one that grows with the chain. No class or fold larger than
-/// this is kept, so the arenas stay under twice it and every offset fits a
-/// `u32`.
+/// Bytes past which a [`PhaseMemo`] notes and keeps no more classes: a
+/// net whose phases never repeat a class then costs a bounded arena, not
+/// one that grows with the chain. No class larger than this is kept, so
+/// the arenas stay under twice it and every offset fits a `u32`.
 const MEMO_CAP_BYTES: usize = 4 << 20;
 
-/// A finished phase, as [`PhaseMemo::keep`] keeps it.
-struct Phase<'a> {
-    configs: u64,
-    selected: &'a [bool],
-    out: &'a Configs,
-    cap: usize,
-    tape: &'a [u32],
-}
-
 /// One class of a [`PhaseMemo`]: where its key ends (keys are stored in
-/// entry order), once kept where its words and probabilities are and how
-/// many configurations its phase expanded, and once its lumped fold is
-/// kept where the fold's words and probabilities are.
+/// entry order) and, once kept, where its words and probabilities are and
+/// how many configurations its phase expanded.
 #[derive(Debug, Clone, Copy, Default)]
 struct MemoEntry {
     key_end: u32,
     words: [u32; 2],
     probs: [u32; 2],
-    fold: [u32; 2],
-    fold_probs: [u32; 2],
     configs: u64,
 }
 
 impl MemoEntry {
-    /// Whether the class's phase is kept (its words hold at least its
-    /// fired count), not just sighted.
-    fn stored(&self) -> bool {
+    /// Whether the class is kept (its words hold at least its fired
+    /// count), not just sighted.
+    fn kept(&self) -> bool {
         self.words[0] < self.words[1]
-    }
-
-    /// Whether the class's lumped fold is kept too (its fold words hold at
-    /// least their counts).
-    fn folded(&self) -> bool {
-        self.fold[0] < self.fold[1]
     }
 }
 
-/// Finished phases of one build, keyed by start class — one memo per
-/// [`PhaseScratch`], so per build.
+/// The expansions of one lumped build's states, keyed by the start class
+/// of their phases — one memo per [`Worker`], so per build; the raw build
+/// never consults it.
 ///
 /// A phase reads its start marking only through the places frequency and
 /// slot programs read and through enabling tests
 /// ([`CompiledTransition::has_tokens`](crate::compiled::CompiledTransition::has_tokens)).
-/// Two starts that agree on every program-read place and on the carried
-/// firings, and agree on every other place once it is clamped at the
-/// highest start count a test needed there, run the same phase: the same
-/// branches, the same probabilities, tape words and `fired` marks, and
-/// outcomes that differ only by the start each is offset from. Sorting and
-/// merging keys `start + δ` depends on `δ` alone, so the outcome order and
-/// every float sum carry over too.
+/// Two starts that agree on every program-read place, and agree on every
+/// other place once it is clamped at the highest start count a test
+/// needed there, run the same phase: the same branches, the same
+/// probabilities, tape words and `fired` marks, and outcomes that differ
+/// only by the start each is offset from. Sorting and merging keys
+/// `start + δ` depends on `δ` alone, so the outcome order and every float
+/// sum carry over too. A lumped state carries no firings, so the clamped
+/// start is the whole key.
+///
+/// Little of a lumped state's fold depends on its start `s` either. The
+/// successors are `s + Δ_k` de-duplicated in first-seen outcome order, and
+/// `s + Δ₁ = s + Δ₂` exactly when `Δ₁ = Δ₂`; their probabilities and the
+/// usages are sums in outcome order; the tape entries are slots and
+/// pending ids. A token `E[m_p | u] = Σ_o p_o · (s_p + δ_op)`, summed in
+/// outcome order, depends on `s_p` alone — and every start a class serves
+/// has its keeping start's `s_p` wherever the key tells starts apart, the
+/// clamp only growing. So a class keeps its phase and its fold together,
+/// and serves every later start from them, recomputing only the tokens of
+/// the places at or above their clamp.
 ///
 /// The clamp ([`CompiledNet::clamp`] to begin with) is shared by all
 /// classes and only grows, raised by a run whose tests needed more
 /// ([`CompiledNet::raise_clamp`]): a class keyed under a lower clamp stays
 /// valid, its own thresholds being no higher. A class is noted on its
 /// first sighting and kept on its second, as the skeleton store records a
-/// shape: a build whose phases rarely repeat pays a key per phase, not a
-/// copy. Classes live in flat arenas — keys, then per kept class its fired
-/// transitions, tape words and, per outcome, the places it moved with
-/// their zigzagged deltas and its pending ids, all width-packed
-/// ([`Packed`]), then its probabilities. A lumped build appends a kept
-/// class's fold to the same arenas ([`PhaseScratch::keep_fold`]).
-/// Noting and keeping stop at [`MEMO_CAP_BYTES`].
+/// shape, once that run's fold has succeeded: a build whose phases rarely
+/// repeat pays a key per phase, not a copy, and a fold that fails is never
+/// kept. Classes live in flat arenas — keys, then per kept class its
+/// words, width-packed ([`Packed`]), and its probabilities ([`keep`] lays
+/// them out). Noting and keeping stop at [`MEMO_CAP_BYTES`].
 #[derive(Debug)]
-struct PhaseMemo {
+pub(crate) struct PhaseMemo {
     /// Per place, the count above which starts are not told apart.
     clamp: Vec<u32>,
     /// The places whose clamp the running phase may have to raise, each
     /// with the count below which a configuration's tests may need it.
     watch: Vec<(usize, u32)>,
-    /// The key of the phase at hand: its clamped start and its carried
-    /// firings' transitions. (A memo serves one build, which records its
-    /// tape or does not throughout, so kept tape words always fit.)
+    /// The key of the phase at hand: its clamped start. (A memo serves one
+    /// build, which records its tape or does not throughout, so kept tape
+    /// words always fit.)
     key: Vec<u32>,
     table: IndexTable,
     entries: Vec<MemoEntry>,
     keys: Vec<u32>,
     words: Packed,
     probs: Vec<f64>,
-    /// A class's words, gathered to be packed at one width check.
+    /// A class's words and probabilities, gathered to be kept at one check.
     stage: Vec<u64>,
+    stage_probs: Vec<f64>,
+    /// Phases the memo served.
+    pub(crate) hits: u64,
 }
 
 impl PhaseMemo {
-    fn new(net: &CompiledNet) -> PhaseMemo {
+    pub(crate) fn new(net: &CompiledNet) -> PhaseMemo {
         PhaseMemo {
             clamp: net.clamp.clone(),
             watch: Vec::new(),
@@ -1092,16 +1039,17 @@ impl PhaseMemo {
             words: Packed::default(),
             probs: Vec::new(),
             stage: Vec::new(),
+            stage_probs: Vec::new(),
+            hits: 0,
         }
     }
 
-    /// Makes the phase from `start` with `carried` in progress the one at
-    /// hand; returns its key's hash.
-    fn key(&mut self, start: &[u32], carried: &[(TransId, u64)]) -> u64 {
+    /// Makes the phase from `start` the one at hand; returns its key's
+    /// hash.
+    fn key(&mut self, start: &[u32]) -> u64 {
         self.key.clear();
         self.key
             .extend(start.iter().zip(&self.clamp).map(|(&m, &c)| m.min(c)));
-        self.key.extend(carried.iter().map(|&(t, _)| t.0 as u32));
         hash_words(0, &self.key)
     }
 
@@ -1118,12 +1066,6 @@ impl PhaseMemo {
             + size_of::<u32>() * self.keys.capacity()
             + self.words.bytes()
             + size_of::<f64>() * self.probs.capacity()
-    }
-
-    /// Whether `words` staged words and `probs` probabilities may be kept:
-    /// the memo is not full and they are no larger than its cap.
-    fn room(&self, words: usize, probs: usize) -> bool {
-        self.bytes() < MEMO_CAP_BYTES && 8 * (words + probs) <= MEMO_CAP_BYTES
     }
 
     /// Notes the phase at hand's class, unless the memo is full.
@@ -1169,87 +1111,17 @@ impl PhaseMemo {
         }
     }
 
-    /// Keeps `phase`, run from `start` with `carried` in progress, under
-    /// the class its run proved, unless the memo is full; returns that
-    /// class if it holds the phase now (it may have held it already).
-    fn keep(
-        &mut self,
-        start: &[u32],
-        carried: &[(TransId, u64)],
-        phase: &Phase<'_>,
-    ) -> Option<usize> {
-        // The run may have raised the clamp, and so moved the key.
-        let hash = self.key(start, carried);
-        let e = match self.find(hash) {
-            Some(e) if self.entries[e].stored() => return Some(e),
-            Some(e) => e,
-            None => self.sight(hash)?,
-        };
-        let words = &mut self.stage;
-        words.clear();
-        words.push(0);
-        for (t, _) in phase.selected.iter().enumerate().filter(|&(_, &f)| f) {
-            words.push(t as u64);
-        }
-        words[0] = words.len() as u64 - 1;
-        words.push(phase.tape.len() as u64);
-        words.extend(phase.tape.iter().map(|&word| u64::from(word)));
-        for key in phase.out.keys.chunks_exact(start.len() + phase.cap) {
-            let (m, pending) = key.split_at(start.len());
-            let at = words.len();
-            words.push(0);
-            for (p, (&m, &m0)) in m.iter().zip(start).enumerate() {
-                if m != m0 {
-                    words.extend([p as u64, zigzag(m0, m)]);
-                }
-            }
-            words[at] = (words.len() - at - 1) as u64 / 2;
-            let at = words.len();
-            words.push(0);
-            words.extend(pending_ids(pending).map(|t| t as u64 + 1));
-            words[at] = (words.len() - at - 1) as u64;
-        }
-        if !self.room(self.stage.len(), phase.out.probs.len()) {
-            return None;
-        }
-        let entry = &mut self.entries[e];
-        entry.words = [self.words.len() as u32, 0];
-        self.words.extend(&self.stage);
-        entry.words[1] = self.words.len() as u32;
-        entry.probs = [self.probs.len() as u32, 0];
-        self.probs.extend_from_slice(&phase.out.probs);
-        entry.probs[1] = self.probs.len() as u32;
-        entry.configs = phase.configs;
-        Some(e)
-    }
-
-    /// Replays kept class `e` for a phase from `start`: `fired` marks and
-    /// tape words appended, `out` the outcomes shifted to `start` at `cap`
-    /// pending slots.
-    fn replay(
-        &self,
-        e: usize,
-        start: &[u32],
-        fired: &mut [bool],
-        out: &mut Configs,
-        cap: usize,
-        tape: &mut Vec<u32>,
-    ) {
+    /// Hands `served` kept class `e`'s words, matched to their width once,
+    /// and its probabilities.
+    fn serve(&self, e: usize, served: Served<'_>) {
         let entry = self.entries[e];
         let words = entry.words[0] as usize..entry.words[1] as usize;
-        let replay = Replay {
-            start,
-            probs: &self.probs[entry.probs[0] as usize..entry.probs[1] as usize],
-            fired,
-            out,
-            cap,
-            tape,
-        };
+        let probs = &self.probs[entry.probs[0] as usize..entry.probs[1] as usize];
         match &self.words {
-            Packed::U8(w) => replay.run(&w[words]),
-            Packed::U16(w) => replay.run(&w[words]),
-            Packed::U32(w) => replay.run(&w[words]),
-            Packed::U64(w) => replay.run(&w[words]),
+            Packed::U8(w) => served.run(&w[words], probs),
+            Packed::U16(w) => served.run(&w[words], probs),
+            Packed::U32(w) => served.run(&w[words], probs),
+            Packed::U64(w) => served.run(&w[words], probs),
         }
     }
 }
@@ -1260,111 +1132,244 @@ fn entry_key<'a>(keys: &'a [u32], entries: &[MemoEntry], e: usize) -> &'a [u32] 
     &keys[start as usize..entries[e].key_end as usize]
 }
 
-/// Replays a kept class's `fired` marks and tape words, leaving `at` at its
-/// first outcome.
-pub(crate) fn replay_head<W: Copy + Into<u64>>(
-    words: &[W],
-    at: &mut usize,
-    fired: &mut [bool],
-    tape: &mut Vec<u32>,
+/// What [`lumped_phase`] did for a lumped state.
+pub(crate) enum Class {
+    /// Its kept class served the state's phase and fold: the expansion is
+    /// done ([`PhaseMemo::serve`]).
+    Served,
+    /// The phase ran, and its outcomes are in the scratch for the fold.
+    /// When the run was its class's keeping run, it comes back: [`keep`]
+    /// keeps it with its fold once the fold has succeeded.
+    Ran(Option<Keeping>),
+}
+
+/// A class's keeping run: the configurations its phase expanded and where
+/// in the expansion's tape its words begin.
+pub(crate) struct Keeping {
+    configs: u64,
+    tape: usize,
+}
+
+/// The phase of the lumped state `start` (nothing is carried): served with
+/// its fold from its kept class into `w.fired`, `w.row` (zeroed, the usage
+/// row then the token row) and `out`, or run, the phase's tape words
+/// appended to `out.tape`.
+pub(crate) fn lumped_phase<const RECORD: bool>(
+    net: &CompiledNet,
+    start: &[u32],
+    w: &mut Worker,
+    out: &mut Expansion,
+) -> Result<Class, GtpnError> {
+    let Worker {
+        phase: s,
+        memo,
+        fired,
+        marking,
+        row,
+        ..
+    } = w;
+    s.calls += 1;
+    let hash = memo.key(start);
+    let class = memo.find(hash);
+    if let Some(e) = class.filter(|&e| memo.entries[e].kept()) {
+        memo.hits += 1;
+        s.configs += memo.entries[e].configs;
+        let served = Served {
+            start,
+            fired,
+            marking,
+            row: row.split_at_mut(net.transitions.len()),
+            out,
+        };
+        memo.serve(e, served);
+        return Ok(Class::Served);
+    }
+    // The first sighting of a class only notes it; the second proves the
+    // clamp its key needs while it runs, and is kept with its fold.
+    let prove = class.is_some();
+    if !prove {
+        memo.sight(hash);
+    }
+    let (configs, tape) = (s.configs, out.tape.len());
+    memo.begin(net, start, prove);
+    run_phase::<RECORD>(net, start, &[], fired, s, &mut out.tape, Some(memo))?;
+    Ok(Class::Ran(prove.then(|| Keeping {
+        configs: s.configs - configs,
+        tape,
+    })))
+}
+
+/// Keeps the lumped state `start`'s keeping `run` — its phase, whose
+/// outcomes are in `w.phase`, and its fold: the successors in `out`, the
+/// row in `w.row` (`E[c_t | u]`, then `E[m_p | u]`), the tape words in
+/// `out.tape` from the run's on — as one class, under the key the run
+/// proved, unless that class is kept already or the memo is full.
+///
+/// Words: the selected transitions (count, ids); the outcome count; the
+/// used transitions (count, ids); the clamped places and each outcome's
+/// deltas there, as [`push_moves`] stages them; the successors' count and
+/// deltas, likewise over the places any of them moves; the tape words
+/// (count, words). Probabilities: the outcomes', the usages of the used
+/// transitions, the token row with the clamped places' entries zero, then
+/// the successors'.
+pub(crate) fn keep(w: &mut Worker, run: Keeping, start: &[u32], out: &Expansion) {
+    let Worker {
+        phase: s,
+        memo,
+        row,
+        ..
+    } = w;
+    // The run may have raised the clamp, and so moved the key.
+    let hash = memo.key(start);
+    let e = match memo.find(hash) {
+        Some(e) if memo.entries[e].kept() => return,
+        Some(e) => e,
+        None => match memo.sight(hash) {
+            Some(e) => e,
+            None => return,
+        },
+    };
+    let (usage, tokens) = row.split_at(row.len() - start.len());
+    let words = &mut memo.stage;
+    words.clear();
+    words.push(0);
+    for (t, _) in s.selected.iter().enumerate().filter(|&(_, &f)| f) {
+        words.push(t as u64);
+    }
+    words[0] = words.len() as u64 - 1;
+    words.push(s.out.probs.len() as u64);
+    let used: Vec<usize> = (0..usage.len()).filter(|&t| usage[t] != 0.0).collect();
+    words.push(used.len() as u64);
+    words.extend(used.iter().map(|&t| t as u64));
+    let clamped: Vec<usize> = (0..start.len())
+        .filter(|&p| start[p] >= memo.clamp[p])
+        .collect();
+    let outcomes = s.outcomes(start.len()).map(|(m, _, _)| m);
+    push_moves(words, &clamped, outcomes, start);
+    let successors = 0..out.successor_count();
+    let markings = successors.clone().map(|k| out.successor_marking(k));
+    let moved: Vec<usize> = (0..start.len())
+        .filter(|&p| markings.clone().any(|m| m[p] != start[p]))
+        .collect();
+    words.push(successors.len() as u64);
+    push_moves(words, &moved, markings, start);
+    let tape = &out.tape[run.tape..];
+    words.push(tape.len() as u64);
+    words.extend(tape.iter().map(|&word| u64::from(word)));
+    let probs = &mut memo.stage_probs;
+    probs.clear();
+    probs.extend_from_slice(&s.out.probs);
+    probs.extend(used.iter().map(|&t| usage[t]));
+    let at = probs.len();
+    probs.extend_from_slice(tokens);
+    for &p in &clamped {
+        probs[at + p] = 0.0;
+    }
+    probs.extend(successors.map(|k| out.successor_probability(k)));
+    let (words, probs) = (memo.stage.len(), memo.stage_probs.len());
+    if memo.bytes() >= MEMO_CAP_BYTES || 8 * (words + probs) > MEMO_CAP_BYTES {
+        return;
+    }
+    let entry = &mut memo.entries[e];
+    entry.words = [memo.words.len() as u32, 0];
+    memo.words.extend(&memo.stage);
+    entry.words[1] = memo.words.len() as u32;
+    entry.probs = [memo.probs.len() as u32, 0];
+    memo.probs.extend_from_slice(&memo.stage_probs);
+    entry.probs[1] = memo.probs.len() as u32;
+    entry.configs = run.configs;
+}
+
+/// Stages `markings` as moves from `start` at the places `moved`: their
+/// count and ids, then per marking its zigzagged delta at each of them —
+/// one shape for the whole list, so serving it runs loops of one length.
+fn push_moves<'a>(
+    words: &mut Vec<u64>,
+    moved: &[usize],
+    markings: impl Iterator<Item = &'a [u32]>,
+    start: &[u32],
 ) {
-    for _ in 0..read(words, at) {
-        fired[read(words, at)] = true;
+    words.push(moved.len() as u64);
+    words.extend(moved.iter().map(|&p| p as u64));
+    for m in markings {
+        words.extend(moved.iter().map(|&p| zigzag(start[p], m[p])));
     }
+}
+
+/// Reads the place list [`push_moves`] staged; returns where it is.
+fn moves<W: Copy + Into<u64>>(words: &[W], at: &mut usize) -> Range<usize> {
     let n = read(words, at);
-    tape.extend(words[*at..*at + n].iter().map(|&w| w.into() as u32));
     *at += n;
+    *at - n..*at
 }
 
-/// Where [`PhaseMemo::replay`] writes a class.
-struct Replay<'a> {
+/// Where [`PhaseMemo::serve`] writes a kept class for the lumped state
+/// `start`.
+struct Served<'a> {
     start: &'a [u32],
-    probs: &'a [f64],
     fired: &'a mut [bool],
-    out: &'a mut Configs,
-    cap: usize,
-    tape: &'a mut Vec<u32>,
+    /// Scratch for `start` moved to one successor at a time.
+    marking: &'a mut Vec<u32>,
+    /// The usage row and the token row.
+    row: (&'a mut [f64], &'a mut [f64]),
+    out: &'a mut Expansion,
 }
 
-impl Replay<'_> {
-    /// Decodes one class's words, matched to their width once.
-    fn run<W: Copy + Into<u64>>(self, words: &[W]) {
+impl Served<'_> {
+    /// Decodes one class ([`keep`] lays it out): marks `fired`, fills the
+    /// row — the usage row and the kept tokens copied, each clamped place's
+    /// token summed `acc_p += p_o · (s_p + δ_op)` over the phase's outcomes
+    /// in outcome order, the fold's own arithmetic — pushes the successors
+    /// `start + Δ_k` with their summed probabilities, and appends the tape
+    /// words.
+    fn run<W: Copy + Into<u64>>(self, words: &[W], probs: &[f64]) {
+        let Served {
+            start,
+            fired,
+            marking,
+            row: (usage, tokens),
+            out,
+        } = self;
         let at = &mut 0;
-        replay_head(words, at, self.fired, self.tape);
-        self.out.clear();
-        for &p in self.probs {
-            let marking = self.out.keys.len();
-            self.out.keys.extend_from_slice(self.start);
-            for _ in 0..read(words, at) {
-                let place = marking + read(words, at);
-                self.out.keys[place] = shift(self.out.keys[place], read(words, at) as u64);
+        for _ in 0..read(words, at) {
+            fired[read(words, at)] = true;
+        }
+        let (outcomes, probs) = probs.split_at(read(words, at));
+        let mut probs = probs.iter();
+        for _ in 0..read(words, at) {
+            usage[read(words, at)] = *probs.next().expect("a usage per used transition");
+        }
+        for (acc, &kept) in tokens.iter_mut().zip(probs.by_ref()) {
+            *acc = kept;
+        }
+        let clamped = moves(words, at);
+        for &p in outcomes {
+            let deltas = &words[*at..*at + clamped.len()];
+            *at += clamped.len();
+            for (&place, &z) in words[clamped.clone()].iter().zip(deltas) {
+                let place = place.into() as usize;
+                tokens[place] += p * f64::from(shift(start[place], z.into()));
             }
-            let n = read(words, at);
-            let pending = self.out.keys.len();
-            self.out
-                .keys
-                .extend(words[*at..*at + n].iter().map(|&w| w.into() as u32));
-            *at += n;
-            self.out.keys.resize(pending + self.cap, 0);
-            self.out.probs.push(p);
         }
-        debug_assert_eq!(*at, words.len(), "a replay consumes its class");
-    }
-}
-
-impl PhaseScratch {
-    /// Per place, the count above which the memo tells starts apart no
-    /// more; it only grows.
-    pub(crate) fn clamp(&self) -> &[u32] {
-        &self.memo.clamp
-    }
-
-    /// Whether kept class `e` holds a lumped fold too.
-    pub(crate) fn folded(&self, e: usize) -> bool {
-        self.memo.entries[e].folded()
-    }
-
-    /// Keeps `words` and `probs` beside kept class `e`'s phase as its
-    /// lumped fold, whose format is [`crate::lump`]'s own, unless the class
-    /// holds one already or the memo is full. They count toward the cap as
-    /// the phase's words do.
-    pub(crate) fn keep_fold(&mut self, e: usize, words: &[u64], probs: &[f64]) {
-        let memo = &mut self.memo;
-        if memo.entries[e].folded() || !memo.room(words.len(), probs.len()) {
-            return;
+        marking.clear();
+        marking.extend_from_slice(start);
+        let successors = read(words, at);
+        let moved = moves(words, at);
+        for &p in probs.by_ref().take(successors) {
+            let deltas = &words[*at..*at + moved.len()];
+            *at += moved.len();
+            for (&place, &z) in words[moved.clone()].iter().zip(deltas) {
+                let place = place.into() as usize;
+                marking[place] = shift(start[place], z.into());
+            }
+            out.push_successor(marking, &[], p, state_hash(marking, &[]));
         }
-        let entry = &mut memo.entries[e];
-        entry.fold = [memo.words.len() as u32, 0];
-        memo.words.extend(words);
-        entry.fold[1] = memo.words.len() as u32;
-        entry.fold_probs = [memo.probs.len() as u32, 0];
-        memo.probs.extend_from_slice(probs);
-        entry.fold_probs[1] = memo.probs.len() as u32;
+        let n = read(words, at);
+        out.tape
+            .extend(words[*at..*at + n].iter().map(|&w| w.into() as u32));
+        debug_assert_eq!(*at + n, words.len(), "a class consumes its words");
+        debug_assert!(probs.next().is_none(), "and its probabilities");
     }
-
-    /// Hands `reader` folded class `e`: its phase's words (read them with
-    /// [`replay_head`] up to the outcomes) and outcome probabilities, and
-    /// its fold's words and probabilities, at the width they are packed at.
-    pub(crate) fn read_fold(&self, e: usize, reader: impl FoldReader) {
-        let memo = &self.memo;
-        let entry = memo.entries[e];
-        let range = |[from, to]: [u32; 2]| from as usize..to as usize;
-        let (words, fold) = (range(entry.words), range(entry.fold));
-        let probs = &memo.probs[range(entry.probs)];
-        let fold_probs = &memo.probs[range(entry.fold_probs)];
-        match &memo.words {
-            Packed::U8(w) => reader.read(&w[words], probs, &w[fold], fold_probs),
-            Packed::U16(w) => reader.read(&w[words], probs, &w[fold], fold_probs),
-            Packed::U32(w) => reader.read(&w[words], probs, &w[fold], fold_probs),
-            Packed::U64(w) => reader.read(&w[words], probs, &w[fold], fold_probs),
-        }
-    }
-}
-
-/// What [`PhaseScratch::read_fold`] hands a folded class to, matched to
-/// the width of the memo's words once.
-pub(crate) trait FoldReader {
-    fn read<W: Copy + Into<u64>>(self, phase: &[W], probs: &[f64], fold: &[W], fold_probs: &[f64]);
 }
 
 /// The zigzagged delta that moves `from` to `to`; [`shift`] applies it.
@@ -1520,7 +1525,7 @@ impl Cursor<'_> {
 /// through the phase, and only a fresh build can follow it.
 pub(crate) struct FloorMoved;
 
-/// Replays recorded phases: [`instantaneous_phase`]'s arithmetic in its
+/// Replays recorded phases: [`run_phase`]'s arithmetic in its
 /// order, without keys. Buffers are reused from phase to phase.
 #[derive(Default)]
 struct Repricer {
@@ -1532,7 +1537,7 @@ struct Repricer {
 }
 
 impl Repricer {
-    /// Replays one phase under `rates`; see [`instantaneous_phase`] for
+    /// Replays one phase under `rates`; see [`run_phase`] for
     /// the tape's layout. The tape's width is matched once per phase, not
     /// once per word.
     fn phase(&mut self, tape: &mut Cursor<'_>, rates: &[f64]) -> Result<(), FloorMoved> {
@@ -1605,7 +1610,7 @@ fn merge<W: Copy + Into<u64>>(words: &[W], at: &mut usize, src: &[f64], dst: &mu
 /// A lumped chain with its probabilities taken out — states, edge
 /// targets, the fired record, the work counts and what its rows keep
 /// ([`RecordedRows`]) — plus the tape of the phase arithmetic that produced
-/// them: each state's words from [`instantaneous_phase`] and from the fold
+/// them: each state's words from [`run_phase`] and from the fold
 /// of `crate::lump`, in state order. A lumped state carries no firings and
 /// holds for one step, so neither is kept.
 ///
@@ -1882,6 +1887,27 @@ pub(crate) mod reference {
         Ok(out)
     }
 
+    /// Outcomes as the reference kernel lists them: states and probability
+    /// bits.
+    pub(crate) type Outcomes = Vec<(State, u64)>;
+
+    /// The reference kernel's outcomes from `marking` with `carried` in
+    /// progress, and the transitions it fired.
+    pub(crate) fn outcomes(
+        net: &Net,
+        marking: &[u32],
+        carried: &[(TransId, u64)],
+    ) -> (Result<Outcomes, GtpnError>, Vec<bool>) {
+        let mut fired = vec![false; net.transition_count()];
+        let dist = instantaneous_phase(net, marking.to_vec(), carried.to_vec(), &mut fired);
+        let outcomes = dist.map(|dist| {
+            dist.into_iter()
+                .map(|(s, p)| (s, p.to_bits()))
+                .collect::<Vec<_>>()
+        });
+        (outcomes, fired)
+    }
+
     /// The raw chain as nested vectors: states, out-edges, sojourns, fired.
     pub(crate) type Chain = (Vec<State>, Vec<Vec<(usize, f64)>>, Vec<u64>, Vec<bool>);
 
@@ -2080,51 +2106,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::net::Transition;
-    use crate::state::State;
     use proptest::prelude::*;
-
-    /// Outcomes as the reference kernel lists them: states and probability
-    /// bits.
-    type Outcomes = Vec<(State, u64)>;
-
-    /// The reference kernel's outcomes from `marking` with `carried` in
-    /// progress, and the transitions it fired.
-    fn reference_outcomes(
-        net: &Net,
-        marking: &[u32],
-        carried: &[(TransId, u64)],
-    ) -> (Result<Outcomes, GtpnError>, Vec<bool>) {
-        let mut fired = vec![false; net.transition_count()];
-        let dist =
-            reference::instantaneous_phase(net, marking.to_vec(), carried.to_vec(), &mut fired);
-        let outcomes = dist.map(|dist| {
-            dist.into_iter()
-                .map(|(s, p)| (s, p.to_bits()))
-                .collect::<Vec<_>>()
-        });
-        (outcomes, fired)
-    }
-
-    /// The outcomes `scratch` holds after a phase with `carried` in
-    /// progress — one the memo did not answer with a fold, which leaves
-    /// another phase's outcomes ([`Class::Folded`]).
-    fn scratch_outcomes(
-        net: &Net,
-        compiled: &CompiledNet,
-        scratch: &PhaseScratch,
-        carried: &[(TransId, u64)],
-    ) -> Outcomes {
-        scratch
-            .outcomes(compiled.places)
-            .map(|(m, pending, p)| {
-                let mut firings = carried.to_vec();
-                firings.extend(
-                    pending_ids(pending).map(|t| (TransId(t), net.transition_delay(TransId(t)))),
-                );
-                (State::new(m.to_vec(), firings), p.to_bits())
-            })
-            .collect()
-    }
 
     /// Runs both kernels from `marking` with `carried` in progress and
     /// asserts the same outcome list (states, probability bits), the same
@@ -2136,34 +2118,23 @@ mod tests {
         marking: &[u32],
         carried: &[(TransId, u64)],
     ) {
-        let (want, want_fired) = reference_outcomes(net, marking, carried);
+        let (want, want_fired) = reference::outcomes(net, marking, carried);
         let mut fired = vec![false; net.transition_count()];
-        let got = instantaneous_phase::<false>(
-            compiled,
-            marking,
-            carried,
-            &mut fired,
-            scratch,
-            &mut Vec::new(),
-        )
-        .map(|class| {
-            assert!(
-                !matches!(class, Class::Folded(_)),
-                "a kernel phase is folded"
-            );
-            scratch_outcomes(net, compiled, scratch, carried)
-        });
+        let got = instantaneous_phase(compiled, marking, carried, &mut fired, scratch)
+            .map(|()| scratch.outcome_states(net, carried));
         assert_eq!(got, want, "from {marking:?} carrying {carried:?}");
         assert_eq!(fired, want_fired, "from {marking:?} carrying {carried:?}");
     }
 
     /// Asserts the flat build of `net` is the reference build: numbering,
-    /// firings, sojourns, edge bits, fired record — or the same error.
+    /// firings, sojourns, edge bits, fired record — or the same error. The
+    /// raw build runs every phase: the phase memo serves none.
     fn assert_builds_agree(net: &Net, max_states: usize) {
         let got = net.reachability(max_states);
         let want = reference::reachability(net, max_states);
         match (got, want) {
             (Ok(g), Ok((states, edges, sojourn, fired))) => {
+                assert_eq!(g.build.phase_hits, 0, "a raw build touched the memo");
                 assert_eq!(g.state_count(), states.len());
                 for (i, want) in states.iter().enumerate() {
                     assert_eq!(
@@ -2298,24 +2269,31 @@ mod tests {
         let compiled = CompiledNet::new(&zeno);
         let mut scratch = PhaseScratch::new(&compiled);
         let mut fired = [false];
-        let err = instantaneous_phase::<false>(
-            &compiled,
-            &[1],
-            &[],
-            &mut fired,
-            &mut scratch,
-            &mut Vec::new(),
-        )
-        .unwrap_err();
+        let err = instantaneous_phase(&compiled, &[1], &[], &mut fired, &mut scratch).unwrap_err();
         assert_eq!(err, GtpnError::ZeroDelayDivergence);
         assert_kernels_agree(&zeno, &compiled, &mut scratch, &[1], &[]);
     }
 
-    /// The memo's kernel contract, each call with a fresh `fired` record:
-    /// the first phase from a start notes its class, the second keeps it,
-    /// the third is served — and marks `fired` as a run does. A phase that
-    /// fails part-way marks the transitions it selected before it failed,
-    /// whether or not the memo has seen its class.
+    /// Expands the lumped state `start` (state `si`) through the phase
+    /// memo with a fresh `fired` record; returns the expansion.
+    fn fold_once(
+        compiled: &CompiledNet,
+        w: &mut Worker,
+        start: &[u32],
+        si: usize,
+    ) -> (Result<(), GtpnError>, Expansion) {
+        let mut out = Expansion::new(compiled.places);
+        w.fired.fill(false);
+        let folded = crate::lump::fold::<false>(compiled, start, si, w, &mut out);
+        (folded, out)
+    }
+
+    /// The memo's contract through the lumped fold, its only user: the
+    /// first phase from a start notes its class, the second keeps it with
+    /// its fold, the third is served — and each marks `fired` as a run
+    /// does and yields the same successor. A phase that fails part-way
+    /// marks the transitions it selected before it failed, whether or not
+    /// the memo has seen its class, and is never kept.
     #[test]
     fn memo_served_and_failed_phases_mark_fired() {
         let mut net = Net::new("fired");
@@ -2326,15 +2304,22 @@ mod tests {
         net.add_transition(Transition::new("work").delay(1).input(b, 1).output(a, 1))
             .unwrap();
         let compiled = CompiledNet::new(&net);
-        let mut scratch = PhaseScratch::new(&compiled);
+        let mut w = Worker::new(&compiled);
+        let (_, want_fired) = reference::outcomes(&net, &[1, 0], &[]);
         for _ in 0..3 {
-            assert_kernels_agree(&net, &compiled, &mut scratch, &[1, 0], &[]);
+            let (folded, out) = fold_once(&compiled, &mut w, &[1, 0], 0);
+            folded.unwrap();
+            assert_eq!(w.fired, want_fired);
+            assert_eq!(out.successor_count(), 1);
+            assert_eq!(out.successor_marking(0), [1, 0]);
         }
-        assert_eq!((scratch.calls, scratch.hits), (3, 1));
+        assert_eq!((w.phase.calls, w.memo.hits), (3, 1));
         // From A = 2 `go` fires twice: the run that kept A = 1's class
         // raised A's clamp past 1, so that class does not serve A = 2.
-        assert_kernels_agree(&net, &compiled, &mut scratch, &[2, 0], &[]);
-        assert_eq!(scratch.hits, 1);
+        let (folded, out) = fold_once(&compiled, &mut w, &[2, 0], 0);
+        folded.unwrap();
+        assert_eq!(out.successor_marking(0), [2, 0]);
+        assert_eq!(w.memo.hits, 1);
 
         // `go` is selected, then `bad` turns negative once B holds a token.
         let b = net.place_by_name("B").unwrap();
@@ -2351,33 +2336,25 @@ mod tests {
         )
         .unwrap();
         let compiled = CompiledNet::new(&net);
-        let mut scratch = PhaseScratch::new(&compiled);
+        let mut w = Worker::new(&compiled);
         for _ in 0..3 {
-            assert_kernels_agree(&net, &compiled, &mut scratch, &[1, 0], &[]);
-            let mut fired = [false; 3];
-            let err = instantaneous_phase::<false>(
-                &compiled,
-                &[1, 0],
-                &[],
-                &mut fired,
-                &mut scratch,
-                &mut Vec::new(),
-            )
-            .unwrap_err();
+            let err = fold_once(&compiled, &mut w, &[1, 0], 0).0.unwrap_err();
             assert!(matches!(err, GtpnError::BadFrequency { .. }), "{err}");
-            assert_eq!(fired, [true, false, false], "`go` was selected");
+            assert_eq!(w.fired, [true, false, false], "`go` was selected");
         }
-        assert_eq!(scratch.hits, 0, "a failed phase is never kept");
+        assert_eq!(
+            (w.phase.calls, w.memo.hits),
+            (3, 0),
+            "a failed phase is never kept"
+        );
     }
 
     /// A frequency that reads a place makes that place part of every
     /// class: with `Big` different at every start no class repeats beyond
     /// the run that keeps it, and the memo notes and keeps classes — each
-    /// kept one with its lumped fold, whose words count toward the cap as
-    /// the phase's do — only up to its byte cap, then stops growing, while
-    /// every phase still matches the reference kernel: the noting run's
-    /// and the keeping run's, whose outcomes the fold leaves in the
-    /// scratch.
+    /// with its fold — only up to its byte cap, then stops growing, while
+    /// every run, the noting one and the keeping one, still matches the
+    /// reference kernel.
     #[test]
     fn memo_stops_growing_at_its_cap() {
         let mut net = Net::new("coins");
@@ -2404,38 +2381,32 @@ mod tests {
         let compiled = CompiledNet::new(&net);
         let mut w = Worker::new(&compiled);
         let mut full = None;
-        let (mut classes, mut folds) = (0, 0);
+        let (mut classes, mut kept) = (0, 0);
         for big in 0..30_000 {
-            // The kernel's run notes the class; the lumped fold's run
-            // keeps it, and keeps its fold beside it.
-            assert_kernels_agree(&net, &compiled, &mut w.phase, &[big, 8], &[]);
-            let (want, want_fired) = reference_outcomes(&net, &[big, 8], &[]);
-            let mut out = Expansion::new(compiled.places);
-            w.fired.fill(false);
-            let folded = crate::lump::fold::<false>(&compiled, &[big, 8], 0, &mut w, &mut out);
-            assert_eq!(w.phase.fold_hits, 0, "the scratch holds the keeping run");
-            let got = folded.map(|()| scratch_outcomes(&net, &compiled, &w.phase, &[]));
-            assert_eq!(got, want, "the keeping run from {big}");
-            assert_eq!(w.fired, want_fired, "the keeping run from {big}");
-            let memo = &w.phase.memo;
+            let (want, want_fired) = reference::outcomes(&net, &[big, 8], &[]);
+            // The first run notes the class; the second keeps it with its
+            // fold.
+            for run in ["noting", "keeping"] {
+                let (folded, _) = fold_once(&compiled, &mut w, &[big, 8], 0);
+                let got = folded.map(|()| w.phase.outcome_states(&net, &[]));
+                assert_eq!(got, want, "the {run} run from {big}");
+                assert_eq!(w.fired, want_fired, "the {run} run from {big}");
+            }
+            let memo = &w.memo;
             let bytes = memo.bytes();
             assert!(bytes < 2 * MEMO_CAP_BYTES, "{bytes} bytes");
             let grown = memo.entries.len();
-            let kept = memo.entries.iter().filter(|e| e.stored()).count();
-            let folded = memo.entries.iter().filter(|e| e.folded()).count();
+            let now_kept = memo.entries.iter().filter(|e| e.kept()).count();
             match full {
                 None if bytes >= MEMO_CAP_BYTES => full = Some(big),
-                None => {
-                    assert!(grown > classes, "start {big} not kept");
-                    assert_eq!(folded, kept, "start {big}'s fold not kept");
-                }
-                Some(_) => assert_eq!((grown, folded), (classes, folds), "grew past the cap"),
+                None => assert!(grown > classes && now_kept > kept, "start {big} not kept"),
+                Some(_) => assert_eq!((grown, now_kept), (classes, kept), "grew past the cap"),
             }
-            (classes, folds) = (grown, folded);
+            (classes, kept) = (grown, now_kept);
         }
         let big = full.expect("30,000 classes must fill the memo");
         assert!(big > 1_000 && big < 25_000, "filled at start {big}");
-        assert_eq!(w.phase.hits, 0, "no class repeats past its keeping run");
+        assert_eq!(w.memo.hits, 0, "no class repeats past its keeping run");
     }
 
     /// A single token looping through a delay-1 transition: one state with a
