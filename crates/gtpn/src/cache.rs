@@ -8,7 +8,7 @@
 //! loop `1 − 1/mean`); the chain's states, edge targets and control flow
 //! stay put. The engine's solution cache ([`crate::engine`]) cannot help —
 //! a new rate is a new net — so the exact backend keeps a skeleton store
-//! beside it instead: skeletons of lumped chains (`reach::Skeleton`) keyed
+//! beside it instead: skeletons of lumped chains (`skeleton::Skeleton`) keyed
 //! by the net's rate-free shape (`compiled::Shape`). A net whose shape is
 //! on the shelf is *re-priced*: the skeleton's tape of instantaneous-phase
 //! and fold arithmetic is replayed under the new rates, with no kernel,
@@ -51,7 +51,7 @@ use crate::error::GtpnError;
 use crate::lru::BoundedLru;
 use crate::lump::{lumped_chain, LumpedGraph};
 use crate::net::Net;
-use crate::reach::Skeleton;
+use crate::skeleton::Skeleton;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

@@ -80,7 +80,9 @@ mod expr;
 mod intern;
 mod lru;
 mod net;
+mod phase;
 mod reach;
+mod skeleton;
 mod solve;
 #[cfg(test)]
 mod state;

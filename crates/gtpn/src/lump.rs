@@ -47,11 +47,10 @@
 use crate::compiled::CompiledNet;
 use crate::error::GtpnError;
 use crate::intern::{hash_words, IndexTable};
-use crate::net::{Net, TransId};
-use crate::reach::{
-    explore, keep, lumped_phase, pending_ids, state_hash, Class, Cursor, Expansion, Packed,
-    ReachabilityGraph, Worker,
-};
+use crate::net::Net;
+use crate::phase::{keep, lumped_phase, pending_ids, Class};
+use crate::reach::{explore, state_hash, Expansion, ReachabilityGraph, Worker};
+use crate::skeleton::Packed;
 use crate::solve::Solution;
 
 /// Lumping policy of an engine.
@@ -363,7 +362,7 @@ pub(crate) fn delump(rows: &Rows, solution: &Solution) -> (Vec<f64>, Vec<f64>) {
 ///
 /// With `RECORD`, the phase's tape is followed by one entry per outcome:
 /// its successor's first-seen slot, the number of its pending firings and
-/// their transitions — everything [`refold`] needs, the outcome's tokens
+/// their transitions — everything [`refold`](crate::skeleton::refold) needs, the outcome's tokens
 /// being its successor's marking less those firings' outputs.
 fn expand_lumped<const RECORD: bool>(
     net: &CompiledNet,
@@ -443,54 +442,10 @@ pub(crate) fn fold<const RECORD: bool>(
     Ok(())
 }
 
-/// Replays one lumped state's fold from its tape (see [`expand_lumped`]):
-/// `outcomes` are its phase's replayed probabilities, `edges` start at its
-/// first edge with their targets filled in, `row` is its zeroed usage row
-/// and token row ([`RowReplay::state`]). Every sum is accumulated in the
-/// recorded outcome order, as the fold does. Returns the number of
-/// successors.
-pub(crate) fn refold(
-    tape: &mut Cursor<'_>,
-    outcomes: &[f64],
-    net: &Net,
-    markings: &[u32],
-    edges: &mut [(usize, f64)],
-    (usage_row, tokens_row): (&mut [f64], &mut [f64]),
-    tokens: &mut Vec<u32>,
-) -> usize {
-    let places = net.place_count();
-    let mut successors = 0;
-    for &p in outcomes {
-        let slot = tape.read();
-        let pending = tape.list();
-        let (succ, prob) = &mut edges[slot];
-        tokens.clear();
-        tokens.extend_from_slice(&markings[*succ * places..(*succ + 1) * places]);
-        for t in pending.clone().map(|i| tape.get(i)) {
-            for &(pl, mult) in net.transition_outputs(TransId(t)) {
-                tokens[pl.0] -= mult;
-            }
-        }
-        for (acc, &m) in tokens_row.iter_mut().zip(tokens.iter()) {
-            *acc += p * f64::from(m);
-        }
-        for t in pending.map(|i| tape.get(i)) {
-            usage_row[t] += p;
-        }
-        if slot == successors {
-            *prob = p;
-            successors += 1;
-        } else {
-            *prob += p;
-        }
-    }
-    successors
-}
-
 /// Builds the lumped chain of `net` directly — post-completion markings
 /// are interned without ever materializing the raw tangible state space —
 /// and, with `record`, the tape of its phase arithmetic and folds a
-/// [`Skeleton`](crate::reach::Skeleton) keeps (`net` must then have a
+/// [`Skeleton`](crate::skeleton::Skeleton) keeps (`net` must then have a
 /// [`Shape`](crate::compiled::Shape)).
 ///
 /// The caller is responsible for checking [`lumpable`] first; the budget
@@ -848,7 +803,8 @@ mod tests {
     /// fresh build at those means.
     #[test]
     fn a_memo_served_recording_replays_to_a_fresh_build() {
-        use crate::reach::{assert_graphs_identical, Skeleton};
+        use crate::reach::assert_graphs_identical;
+        use crate::skeleton::Skeleton;
         let (net, other) = (rings_of([2, 2, 2], 2.0), rings_of([2, 2, 2], 3.5));
         let (chain, tape) = lumped_chain(&net, 100_000, true).unwrap();
         let served = chain.graph.build;
@@ -923,7 +879,8 @@ mod tests {
     /// build's, bit for bit.
     #[test]
     fn a_replay_parts_rows_the_recording_shared() {
-        use crate::reach::{assert_graphs_identical, Skeleton};
+        use crate::reach::assert_graphs_identical;
+        use crate::skeleton::Skeleton;
         let (chain, tape) = lumped_chain(&flag(0.5, 0.5), 100, true).unwrap();
         assert_eq!((chain.graph.state_count(), chain.rows.usage_rows()), (4, 1));
         let other = flag(0.5, 2.0);

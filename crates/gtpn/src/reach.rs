@@ -36,30 +36,19 @@
 use crate::compiled::CompiledNet;
 use crate::error::GtpnError;
 use crate::intern::{hash_words, IndexTable};
-use crate::lump::{LumpedGraph, RecordedRows, RowIndex, RowReplay, Rows};
+use crate::lump::{RowIndex, Rows};
 use crate::net::{Net, PlaceId, TransId};
+use crate::phase::{instantaneous_phase, pending_ids, PhaseMemo, PhaseScratch};
+use crate::skeleton::Packed;
 use crate::solve::Solution;
-use std::ops::Range;
 use std::time::Instant;
-
-/// Maximum number of sequential selection rounds inside one instantaneous
-/// phase before we declare a zero-delay divergence.
-const MAX_PHASE_ROUNDS: usize = 10_000;
-
-/// Probability mass below which a branch is dropped (guards against floating
-/// point dust; exact zero frequencies never reach this point).
-const PROB_FLOOR: f64 = 1e-300;
-
-/// Pending-firing slots a configuration key starts with; see
-/// [`PhaseScratch`]. Grows on demand, so this bounds nothing.
-const INITIAL_PENDING_CAP: usize = 4;
 
 /// What building a graph cost — the build half of the engine's
 /// [`StageLedger`](crate::engine::StageLedger). Seconds are wall-clock
 /// around the whole stage (no timer runs inside the expansion kernel). A
-/// re-priced chain ([`Skeleton::replay`]) carries its skeleton's phase
-/// counts: they count the work the chain stands for, not the work its
-/// replay did.
+/// re-priced chain ([`Skeleton::replay`](crate::skeleton::Skeleton::replay))
+/// carries its skeleton's phase counts: they count the work the chain
+/// stands for, not the work its replay did.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct BuildStats {
     pub(crate) net_compile_s: f64,
@@ -89,15 +78,15 @@ pub(crate) struct BuildStats {
 pub struct ReachabilityGraph {
     pub(crate) net: Net,
     /// State `i`'s tokens per place at `[i·P, (i+1)·P)`, `P` places.
-    markings: Vec<u32>,
+    pub(crate) markings: Vec<u32>,
     /// State `i`'s in-progress firings `(transition, remaining time)`,
     /// sorted, at `firings[firing_offsets[i]..firing_offsets[i + 1]]`.
-    firing_offsets: Vec<usize>,
-    firings: Vec<(TransId, u64)>,
+    pub(crate) firing_offsets: Vec<usize>,
+    pub(crate) firings: Vec<(TransId, u64)>,
     /// State `i`'s out-edges `(successor, probability)` at
     /// `edges[edge_offsets[i]..edge_offsets[i + 1]]`.
-    edge_offsets: Vec<usize>,
-    edges: Vec<(usize, f64)>,
+    pub(crate) edge_offsets: Vec<usize>,
+    pub(crate) edges: Vec<(usize, f64)>,
     /// Holding time of each tangible state.
     pub(crate) sojourn: Vec<u64>,
     /// Whether each transition was ever selected to fire during expansion
@@ -599,1154 +588,6 @@ fn release<T>(v: &mut Vec<T>) {
     *v = Vec::new();
 }
 
-/// Fixed-stride configuration keys with their probabilities; the stride is
-/// the owning [`PhaseScratch`]'s.
-#[derive(Debug, Default)]
-struct Configs {
-    keys: Vec<u32>,
-    probs: Vec<f64>,
-}
-
-impl Configs {
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.probs.clear();
-    }
-
-    /// Re-lays the keys out from `places + old_cap` to `places + new_cap`
-    /// words, zero-filling the new pending slots.
-    fn restride(&mut self, places: usize, old_cap: usize, new_cap: usize) {
-        let old = std::mem::take(&mut self.keys);
-        self.keys.reserve(self.probs.len() * (places + new_cap));
-        for key in old.chunks_exact(places + old_cap) {
-            self.keys.extend_from_slice(key);
-            self.keys.resize(self.keys.len() + new_cap - old_cap, 0);
-        }
-    }
-}
-
-/// Reusable buffers of [`instantaneous_phase`], one set per build.
-///
-/// A configuration — a marking plus the multiset of firings started so far
-/// in this phase — is the flat key `[marking | pending ids + 1, ascending,
-/// zero-padded to `cap`]`. Lexicographic order on that key is the order of
-/// the `(Marking, Vec<(TransId, delay)>)` tuple the reference kernel keys
-/// its `BTreeMap` by: markings compare word by word, a transition's delay
-/// is a function of its id so the pair order is the id order, and a zero
-/// pad sorts a proper prefix first, as `Vec` comparison does. `cap` doubles
-/// whenever a configuration would overflow it, so it limits nothing.
-#[derive(Debug)]
-pub(crate) struct PhaseScratch {
-    cap: usize,
-    /// This round's configurations: sorted by key, keys distinct.
-    front: Configs,
-    /// Children generated this round, in generation order.
-    next: Configs,
-    /// Terminal configurations of every round, in generation order.
-    done: Configs,
-    /// The phase's outcome distribution: `done`, sorted and merged.
-    out: Configs,
-    order: Vec<u32>,
-    carried_counts: Vec<u32>,
-    firing_counts: Vec<u32>,
-    enabled: Vec<(usize, f64)>,
-    stack: Vec<f64>,
-    /// Transitions the running phase has selected.
-    selected: Vec<bool>,
-    /// Phases and configurations through these buffers, those the phase
-    /// memo served included.
-    pub(crate) calls: u64,
-    pub(crate) configs: u64,
-}
-
-impl PhaseScratch {
-    pub(crate) fn new(net: &CompiledNet) -> PhaseScratch {
-        PhaseScratch {
-            cap: INITIAL_PENDING_CAP,
-            front: Configs::default(),
-            next: Configs::default(),
-            done: Configs::default(),
-            out: Configs::default(),
-            order: Vec::new(),
-            carried_counts: vec![0; net.transitions.len()],
-            firing_counts: vec![0; net.transitions.len()],
-            enabled: Vec::new(),
-            stack: Vec::new(),
-            selected: vec![false; net.transitions.len()],
-            calls: 0,
-            configs: 0,
-        }
-    }
-
-    /// The last phase's outcomes in key order: `(marking, pending ids + 1
-    /// zero-padded, probability)`; see [`pending_ids`].
-    pub(crate) fn outcomes(&self, places: usize) -> impl Iterator<Item = (&[u32], &[u32], f64)> {
-        self.out
-            .keys
-            .chunks_exact(places + self.cap)
-            .zip(&self.out.probs)
-            .map(move |(key, &p)| (&key[..places], &key[places..], p))
-    }
-
-    /// The last phase's outcomes as [`reference::outcomes`] lists them,
-    /// `carried` being the firings it carried — for a phase that ran, not
-    /// one the memo served.
-    #[cfg(test)]
-    pub(crate) fn outcome_states(
-        &self,
-        net: &Net,
-        carried: &[(TransId, u64)],
-    ) -> reference::Outcomes {
-        self.outcomes(net.place_count())
-            .map(|(m, pending, p)| {
-                let mut firings = carried.to_vec();
-                firings.extend(
-                    pending_ids(pending).map(|t| (TransId(t), net.transition_delay(TransId(t)))),
-                );
-                (crate::state::State::new(m.to_vec(), firings), p.to_bits())
-            })
-            .collect()
-    }
-}
-
-/// The transition indices in the pending part of a configuration key.
-pub(crate) fn pending_ids(pending: &[u32]) -> impl Iterator<Item = usize> + '_ {
-    pending
-        .iter()
-        .take_while(|&&id| id != 0)
-        .map(|&id| id as usize - 1)
-}
-
-/// Sorts `src`'s configurations by key and merges equal keys into `dst`.
-///
-/// The sort breaks key ties by generation index and the merge adds in that
-/// order, so each merged probability is the sum `p₁ + p₂ + …` in generation
-/// order — exactly what `*map.entry(key).or_insert(0.0) += p` accumulates
-/// (`0.0 + p₁` is `p₁`), bit for bit. That is also why a replay needs no
-/// keys: adding each configuration to its recorded destination, in
-/// generation order, into zeroed slots is the same sum. Recording appends
-/// `dst`'s length, then each configuration's destination in generation
-/// order.
-fn sort_merge<const RECORD: bool>(
-    src: &Configs,
-    dst: &mut Configs,
-    order: &mut Vec<u32>,
-    stride: usize,
-    tape: &mut Vec<u32>,
-) {
-    dst.clear();
-    let key = |i: u32| &src.keys[i as usize * stride..(i as usize + 1) * stride];
-    sort_order(src, order, stride);
-    let dests = tape.len() + 1;
-    if RECORD {
-        tape.resize(dests + src.probs.len(), 0);
-    }
-    for &i in order.iter() {
-        let p = src.probs[i as usize];
-        let merged = dst.keys.len() >= stride && dst.keys[dst.keys.len() - stride..] == *key(i);
-        if merged {
-            *dst.probs.last_mut().expect("a key has a probability") += p;
-        } else {
-            dst.keys.extend_from_slice(key(i));
-            dst.probs.push(p);
-        }
-        if RECORD {
-            tape[dests + i as usize] = dst.probs.len() as u32 - 1;
-        }
-    }
-    if RECORD {
-        tape[dests - 1] = dst.probs.len() as u32;
-    }
-}
-
-/// Fills `order` with `src`'s generation indices sorted by key, ties by
-/// index.
-fn sort_order(src: &Configs, order: &mut Vec<u32>, stride: usize) {
-    let key = |i: u32| &src.keys[i as usize * stride..(i as usize + 1) * stride];
-    order.clear();
-    order.extend(0..src.probs.len() as u32);
-    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
-}
-
-/// Runs the instantaneous firing phase from `marking` with `carried`
-/// in-progress firings, leaving the distribution over tangible outcomes in
-/// `s` ([`PhaseScratch::outcomes`]) — the reference kernel's result in the
-/// reference kernel's order, without an allocation per configuration. The
-/// raw build runs every phase so; the lumped expansion, whose states are
-/// exactly the post-completion markings this phase starts from, goes
-/// through its phase memo ([`lumped_phase`]).
-pub(crate) fn instantaneous_phase(
-    net: &CompiledNet,
-    marking: &[u32],
-    carried: &[(TransId, u64)],
-    fired: &mut [bool],
-    s: &mut PhaseScratch,
-) -> Result<(), GtpnError> {
-    s.calls += 1;
-    run_phase::<false>(net, marking, carried, fired, s, &mut Vec::new(), None)
-}
-
-/// The kernel of [`instantaneous_phase`] and [`lumped_phase`]: the phase
-/// itself, its selections marked in `fired` and in `s.selected`.
-///
-/// Each round expands the frontier's configurations in key order and their
-/// enabled transitions in id order; children are sort-merged into the next
-/// frontier, terminal configurations once at the end.
-///
-/// With `RECORD` the phase also appends its arithmetic to `tape` (the net
-/// must have a [`Shape`](crate::compiled::Shape)): per configuration the
-/// number of enabled transitions, then for each `slot << 1 | skip` — the
-/// rate slot its frequency drew and whether its branch fell under
-/// [`PROB_FLOOR`] — and after every [`sort_merge`] its destinations.
-/// [`Skeleton::replay`] reads the tape back. Without `RECORD` no
-/// recording code is compiled in.
-///
-/// A keeping run of `memo` proves its class's clamp as it goes
-/// ([`PhaseMemo::begin`]).
-fn run_phase<const RECORD: bool>(
-    net: &CompiledNet,
-    marking: &[u32],
-    carried: &[(TransId, u64)],
-    fired: &mut [bool],
-    s: &mut PhaseScratch,
-    tape: &mut Vec<u32>,
-    memo: Option<&mut PhaseMemo>,
-) -> Result<(), GtpnError> {
-    let (watch, clamp): (&[(usize, u32)], &mut [u32]) = match memo {
-        Some(memo) => (&memo.watch, &mut memo.clamp),
-        None => (&[], &mut []),
-    };
-    let places = net.places;
-    s.selected.fill(false);
-    s.carried_counts.fill(0);
-    for &(t, _) in carried {
-        s.carried_counts[t.0] += 1;
-    }
-    s.done.clear();
-    s.front.clear();
-    s.front.keys.extend_from_slice(marking);
-    s.front.keys.resize(places + s.cap, 0);
-    s.front.probs.push(1.0);
-
-    for round in 0.. {
-        if round > MAX_PHASE_ROUNDS {
-            return Err(GtpnError::ZeroDelayDivergence);
-        }
-        if s.front.probs.is_empty() {
-            break;
-        }
-        s.next.clear();
-        for i in 0..s.front.probs.len() {
-            s.configs += 1;
-            let prob = s.front.probs[i];
-            let mut stride = places + s.cap;
-            let key = &s.front.keys[i * stride..(i + 1) * stride];
-            let (m, pending) = key.split_at(places);
-            // firing counts = carried + pending
-            s.firing_counts.copy_from_slice(&s.carried_counts);
-            let mut started = 0;
-            for t in pending_ids(pending) {
-                s.firing_counts[t] += 1;
-                started += 1;
-            }
-
-            // Collect enabled transitions and their weights.
-            s.enabled.clear();
-            let mut total = 0.0;
-            let head = tape.len();
-            if RECORD {
-                tape.push(0);
-            }
-            for &(p, bar) in watch {
-                if m[p] < bar {
-                    net.raise_clamp(p, m, marking, clamp);
-                }
-            }
-            for (ti, t) in net.transitions.iter().enumerate() {
-                if !t.has_tokens(m) {
-                    continue;
-                }
-                let w = t.frequency(m, &s.firing_counts, &mut s.stack);
-                if !w.is_finite() || w < 0.0 {
-                    return Err(GtpnError::BadFrequency {
-                        transition: t.name.clone(),
-                        value: w,
-                    });
-                }
-                if w > 0.0 {
-                    s.enabled.push((ti, w));
-                    total += w;
-                    if RECORD {
-                        tape.push(t.slot(m, &s.firing_counts, &mut s.stack) << 1);
-                    }
-                }
-            }
-            if RECORD {
-                tape[head] = s.enabled.len() as u32;
-            }
-
-            if s.enabled.is_empty() {
-                s.done.keys.extend_from_slice(key);
-                s.done.probs.push(prob);
-                continue;
-            }
-
-            for (j, &(ti, w)) in s.enabled.iter().enumerate() {
-                let p = prob * w / total;
-                if p < PROB_FLOOR {
-                    if RECORD {
-                        tape[head + 1 + j] |= 1;
-                    }
-                    continue;
-                }
-                fired[ti] = true;
-                s.selected[ti] = true;
-                let t = &net.transitions[ti];
-                if t.delay != 0 && started == s.cap {
-                    let cap = 2 * s.cap;
-                    for configs in [&mut s.front, &mut s.next, &mut s.done] {
-                        configs.restride(places, s.cap, cap);
-                    }
-                    s.cap = cap;
-                    stride = places + cap;
-                }
-                let at = s.next.keys.len();
-                s.next
-                    .keys
-                    .extend_from_slice(&s.front.keys[i * stride..(i + 1) * stride]);
-                let (m2, pending2) = s.next.keys[at..].split_at_mut(places);
-                for &(pl, needed) in &t.demand {
-                    m2[pl] -= needed;
-                }
-                if t.delay == 0 {
-                    // Completes immediately.
-                    for &(pl, mult) in &t.outputs {
-                        m2[pl] += mult;
-                    }
-                } else {
-                    // Keep the started firings sorted for a canonical key.
-                    let id = ti as u32 + 1;
-                    let mut slot = started;
-                    while slot > 0 && pending2[slot - 1] > id {
-                        pending2[slot] = pending2[slot - 1];
-                        slot -= 1;
-                    }
-                    pending2[slot] = id;
-                }
-                s.next.probs.push(p);
-            }
-        }
-        sort_merge::<RECORD>(&s.next, &mut s.front, &mut s.order, places + s.cap, tape);
-    }
-    sort_merge::<RECORD>(&s.done, &mut s.out, &mut s.order, places + s.cap, tape);
-    Ok(())
-}
-
-/// Bytes past which a [`PhaseMemo`] notes and keeps no more classes: a
-/// net whose phases never repeat a class then costs a bounded arena, not
-/// one that grows with the chain. No class larger than this is kept, so
-/// the arenas stay under twice it and every offset fits a `u32`.
-const MEMO_CAP_BYTES: usize = 4 << 20;
-
-/// One class of a [`PhaseMemo`]: where its key ends (keys are stored in
-/// entry order) and, once kept, where its words and probabilities are and
-/// how many configurations its phase expanded.
-#[derive(Debug, Clone, Copy, Default)]
-struct MemoEntry {
-    key_end: u32,
-    words: [u32; 2],
-    probs: [u32; 2],
-    configs: u64,
-}
-
-impl MemoEntry {
-    /// Whether the class is kept (its words hold at least its fired
-    /// count), not just sighted.
-    fn kept(&self) -> bool {
-        self.words[0] < self.words[1]
-    }
-}
-
-/// The expansions of one lumped build's states, keyed by the start class
-/// of their phases — one memo per [`Worker`], so per build; the raw build
-/// never consults it.
-///
-/// A phase reads its start marking only through the places frequency and
-/// slot programs read and through enabling tests
-/// ([`CompiledTransition::has_tokens`](crate::compiled::CompiledTransition::has_tokens)).
-/// Two starts that agree on every program-read place, and agree on every
-/// other place once it is clamped at the highest start count a test
-/// needed there, run the same phase: the same branches, the same
-/// probabilities, tape words and `fired` marks, and outcomes that differ
-/// only by the start each is offset from. Sorting and merging keys
-/// `start + δ` depends on `δ` alone, so the outcome order and every float
-/// sum carry over too. A lumped state carries no firings, so the clamped
-/// start is the whole key.
-///
-/// Little of a lumped state's fold depends on its start `s` either. The
-/// successors are `s + Δ_k` de-duplicated in first-seen outcome order, and
-/// `s + Δ₁ = s + Δ₂` exactly when `Δ₁ = Δ₂`; their probabilities and the
-/// usages are sums in outcome order; the tape entries are slots and
-/// pending ids. A token `E[m_p | u] = Σ_o p_o · (s_p + δ_op)`, summed in
-/// outcome order, depends on `s_p` alone — and every start a class serves
-/// has its keeping start's `s_p` wherever the key tells starts apart, the
-/// clamp only growing. So a class keeps its phase and its fold together,
-/// and serves every later start from them, recomputing only the tokens of
-/// the places at or above their clamp.
-///
-/// The clamp ([`CompiledNet::clamp`] to begin with) is shared by all
-/// classes and only grows, raised by a run whose tests needed more
-/// ([`CompiledNet::raise_clamp`]): a class keyed under a lower clamp stays
-/// valid, its own thresholds being no higher. A class is noted on its
-/// first sighting and kept on its second, as the skeleton store records a
-/// shape, once that run's fold has succeeded: a build whose phases rarely
-/// repeat pays a key per phase, not a copy, and a fold that fails is never
-/// kept. Classes live in flat arenas — keys, then per kept class its
-/// words, width-packed ([`Packed`]), and its probabilities ([`keep`] lays
-/// them out). Noting and keeping stop at [`MEMO_CAP_BYTES`].
-#[derive(Debug)]
-pub(crate) struct PhaseMemo {
-    /// Per place, the count above which starts are not told apart.
-    clamp: Vec<u32>,
-    /// The places whose clamp the running phase may have to raise, each
-    /// with the count below which a configuration's tests may need it.
-    watch: Vec<(usize, u32)>,
-    /// The key of the phase at hand: its clamped start. (A memo serves one
-    /// build, which records its tape or does not throughout, so kept tape
-    /// words always fit.)
-    key: Vec<u32>,
-    table: IndexTable,
-    entries: Vec<MemoEntry>,
-    keys: Vec<u32>,
-    words: Packed,
-    probs: Vec<f64>,
-    /// A class's words and probabilities, gathered to be kept at one check.
-    stage: Vec<u64>,
-    stage_probs: Vec<f64>,
-    /// Phases the memo served.
-    pub(crate) hits: u64,
-}
-
-impl PhaseMemo {
-    pub(crate) fn new(net: &CompiledNet) -> PhaseMemo {
-        PhaseMemo {
-            clamp: net.clamp.clone(),
-            watch: Vec::new(),
-            key: Vec::new(),
-            table: IndexTable::new(),
-            entries: Vec::new(),
-            keys: Vec::new(),
-            words: Packed::default(),
-            probs: Vec::new(),
-            stage: Vec::new(),
-            stage_probs: Vec::new(),
-            hits: 0,
-        }
-    }
-
-    /// Makes the phase from `start` the one at hand; returns its key's
-    /// hash.
-    fn key(&mut self, start: &[u32]) -> u64 {
-        self.key.clear();
-        self.key
-            .extend(start.iter().zip(&self.clamp).map(|(&m, &c)| m.min(c)));
-        hash_words(0, &self.key)
-    }
-
-    /// The class of the phase at hand, kept or only sighted.
-    fn find(&self, hash: u64) -> Option<usize> {
-        self.table.find(hash, |e| {
-            entry_key(&self.keys, &self.entries, e) == self.key
-        })
-    }
-
-    fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<MemoEntry>() * self.entries.capacity()
-            + size_of::<u32>() * self.keys.capacity()
-            + self.words.bytes()
-            + size_of::<f64>() * self.probs.capacity()
-    }
-
-    /// Notes the phase at hand's class, unless the memo is full.
-    fn sight(&mut self, hash: u64) -> Option<usize> {
-        if self.bytes() >= MEMO_CAP_BYTES {
-            return None;
-        }
-        self.keys.extend_from_slice(&self.key);
-        self.entries.push(MemoEntry {
-            key_end: self.keys.len() as u32,
-            ..MemoEntry::default()
-        });
-        let PhaseMemo {
-            table,
-            entries,
-            keys,
-            ..
-        } = self;
-        table.insert(hash, entries.len() - 1, |e| {
-            hash_words(0, entry_key(keys, entries, e))
-        });
-        Some(entries.len() - 1)
-    }
-
-    /// Readies the watch for a phase run from `start`; with `prove` false
-    /// the run raises no clamp, and is not kept.
-    ///
-    /// Below its clamp a start is told apart exactly, so only a place that
-    /// starts at or above it is watched. A test there needs at most the
-    /// place's largest single demand plus what the phase has consumed, so
-    /// only a configuration holding fewer than `start + largest − clamp`
-    /// tokens can raise the clamp.
-    fn begin(&mut self, net: &CompiledNet, start: &[u32], prove: bool) {
-        self.watch.clear();
-        if !prove {
-            return;
-        }
-        for (p, (&m, &clamp)) in start.iter().zip(&self.clamp).enumerate() {
-            if m >= clamp {
-                self.watch
-                    .push((p, (m - clamp).saturating_add(net.clamp[p])));
-            }
-        }
-    }
-
-    /// Hands `served` kept class `e`'s words, matched to their width once,
-    /// and its probabilities.
-    fn serve(&self, e: usize, served: Served<'_>) {
-        let entry = self.entries[e];
-        let words = entry.words[0] as usize..entry.words[1] as usize;
-        let probs = &self.probs[entry.probs[0] as usize..entry.probs[1] as usize];
-        match &self.words {
-            Packed::U8(w) => served.run(&w[words], probs),
-            Packed::U16(w) => served.run(&w[words], probs),
-            Packed::U32(w) => served.run(&w[words], probs),
-            Packed::U64(w) => served.run(&w[words], probs),
-        }
-    }
-}
-
-/// Class `e`'s key.
-fn entry_key<'a>(keys: &'a [u32], entries: &[MemoEntry], e: usize) -> &'a [u32] {
-    let start = if e == 0 { 0 } else { entries[e - 1].key_end };
-    &keys[start as usize..entries[e].key_end as usize]
-}
-
-/// What [`lumped_phase`] did for a lumped state.
-pub(crate) enum Class {
-    /// Its kept class served the state's phase and fold: the expansion is
-    /// done ([`PhaseMemo::serve`]).
-    Served,
-    /// The phase ran, and its outcomes are in the scratch for the fold.
-    /// When the run was its class's keeping run, it comes back: [`keep`]
-    /// keeps it with its fold once the fold has succeeded.
-    Ran(Option<Keeping>),
-}
-
-/// A class's keeping run: the configurations its phase expanded and where
-/// in the expansion's tape its words begin.
-pub(crate) struct Keeping {
-    configs: u64,
-    tape: usize,
-}
-
-/// The phase of the lumped state `start` (nothing is carried): served with
-/// its fold from its kept class into `w.fired`, `w.row` (zeroed, the usage
-/// row then the token row) and `out`, or run, the phase's tape words
-/// appended to `out.tape`.
-pub(crate) fn lumped_phase<const RECORD: bool>(
-    net: &CompiledNet,
-    start: &[u32],
-    w: &mut Worker,
-    out: &mut Expansion,
-) -> Result<Class, GtpnError> {
-    let Worker {
-        phase: s,
-        memo,
-        fired,
-        marking,
-        row,
-        ..
-    } = w;
-    s.calls += 1;
-    let hash = memo.key(start);
-    let class = memo.find(hash);
-    if let Some(e) = class.filter(|&e| memo.entries[e].kept()) {
-        memo.hits += 1;
-        s.configs += memo.entries[e].configs;
-        let served = Served {
-            start,
-            fired,
-            marking,
-            row: row.split_at_mut(net.transitions.len()),
-            out,
-        };
-        memo.serve(e, served);
-        return Ok(Class::Served);
-    }
-    // The first sighting of a class only notes it; the second proves the
-    // clamp its key needs while it runs, and is kept with its fold.
-    let prove = class.is_some();
-    if !prove {
-        memo.sight(hash);
-    }
-    let (configs, tape) = (s.configs, out.tape.len());
-    memo.begin(net, start, prove);
-    run_phase::<RECORD>(net, start, &[], fired, s, &mut out.tape, Some(memo))?;
-    Ok(Class::Ran(prove.then(|| Keeping {
-        configs: s.configs - configs,
-        tape,
-    })))
-}
-
-/// Keeps the lumped state `start`'s keeping `run` — its phase, whose
-/// outcomes are in `w.phase`, and its fold: the successors in `out`, the
-/// row in `w.row` (`E[c_t | u]`, then `E[m_p | u]`), the tape words in
-/// `out.tape` from the run's on — as one class, under the key the run
-/// proved, unless that class is kept already or the memo is full.
-///
-/// Words: the selected transitions (count, ids); the outcome count; the
-/// used transitions (count, ids); the clamped places and each outcome's
-/// deltas there, as [`push_moves`] stages them; the successors' count and
-/// deltas, likewise over the places any of them moves; the tape words
-/// (count, words). Probabilities: the outcomes', the usages of the used
-/// transitions, the token row with the clamped places' entries zero, then
-/// the successors'.
-pub(crate) fn keep(w: &mut Worker, run: Keeping, start: &[u32], out: &Expansion) {
-    let Worker {
-        phase: s,
-        memo,
-        row,
-        ..
-    } = w;
-    // The run may have raised the clamp, and so moved the key.
-    let hash = memo.key(start);
-    let e = match memo.find(hash) {
-        Some(e) if memo.entries[e].kept() => return,
-        Some(e) => e,
-        None => match memo.sight(hash) {
-            Some(e) => e,
-            None => return,
-        },
-    };
-    let (usage, tokens) = row.split_at(row.len() - start.len());
-    let words = &mut memo.stage;
-    words.clear();
-    words.push(0);
-    for (t, _) in s.selected.iter().enumerate().filter(|&(_, &f)| f) {
-        words.push(t as u64);
-    }
-    words[0] = words.len() as u64 - 1;
-    words.push(s.out.probs.len() as u64);
-    let used: Vec<usize> = (0..usage.len()).filter(|&t| usage[t] != 0.0).collect();
-    words.push(used.len() as u64);
-    words.extend(used.iter().map(|&t| t as u64));
-    let clamped: Vec<usize> = (0..start.len())
-        .filter(|&p| start[p] >= memo.clamp[p])
-        .collect();
-    let outcomes = s.outcomes(start.len()).map(|(m, _, _)| m);
-    push_moves(words, &clamped, outcomes, start);
-    let successors = 0..out.successor_count();
-    let markings = successors.clone().map(|k| out.successor_marking(k));
-    let moved: Vec<usize> = (0..start.len())
-        .filter(|&p| markings.clone().any(|m| m[p] != start[p]))
-        .collect();
-    words.push(successors.len() as u64);
-    push_moves(words, &moved, markings, start);
-    let tape = &out.tape[run.tape..];
-    words.push(tape.len() as u64);
-    words.extend(tape.iter().map(|&word| u64::from(word)));
-    let probs = &mut memo.stage_probs;
-    probs.clear();
-    probs.extend_from_slice(&s.out.probs);
-    probs.extend(used.iter().map(|&t| usage[t]));
-    let at = probs.len();
-    probs.extend_from_slice(tokens);
-    for &p in &clamped {
-        probs[at + p] = 0.0;
-    }
-    probs.extend(successors.map(|k| out.successor_probability(k)));
-    let (words, probs) = (memo.stage.len(), memo.stage_probs.len());
-    if memo.bytes() >= MEMO_CAP_BYTES || 8 * (words + probs) > MEMO_CAP_BYTES {
-        return;
-    }
-    let entry = &mut memo.entries[e];
-    entry.words = [memo.words.len() as u32, 0];
-    memo.words.extend(&memo.stage);
-    entry.words[1] = memo.words.len() as u32;
-    entry.probs = [memo.probs.len() as u32, 0];
-    memo.probs.extend_from_slice(&memo.stage_probs);
-    entry.probs[1] = memo.probs.len() as u32;
-    entry.configs = run.configs;
-}
-
-/// Stages `markings` as moves from `start` at the places `moved`: their
-/// count and ids, then per marking its zigzagged delta at each of them —
-/// one shape for the whole list, so serving it runs loops of one length.
-fn push_moves<'a>(
-    words: &mut Vec<u64>,
-    moved: &[usize],
-    markings: impl Iterator<Item = &'a [u32]>,
-    start: &[u32],
-) {
-    words.push(moved.len() as u64);
-    words.extend(moved.iter().map(|&p| p as u64));
-    for m in markings {
-        words.extend(moved.iter().map(|&p| zigzag(start[p], m[p])));
-    }
-}
-
-/// Reads the place list [`push_moves`] staged; returns where it is.
-fn moves<W: Copy + Into<u64>>(words: &[W], at: &mut usize) -> Range<usize> {
-    let n = read(words, at);
-    *at += n;
-    *at - n..*at
-}
-
-/// Where [`PhaseMemo::serve`] writes a kept class for the lumped state
-/// `start`.
-struct Served<'a> {
-    start: &'a [u32],
-    fired: &'a mut [bool],
-    /// Scratch for `start` moved to one successor at a time.
-    marking: &'a mut Vec<u32>,
-    /// The usage row and the token row.
-    row: (&'a mut [f64], &'a mut [f64]),
-    out: &'a mut Expansion,
-}
-
-impl Served<'_> {
-    /// Decodes one class ([`keep`] lays it out): marks `fired`, fills the
-    /// row — the usage row and the kept tokens copied, each clamped place's
-    /// token summed `acc_p += p_o · (s_p + δ_op)` over the phase's outcomes
-    /// in outcome order, the fold's own arithmetic — pushes the successors
-    /// `start + Δ_k` with their summed probabilities, and appends the tape
-    /// words.
-    fn run<W: Copy + Into<u64>>(self, words: &[W], probs: &[f64]) {
-        let Served {
-            start,
-            fired,
-            marking,
-            row: (usage, tokens),
-            out,
-        } = self;
-        let at = &mut 0;
-        for _ in 0..read(words, at) {
-            fired[read(words, at)] = true;
-        }
-        let (outcomes, probs) = probs.split_at(read(words, at));
-        let mut probs = probs.iter();
-        for _ in 0..read(words, at) {
-            usage[read(words, at)] = *probs.next().expect("a usage per used transition");
-        }
-        for (acc, &kept) in tokens.iter_mut().zip(probs.by_ref()) {
-            *acc = kept;
-        }
-        let clamped = moves(words, at);
-        for &p in outcomes {
-            let deltas = &words[*at..*at + clamped.len()];
-            *at += clamped.len();
-            for (&place, &z) in words[clamped.clone()].iter().zip(deltas) {
-                let place = place.into() as usize;
-                tokens[place] += p * f64::from(shift(start[place], z.into()));
-            }
-        }
-        marking.clear();
-        marking.extend_from_slice(start);
-        let successors = read(words, at);
-        let moved = moves(words, at);
-        for &p in probs.by_ref().take(successors) {
-            let deltas = &words[*at..*at + moved.len()];
-            *at += moved.len();
-            for (&place, &z) in words[moved.clone()].iter().zip(deltas) {
-                let place = place.into() as usize;
-                marking[place] = shift(start[place], z.into());
-            }
-            out.push_successor(marking, &[], p, state_hash(marking, &[]));
-        }
-        let n = read(words, at);
-        out.tape
-            .extend(words[*at..*at + n].iter().map(|&w| w.into() as u32));
-        debug_assert_eq!(*at + n, words.len(), "a class consumes its words");
-        debug_assert!(probs.next().is_none(), "and its probabilities");
-    }
-}
-
-/// The zigzagged delta that moves `from` to `to`; [`shift`] applies it.
-pub(crate) fn zigzag(from: u32, to: u32) -> u64 {
-    let delta = i64::from(to) - i64::from(from);
-    ((delta << 1) ^ (delta >> 63)) as u64
-}
-
-/// `m` moved by the zigzagged delta `z`.
-pub(crate) fn shift(m: u32, z: u64) -> u32 {
-    let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
-    (i64::from(m) + delta) as u32
-}
-
-/// Unsigned integers stored at the narrowest width that holds the largest
-/// of them; pushing a wider value widens them all. A recording build's
-/// tape is one, filled as the builder merges each state's words.
-#[derive(Debug)]
-pub(crate) enum Packed {
-    U8(Vec<u8>),
-    U16(Vec<u16>),
-    U32(Vec<u32>),
-    U64(Vec<u64>),
-}
-
-impl Default for Packed {
-    fn default() -> Packed {
-        Packed::U8(Vec::new())
-    }
-}
-
-impl Packed {
-    pub(crate) fn collect(values: impl IntoIterator<Item = u64>) -> Packed {
-        let mut packed = Packed::default();
-        for v in values {
-            packed.push(v);
-        }
-        packed.shrink_to_fit();
-        packed
-    }
-
-    fn push(&mut self, v: u64) {
-        self.extend(&[v]);
-    }
-
-    /// Appends `values`, widening first if the largest needs it.
-    fn extend(&mut self, values: &[u64]) {
-        if let Some(&widest) = values.iter().max() {
-            self.fit(widest);
-        }
-        match self {
-            Packed::U8(w) => w.extend(values.iter().map(|&v| v as u8)),
-            Packed::U16(w) => w.extend(values.iter().map(|&v| v as u16)),
-            Packed::U32(w) => w.extend(values.iter().map(|&v| v as u32)),
-            Packed::U64(w) => w.extend_from_slice(values),
-        }
-    }
-
-    /// Widens every value until `v` fits.
-    fn fit(&mut self, v: u64) {
-        loop {
-            let fits = match self {
-                Packed::U8(_) => v <= u64::from(u8::MAX),
-                Packed::U16(_) => v <= u64::from(u16::MAX),
-                Packed::U32(_) => v <= u64::from(u32::MAX),
-                Packed::U64(_) => true,
-            };
-            if fits {
-                return;
-            }
-            *self = match self {
-                Packed::U8(w) => Packed::U16(w.iter().map(|&x| x.into()).collect()),
-                Packed::U16(w) => Packed::U32(w.iter().map(|&x| x.into()).collect()),
-                _ => Packed::U64(self.unpack(|x| x)),
-            };
-        }
-    }
-
-    pub(crate) fn get(&self, i: usize) -> u64 {
-        match self {
-            Packed::U8(v) => v[i].into(),
-            Packed::U16(v) => v[i].into(),
-            Packed::U32(v) => v[i].into(),
-            Packed::U64(v) => v[i],
-        }
-    }
-
-    fn shrink_to_fit(&mut self) {
-        match self {
-            Packed::U8(v) => v.shrink_to_fit(),
-            Packed::U16(v) => v.shrink_to_fit(),
-            Packed::U32(v) => v.shrink_to_fit(),
-            Packed::U64(v) => v.shrink_to_fit(),
-        }
-    }
-
-    pub(crate) fn bytes(&self) -> usize {
-        match self {
-            Packed::U8(v) => v.capacity(),
-            Packed::U16(v) => 2 * v.capacity(),
-            Packed::U32(v) => 4 * v.capacity(),
-            Packed::U64(v) => 8 * v.capacity(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Packed::U8(v) => v.len(),
-            Packed::U16(v) => v.len(),
-            Packed::U32(v) => v.len(),
-            Packed::U64(v) => v.len(),
-        }
-    }
-
-    /// Every value, through `f`.
-    fn unpack<T>(&self, f: impl Fn(u64) -> T) -> Vec<T> {
-        match self {
-            Packed::U8(v) => v.iter().map(|&x| f(x.into())).collect(),
-            Packed::U16(v) => v.iter().map(|&x| f(x.into())).collect(),
-            Packed::U32(v) => v.iter().map(|&x| f(x.into())).collect(),
-            Packed::U64(v) => v.iter().map(|&x| f(x)).collect(),
-        }
-    }
-}
-
-/// A replay's place in a skeleton's tape.
-pub(crate) struct Cursor<'a> {
-    tape: &'a Packed,
-    at: usize,
-}
-
-impl Cursor<'_> {
-    pub(crate) fn read(&mut self) -> usize {
-        self.at += 1;
-        self.get(self.at - 1)
-    }
-
-    /// Steps over a list of words, its length first; returns where its
-    /// words are, for [`get`](Self::get).
-    pub(crate) fn list(&mut self) -> Range<usize> {
-        let n = self.read();
-        self.at += n;
-        self.at - n..self.at
-    }
-
-    pub(crate) fn get(&self, i: usize) -> usize {
-        self.tape.get(i) as usize
-    }
-}
-
-/// A replayed branch probability landed on the other side of
-/// [`PROB_FLOOR`] than the recorded one: the new rates take another path
-/// through the phase, and only a fresh build can follow it.
-pub(crate) struct FloorMoved;
-
-/// Replays recorded phases: [`run_phase`]'s arithmetic in its
-/// order, without keys. Buffers are reused from phase to phase.
-#[derive(Default)]
-struct Repricer {
-    front: Vec<f64>,
-    next: Vec<f64>,
-    done: Vec<f64>,
-    /// The last phase's outcome probabilities, in outcome order.
-    out: Vec<f64>,
-}
-
-impl Repricer {
-    /// Replays one phase under `rates`; see [`run_phase`] for
-    /// the tape's layout. The tape's width is matched once per phase, not
-    /// once per word.
-    fn phase(&mut self, tape: &mut Cursor<'_>, rates: &[f64]) -> Result<(), FloorMoved> {
-        let at = &mut tape.at;
-        match tape.tape {
-            Packed::U8(words) => self.phase_in(words, at, rates),
-            Packed::U16(words) => self.phase_in(words, at, rates),
-            Packed::U32(words) => self.phase_in(words, at, rates),
-            Packed::U64(words) => self.phase_in(words, at, rates),
-        }
-    }
-
-    fn phase_in<W: Copy + Into<u64>>(
-        &mut self,
-        words: &[W],
-        at: &mut usize,
-        rates: &[f64],
-    ) -> Result<(), FloorMoved> {
-        self.front.clear();
-        self.front.push(1.0);
-        self.done.clear();
-        while !self.front.is_empty() {
-            self.next.clear();
-            for &prob in &self.front {
-                let enabled = read(words, at);
-                let slots = &words[*at..*at + enabled];
-                *at += enabled;
-                if enabled == 0 {
-                    self.done.push(prob);
-                    continue;
-                }
-                let mut total = 0.0;
-                for &word in slots {
-                    total += rates[(word.into() >> 1) as usize];
-                }
-                for &word in slots {
-                    let word = word.into();
-                    let p = prob * rates[(word >> 1) as usize] / total;
-                    let skip = p < PROB_FLOOR;
-                    if skip != (word & 1 == 1) {
-                        return Err(FloorMoved);
-                    }
-                    if !skip {
-                        self.next.push(p);
-                    }
-                }
-            }
-            merge(words, at, &self.next, &mut self.front);
-        }
-        merge(words, at, &self.done, &mut self.out);
-        Ok(())
-    }
-}
-
-pub(crate) fn read<W: Copy + Into<u64>>(words: &[W], at: &mut usize) -> usize {
-    *at += 1;
-    words[*at - 1].into() as usize
-}
-
-/// [`sort_merge`] replayed: adds each probability to its recorded
-/// destination, in generation order.
-fn merge<W: Copy + Into<u64>>(words: &[W], at: &mut usize, src: &[f64], dst: &mut Vec<f64>) {
-    dst.clear();
-    dst.resize(read(words, at), 0.0);
-    for &p in src {
-        dst[read(words, at)] += p;
-    }
-}
-
-/// A lumped chain with its probabilities taken out — states, edge
-/// targets, the fired record, the work counts and what its rows keep
-/// ([`RecordedRows`]) — plus the tape of the phase arithmetic that produced
-/// them: each state's words from [`run_phase`] and from the fold
-/// of `crate::lump`, in state order. A lumped state carries no firings and
-/// holds for one step, so neither is kept.
-///
-/// Every branch of the instantaneous phase is decided by the net's
-/// structure, its conditions, which rates are zero, and which branch
-/// probabilities fall under [`PROB_FLOOR`]; the sort-merges are decided
-/// by keys alone. So a net of the same [`Shape`](crate::compiled::Shape)
-/// under other rates walks the same states and edges, and only the
-/// floating-point sums change. [`replay`](Self::replay) redoes exactly those
-/// operations in the recorded order — no kernel, no sort, no interning —
-/// and gets the fresh build's bits, or [`FloorMoved`] when a floor decision
-/// would change.
-///
-/// A skeleton is stored compactly: every array at the narrowest integer
-/// width that holds it, edge offsets and outcome token counts not at all
-/// (the replay re-derives them).
-#[derive(Debug)]
-pub(crate) struct Skeleton {
-    rows: RecordedRows,
-    states: usize,
-    markings: Packed,
-    targets: Packed,
-    fired: Box<[bool]>,
-    phase_calls: u64,
-    phase_configs: u64,
-    tape: Packed,
-}
-
-impl Skeleton {
-    /// The skeleton of `chain`, built with `tape` recorded.
-    pub(crate) fn new(chain: &LumpedGraph, mut tape: Packed) -> Skeleton {
-        let graph = &chain.graph;
-        tape.shrink_to_fit();
-        debug_assert!(graph.firings.is_empty() && graph.sojourn.iter().all(|&h| h == 1));
-        Skeleton {
-            rows: chain.rows.record(),
-            states: graph.state_count(),
-            markings: Packed::collect(graph.markings.iter().map(|&m| u64::from(m))),
-            targets: Packed::collect(graph.edges.iter().map(|&(j, _)| j as u64)),
-            fired: graph.fired.clone().into_boxed_slice(),
-            phase_calls: graph.build.phase_calls,
-            phase_configs: graph.build.phase_configs,
-            tape,
-        }
-    }
-
-    /// The least a skeleton of `chain` can hold, known before it is
-    /// recorded: a byte per value, and per phase configuration at least
-    /// two tape words — its enabled count and, unless it is a phase's
-    /// first, its merge destination.
-    pub(crate) fn least_bytes(chain: &LumpedGraph) -> usize {
-        let graph = &chain.graph;
-        std::mem::size_of::<Skeleton>()
-            + chain.rows.least_record_bytes()
-            + graph.markings.len()
-            + graph.edges.len()
-            + 2 * graph.build.phase_configs as usize
-            + graph.fired.len()
-    }
-
-    /// Tangible states of the chain.
-    pub(crate) fn state_count(&self) -> usize {
-        self.states
-    }
-
-    /// Resident bytes — what the store bounds.
-    pub(crate) fn bytes(&self) -> usize {
-        std::mem::size_of::<Skeleton>()
-            + self.rows.bytes()
-            + self.markings.bytes()
-            + self.targets.bytes()
-            + self.fired.len()
-            + self.tape.bytes()
-    }
-
-    /// The lumped chain of `net` — of this skeleton's shape — under
-    /// `rates`: bit for bit what a fresh build returns, every state's rows
-    /// included. The build record counts one replay and the skeleton's
-    /// phase work.
-    ///
-    /// # Errors
-    ///
-    /// [`FloorMoved`] when a branch would cross [`PROB_FLOOR`] the other
-    /// way.
-    pub(crate) fn replay(&self, net: &Net, rates: &[f64]) -> Result<LumpedGraph, FloorMoved> {
-        let mut tape = Cursor {
-            tape: &self.tape,
-            at: 0,
-        };
-        let mut phase = Repricer::default();
-        let states = self.state_count();
-        let markings = self.markings.unpack(|m| m as u32);
-        let mut edges = self.targets.unpack(|j| (j as usize, 0.0));
-        let mut edge_offsets = Vec::with_capacity(states + 1);
-        edge_offsets.push(0);
-        let mut rows = RowReplay::new(net, &self.rows, states);
-        let mut scratch = Vec::new();
-        for si in 0..states {
-            phase.phase(&mut tape, rates)?;
-            let first = *edge_offsets.last().expect("offsets start at 0");
-            let successors = crate::lump::refold(
-                &mut tape,
-                &phase.out,
-                net,
-                &markings,
-                &mut edges[first..],
-                rows.state(si),
-                &mut scratch,
-            );
-            rows.file(si);
-            edge_offsets.push(first + successors);
-        }
-        debug_assert_eq!(tape.at, self.tape.len(), "replay must consume the tape");
-        let graph = ReachabilityGraph {
-            net: net.clone(),
-            markings,
-            firing_offsets: vec![0; states + 1],
-            firings: Vec::new(),
-            edge_offsets,
-            edges,
-            sojourn: vec![1; states],
-            fired: self.fired.to_vec(),
-            build: BuildStats {
-                phase_calls: self.phase_calls,
-                phase_configs: self.phase_configs,
-                replays: 1,
-                ..BuildStats::default()
-            },
-        };
-        Ok(LumpedGraph {
-            graph,
-            rows: rows.finish(),
-        })
-    }
-}
-
 /// Asserts that two builds are the same chain bit for bit: states, sojourns,
 /// edges (probabilities by bit pattern), the fired record and the work
 /// counts.
@@ -1771,10 +612,10 @@ pub(crate) fn assert_graphs_identical(a: &ReachabilityGraph, b: &ReachabilityGra
 /// tests compare against.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{MAX_PHASE_ROUNDS, PROB_FLOOR};
     use crate::error::GtpnError;
     use crate::expr::EvalContext;
     use crate::net::{Net, TransId};
+    use crate::phase::{MAX_PHASE_ROUNDS, PROB_FLOOR};
     use crate::state::{Marking, State};
     use std::collections::{BTreeMap, HashMap};
 
@@ -2106,6 +947,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::net::Transition;
+    use crate::phase::INITIAL_PENDING_CAP;
     use proptest::prelude::*;
 
     /// Runs both kernels from `marking` with `carried` in progress and
@@ -2272,141 +1114,6 @@ mod tests {
         let err = instantaneous_phase(&compiled, &[1], &[], &mut fired, &mut scratch).unwrap_err();
         assert_eq!(err, GtpnError::ZeroDelayDivergence);
         assert_kernels_agree(&zeno, &compiled, &mut scratch, &[1], &[]);
-    }
-
-    /// Expands the lumped state `start` (state `si`) through the phase
-    /// memo with a fresh `fired` record; returns the expansion.
-    fn fold_once(
-        compiled: &CompiledNet,
-        w: &mut Worker,
-        start: &[u32],
-        si: usize,
-    ) -> (Result<(), GtpnError>, Expansion) {
-        let mut out = Expansion::new(compiled.places);
-        w.fired.fill(false);
-        let folded = crate::lump::fold::<false>(compiled, start, si, w, &mut out);
-        (folded, out)
-    }
-
-    /// The memo's contract through the lumped fold, its only user: the
-    /// first phase from a start notes its class, the second keeps it with
-    /// its fold, the third is served — and each marks `fired` as a run
-    /// does and yields the same successor. A phase that fails part-way
-    /// marks the transitions it selected before it failed, whether or not
-    /// the memo has seen its class, and is never kept.
-    #[test]
-    fn memo_served_and_failed_phases_mark_fired() {
-        let mut net = Net::new("fired");
-        let a = net.add_place("A", 1);
-        let b = net.add_place("B", 0);
-        net.add_transition(Transition::new("go").delay(0).input(a, 1).output(b, 1))
-            .unwrap();
-        net.add_transition(Transition::new("work").delay(1).input(b, 1).output(a, 1))
-            .unwrap();
-        let compiled = CompiledNet::new(&net);
-        let mut w = Worker::new(&compiled);
-        let (_, want_fired) = reference::outcomes(&net, &[1, 0], &[]);
-        for _ in 0..3 {
-            let (folded, out) = fold_once(&compiled, &mut w, &[1, 0], 0);
-            folded.unwrap();
-            assert_eq!(w.fired, want_fired);
-            assert_eq!(out.successor_count(), 1);
-            assert_eq!(out.successor_marking(0), [1, 0]);
-        }
-        assert_eq!((w.phase.calls, w.memo.hits), (3, 1));
-        // From A = 2 `go` fires twice: the run that kept A = 1's class
-        // raised A's clamp past 1, so that class does not serve A = 2.
-        let (folded, out) = fold_once(&compiled, &mut w, &[2, 0], 0);
-        folded.unwrap();
-        assert_eq!(out.successor_marking(0), [2, 0]);
-        assert_eq!(w.memo.hits, 1);
-
-        // `go` is selected, then `bad` turns negative once B holds a token.
-        let b = net.place_by_name("B").unwrap();
-        net.add_transition(
-            Transition::new("bad")
-                .delay(1)
-                .frequency(Expr::If(
-                    Box::new(Expr::place_empty(b)),
-                    Box::new(Expr::constant(1.0)),
-                    Box::new(Expr::constant(-1.0)),
-                ))
-                .input(b, 1)
-                .output(b, 1),
-        )
-        .unwrap();
-        let compiled = CompiledNet::new(&net);
-        let mut w = Worker::new(&compiled);
-        for _ in 0..3 {
-            let err = fold_once(&compiled, &mut w, &[1, 0], 0).0.unwrap_err();
-            assert!(matches!(err, GtpnError::BadFrequency { .. }), "{err}");
-            assert_eq!(w.fired, [true, false, false], "`go` was selected");
-        }
-        assert_eq!(
-            (w.phase.calls, w.memo.hits),
-            (3, 0),
-            "a failed phase is never kept"
-        );
-    }
-
-    /// A frequency that reads a place makes that place part of every
-    /// class: with `Big` different at every start no class repeats beyond
-    /// the run that keeps it, and the memo notes and keeps classes — each
-    /// with its fold — only up to its byte cap, then stops growing, while
-    /// every run, the noting one and the keeping one, still matches the
-    /// reference kernel.
-    #[test]
-    fn memo_stops_growing_at_its_cap() {
-        let mut net = Net::new("coins");
-        let big = net.add_place("Big", 0);
-        let coins = net.add_place("Coins", 8);
-        net.add_transition(
-            Transition::new("heads")
-                .delay(1)
-                .frequency(Expr::Add(
-                    Box::new(Expr::Tokens(big)),
-                    Box::new(Expr::constant(1.0)),
-                ))
-                .input(coins, 1)
-                .output(coins, 1),
-        )
-        .unwrap();
-        net.add_transition(
-            Transition::new("tails")
-                .delay(1)
-                .input(coins, 1)
-                .output(coins, 1),
-        )
-        .unwrap();
-        let compiled = CompiledNet::new(&net);
-        let mut w = Worker::new(&compiled);
-        let mut full = None;
-        let (mut classes, mut kept) = (0, 0);
-        for big in 0..30_000 {
-            let (want, want_fired) = reference::outcomes(&net, &[big, 8], &[]);
-            // The first run notes the class; the second keeps it with its
-            // fold.
-            for run in ["noting", "keeping"] {
-                let (folded, _) = fold_once(&compiled, &mut w, &[big, 8], 0);
-                let got = folded.map(|()| w.phase.outcome_states(&net, &[]));
-                assert_eq!(got, want, "the {run} run from {big}");
-                assert_eq!(w.fired, want_fired, "the {run} run from {big}");
-            }
-            let memo = &w.memo;
-            let bytes = memo.bytes();
-            assert!(bytes < 2 * MEMO_CAP_BYTES, "{bytes} bytes");
-            let grown = memo.entries.len();
-            let now_kept = memo.entries.iter().filter(|e| e.kept()).count();
-            match full {
-                None if bytes >= MEMO_CAP_BYTES => full = Some(big),
-                None => assert!(grown > classes && now_kept > kept, "start {big} not kept"),
-                Some(_) => assert_eq!((grown, now_kept), (classes, kept), "grew past the cap"),
-            }
-            (classes, kept) = (grown, now_kept);
-        }
-        let big = full.expect("30,000 classes must fill the memo");
-        assert!(big > 1_000 && big < 25_000, "filled at start {big}");
-        assert_eq!(w.memo.hits, 0, "no class repeats past its keeping run");
     }
 
     /// A single token looping through a delay-1 transition: one state with a
