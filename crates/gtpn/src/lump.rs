@@ -362,8 +362,9 @@ pub(crate) fn delump(rows: &Rows, solution: &Solution) -> (Vec<f64>, Vec<f64>) {
 ///
 /// With `RECORD`, the phase's tape is followed by one entry per outcome:
 /// its successor's first-seen slot, the number of its pending firings and
-/// their transitions — everything [`refold`](crate::skeleton::refold) needs, the outcome's tokens
-/// being its successor's marking less those firings' outputs.
+/// their transitions — everything [`refold`](crate::skeleton::refold)
+/// needs, the outcome's tokens being its successor's marking less those
+/// firings' outputs.
 fn expand_lumped<const RECORD: bool>(
     net: &CompiledNet,
     graph: &ReachabilityGraph,

@@ -698,8 +698,8 @@ pub(crate) fn keep(w: &mut Worker, run: Keeping, start: &[u32], out: &Expansion)
         probs[at + p] = 0.0;
     }
     probs.extend(successors.map(|k| out.successor_probability(k)));
-    let (words, probs) = (memo.stage.len(), memo.stage_probs.len());
-    if memo.bytes() >= MEMO_CAP_BYTES || 8 * (words + probs) > MEMO_CAP_BYTES {
+    let staged = memo.stage.len() + memo.stage_probs.len();
+    if memo.bytes() >= MEMO_CAP_BYTES || 8 * staged > MEMO_CAP_BYTES {
         return;
     }
     let entry = &mut memo.entries[e];

@@ -28,10 +28,9 @@
 //! buffers ([`PhaseScratch`]), and a lumped build remembers each expanded
 //! state's phase and fold by start class ([`PhaseMemo`]); states live
 //! once, in the graph's own marking arena and firing lists, found through
-//! an [`IndexTable`];
-//! and edges are stored in compressed-sparse-row form. One breadth-first
-//! driver ([`explore`]) serves both the raw chain built here and the lumped
-//! chain of [`crate::lump`].
+//! an [`IndexTable`]; and edges are stored in compressed-sparse-row form.
+//! One breadth-first driver ([`explore`]) serves both the raw chain built
+//! here and the lumped chain of [`crate::lump`].
 
 use crate::compiled::CompiledNet;
 use crate::error::GtpnError;
