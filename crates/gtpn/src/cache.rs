@@ -32,12 +32,15 @@
 //!
 //! # Bounding and eviction
 //!
-//! The solution cache and the store beside it are each bounded by
-//! **resident bytes** (1 GiB, `DEFAULT_CACHE_MB`) and optionally by entry count
-//! (`HSIPC_CACHE_CAP`, [`parse_entry_cap`]; unset means unbounded, `0`
-//! disables caching — and with it re-pricing — entirely). Eviction is
-//! least-recently-used via an intrusive doubly-linked list (`lru`), O(1)
-//! per eviction.
+//! The solution cache and the store beside it are each one `Bounded`
+//! store, bounded by **resident bytes** (1 GiB, `DEFAULT_CACHE_MB`) and
+//! optionally by entry count (`HSIPC_CACHE_CAP`, [`parse_entry_cap`];
+//! unset means unbounded, `0` disables caching — and with it re-pricing —
+//! entirely). Every insert and hit stamps its entry with a recency tick;
+//! when a bound binds, the least recently used entry — the smallest tick,
+//! found by one scan of the resident entries — goes first. No bound binds
+//! in the paper's evaluation: CI pins `0 evictions` on both caches'
+//! `repro --timing` lines, so the scan never runs there.
 //!
 //! # Environment latching
 //!
@@ -48,13 +51,13 @@
 
 use crate::compiled::Shape;
 use crate::error::GtpnError;
-use crate::lru::BoundedLru;
 use crate::lump::{lumped_chain, LumpedGraph};
 use crate::net::Net;
 use crate::skeleton::Skeleton;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -117,6 +120,146 @@ impl CacheLimits {
 }
 
 // ---------------------------------------------------------------------------
+// The bounded store
+// ---------------------------------------------------------------------------
+
+/// One resident entry of a [`Bounded`] store.
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
+    bytes: usize,
+    /// The store's tick at this entry's insert or latest hit.
+    last_used: u64,
+}
+
+/// Values under hashable keys within [`CacheLimits`] — the bounding both
+/// caches share. A key holds a chain of entries (distinct values can
+/// collide on one key); the caller picks its entry by a predicate. When a
+/// bound binds, the least recently used entry is evicted first.
+#[derive(Debug)]
+pub(crate) struct Bounded<K, V> {
+    chains: HashMap<K, Vec<Slot<V>>>,
+    limits: CacheLimits,
+    /// Bumped by every insert and hit.
+    tick: u64,
+    len: usize,
+    bytes: usize,
+    /// Entries dropped to make room.
+    pub(crate) evictions: u64,
+    /// Inserts dropped because an equal entry was resident.
+    pub(crate) dedup_drops: u64,
+}
+
+impl<K: Hash + Eq + Clone, V> Bounded<K, V> {
+    pub(crate) fn new(limits: CacheLimits) -> Bounded<K, V> {
+        Bounded {
+            chains: HashMap::new(),
+            limits,
+            tick: 0,
+            len: 0,
+            bytes: 0,
+            evictions: 0,
+            dedup_drops: 0,
+        }
+    }
+
+    /// Resident entries.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Estimated resident bytes of those entries.
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Every resident value, in no particular order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+        self.chains.values().flatten().map(|slot| &slot.value)
+    }
+
+    /// The entry under `key` that `is` picks, marked most recently used.
+    pub(crate) fn get(&mut self, key: &K, is: impl Fn(&V) -> bool) -> Option<&V> {
+        let slot = self
+            .chains
+            .get_mut(key)?
+            .iter_mut()
+            .find(|s| is(&s.value))?;
+        self.tick += 1;
+        slot.last_used = self.tick;
+        Some(&slot.value)
+    }
+
+    /// Removes the entry under `key` that `is` picks.
+    pub(crate) fn remove(&mut self, key: &K, is: impl Fn(&V) -> bool) -> Option<V> {
+        let at = self.chains.get(key)?.iter().position(|s| is(&s.value))?;
+        Some(self.take(key, at))
+    }
+
+    /// Inserts `value`, `bytes` resident, as the most recently used entry
+    /// under `key`, evicting least recently used entries until both bounds
+    /// hold. A disabled store keeps nothing, nor does one whose whole
+    /// budget `bytes` exceeds (keeping it would empty the store and still
+    /// not fit). When an entry `same` as `value` is resident — a racing
+    /// worker's insert landed first — that entry is marked used and
+    /// `value` is dropped.
+    pub(crate) fn insert(&mut self, key: K, value: V, bytes: usize, same: impl Fn(&V, &V) -> bool) {
+        if self.get(&key, |old| same(old, &value)).is_some() {
+            self.dedup_drops += 1;
+            return;
+        }
+        if self.limits.disabled() || bytes > self.limits.max_bytes {
+            return;
+        }
+        while self.len > 0
+            && (self.len >= self.limits.max_entries || self.bytes + bytes > self.limits.max_bytes)
+        {
+            self.evict();
+        }
+        self.tick += 1;
+        let slot = Slot {
+            value,
+            bytes,
+            last_used: self.tick,
+        };
+        // Most chains hold one entry: allocate no room for more.
+        let chain = self
+            .chains
+            .entry(key)
+            .or_insert_with(|| Vec::with_capacity(1));
+        chain.push(slot);
+        self.len += 1;
+        self.bytes += bytes;
+    }
+
+    /// Evicts the least recently used entry: the smallest tick, found by
+    /// one scan of the resident entries (ticks are unique, so the victim
+    /// does not depend on the map's order).
+    fn evict(&mut self) {
+        let chains = self.chains.iter().flat_map(|(key, chain)| {
+            let ticks = chain.iter().map(|s| s.last_used).enumerate();
+            ticks.map(move |(at, tick)| (tick, key, at))
+        });
+        let (_, key, at) = chains
+            .min_by_key(|&(tick, ..)| tick)
+            .expect("a resident entry");
+        self.take(&key.clone(), at);
+        self.evictions += 1;
+    }
+
+    fn take(&mut self, key: &K, at: usize) -> V {
+        let chain = self.chains.get_mut(key).expect("a resident chain");
+        let slot = chain.remove(at);
+        if chain.is_empty() {
+            self.chains.remove(key);
+        }
+        self.len -= 1;
+        self.bytes -= slot.bytes;
+        slot.value
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Counters
 // ---------------------------------------------------------------------------
 
@@ -172,7 +315,7 @@ enum Sighting {
 /// One shelved shape: the [`Shape`] key it is verified by and what is
 /// known of it.
 #[derive(Debug)]
-struct Shelf {
+pub(crate) struct Shelf {
     hash: u64,
     key: Vec<u64>,
     sighting: Sighting,
@@ -189,15 +332,20 @@ impl Shelf {
     }
 }
 
-/// Chain skeletons by rate-free shape; see the module docs.
+/// Chain skeletons by rate-free shape; see the module docs. Shelves are
+/// stored by key hash and verified by the full key.
 #[derive(Debug)]
 pub(crate) struct SkeletonStore {
-    /// Key hash → slots in `lru` with that hash (a collision chain).
-    map: HashMap<u64, Vec<usize>>,
-    lru: BoundedLru<Shelf>,
-    limits: CacheLimits,
-    evictions: u64,
-    dedup_drops: u64,
+    lru: Bounded<u64, Shelf>,
+}
+
+/// The store's size and counters are its bounded store's.
+impl Deref for SkeletonStore {
+    type Target = Bounded<u64, Shelf>;
+
+    fn deref(&self) -> &Bounded<u64, Shelf> {
+        &self.lru
+    }
 }
 
 /// What to do for one build, as the store sees the net's shape.
@@ -215,46 +363,34 @@ enum Plan {
 impl SkeletonStore {
     pub(crate) fn new(limits: CacheLimits) -> SkeletonStore {
         SkeletonStore {
-            map: HashMap::new(),
-            lru: BoundedLru::new(),
-            limits,
-            evictions: 0,
-            dedup_drops: 0,
+            lru: Bounded::new(limits),
         }
     }
 
     pub(crate) fn stats(&self) -> StoreStats {
         let skeletons = self
-            .map
             .values()
-            .flatten()
-            .filter(|&&i| matches!(self.lru.get(i).sighting, Sighting::Recorded(_)))
+            .filter(|shelf| matches!(shelf.sighting, Sighting::Recorded(_)))
             .count();
         StoreStats {
             skeletons,
-            sightings: self.lru.len() - skeletons,
+            sightings: self.len() - skeletons,
             evictions: self.evictions,
             dedup_drops: self.dedup_drops,
-            bytes: self.lru.bytes(),
+            bytes: self.bytes(),
         }
     }
 
-    fn find(&self, hash: u64, key: &[u64]) -> Option<usize> {
-        let chain = self.map.get(&hash)?;
-        chain.iter().copied().find(|&i| self.lru.get(i).key == key)
-    }
-
     fn plan(&mut self, hash: u64, key: &[u64], max_states: usize) -> Plan {
-        let Some(i) = self.find(hash, key) else {
-            return Plan::Sight;
-        };
-        self.lru.touch(i);
-        match &self.lru.get(i).sighting {
-            Sighting::Recorded(skeleton) if skeleton.state_count() <= max_states => {
+        let max_bytes = self.lru.limits.max_bytes;
+        let shelf = self.lru.get(&hash, |shelf| shelf.key == key);
+        match shelf.map(|shelf| &shelf.sighting) {
+            None => Plan::Sight,
+            Some(Sighting::Recorded(skeleton)) if skeleton.state_count() <= max_states => {
                 Plan::Replay(Arc::clone(skeleton))
             }
-            Sighting::Seen { least } if *least <= self.limits.max_bytes => Plan::Record,
-            _ => Plan::Build,
+            Some(Sighting::Seen { least }) if *least <= max_bytes => Plan::Record,
+            Some(_) => Plan::Build,
         }
     }
 
@@ -262,52 +398,23 @@ impl SkeletonStore {
     /// sighting; a second recording of the same shape (a racing worker's)
     /// is dropped; a skeleton over the whole budget is shelved as a
     /// sighting of its real size, so the shape is not recorded again.
-    fn shelve(&mut self, shelf: Shelf) {
-        if let Some(i) = self.find(shelf.hash, &shelf.key) {
-            match (&self.lru.get(i).sighting, &shelf.sighting) {
-                (Sighting::Recorded(_), Sighting::Recorded(_)) => {
-                    self.dedup_drops += 1;
-                    self.lru.touch(i);
-                    return;
-                }
-                (Sighting::Seen { .. }, Sighting::Recorded(_)) => self.remove(i),
-                _ => {
-                    self.lru.touch(i);
-                    return;
-                }
-            }
+    fn shelve(&mut self, mut shelf: Shelf) {
+        let recorded = matches!(shelf.sighting, Sighting::Recorded(_));
+        let is = |resident: &Shelf| resident.key == shelf.key;
+        let resident = self.lru.get(&shelf.hash, is);
+        match resident.map(|r| matches!(r.sighting, Sighting::Seen { .. })) {
+            Some(true) if recorded => drop(self.lru.remove(&shelf.hash, is)),
+            Some(_) if !recorded => return,
+            _ => {}
+        }
+        if recorded && shelf.bytes() > self.lru.limits.max_bytes {
+            shelf.sighting = Sighting::Seen {
+                least: shelf.bytes(),
+            };
         }
         let bytes = shelf.bytes();
-        if bytes > self.limits.max_bytes {
-            if let Sighting::Recorded(_) = shelf.sighting {
-                self.shelve(Shelf {
-                    sighting: Sighting::Seen { least: bytes },
-                    ..shelf
-                });
-            }
-            return;
-        }
-        while self.lru.len() >= self.limits.max_entries
-            || self.lru.bytes() + bytes > self.limits.max_bytes
-        {
-            let Some(victim) = self.lru.victim() else {
-                break;
-            };
-            self.remove(victim);
-            self.evictions += 1;
-        }
-        let hash = shelf.hash;
-        let i = self.lru.insert(shelf, bytes);
-        self.map.entry(hash).or_default().push(i);
-    }
-
-    fn remove(&mut self, i: usize) {
-        let shelf = self.lru.remove(i);
-        let chain = self.map.get_mut(&shelf.hash).expect("chained shelf");
-        chain.retain(|&j| j != i);
-        if chain.is_empty() {
-            self.map.remove(&shelf.hash);
-        }
+        self.lru
+            .insert(shelf.hash, shelf, bytes, |a, b| a.key == b.key);
     }
 }
 
@@ -315,8 +422,8 @@ impl SkeletonStore {
 /// re-pricing a skeleton from `store` when one of the net's shape is
 /// shelved and fits the budget, recording one on the shape's second
 /// sighting. The result is the fresh build's, bit for bit, whichever road
-/// it took; its [`BuildStats`](crate::reach) say which. The caller checks
-/// [`lumpable`](crate::lump::lumpable) first.
+/// it took; its build ledger ([`crate::engine::StageLedger`]) says which.
+/// The caller checks [`lumpable`](crate::lump::lumpable) first.
 ///
 /// # Errors
 ///
@@ -329,7 +436,7 @@ pub(crate) fn build_chain(
     fn lock(store: &Mutex<SkeletonStore>) -> MutexGuard<'_, SkeletonStore> {
         store.lock().expect("skeleton store poisoned")
     }
-    let shape = if lock(store).limits.disabled() {
+    let shape = if lock(store).lru.limits.disabled() {
         None
     } else {
         Shape::of(net)
@@ -621,6 +728,32 @@ mod tests {
             panic!("a recorded shape replays");
         };
         assert!(Arc::ptr_eq(&shelved, &first), "the first recording stays");
+    }
+
+    /// Hits reorder eviction, keys hold collision chains, and removal
+    /// gives back an entry's bytes.
+    #[test]
+    fn global_order_is_least_recent_first() {
+        let mut lru = Bounded::new(CacheLimits::with_entry_cap(3));
+        let same = |a: &&str, b: &&str| a == b;
+        for (key, value) in [(1, "a"), (2, "b"), (1, "c")] {
+            lru.insert(key, value, 10, same);
+        }
+        assert_eq!((lru.len(), lru.bytes()), (3, 30));
+        // a is oldest … unless hit back to the front, which leaves b.
+        assert_eq!(lru.get(&1, |v| *v == "a"), Some(&"a"));
+        lru.insert(3, "d", 10, same);
+        assert!(lru.get(&2, |_| true).is_none());
+        lru.insert(4, "e", 10, same);
+        assert_eq!(lru.get(&1, |_| true), Some(&"a"), "c went, a stayed");
+        assert_eq!((lru.evictions, lru.dedup_drops), (2, 0));
+        lru.insert(4, "e", 10, same);
+        assert_eq!((lru.len(), lru.dedup_drops), (3, 1));
+        assert_eq!(lru.remove(&3, |_| true), Some("d"));
+        assert_eq!(lru.bytes(), 20);
+        lru.remove(&1, |_| true);
+        lru.remove(&4, |_| true);
+        assert_eq!((lru.len(), lru.bytes(), lru.values().count()), (0, 0, 0));
     }
 
     /// `A` gated on `B` holding fewer than `limit` tokens: the limit is a

@@ -39,11 +39,12 @@
 //!   and misses. (Every hit of the paper's evaluation is of the first
 //!   kind.) Hits are verified by full structural equality of the nets, so
 //!   fingerprint collisions cannot alias distinct nets. The cache is
-//!   bounded by resident bytes (1 GiB, `cache::DEFAULT_CACHE_MB`) and
-//!   optionally entry count (`HSIPC_CACHE_CAP`, `0` disables), evicts the
-//!   least recently used entry first, and reports [`cache_stats`]. The
-//!   skeleton store the exact backend re-prices from lives beside it,
-//!   under the same limits ([`store_stats`]).
+//!   one bounded store (`cache::Bounded`), limited by resident bytes
+//!   (1 GiB, `cache::DEFAULT_CACHE_MB`) and optionally entry count
+//!   (`HSIPC_CACHE_CAP`, `0` disables); when a bound binds it evicts the
+//!   least recently used entry, found by a scan of recency ticks. It
+//!   reports [`cache_stats`]. The skeleton store the exact backend
+//!   re-prices from is another such store beside it ([`store_stats`]).
 //!
 //! * **Determinism.** With lumping off the exact backend is bitwise
 //!   identical to calling `net.reachability(budget)?.solve(tol, sweeps)`
@@ -59,12 +60,10 @@
 //!   different trajectories, so they agree to solver tolerance (exact) or
 //!   to sampling error (DES), not bit for bit.
 
-use crate::cache::{CacheLimits, CacheStats, SkeletonStore, StoreStats};
+use crate::cache::{Bounded, CacheLimits, CacheStats, SkeletonStore, StoreStats};
 use crate::error::GtpnError;
-use crate::lru::BoundedLru;
 use crate::lump::{LumpSel, LumpedGraph};
 use crate::net::{Net, PlaceId, TransId};
-use crate::reach::ReachabilityGraph;
 use crate::sim::{self, batch_means_interval, splitmix64, ConfidenceInterval, SimOptions};
 use crate::solve::{Solution, SolveWorkspace};
 use rand::rngs::StdRng;
@@ -211,33 +210,6 @@ pub struct StageLedger {
 }
 
 impl StageLedger {
-    /// The ledger of one exact run: `graph`'s build record, its `edges`
-    /// as built, and the solve and de-lump stages timed by the caller.
-    fn of(
-        graph: &ReachabilityGraph,
-        edges: usize,
-        solution: &Solution,
-        solve_s: f64,
-        delump_s: f64,
-    ) -> Self {
-        StageLedger {
-            net_compile_s: graph.build.net_compile_s,
-            bfs_s: graph.build.bfs_s,
-            reprice_s: graph.build.reprice_s,
-            solve_s,
-            delump_s,
-            replays: graph.build.replays,
-            records: graph.build.records,
-            fallbacks: graph.build.fallbacks,
-            states: graph.state_count() as u64,
-            edges: edges as u64,
-            sweeps: solution.iterations() as u64,
-            phase_calls: graph.build.phase_calls,
-            phase_configs: graph.build.phase_configs,
-            phase_hits: graph.build.phase_hits,
-        }
-    }
-
     fn add(&mut self, other: &StageLedger) {
         self.net_compile_s += other.net_compile_s;
         self.bfs_s += other.bfs_s;
@@ -398,8 +370,8 @@ thread_local! {
 /// ([`crate::cache`]) — and its measures de-lumped. Any other net is
 /// built by the public [`Net::reachability`] and never enters the store;
 /// its measures are read off by the very calls a direct caller makes.
-/// Either chain is solved as [`ReachabilityGraph::solve`] solves it, so a
-/// raw analysis has the bits of `net.reachability(..)?.solve(..)`.
+/// Either chain is solved as [`crate::ReachabilityGraph::solve`] solves
+/// it, so a raw analysis has the bits of `net.reachability(..)?.solve(..)`.
 ///
 /// A chain too large to solve directly is held once: the sweeps read the
 /// per-thread workspace's transpose, so the graph's out-edges go before
@@ -446,7 +418,14 @@ fn exact(
         }
     };
     let solve_s = (solved - built).as_secs_f64();
-    let stages = StageLedger::of(&graph, edges, &solution, solve_s, delump_s);
+    let stages = StageLedger {
+        solve_s,
+        delump_s,
+        states: graph.state_count() as u64,
+        edges: edges as u64,
+        sweeps: solution.iterations() as u64,
+        ..graph.build
+    };
     let (resource_usage, resource_delay) = crate::solve::by_resource(net, &transition_usage);
     let data = AnalysisData {
         backend: BackendKind::Exact,
@@ -545,56 +524,30 @@ fn entry_bytes(e: &CacheEntry) -> usize {
 
 #[derive(Debug)]
 struct EngineCache {
-    /// key → slot indices in `lru` (a chain: distinct nets can share a
-    /// fingerprint).
-    map: HashMap<CacheKey, Vec<usize>>,
-    lru: BoundedLru<(CacheKey, CacheEntry)>,
-    limits: CacheLimits,
+    /// Entries by key; distinct nets can share a fingerprint, so a key
+    /// holds a chain.
+    store: Bounded<CacheKey, CacheEntry>,
     hits: u64,
     misses: u64,
-    evictions: u64,
-    /// Results recomputed by a racing worker and dropped at insert because
-    /// an equal entry had landed first.
-    dedup_drops: u64,
 }
 
 impl EngineCache {
     fn new(limits: CacheLimits) -> EngineCache {
         EngineCache {
-            map: HashMap::new(),
-            lru: BoundedLru::new(),
-            limits,
+            store: Bounded::new(limits),
             hits: 0,
             misses: 0,
-            evictions: 0,
-            dedup_drops: 0,
         }
-    }
-
-    /// Evicts the least recently used entry. False when already empty.
-    fn evict_one(&mut self) -> bool {
-        let Some(idx) = self.lru.victim() else {
-            return false;
-        };
-        let (key, _) = self.lru.remove(idx);
-        if let Some(chain) = self.map.get_mut(&key) {
-            chain.retain(|&i| i != idx);
-            if chain.is_empty() {
-                self.map.remove(&key);
-            }
-        }
-        self.evictions += 1;
-        true
     }
 
     fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
-            evictions: self.evictions,
-            dedup_drops: self.dedup_drops,
-            entries: self.lru.len(),
-            bytes: self.lru.bytes(),
+            evictions: self.store.evictions,
+            dedup_drops: self.store.dedup_drops,
+            entries: self.store.len(),
+            bytes: self.store.bytes(),
         }
     }
 }
@@ -676,12 +629,13 @@ impl AnalysisEngine {
 
     /// This engine with a private solution cache of `cap` entries (`0`
     /// disables caching for this engine), byte-bounded by the same
-    /// `cache::DEFAULT_CACHE_MB` budget as the
-    /// global cache, and a private skeleton store under the same limits.
-    /// Results no longer flow through — or count against — the
-    /// process-global LRU: tests get isolation without serializing on the
-    /// global counters, and nested fixed-point solves stop evicting the
-    /// outer sweep's hot entries.
+    /// `cache::DEFAULT_CACHE_MB` budget as the global cache, and a private
+    /// skeleton store under the same limits — each one bounded store
+    /// (`cache::Bounded`) that evicts its least recently used entry when a
+    /// bound binds. Results no longer flow through — or count against —
+    /// the process-global caches: tests get isolation without serializing
+    /// on the global counters, and nested fixed-point solves stop evicting
+    /// the outer sweep's hot entries.
     pub fn with_cache(mut self, cap: usize) -> AnalysisEngine {
         self.cache = Some(Arc::new(Caches::new(CacheLimits::with_entry_cap(cap))));
         self
@@ -740,61 +694,31 @@ impl AnalysisEngine {
         (fp, kind, h.finish())
     }
 
-    /// The slot index of a verified hit for `key` under this engine's
-    /// state budget, if any. Caller holds the lock.
-    fn find_slot(c: &EngineCache, key: &CacheKey, budget: usize, net: &Net) -> Option<usize> {
-        let kind = key.1;
-        c.map.get(key)?.iter().copied().find(|&i| {
-            let (_, e) = c.lru.get(i);
-            (kind != BackendKind::Exact || e.data.states <= budget) && e.net == *net
-        })
-    }
-
-    /// Looks for a verified cache hit. A disabled cache holds nothing, so
-    /// its probes miss.
+    /// Looks for a verified cache hit: an entry of `net` itself whose
+    /// exact result fits this engine's state budget. A disabled cache
+    /// holds nothing, so its probes miss.
     fn probe(&self, kind: BackendKind, net: &Net, fp: u64) -> Option<Analysis> {
         let key = self.key(kind, net, fp);
         let mut c = self.cache_mutex().lock().expect("engine cache poisoned");
-        let idx = Self::find_slot(&c, &key, self.cfg.state_budget, net)?;
-        c.lru.touch(idx);
-        let data = Arc::clone(&c.lru.get(idx).1.data);
+        let entry = c.store.get(&key, |e| {
+            (kind != BackendKind::Exact || e.data.states <= self.cfg.state_budget) && e.net == *net
+        })?;
+        let data = Arc::clone(&entry.data);
         c.hits += 1;
         Some(Analysis { data })
     }
 
-    /// Inserts a freshly computed analysis, evicting least recently used
-    /// entries until both the entry and the byte bounds hold; a disabled
-    /// cache keeps nothing. A racing insert of the same net is dropped,
-    /// not duplicated — the old chain `push` could stack several copies of
-    /// one solution when sweep workers missed simultaneously.
+    /// Inserts a freshly computed analysis ([`Bounded::insert`]): a racing
+    /// insert of the same net is dropped, not duplicated.
     fn insert(&self, kind: BackendKind, net: &Net, fp: u64, data: &Arc<AnalysisData>) {
         let key = self.key(kind, net, fp);
-        let mut c = self.cache_mutex().lock().expect("engine cache poisoned");
-        if c.limits.disabled() {
-            return;
-        }
-        if let Some(idx) = Self::find_slot(&c, &key, usize::MAX, net) {
-            c.dedup_drops += 1;
-            c.lru.touch(idx);
-            return;
-        }
         let entry = CacheEntry {
             net: net.clone(),
             data: Arc::clone(data),
         };
         let bytes = entry_bytes(&entry);
-        if bytes > c.limits.max_bytes {
-            // Larger than the whole budget: caching it would wipe the
-            // cache and still not fit.
-            return;
-        }
-        while c.lru.len() >= c.limits.max_entries || c.lru.bytes() + bytes > c.limits.max_bytes {
-            if !c.evict_one() {
-                break;
-            }
-        }
-        let idx = c.lru.insert((key, entry), bytes);
-        c.map.entry(key).or_default().push(idx);
+        let mut c = self.cache_mutex().lock().expect("engine cache poisoned");
+        c.store.insert(key, entry, bytes, |a, b| a.net == b.net);
     }
 
     /// Analyzes `net` under the engine's policy; see the module docs.
@@ -802,7 +726,7 @@ impl AnalysisEngine {
     /// # Errors
     ///
     /// Those of the selected backend: [`Net::reachability`],
-    /// [`ReachabilityGraph::solve`] or [`sim::simulate`]. Under
+    /// [`crate::ReachabilityGraph::solve`] or [`sim::simulate`]. Under
     /// [`BackendSel::Auto`], [`GtpnError::StateSpaceExceeded`] from the
     /// exact path triggers the DES fallback instead of being returned.
     pub fn analyze(&self, net: &Net) -> Result<Analysis, GtpnError> {
@@ -1072,6 +996,29 @@ mod tests {
         let s = off.cache_stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 2, 0));
         assert_eq!(cache_stats().misses, global_after.misses);
+    }
+
+    /// A full private cache evicts its least recently used entry, and a
+    /// racing worker's insert of a resident net is dropped.
+    #[test]
+    fn a_full_cache_evicts_the_least_recently_used_entry() {
+        let engine = exact_engine().with_cache(2);
+        let (a, b, c) = (geo(3.0), geo(4.0), geo(5.0));
+        let hits = |net: &Net| {
+            let before = engine.cache_stats().hits;
+            engine.analyze(net).unwrap();
+            engine.cache_stats().hits - before
+        };
+        assert_eq!((hits(&a), hits(&b), hits(&a), hits(&c)), (0, 0, 1, 0));
+        assert_eq!(hits(&a), 1, "a was used after b, so b went");
+        let s = engine.cache_stats();
+        assert_eq!((s.evictions, s.entries, s.dedup_drops), (1, 2, 0));
+        assert_eq!(hits(&b), 0);
+        let fp = a.fingerprint();
+        let data = engine.probe(BackendKind::Exact, &a, fp).unwrap().data;
+        engine.insert(BackendKind::Exact, &a, fp, &data);
+        let s = engine.cache_stats();
+        assert_eq!((s.evictions, s.entries, s.dedup_drops), (2, 2, 1));
     }
 
     /// Two clients cycling through two geometric stages (A → B → A, mean

@@ -78,7 +78,6 @@ mod compiled;
 mod error;
 mod expr;
 mod intern;
-mod lru;
 mod net;
 mod phase;
 mod reach;

@@ -33,6 +33,7 @@
 //! here and the lumped chain of [`crate::lump`].
 
 use crate::compiled::CompiledNet;
+use crate::engine::StageLedger;
 use crate::error::GtpnError;
 use crate::intern::{hash_words, IndexTable};
 use crate::lump::{RowIndex, Rows};
@@ -41,33 +42,6 @@ use crate::phase::{instantaneous_phase, pending_ids, PhaseMemo, PhaseScratch};
 use crate::skeleton::Packed;
 use crate::solve::Solution;
 use std::time::Instant;
-
-/// What building a graph cost — the build half of the engine's
-/// [`StageLedger`](crate::engine::StageLedger). Seconds are wall-clock
-/// around the whole stage (no timer runs inside the expansion kernel). A
-/// re-priced chain ([`Skeleton::replay`](crate::skeleton::Skeleton::replay))
-/// carries its skeleton's phase counts: they count the work the chain
-/// stands for, not the work its replay did.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct BuildStats {
-    pub(crate) net_compile_s: f64,
-    pub(crate) bfs_s: f64,
-    /// Replaying a skeleton, the attempt included when it fell back.
-    pub(crate) reprice_s: f64,
-    /// Instantaneous phases run.
-    pub(crate) phase_calls: u64,
-    /// Configurations those phases expanded (terminal ones included).
-    pub(crate) phase_configs: u64,
-    /// Lumped states the phase memo served, their folds with them; 0 for
-    /// a raw or re-priced chain.
-    pub(crate) phase_hits: u64,
-    /// 1 when the chain was re-priced from a skeleton.
-    pub(crate) replays: u64,
-    /// 1 when the build recorded a skeleton.
-    pub(crate) records: u64,
-    /// 1 when a replay fell back to this fresh build.
-    pub(crate) fallbacks: u64,
-}
 
 /// The embedded Markov chain over tangible states of a [`Net`].
 ///
@@ -91,7 +65,9 @@ pub struct ReachabilityGraph {
     /// Whether each transition was ever selected to fire during expansion
     /// (covers zero-delay transitions, which never appear in states).
     pub(crate) fired: Vec<bool>,
-    pub(crate) build: BuildStats,
+    /// What building the chain cost: the build half of its ledger, whose
+    /// solve half the engine fills.
+    pub(crate) build: StageLedger,
 }
 
 impl Net {
@@ -411,7 +387,7 @@ pub(crate) fn explore(
             edges: Vec::new(),
             sojourn: Vec::new(),
             fired: Vec::new(),
-            build: BuildStats::default(),
+            build: StageLedger::default(),
         },
         table: IndexTable::new(),
         max_states,

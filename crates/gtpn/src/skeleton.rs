@@ -3,10 +3,11 @@
 //! [`Skeleton`] a chain of the same shape is replayed from under other
 //! rates, each state's fold redone by [`refold`].
 
+use crate::engine::StageLedger;
 use crate::lump::{LumpedGraph, RecordedRows, RowReplay};
 use crate::net::{Net, TransId};
 use crate::phase::PROB_FLOOR;
-use crate::reach::{BuildStats, ReachabilityGraph};
+use crate::reach::ReachabilityGraph;
 use std::ops::Range;
 
 /// Unsigned integers stored at the narrowest width that holds the largest
@@ -358,11 +359,11 @@ impl Skeleton {
             edges,
             sojourn: vec![1; states],
             fired: self.fired.to_vec(),
-            build: BuildStats {
+            build: StageLedger {
                 phase_calls: self.phase_calls,
                 phase_configs: self.phase_configs,
                 replays: 1,
-                ..BuildStats::default()
+                ..StageLedger::default()
             },
         };
         Ok(LumpedGraph {

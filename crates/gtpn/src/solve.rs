@@ -489,7 +489,7 @@ impl Anderson {
             // Solve (G + ridge·I) y = 1; α = y / Σy minimizes ‖Σ α_j f_j‖
             // subject to Σ α = 1.
             let mut y = vec![1.0f64; k];
-            if lu_solve_in_place(&mut a, &mut y, k) {
+            if lu_solve_in_place(&mut a, &mut y, k, 0.0) {
                 let total: f64 = y.iter().sum();
                 if total.is_finite() && total.abs() >= 1e-30 {
                     let alpha: Vec<f64> = y.iter().map(|v| v / total).collect();
@@ -587,8 +587,10 @@ impl StallDetector {
 
 /// Dense LU solve with partial pivoting, in place: `a` is an `n×n`
 /// row-major matrix, `b` the right-hand side, overwritten with the
-/// solution. Returns false on a singular or non-finite system.
-fn lu_solve_in_place(a: &mut [f64], b: &mut [f64], n: usize) -> bool {
+/// solution. Returns false on a system the caller deems singular — a
+/// pivot of magnitude at most `floor`, or a non-finite one — or on a
+/// non-finite solution.
+fn lu_solve_in_place(a: &mut [f64], b: &mut [f64], n: usize, floor: f64) -> bool {
     for col in 0..n {
         let mut piv = col;
         let mut best = a[col * n + col].abs();
@@ -599,7 +601,7 @@ fn lu_solve_in_place(a: &mut [f64], b: &mut [f64], n: usize) -> bool {
                 piv = r;
             }
         }
-        if !best.is_finite() || best <= 0.0 {
+        if !best.is_finite() || best <= floor {
             return false;
         }
         if piv != col {
@@ -639,9 +641,10 @@ fn lu_solve_in_place(a: &mut [f64], b: &mut [f64], n: usize) -> bool {
 /// equation replaced by the normalization (the standard rank completion
 /// for an irreducible chain). Returns the stationary vector and its
 /// balance residual `max_j |π_j − Σ_i π_i P_ij|` (machine-precision
-/// small), or `None` when elimination degenerates — a singular system or
-/// a meaningfully negative component — in which case the caller falls
-/// back to the iterative path and its own diagnostics.
+/// small), or `None` when elimination degenerates — a pivot of at most
+/// 1e-12, a non-finite solution or a meaningfully negative component — in
+/// which case the caller falls back to the iterative path and its own
+/// diagnostics.
 fn solve_direct(graph: &ReachabilityGraph) -> Option<(Vec<f64>, f64)> {
     let n = graph.state_count();
     // Row j of `a` is state j's balance equation π_j = Σ_i π_i P_ij,
@@ -660,49 +663,10 @@ fn solve_direct(graph: &ReachabilityGraph) -> Option<(Vec<f64>, f64)> {
         a[(n - 1) * n + i] = 1.0;
     }
     b[n - 1] = 1.0;
-
-    // Forward elimination with partial pivoting.
-    for col in 0..n {
-        let mut piv = col;
-        let mut best = a[col * n + col].abs();
-        for r in col + 1..n {
-            let v = a[r * n + col].abs();
-            if v > best {
-                best = v;
-                piv = r;
-            }
-        }
-        if best < 1e-12 {
-            return None;
-        }
-        if piv != col {
-            for k in col..n {
-                a.swap(piv * n + k, col * n + k);
-            }
-            b.swap(piv, col);
-        }
-        let d = a[col * n + col];
-        for r in col + 1..n {
-            let f = a[r * n + col] / d;
-            if f == 0.0 {
-                continue;
-            }
-            a[r * n + col] = 0.0;
-            for c in col + 1..n {
-                a[r * n + c] -= f * a[col * n + c];
-            }
-            b[r] -= f * b[col];
-        }
+    if !lu_solve_in_place(&mut a, &mut b, n, 1e-12) {
+        return None;
     }
-    // Back substitution.
-    let mut pi = vec![0.0f64; n];
-    for r in (0..n).rev() {
-        let mut s = b[r];
-        for c in r + 1..n {
-            s -= a[r * n + c] * pi[c];
-        }
-        pi[r] = s / a[r * n + r];
-    }
+    let mut pi = b;
     // Elimination can leave rounding-level negatives; anything larger
     // means the system was not the chain we assumed.
     for v in pi.iter_mut() {
