@@ -13,8 +13,13 @@
 //!   activities on the same bus — Architecture IV's partitioned bus
 //!   interferes only within a partition, which is exactly the effect the
 //!   paper's low-level contention model (Table 6.2) captures;
-//! * the [`netsim::TokenRing`] carrying one `send` and one `reply` packet
+//! * the [`netsim::TokenRing`] timing one `send` and one `reply` packet
 //!   per conversation.
+//!
+//! One queue, ordered by time and then by scheduling order, holds every
+//! pending event: a finished job carries the job, an arrival its packet.
+//! As in the live runtime, the computation list alone says which tasks a
+//! kernel call made runnable (§4.4); each continues by its last call.
 
 use crate::timings::{activity, Activity, ActivityKind, Architecture, Locality};
 use crate::WorkloadSpec;
@@ -25,8 +30,7 @@ use msgkernel::{
 use netsim::{RingNodeId, TokenRing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// One processor-occupancy segment recorded by a traced run — the raw
 /// material of the paper's Figure 4.6 timeline.
@@ -61,7 +65,8 @@ pub struct Metrics {
     pub measured_us: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A node's processors, in [`Node::procs`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcKind {
     Host,
     Mp,
@@ -125,37 +130,15 @@ impl Proc {
 }
 
 /// Bus demand of a running activity for the interference model.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct BusShare {
     kb_rho: f64,
     tcb_rho: f64,
 }
 
-#[derive(Debug)]
-struct Node {
-    procs: HashMap<ProcKind, Proc>,
-    /// The running activities' bus shares by job id, in dispatch order, so
-    /// `Simulation::interference` sums them in an order the run fixes.
-    running: Vec<(u64, BusShare)>,
-}
-
-impl Node {
-    fn new(has_mp: bool, hosts: usize) -> Node {
-        let mut procs = HashMap::new();
-        procs.insert(ProcKind::Host, Proc::new(hosts));
-        if has_mp {
-            procs.insert(ProcKind::Mp, Proc::new(1));
-        }
-        procs.insert(ProcKind::IoOut, Proc::new(1));
-        procs.insert(ProcKind::IoIn, Proc::new(1));
-        Node {
-            procs,
-            running: Vec::new(),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The kernel call a task made last: how it continues once the
+/// computation list hands it back.
+#[derive(Debug, Clone, Copy)]
 enum LastCall {
     Offer,
     Receive,
@@ -163,14 +146,41 @@ enum LastCall {
     Send,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
+struct Node {
+    /// Indexed by [`ProcKind`]; the MP idles on Architecture I.
+    procs: [Proc; 4],
+    /// The running activities' bus shares by job id, in dispatch order, so
+    /// `Simulation::interference` sums them in an order the run fixes.
+    running: Vec<(u64, BusShare)>,
+    /// Each task's last call, by task id (a server's first is its offer).
+    last_call: Vec<LastCall>,
+    /// When each client issued its current send, nanoseconds, by task id.
+    send_start_ns: Vec<u64>,
+}
+
+impl Node {
+    fn new(hosts: usize, tasks: usize) -> Node {
+        Node {
+            procs: [hosts, 1, 1, 1].map(Proc::new),
+            running: Vec::new(),
+            last_call: vec![LastCall::Offer; tasks],
+            send_start_ns: vec![0; tasks],
+        }
+    }
+}
+
+#[derive(Debug)]
 enum Event {
+    /// A job finished on a processor it took at `started_ns`.
     WorkDone {
         node: usize,
         proc: ProcKind,
-        job_id: u64,
+        started_ns: u64,
+        job: Job,
     },
-    Arrival,
+    /// A packet reached its destination's network interface.
+    Arrival(Packet),
 }
 
 /// The architecture simulator. See the crate docs for an example.
@@ -180,17 +190,14 @@ pub struct Simulation {
     spec: WorkloadSpec,
     kernels: Vec<Kernel>,
     nodes: Vec<Node>,
-    ring: TokenRing<Packet>,
-    queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    events: HashMap<u64, Event>,
-    jobs: HashMap<u64, (usize, ProcKind, Job)>,
-    job_starts: HashMap<u64, u64>,
+    ring: TokenRing,
+    /// Pending events by `(time_ns, seq)`: `seq` counts scheduled events,
+    /// breaks ties in scheduling order and is a job's id.
+    events: BTreeMap<(u64, u64), Event>,
     trace: Option<Vec<TraceSegment>>,
     seq: u64,
     now_ns: u64,
     rng: StdRng,
-    last_call: HashMap<(usize, TaskId), LastCall>,
-    send_start_ns: HashMap<(usize, TaskId), u64>,
     client_node: usize,
     server_node: usize,
     service: ServiceAddr,
@@ -225,7 +232,7 @@ impl Simulation {
             .map(|i| Kernel::new(NodeId(i as u32), 64))
             .collect();
         let nodes: Vec<Node> = (0..node_count)
-            .map(|_| Node::new(arch.has_mp(), hosts))
+            .map(|_| Node::new(hosts, 2 * spec.conversations))
             .collect();
         let mut ring = TokenRing::default();
         for i in 0..node_count {
@@ -245,16 +252,11 @@ impl Simulation {
             kernels,
             nodes,
             ring,
-            queue: BinaryHeap::new(),
-            events: HashMap::new(),
-            jobs: HashMap::new(),
-            job_starts: HashMap::new(),
+            events: BTreeMap::new(),
             trace: None,
             seq: 0,
             now_ns: 0,
             rng: StdRng::seed_from_u64(spec.seed),
-            last_call: HashMap::new(),
-            send_start_ns: HashMap::new(),
             client_node,
             server_node,
             service,
@@ -286,8 +288,6 @@ impl Simulation {
             let t = self.kernels[self.server_node]
                 .next_communication()
                 .expect("offer pending");
-            self.last_call
-                .insert((self.server_node, server), LastCall::Offer);
             let events = self.kernels[self.server_node]
                 .process(t)
                 .expect("offer valid");
@@ -303,19 +303,40 @@ impl Simulation {
         activity(self.arch, self.spec.locality, kind)
     }
 
+    /// The processor that runs kernel work: the MP, or Architecture I's
+    /// host.
+    fn kernel_proc(&self) -> ProcKind {
+        if self.arch.has_mp() {
+            ProcKind::Mp
+        } else {
+            ProcKind::Host
+        }
+    }
+
     /// Schedules `job` on the given processor; interrupt-initiated work goes
     /// to the priority queue.
     fn enqueue(&mut self, node: usize, proc: ProcKind, job: Job, interrupt: bool) {
-        let p = self.nodes[node]
-            .procs
-            .get_mut(&proc)
-            .expect("processor exists");
+        let p = &mut self.nodes[node].procs[proc as usize];
         if interrupt {
             p.interrupt_queue.push_back(job);
         } else {
             p.task_queue.push_back(job);
         }
         self.dispatch(node, proc);
+    }
+
+    /// Schedules task-level `job` on the node's host.
+    fn on_host(&mut self, node: usize, job: Job) {
+        self.enqueue(node, ProcKind::Host, job, false);
+    }
+
+    /// Queues `event` at `at_ns`, after the events already queued for that
+    /// instant, and returns its sequence number.
+    fn schedule(&mut self, at_ns: u64, event: Event) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        self.events.insert((at_ns, seq), event);
+        seq
     }
 
     /// Bus interference: the shared-access demand fraction of concurrently
@@ -342,26 +363,12 @@ impl Simulation {
                 // rendezvous).
                 activity(self.arch, Locality::Local, ActivityKind::Match)
             }
-            Job::Compute { duration_us, .. } => {
-                return (
-                    *duration_us,
-                    BusShare {
-                        kb_rho: 0.0,
-                        tcb_rho: 0.0,
-                    },
-                );
-            }
+            Job::Compute { duration_us, .. } => return (*duration_us, BusShare::default()),
             Job::DmaOut { .. } => self.act(ActivityKind::DmaOut),
             Job::DmaIn { .. } => self.act(ActivityKind::DmaIn),
         };
         let Some(act) = act else {
-            return (
-                0.0,
-                BusShare {
-                    kb_rho: 0.0,
-                    tcb_rho: 0.0,
-                },
-            );
+            return (0.0, BusShare::default());
         };
         let (kb_i, tcb_i) = self.interference(node);
         let duration = if self.arch.partitioned() {
@@ -381,47 +388,38 @@ impl Simulation {
 
     fn dispatch(&mut self, node: usize, proc: ProcKind) {
         loop {
-            let p = self.nodes[node]
-                .procs
-                .get_mut(&proc)
-                .expect("processor exists");
+            let p = &mut self.nodes[node].procs[proc as usize];
             if p.busy >= p.capacity {
                 return;
             }
             let Some(job) = p.pop() else { return };
             p.busy += 1;
             let (duration_us, share) = self.job_duration_and_share(node, &job);
-            let job_id = self.seq;
-            self.seq += 1;
-            self.nodes[node].running.push((job_id, share));
-            self.jobs.insert(job_id, (node, proc, job));
-            let at = self.now_ns + us_to_ns(duration_us);
-            self.job_starts.insert(job_id, self.now_ns);
-            let ev = self.seq;
-            self.seq += 1;
-            self.events
-                .insert(ev, Event::WorkDone { node, proc, job_id });
-            self.queue.push(Reverse((at, ev, 0)));
+            let done = Event::WorkDone {
+                node,
+                proc,
+                started_ns: self.now_ns,
+                job,
+            };
+            let id = self.schedule(self.now_ns + us_to_ns(duration_us), done);
+            self.nodes[node].running.push((id, share));
         }
     }
 
     fn start_client_send(&mut self, client: TaskId) {
-        self.send_start_ns
-            .insert((self.client_node, client), self.now_ns);
+        self.nodes[self.client_node].send_start_ns[client.0 as usize] = self.now_ns;
         let call = Syscall::Send {
             to: self.service,
             message: Message::empty(),
             mode: SendMode::invocation(),
         };
-        self.enqueue(
+        self.on_host(
             self.client_node,
-            ProcKind::Host,
             Job::Syscall {
                 task: client,
                 kind: ActivityKind::SyscallSend,
                 call,
             },
-            false,
         );
     }
 
@@ -452,99 +450,45 @@ impl Simulation {
         }
     }
 
-    /// Acts on one kernel call's events, then takes the tasks the call made
-    /// runnable off the node's computation list.
+    /// Acts on one kernel call: its outgoing packets go to the DMA engine,
+    /// then every task it made runnable leaves the computation list and
+    /// continues by its last call. `from_packet` marks an arrived packet's
+    /// interrupt, which already charged a delivered server's match work.
     fn apply_events(&mut self, node: usize, events: Vec<KernelEvent>, from_packet: bool) {
-        use KernelEvent as E;
-        let mut handled: Vec<TaskId> = Vec::new();
         for e in events {
-            match e {
-                E::Delivered { server } => {
-                    handled.push(server);
-                    if from_packet {
-                        // The interrupt job already charged the match work.
-                        self.enqueue(
-                            node,
-                            ProcKind::Host,
-                            Job::Restart {
-                                task: server,
-                                kind: ActivityKind::RestartServer,
-                            },
-                            false,
-                        );
-                    } else {
-                        let proc = if self.arch.has_mp() {
-                            ProcKind::Mp
-                        } else {
-                            ProcKind::Host
-                        };
-                        self.enqueue(node, proc, Job::Match { server }, false);
-                    }
-                }
-                E::ReplyDelivered { client } => {
-                    handled.push(client);
-                    self.enqueue(
-                        node,
-                        ProcKind::Host,
-                        Job::Restart {
-                            task: client,
-                            kind: ActivityKind::RestartClient,
-                        },
-                        false,
-                    );
-                }
-                E::PacketOut(p) => {
-                    self.enqueue(node, ProcKind::IoOut, Job::DmaOut { packet: p }, false);
-                }
-                _ => {}
+            if let KernelEvent::PacketOut(packet) = e {
+                self.enqueue(node, ProcKind::IoOut, Job::DmaOut { packet }, false);
             }
         }
         while let Some(task) = self.kernels[node].next_computation() {
-            if handled.contains(&task) {
-                continue;
-            }
-            match self.last_call.get(&(node, task)) {
-                Some(LastCall::Offer) => {
-                    // Server is ready: post the first receive.
-                    self.enqueue(
-                        node,
-                        ProcKind::Host,
-                        Job::Syscall {
-                            task,
-                            kind: ActivityKind::SyscallReceive,
-                            call: Syscall::Receive,
-                        },
-                        false,
-                    );
+            let restart = |kind| Job::Restart { task, kind };
+            let job = match self.nodes[node].last_call[task.0 as usize] {
+                LastCall::Send => restart(ActivityKind::RestartClient),
+                LastCall::Receive if from_packet => restart(ActivityKind::RestartServer),
+                LastCall::Receive => {
+                    let proc = self.kernel_proc();
+                    self.enqueue(node, proc, Job::Match { server: task }, false);
+                    continue;
                 }
-                Some(LastCall::Reply) => {
-                    self.enqueue(
-                        node,
-                        ProcKind::Host,
-                        Job::Restart {
-                            task,
-                            kind: ActivityKind::RestartServerAfterReply,
-                        },
-                        false,
-                    );
-                }
-                _ => {}
-            }
+                // Server is ready: post the first receive.
+                LastCall::Offer => Job::Syscall {
+                    task,
+                    kind: ActivityKind::SyscallReceive,
+                    call: Syscall::Receive,
+                },
+                LastCall::Reply => restart(ActivityKind::RestartServerAfterReply),
+            };
+            self.on_host(node, job);
         }
     }
 
-    fn complete_job(&mut self, node: usize, proc: ProcKind, job_id: u64) {
-        let (_, _, job) = self.jobs.remove(&job_id).expect("job registered");
-        self.nodes[node].running.retain(|&(id, _)| id != job_id);
-        let started = self.job_starts.remove(&job_id).expect("start recorded");
-        {
-            let p = self.nodes[node]
-                .procs
-                .get_mut(&proc)
-                .expect("processor exists");
-            p.busy -= 1;
-            p.busy_ns += self.now_ns - started;
-        }
+    fn complete_job(&mut self, id: u64, node: usize, proc: ProcKind, started_ns: u64, job: Job) {
+        self.nodes[node]
+            .running
+            .retain(|&(running, _)| running != id);
+        let p = &mut self.nodes[node].procs[proc as usize];
+        p.busy -= 1;
+        p.busy_ns += self.now_ns - started_ns;
         if let Some(trace) = &mut self.trace {
             let label = match &job {
                 Job::Syscall { kind, task, .. } => format!("{kind:?} {task}"),
@@ -556,17 +500,11 @@ impl Simulation {
                 Job::DmaIn { .. } => "DMA in".to_string(),
                 Job::Interrupt { kind, .. } => format!("Interrupt: {kind:?}"),
             };
-            let processor = match proc {
-                ProcKind::Host => "Host",
-                ProcKind::Mp => "MP",
-                ProcKind::IoOut => "IoOut",
-                ProcKind::IoIn => "IoIn",
-            };
             trace.push(TraceSegment {
                 node,
-                processor,
+                processor: ["Host", "MP", "IoOut", "IoIn"][proc as usize],
                 label,
-                start_us: started as f64 / US,
+                start_us: started_ns as f64 / US,
                 end_us: self.now_ns as f64 / US,
             });
         }
@@ -577,13 +515,12 @@ impl Simulation {
                 kind: _,
                 call,
             } => {
-                let last = match &call {
+                self.nodes[node].last_call[task.0 as usize] = match &call {
                     Syscall::Send { .. } => LastCall::Send,
                     Syscall::Receive => LastCall::Receive,
                     Syscall::Reply { .. } => LastCall::Reply,
                     _ => LastCall::Offer,
                 };
-                self.last_call.insert((node, task), last);
                 self.kernels[node].submit(task, call).expect("task idle");
                 self.pump_mp(node);
             }
@@ -591,17 +528,13 @@ impl Simulation {
                 let events = self.kernels[node].process(task).expect("valid request");
                 self.apply_events(node, events, false);
             }
-            Job::Match { server } => {
-                self.enqueue(
-                    node,
-                    ProcKind::Host,
-                    Job::Restart {
-                        task: server,
-                        kind: ActivityKind::RestartServer,
-                    },
-                    false,
-                );
-            }
+            Job::Match { server } => self.on_host(
+                node,
+                Job::Restart {
+                    task: server,
+                    kind: ActivityKind::RestartServer,
+                },
+            ),
             Job::Restart { task, kind } => match kind {
                 ActivityKind::RestartServer => {
                     let x = self.spec.server_compute_us;
@@ -610,76 +543,58 @@ impl Simulation {
                     } else {
                         self.rng.gen_range(0.5 * x..=1.5 * x)
                     };
-                    self.enqueue(
+                    self.on_host(
                         node,
-                        ProcKind::Host,
                         Job::Compute {
                             server: task,
                             duration_us,
                         },
-                        false,
                     );
                 }
-                ActivityKind::RestartServerAfterReply => {
-                    self.enqueue(
-                        node,
-                        ProcKind::Host,
-                        Job::Syscall {
-                            task,
-                            kind: ActivityKind::SyscallReceive,
-                            call: Syscall::Receive,
-                        },
-                        false,
-                    );
-                }
+                ActivityKind::RestartServerAfterReply => self.on_host(
+                    node,
+                    Job::Syscall {
+                        task,
+                        kind: ActivityKind::SyscallReceive,
+                        call: Syscall::Receive,
+                    },
+                ),
                 ActivityKind::RestartClient => {
                     // Round trip complete.
-                    if let Some(start) = self.send_start_ns.remove(&(node, task)) {
-                        if start >= us_to_ns(self.spec.warmup_us) {
-                            self.completed += 1;
-                            self.round_trip_sum_ns += self.now_ns - start;
-                        }
+                    let start = self.nodes[node].send_start_ns[task.0 as usize];
+                    if start >= us_to_ns(self.spec.warmup_us) {
+                        self.completed += 1;
+                        self.round_trip_sum_ns += self.now_ns - start;
                     }
                     self.start_client_send(task);
                 }
                 _ => unreachable!("not a restart kind"),
             },
-            Job::Compute { server, .. } => {
-                self.enqueue(
-                    node,
-                    ProcKind::Host,
-                    Job::Syscall {
-                        task: server,
-                        kind: ActivityKind::SyscallReply,
-                        call: Syscall::Reply {
-                            message: Message::empty(),
-                        },
+            Job::Compute { server, .. } => self.on_host(
+                node,
+                Job::Syscall {
+                    task: server,
+                    kind: ActivityKind::SyscallReply,
+                    call: Syscall::Reply {
+                        message: Message::empty(),
                     },
-                    false,
-                );
-            }
+                },
+            ),
             Job::DmaOut { packet } => {
                 let from = RingNodeId(packet.from.0);
                 let to = RingNodeId(packet.to.0);
                 let arrive = self
                     .ring
-                    .transmit(self.now_ns, from, to, 40, packet)
+                    .transmit(self.now_ns, from, to, 40)
                     .expect("nodes attached");
-                let ev = self.seq;
-                self.seq += 1;
-                self.events.insert(ev, Event::Arrival);
-                self.queue.push(Reverse((arrive, ev, 0)));
+                self.schedule(arrive, Event::Arrival(packet));
             }
             Job::DmaIn { packet } => {
                 let kind = match packet.body {
                     PacketBody::SendMsg { .. } => ActivityKind::Match,
                     PacketBody::ReplyMsg { .. } => ActivityKind::CleanupClient,
                 };
-                let proc = if self.arch.has_mp() {
-                    ProcKind::Mp
-                } else {
-                    ProcKind::Host
-                };
+                let proc = self.kernel_proc();
                 self.enqueue(node, proc, Job::Interrupt { packet, kind }, true);
             }
             Job::Interrupt { packet, .. } => {
@@ -708,10 +623,13 @@ impl Simulation {
     fn run_inner(&mut self) -> Metrics {
         let horizon = us_to_ns(self.spec.horizon_us);
         let warmup = us_to_ns(self.spec.warmup_us);
+        let busy_ns = |sim: &Simulation, proc: ProcKind| {
+            sim.nodes[sim.server_node].procs[proc as usize].busy_ns
+        };
         let mut warm_host_busy = 0u64;
         let mut warm_mp_busy = 0u64;
         let mut warmed = false;
-        while let Some(Reverse((at, ev, _))) = self.queue.pop() {
+        while let Some(((at, id), event)) = self.events.pop_first() {
             if at > horizon {
                 break;
             }
@@ -719,41 +637,29 @@ impl Simulation {
             if !warmed && at >= warmup {
                 warmed = true;
                 // Snapshot busy time consumed before the measured window.
-                let n = &self.nodes[self.server_node];
-                warm_host_busy = n.procs[&ProcKind::Host].busy_ns;
-                warm_mp_busy = n.procs.get(&ProcKind::Mp).map_or(0, |p| p.busy_ns);
+                warm_host_busy = busy_ns(self, ProcKind::Host);
+                warm_mp_busy = busy_ns(self, ProcKind::Mp);
             }
-            match self.events.remove(&ev).expect("event registered") {
-                Event::WorkDone { node, proc, job_id } => self.complete_job(node, proc, job_id),
-                Event::Arrival => {
-                    let deliveries = self.ring.poll(self.now_ns);
-                    for d in deliveries {
-                        let node = d.frame.to.0 as usize;
-                        self.enqueue(
-                            node,
-                            ProcKind::IoIn,
-                            Job::DmaIn {
-                                packet: d.frame.payload,
-                            },
-                            true,
-                        );
-                    }
+            match event {
+                Event::WorkDone {
+                    node,
+                    proc,
+                    started_ns,
+                    job,
+                } => self.complete_job(id, node, proc, started_ns, job),
+                Event::Arrival(packet) => {
+                    let node = packet.to.0 as usize;
+                    self.enqueue(node, ProcKind::IoIn, Job::DmaIn { packet }, true);
                 }
             }
         }
 
         let measured_ns = horizon.saturating_sub(warmup);
         let measured_us = measured_ns as f64 / US;
-        let n = &self.nodes[self.server_node];
-        let host_capacity = n.procs[&ProcKind::Host].capacity as u64;
-        let host_busy = n.procs[&ProcKind::Host]
-            .busy_ns
-            .saturating_sub(warm_host_busy)
-            / host_capacity;
-        let mp_busy = n
-            .procs
-            .get(&ProcKind::Mp)
-            .map_or(0, |p| p.busy_ns.saturating_sub(warm_mp_busy));
+        let host_capacity = self.nodes[self.server_node].procs[ProcKind::Host as usize].capacity;
+        let host_busy =
+            busy_ns(self, ProcKind::Host).saturating_sub(warm_host_busy) / host_capacity as u64;
+        let mp_busy = busy_ns(self, ProcKind::Mp).saturating_sub(warm_mp_busy);
         Metrics {
             throughput_per_ms: self.completed as f64 / (measured_us / 1_000.0),
             mean_round_trip_us: if self.completed == 0 {

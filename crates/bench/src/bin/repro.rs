@@ -185,35 +185,22 @@ fn peak_resident() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Rejects any set `HSIPC_*` variable that is not one of [`KNOBS`], naming
-/// the flag that replaced it when it is a former live-run variable, and any
-/// knob whose value its parser rejects.
+/// Rejects any set `HSIPC_*` variable that is not one of [`KNOBS`], and
+/// any knob whose value its parser rejects.
 fn check_environment() -> Result<(), String> {
     for (name, value) in std::env::vars_os() {
         let Some(name) = name.to_str().filter(|name| name.starts_with("HSIPC_")) else {
             continue;
         };
         let Some((_, parse)) = KNOBS.iter().find(|(knob, _)| *knob == name) else {
-            return Err(match replacement_flag(name) {
-                Some(flag) => format!("{name} is no longer read; use the `{flag}` flag"),
-                None => format!("{name} is not a knob (the knobs are {})", knob_names()),
-            });
+            return Err(format!(
+                "{name} is not a knob (the knobs are {})",
+                knob_names()
+            ));
         };
         parse(&value.to_string_lossy())?;
     }
     Ok(())
-}
-
-/// The flag a former live-run variable became: its name after `LIVE_`,
-/// kebab-cased, with the sweep's axes taking a `-list` suffix.
-fn replacement_flag(name: &str) -> Option<String> {
-    let rest = name.strip_prefix("HSIPC_")?.strip_prefix("LIVE_")?;
-    let (stem, suffix) = match rest.strip_prefix("SWEEP_") {
-        Some(axis) => (axis.trim_end_matches("_LIST"), "-list"),
-        None => (rest, ""),
-    };
-    let flag = format!("--{}{suffix}", stem.to_lowercase().replace('_', "-"));
-    FLAGS.iter().any(|f| f.0 == flag).then_some(flag)
 }
 
 /// The one flag parser of `repro live` (`sweep = false`) and `repro

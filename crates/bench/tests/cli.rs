@@ -196,18 +196,13 @@ fn unknown_live_variable_is_a_typo_error() {
             "{var}: `{stderr}` lacks `{needle}`"
         );
     };
-    // A former live-run variable names the flag that replaced it.
-    for (var, flag) in [
-        ("HSIPC_LIVE_NODES", "--nodes"),
-        ("HSIPC_LIVE_SERVER_COMPUTE_US", "--server-compute-us"),
-        ("HSIPC_LIVE_SWEEP_X_LIST", "--x-list"),
-        ("HSIPC_LIVE_SWEEP_CONVERSATIONS", "--conversations-list"),
-    ] {
-        refused(var, &format!("use the `{flag}` flag"));
-    }
-    // A typo, a deleted live knob and the deleted solver and cache
-    // switches are refused with the list of knobs that remain.
+    // A typo, the deleted live-run variables and the deleted solver and
+    // cache switches are refused with the list of knobs that remain.
     for var in [
+        "HSIPC_LIVE_NODES",
+        "HSIPC_LIVE_SERVER_COMPUTE_US",
+        "HSIPC_LIVE_SWEEP_X_LIST",
+        "HSIPC_LIVE_SWEEP_CONVERSATIONS",
         "HSIPC_LIVE_CONVERSATION",
         "HSIPC_LIVE_HANDOFF",
         "HSIPC_LIVE_SCALE",

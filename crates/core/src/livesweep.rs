@@ -182,7 +182,9 @@ pub struct SweepOutcome {
     /// Total wall seconds spent inside runs (≥ the sweep's wall time when
     /// workers overlap — the ratio is the fan-out win).
     pub run_wall_seconds: f64,
-    /// Whether every run drained within its grace period.
+    /// Whether every run drained clean (see
+    /// [`runtime::RunReport::clean_shutdown`]): its virtual-clock drain
+    /// completed every outstanding round trip without a deadlock.
     pub all_clean: bool,
     /// Whether every run completed at least one round trip.
     pub all_progressed: bool,

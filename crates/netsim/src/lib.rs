@@ -12,10 +12,13 @@
 //!   time, and packet arrival is an asynchronous event that raises an
 //!   interrupt at the destination.
 //!
-//! [`TokenRing`] implements exactly this: a shared medium serializing
-//! transmissions at a configured bit rate, delivering in order, reliably,
-//! with per-packet wire latency derived from the frame size. The
-//! architecture simulator layers DMA and interrupt-processing costs on top.
+//! [`TokenRing`] is that medium alone: it serializes transmissions at a
+//! configured bit rate and returns each frame's arrival time, its wire
+//! latency derived from the frame size. It carries no payload — the
+//! caller delivers the packet at that time, reliably and, since arrivals
+//! follow transmit order, in order. [`live`] carries the live runtime's
+//! frames over channels. Neither charges DMA or interrupt processing;
+//! `archsim` and the live runtime do.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +26,6 @@
 
 pub mod live;
 
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of a node on the ring (mirrors `msgkernel::NodeId`'s `u32`,
@@ -48,16 +50,6 @@ pub struct Frame<P> {
     pub wire_bytes: u32,
     /// The payload object carried.
     pub payload: P,
-}
-
-/// A frame that has arrived and awaits pickup by the destination's network
-/// interface.
-#[derive(Debug, Clone)]
-pub struct Delivery<P> {
-    /// Arrival time, nanoseconds.
-    pub at_ns: u64,
-    /// The frame.
-    pub frame: Frame<P>,
 }
 
 /// Errors from the ring.
@@ -88,15 +80,16 @@ pub struct RingStats {
     pub busy_ns: u64,
 }
 
-/// A reliable, serializing token ring.
+/// A reliable, serializing token ring: the medium alone. It times each
+/// frame and carries none; the caller delivers the payload at the arrival
+/// time [`TokenRing::transmit`] returns, and arrivals follow transmit order.
 #[derive(Debug)]
-pub struct TokenRing<P> {
+pub struct TokenRing {
     bit_rate_bps: u64,
     header_bytes: u32,
     nodes: Vec<RingNodeId>,
     /// Time at which the medium becomes free.
     medium_free_ns: u64,
-    in_flight: VecDeque<Delivery<P>>, // ordered by arrival time
     stats: RingStats,
 }
 
@@ -106,16 +99,15 @@ pub(crate) const DEFAULT_BIT_RATE: u64 = 4_000_000;
 /// Frame header overhead (addresses, framing) in bytes.
 pub(crate) const HEADER_BYTES: u32 = 16;
 
-impl<P> TokenRing<P> {
+impl TokenRing {
     /// Creates a ring with the given bit rate.
-    pub fn new(bit_rate_bps: u64) -> TokenRing<P> {
+    pub fn new(bit_rate_bps: u64) -> TokenRing {
         assert!(bit_rate_bps > 0, "bit rate must be positive");
         TokenRing {
             bit_rate_bps,
             header_bytes: HEADER_BYTES,
             nodes: Vec::new(),
             medium_free_ns: 0,
-            in_flight: VecDeque::new(),
             stats: RingStats::default(),
         }
     }
@@ -133,7 +125,7 @@ impl<P> TokenRing<P> {
         bits * 1_000_000_000 / self.bit_rate_bps
     }
 
-    /// Queues a frame for transmission at time `now_ns`; returns its
+    /// Transmits a frame of `payload_bytes` at time `now_ns`; returns its
     /// arrival time. The medium is serialized: a busy ring delays the
     /// frame until the current transmission completes.
     ///
@@ -146,7 +138,6 @@ impl<P> TokenRing<P> {
         from: RingNodeId,
         to: RingNodeId,
         payload_bytes: u32,
-        payload: P,
     ) -> Result<u64, RingError> {
         for n in [from, to] {
             if !self.nodes.contains(&n) {
@@ -160,35 +151,7 @@ impl<P> TokenRing<P> {
         self.stats.frames += 1;
         self.stats.bytes += u64::from(payload_bytes);
         self.stats.busy_ns += tx;
-        self.in_flight.push_back(Delivery {
-            at_ns: arrive,
-            frame: Frame {
-                from,
-                to,
-                wire_bytes: payload_bytes + self.header_bytes,
-                payload,
-            },
-        });
         Ok(arrive)
-    }
-
-    /// Removes and returns every frame that has arrived by `now_ns`.
-    pub fn poll(&mut self, now_ns: u64) -> Vec<Delivery<P>> {
-        let mut out = Vec::new();
-        while matches!(self.in_flight.front(), Some(d) if d.at_ns <= now_ns) {
-            out.push(self.in_flight.pop_front().expect("checked non-empty"));
-        }
-        out
-    }
-
-    /// Arrival time of the next frame, if any is in flight.
-    pub fn next_arrival(&self) -> Option<u64> {
-        self.in_flight.front().map(|d| d.at_ns)
-    }
-
-    /// Whether any frame is in flight.
-    pub fn idle(&self) -> bool {
-        self.in_flight.is_empty()
     }
 
     /// Ring statistics.
@@ -197,8 +160,8 @@ impl<P> TokenRing<P> {
     }
 }
 
-impl<P> Default for TokenRing<P> {
-    fn default() -> TokenRing<P> {
+impl Default for TokenRing {
+    fn default() -> TokenRing {
         TokenRing::new(DEFAULT_BIT_RATE)
     }
 }
@@ -207,7 +170,7 @@ impl<P> Default for TokenRing<P> {
 mod tests {
     use super::*;
 
-    fn ring() -> TokenRing<&'static str> {
+    fn ring() -> TokenRing {
         let mut r = TokenRing::default();
         r.attach(RingNodeId(0));
         r.attach(RingNodeId(1));
@@ -223,70 +186,33 @@ mod tests {
     }
 
     #[test]
-    fn transmit_and_poll() {
+    fn transmit_returns_the_arrival_time() {
         let mut r = ring();
-        let arrive = r
-            .transmit(1_000, RingNodeId(0), RingNodeId(1), 40, "send")
-            .unwrap();
+        let arrive = r.transmit(1_000, RingNodeId(0), RingNodeId(1), 40).unwrap();
         assert_eq!(arrive, 1_000 + 112_000);
-        assert!(r.poll(arrive - 1).is_empty());
-        let got = r.poll(arrive);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].frame.payload, "send");
-        assert_eq!(got[0].frame.to, RingNodeId(1));
-        assert!(r.idle());
+        assert_eq!(r.stats().bytes, 40);
     }
 
     #[test]
     fn medium_serializes_back_to_back_frames() {
         let mut r = ring();
-        let a = r
-            .transmit(0, RingNodeId(0), RingNodeId(1), 40, "a")
-            .unwrap();
-        let b = r
-            .transmit(0, RingNodeId(1), RingNodeId(0), 40, "b")
-            .unwrap();
+        let a = r.transmit(0, RingNodeId(0), RingNodeId(1), 40).unwrap();
+        let b = r.transmit(0, RingNodeId(1), RingNodeId(0), 40).unwrap();
         assert_eq!(b, a + 112_000, "second frame waits for the medium");
         assert_eq!(r.stats().frames, 2);
         assert_eq!(r.stats().busy_ns, 224_000);
     }
 
     #[test]
-    fn in_order_delivery() {
-        let mut r = ring();
-        r.transmit(0, RingNodeId(0), RingNodeId(1), 40, "first")
-            .unwrap();
-        r.transmit(0, RingNodeId(0), RingNodeId(1), 40, "second")
-            .unwrap();
-        let got = r.poll(u64::MAX);
-        assert_eq!(
-            got.iter().map(|d| d.frame.payload).collect::<Vec<_>>(),
-            ["first", "second"]
-        );
-    }
-
-    #[test]
     fn unknown_node_rejected() {
         let mut r = ring();
-        let err = r
-            .transmit(0, RingNodeId(0), RingNodeId(9), 40, "x")
-            .unwrap_err();
+        let err = r.transmit(0, RingNodeId(0), RingNodeId(9), 40).unwrap_err();
         assert_eq!(err, RingError::UnknownNode(RingNodeId(9)));
-    }
-
-    #[test]
-    fn next_arrival_tracks_head() {
-        let mut r = ring();
-        assert_eq!(r.next_arrival(), None);
-        let a = r
-            .transmit(0, RingNodeId(0), RingNodeId(1), 10, "x")
-            .unwrap();
-        assert_eq!(r.next_arrival(), Some(a));
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_bit_rate_rejected() {
-        TokenRing::<()>::new(0);
+        TokenRing::new(0);
     }
 }

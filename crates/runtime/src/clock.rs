@@ -611,6 +611,16 @@ impl ClockHandle {
         }
     }
 
+    /// Whether this actor is the only runnable one: every other live actor
+    /// is blocked on a bell (virtual mode; never in real mode). An actor
+    /// that is alone and rings nothing can wait forever for the others.
+    pub(crate) fn alone(&self) -> bool {
+        match &self.sys.inner {
+            Inner::Real { .. } => false,
+            Inner::Virtual { state, .. } => lock(state).ready.is_empty(),
+        }
+    }
+
     /// Retires the actor: it stops constraining the frontier. Call exactly
     /// once, as the actor's last clock operation.
     pub fn retire(&self) {
@@ -1031,6 +1041,37 @@ mod tests {
             let scripts = with_sweeper(scripts, bells);
             prop_assert_eq!(executor(&scripts, bells), reference(&scripts, bells));
         }
+    }
+
+    /// A driver polling on its own clock beside an actor blocked on a bell
+    /// nobody rings is told it is alone — and not while the other actor is
+    /// still runnable.
+    #[test]
+    fn a_polling_driver_beside_a_blocked_actor_is_alone() {
+        let sys = ClockSystem::new(ClockMode::Virtual);
+        let driver = sys.register();
+        let bell = Bell::new(&sys);
+        let h = sys.register();
+        let seen = RefCell::new(Vec::new());
+        sys.run_actors(vec![
+            Box::pin(async {
+                seen.borrow_mut().push(driver.alone());
+                for _ in 0..3 {
+                    driver.sleep(Duration::from_millis(1)).await;
+                    seen.borrow_mut().push(driver.alone());
+                }
+                bell.ring();
+                driver.retire();
+            }),
+            Box::pin(async {
+                h.attach().await;
+                let epoch = bell.epoch();
+                h.wait_past(&bell, epoch, Duration::from_secs(600)).await;
+                h.retire();
+            }),
+        ]);
+        assert_eq!(seen.into_inner(), [false, true, true, true]);
+        assert!(!ClockSystem::new(ClockMode::Real).register().alone());
     }
 
     #[test]

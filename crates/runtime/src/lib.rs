@@ -53,8 +53,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long the drain may take before shutdown is declared unclean.
-const DRAIN_GRACE: Duration = Duration::from_secs(10);
+/// The least time a real-clock drain may take before shutdown is declared
+/// unclean, nanoseconds (ten seconds).
+const DRAIN_GRACE_FLOOR_NS: u64 = 10_000_000_000;
 
 /// Parameters of one live run.
 #[derive(Debug, Clone)]
@@ -145,6 +146,19 @@ impl Config {
         }
         Ok(())
     }
+
+    /// How long a real-clock drain may take, nanoseconds: twice the time a
+    /// host shared by every outstanding conversation needs to finish them
+    /// all, each a server compute plus a contention-free round trip, and
+    /// at least [`DRAIN_GRACE_FLOOR_NS`]. A virtual-clock drain has no
+    /// deadline.
+    fn drain_grace_ns(&self) -> u64 {
+        let round_trip_us =
+            archsim::timings::round_trip_us(self.architecture, self.locality, false);
+        let drain_us = f64::from(self.conversations) * (self.server_compute_us + round_trip_us);
+        // `as` saturates: a huge X waits indefinitely rather than wrapping.
+        ((2_000.0 * drain_us) as u64).max(DRAIN_GRACE_FLOOR_NS)
+    }
 }
 
 /// Latency quantiles of the completed round trips, microseconds.
@@ -196,8 +210,10 @@ pub struct RunReport {
     /// Frames the ring carried (2 × remote round trips: one send packet,
     /// one reply packet, §4.6).
     pub ring_frames: u64,
-    /// Whether every client drained within the grace period (ten seconds
-    /// in the run's time base).
+    /// Whether every client finished its outstanding round trip and
+    /// stopped. A virtual-clock drain waits as long as that takes and is
+    /// unclean only on a deadlock; a real-clock drain is unclean past a
+    /// grace derived from the configuration (at least ten seconds).
     pub clean_shutdown: bool,
     /// Execution-token handoffs: scheduling decisions of the virtual clock
     /// that moved the token to another actor (0 under [`ClockMode::Real`]).
@@ -345,8 +361,17 @@ pub fn run(config: &Config) -> RunReport {
         for shared in &fleet.nodes {
             shared.host_bell.ring();
         }
-        let deadline_ns = main_clock.now_ns() + DRAIN_GRACE.as_nanos() as u64;
-        while fleet.active.load(Ordering::Acquire) > 0 && main_clock.now_ns() < deadline_ns {
+        // Virtual: no deadline — but a driver left as the one runnable
+        // actor while conversations are active is watching a deadlock, as
+        // every other actor waits on a bell only a running actor can ring.
+        let deadline_ns = match config.clock {
+            ClockMode::Real => main_clock.now_ns().saturating_add(config.drain_grace_ns()),
+            ClockMode::Virtual => u64::MAX,
+        };
+        while fleet.active.load(Ordering::Acquire) > 0
+            && !main_clock.alone()
+            && main_clock.now_ns() < deadline_ns
+        {
             main_clock.sleep(Duration::from_millis(1)).await;
         }
         let clean_shutdown = fleet.active.load(Ordering::Acquire) == 0;

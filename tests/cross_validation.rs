@@ -256,3 +256,133 @@ fn architecture_nets_conserve_tokens() {
         );
     }
 }
+
+/// [`archsim_schedule_is_pinned_by_constants`]'s runs: I local, I
+/// non-local, II local, … IV non-local, then the two-host run.
+const ARCHSIM_PINS: [[u64; 5]; 9] = [
+    [
+        144,
+        0x3fc47ae147ae147b,
+        0x40d1e0d7ea7ef9db,
+        0x3ff002debd520f12,
+        0,
+    ],
+    [
+        171,
+        0x3fc851eb851eb852,
+        0x40ce713fd72f083a,
+        0x3feffa71866cf59d,
+        0,
+    ],
+    [
+        212,
+        0x3fce26af37c048d1,
+        0x40c883c22668df81,
+        0x3fe476d30c30cdf5,
+        0x3fef9354857b75f2,
+    ],
+    [
+        246,
+        0x3fd17e4b17e4b17e,
+        0x40c5355e0b49fa4e,
+        0x3fe33264b34f94da,
+        0x3fee887433de3c01,
+    ],
+    [
+        293,
+        0x3fd4d5e6f8091a2b,
+        0x40c1caa26a743d5f,
+        0x3fe846d128b56434,
+        0x3feda67004d9110c,
+    ],
+    [
+        293,
+        0x3fd4d5e6f8091a2b,
+        0x40c1ccc66813d9d6,
+        0x3fe42f220a7a3abd,
+        0x3fee51218c4687f0,
+    ],
+    [
+        301,
+        0x3fd56789abcdf012,
+        0x40c1496c140ee31b,
+        0x3fe8bee63ecbe41e,
+        0x3fee163ce868b49f,
+    ],
+    [
+        296,
+        0x3fd50c83fb72ea62,
+        0x40c19cbba0cbb166,
+        0x3fe4496d30c30cdf,
+        0x3fee3d070e2ddccf,
+    ],
+    [
+        706,
+        0x3fc91a2b3c4d5e70,
+        0x40c3d860532c54ae,
+        0x3fd8a65c594c09ba,
+        0x3fe58aacc4bb0a40,
+    ],
+];
+
+/// The discrete-event simulator's schedule, pinned bit for bit: Figure
+/// 6.15's measured column and Figure 4.6's timeline come from it, and the
+/// golden output shows only four digits of a few of its points. Each run
+/// is `(completed, throughput, mean round trip, host utilization, MP
+/// utilization)`, the four figures as `f64::to_bits`, recorded before the
+/// simulator's event queue was rewritten.
+#[test]
+fn archsim_schedule_is_pinned_by_constants() {
+    let bits = |m: hsipc::archsim::Metrics| {
+        [
+            m.completed,
+            m.throughput_per_ms.to_bits(),
+            m.mean_round_trip_us.to_bits(),
+            m.host_utilization.to_bits(),
+            m.mp_utilization.to_bits(),
+        ]
+    };
+    let mut runs = Vec::new();
+    for arch in Architecture::ALL {
+        for locality in [Locality::Local, Locality::NonLocal] {
+            let spec = WorkloadSpec {
+                conversations: 3,
+                server_compute_us: 1_140.0,
+                locality,
+                horizon_us: 1_000_000.0,
+                warmup_us: 100_000.0,
+                seed: 7,
+            };
+            runs.push(bits(Simulation::new(arch, &spec).run()));
+        }
+    }
+    // The two-host validation run of Figure 6.15 (§6.8's test-bed shape).
+    let two_hosts = WorkloadSpec {
+        conversations: 2,
+        server_compute_us: 2_850.0,
+        locality: Locality::NonLocal,
+        horizon_us: 4_000_000.0,
+        warmup_us: 400_000.0,
+        seed: 31,
+    };
+    runs.push(bits(
+        Simulation::with_hosts(Architecture::MessageCoprocessor, &two_hosts, 2).run(),
+    ));
+    assert_eq!(runs, ARCHSIM_PINS);
+
+    // Figure 4.6's traced run: its segment count and where it ends.
+    let figure_4_6 = WorkloadSpec {
+        conversations: 1,
+        server_compute_us: 1_000.0,
+        locality: Locality::NonLocal,
+        horizon_us: 12_000.0,
+        warmup_us: 0.0,
+        seed: 1,
+    };
+    let (_, trace) = Simulation::new(Architecture::MessageCoprocessor, &figure_4_6).run_traced();
+    let last = trace.last().expect("a traced run records segments");
+    assert_eq!(
+        (trace.len(), last.end_us.to_bits()),
+        (22, 0x40c411ce56041893)
+    );
+}

@@ -22,7 +22,7 @@ fn measured(arch: Architecture, conversations: u32, duration_ms: u64) -> f64 {
     let report = hsipc::runtime::run(&config);
     assert!(
         report.clean_shutdown,
-        "{arch}: drain did not complete within the grace period"
+        "{arch}: drain did not complete within the real clock's grace"
     );
     assert!(report.round_trips > 0, "{arch}: no round trips completed");
     report.throughput_per_ms

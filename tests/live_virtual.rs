@@ -350,6 +350,25 @@ fn parked_packets_are_counted() {
     assert_eq!((report.packets_parked, report.buffer_stalls), (8, 0));
 }
 
+/// A drain longer than any fixed grace: 64 servers of 200 ms each share
+/// one host, so the round trips outstanding when the load stops all end
+/// about n·X = 12.8 s later. The drain waits for every one of them.
+#[test]
+fn slow_drain_completes_every_outstanding_round_trip() {
+    let mut config = virtual_config(Architecture::MessageCoprocessor);
+    config.server_compute_us = 200_000.0;
+    let report = hsipc::runtime::run(&config);
+    assert!(report.clean_shutdown, "drain did not complete");
+    // No round trip ends within the 400 ms load: each of the 64 clients
+    // had exactly one outstanding, and each completed during the drain.
+    assert_eq!(report.round_trips, 64);
+    assert!(
+        report.elapsed > Duration::from_secs(12),
+        "{:?}",
+        report.elapsed
+    );
+}
+
 /// A zero-length load phase goes straight to drain: clients stop after at
 /// most one round trip and shutdown still completes.
 #[test]
