@@ -228,6 +228,39 @@ pub struct RunReport {
     pub overshoot: Vec<OvershootRow>,
 }
 
+impl RunReport {
+    /// What every run of a legitimate configuration ends with, checked on
+    /// each leaf of a property test or a schedule search: a clean drain,
+    /// at least one round trip, and a send frame plus a reply frame per
+    /// round trip on non-local traffic (no frames on local traffic).
+    ///
+    /// # Errors
+    ///
+    /// The first of these the report breaks, with its numbers.
+    pub fn check_leaf(&self, config: &Config) -> Result<(), String> {
+        if !self.clean_shutdown {
+            return Err(format!(
+                "unclean drain after {} round trips",
+                self.round_trips
+            ));
+        }
+        if self.round_trips == 0 {
+            return Err("no round trips".to_string());
+        }
+        let frames = match config.locality {
+            Locality::Local => 0,
+            Locality::NonLocal => 2 * self.round_trips,
+        };
+        if self.ring_frames != frames {
+            return Err(format!(
+                "{} ring frames for {} {:?} round trips, expected {frames}",
+                self.ring_frames, self.round_trips, config.locality
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// One processor's loop; resolves to its kernel's statistics.
 type ProcessorLoop = Pin<Box<dyn Future<Output = KernelStats> + Send>>;
 
@@ -508,6 +541,16 @@ mod tests {
         assert!(
             runtime <= 161,
             "{runtime} B of runtime tables per conversation"
+        );
+        // An arch III node of 400 conversations on 64 buffers: the two TCB
+        // lists' rings grow with the conversations, the free list's with
+        // the buffers.
+        let (conversations, buffers) = (400, 64);
+        let (shm, bq) = NodeShm::for_arch(Architecture::SmartBus, 2 * conversations, buffers);
+        let links = shm.link_bytes(&bq);
+        assert!(
+            links <= 41 * usize::from(conversations) + 8 * usize::from(buffers),
+            "{links} B of shared-memory links for {conversations} conversations on {buffers} buffers"
         );
     }
 

@@ -14,9 +14,15 @@
 //!   traffic and buffer traffic never contend with each other.
 //!
 //! Element numbering within a module: task control blocks occupy elements
-//! `0..tasks`, kernel buffers `tasks..tasks + buffers` (a module has one
-//! link word per element, so the two families must not collide when they
-//! share a module).
+//! `0..tasks`, kernel buffers `tasks..tasks + buffers` (a conventional
+//! module has one link word per element, so the two families must not
+//! collide when they share a module).
+//!
+//! A control block is on at most one list at a time, so a smart list's
+//! ring is sized to the blocks of the kind it queues: the computation and
+//! communication lists hold at most `tasks`, the free list at most
+//! `buffers`, each in 8 B cells. An arch III node of 400 conversations on
+//! 64 buffers holds 2 × 1,024 + 64 cells, 16.5 KiB.
 
 use archsim::timings::Architecture;
 use msgkernel::{BufferId, BufferQueue, TaskId};
@@ -67,7 +73,8 @@ impl NodeShm {
                 (NodeShm { tcb: m }, bq)
             }
             Architecture::SmartBus => {
-                let m: Arc<dyn SharedQueue> = Arc::new(LockFreeModule::new(3, elements));
+                let m: Arc<dyn SharedQueue> =
+                    Arc::new(LockFreeModule::bounded(&[tasks, tasks, buffers], elements));
                 let bq = SharedBufferQueue::new(Arc::clone(&m), ListId(2), tasks, buffers);
                 (NodeShm { tcb: m }, bq)
             }
@@ -99,6 +106,19 @@ impl NodeShm {
     /// Host side: submit a task's communication request to the MP.
     pub(crate) fn push_communication(&self, task: TaskId) {
         self.tcb.enqueue(COMMUNICATION, task.0 as u16);
+    }
+}
+
+#[cfg(test)]
+impl NodeShm {
+    /// Bytes the node's lists occupy, across its one or two modules.
+    pub(crate) fn link_bytes(&self, buffers: &SharedBufferQueue) -> usize {
+        let tcb = self.tcb.link_bytes();
+        if Arc::ptr_eq(&self.tcb, &buffers.module) {
+            tcb
+        } else {
+            tcb + buffers.module.link_bytes()
+        }
     }
 }
 
@@ -191,6 +211,17 @@ mod tests {
             assert_eq!(bq.available(), 0);
             bq.release(a);
             assert_eq!(bq.acquire(), Some(a));
+        }
+    }
+
+    /// Each smart list's ring is sized to its kind of block: an arch III
+    /// node of 800 tasks on 64 buffers holds 2 × 1,024 + 64 cells of 8 B,
+    /// and arch IV splits the same cells across its two modules.
+    #[test]
+    fn smart_rings_hold_their_lists_bounds() {
+        for arch in [Architecture::SmartBus, Architecture::PartitionedSmartBus] {
+            let (shm, bq) = NodeShm::for_arch(arch, 800, 64);
+            assert_eq!(shm.link_bytes(&bq), (2 * 1024 + 64) * 8, "{arch:?}");
         }
     }
 

@@ -9,6 +9,7 @@
 
 use hsipc::runtime::clock::{Actor, Bell, ClockMode, ClockSystem};
 use hsipc::runtime::{Architecture, Config, Locality};
+use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -367,6 +368,38 @@ fn slow_drain_completes_every_outstanding_round_trip() {
         "{:?}",
         report.elapsed
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every small virtual configuration drains: any architecture, 1–4
+    /// nodes (at least 2 for non-local traffic), 1–16 conversations on 1–8
+    /// buffers (one buffer leaves a smart free list its smallest ring, two
+    /// cells), X up to a second and a load of 1–500 ms. Each run ends as
+    /// [`hsipc::runtime::RunReport::check_leaf`] requires.
+    #[test]
+    fn small_virtual_configs_drain_clean(
+        arch in 0usize..4,
+        nodes in 1u32..=4,
+        conversations in 1u32..=16,
+        buffers in 1u16..=8,
+        remote in any::<bool>(),
+        server_compute_us in 0u32..=1_000_000,
+        load_ms in 1u64..=500,
+    ) {
+        let mut config = virtual_config(Architecture::ALL[arch]);
+        config.nodes = if remote { nodes.max(2) } else { nodes };
+        config.locality = if remote { Locality::NonLocal } else { Locality::Local };
+        config.conversations = conversations;
+        config.buffers = buffers;
+        config.server_compute_us = f64::from(server_compute_us);
+        config.duration = Duration::from_millis(load_ms);
+        let report = hsipc::runtime::run(&config);
+        if let Err(e) = report.check_leaf(&config) {
+            panic!("{config:?}: {e}");
+        }
+    }
 }
 
 /// A zero-length load phase goes straight to drain: clients stop after at
