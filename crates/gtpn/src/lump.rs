@@ -50,7 +50,6 @@ use crate::intern::{hash_words, IndexTable};
 use crate::net::Net;
 use crate::phase::{keep, lumped_phase, pending_ids, Class};
 use crate::reach::{explore, state_hash, Expansion, ReachabilityGraph, Worker};
-use crate::skeleton::Packed;
 use crate::solve::Solution;
 
 /// Lumping policy of an engine.
@@ -165,30 +164,30 @@ impl Rows {
     /// What a skeleton records of these rows.
     pub(crate) fn record(&self) -> RecordedRows {
         RecordedRows {
-            ids: Packed::collect(self.ids.iter().map(|&id| u64::from(id))),
+            ids: self.ids.clone().into_boxed_slice(),
             distinct: self.usage_rows(),
         }
     }
 
-    /// The least [`record`](Self::record) can hold: a byte per state.
-    pub(crate) fn least_record_bytes(&self) -> usize {
-        self.ids.len()
+    /// What [`record`](Self::record) holds: a word per state.
+    pub(crate) fn record_bytes(&self) -> usize {
+        4 * self.ids.len()
     }
 }
 
 /// What a skeleton keeps of a lumped chain's rows: each state's usage-row
-/// id, packed, and the number of distinct rows. The rows themselves are
-/// re-priced ([`RowReplay`]).
+/// id, one `u32` word each, and the number of distinct rows. The rows
+/// themselves are re-priced ([`RowReplay`]).
 #[derive(Debug)]
 pub(crate) struct RecordedRows {
-    ids: Packed,
+    ids: Box<[u32]>,
     distinct: usize,
 }
 
 impl RecordedRows {
     /// Resident bytes.
     pub(crate) fn bytes(&self) -> usize {
-        self.ids.bytes()
+        4 * self.ids.len()
     }
 }
 
@@ -295,7 +294,7 @@ impl<'a> RowReplay<'a> {
             tokens,
             ..
         } = &mut self.rows;
-        let id = self.recorded.ids.get(i) as usize;
+        let id = self.recorded.ids[i] as usize;
         debug_assert!(id <= self.seen, "recorded ids are in first-use order");
         let row = if id == self.seen {
             &mut usage[id * *transitions..(id + 1) * *transitions]
@@ -315,7 +314,7 @@ impl<'a> RowReplay<'a> {
             seen,
             usage,
         } = self;
-        let id = recorded.ids.get(i) as usize;
+        let id = recorded.ids[i] as usize;
         let id = if id == *seen {
             *seen += 1;
             id as u32
@@ -461,7 +460,7 @@ pub(crate) fn lumped_chain(
     net: &Net,
     max_states: usize,
     record: bool,
-) -> Result<(LumpedGraph, Packed), GtpnError> {
+) -> Result<(LumpedGraph, Vec<u32>), GtpnError> {
     // The initial marking is the chain's first post-completion marking
     // ("everything completed before time zero"); its expansion is exactly
     // the raw build's initial instantaneous phase.

@@ -15,7 +15,7 @@ use crate::intern::{hash_words, IndexTable};
 use crate::net::Net;
 use crate::net::TransId;
 use crate::reach::{state_hash, Expansion, Worker};
-use crate::skeleton::{read, Packed};
+use crate::skeleton::read;
 use std::ops::Range;
 
 /// Maximum number of sequential selection rounds inside one instantaneous
@@ -377,7 +377,7 @@ fn run_phase<const RECORD: bool>(
 /// Bytes past which a [`PhaseMemo`] notes and keeps no more classes: a
 /// net whose phases never repeat a class then costs a bounded arena, not
 /// one that grows with the chain. No class larger than this is kept, so
-/// the arenas stay under twice it and every offset fits a `u32`.
+/// the arenas hold under twice it and every offset fits a `u32`.
 const MEMO_CAP_BYTES: usize = 4 << 20;
 
 /// One class of a [`PhaseMemo`]: where its key ends (keys are stored in
@@ -433,9 +433,9 @@ impl MemoEntry {
 /// first sighting and kept on its second, as the skeleton store records a
 /// shape, once that run's fold has succeeded: a build whose phases rarely
 /// repeat pays a key per phase, not a copy, and a fold that fails is never
-/// kept. Classes live in flat arenas — keys, then per kept class its
-/// words, width-packed ([`Packed`]), and its probabilities ([`keep`] lays
-/// them out). Noting and keeping stop at [`MEMO_CAP_BYTES`].
+/// kept. Classes live in flat arenas — keys, then per kept class its `u32`
+/// words and its probabilities ([`keep`] lays them out). Noting and keeping
+/// stop at [`MEMO_CAP_BYTES`].
 #[derive(Debug)]
 pub(crate) struct PhaseMemo {
     /// Per place, the count above which starts are not told apart.
@@ -443,18 +443,13 @@ pub(crate) struct PhaseMemo {
     /// The places whose clamp the running phase may have to raise, each
     /// with the count below which a configuration's tests may need it.
     watch: Vec<(usize, u32)>,
-    /// The key of the phase at hand: its clamped start. (A memo serves one
-    /// build, which records its tape or does not throughout, so kept tape
-    /// words always fit.)
+    /// The key of the phase at hand: its clamped start.
     key: Vec<u32>,
     table: IndexTable,
     entries: Vec<MemoEntry>,
     keys: Vec<u32>,
-    words: Packed,
+    words: Vec<u32>,
     probs: Vec<f64>,
-    /// A class's words and probabilities, gathered to be kept at one check.
-    stage: Vec<u64>,
-    stage_probs: Vec<f64>,
     /// Phases the memo served.
     pub(crate) hits: u64,
 }
@@ -468,10 +463,8 @@ impl PhaseMemo {
             table: IndexTable::new(),
             entries: Vec::new(),
             keys: Vec::new(),
-            words: Packed::default(),
+            words: Vec::new(),
             probs: Vec::new(),
-            stage: Vec::new(),
-            stage_probs: Vec::new(),
             hits: 0,
         }
     }
@@ -495,8 +488,7 @@ impl PhaseMemo {
     fn bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<MemoEntry>() * self.entries.capacity()
-            + size_of::<u32>() * self.keys.capacity()
-            + self.words.bytes()
+            + size_of::<u32>() * (self.keys.capacity() + self.words.capacity())
             + size_of::<f64>() * self.probs.capacity()
     }
 
@@ -543,18 +535,13 @@ impl PhaseMemo {
         }
     }
 
-    /// Hands `served` kept class `e`'s words, matched to their width once,
-    /// and its probabilities.
+    /// Hands `served` kept class `e`'s words and probabilities.
     fn serve(&self, e: usize, served: Served<'_>) {
         let entry = self.entries[e];
-        let words = entry.words[0] as usize..entry.words[1] as usize;
-        let probs = &self.probs[entry.probs[0] as usize..entry.probs[1] as usize];
-        match &self.words {
-            Packed::U8(w) => served.run(&w[words], probs),
-            Packed::U16(w) => served.run(&w[words], probs),
-            Packed::U32(w) => served.run(&w[words], probs),
-            Packed::U64(w) => served.run(&w[words], probs),
-        }
+        served.run(
+            &self.words[entry.words[0] as usize..entry.words[1] as usize],
+            &self.probs[entry.probs[0] as usize..entry.probs[1] as usize],
+        );
     }
 }
 
@@ -639,7 +626,7 @@ pub(crate) fn lumped_phase<const RECORD: bool>(
 ///
 /// Words: the selected transitions (count, ids); the outcome count; the
 /// used transitions (count, ids); the clamped places and each outcome's
-/// deltas there, as [`push_moves`] stages them; the successors' count and
+/// deltas there, as [`push_moves`] writes them; the successors' count and
 /// deltas, likewise over the places any of them moves; the tape words
 /// (count, words). Probabilities: the outcomes', the usages of the used
 /// transitions, the token row with the clamped places' entries zero, then
@@ -661,21 +648,28 @@ pub(crate) fn keep(w: &mut Worker, run: Keeping, start: &[u32], out: &Expansion)
             None => return,
         },
     };
+    if memo.bytes() >= MEMO_CAP_BYTES {
+        return;
+    }
     let (usage, tokens) = row.split_at(row.len() - start.len());
-    let words = &mut memo.stage;
-    words.clear();
+    let PhaseMemo {
+        clamp,
+        entries,
+        words,
+        probs,
+        ..
+    } = memo;
+    let (first_word, first_prob) = (words.len(), probs.len());
     words.push(0);
     for (t, _) in s.selected.iter().enumerate().filter(|&(_, &f)| f) {
-        words.push(t as u64);
+        words.push(t as u32);
     }
-    words[0] = words.len() as u64 - 1;
-    words.push(s.out.probs.len() as u64);
+    words[first_word] = (words.len() - first_word - 1) as u32;
+    words.push(s.out.probs.len() as u32);
     let used: Vec<usize> = (0..usage.len()).filter(|&t| usage[t] != 0.0).collect();
-    words.push(used.len() as u64);
-    words.extend(used.iter().map(|&t| t as u64));
-    let clamped: Vec<usize> = (0..start.len())
-        .filter(|&p| start[p] >= memo.clamp[p])
-        .collect();
+    words.push(used.len() as u32);
+    words.extend(used.iter().map(|&t| t as u32));
+    let clamped: Vec<usize> = (0..start.len()).filter(|&p| start[p] >= clamp[p]).collect();
     let outcomes = s.outcomes(start.len()).map(|(m, _, _)| m);
     push_moves(words, &clamped, outcomes, start);
     let successors = 0..out.successor_count();
@@ -683,13 +677,11 @@ pub(crate) fn keep(w: &mut Worker, run: Keeping, start: &[u32], out: &Expansion)
     let moved: Vec<usize> = (0..start.len())
         .filter(|&p| markings.clone().any(|m| m[p] != start[p]))
         .collect();
-    words.push(successors.len() as u64);
+    words.push(successors.len() as u32);
     push_moves(words, &moved, markings, start);
     let tape = &out.tape[run.tape..];
-    words.push(tape.len() as u64);
-    words.extend(tape.iter().map(|&word| u64::from(word)));
-    let probs = &mut memo.stage_probs;
-    probs.clear();
+    words.push(tape.len() as u32);
+    words.extend_from_slice(tape);
     probs.extend_from_slice(&s.out.probs);
     probs.extend(used.iter().map(|&t| usage[t]));
     let at = probs.len();
@@ -698,38 +690,38 @@ pub(crate) fn keep(w: &mut Worker, run: Keeping, start: &[u32], out: &Expansion)
         probs[at + p] = 0.0;
     }
     probs.extend(successors.map(|k| out.successor_probability(k)));
-    let staged = memo.stage.len() + memo.stage_probs.len();
-    if memo.bytes() >= MEMO_CAP_BYTES || 8 * staged > MEMO_CAP_BYTES {
+    if 4 * (words.len() - first_word) + 8 * (probs.len() - first_prob) > MEMO_CAP_BYTES {
+        words.truncate(first_word);
+        probs.truncate(first_prob);
         return;
     }
-    let entry = &mut memo.entries[e];
-    entry.words = [memo.words.len() as u32, 0];
-    memo.words.extend(&memo.stage);
-    entry.words[1] = memo.words.len() as u32;
-    entry.probs = [memo.probs.len() as u32, 0];
-    memo.probs.extend_from_slice(&memo.stage_probs);
-    entry.probs[1] = memo.probs.len() as u32;
-    entry.configs = run.configs;
+    entries[e] = MemoEntry {
+        words: [first_word as u32, words.len() as u32],
+        probs: [first_prob as u32, probs.len() as u32],
+        configs: run.configs,
+        ..entries[e]
+    };
 }
 
-/// Stages `markings` as moves from `start` at the places `moved`: their
-/// count and ids, then per marking its zigzagged delta at each of them —
-/// one shape for the whole list, so serving it runs loops of one length.
+/// Writes `markings` as moves from `start` at the places `moved`: their
+/// count and ids, then per marking its delta at each of them, wrapped to a
+/// `u32` — one shape for the whole list, so serving it runs loops of one
+/// length.
 fn push_moves<'a>(
-    words: &mut Vec<u64>,
+    words: &mut Vec<u32>,
     moved: &[usize],
     markings: impl Iterator<Item = &'a [u32]>,
     start: &[u32],
 ) {
-    words.push(moved.len() as u64);
-    words.extend(moved.iter().map(|&p| p as u64));
+    words.push(moved.len() as u32);
+    words.extend(moved.iter().map(|&p| p as u32));
     for m in markings {
-        words.extend(moved.iter().map(|&p| zigzag(start[p], m[p])));
+        words.extend(moved.iter().map(|&p| m[p].wrapping_sub(start[p])));
     }
 }
 
-/// Reads the place list [`push_moves`] staged; returns where it is.
-fn moves<W: Copy + Into<u64>>(words: &[W], at: &mut usize) -> Range<usize> {
+/// Reads the place list [`push_moves`] wrote; returns where it is.
+fn moves(words: &[u32], at: &mut usize) -> Range<usize> {
     let n = read(words, at);
     *at += n;
     *at - n..*at
@@ -753,8 +745,9 @@ impl Served<'_> {
     /// token summed `acc_p += p_o · (s_p + δ_op)` over the phase's outcomes
     /// in outcome order, the fold's own arithmetic — pushes the successors
     /// `start + Δ_k` with their summed probabilities, and appends the tape
-    /// words.
-    fn run<W: Copy + Into<u64>>(self, words: &[W], probs: &[f64]) {
+    /// words. A delta wraps back exactly: `s + (m − s)` is `m` in `u32`
+    /// arithmetic whichever way `m` moved.
+    fn run(self, words: &[u32], probs: &[f64]) {
         let Served {
             start,
             fired,
@@ -778,9 +771,9 @@ impl Served<'_> {
         for &p in outcomes {
             let deltas = &words[*at..*at + clamped.len()];
             *at += clamped.len();
-            for (&place, &z) in words[clamped.clone()].iter().zip(deltas) {
-                let place = place.into() as usize;
-                tokens[place] += p * f64::from(shift(start[place], z.into()));
+            for (&place, &d) in words[clamped.clone()].iter().zip(deltas) {
+                let place = place as usize;
+                tokens[place] += p * f64::from(start[place].wrapping_add(d));
             }
         }
         marking.clear();
@@ -790,30 +783,17 @@ impl Served<'_> {
         for &p in probs.by_ref().take(successors) {
             let deltas = &words[*at..*at + moved.len()];
             *at += moved.len();
-            for (&place, &z) in words[moved.clone()].iter().zip(deltas) {
-                let place = place.into() as usize;
-                marking[place] = shift(start[place], z.into());
+            for (&place, &d) in words[moved.clone()].iter().zip(deltas) {
+                let place = place as usize;
+                marking[place] = start[place].wrapping_add(d);
             }
             out.push_successor(marking, &[], p, state_hash(marking, &[]));
         }
         let n = read(words, at);
-        out.tape
-            .extend(words[*at..*at + n].iter().map(|&w| w.into() as u32));
+        out.tape.extend_from_slice(&words[*at..*at + n]);
         debug_assert_eq!(*at + n, words.len(), "a class consumes its words");
         debug_assert!(probs.next().is_none(), "and its probabilities");
     }
-}
-
-/// The zigzagged delta that moves `from` to `to`; [`shift`] applies it.
-fn zigzag(from: u32, to: u32) -> u64 {
-    let delta = i64::from(to) - i64::from(from);
-    ((delta << 1) ^ (delta >> 63)) as u64
-}
-
-/// `m` moved by the zigzagged delta `z`.
-fn shift(m: u32, z: u64) -> u32 {
-    let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
-    (i64::from(m) + delta) as u32
 }
 
 #[cfg(test)]
@@ -835,6 +815,100 @@ mod tests {
         w.fired.fill(false);
         let folded = crate::lump::fold::<false>(compiled, start, si, w, &mut out);
         (folded, out)
+    }
+
+    /// A lumped state's expansion: the successors in first-seen order with
+    /// their probability bits, the usage row then the token row by bits,
+    /// and the fired record.
+    type Fold = (Vec<(Vec<u32>, u64)>, Vec<u64>, Vec<bool>);
+
+    /// The lumped state `start`'s expansion as the reference kernel gives
+    /// it.
+    fn reference_fold(net: &Net, start: &[u32]) -> Fold {
+        let (outcomes, fired) = reference::outcomes(net, start, &[]);
+        let mut usage = vec![0.0f64; net.transition_count()];
+        let mut tokens = vec![0.0f64; net.place_count()];
+        let mut successors: Vec<(Vec<u32>, f64)> = Vec::new();
+        for (state, bits) in outcomes.expect("the reference phase runs") {
+            let p = f64::from_bits(bits);
+            for (acc, &m) in tokens.iter_mut().zip(state.marking.iter()) {
+                *acc += p * f64::from(m);
+            }
+            let mut next = state.marking.clone();
+            for &(t, _) in &state.firings {
+                usage[t.0] += p;
+                for &(pl, mult) in net.transition_outputs(t) {
+                    next[pl.0] += mult;
+                }
+            }
+            match successors.iter_mut().find(|(m, _)| *m == next) {
+                Some((_, q)) => *q += p,
+                None => successors.push((next, p)),
+            }
+        }
+        let successors = successors
+            .into_iter()
+            .map(|(m, p)| (m, p.to_bits()))
+            .collect();
+        let row = usage.iter().chain(&tokens).map(|x| x.to_bits()).collect();
+        (successors, row, fired)
+    }
+
+    /// The memo keeps the kernel's `u32` words, a move being the wrapping
+    /// difference of two markings: a phase that takes 70,000 tokens — more
+    /// than a 16-bit word holds — from one place and puts them in another
+    /// is noted, kept, then served to another start of its class, and each
+    /// run's successors, `fired` marks, usage row and token row are the
+    /// reference kernel's bit for bit.
+    #[test]
+    fn memo_serves_moves_wider_than_sixteen_bits() {
+        let mut net = Net::new("pour");
+        let once = net.add_place("Once", 1);
+        let from = net.add_place("From", 200_000);
+        let to = net.add_place("To", 0);
+        let work = net.add_place("Work", 1);
+        net.add_transition(
+            Transition::new("pour")
+                .delay(0)
+                .input(once, 1)
+                .input(from, 70_000)
+                .output(to, 70_000),
+        )
+        .unwrap();
+        net.add_transition(
+            Transition::new("work")
+                .delay(1)
+                .input(work, 1)
+                .output(work, 1),
+        )
+        .unwrap();
+        let compiled = CompiledNet::new(&net);
+        let mut w = Worker::new(&compiled);
+        // `Once` and `Work` tell starts apart; `From` and `To` sit at or
+        // above their clamps, so the last start is of the first's class,
+        // and its tokens there are its own start moved by the kept deltas.
+        let runs = [
+            ("noting", [1, 200_000, 0, 1], [0, 130_000, 70_000, 1]),
+            ("keeping", [1, 200_000, 0, 1], [0, 130_000, 70_000, 1]),
+            ("served", [1, 300_000, 50_000, 1], [0, 230_000, 120_000, 1]),
+        ];
+        for (run, start, successor) in runs {
+            let (folded, out) = fold_once(&compiled, &mut w, &start, 0);
+            folded.unwrap();
+            let (successors, row, fired) = reference_fold(&net, &start);
+            let got: Vec<_> = (0..out.successor_count())
+                .map(|k| {
+                    let p = out.successor_probability(k).to_bits();
+                    (out.successor_marking(k).to_vec(), p)
+                })
+                .collect();
+            assert_eq!(got, successors, "the {run} run's successors");
+            assert_eq!(got[0].0, successor, "the {run} run's successor");
+            let got: Vec<u64> = w.row.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, row, "the {run} run's usage and token rows");
+            assert_eq!(w.fired, fired, "the {run} run's fired marks");
+        }
+        assert_eq!((w.phase.calls, w.memo.hits), (3, 1), "the last is served");
     }
 
     /// The memo's contract through the lumped fold, its only user: the

@@ -39,7 +39,6 @@ use crate::intern::{hash_words, IndexTable};
 use crate::lump::{RowIndex, Rows};
 use crate::net::{Net, PlaceId, TransId};
 use crate::phase::{instantaneous_phase, pending_ids, PhaseMemo, PhaseScratch};
-use crate::skeleton::Packed;
 use crate::solve::Solution;
 use std::time::Instant;
 
@@ -281,7 +280,7 @@ struct Builder {
     /// state.
     rows: Option<RowIndex>,
     /// Every expanded state's tape, in state order.
-    tape: Packed,
+    tape: Vec<u32>,
 }
 
 impl Builder {
@@ -334,9 +333,7 @@ impl Builder {
                 rows.push(&out.row);
             }
         }
-        for &word in &out.tape {
-            self.tape.push(word.into());
-        }
+        self.tape.extend_from_slice(&out.tape);
         Ok(())
     }
 }
@@ -371,7 +368,7 @@ pub(crate) fn explore(
     rows: Option<RowIndex>,
     seed: impl FnOnce(&CompiledNet, &mut Worker, &mut Expansion) -> Result<(), GtpnError>,
     expand: ExpandFn,
-) -> Result<(ReachabilityGraph, Rows, Packed), GtpnError> {
+) -> Result<(ReachabilityGraph, Rows, Vec<u32>), GtpnError> {
     net.validate()?;
     let started = Instant::now();
     let compiled = CompiledNet::new(net);
@@ -392,7 +389,7 @@ pub(crate) fn explore(
         table: IndexTable::new(),
         max_states,
         rows,
-        tape: Packed::default(),
+        tape: Vec::new(),
     };
     let mut w = Worker::new(&compiled);
     let mut out = Expansion::new(places);

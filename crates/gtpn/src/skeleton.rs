@@ -1,5 +1,5 @@
-//! Re-pricing a recorded lumped chain: the tape a recording build writes
-//! ([`Packed`]), its reader ([`Cursor`], [`Repricer`]), and the
+//! Re-pricing a recorded lumped chain: the reader ([`Cursor`],
+//! [`Repricer`]) of the `u32` tape a recording build writes, and the
 //! [`Skeleton`] a chain of the same shape is replayed from under other
 //! rates, each state's fold redone by [`refold`].
 
@@ -10,120 +10,9 @@ use crate::phase::PROB_FLOOR;
 use crate::reach::ReachabilityGraph;
 use std::ops::Range;
 
-/// Unsigned integers stored at the narrowest width that holds the largest
-/// of them; pushing a wider value widens them all. A recording build's
-/// tape is one, filled as the builder merges each state's words.
-#[derive(Debug)]
-pub(crate) enum Packed {
-    U8(Vec<u8>),
-    U16(Vec<u16>),
-    U32(Vec<u32>),
-    U64(Vec<u64>),
-}
-
-impl Default for Packed {
-    fn default() -> Packed {
-        Packed::U8(Vec::new())
-    }
-}
-
-impl Packed {
-    pub(crate) fn collect(values: impl IntoIterator<Item = u64>) -> Packed {
-        let mut packed = Packed::default();
-        for v in values {
-            packed.push(v);
-        }
-        packed.shrink_to_fit();
-        packed
-    }
-
-    pub(crate) fn push(&mut self, v: u64) {
-        self.extend(&[v]);
-    }
-
-    /// Appends `values`, widening first if the largest needs it.
-    pub(crate) fn extend(&mut self, values: &[u64]) {
-        if let Some(&widest) = values.iter().max() {
-            self.fit(widest);
-        }
-        match self {
-            Packed::U8(w) => w.extend(values.iter().map(|&v| v as u8)),
-            Packed::U16(w) => w.extend(values.iter().map(|&v| v as u16)),
-            Packed::U32(w) => w.extend(values.iter().map(|&v| v as u32)),
-            Packed::U64(w) => w.extend_from_slice(values),
-        }
-    }
-
-    /// Widens every value until `v` fits.
-    fn fit(&mut self, v: u64) {
-        loop {
-            let fits = match self {
-                Packed::U8(_) => v <= u64::from(u8::MAX),
-                Packed::U16(_) => v <= u64::from(u16::MAX),
-                Packed::U32(_) => v <= u64::from(u32::MAX),
-                Packed::U64(_) => true,
-            };
-            if fits {
-                return;
-            }
-            *self = match self {
-                Packed::U8(w) => Packed::U16(w.iter().map(|&x| x.into()).collect()),
-                Packed::U16(w) => Packed::U32(w.iter().map(|&x| x.into()).collect()),
-                _ => Packed::U64(self.unpack(|x| x)),
-            };
-        }
-    }
-
-    pub(crate) fn get(&self, i: usize) -> u64 {
-        match self {
-            Packed::U8(v) => v[i].into(),
-            Packed::U16(v) => v[i].into(),
-            Packed::U32(v) => v[i].into(),
-            Packed::U64(v) => v[i],
-        }
-    }
-
-    fn shrink_to_fit(&mut self) {
-        match self {
-            Packed::U8(v) => v.shrink_to_fit(),
-            Packed::U16(v) => v.shrink_to_fit(),
-            Packed::U32(v) => v.shrink_to_fit(),
-            Packed::U64(v) => v.shrink_to_fit(),
-        }
-    }
-
-    pub(crate) fn bytes(&self) -> usize {
-        match self {
-            Packed::U8(v) => v.capacity(),
-            Packed::U16(v) => 2 * v.capacity(),
-            Packed::U32(v) => 4 * v.capacity(),
-            Packed::U64(v) => 8 * v.capacity(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Packed::U8(v) => v.len(),
-            Packed::U16(v) => v.len(),
-            Packed::U32(v) => v.len(),
-            Packed::U64(v) => v.len(),
-        }
-    }
-
-    /// Every value, through `f`.
-    fn unpack<T>(&self, f: impl Fn(u64) -> T) -> Vec<T> {
-        match self {
-            Packed::U8(v) => v.iter().map(|&x| f(x.into())).collect(),
-            Packed::U16(v) => v.iter().map(|&x| f(x.into())).collect(),
-            Packed::U32(v) => v.iter().map(|&x| f(x.into())).collect(),
-            Packed::U64(v) => v.iter().map(|&x| f(x)).collect(),
-        }
-    }
-}
-
 /// A replay's place in a skeleton's tape.
 pub(crate) struct Cursor<'a> {
-    tape: &'a Packed,
+    tape: &'a [u32],
     at: usize,
 }
 
@@ -142,7 +31,7 @@ impl Cursor<'_> {
     }
 
     pub(crate) fn get(&self, i: usize) -> usize {
-        self.tape.get(i) as usize
+        self.tape[i] as usize
     }
 }
 
@@ -164,24 +53,9 @@ struct Repricer {
 
 impl Repricer {
     /// Replays one phase under `rates`; see `phase::run_phase` for the
-    /// tape's layout. The tape's width is matched once per phase, not once
-    /// per word.
+    /// tape's layout.
     fn phase(&mut self, tape: &mut Cursor<'_>, rates: &[f64]) -> Result<(), FloorMoved> {
-        let at = &mut tape.at;
-        match tape.tape {
-            Packed::U8(words) => self.phase_in(words, at, rates),
-            Packed::U16(words) => self.phase_in(words, at, rates),
-            Packed::U32(words) => self.phase_in(words, at, rates),
-            Packed::U64(words) => self.phase_in(words, at, rates),
-        }
-    }
-
-    fn phase_in<W: Copy + Into<u64>>(
-        &mut self,
-        words: &[W],
-        at: &mut usize,
-        rates: &[f64],
-    ) -> Result<(), FloorMoved> {
+        let (words, at) = (tape.tape, &mut tape.at);
         self.front.clear();
         self.front.push(1.0);
         self.done.clear();
@@ -197,10 +71,9 @@ impl Repricer {
                 }
                 let mut total = 0.0;
                 for &word in slots {
-                    total += rates[(word.into() >> 1) as usize];
+                    total += rates[(word >> 1) as usize];
                 }
                 for &word in slots {
-                    let word = word.into();
                     let p = prob * rates[(word >> 1) as usize] / total;
                     let skip = p < PROB_FLOOR;
                     if skip != (word & 1 == 1) {
@@ -218,14 +91,14 @@ impl Repricer {
     }
 }
 
-pub(crate) fn read<W: Copy + Into<u64>>(words: &[W], at: &mut usize) -> usize {
+pub(crate) fn read(words: &[u32], at: &mut usize) -> usize {
     *at += 1;
-    words[*at - 1].into() as usize
+    words[*at - 1] as usize
 }
 
 /// `phase::sort_merge` replayed: adds each probability to its recorded
 /// destination, in generation order.
-fn merge<W: Copy + Into<u64>>(words: &[W], at: &mut usize, src: &[f64], dst: &mut Vec<f64>) {
+fn merge(words: &[u32], at: &mut usize, src: &[f64], dst: &mut Vec<f64>) {
     dst.clear();
     dst.resize(read(words, at), 0.0);
     for &p in src {
@@ -250,50 +123,49 @@ fn merge<W: Copy + Into<u64>>(words: &[W], at: &mut usize, src: &[f64], dst: &mu
 /// and gets the fresh build's bits, or [`FloorMoved`] when a floor decision
 /// would change.
 ///
-/// A skeleton is stored compactly: every array at the narrowest integer
-/// width that holds it, edge offsets and outcome token counts not at all
-/// (the replay re-derives them).
+/// A skeleton keeps its integers as the kernel writes them, one `u32` word
+/// each — markings, edge targets (state numbers, which the interning table
+/// holds to 32 bits), row ids and the tape — and edge offsets and outcome
+/// token counts not at all (the replay re-derives them).
 #[derive(Debug)]
 pub(crate) struct Skeleton {
     rows: RecordedRows,
     states: usize,
-    markings: Packed,
-    targets: Packed,
+    markings: Box<[u32]>,
+    targets: Box<[u32]>,
     fired: Box<[bool]>,
     phase_calls: u64,
     phase_configs: u64,
-    tape: Packed,
+    tape: Box<[u32]>,
 }
 
 impl Skeleton {
     /// The skeleton of `chain`, built with `tape` recorded.
-    pub(crate) fn new(chain: &LumpedGraph, mut tape: Packed) -> Skeleton {
+    pub(crate) fn new(chain: &LumpedGraph, tape: Vec<u32>) -> Skeleton {
         let graph = &chain.graph;
-        tape.shrink_to_fit();
         debug_assert!(graph.firings.is_empty() && graph.sojourn.iter().all(|&h| h == 1));
         Skeleton {
             rows: chain.rows.record(),
             states: graph.state_count(),
-            markings: Packed::collect(graph.markings.iter().map(|&m| u64::from(m))),
-            targets: Packed::collect(graph.edges.iter().map(|&(j, _)| j as u64)),
+            markings: graph.markings.clone().into_boxed_slice(),
+            targets: graph.edges.iter().map(|&(j, _)| j as u32).collect(),
             fired: graph.fired.clone().into_boxed_slice(),
             phase_calls: graph.build.phase_calls,
             phase_configs: graph.build.phase_configs,
-            tape,
+            tape: tape.into_boxed_slice(),
         }
     }
 
     /// The least a skeleton of `chain` can hold, known before it is
-    /// recorded: a byte per value, and per phase configuration at least
-    /// two tape words — its enabled count and, unless it is a phase's
-    /// first, its merge destination.
+    /// recorded: a word per marking entry, edge and row id, and per phase
+    /// configuration at least two tape words — its enabled count and,
+    /// unless it is a phase's first, its merge destination.
     pub(crate) fn least_bytes(chain: &LumpedGraph) -> usize {
         let graph = &chain.graph;
         std::mem::size_of::<Skeleton>()
-            + chain.rows.least_record_bytes()
-            + graph.markings.len()
-            + graph.edges.len()
-            + 2 * graph.build.phase_configs as usize
+            + chain.rows.record_bytes()
+            + 4 * (graph.markings.len() + graph.edges.len())
+            + 8 * graph.build.phase_configs as usize
             + graph.fired.len()
     }
 
@@ -306,10 +178,8 @@ impl Skeleton {
     pub(crate) fn bytes(&self) -> usize {
         std::mem::size_of::<Skeleton>()
             + self.rows.bytes()
-            + self.markings.bytes()
-            + self.targets.bytes()
+            + 4 * (self.markings.len() + self.targets.len() + self.tape.len())
             + self.fired.len()
-            + self.tape.bytes()
     }
 
     /// The lumped chain of `net` — of this skeleton's shape — under
@@ -328,8 +198,8 @@ impl Skeleton {
         };
         let mut phase = Repricer::default();
         let states = self.state_count();
-        let markings = self.markings.unpack(|m| m as u32);
-        let mut edges = self.targets.unpack(|j| (j as usize, 0.0));
+        let markings = self.markings.to_vec();
+        let mut edges: Vec<_> = self.targets.iter().map(|&j| (j as usize, 0.0)).collect();
         let mut edge_offsets = Vec::with_capacity(states + 1);
         edge_offsets.push(0);
         let mut rows = RowReplay::new(net, &self.rows, states);

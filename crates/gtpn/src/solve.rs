@@ -89,8 +89,8 @@ impl SolveWorkspace {
         self.in_sources.resize(edges, 0);
         self.in_probs.clear();
         self.in_probs.resize(edges, 0.0);
-        // `in_offsets[j]` doubles as state `j`'s write cursor; the shift
-        // back afterwards restores the offsets.
+        // `in_offsets[j]` doubles as state `j`'s write cursor; copying each
+        // cursor one slot up afterwards restores the offsets.
         for i in 0..n {
             for &(j, p) in graph.out_edges(i) {
                 if i == j {

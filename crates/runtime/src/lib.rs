@@ -521,8 +521,8 @@ mod tests {
     /// What a live conversation holds (DESIGN §9): a TCB slot is one
     /// mailbox, a kernel task control block owns no heap beside its fixed
     /// fields, and the runtime's own per-conversation tables — the two TCB
-    /// slots, a client and a server state machine — sum to 161 B. A field
-    /// that regrows the fleet fails here.
+    /// slots and a client state machine (a server's phase is its mailbox)
+    /// — sum to 160 B. A field that regrows the fleet fails here.
     #[test]
     fn a_conversation_stays_within_its_byte_budget() {
         use std::mem::size_of;
@@ -536,10 +536,9 @@ mod tests {
             "{} B task control block",
             size_of::<msgkernel::Task>()
         );
-        let runtime =
-            2 * size_of::<TcbSlot>() + size_of::<node::ClientSm>() + size_of::<node::ServerPhase>();
+        let runtime = 2 * size_of::<TcbSlot>() + size_of::<node::ClientSm>();
         assert!(
-            runtime <= 161,
+            runtime <= 160,
             "{runtime} B of runtime tables per conversation"
         );
         // An arch III node of 400 conversations on 64 buffers: the two TCB

@@ -125,17 +125,6 @@ pub(crate) enum ClientSm {
     Done,
 }
 
-/// The server task's position in its offer → receive → reply cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ServerPhase {
-    /// Woken once the `Offer` completed; must post the first `Receive`.
-    Offered,
-    /// `Receive` posted; the next wake carries a delivered message.
-    AwaitDelivery,
-    /// Woken after the `Reply` completed; must post the next `Receive`.
-    Replied,
-}
-
 /// The host side of one node: client/server state machines multiplexed on
 /// one processor. A task's role follows from its id: the node creates its
 /// `conversations` clients first, as tasks `0..n`, then their servers as
@@ -146,7 +135,6 @@ pub(crate) struct HostCtx {
     node: usize,
     clock: ClockHandle,
     client_sm: Vec<ClientSm>,
-    server_phase: Vec<ServerPhase>,
 }
 
 impl HostCtx {
@@ -157,7 +145,6 @@ impl HostCtx {
             node,
             clock,
             client_sm: vec![ClientSm::Idle; n],
-            server_phase: vec![ServerPhase::Offered; n],
         }
     }
 
@@ -242,29 +229,32 @@ impl HostCtx {
         }
     }
 
+    /// A server wake reads its mailbox. A delivered request is served:
+    /// compute, then reply. An empty mailbox means its `Offer` or its last
+    /// `Reply` completed: post the next `Receive`. There is no third wake:
+    /// the MP deposits a delivery before it flushes the server to the
+    /// computation list ([`MpCtx::handle`], then [`MpCtx::flush`]).
     async fn wake_server(&mut self, server: usize) {
         let task = TaskId((self.fleet.conversations + server) as u32);
-        match self.server_phase[server] {
-            ServerPhase::Offered | ServerPhase::Replied => {
-                self.server_phase[server] = ServerPhase::AwaitDelivery;
+        let mail = std::mem::take(
+            &mut *self.shared().slots[task.0 as usize]
+                .lock()
+                .expect("TCB slot"),
+        );
+        match mail {
+            Mail::Empty => {
                 self.issue(task, ActivityKind::SyscallReceive, Syscall::Receive)
                     .await;
             }
-            ServerPhase::AwaitDelivery => {
-                let mail = std::mem::take(
-                    &mut *self.shared().slots[task.0 as usize]
-                        .lock()
-                        .expect("TCB slot"),
-                );
+            Mail::Delivered(request) => {
                 debug_assert!(
-                    matches!(mail, Mail::Delivered(m) if m.data.starts_with(REQUEST)),
-                    "server woken for delivery without its client's request: {mail:?}"
+                    request.data.starts_with(REQUEST),
+                    "server woken with another message than its client's request: {request:?}"
                 );
                 // The conversation's server compute (the workload's X).
                 self.clock
                     .occupy_us(self.fleet.compute_us, CLASS_COMPUTE)
                     .await;
-                self.server_phase[server] = ServerPhase::Replied;
                 self.issue(
                     task,
                     ActivityKind::SyscallReply,
@@ -273,6 +263,9 @@ impl HostCtx {
                     },
                 )
                 .await;
+            }
+            Mail::Request(request) => {
+                panic!("server woken over its own unread request: {request:?}")
             }
         }
     }
@@ -332,16 +325,18 @@ impl MpCtx {
                     self.charge(ActivityKind::Match).await;
                     self.charge(ActivityKind::RestartServer).await;
                     // Deposit the request in the server's mailbox, where
-                    // the host picks it up. (A client reads nothing from
-                    // its reply, so a `ReplyDelivered` deposits nothing.)
+                    // the host picks it up and so knows to serve it. (A
+                    // client reads nothing from its reply, so a
+                    // `ReplyDelivered` deposits nothing.)
                     let message = self
                         .kernel
                         .task(server)
                         .expect("the kernel delivered to a task it has")
-                        .delivered;
+                        .delivered
+                        .expect("a delivery leaves its message with the task");
                     *self.shared().slots[server.0 as usize]
                         .lock()
-                        .expect("TCB slot") = message.map_or(Mail::Empty, Mail::Delivered);
+                        .expect("TCB slot") = Mail::Delivered(message);
                 }
                 KernelEvent::ReplyDelivered { .. } => {
                     self.charge(ActivityKind::CleanupClient).await;
