@@ -7,9 +7,10 @@
 //! constant frequency of a geometric stage moves (§6.6.1: exit `1/mean`,
 //! loop `1 − 1/mean`); the chain's states, edge targets and control flow
 //! stay put. The engine's solution cache ([`crate::engine`]) cannot help —
-//! a new rate is a new net — so the exact backend keeps a skeleton store
-//! beside it instead: skeletons of lumped chains (`skeleton::Skeleton`) keyed
-//! by the net's rate-free shape (`compiled::Shape`). A net whose shape is
+//! it files a result under the net's rate-free shape (`compiled::Shape`)
+//! *and* its rates' bits, so a new rate misses — so the exact backend
+//! keeps a skeleton store beside it: skeletons of lumped chains
+//! (`skeleton::Skeleton`) keyed by the shape alone. A net whose shape is
 //! on the shelf is *re-priced*: the skeleton's tape of instantaneous-phase
 //! and fold arithmetic is replayed under the new rates, with no kernel,
 //! sort-merge or interning, and yields the fresh build's chain bit for
@@ -418,11 +419,12 @@ impl SkeletonStore {
     }
 }
 
-/// Builds the lumped chain of `net` within `max_states` states,
-/// re-pricing a skeleton from `store` when one of the net's shape is
-/// shelved and fits the budget, recording one on the shape's second
-/// sighting. The result is the fresh build's, bit for bit, whichever road
-/// it took; its build ledger ([`crate::engine::StageLedger`]) says which.
+/// Builds the lumped chain of `net`, whose shape is `shape`, within
+/// `max_states` states, re-pricing a skeleton from `store` when one of
+/// the shape is shelved and fits the budget, recording one on the shape's
+/// second sighting. A net without a shape, or a disabled store, builds
+/// fresh. The result is the fresh build's, bit for bit, whichever road it
+/// took; its build ledger ([`crate::engine::StageLedger`]) says which.
 /// The caller checks [`lumpable`](crate::lump::lumpable) first.
 ///
 /// # Errors
@@ -431,27 +433,24 @@ impl SkeletonStore {
 pub(crate) fn build_chain(
     store: &Mutex<SkeletonStore>,
     net: &Net,
+    shape: Option<&Shape>,
     max_states: usize,
 ) -> Result<LumpedGraph, GtpnError> {
     fn lock(store: &Mutex<SkeletonStore>) -> MutexGuard<'_, SkeletonStore> {
         store.lock().expect("skeleton store poisoned")
     }
-    let shape = if lock(store).lru.limits.disabled() {
-        None
-    } else {
-        Shape::of(net)
-    };
+    let shape = shape.filter(|_| !lock(store).lru.limits.disabled());
     let Some(Shape { key, rates }) = shape else {
         return lumped_chain(net, max_states, false).map(|(chain, _)| chain);
     };
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     let hash = h.finish();
-    let plan = lock(store).plan(hash, &key, max_states);
+    let plan = lock(store).plan(hash, key, max_states);
 
     let started = Instant::now();
     if let Plan::Replay(skeleton) = &plan {
-        if let Ok(mut chain) = skeleton.replay(net, &rates) {
+        if let Ok(mut chain) = skeleton.replay(net, rates) {
             chain.graph.build.reprice_s = started.elapsed().as_secs_f64();
             return Ok(chain);
         }
@@ -461,7 +460,7 @@ pub(crate) fn build_chain(
     let (mut chain, tape) = lumped_chain(net, max_states, record)?;
     let shelf = |sighting| Shelf {
         hash,
-        key,
+        key: key.clone(),
         sighting,
     };
     match plan {
@@ -481,13 +480,6 @@ pub(crate) fn build_chain(
         Plan::Build => {}
     }
     Ok(chain)
-}
-
-/// A rough resident-byte estimate for a net retained in a cache entry.
-pub(crate) fn net_bytes(net: &Net) -> usize {
-    // Places (name + marking) plus transitions (arcs, expression tree,
-    // labels); a coarse constant per node is plenty for a budget estimate.
-    64 * net.place_count() + 256 * net.transition_count()
 }
 
 #[cfg(test)]
@@ -539,7 +531,7 @@ mod tests {
     }
 
     fn build(store: &Mutex<SkeletonStore>, net: &Net) -> LumpedGraph {
-        build_chain(store, net, 10_000).unwrap()
+        build_chain(store, net, Shape::of(net).as_ref(), 10_000).unwrap()
     }
 
     /// `(replays, records, fallbacks)` of a chain's build.
@@ -610,7 +602,7 @@ mod tests {
         let recorded = build(&store, &net);
         assert_eq!(road(&recorded), (0, 1, 0));
         assert!(recorded.graph.state_count() > 1);
-        let err = build_chain(&store, &net, 1);
+        let err = build_chain(&store, &net, Shape::of(&net).as_ref(), 1);
         assert!(matches!(
             err.err(),
             Some(GtpnError::StateSpaceExceeded { limit: 1 })
@@ -884,7 +876,7 @@ mod tests {
             let delays = [0, 0, 1, 1, 1, 1];
             let net = crate::reach::arbitrary::net(&initial, &specs, delays);
             let store = unbounded();
-            let run = |net: &Net| build_chain(&store, net, 300);
+            let run = |net: &Net| build_chain(&store, net, Shape::of(net).as_ref(), 300);
             if run(&net).is_ok() && run(&net).is_ok() {
                 let repriced = crate::reach::arbitrary::net(&initial, &reprice(&specs, &scales), delays);
                 let want = reach_lumped(&repriced, 300);

@@ -116,7 +116,8 @@ impl CompiledNet {
     /// Compiles `net`, which must have passed [`Net::validate`].
     pub(crate) fn new(net: &Net) -> CompiledNet {
         let initial = net.initial_marking();
-        let mut slots = Shape::walk(net).map(|(_, _, slots)| slots.into_iter());
+        let mut programs = Vec::with_capacity(net.transition_count());
+        let mut slots = Shape::walk(net, Some(&mut programs)).map(|_| programs.into_iter());
         let transitions: Vec<CompiledTransition> = net
             .transitions
             .iter()
@@ -224,16 +225,17 @@ impl Shape {
     /// The shape of `net`, or `None` when some frequency is not
     /// re-priceable or some rate is negative or not finite.
     pub(crate) fn of(net: &Net) -> Option<Shape> {
-        Shape::walk(net).map(|(key, rates, _)| Shape { key, rates })
+        Shape::walk(net, None)
     }
 
-    /// The key, the rates and each transition's slot program.
-    fn walk(net: &Net) -> Option<(Vec<u64>, Vec<f64>, Vec<Frequency>)> {
+    /// The shape, and into `slots`, when given, each transition's slot
+    /// program.
+    fn walk(net: &Net, mut slots: Option<&mut Vec<Frequency>>) -> Option<Shape> {
         let mut key = vec![net.place_count() as u64];
         key.extend(net.initial_marking().into_iter().map(u64::from));
         key.push(net.transition_count() as u64);
         let mut rates = Vec::new();
-        let mut slots = Vec::with_capacity(net.transition_count());
+        let mut program = Vec::new();
         let arcs = |key: &mut Vec<u64>, arcs: &[(crate::net::PlaceId, u32)]| {
             key.push(arcs.len() as u64);
             key.extend(arcs.iter().map(|&(p, m)| (p.0 as u64) << 32 | u64::from(m)));
@@ -242,16 +244,18 @@ impl Shape {
             key.push(t.delay);
             arcs(&mut key, &t.inputs);
             arcs(&mut key, &t.outputs);
-            let mut program = Vec::new();
+            program.clear();
             if !rate_form(&t.frequency, &mut key, &mut rates, &mut program) {
                 return None;
             }
-            slots.push(match program[..] {
-                [Op::Const(slot)] => Frequency::Constant(slot),
-                _ => Frequency::Program(program),
-            });
+            if let Some(slots) = slots.as_deref_mut() {
+                slots.push(match program[..] {
+                    [Op::Const(slot)] => Frequency::Constant(slot),
+                    _ => Frequency::Program(program.clone()),
+                });
+            }
         }
-        Some((key, rates, slots))
+        Some(Shape { key, rates })
     }
 }
 

@@ -32,35 +32,37 @@
 //!   exact run's iterations and residual. No result keeps its chain, so a
 //!   cached entry costs a few short vectors.
 //!
-//! * **Solution caching.** Results are cached process-globally, keyed by
-//!   `(net fingerprint, backend, solver parameters)` where the fingerprint
-//!   hashes the net *as built*: the same builder producing the same net in
-//!   the same order hits, and a net built in another order is another net
-//!   and misses. (Every hit of the paper's evaluation is of the first
-//!   kind.) Hits are verified by full structural equality of the nets, so
-//!   fingerprint collisions cannot alias distinct nets. The cache is
-//!   one bounded store (`cache::Bounded`), limited by resident bytes
+//! * **Solution caching.** An analysis of the lumped road (lumping on, the
+//!   net lumpable and re-priceable, so it has a `compiled::Shape`) is filed
+//!   process-globally under the words that determine it: the shape's key,
+//!   the resource labels, the rates' bits and the solver settings. An entry
+//!   keeps those words, not the net; a hit is found by their hash and
+//!   verified by full word equality. A net built in another order has
+//!   other words and misses. Nothing else is filed: a raw solve or a DES
+//!   estimate is computed every time, each backend run a miss. The cache
+//!   is one bounded store (`cache::Bounded`), limited by resident bytes
 //!   (1 GiB, `cache::DEFAULT_CACHE_MB`) and optionally entry count
 //!   (`HSIPC_CACHE_CAP`, `0` disables); when a bound binds it evicts the
 //!   least recently used entry, found by a scan of recency ticks. It
 //!   reports [`cache_stats`]. The skeleton store the exact backend
-//!   re-prices from is another such store beside it ([`store_stats`]).
+//!   re-prices from is another such store beside it ([`store_stats`]),
+//!   keyed by the shape alone.
 //!
 //! * **Determinism.** With lumping off the exact backend is bitwise
 //!   identical to calling `net.reachability(budget)?.solve(tol, sweeps)`
-//!   directly — every result, hit or miss, is the solve of the caller's
-//!   net as built. A re-priced lumped chain is the fresh build's chain bit
-//!   for bit. A lumped solve is itself deterministic (byte-identical across
-//!   runs and thread counts) but agrees with the raw solve to solver
-//!   tolerance, not bit-for-bit — which is why the cache key records
-//!   whether a result is lumped. DES simulates the caller's net with
-//!   replication seeds derived from its fingerprint, so an estimate is
-//!   identical run-to-run no matter which sweep worker executes it. Two
+//!   directly. A re-priced lumped chain is the fresh build's chain bit
+//!   for bit, so a hit returns the bits a fresh analysis of the caller's
+//!   net would. A lumped solve is itself deterministic (byte-identical
+//!   across runs and thread counts) but agrees with the raw solve to
+//!   solver tolerance, not bit-for-bit. DES simulates the caller's net
+//!   with replication seeds derived from its fingerprint, so an estimate
+//!   is identical run-to-run no matter which sweep worker executes it. Two
 //!   build orders of one model sum in different orders and sample
 //!   different trajectories, so they agree to solver tolerance (exact) or
 //!   to sampling error (DES), not bit for bit.
 
 use crate::cache::{Bounded, CacheLimits, CacheStats, SkeletonStore, StoreStats};
+use crate::compiled::Shape;
 use crate::error::GtpnError;
 use crate::lump::{LumpSel, LumpedGraph};
 use crate::net::{Net, PlaceId, TransId};
@@ -141,8 +143,8 @@ pub struct EngineConfig {
     pub des: DesOptions,
     /// Exact-lumping policy ([`crate::lump`]): solve the quotient chain
     /// of a qualifying net instead of the raw tangible chain. Default
-    /// [`LumpSel::On`]; part of the cache key (lumped and raw results
-    /// agree to solver tolerance, not bit-for-bit).
+    /// [`LumpSel::On`]; only lumped results are cached (lumped and raw
+    /// results agree to solver tolerance, not bit-for-bit).
     pub lump: LumpSel,
 }
 
@@ -364,10 +366,10 @@ thread_local! {
     static WORKSPACE: RefCell<SolveWorkspace> = RefCell::new(SolveWorkspace::new());
 }
 
-/// The exact pipeline. A net the config's [`LumpSel`] lets lump, and
-/// which qualifies ([`crate::lump::lumpable`]), has its lumped chain built
-/// — re-priced from a skeleton in `store` when the net's shape is shelved
-/// ([`crate::cache`]) — and its measures de-lumped. Any other net is
+/// The exact pipeline. A `lumped` net — one the config's [`LumpSel`] lets
+/// lump, and which qualifies ([`crate::lump::lumpable`]) — has its lumped
+/// chain built — re-priced from a skeleton in `store` when its `shape` is
+/// shelved ([`crate::cache`]) — and its measures de-lumped. Any other net is
 /// built by the public [`Net::reachability`] and never enters the store;
 /// its measures are read off by the very calls a direct caller makes.
 /// Either chain is solved as [`crate::ReachabilityGraph::solve`] solves
@@ -383,10 +385,12 @@ fn exact(
     store: &Mutex<SkeletonStore>,
     net: &Net,
     cfg: &EngineConfig,
+    lumped: bool,
+    shape: Option<&Shape>,
 ) -> Result<(AnalysisData, StageLedger), GtpnError> {
-    let lumped = cfg.lump.enabled() && crate::lump::lumpable(net);
     let (mut graph, rows) = if lumped {
-        let LumpedGraph { graph, rows } = crate::cache::build_chain(store, net, cfg.state_budget)?;
+        let LumpedGraph { graph, rows } =
+            crate::cache::build_chain(store, net, shape, cfg.state_budget)?;
         (graph, Some(rows))
     } else {
         (net.reachability(cfg.state_budget)?, None)
@@ -444,10 +448,11 @@ fn exact(
 /// The simulation backend: `batches` independent replications of
 /// [`sim::simulate`] on `net`, combined into batch-means estimates with 95%
 /// half-widths ([`batch_means_interval`]). Replication seeds derive from
-/// `fp`, the net's fingerprint, so the estimate is a pure function of the
-/// net as built — stable across runs and sweep-worker schedules.
-fn des(net: &Net, fp: u64, cfg: &EngineConfig) -> Result<AnalysisData, GtpnError> {
+/// the net's fingerprint, so the estimate is a pure function of the net as
+/// built — stable across runs and sweep-worker schedules.
+fn des(net: &Net, cfg: &EngineConfig) -> Result<AnalysisData, GtpnError> {
     net.validate()?;
+    let fp = net.fingerprint();
     let batches = cfg.des.batches.max(2);
     let opts = SimOptions {
         horizon: cfg.des.horizon,
@@ -502,31 +507,28 @@ fn des(net: &Net, fp: u64, cfg: &EngineConfig) -> Result<AnalysisData, GtpnError
 // The process-global solution cache.
 // ---------------------------------------------------------------------------
 
-/// Cache key: net fingerprint, backend kind, solver-parameter hash.
-type CacheKey = (u64, BackendKind, u64);
-
+/// An exact lumped analysis and the words it is filed under.
 #[derive(Debug)]
 struct CacheEntry {
-    /// The analyzed net, for equality verification of candidate hits.
-    net: Net,
+    /// [`AnalysisEngine::words`], for verification of candidate hits.
+    words: Vec<u64>,
     data: Arc<AnalysisData>,
 }
 
 /// Estimated resident bytes of a cache entry: the per-name maps and per-id
-/// vectors of its measures, plus the net kept for hit verification.
+/// vectors of its measures, plus its words.
 fn entry_bytes(e: &CacheEntry) -> usize {
     let d = &e.data;
     64 * (d.resource_usage.len() + d.resource_half_width.len() + d.resource_delay.len())
-        + 8 * (d.mean_tokens.len() + d.transition_usage.len())
-        + crate::cache::net_bytes(&e.net)
+        + 8 * (d.mean_tokens.len() + d.transition_usage.len() + e.words.len())
         + 128
 }
 
 #[derive(Debug)]
 struct EngineCache {
-    /// Entries by key; distinct nets can share a fingerprint, so a key
-    /// holds a chain.
-    store: Bounded<CacheKey, CacheEntry>,
+    /// Entries by the hash of their words; distinct words can share a
+    /// hash, so a hash holds a chain.
+    store: Bounded<u64, CacheEntry>,
     hits: u64,
     misses: u64,
 }
@@ -665,60 +667,62 @@ impl AnalysisEngine {
         self.caches().cache_stats()
     }
 
-    /// The cache key of `net` (fingerprint `fp`) under backend `kind`: the
-    /// fingerprint plus a hash of the parameters that determine the
-    /// backend's result beyond the net itself, so engines with different
-    /// settings never alias. The DES hash includes the state budget so an
-    /// `Auto` fallback result is only reused by engines that would have
-    /// fallen back at the same point. The exact hash includes whether the
-    /// backend would solve the quotient chain for this net (a property of
-    /// net and policy together): lumped and raw solves agree to solver
-    /// tolerance, not bit-for-bit, and their `states` counts mean
-    /// different things, so they never alias — while any two engines that
-    /// both lump share hits.
-    fn key(&self, kind: BackendKind, net: &Net, fp: u64) -> CacheKey {
-        let mut h = DefaultHasher::new();
-        match kind {
-            BackendKind::Exact => {
-                self.cfg.tolerance.to_bits().hash(&mut h);
-                self.cfg.max_sweeps.hash(&mut h);
-                (self.cfg.lump.enabled() && crate::lump::lumpable(net)).hash(&mut h);
-            }
-            BackendKind::Des => {
-                self.cfg.des.horizon.hash(&mut h);
-                self.cfg.des.warmup.hash(&mut h);
-                self.cfg.des.batches.hash(&mut h);
-                self.cfg.state_budget.hash(&mut h);
-            }
+    /// The words an exact lumped analysis of `net`, whose shape is
+    /// `shape`, is filed under, and their hash: the shape's key, each
+    /// transition's resource label (length, then its bytes eight to a
+    /// word), the bits of the shape's rates, and this engine's tolerance,
+    /// sweep limit and state budget. Every part is self-delimiting, so
+    /// equal words are equal inputs to the solve and to the measures it
+    /// reports — and engines whose other settings differ share hits.
+    fn words(&self, net: &Net, shape: &Shape) -> (u64, Vec<u64>) {
+        let cfg = &self.cfg;
+        let settings = [
+            cfg.tolerance.to_bits(),
+            cfg.max_sweeps as u64,
+            cfg.state_budget as u64,
+        ];
+        let labels = net.transitions.iter().map(|t| t.resource.as_deref());
+        let mut words =
+            Vec::with_capacity(shape.key.len() + shape.rates.len() + 2 * labels.len() + 3);
+        words.extend_from_slice(&shape.key);
+        for label in labels {
+            let bytes = label.map_or(&[][..], str::as_bytes);
+            words.push(label.map_or(0, |_| bytes.len() as u64 + 1));
+            words.extend(bytes.chunks(8).map(|chunk| {
+                let mut word = [0; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(word)
+            }));
         }
-        (fp, kind, h.finish())
+        words.extend(shape.rates.iter().map(|rate| rate.to_bits()));
+        words.extend(settings);
+        let mut h = DefaultHasher::new();
+        words.hash(&mut h);
+        (h.finish(), words)
     }
 
-    /// Looks for a verified cache hit: an entry of `net` itself whose
-    /// exact result fits this engine's state budget. A disabled cache
-    /// holds nothing, so its probes miss.
-    fn probe(&self, kind: BackendKind, net: &Net, fp: u64) -> Option<Analysis> {
-        let key = self.key(kind, net, fp);
+    /// Looks for a verified cache hit: an entry filed under `words`
+    /// (hashing to `hash`). A disabled cache holds nothing, so its probes
+    /// miss.
+    fn probe(&self, hash: u64, words: &[u64]) -> Option<Analysis> {
         let mut c = self.cache_mutex().lock().expect("engine cache poisoned");
-        let entry = c.store.get(&key, |e| {
-            (kind != BackendKind::Exact || e.data.states <= self.cfg.state_budget) && e.net == *net
-        })?;
+        let entry = c.store.get(&hash, |e| e.words == words)?;
         let data = Arc::clone(&entry.data);
         c.hits += 1;
         Some(Analysis { data })
     }
 
-    /// Inserts a freshly computed analysis ([`Bounded::insert`]): a racing
-    /// insert of the same net is dropped, not duplicated.
-    fn insert(&self, kind: BackendKind, net: &Net, fp: u64, data: &Arc<AnalysisData>) {
-        let key = self.key(kind, net, fp);
+    /// Files a freshly computed analysis under `words` ([`Bounded::insert`]):
+    /// a racing insert of the same words is dropped, not duplicated.
+    fn insert(&self, hash: u64, words: Vec<u64>, data: &Arc<AnalysisData>) {
         let entry = CacheEntry {
-            net: net.clone(),
+            words,
             data: Arc::clone(data),
         };
         let bytes = entry_bytes(&entry);
         let mut c = self.cache_mutex().lock().expect("engine cache poisoned");
-        c.store.insert(key, entry, bytes, |a, b| a.net == b.net);
+        c.store
+            .insert(hash, entry, bytes, |a, b| a.words == b.words);
     }
 
     /// Analyzes `net` under the engine's policy; see the module docs.
@@ -730,39 +734,51 @@ impl AnalysisEngine {
     /// [`BackendSel::Auto`], [`GtpnError::StateSpaceExceeded`] from the
     /// exact path triggers the DES fallback instead of being returned.
     pub fn analyze(&self, net: &Net) -> Result<Analysis, GtpnError> {
-        let fp = net.fingerprint();
-        let kinds: &[BackendKind] = match self.cfg.backend {
-            BackendSel::Exact => &[BackendKind::Exact],
-            BackendSel::Des => &[BackendKind::Des],
-            BackendSel::Auto => &[BackendKind::Exact, BackendKind::Des],
+        // Only the lumped road is filed, under words drawn from the shape.
+        let lumped = self.cfg.lump.enabled() && crate::lump::lumpable(net);
+        let shape = match self.cfg.backend {
+            BackendSel::Exact | BackendSel::Auto if lumped => Shape::of(net),
+            _ => None,
         };
-        if let Some(hit) = kinds.iter().find_map(|&k| self.probe(k, net, fp)) {
-            return Ok(hit);
+        let filed = shape.as_ref().map(|shape| self.words(net, shape));
+        if let Some((hash, words)) = &filed {
+            if let Some(hit) = self.probe(*hash, words) {
+                return Ok(hit);
+            }
         }
-        // A miss runs the backend and caches the result.
-        let run = |kind: BackendKind| -> Result<Analysis, GtpnError> {
+        // Every backend run is a miss.
+        let miss = || {
             self.cache_mutex()
                 .lock()
                 .expect("engine cache poisoned")
                 .misses += 1;
-            let data = Arc::new(match kind {
-                BackendKind::Exact => {
-                    let (data, stages) = exact(&self.caches().skeletons, net, &self.cfg)?;
-                    stage_totals_cell()
-                        .lock()
-                        .expect("stage totals poisoned")
-                        .add(&stages);
-                    data
-                }
-                BackendKind::Des => des(net, fp, &self.cfg)?,
-            });
-            self.insert(kind, net, fp, &data);
-            Ok(Analysis { data })
         };
-        match run(kinds[0]) {
-            Err(GtpnError::StateSpaceExceeded { .. }) if kinds.len() > 1 => run(kinds[1]),
-            other => other,
+        let run_exact = || {
+            miss();
+            let store = &self.caches().skeletons;
+            let (data, stages) = exact(store, net, &self.cfg, lumped, shape.as_ref())?;
+            stage_totals_cell()
+                .lock()
+                .expect("stage totals poisoned")
+                .add(&stages);
+            Ok(data)
+        };
+        let run_des = || {
+            miss();
+            des(net, &self.cfg)
+        };
+        let data = Arc::new(match self.cfg.backend {
+            BackendSel::Exact => run_exact(),
+            BackendSel::Des => run_des(),
+            BackendSel::Auto => match run_exact() {
+                Err(GtpnError::StateSpaceExceeded { .. }) => run_des(),
+                other => other,
+            },
+        }?);
+        if let (BackendKind::Exact, Some((hash, words))) = (data.backend, filed) {
+            self.insert(hash, words, &data);
         }
+        Ok(Analysis { data })
     }
 }
 
@@ -830,8 +846,8 @@ mod tests {
     /// A raw exact result is filled when it is made, with the bits a
     /// direct `reachability(..)?.solve(..)` caller reads — every place's
     /// mean tokens and every transition's usage, rate, iterations and
-    /// residual. The key is the net as built: the reversed build of a
-    /// cached net is a miss, answered by its own direct solve's bits.
+    /// residual. Raw analyses are not filed: each build is a miss,
+    /// answered by its own direct solve's bits.
     #[test]
     fn exact_backend_is_bitwise_identical_to_direct_solve() {
         let _gate = crate::test_serial();
@@ -879,10 +895,7 @@ mod tests {
             assert!(a.residual().unwrap() < 1e-12);
             assert!(a.resource_interval("lambda").is_none());
         }
-        // The same build again is a hit.
-        let before = cache_stats();
-        exact_engine().analyze(&geo(10.0)).unwrap();
-        assert_eq!(cache_stats().hits, before.hits + 1);
+        assert_eq!(cache_stats().entries, 0);
     }
 
     #[test]
@@ -921,11 +934,13 @@ mod tests {
             ci.estimate,
             1.0 / 6.0
         );
-        // The fallback result is cached: a second call is a hit.
+        // The fallback result is not filed: a second call runs both
+        // backends again, a miss each.
         let before = cache_stats();
         let again = mk(states - 1).analyze(&net).unwrap();
         assert_eq!(again.backend(), BackendKind::Des);
-        assert_eq!(cache_stats().hits, before.hits + 1);
+        let after = cache_stats();
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses + 2));
     }
 
     /// A DES estimate is a pure function of the net: a fresh run of the
@@ -954,32 +969,87 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// An exact lumped analysis is filed under its shape, its resource
+    /// labels, its rates' bits and the engine's solver settings: the same
+    /// net again hits, and a change to any of those misses with its own
+    /// fresh result. Nothing else is filed — a raw or DES analysis is a
+    /// miss every time, and each is counted.
     #[test]
-    fn distinct_configs_do_not_alias() {
-        let _gate = crate::test_serial();
-        clear_cache();
-        let net = geo(5.0);
-        let a = exact_engine().analyze(&net).unwrap();
-        let tighter = AnalysisEngine::new(EngineConfig {
+    fn an_analysis_is_filed_under_the_words_that_determine_it() {
+        let engine = lump_engine(LumpSel::On).with_cache(64);
+        let fresh = lump_engine(LumpSel::On).with_cache(0);
+        let counts = |e: &AnalysisEngine| {
+            let s = e.cache_stats();
+            (s.hits, s.misses)
+        };
+        let usage = |a: &Analysis, label: &str| a.resource_usage(label).unwrap().to_bits();
+        let net = sym2(6.0);
+        let first = engine.analyze(&net).unwrap();
+        engine.analyze(&net).unwrap();
+        assert_eq!(counts(&engine), (1, 1), "the same net hits");
+
+        let mut faster = net.clone();
+        faster.transitions[0].frequency = Expr::constant(1.0 / 4.0);
+        let got = engine.analyze(&faster).unwrap();
+        assert_eq!(counts(&engine), (1, 2), "a rate is part of the words");
+        let want = fresh.analyze(&faster).unwrap();
+        assert_eq!(usage(&got, "lambda"), usage(&want, "lambda"));
+        assert_ne!(usage(&got, "lambda"), usage(&first, "lambda"));
+
+        let mut renamed = net.clone();
+        renamed.transitions[0].resource = Some("mu".into());
+        let got = engine.analyze(&renamed).unwrap();
+        assert_eq!(counts(&engine), (1, 3), "a label is part of the words");
+        assert_eq!(usage(&got, "mu"), usage(&first, "lambda"));
+        assert!(got.resource_usage("lambda").is_err());
+
+        let sharing = |cfg: EngineConfig| AnalysisEngine {
+            cfg,
+            cache: engine.cache.clone(),
+        };
+        let tighter = sharing(EngineConfig {
             tolerance: 1e-13,
-            ..exact_engine().config().clone()
+            ..engine.config().clone()
         });
-        let before = cache_stats();
-        let b = tighter.analyze(&net).unwrap();
-        let after = cache_stats();
-        assert_eq!(
-            after.misses,
-            before.misses + 1,
-            "tolerance is part of the key"
-        );
-        assert!(a.resource_usage("lambda").is_ok() && b.resource_usage("lambda").is_ok());
+        let roomier = sharing(EngineConfig {
+            state_budget: 20_000,
+            ..engine.config().clone()
+        });
+        let longer = sharing(EngineConfig {
+            max_sweeps: 200_000,
+            ..engine.config().clone()
+        });
+        for (i, other) in [tighter, roomier, longer].iter().enumerate() {
+            other.analyze(&net).unwrap();
+            assert_eq!(counts(&engine), (1, 4 + i as u64), "setting {i}");
+        }
+        assert_eq!(engine.cache_stats().entries, 6);
+
+        let raw = AnalysisEngine {
+            cfg: lump_engine(LumpSel::Off).cfg,
+            ..engine.clone()
+        };
+        let des = sharing(EngineConfig {
+            backend: BackendSel::Des,
+            des: DesOptions {
+                horizon: 6_000,
+                warmup: 600,
+                batches: 2,
+            },
+            ..engine.config().clone()
+        });
+        for (i, other) in [&raw, &raw, &des, &des].into_iter().enumerate() {
+            other.analyze(&net).unwrap();
+            assert_eq!(counts(&engine), (1, 7 + i as u64), "analysis {i}");
+        }
+        assert_eq!(engine.cache_stats().entries, 6);
     }
 
     #[test]
     fn private_cache_is_isolated_from_the_global_one() {
         let _gate = crate::test_serial();
         clear_cache();
-        let engine = exact_engine().with_cache(8);
+        let engine = lump_engine(LumpSel::On).with_cache(8);
         let net = geo(11.0);
         let global_before = cache_stats();
         engine.analyze(&net).unwrap();
@@ -990,7 +1060,7 @@ mod tests {
         assert_eq!(global_after.hits, global_before.hits);
         assert_eq!(global_after.misses, global_before.misses);
         // Capacity 0 disables caching for this engine alone.
-        let off = exact_engine().with_cache(0);
+        let off = lump_engine(LumpSel::On).with_cache(0);
         off.analyze(&net).unwrap();
         off.analyze(&net).unwrap();
         let s = off.cache_stats();
@@ -1002,7 +1072,7 @@ mod tests {
     /// racing worker's insert of a resident net is dropped.
     #[test]
     fn a_full_cache_evicts_the_least_recently_used_entry() {
-        let engine = exact_engine().with_cache(2);
+        let engine = lump_engine(LumpSel::On).with_cache(2);
         let (a, b, c) = (geo(3.0), geo(4.0), geo(5.0));
         let hits = |net: &Net| {
             let before = engine.cache_stats().hits;
@@ -1014,9 +1084,9 @@ mod tests {
         let s = engine.cache_stats();
         assert_eq!((s.evictions, s.entries, s.dedup_drops), (1, 2, 0));
         assert_eq!(hits(&b), 0);
-        let fp = a.fingerprint();
-        let data = engine.probe(BackendKind::Exact, &a, fp).unwrap().data;
-        engine.insert(BackendKind::Exact, &a, fp, &data);
+        let (hash, words) = engine.words(&a, &Shape::of(&a).unwrap());
+        let data = engine.probe(hash, &words).unwrap().data;
+        engine.insert(hash, words, &data);
         let s = engine.cache_stats();
         assert_eq!((s.evictions, s.entries, s.dedup_drops), (2, 2, 1));
     }
@@ -1103,7 +1173,9 @@ mod tests {
     /// its solution cache: the analysis and the run's ledger.
     fn run_exact(engine: &AnalysisEngine, net: &Net) -> (Analysis, StageLedger) {
         let store = &engine.caches().skeletons;
-        let (data, ledger) = exact(store, net, engine.config()).unwrap();
+        let lumped = engine.config().lump.enabled();
+        let shape = Shape::of(net);
+        let (data, ledger) = exact(store, net, engine.config(), lumped, shape.as_ref()).unwrap();
         let data = Arc::new(data);
         (Analysis { data }, ledger)
     }
@@ -1248,9 +1320,9 @@ mod tests {
     }
 
     /// A raw analysis — lumping off, or declined — takes the public
-    /// pipeline: it has the bits of `net.reachability(..)?.solve(..)`, its
-    /// result is kept in the solution cache, and the skeleton store never
-    /// sees it, not even across a rate sweep of one shape.
+    /// pipeline: it has the bits of `net.reachability(..)?.solve(..)`, and
+    /// neither the solution cache nor the skeleton store keeps it, not even
+    /// across a rate sweep of one shape.
     #[test]
     fn raw_analyses_take_the_public_pipeline() {
         let sweep = [3.0, 4.0, 5.5, 7.25].map(sym2);
@@ -1271,8 +1343,9 @@ mod tests {
                 }
                 let shape = (a.lumped(), a.states(), a.iterations());
                 assert_eq!(shape, (false, graph.state_count(), Some(want.iterations())));
-                assert_eq!(engine.cache_stats().entries, i + 1);
+                assert_eq!(engine.cache_stats().misses, i as u64 + 1);
             }
+            assert_eq!(engine.cache_stats().entries, 0);
             assert_eq!(engine.caches().store_stats(), StoreStats::default());
         }
     }
@@ -1284,7 +1357,7 @@ mod tests {
         let net = sym2(9.0);
         lump_engine(LumpSel::Off).analyze(&net).unwrap();
         let before = cache_stats();
-        // A lumping engine must not be served the raw entry...
+        // A lumping engine must not be served the raw result...
         let lumped = lump_engine(LumpSel::On).analyze(&net).unwrap();
         assert!(lumped.lumped());
         assert_eq!(cache_stats().misses, before.misses + 1);
@@ -1310,8 +1383,8 @@ mod tests {
             off.resource_usage("lambda").unwrap().to_bits(),
             "declined lumping must leave the raw pipeline untouched"
         );
-        // Same effective key (both raw): the second analyze was a hit.
+        // Both raw: neither is filed, so both were misses.
         let s = cache_stats();
-        assert!(s.hits >= 1);
+        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 0));
     }
 }

@@ -26,7 +26,7 @@ impl fmt::Display for TransId {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct PlaceDef {
     pub name: String,
     pub initial: u32,
@@ -50,7 +50,7 @@ pub(crate) struct PlaceDef {
 /// net.add_transition(t)?;
 /// # Ok::<(), gtpn::GtpnError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Transition {
     pub(crate) name: String,
     pub(crate) delay: u64,
@@ -105,11 +105,7 @@ impl Transition {
 }
 
 /// A Generalized Timed Petri Net.
-///
-/// Equality is structural — same names, places, transitions, arcs, delays
-/// and frequency expressions, in the same order — and is what the engine's
-/// solution cache ([`crate::engine`]) verifies a hit by.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Net {
     name: String,
     pub(crate) places: Vec<PlaceDef>,
@@ -281,11 +277,9 @@ impl Net {
         Ok(())
     }
 
-    /// Hash of the net as built — the engine's cache key and DES seed
-    /// ([`crate::engine`]). Names are included: the cache verifies hits by
-    /// full equality, so labels that discriminate keys only shorten
-    /// collision chains. Build order counts: the same model built in
-    /// another order is another net.
+    /// Hash of the net as built, names included — the seed of the
+    /// engine's DES replications ([`crate::engine`]). Build order counts:
+    /// the same model built in another order is another net.
     pub(crate) fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.name.hash(&mut h);
